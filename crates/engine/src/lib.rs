@@ -46,6 +46,7 @@ pub mod exec;
 pub mod explain;
 pub mod expr;
 pub mod faults;
+pub(crate) mod hashtable;
 pub mod functions;
 pub mod logical;
 pub mod memory;

@@ -1,14 +1,25 @@
 //! Morsel-driven parallel execution.
 //!
 //! A `Parallelism (Gather Streams)` operator marks a subtree that runs
-//! on a small worker pool: the base-table rows under it are split into
-//! fixed-size *morsels*, workers claim morsels off a shared atomic
-//! counter, push each morsel through the region's operator pipeline
-//! (seek residual → filters / compute scalars → partitioned hash-join
-//! probe → pre-aggregation), and the gather merges the per-morsel
-//! outputs back into one stream *in morsel order* — so for everything
-//! but floating-point aggregates the parallel result is byte-identical
-//! to the serial one, not merely bag-equal.
+//! on a small worker pool: the base table under it, as a column
+//! [`Batch`], is cut into fixed-size *morsels*, workers claim morsels
+//! off a shared atomic counter, push each morsel slice through the
+//! region's operator pipeline (seek residual → filters / compute
+//! scalars → probe of the shared hash-join table → pre-aggregation),
+//! and the gather merges the per-morsel outputs back into one stream
+//! *in morsel order* — so for everything but floating-point aggregates
+//! the parallel result is byte-identical to the serial one, not merely
+//! bag-equal.
+//!
+//! The pipeline stages are not implemented here: filters, computes,
+//! the join and the aggregates are [`crate::vexec`]'s batch operators
+//! over [`crate::hashtable`], driven a morsel at a time. This module
+//! owns what is specific to running them in parallel — region
+//! recognition, morsel dispatch, which columns each stage still needs,
+//! the order partial results are merged in. Both engines share it: the
+//! row engine (`SQLSHARE_VECTORIZED=0`) differs only in running the
+//! join's build subtree, and any region [`compile`] does not
+//! recognize, on the row interpreter.
 //!
 //! The shape of a parallel region is deliberately restricted to what
 //! [`compile`] recognizes; `execute_gather` falls back to plain serial
@@ -20,21 +31,18 @@
 //! token aborts the morsel dispatch loop, so `cancel_query` lands
 //! mid-join just as it does serially.
 
-use crate::aggregate::{AggCall, Accumulator};
+use crate::aggregate::{Accumulator, AggCall};
 use crate::catalog::Catalog;
 use crate::exec::{self, ExecGuard};
-use crate::expr::{eval_predicate, BoundExpr};
+use crate::expr::BoundExpr;
 use crate::faults::FaultSite;
 use crate::functions::EvalContext;
 use crate::physical::{PhysOp, PhysicalPlan};
-use crate::table::cmp_rows;
-use crate::value::{Row, Value};
-use crate::vector::Batch;
+use crate::value::Row;
+use crate::vector::{batch_rows_bytes, Batch, NULL_ROW};
+use crate::vexec::{self, GroupMerger, JoinBuild, JoinSpec};
 use sqlshare_common::{Error, Result};
 use sqlshare_sql::ast::JoinKind;
-use std::borrow::Cow;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -55,12 +63,8 @@ pub fn execute_gather(
     gather_inner(plan, dop, catalog, ctx, guard, false)
 }
 
-/// [`execute_gather`] for the vectorized engine: the same morsel
-/// pipeline, except the serial fallback and the join build run on
-/// [`crate::vexec`], and a region over an in-memory source carries a
-/// column-batch view — morsels evaluate their seek residual and leading
-/// filters as kernels over batch slices, bailing to the row path (which
-/// stays authoritative for errors) whenever a kernel cannot run.
+/// [`execute_gather`] for the vectorized engine: the serial fallback
+/// and the join's build subtree run on [`crate::vexec`].
 pub(crate) fn execute_gather_vectorized(
     plan: &PhysicalPlan,
     dop: usize,
@@ -81,32 +85,71 @@ fn gather_inner(
 ) -> Result<Vec<Row>> {
     let child = exec::data_child(plan)?;
     let dop = dop.max(1);
-    let Some(region) = compile(child, catalog, vectorized)? else {
+    let Some(region) = compile(child, catalog)? else {
         return if vectorized {
-            crate::vexec::execute(child, catalog, ctx, guard)
+            vexec::execute(child, catalog, ctx, guard)
         } else {
             exec::execute(child, catalog, ctx, guard)
         };
     };
     let join = match region.probe_spec() {
-        Some(spec) => Some(build_join(spec, dop, catalog, ctx, guard, vectorized)?),
+        Some(spec) => Some(build_join(spec, catalog, ctx, guard, vectorized)?),
         None => None,
     };
+    let join = join.as_ref();
+    let n_rows = region.source.len;
+    // The unmatched-build tail for Right/Full joins can only be read
+    // once every probe morsel has run — the probes are what populate the
+    // matched flags — so each branch computes it after `run_morsels`
+    // returns, never before.
     match &region.agg {
         None => {
-            let chunks = run_morsels(region.source.rows.len(), dop, guard, |_, range, g| {
-                process_morsel(&region, join.as_ref(), range, ctx, g)
+            // Morsel materialization: once an operator builds new rows,
+            // the morsel's output is held until the gather drains it.
+            let builds = region.ops.iter().any(|op| !matches!(op, Op::Filter(_)));
+            let chunks = run_morsels(n_rows, dop, guard, |_, range, g| {
+                let out = region.run(range, join, ctx, g)?;
+                if builds {
+                    g.charge(batch_rows_bytes(&out))?;
+                }
+                Ok(out.to_rows())
             })?;
-            let mut out: Vec<Row> = chunks
-                .into_iter()
-                .flat_map(MorselRows::into_owned)
-                .collect();
-            if let (Some(spec), Some(state)) = (region.probe_spec(), join.as_ref()) {
-                out.extend(right_tail(spec, state, region.post_join_ops(), ctx, guard)?);
+            let mut out: Vec<Row> = chunks.into_iter().flatten().collect();
+            if let Some(tail) = region.tail(join, ctx, guard)? {
+                out.extend(tail.to_rows());
             }
             Ok(out)
         }
-        Some(agg) => aggregate_parallel(&region, agg, join.as_ref(), dop, ctx, guard),
+        Some(agg) if agg.group.is_empty() => {
+            // Scalar aggregate: one partial per morsel, merged in morsel
+            // order; always exactly one output row, even on empty input.
+            let mut partials = run_morsels(n_rows, dop, guard, |_, range, g| {
+                vexec::scalar_partial(&region.run(range, join, ctx, g)?, agg.aggs, ctx, g)
+            })?;
+            if let Some(tail) = region.tail(join, ctx, guard)? {
+                partials.push(vexec::scalar_partial(&tail, agg.aggs, ctx, guard)?);
+            }
+            let mut accs = vexec::new_accs(agg.aggs);
+            for partial in &partials {
+                for (acc, p) in accs.iter_mut().zip(partial) {
+                    acc.merge(p)?;
+                }
+            }
+            Ok(vec![accs.iter().map(Accumulator::finish).collect()])
+        }
+        Some(agg) => {
+            let partials = run_morsels(n_rows, dop, guard, |_, range, g| {
+                vexec::group_batch(&region.run(range, join, ctx, g)?, agg.group, agg.aggs, ctx, g)
+            })?;
+            let mut merger = GroupMerger::new(agg.group.len(), agg.aggs.len());
+            for partial in partials {
+                merger.push(partial)?;
+            }
+            if let Some(tail) = region.tail(join, ctx, guard)? {
+                merger.push(vexec::group_batch(&tail, agg.group, agg.aggs, ctx, guard)?)?;
+            }
+            Ok(merger.finish())
+        }
     }
 }
 
@@ -114,27 +157,23 @@ fn gather_inner(
 // Region compilation
 // ---------------------------------------------------------------------------
 
-/// One morsel-parallel region: a base-table row slice plus the operator
-/// pipeline every morsel is pushed through.
+/// One morsel-parallel region: a base-table batch plus the operator
+/// pipeline every morsel of it is pushed through.
 struct Region<'a> {
-    source: Source<'a>,
-    /// Pipeline stages, bottom-up (source side first).
-    ops: Vec<Op<'a>>,
-    /// Terminal pre-aggregation, merged serially after the gather.
-    agg: Option<AggSpec<'a>>,
-}
-
-struct Source<'a> {
-    /// Borrowed for in-memory tables; materialized once per region for
-    /// paged tables (morsel workers then share the decoded rows).
-    rows: Cow<'a, [Row]>,
+    /// The base table (or the slice of it a seek selects). Morsels are
+    /// zero-copy slices.
+    source: Batch,
     /// Seek residual predicate, applied before everything else.
     residual: Option<&'a BoundExpr>,
-    /// Column-vector view of `rows` (same rows, same order), present
-    /// only under the vectorized engine for in-memory backings. Morsel
-    /// workers slice it to run filter kernels without touching row
-    /// storage; `None` keeps the plain row path.
-    batch: Option<Batch>,
+    /// Pipeline stages, bottom-up (source side first).
+    ops: Vec<Op<'a>>,
+    /// `live[i]`: the columns of the batch entering `ops[i]` that it or
+    /// anything after it reads (`live[ops.len()]`: what the aggregate
+    /// reads); `None` when the batch reaches the region's output whole.
+    /// A stage materializes only these for the next one.
+    live: Vec<Option<Vec<usize>>>,
+    /// Terminal pre-aggregation, merged serially after the gather.
+    agg: Option<AggSpec<'a>>,
 }
 
 enum Op<'a> {
@@ -147,12 +186,7 @@ struct ProbeSpec<'a> {
     /// Build-side subtree (below the `Repartition` marker), executed
     /// serially once before the morsel workers start.
     build: &'a PhysicalPlan,
-    kind: JoinKind,
-    left_keys: &'a [BoundExpr],
-    right_keys: &'a [BoundExpr],
-    residual: Option<&'a BoundExpr>,
-    left_width: usize,
-    right_width: usize,
+    join: JoinSpec<'a>,
 }
 
 struct AggSpec<'a> {
@@ -160,7 +194,55 @@ struct AggSpec<'a> {
     aggs: &'a [AggCall],
 }
 
+fn columns_of<'e>(exprs: impl IntoIterator<Item = &'e BoundExpr>) -> Vec<usize> {
+    let mut idxs = Vec::new();
+    for e in exprs {
+        e.column_indexes(&mut idxs);
+    }
+    idxs
+}
+
 impl<'a> Region<'a> {
+    /// `ops` as [`compile`] collects them: top-down.
+    fn new(
+        source: Batch,
+        residual: Option<&'a BoundExpr>,
+        mut ops: Vec<Op<'a>>,
+        agg: Option<AggSpec<'a>>,
+    ) -> Self {
+        ops.reverse();
+        // Walk the pipeline top-down, carrying what is read above.
+        let mut need = agg.as_ref().map(|a| {
+            columns_of(a.group.iter().chain(a.aggs.iter().filter_map(|c| c.arg.as_ref())))
+        });
+        let mut live = vec![need.clone()];
+        for op in ops.iter().rev() {
+            need = match op {
+                Op::Filter(p) => need.map(|mut n| {
+                    p.column_indexes(&mut n);
+                    n
+                }),
+                Op::Compute(exprs) => Some(columns_of(exprs.iter())),
+                // The probe input is the left side of the combined row,
+                // plus the probe keys. (A Merge Join region carries no
+                // widths to split the combined row by: keep everything.)
+                Op::Probe(spec) if spec.join.left_width > 0 => need.map(|n| {
+                    let mut n: Vec<usize> = n
+                        .into_iter()
+                        .chain(columns_of(spec.join.residual))
+                        .filter(|&c| c < spec.join.left_width)
+                        .collect();
+                    n.extend(columns_of(spec.join.left_keys));
+                    n
+                }),
+                Op::Probe(_) => None,
+            };
+            live.push(need.clone());
+        }
+        live.reverse();
+        Region { source, residual, ops, live, agg }
+    }
+
     fn probe_spec(&self) -> Option<&ProbeSpec<'a>> {
         self.ops.iter().find_map(|op| match op {
             Op::Probe(spec) => Some(spec),
@@ -168,17 +250,108 @@ impl<'a> Region<'a> {
         })
     }
 
-    /// Stages above the join, which unmatched-right tail rows must still
-    /// pass through.
-    fn post_join_ops(&self) -> &[Op<'a>] {
-        let probe_at = self
+    /// Push one morsel of the source through the pipeline.
+    ///
+    /// Each stage is a batch operator over the whole morsel, so within
+    /// a morsel errors surface stage by stage — the order the serial
+    /// executors report them in over a whole table — and row order is
+    /// preserved throughout.
+    fn run(
+        &self,
+        range: Range<usize>,
+        join: Option<&JoinBuild>,
+        ctx: &EvalContext,
+        guard: &ExecGuard,
+    ) -> Result<Batch> {
+        // Per-morsel scan checkpoint: chaos faults here land *inside*
+        // worker threads, exercising the catch_unwind barrier in
+        // `run_morsels`.
+        guard.fault(FaultSite::Scan)?;
+        guard.tick(range.len() as u64)?;
+        let mut batch = self.source.slice(range);
+        if let Some(p) = self.residual {
+            batch = filter(batch, p, self.live[0].as_deref(), ctx)?;
+        }
+        self.apply(0, batch, join, ctx, guard)
+    }
+
+    /// Run `ops[from..]` over `batch`.
+    fn apply(
+        &self,
+        from: usize,
+        mut batch: Batch,
+        join: Option<&JoinBuild>,
+        ctx: &EvalContext,
+        guard: &ExecGuard,
+    ) -> Result<Batch> {
+        for (i, op) in self.ops.iter().enumerate().skip(from) {
+            let live = self.live[i + 1].as_deref();
+            batch = match op {
+                Op::Filter(p) => {
+                    guard.tick(batch.len as u64)?;
+                    filter(batch, p, live, ctx)?
+                }
+                Op::Compute(exprs) => {
+                    guard.tick(batch.len as u64)?;
+                    vexec::compute_batch(exprs, &batch, ctx)?
+                }
+                Op::Probe(spec) => {
+                    let build = join.ok_or_else(|| {
+                        Error::Execution("internal: parallel probe without build".into())
+                    })?;
+                    guard.fault(FaultSite::JoinProbe)?;
+                    let (lsel, rsel) = build.probe(&batch, &spec.join, ctx, guard)?;
+                    let width = batch.width() + build.batch.width();
+                    let live = live.map(|l| vexec::live_mask(l, width));
+                    vexec::combine(&batch, &build.batch, &lsel, &rsel, live.as_deref())
+                }
+            };
+        }
+        Ok(batch)
+    }
+
+    /// Unmatched build rows of a Right/Full join, null-padded on the
+    /// probe side and pushed through the stages above the join;
+    /// appended after the gathered streams, exactly where the serial
+    /// executor emits them. `None` when there are none.
+    fn tail(
+        &self,
+        join: Option<&JoinBuild>,
+        ctx: &EvalContext,
+        guard: &ExecGuard,
+    ) -> Result<Option<Batch>> {
+        let Some(build) = join else { return Ok(None) };
+        let rsel = build.unmatched();
+        if rsel.is_empty() {
+            return Ok(None);
+        }
+        let at = self
             .ops
             .iter()
             .position(|op| matches!(op, Op::Probe(_)))
-            .map(|i| i + 1)
-            .unwrap_or(self.ops.len());
-        &self.ops[probe_at..]
+            .expect("a build implies a probe stage");
+        let Op::Probe(spec) = &self.ops[at] else { unreachable!() };
+        guard.tick(rsel.len() as u64)?;
+        let left = Batch::from_rows(&[], spec.join.left_width);
+        let padded = vexec::combine(&left, &build.batch, &vec![NULL_ROW; rsel.len()], &rsel, None);
+        self.apply(at + 1, padded, None, ctx, guard).map(Some)
     }
+}
+
+/// Keep the rows of `batch` passing `pred`, materializing only the
+/// `live` columns (a filter that keeps everything copies nothing).
+fn filter(
+    batch: Batch,
+    pred: &BoundExpr,
+    live: Option<&[usize]>,
+    ctx: &EvalContext,
+) -> Result<Batch> {
+    let sel = vexec::eval_filter(pred, &batch, ctx)?;
+    if sel.len() == batch.len {
+        return Ok(batch);
+    }
+    let live = live.map(|l| vexec::live_mask(l, batch.width()));
+    Ok(batch.gather_live(&sel, live.as_deref()))
 }
 
 /// Recognize a parallelizable subtree: an optional Aggregate on top of a
@@ -186,11 +359,7 @@ impl<'a> Region<'a> {
 /// input continues the chain down to a Scan or Seek. Mirrored by
 /// `optimizer::parallel_region_shape`, but execution never trusts that —
 /// anything unrecognized returns `None` and runs serially.
-fn compile<'a>(
-    plan: &'a PhysicalPlan,
-    catalog: &'a Catalog,
-    vectorized: bool,
-) -> Result<Option<Region<'a>>> {
+fn compile<'a>(plan: &'a PhysicalPlan, catalog: &'a Catalog) -> Result<Option<Region<'a>>> {
     let mut agg = None;
     let mut node = plan;
     if let PhysOp::Aggregate { group, aggs, .. } = &node.op {
@@ -218,18 +387,16 @@ fn compile<'a>(
                 right_width,
             } if !joined && node.children.len() >= 2 => {
                 joined = true;
-                let mut build = &node.children[1];
-                if matches!(build.op, PhysOp::Repartition { .. }) {
-                    build = exec::data_child(build)?;
-                }
                 ops.push(Op::Probe(ProbeSpec {
-                    build,
-                    kind: *kind,
-                    left_keys,
-                    right_keys,
-                    residual: residual.as_ref(),
-                    left_width: *left_width,
-                    right_width: *right_width,
+                    build: build_child(node)?,
+                    join: JoinSpec {
+                        kind: *kind,
+                        left_keys,
+                        right_keys,
+                        residual: residual.as_ref(),
+                        left_width: *left_width,
+                        right_width: *right_width,
+                    },
                 }));
                 node = &node.children[0];
             }
@@ -243,39 +410,22 @@ fn compile<'a>(
                 residual,
             } if !joined && node.children.len() >= 2 => {
                 joined = true;
-                let mut build = &node.children[1];
-                if matches!(build.op, PhysOp::Repartition { .. }) {
-                    build = exec::data_child(build)?;
-                }
                 ops.push(Op::Probe(ProbeSpec {
-                    build,
-                    kind: JoinKind::Inner,
-                    left_keys,
-                    right_keys,
-                    residual: residual.as_ref(),
-                    left_width: 0,
-                    right_width: 0,
+                    build: build_child(node)?,
+                    join: JoinSpec {
+                        kind: JoinKind::Inner,
+                        left_keys,
+                        right_keys,
+                        residual: residual.as_ref(),
+                        left_width: 0,
+                        right_width: 0,
+                    },
                 }));
                 node = &node.children[0];
             }
             PhysOp::Scan { table } => {
-                let t = catalog.table(table)?;
-                let batch = if vectorized && t.paged().is_none() {
-                    Some((*t.columnar()?).clone())
-                } else {
-                    None
-                };
-                let rows = t.scan()?;
-                ops.reverse();
-                return Ok(Some(Region {
-                    source: Source {
-                        rows,
-                        residual: None,
-                        batch,
-                    },
-                    ops,
-                    agg,
-                }));
+                let source = (*catalog.table(table)?.columnar()?).clone();
+                return Ok(Some(Region::new(source, None, ops, agg)));
             }
             PhysOp::Seek {
                 table,
@@ -286,21 +436,11 @@ fn compile<'a>(
                 let t = catalog.table(table)?;
                 let lo = exec::as_ref_bound(lower);
                 let hi = exec::as_ref_bound(upper);
-                let batch = match (vectorized, t.seek_bounds(lo, hi)) {
-                    (true, Some(range)) => Some(t.columnar()?.slice(range)),
-                    _ => None,
+                let source = match t.seek_bounds(lo, hi) {
+                    Some(range) => t.columnar()?.slice(range),
+                    None => Batch::from_rows(&t.seek_leading(lo, hi)?, t.schema.len()),
                 };
-                let rows = t.seek_leading(lo, hi)?;
-                ops.reverse();
-                return Ok(Some(Region {
-                    source: Source {
-                        rows,
-                        residual: residual.as_ref(),
-                        batch,
-                    },
-                    ops,
-                    agg,
-                }));
+                return Ok(Some(Region::new(source, residual.as_ref(), ops, agg)));
             }
             PhysOp::IndexSeek {
                 table,
@@ -321,28 +461,52 @@ fn compile<'a>(
                     )?,
                     None => None,
                 };
-                let rows = match candidates {
-                    Some(ordinals) => Cow::Owned(
-                        t.paged()
+                let source = match candidates {
+                    Some(ordinals) => Batch::from_rows(
+                        &t.paged()
                             .expect("candidates imply paged backing")
                             .fetch_rows(&ordinals)?,
+                        t.schema.len(),
                     ),
-                    None => t.scan()?,
+                    None => (*t.columnar()?).clone(),
                 };
-                ops.reverse();
-                return Ok(Some(Region {
-                    source: Source {
-                        rows,
-                        residual: Some(predicate),
-                        batch: None,
-                    },
-                    ops,
-                    agg,
-                }));
+                return Ok(Some(Region::new(source, Some(predicate), ops, agg)));
             }
             _ => return Ok(None),
         }
     }
+}
+
+/// A join's build input, below its `Repartition` marker.
+fn build_child(join: &PhysicalPlan) -> Result<&PhysicalPlan> {
+    let build = &join.children[1];
+    if matches!(build.op, PhysOp::Repartition { .. }) {
+        exec::data_child(build)
+    } else {
+        Ok(build)
+    }
+}
+
+/// Execute the build subtree serially and index it once; every morsel
+/// worker then probes the same read-only table. Partitioning is how the
+/// probe side is driven (morsels), not a property of the table.
+fn build_join(
+    spec: &ProbeSpec,
+    catalog: &Catalog,
+    ctx: &EvalContext,
+    guard: &ExecGuard,
+    vectorized: bool,
+) -> Result<JoinBuild> {
+    guard.fault(FaultSite::JoinBuild)?;
+    let right = if vectorized {
+        vexec::execute_batch(spec.build, catalog, ctx, guard)?
+    } else {
+        vexec::rows_to_batch(&exec::execute(spec.build, catalog, ctx, guard)?)
+    };
+    // The build side is pinned for the probe's lifetime, charged as the
+    // row engine charges its materialized rows.
+    guard.charge(batch_rows_bytes(&right))?;
+    JoinBuild::new(right, &spec.join, ctx, guard)
 }
 
 // ---------------------------------------------------------------------------
@@ -406,7 +570,7 @@ fn run_morsels<T: Send>(
                         // an injected chaos fault) fails this morsel —
                         // and through the earliest-error rule below, this
                         // query — never the process. The pipeline only
-                        // borrows shared state (`&Region`, `&JoinState`)
+                        // borrows shared state (`&Region`, `&JoinBuild`)
                         // whose mutations are per-element atomics, so
                         // unwinding mid-morsel cannot leave it torn;
                         // `AssertUnwindSafe` is sound here.
@@ -459,528 +623,6 @@ fn run_morsels<T: Send>(
             _ => Err(Error::Internal("parallel morsel lost".into())),
         })
         .collect()
-}
-
-/// One morsel's pipeline output: borrowed straight from the base table
-/// when no operator had to build new rows, owned otherwise. Keeping the
-/// borrow is the morsel pipeline's structural advantage over the serial
-/// executor, which materializes the full scan output before every
-/// operator — a region that only filters and aggregates never clones a
-/// single base-table row.
-enum MorselRows<'a> {
-    Borrowed(Vec<&'a Row>),
-    Owned(Vec<Row>),
-}
-
-impl<'a> MorselRows<'a> {
-    fn into_owned(self) -> Vec<Row> {
-        match self {
-            MorselRows::Borrowed(rows) => rows.into_iter().cloned().collect(),
-            MorselRows::Owned(rows) => rows,
-        }
-    }
-
-    fn iter<'s>(&'s self) -> Box<dyn Iterator<Item = &'s Row> + 's> {
-        match self {
-            MorselRows::Borrowed(rows) => Box::new(rows.iter().copied()),
-            MorselRows::Owned(rows) => Box::new(rows.iter()),
-        }
-    }
-}
-
-/// Push one morsel of source rows through the region's pipeline.
-///
-/// The seek residual and the region's leading filters are evaluated
-/// against *borrowed* source rows, and the first row-building operator
-/// (compute projection or join probe) also consumes the borrows
-/// directly, so rows are only ever cloned when an operator genuinely
-/// needs to construct output. Row order within the morsel is preserved,
-/// so evaluation errors still surface for the same first row serial
-/// would report.
-fn process_morsel<'a>(
-    region: &'a Region<'a>,
-    join: Option<&JoinState>,
-    range: Range<usize>,
-    ctx: &EvalContext,
-    guard: &ExecGuard,
-) -> Result<MorselRows<'a>> {
-    // Per-morsel scan checkpoint: chaos faults here land *inside* worker
-    // threads, exercising the catch_unwind barrier in `run_morsels`.
-    guard.fault(FaultSite::Scan)?;
-    let mut lead = 0usize;
-    while matches!(region.ops.get(lead), Some(Op::Filter(_))) {
-        lead += 1;
-    }
-    let survivors: Vec<&'a Row> = match batch_survivors(region, lead, &range) {
-        Some(keep) => {
-            // Vectorized fast path: every filter stage ran as a kernel
-            // over the batch slice, so the kept rows are exactly the
-            // row path's survivors. One tick covers the morsel.
-            guard.tick(range.len() as u64)?;
-            keep.into_iter().map(|i| &region.source.rows[i]).collect()
-        }
-        None => {
-            let mut survivors: Vec<&'a Row> = Vec::with_capacity(range.len());
-            'rows: for row in &region.source.rows[range] {
-                guard.tick(1)?;
-                if let Some(p) = region.source.residual {
-                    if !eval_predicate(p, row, ctx)? {
-                        continue;
-                    }
-                }
-                for op in &region.ops[..lead] {
-                    if let Op::Filter(p) = op {
-                        if !eval_predicate(p, row, ctx)? {
-                            continue 'rows;
-                        }
-                    }
-                }
-                survivors.push(row);
-            }
-            survivors
-        }
-    };
-    let owned = match region.ops.get(lead) {
-        None => return Ok(MorselRows::Borrowed(survivors)),
-        Some(Op::Filter(_)) => unreachable!("leading filters consumed above"),
-        Some(Op::Compute(exprs)) => {
-            lead += 1;
-            let mut projected = Vec::with_capacity(survivors.len());
-            for row in survivors {
-                guard.tick(1)?;
-                let mut new_row = Vec::with_capacity(exprs.len());
-                for e in exprs.iter() {
-                    new_row.push(e.eval(row, ctx)?);
-                }
-                projected.push(new_row);
-            }
-            projected
-        }
-        Some(Op::Probe(spec)) => {
-            lead += 1;
-            let state = join.ok_or_else(|| {
-                Error::Execution("internal: parallel probe without build".into())
-            })?;
-            probe(spec, state, survivors, ctx, guard)?
-        }
-    };
-    let rows = apply_ops(&region.ops[lead..], owned, join, ctx, guard)?;
-    // Morsel materialization: the first row-building operator onward
-    // holds owned output until the gather drains it.
-    guard.charge_rows(&rows)?;
-    Ok(MorselRows::Owned(rows))
-}
-
-/// Evaluate the seek residual plus the region's leading filters as
-/// vectorized kernels over a slice of the source batch, returning the
-/// surviving *global* row indexes. `None` falls back to the row path —
-/// which stays authoritative — for any of: no batch (row engine, paged
-/// or index-seek source), an unsupported expression shape, a row-level
-/// kernel error, or a valid non-boolean predicate value.
-fn batch_survivors(region: &Region, lead: usize, range: &Range<usize>) -> Option<Vec<usize>> {
-    let batch = region.source.batch.as_ref()?;
-    let slice = batch.slice(range.clone());
-    let mut keep = vec![true; slice.len];
-    let preds = region
-        .source
-        .residual
-        .into_iter()
-        .chain(region.ops[..lead].iter().map(|op| match op {
-            Op::Filter(p) => *p,
-            _ => unreachable!("leading ops are filters"),
-        }));
-    for p in preds {
-        let sel = crate::vexec::kernel_select(p, &slice)?;
-        for (k, s) in keep.iter_mut().zip(sel) {
-            *k &= s;
-        }
-    }
-    Some(
-        keep.iter()
-            .enumerate()
-            .filter(|(_, k)| **k)
-            .map(|(i, _)| range.start + i)
-            .collect(),
-    )
-}
-
-fn apply_ops(
-    ops: &[Op],
-    mut rows: Vec<Row>,
-    join: Option<&JoinState>,
-    ctx: &EvalContext,
-    guard: &ExecGuard,
-) -> Result<Vec<Row>> {
-    for op in ops {
-        match op {
-            Op::Filter(p) => {
-                let mut kept = Vec::with_capacity(rows.len());
-                for row in rows {
-                    guard.tick(1)?;
-                    if eval_predicate(p, &row, ctx)? {
-                        kept.push(row);
-                    }
-                }
-                rows = kept;
-            }
-            Op::Compute(exprs) => {
-                let mut projected = Vec::with_capacity(rows.len());
-                for row in rows {
-                    guard.tick(1)?;
-                    let mut new_row = Vec::with_capacity(exprs.len());
-                    for e in exprs.iter() {
-                        new_row.push(e.eval(&row, ctx)?);
-                    }
-                    projected.push(new_row);
-                }
-                rows = projected;
-            }
-            Op::Probe(spec) => {
-                let state = join.ok_or_else(|| {
-                    Error::Execution("internal: parallel probe without build".into())
-                })?;
-                let probed = probe(spec, state, rows.iter(), ctx, guard)?;
-                rows = probed;
-            }
-        }
-    }
-    Ok(rows)
-}
-
-// ---------------------------------------------------------------------------
-// Partitioned hash join
-// ---------------------------------------------------------------------------
-
-/// One component of a composite join key. Carries exactly the
-/// normalization the serial executor's textual `join_key` applies —
-/// `Int(1)` and `Float(1.0)` collapse to the same atom (both render as
-/// `1` there; both are `Num(1.0f64.to_bits())` here), all NaNs are one
-/// key, and `-0.0`/`0.0` stay distinct in both (they render `-0`/`0`) —
-/// without paying for float formatting on every row.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum KeyAtom {
-    Num(u64),
-    Bool(bool),
-    Date(i32),
-    Text(String),
-}
-
-/// Join key for a row, `None` when any component is NULL (NULL never
-/// joins).
-fn key_atoms(values: &[Value]) -> Option<Vec<KeyAtom>> {
-    let mut key = Vec::with_capacity(values.len());
-    for v in values {
-        key.push(match v {
-            Value::Null => return None,
-            Value::Int(i) => KeyAtom::Num((*i as f64).to_bits()),
-            Value::Float(f) => {
-                let f = if f.is_nan() { f64::NAN } else { *f };
-                KeyAtom::Num(f.to_bits())
-            }
-            Value::Bool(b) => KeyAtom::Bool(*b),
-            Value::Date(d) => KeyAtom::Date(*d),
-            Value::Text(s) => KeyAtom::Text(s.clone()),
-        });
-    }
-    Some(key)
-}
-
-fn partition_of(key: &[KeyAtom], partitions: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % partitions as u64) as usize
-}
-
-/// Build-side state for a parallel hash join: rows, `dop` hash-table
-/// partitions, and (for Right/Full joins) a lock-free matched bitmap the
-/// probe workers write through shared references.
-struct JoinState {
-    rows: Vec<Row>,
-    parts: Vec<HashMap<Vec<KeyAtom>, Vec<usize>>>,
-    matched: Vec<AtomicBool>,
-}
-
-/// Execute the build subtree serially, then evaluate and partition the
-/// build keys morsel-parallel. Keys are gathered in morsel order and
-/// inserted serially, so each candidate list keeps global build-row
-/// order — the serial executor's match order.
-fn build_join(
-    spec: &ProbeSpec,
-    dop: usize,
-    catalog: &Catalog,
-    ctx: &EvalContext,
-    guard: &ExecGuard,
-    vectorized: bool,
-) -> Result<JoinState> {
-    guard.fault(FaultSite::JoinBuild)?;
-    let rows = if vectorized {
-        crate::vexec::execute(spec.build, catalog, ctx, guard)?
-    } else {
-        exec::execute(spec.build, catalog, ctx, guard)?
-    };
-    // The build table pins the whole right side (rows + partition maps)
-    // for the probe's lifetime.
-    guard.charge_rows(&rows)?;
-    let keys: Vec<Vec<Option<Vec<KeyAtom>>>> = run_morsels(rows.len(), dop, guard, |_, range, g| {
-        let mut out = Vec::with_capacity(range.len());
-        for row in &rows[range] {
-            g.tick(1)?;
-            let vals = spec
-                .right_keys
-                .iter()
-                .map(|k| k.eval(row, ctx))
-                .collect::<Result<Vec<_>>>()?;
-            out.push(key_atoms(&vals));
-        }
-        Ok(out)
-    })?;
-    let partitions = dop.max(1);
-    let mut parts: Vec<HashMap<Vec<KeyAtom>, Vec<usize>>> =
-        (0..partitions).map(|_| HashMap::new()).collect();
-    let mut ri = 0usize;
-    for morsel in keys {
-        for key in morsel {
-            if let Some(key) = key {
-                let p = partition_of(&key, partitions);
-                parts[p].entry(key).or_default().push(ri);
-            }
-            ri += 1;
-        }
-    }
-    let matched = (0..rows.len()).map(|_| AtomicBool::new(false)).collect();
-    Ok(JoinState {
-        rows,
-        parts,
-        matched,
-    })
-}
-
-fn probe<'r>(
-    spec: &ProbeSpec,
-    state: &JoinState,
-    input: impl IntoIterator<Item = &'r Row>,
-    ctx: &EvalContext,
-    guard: &ExecGuard,
-) -> Result<Vec<Row>> {
-    guard.fault(FaultSite::JoinProbe)?;
-    let partitions = state.parts.len();
-    let track_right = matches!(spec.kind, JoinKind::Right | JoinKind::Full);
-    let mut out = Vec::new();
-    for lrow in input {
-        guard.tick(1)?;
-        let vals = spec
-            .left_keys
-            .iter()
-            .map(|k| k.eval(lrow, ctx))
-            .collect::<Result<Vec<_>>>()?;
-        let mut matched = false;
-        if let Some(key) = key_atoms(&vals) {
-            if let Some(candidates) = state.parts[partition_of(&key, partitions)].get(&key) {
-                for &ri in candidates {
-                    guard.tick(1)?;
-                    let rrow = &state.rows[ri];
-                    let mut combined = Vec::with_capacity(lrow.len() + rrow.len());
-                    combined.extend(lrow.iter().cloned());
-                    combined.extend(rrow.iter().cloned());
-                    let ok = match spec.residual {
-                        None => true,
-                        Some(p) => eval_predicate(p, &combined, ctx)?,
-                    };
-                    if ok {
-                        matched = true;
-                        if track_right {
-                            state.matched[ri].store(true, Ordering::Relaxed);
-                        }
-                        out.push(combined);
-                    }
-                }
-            }
-        }
-        if !matched && matches!(spec.kind, JoinKind::Left | JoinKind::Full) {
-            let mut padded = lrow.clone();
-            padded.extend(exec::null_row(spec.right_width));
-            out.push(padded);
-        }
-    }
-    Ok(out)
-}
-
-/// Unmatched build rows for Right/Full joins, null-padded and pushed
-/// through the stages above the join; appended after the gathered
-/// streams, exactly where the serial executor emits them.
-fn right_tail(
-    spec: &ProbeSpec,
-    state: &JoinState,
-    post_ops: &[Op],
-    ctx: &EvalContext,
-    guard: &ExecGuard,
-) -> Result<Vec<Row>> {
-    if !matches!(spec.kind, JoinKind::Right | JoinKind::Full) {
-        return Ok(Vec::new());
-    }
-    let mut tail = Vec::new();
-    for (ri, rrow) in state.rows.iter().enumerate() {
-        if !state.matched[ri].load(Ordering::Relaxed) {
-            guard.tick(1)?;
-            let mut padded = exec::null_row(spec.left_width);
-            padded.extend(rrow.iter().cloned());
-            tail.push(padded);
-        }
-    }
-    apply_ops(post_ops, tail, None, ctx, guard)
-}
-
-// ---------------------------------------------------------------------------
-// Parallel pre-aggregation
-// ---------------------------------------------------------------------------
-
-/// Sorted (by `cmp_rows` on the key) per-worker partial groups.
-type KeyedPartial = Vec<(Vec<Value>, Vec<Accumulator>)>;
-
-fn new_accs(aggs: &[AggCall]) -> Vec<Accumulator> {
-    aggs.iter()
-        .map(|a| Accumulator::new(a.func, a.distinct))
-        .collect()
-}
-
-fn aggregate_parallel(
-    region: &Region,
-    agg: &AggSpec,
-    join: Option<&JoinState>,
-    dop: usize,
-    ctx: &EvalContext,
-    guard: &ExecGuard,
-) -> Result<Vec<Row>> {
-    // The unmatched-build tail for Right/Full joins can only be read
-    // once every probe morsel has run — the probes are what populate the
-    // matched bitmap — so it is computed after `run_morsels` returns in
-    // each branch below, never before.
-    let tail_rows = || match (region.probe_spec(), join) {
-        (Some(spec), Some(state)) => right_tail(spec, state, region.post_join_ops(), ctx, guard),
-        _ => Ok(Vec::new()),
-    };
-    if agg.group.is_empty() {
-        // Scalar aggregate: one partial per morsel, merged in morsel
-        // order; always exactly one output row, even on empty input.
-        let partials = run_morsels(region.source.rows.len(), dop, guard, |_, range, g| {
-            let rows = process_morsel(region, join, range, ctx, g)?;
-            let mut accs = new_accs(agg.aggs);
-            for row in rows.iter() {
-                g.tick(1)?;
-                exec::feed(&mut accs, agg.aggs, row, ctx)?;
-            }
-            Ok(accs)
-        })?;
-        let tail = tail_rows()?;
-        let mut accs = new_accs(agg.aggs);
-        for partial in &partials {
-            for (acc, p) in accs.iter_mut().zip(partial) {
-                acc.merge(p)?;
-            }
-        }
-        for row in &tail {
-            exec::feed(&mut accs, agg.aggs, row, ctx)?;
-        }
-        return Ok(vec![accs.iter().map(Accumulator::finish).collect()]);
-    }
-    let partials: Vec<KeyedPartial> =
-        run_morsels(region.source.rows.len(), dop, guard, |_, range, g| {
-            let rows = process_morsel(region, join, range, ctx, g)?;
-            partial_keyed(agg, rows.iter(), ctx, g)
-        })?;
-    let tail = tail_rows()?;
-    let mut merged: KeyedPartial = Vec::new();
-    for partial in partials {
-        merged = merge_keyed(merged, partial)?;
-    }
-    if !tail.is_empty() {
-        let tail_partial = partial_keyed(agg, &tail, ctx, guard)?;
-        merged = merge_keyed(merged, tail_partial)?;
-    }
-    Ok(merged
-        .into_iter()
-        .map(|(mut key, accs)| {
-            key.extend(accs.iter().map(Accumulator::finish));
-            key
-        })
-        .collect())
-}
-
-/// Group one morsel's rows: evaluate keys, sort, run-aggregate — the
-/// serial algorithm scoped to a morsel, yielding accumulators instead of
-/// finished values. Rows are only borrowed; sorting moves (key, &row)
-/// pairs, never row payloads.
-fn partial_keyed<'r>(
-    agg: &AggSpec,
-    input: impl IntoIterator<Item = &'r Row>,
-    ctx: &EvalContext,
-    guard: &ExecGuard,
-) -> Result<KeyedPartial> {
-    guard.fault(FaultSite::AggMerge)?;
-    let mut keyed: Vec<(Vec<Value>, &'r Row)> = Vec::new();
-    let mut key_bytes = 0usize;
-    for row in input {
-        guard.tick(1)?;
-        let key = agg
-            .group
-            .iter()
-            .map(|g| g.eval(row, ctx))
-            .collect::<Result<Vec<_>>>()?;
-        key_bytes += crate::memory::values_bytes(&key);
-        keyed.push((key, row));
-    }
-    // Aggregation state: each worker's partial holds its own key set.
-    guard.charge(key_bytes)?;
-    keyed.sort_by(|a, b| cmp_rows(&a.0, &b.0));
-    let mut out: KeyedPartial = Vec::new();
-    let mut i = 0usize;
-    while i < keyed.len() {
-        let mut j = i + 1;
-        while j < keyed.len() && cmp_rows(&keyed[j].0, &keyed[i].0).is_eq() {
-            j += 1;
-        }
-        let mut accs = new_accs(agg.aggs);
-        for (_, row) in &keyed[i..j] {
-            exec::feed(&mut accs, agg.aggs, row, ctx)?;
-        }
-        out.push((keyed[i].0.clone(), accs));
-        i = j;
-    }
-    Ok(out)
-}
-
-/// Merge two key-sorted partials. On equal keys the left (earlier
-/// morsel) representative key and accumulator order win, matching the
-/// serial executor's stable sort.
-///
-/// The `next().unwrap()`s below are invariant-safe, not cross-thread
-/// state: each follows a `peek()` that proved the iterator non-empty on
-/// this same (single) thread, so they cannot observe state torn by a
-/// contained panic elsewhere.
-fn merge_keyed(left: KeyedPartial, right: KeyedPartial) -> Result<KeyedPartial> {
-    let mut out: KeyedPartial = Vec::with_capacity(left.len() + right.len());
-    let mut l = left.into_iter().peekable();
-    let mut r = right.into_iter().peekable();
-    loop {
-        match (l.peek(), r.peek()) {
-            (Some(a), Some(b)) => match cmp_rows(&a.0, &b.0) {
-                std::cmp::Ordering::Less => out.push(l.next().unwrap()),
-                std::cmp::Ordering::Greater => out.push(r.next().unwrap()),
-                std::cmp::Ordering::Equal => {
-                    let (key, mut accs) = l.next().unwrap();
-                    let (_, right_accs) = r.next().unwrap();
-                    for (acc, other) in accs.iter_mut().zip(&right_accs) {
-                        acc.merge(other)?;
-                    }
-                    out.push((key, accs));
-                }
-            },
-            (Some(_), None) => out.push(l.next().unwrap()),
-            (None, Some(_)) => out.push(r.next().unwrap()),
-            (None, None) => break,
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1143,6 +785,21 @@ mod tests {
             .unwrap();
         assert_eq!(degraded.plan.max_parallelism(), 1);
         assert_eq!(degraded.rows, serial.run(sql).unwrap().rows);
+        assert_eq!(parallel.memory_pool().used(), 0);
+    }
+
+    #[test]
+    fn aggregate_over_join_charges_what_it_holds() {
+        // Under an aggregate no morsel materializes the joined rows, so
+        // none is charged for them: the query holds the 97-row build
+        // side (~8 KB), a few dozen groups per morsel and one result.
+        // The 5000 combined rows it never builds would be ~750 KB.
+        let (mut parallel, serial) = twins(4);
+        let sql = "SELECT name, COUNT(*), SUM(v) FROM facts JOIN dims ON facts.k = dims.id GROUP BY name";
+        parallel.set_query_mem_limit(64 * 1024);
+        let out = parallel.run(sql).unwrap();
+        assert!(out.plan.max_parallelism() > 1);
+        assert_eq!(out.rows, serial.run(sql).unwrap().rows);
         assert_eq!(parallel.memory_pool().used(), 0);
     }
 

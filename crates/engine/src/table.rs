@@ -26,7 +26,9 @@ use std::sync::{Arc, OnceLock};
 
 #[derive(Debug, Clone)]
 enum Backing {
-    Mem(Vec<Row>),
+    /// Shared: tables are immutable after load, and engines are cloned
+    /// per fixed-DOP / degraded run, so a clone must not copy rows.
+    Mem(Arc<Vec<Row>>),
     Paged(Arc<PagedTable>),
 }
 
@@ -51,7 +53,7 @@ impl Table {
         Table {
             name: name.into(),
             schema,
-            backing: Backing::Mem(rows),
+            backing: Backing::Mem(Arc::new(rows)),
             columnar: Arc::new(OnceLock::new()),
         }
     }
@@ -84,7 +86,7 @@ impl Table {
         let rows = match self.backing {
             Backing::Paged(ref p) if Arc::ptr_eq(p.layer(), layer) => return Ok(self),
             Backing::Paged(ref p) => p.scan_all()?,
-            Backing::Mem(rows) => rows,
+            Backing::Mem(rows) => Arc::unwrap_or_clone(rows),
         };
         let paged = PagedTable::build(layer, &self.name, self.schema.len(), &rows)?;
         Ok(Table {

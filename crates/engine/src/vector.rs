@@ -121,6 +121,10 @@ pub enum ColumnData {
     /// Days since 1970-01-01, matching [`Value::Date`].
     Date(Vec<i32>),
     /// Dictionary-encoded strings: `codes[i]` indexes into `dict`.
+    /// `dict` holds each string once (the builder interns, its NULL
+    /// placeholder `""` included), so equal strings hold equal codes;
+    /// [`crate::hashtable`] keys on codes unchanged when both sides
+    /// share the `Arc`, and by string otherwise.
     Text { codes: Vec<u32>, dict: Arc<Vec<String>> },
     /// Heterogeneous fallback: exact `Value`s (covers Int/Float mixes
     /// and anything else a user table throws at us).
@@ -284,42 +288,73 @@ impl Batch {
     }
 
     /// Gather the selected row positions into a fresh, dense batch.
-    /// Text dictionaries are shared, not rebuilt.
+    /// Text dictionaries are shared, not rebuilt. A [`NULL_ROW`]
+    /// position yields NULL in every column (outer-join padding).
     pub fn gather(&self, sel: &[u32]) -> Batch {
-        Batch {
-            cols: self.cols.iter().map(|c| gather_col(c, sel)).collect(),
-            len: sel.len(),
-        }
+        self.gather_live(sel, None)
     }
+
+    /// [`Batch::gather`] restricted to the columns flagged in `live`
+    /// (`None` = all). The others keep their slot — expressions address
+    /// columns by index — but share one all-NULL placeholder, so a
+    /// consumer that declared what it reads pays for nothing else.
+    pub(crate) fn gather_live(&self, sel: &[u32], live: Option<&[bool]>) -> Batch {
+        let mut dead: Option<Col> = None;
+        let cols = self
+            .cols
+            .iter()
+            .enumerate()
+            .map(|(i, c)| match live {
+                Some(live) if !live[i] => dead.get_or_insert_with(|| null_col(sel.len())).clone(),
+                _ => gather_col(c, sel),
+            })
+            .collect();
+        Batch { cols, len: sel.len() }
+    }
+}
+
+/// Selection-vector entry meaning "no source row": gathers as NULL.
+pub const NULL_ROW: u32 = u32::MAX;
+
+fn null_col(len: usize) -> Col {
+    Col::new(ColumnVec {
+        data: ColumnData::Int(vec![0; len]),
+        validity: Some(Bitmap::new_null(len)),
+    })
 }
 
 fn gather_col(col: &Col, sel: &[u32]) -> Col {
     let src = &col.vec;
     let off = col.off;
-    let needs_validity = sel.iter().any(|&i| !src.is_valid(off + i as usize));
-    let validity = if needs_validity {
+    let valid = |i: u32| i != NULL_ROW && src.is_valid(off + i as usize);
+    let validity = if sel.iter().all(|&i| valid(i)) {
+        None
+    } else {
         let mut bm = Bitmap::new_null(sel.len());
         for (out, &i) in sel.iter().enumerate() {
-            bm.set(out, src.is_valid(off + i as usize));
+            bm.set(out, valid(i));
         }
         Some(bm)
-    } else {
-        None
     };
+    fn pick<T: Copy + Default>(v: &[T], off: usize, sel: &[u32]) -> Vec<T> {
+        sel.iter()
+            .map(|&i| if i == NULL_ROW { T::default() } else { v[off + i as usize] })
+            .collect()
+    }
     let data = match &src.data {
-        ColumnData::Int(v) => ColumnData::Int(sel.iter().map(|&i| v[off + i as usize]).collect()),
-        ColumnData::Float(v) => {
-            ColumnData::Float(sel.iter().map(|&i| v[off + i as usize]).collect())
-        }
-        ColumnData::Bool(v) => ColumnData::Bool(sel.iter().map(|&i| v[off + i as usize]).collect()),
-        ColumnData::Date(v) => ColumnData::Date(sel.iter().map(|&i| v[off + i as usize]).collect()),
+        ColumnData::Int(v) => ColumnData::Int(pick(v, off, sel)),
+        ColumnData::Float(v) => ColumnData::Float(pick(v, off, sel)),
+        ColumnData::Bool(v) => ColumnData::Bool(pick(v, off, sel)),
+        ColumnData::Date(v) => ColumnData::Date(pick(v, off, sel)),
         ColumnData::Text { codes, dict } => ColumnData::Text {
-            codes: sel.iter().map(|&i| codes[off + i as usize]).collect(),
+            codes: pick(codes, off, sel),
             dict: Arc::clone(dict),
         },
-        ColumnData::Mixed(v) => {
-            ColumnData::Mixed(sel.iter().map(|&i| v[off + i as usize].clone()).collect())
-        }
+        ColumnData::Mixed(v) => ColumnData::Mixed(
+            sel.iter()
+                .map(|&i| if i == NULL_ROW { Value::Null } else { v[off + i as usize].clone() })
+                .collect(),
+        ),
     };
     Col::new(ColumnVec { data, validity })
 }
@@ -443,7 +478,11 @@ impl ColumnBuilder {
             ColumnData::Date(v) => v.push(0),
             ColumnData::Text { codes, dict } => {
                 if dict.is_empty() {
+                    // Registered like any other string, so a real ""
+                    // arriving later shares code 0 instead of taking a
+                    // second entry: dictionaries hold distinct strings.
                     Arc::get_mut(dict).expect("builder owns its dict").push(String::new());
+                    self.dict_index.insert(String::new(), 0);
                 }
                 codes.push(0);
             }
@@ -575,6 +614,27 @@ mod tests {
             }
             other => panic!("expected Text column, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn null_placeholder_shares_its_code_with_the_empty_string() {
+        // A leading NULL seeds the dictionary with "" as its
+        // placeholder; a real "" later must not take a second entry.
+        let col = v(vec![
+            Value::Null,
+            Value::Text(String::new()),
+            Value::Text("a".into()),
+            Value::Text(String::new()),
+        ]);
+        match &col.data {
+            ColumnData::Text { codes, dict } => {
+                assert_eq!(**dict, ["", "a"]);
+                assert_eq!(codes, &[0, 0, 1, 0]);
+            }
+            other => panic!("expected Text column, got {other:?}"),
+        }
+        assert_eq!(col.value(0), Value::Null);
+        assert_eq!(col.value(1), Value::Text(String::new()));
     }
 
     #[test]

@@ -21,27 +21,36 @@
 //! downstream error positions (e.g. "not a boolean" in a filter) are
 //! also exact.
 //!
-//! Operators that buffer (hash join build, grouped aggregation) charge
-//! the memory governor the same byte counts as the row engine
-//! ([`crate::vector::batch_rows_bytes`] replicates
-//! [`values_bytes`] per row), hit the same fault-injection
-//! sites in the same order, and fall back to the same spill paths.
+//! Hash join and grouped aggregation — the serial arms here and the
+//! stages of a morsel pipeline in [`crate::parallel`] alike — are one
+//! set of batch operators over [`crate::hashtable`]: key columns are
+//! encoded to fixed-width atoms, rows are matched or numbered through
+//! the flat table, and only index vectors move until the consumer
+//! gathers the columns it reads. They charge the memory governor for
+//! what they hold — the join's build side byte for byte as the row
+//! engine charges it ([`crate::vector::batch_rows_bytes`] replicates
+//! [`crate::memory::values_bytes`] per row, so the Grace-spill
+//! threshold is the same), grouped state per group — hit the same
+//! fault-injection sites in the same order, and fall back to the same
+//! spill paths.
 
 use crate::aggregate::{AggCall, AggFunc, Accumulator};
 use crate::catalog::Catalog;
 use crate::exec::{self, ExecGuard};
-use crate::expr::{eval_predicate, BoundExpr};
+use crate::expr::BoundExpr;
 use crate::faults::FaultSite;
 use crate::functions::EvalContext;
-use crate::memory::values_bytes;
+use crate::hashtable::{GroupTable, JoinTable};
 use crate::physical::{PhysOp, PhysicalPlan};
 use crate::table::cmp_rows;
 use crate::value::{Row, Value};
-use crate::vector::{batch_rows_bytes, batch_size, Batch, Bitmap, Col, ColumnBuilder, ColumnData, ColumnVec};
+use crate::vector::{
+    batch_rows_bytes, batch_size, Batch, Bitmap, Col, ColumnBuilder, ColumnData, ColumnVec, NULL_ROW,
+};
 use sqlshare_common::{Error, Result};
 use sqlshare_sql::ast::{BinaryOp, JoinKind};
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 /// Execute a physical plan to completion on the vectorized engine.
@@ -52,6 +61,17 @@ pub fn execute(
     guard: &ExecGuard,
 ) -> Result<Vec<Row>> {
     Ok(exec_node(plan, catalog, ctx, guard)?.into_rows())
+}
+
+/// [`execute`], leaving the result in columns (the morsel executor's
+/// join build side).
+pub(crate) fn execute_batch(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    ctx: &EvalContext,
+    guard: &ExecGuard,
+) -> Result<Batch> {
+    Ok(exec_node(plan, catalog, ctx, guard)?.into_batch())
 }
 
 /// Intermediate operator output: column batches while the pipeline
@@ -79,11 +99,25 @@ impl Out {
     fn into_batch(self) -> Batch {
         match self {
             Out::Batch(b) => b,
-            Out::Rows(r) => {
-                let width = r.first().map(Row::len).unwrap_or(0);
-                Batch::from_rows(&r, width)
-            }
+            Out::Rows(r) => rows_to_batch(&r),
         }
+    }
+}
+
+/// Columnarize operator output rows (width from the first row; an
+/// empty result has no columns — see [`widen`]).
+pub(crate) fn rows_to_batch(rows: &[Row]) -> Batch {
+    Batch::from_rows(rows, rows.first().map(Row::len).unwrap_or(0))
+}
+
+/// An empty row-shaped result forgets its width; outer joins pad with
+/// it, so restore the planned one.
+pub(crate) fn widen(b: Batch, width: usize) -> Batch {
+    if b.width() < width {
+        debug_assert!(b.is_empty(), "only an empty result can have lost columns");
+        Batch::from_rows(&[], width)
+    } else {
+        b
     }
 }
 
@@ -177,26 +211,7 @@ fn exec_node(
         PhysOp::Compute { exprs } => {
             let input = child(plan, catalog, ctx, guard)?.into_batch();
             guard.tick(input.len as u64)?;
-            let mut cols = Vec::with_capacity(exprs.len());
-            // The oracle evaluates row-major (for each row, each
-            // expression left to right), so its first error is the
-            // lexicographic minimum over (row, expression index).
-            let mut first: Option<(usize, usize, Error)> = None;
-            for (k, e) in exprs.iter().enumerate() {
-                match eval_col(e, &input, ctx) {
-                    Ok(c) => cols.push(c),
-                    Err((row, err)) => {
-                        if first.as_ref().map(|(fr, fk, _)| (row, k) < (*fr, *fk)).unwrap_or(true) {
-                            first = Some((row, k, err));
-                        }
-                    }
-                }
-            }
-            if let Some((_, _, e)) = first {
-                return Err(e);
-            }
-            let len = input.len;
-            Ok(Out::Batch(Batch::new(cols, len)))
+            Ok(Out::Batch(compute_batch(exprs, &input, ctx)?))
         }
         PhysOp::Top { quantity, percent } => {
             let out = child(plan, catalog, ctx, guard)?;
@@ -234,18 +249,15 @@ fn exec_node(
             right_width,
         } => {
             let (l, r) = two_children(plan, catalog, ctx, guard)?;
-            hash_join_batch(
-                l,
-                r,
-                *kind,
+            let spec = JoinSpec {
+                kind: *kind,
                 left_keys,
                 right_keys,
-                residual.as_ref(),
-                *left_width,
-                *right_width,
-                ctx,
-                guard,
-            )
+                residual: residual.as_ref(),
+                left_width: *left_width,
+                right_width: *right_width,
+            };
+            hash_join_batch(l, r, &spec, ctx, guard)
         }
         PhysOp::MergeJoin {
             left_keys,
@@ -254,19 +266,15 @@ fn exec_node(
         } => {
             // Same as the row engine: executed as an inner hash join.
             let (l, r) = two_children(plan, catalog, ctx, guard)?;
-            let (lw, rw) = (l.width(), r.width());
-            hash_join_batch(
-                l,
-                r,
-                JoinKind::Inner,
+            let spec = JoinSpec {
+                kind: JoinKind::Inner,
                 left_keys,
                 right_keys,
-                residual.as_ref(),
-                lw,
-                rw,
-                ctx,
-                guard,
-            )
+                residual: residual.as_ref(),
+                left_width: l.width(),
+                right_width: r.width(),
+            };
+            hash_join_batch(l, r, &spec, ctx, guard)
         }
         PhysOp::NestedLoops {
             kind,
@@ -383,54 +391,62 @@ impl ScratchRow {
     }
 }
 
+/// A column's oracle values up to (not including) the first erroring
+/// row, plus that error at its exact position.
+type Partial = (Col, Option<(usize, Error)>);
+
 /// Evaluate an expression over a batch: kernel when possible, replayed
-/// row-at-a-time otherwise. On error, returns the oracle's first error
-/// and its row position.
-pub(crate) fn eval_col(
-    expr: &BoundExpr,
-    batch: &Batch,
-    ctx: &EvalContext,
-) -> std::result::Result<Col, (usize, Error)> {
+/// row-at-a-time otherwise. A replay that errors keeps the value prefix
+/// computed before the error, so callers that interleave other per-row
+/// work (join probes, aggregate pushes) can reproduce the oracle's
+/// error order.
+fn eval_col_partial(expr: &BoundExpr, batch: &Batch, ctx: &EvalContext) -> Partial {
     if let Some(col) = eval_kernel(expr, batch) {
-        return Ok(col);
+        return (col, None);
     }
     let mut scratch = ScratchRow::new(expr, batch);
     let mut b = ColumnBuilder::new();
+    let mut err = None;
     for i in 0..batch.len {
         scratch.load(batch, i);
         match expr.eval(&scratch.row, ctx) {
             Ok(v) => b.push(&v),
-            Err(e) => return Err((i, e)),
+            Err(e) => {
+                err = Some((i, e));
+                break;
+            }
         }
     }
-    Ok(Col::new(b.finish()))
+    (Col::new(b.finish()), err)
 }
 
-/// Like [`eval_col`], but returns the per-row value prefix computed
-/// before the first error, so callers that interleave other per-row
-/// work (aggregate pushes) can reproduce the oracle's error order.
-/// A column's oracle values up to (not including) the first erroring
-/// row, plus that error at its exact position.
-type Partial = (Vec<Value>, Option<(usize, Error)>);
-
-fn eval_col_partial(
-    expr: &BoundExpr,
+/// Evaluate several expressions column-at-a-time. The oracle evaluates
+/// row-major (for each row, each expression left to right), so its
+/// first error is the lexicographic minimum over (row, expression
+/// index). Returns the columns, the number of leading rows valid in all
+/// of them, and that error.
+fn eval_cols(
+    exprs: &[BoundExpr],
     batch: &Batch,
     ctx: &EvalContext,
-) -> (Vec<Value>, Option<(usize, Error)>) {
-    if let Some(col) = eval_kernel(expr, batch) {
-        return ((0..batch.len).map(|i| col.value(i)).collect(), None);
+) -> (Vec<Col>, usize, Option<Error>) {
+    let mut parts: Vec<Partial> = exprs.iter().map(|e| eval_col_partial(e, batch, ctx)).collect();
+    let first = parts
+        .iter()
+        .enumerate()
+        .filter_map(|(k, (_, err))| err.as_ref().map(|(row, _)| (*row, k)))
+        .min();
+    let err = first.map(|(_, k)| parts[k].1.take().expect("error recorded").1);
+    let cols = parts.into_iter().map(|(col, _)| col).collect();
+    (cols, first.map_or(batch.len, |(row, _)| row), err)
+}
+
+/// `Compute Scalar` over a batch.
+pub(crate) fn compute_batch(exprs: &[BoundExpr], input: &Batch, ctx: &EvalContext) -> Result<Batch> {
+    match eval_cols(exprs, input, ctx) {
+        (cols, _, None) => Ok(Batch::new(cols, input.len)),
+        (_, _, Some(e)) => Err(e),
     }
-    let mut scratch = ScratchRow::new(expr, batch);
-    let mut vals = Vec::with_capacity(batch.len);
-    for i in 0..batch.len {
-        scratch.load(batch, i);
-        match expr.eval(&scratch.row, ctx) {
-            Ok(v) => vals.push(v),
-            Err(e) => return (vals, Some((i, e))),
-        }
-    }
-    (vals, None)
 }
 
 /// Evaluate a predicate over a batch into a selection vector of
@@ -462,17 +478,6 @@ pub(crate) fn eval_filter(expr: &BoundExpr, batch: &Batch, ctx: &EvalContext) ->
         start = end;
     }
     Ok(sel)
-}
-
-/// Kernel-evaluate a predicate over a batch into per-row keep flags
-/// (`Some(true)` truth only — NULL and false both drop the row). `None`
-/// sends the caller to its row path: unsupported expression shape, a
-/// row-level kernel error, or a valid non-boolean value (which the
-/// oracle reports as an error).
-pub(crate) fn kernel_select(expr: &BoundExpr, batch: &Batch) -> Option<Vec<bool>> {
-    let col = eval_kernel(expr, batch)?;
-    let tri = truth_col(&col, batch.len)?;
-    Some(tri.into_iter().map(|t| t == Some(true)).collect())
 }
 
 /// Map a kernel-produced predicate column to selected positions,
@@ -896,49 +901,17 @@ fn cmp_kernel(op: BinaryOp, l: &Col, r: &Col, n: usize) -> Option<Col> {
 }
 
 // ---------------------------------------------------------------------------
-// Batch operators: aggregate + hash join
+// Batch operators: aggregate + hash join, over `crate::hashtable`
 // ---------------------------------------------------------------------------
+//
+// Both operators are written once and driven two ways: the serial arms
+// above hand them a whole input, the morsel executor a morsel at a time
+// against shared read-only state (`JoinBuild`) or into per-morsel state
+// merged in morsel order (`Groups`).
 
-/// Key tuples for every row below the first evaluation error, plus that
-/// error. The oracle evaluates keys row-major, so the first error is
-/// the lexicographic minimum over (row, key index).
-fn eval_keys(keys: &[BoundExpr], batch: &Batch, ctx: &EvalContext) -> (Vec<Row>, Option<Error>) {
-    let mut parts: Vec<Partial> =
-        keys.iter().map(|k| eval_col_partial(k, batch, ctx)).collect();
-    let mut best: Option<(usize, usize)> = None;
-    for (ki, (_, err)) in parts.iter().enumerate() {
-        if let Some((row, _)) = err {
-            if best.map(|(br, bk)| (*row, ki) < (br, bk)).unwrap_or(true) {
-                best = Some((*row, ki));
-            }
-        }
-    }
-    let limit = best.map(|(r, _)| r).unwrap_or(batch.len);
-    let tuples = (0..limit)
-        .map(|i| parts.iter().map(|(vals, _)| vals[i].clone()).collect())
-        .collect();
-    let err = best.map(|(_, ki)| parts[ki].1.take().expect("error recorded").1);
-    (tuples, err)
-}
-
-/// The aggregate argument at `pos` for accumulator `ai`, or the
-/// oracle's evaluation error if it occurred exactly there.
-fn agg_arg(
-    partials: &mut [Partial],
-    ai: usize,
-    pos: usize,
-    has_arg: bool,
-) -> Result<Value> {
-    if !has_arg {
-        return Ok(Value::Int(1)); // COUNT(*)
-    }
-    let (vals, err) = &mut partials[ai];
-    if let Some((ep, _)) = err {
-        if *ep == pos {
-            return Err(err.take().expect("error recorded").1);
-        }
-    }
-    Ok(vals[pos].clone())
+/// One group's fresh accumulators.
+pub(crate) fn new_accs(aggs: &[AggCall]) -> Vec<Accumulator> {
+    aggs.iter().map(|a| Accumulator::new(a.func, a.distinct)).collect()
 }
 
 /// Non-null positions of the column's first `n` rows.
@@ -949,29 +922,28 @@ fn valid_count(c: &Col, n: usize) -> usize {
     }
 }
 
-/// Scalar-aggregate fast path: every aggregate feeds straight off a
-/// kernel-evaluated typed column (or bulk-counts rows), bypassing the
-/// exact path's per-row `Value` materialization. Only shapes whose
-/// feeds cannot error are eligible — kernel success already guarantees
+/// The kernel-evaluated feed of every aggregate (`None` for
+/// `COUNT(*)`), if all of them can be fed straight off typed columns
+/// without a chance of error. Kernel success already guarantees
 /// oracle-identical cell values, `COUNT` ignores its input beyond
 /// null-ness, and [`Accumulator::push`] is infallible for `Int`/`Float`
-/// (integer SUM wraps rather than erroring) — so bailing to the exact
-/// path (`None`) covers everything else: DISTINCT, text/mixed numeric
-/// feeds (parse errors), and expressions the kernels cannot compile.
-fn scalar_aggregate_fast(input: &Batch, aggs: &[AggCall]) -> Option<Row> {
-    let n = input.len;
-    let mut cols: Vec<Option<Col>> = Vec::with_capacity(aggs.len());
+/// (integer SUM wraps rather than erroring) — so bailing to
+/// [`feed_exact`] (`None`) covers everything else: DISTINCT, text/mixed
+/// numeric feeds (parse errors), and expressions the kernels cannot
+/// compile.
+fn typed_feeds(input: &Batch, aggs: &[AggCall]) -> Option<Vec<Option<Col>>> {
+    let mut cols = Vec::with_capacity(aggs.len());
     for a in aggs {
         if a.distinct {
             return None;
         }
         match &a.arg {
             // A missing argument behaves as a non-null `1` per row; only
-            // COUNT reduces that to a bulk count (the planner never
-            // produces other argument-less calls, but the exact path
-            // defines their semantics).
+            // COUNT reduces that to a count (the planner never produces
+            // other argument-less calls, but the exact path defines
+            // their semantics).
             None if !matches!(a.func, AggFunc::Count) => return None,
-            None => cols.push(None), // COUNT(*)
+            None => cols.push(None),
             Some(e) => {
                 let c = eval_kernel(e, input)?;
                 match &c.vec.data {
@@ -985,35 +957,242 @@ fn scalar_aggregate_fast(input: &Batch, aggs: &[AggCall]) -> Option<Row> {
             }
         }
     }
-    let mut out = Row::with_capacity(aggs.len());
-    for (a, col) in aggs.iter().zip(cols) {
-        let mut acc = Accumulator::new(a.func, false);
-        match col {
-            None => acc.add_count(n as i64),
-            Some(c) if matches!(a.func, AggFunc::Count) => {
-                acc.add_count(valid_count(&c, n) as i64);
+    Some(cols)
+}
+
+/// Feed [`typed_feeds`] columns into `accs` (`aggs.len()` accumulators
+/// per group), row `i` into group `gids[i]` — or everything into the
+/// one group of a scalar aggregate, where counts go in bulk. Rows reach
+/// each accumulator in input order, which within a group is the order
+/// the oracle's stable sort-then-feed produces: float sums agree to the
+/// bit.
+fn feed_typed(
+    feeds: &[Option<Col>],
+    aggs: &[AggCall],
+    n: usize,
+    gids: Option<&[u32]>,
+    accs: &mut [Accumulator],
+) {
+    let na = aggs.len();
+    for (ai, (a, feed)) in aggs.iter().zip(feeds).enumerate() {
+        let at = |i: usize| gids.map_or(0, |g| g[i] as usize) * na + ai;
+        let counts = matches!(a.func, AggFunc::Count);
+        match feed {
+            None if gids.is_none() => accs[ai].add_count(n as i64),
+            Some(c) if counts && gids.is_none() => accs[ai].add_count(valid_count(c, n) as i64),
+            None => (0..n).for_each(|i| accs[at(i)].add_count(1)),
+            Some(c) if counts => {
+                (0..n).filter(|&i| c.is_valid(i)).for_each(|i| accs[at(i)].add_count(1));
             }
-            Some(c) => match &c.vec.data {
-                ColumnData::Int(vals) => {
-                    for (i, &x) in vals[c.off..c.off + n].iter().enumerate() {
-                        if c.is_valid(i) {
-                            acc.push(&Value::Int(x)).expect("Int feed cannot fail");
-                        }
-                    }
-                }
-                ColumnData::Float(vals) => {
-                    for (i, &x) in vals[c.off..c.off + n].iter().enumerate() {
-                        if c.is_valid(i) {
-                            acc.push(&Value::Float(x)).expect("Float feed cannot fail");
-                        }
-                    }
-                }
-                _ => unreachable!("non-numeric layouts bail above"),
-            },
+            Some(c) => each_number(c, n, |i, v| {
+                accs[at(i)].push(&v).expect("numeric feed cannot fail");
+            }),
         }
-        out.push(acc.finish());
     }
-    Some(out)
+}
+
+/// Call `f(row, value)` for every non-null cell of an `Int` or `Float`
+/// column's first `n` rows.
+fn each_number(c: &Col, n: usize, mut f: impl FnMut(usize, Value)) {
+    match &c.vec.data {
+        ColumnData::Int(vals) => {
+            for (i, &x) in vals[c.off..c.off + n].iter().enumerate() {
+                if c.is_valid(i) {
+                    f(i, Value::Int(x));
+                }
+            }
+        }
+        ColumnData::Float(vals) => {
+            for (i, &x) in vals[c.off..c.off + n].iter().enumerate() {
+                if c.is_valid(i) {
+                    f(i, Value::Float(x));
+                }
+            }
+        }
+        _ => unreachable!("typed_feeds admits numeric layouts only"),
+    }
+}
+
+/// Feed `input` row by row, aggregate by aggregate — the oracle's own
+/// loop, so the first argument-evaluation or accumulation error is the
+/// one it reports. The caller passes rows in the order the oracle feeds
+/// them.
+fn feed_exact(
+    input: &Batch,
+    aggs: &[AggCall],
+    gids: Option<&[u32]>,
+    accs: &mut [Accumulator],
+    ctx: &EvalContext,
+) -> Result<()> {
+    let mut args: Vec<Option<Partial>> = aggs
+        .iter()
+        .map(|a| a.arg.as_ref().map(|e| eval_col_partial(e, input, ctx)))
+        .collect();
+    for pos in 0..input.len {
+        let base = gids.map_or(0, |g| g[pos] as usize) * aggs.len();
+        for (ai, arg) in args.iter_mut().enumerate() {
+            let v = match arg {
+                None => Value::Int(1), // COUNT(*)
+                Some((_, err)) if err.as_ref().is_some_and(|(at, _)| *at == pos) => {
+                    return Err(err.take().expect("checked above").1);
+                }
+                Some((col, _)) => col.value(pos),
+            };
+            accs[base + ai].push(&v)?;
+        }
+    }
+    Ok(())
+}
+
+/// One input's scalar-aggregate state (a whole input serially, a morsel
+/// in a parallel region).
+pub(crate) fn scalar_partial(
+    input: &Batch,
+    aggs: &[AggCall],
+    ctx: &EvalContext,
+    guard: &ExecGuard,
+) -> Result<Vec<Accumulator>> {
+    guard.tick(input.len as u64)?;
+    let mut accs = new_accs(aggs);
+    match typed_feeds(input, aggs) {
+        Some(feeds) => feed_typed(&feeds, aggs, input.len, None, &mut accs),
+        None => feed_exact(input, aggs, None, &mut accs, ctx)?,
+    }
+    Ok(accs)
+}
+
+/// One input's grouped-aggregation state: groups in first-appearance
+/// order, each with the key of its first row (kept in columns, so text
+/// keys stay dictionary codes) and `aggs.len()` accumulators.
+pub(crate) struct Groups {
+    keys: Batch,
+    accs: Vec<Accumulator>,
+}
+
+impl Groups {
+    pub(crate) fn finish(self) -> Vec<Row> {
+        emit_groups(self.keys.to_rows(), &self.accs)
+    }
+}
+
+/// Output rows, groups in `cmp_rows` order like the oracle's sort.
+fn emit_groups(keys: Vec<Row>, accs: &[Accumulator]) -> Vec<Row> {
+    let na = accs.len() / keys.len().max(1);
+    let mut out: Vec<Row> = keys
+        .into_iter()
+        .enumerate()
+        .map(|(g, mut row)| {
+            row.extend(accs[g * na..(g + 1) * na].iter().map(Accumulator::finish));
+            row
+        })
+        .collect();
+    // Keys are distinct, so comparing whole rows compares keys.
+    out.sort_by(cmp_rows);
+    out
+}
+
+/// Group one input: evaluate keys, number the groups through the hash
+/// table, feed the accumulators. State is charged per group held, not
+/// per input row.
+pub(crate) fn group_batch(
+    input: &Batch,
+    group: &[BoundExpr],
+    aggs: &[AggCall],
+    ctx: &EvalContext,
+    guard: &ExecGuard,
+) -> Result<Groups> {
+    guard.fault(FaultSite::AggMerge)?;
+    let n = input.len;
+    guard.tick(n as u64)?;
+    // Key errors mirror the oracle's row-major order and surface before
+    // the governor charge.
+    let (key_cols, _, err) = eval_cols(group, input, ctx);
+    if let Some(e) = err {
+        return Err(e);
+    }
+    let gids = GroupTable::new(group.len()).assign(&key_cols, n);
+    let mut first: Vec<u32> = Vec::new();
+    for (i, &g) in gids.iter().enumerate() {
+        if g as usize == first.len() {
+            first.push(i as u32);
+        }
+    }
+    let keys = Batch::new(key_cols, n).gather(&first);
+    guard.charge(batch_rows_bytes(&keys))?;
+    let mut accs: Vec<Accumulator> = first.iter().flat_map(|_| new_accs(aggs)).collect();
+    match typed_feeds(input, aggs) {
+        Some(feeds) => feed_typed(&feeds, aggs, n, Some(&gids), &mut accs),
+        None => {
+            // The oracle sorts rows by key (stably) and feeds them in
+            // that order, so that is the order its feed errors come in:
+            // rank the groups, counting-sort the rows by rank.
+            let key_rows = keys.to_rows();
+            let mut by_key: Vec<usize> = (0..first.len()).collect();
+            by_key.sort_by(|&a, &b| cmp_rows(&key_rows[a], &key_rows[b]));
+            let mut size = vec![0u32; first.len()];
+            for &g in &gids {
+                size[g as usize] += 1;
+            }
+            let mut next = vec![0u32; first.len()];
+            let mut filled = 0;
+            for &g in &by_key {
+                next[g] = filled;
+                filled += size[g];
+            }
+            let mut order = vec![0u32; n];
+            for (i, &g) in gids.iter().enumerate() {
+                order[next[g as usize] as usize] = i as u32;
+                next[g as usize] += 1;
+            }
+            let sorted_gids: Vec<u32> = order.iter().map(|&i| gids[i as usize]).collect();
+            feed_exact(&input.gather(&order), aggs, Some(&sorted_gids), &mut accs, ctx)?;
+        }
+    }
+    Ok(Groups { keys, accs })
+}
+
+/// Merges per-morsel [`Groups`] in morsel order: a key met before keeps
+/// its first representative and folds the accumulators in, a new key is
+/// appended — the stable order a serial run over the concatenated
+/// morsels produces.
+pub(crate) struct GroupMerger {
+    table: GroupTable,
+    keys: Vec<Row>,
+    accs: Vec<Accumulator>,
+    n_aggs: usize,
+}
+
+impl GroupMerger {
+    pub(crate) fn new(n_keys: usize, n_aggs: usize) -> Self {
+        GroupMerger {
+            table: GroupTable::new(n_keys),
+            keys: Vec::new(),
+            accs: Vec::new(),
+            n_aggs,
+        }
+    }
+
+    pub(crate) fn push(&mut self, part: Groups) -> Result<()> {
+        let ids = self.table.assign(&part.keys.cols, part.keys.len);
+        let mut accs = part.accs.into_iter();
+        for (g, id) in ids.into_iter().enumerate() {
+            let accs = accs.by_ref().take(self.n_aggs);
+            if id as usize == self.keys.len() {
+                self.keys.push(part.keys.row(g));
+                self.accs.extend(accs);
+            } else {
+                let base = id as usize * self.n_aggs;
+                for (mine, theirs) in self.accs[base..].iter_mut().zip(accs) {
+                    mine.merge(&theirs)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    pub(crate) fn finish(self) -> Vec<Row> {
+        emit_groups(self.keys, &self.accs)
+    }
 }
 
 fn aggregate_batch(
@@ -1023,90 +1202,166 @@ fn aggregate_batch(
     ctx: &EvalContext,
     guard: &ExecGuard,
 ) -> Result<Vec<Row>> {
-    let n = input.len;
     if group.is_empty() {
         // Scalar aggregate: one output row, even on empty input.
-        guard.tick(n as u64)?;
-        if let Some(row) = scalar_aggregate_fast(&input, aggs) {
-            return Ok(vec![row]);
-        }
-        let mut partials: Vec<Partial> = aggs
-            .iter()
-            .map(|a| match &a.arg {
-                Some(e) => eval_col_partial(e, &input, ctx),
-                None => (Vec::new(), None),
-            })
-            .collect();
-        let mut accs: Vec<Accumulator> = aggs
-            .iter()
-            .map(|a| Accumulator::new(a.func, a.distinct))
-            .collect();
-        for pos in 0..n {
-            for (ai, call) in aggs.iter().enumerate() {
-                let v = agg_arg(&mut partials, ai, pos, call.arg.is_some())?;
-                accs[ai].push(&v)?;
-            }
-        }
+        let accs = scalar_partial(&input, aggs, ctx, guard)?;
         return Ok(vec![accs.iter().map(Accumulator::finish).collect()]);
     }
-    guard.fault(FaultSite::AggMerge)?;
-    guard.tick(n as u64)?;
-    // Group keys, column-at-a-time; errors mirror the oracle's
-    // row-major order and surface before the governor charge.
-    let (keys, err) = eval_keys(group, &input, ctx);
-    if let Some(e) = err {
-        return Err(e);
-    }
-    let key_bytes: usize = keys.iter().map(|k| values_bytes(k)).sum();
-    guard.charge(key_bytes)?;
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| cmp_rows(&keys[a as usize], &keys[b as usize]));
-    let sorted = input.gather(&order);
-    // Aggregate arguments evaluate over the *sorted* batch, matching
-    // the oracle's sort-then-feed order (its feed errors occur in
-    // sorted position order).
-    let mut partials: Vec<Partial> = aggs
-        .iter()
-        .map(|a| match &a.arg {
-            Some(e) => eval_col_partial(e, &sorted, ctx),
-            None => (Vec::new(), None),
-        })
-        .collect();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < n {
-        let mut j = i + 1;
-        while j < n && cmp_rows(&keys[order[j] as usize], &keys[order[i] as usize]).is_eq() {
-            j += 1;
-        }
-        let mut accs: Vec<Accumulator> = aggs
-            .iter()
-            .map(|a| Accumulator::new(a.func, a.distinct))
-            .collect();
-        for pos in i..j {
-            for (ai, call) in aggs.iter().enumerate() {
-                let v = agg_arg(&mut partials, ai, pos, call.arg.is_some())?;
-                accs[ai].push(&v)?;
-            }
-        }
-        let mut out_row = keys[order[i] as usize].clone();
-        out_row.extend(accs.iter().map(Accumulator::finish));
-        out.push(out_row);
-        i = j;
-    }
-    Ok(out)
+    Ok(group_batch(&input, group, aggs, ctx, guard)?.finish())
 }
 
-#[allow(clippy::too_many_arguments)]
+/// A hash join's configuration (the `HashJoin` / `MergeJoin` payload).
+pub(crate) struct JoinSpec<'a> {
+    pub kind: JoinKind,
+    pub left_keys: &'a [BoundExpr],
+    pub right_keys: &'a [BoundExpr],
+    pub residual: Option<&'a BoundExpr>,
+    pub left_width: usize,
+    pub right_width: usize,
+}
+
+/// The build side of a hash join: the right input, its key table, and —
+/// for Right/Full joins — which build rows a probe has matched. Shared
+/// read-only by morsel workers (the flags are per-element atomics).
+pub(crate) struct JoinBuild {
+    pub batch: Batch,
+    table: JoinTable,
+    matched: Vec<AtomicBool>,
+}
+
+impl JoinBuild {
+    /// Evaluate the build keys (row-major first error) and index them.
+    /// The caller has charged `right` to the governor.
+    pub(crate) fn new(
+        right: Batch,
+        spec: &JoinSpec,
+        ctx: &EvalContext,
+        guard: &ExecGuard,
+    ) -> Result<JoinBuild> {
+        let right = widen(right, spec.right_width);
+        guard.tick(right.len as u64)?;
+        let (keys, _, err) = eval_cols(spec.right_keys, &right, ctx);
+        if let Some(e) = err {
+            return Err(e);
+        }
+        let table = JoinTable::build(&keys, right.len);
+        let tracked = matches!(spec.kind, JoinKind::Right | JoinKind::Full);
+        let matched = (0..if tracked { right.len } else { 0 })
+            .map(|_| AtomicBool::new(false))
+            .collect();
+        Ok(JoinBuild { batch: right, table, matched })
+    }
+
+    /// Probe `left`: the join's output as `(probe row, build row)`
+    /// selection vectors in probe order, each row's matches in build
+    /// order, [`NULL_ROW`] on the build side of an unmatched Left/Full
+    /// row. Residual errors and a left-key error surface in the order
+    /// the oracle's per-row loop meets them.
+    pub(crate) fn probe(
+        &self,
+        left: &Batch,
+        spec: &JoinSpec,
+        ctx: &EvalContext,
+        guard: &ExecGuard,
+    ) -> Result<(Vec<u32>, Vec<u32>)> {
+        guard.tick(left.len as u64)?;
+        // A left-key error at row L must not preempt a residual error at
+        // an earlier probe row: probe the pre-error prefix first, then
+        // raise.
+        let (keys, limit, key_err) = eval_cols(spec.left_keys, left, ctx);
+        let ids = self.table.lookup(&keys, limit);
+        let pad = matches!(spec.kind, JoinKind::Left | JoinKind::Full);
+        let residual = spec.residual.map(|p| {
+            let mut idxs = Vec::new();
+            p.column_indexes(&mut idxs);
+            (p, live_mask(&idxs, left.width() + self.batch.width()))
+        });
+        let (mut lsel, mut rsel) = (Vec::new(), Vec::new());
+        let mut from = 0usize;
+        while from < limit {
+            let (mut pl, mut pr) = (Vec::new(), Vec::new());
+            let next = self.table.pairs(&ids, from, &mut pl, &mut pr);
+            guard.tick(pl.len() as u64)?;
+            if let Some((p, live)) = &residual {
+                let candidates = combine(left, &self.batch, &pl, &pr, Some(live));
+                let keep = eval_filter(p, &candidates, ctx)?;
+                pl = keep.iter().map(|&k| pl[k as usize]).collect();
+                pr = keep.iter().map(|&k| pr[k as usize]).collect();
+            }
+            if !self.matched.is_empty() {
+                for &r in &pr {
+                    self.matched[r as usize].store(true, AtomicOrdering::Relaxed);
+                }
+            }
+            if pad {
+                let mut k = 0usize;
+                for row in from as u32..next as u32 {
+                    if pl.get(k) != Some(&row) {
+                        lsel.push(row);
+                        rsel.push(NULL_ROW);
+                    }
+                    while pl.get(k) == Some(&row) {
+                        lsel.push(row);
+                        rsel.push(pr[k]);
+                        k += 1;
+                    }
+                }
+            } else {
+                lsel.append(&mut pl);
+                rsel.append(&mut pr);
+            }
+            from = next;
+        }
+        match key_err {
+            Some(e) => Err(e),
+            None => Ok((lsel, rsel)),
+        }
+    }
+
+    /// Build rows no probe matched (Right/Full joins; empty otherwise),
+    /// in build order. Only meaningful once every probe has run.
+    pub(crate) fn unmatched(&self) -> Vec<u32> {
+        self.matched
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| !m.load(AtomicOrdering::Relaxed))
+            .map(|(r, _)| r as u32)
+            .collect()
+    }
+}
+
+/// A `width`-column mask with the listed columns set.
+pub(crate) fn live_mask(idxs: &[usize], width: usize) -> Vec<bool> {
+    let mut mask = vec![false; width];
+    for &i in idxs.iter().filter(|&&i| i < width) {
+        mask[i] = true;
+    }
+    mask
+}
+
+/// Materialize join output: `left`'s columns gathered by `lsel` next to
+/// `right`'s by `rsel`, restricted to the `live` columns of the
+/// combined row when the consumer named them.
+pub(crate) fn combine(
+    left: &Batch,
+    right: &Batch,
+    lsel: &[u32],
+    rsel: &[u32],
+    live: Option<&[bool]>,
+) -> Batch {
+    let (ll, rl) = match live {
+        Some(m) => (Some(&m[..left.width()]), Some(&m[left.width()..])),
+        None => (None, None),
+    };
+    let mut cols = left.gather_live(lsel, ll).cols;
+    cols.extend(right.gather_live(rsel, rl).cols);
+    Batch::new(cols, lsel.len())
+}
+
 fn hash_join_batch(
     left: Batch,
     right: Batch,
-    kind: JoinKind,
-    left_keys: &[BoundExpr],
-    right_keys: &[BoundExpr],
-    residual: Option<&BoundExpr>,
-    left_width: usize,
-    right_width: usize,
+    spec: &JoinSpec,
     ctx: &EvalContext,
     guard: &ExecGuard,
 ) -> Result<Out> {
@@ -1125,107 +1380,28 @@ fn hash_join_batch(
         return Ok(Out::Rows(crate::spill::grace_hash_join(
             left.to_rows(),
             right.to_rows(),
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            left_width,
-            right_width,
+            spec.kind,
+            spec.left_keys,
+            spec.right_keys,
+            spec.residual,
+            spec.left_width,
+            spec.right_width,
             ctx,
             guard,
             &layer,
         )?));
     }
-    let nr = right.len;
-    guard.tick(nr as u64)?;
-    let (right_key_vals, rerr) = eval_keys(right_keys, &right, ctx);
-    if let Some(e) = rerr {
-        return Err(e);
-    }
-    let mut table: HashMap<String, Vec<usize>> = HashMap::new();
-    for (ri, key) in right_key_vals.iter().enumerate() {
-        if let Some(key) = exec::join_key(key) {
-            table.entry(key).or_default().push(ri);
-        }
-    }
+    let build = JoinBuild::new(right, spec, ctx, guard)?;
     guard.fault(FaultSite::JoinProbe)?;
-    let nl = left.len;
-    guard.tick(nl as u64)?;
-    // A left-key error at row L must not preempt a residual error at an
-    // earlier probe row: probe the pre-error prefix first, then raise.
-    let (left_key_vals, lerr) = eval_keys(left_keys, &left, ctx);
-
-    // Late materialization for the common shape — inner equi-join, no
-    // residual: record matched (probe, build) index pairs and gather
-    // both sides' columns once at the end. Text columns gather as
-    // dictionary codes, so no row (and no string) is materialized; the
-    // output stays a batch for the consumer (an aggregate feeds its
-    // kernels straight off the gathered columns). Row order is the
-    // probe order, exactly as the materializing path below emits it.
-    if matches!(kind, JoinKind::Inner) && residual.is_none() {
-        let mut lsel: Vec<u32> = Vec::new();
-        let mut rsel: Vec<u32> = Vec::new();
-        for (li, key) in left_key_vals.iter().enumerate() {
-            if let Some(key) = exec::join_key(key) {
-                if let Some(candidates) = table.get(&key) {
-                    guard.tick(candidates.len() as u64)?;
-                    for &ri in candidates {
-                        lsel.push(li as u32);
-                        rsel.push(ri as u32);
-                    }
-                }
-            }
-        }
-        if let Some(e) = lerr {
-            return Err(e);
-        }
-        let len = lsel.len();
-        let mut cols = left.gather(&lsel).cols;
-        cols.extend(right.gather(&rsel).cols);
-        return Ok(Out::Batch(Batch::new(cols, len)));
-    }
-
-    let mut out = Vec::new();
-    let mut right_matched = vec![false; nr];
-    for (li, key) in left_key_vals.iter().enumerate() {
-        let mut matched = false;
-        if let Some(key) = exec::join_key(key) {
-            if let Some(candidates) = table.get(&key) {
-                guard.tick(candidates.len() as u64)?;
-                for &ri in candidates {
-                    let mut combined = left.row(li);
-                    combined.extend(right.row(ri));
-                    let ok = match residual {
-                        None => true,
-                        Some(p) => eval_predicate(p, &combined, ctx)?,
-                    };
-                    if ok {
-                        matched = true;
-                        right_matched[ri] = true;
-                        out.push(combined);
-                    }
-                }
-            }
-        }
-        if !matched && matches!(kind, JoinKind::Left | JoinKind::Full) {
-            let mut padded = left.row(li);
-            padded.extend(exec::null_row(right_width));
-            out.push(padded);
-        }
-    }
-    if let Some(e) = lerr {
-        return Err(e);
-    }
-    if matches!(kind, JoinKind::Right | JoinKind::Full) {
-        for (ri, matched) in right_matched.iter().enumerate() {
-            if !matched {
-                let mut padded = exec::null_row(left_width);
-                padded.extend(right.row(ri));
-                out.push(padded);
-            }
-        }
-    }
-    Ok(Out::Rows(out))
+    // Late materialization for every join kind: the probe yields index
+    // pairs, both sides' columns are gathered once at the end (text as
+    // dictionary codes), and the output stays a batch for the consumer.
+    let left = widen(left, spec.left_width);
+    let (mut lsel, mut rsel) = build.probe(&left, spec, ctx, guard)?;
+    let tail = build.unmatched();
+    lsel.resize(lsel.len() + tail.len(), NULL_ROW);
+    rsel.extend(tail);
+    Ok(Out::Batch(combine(&left, &build.batch, &lsel, &rsel, None)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1233,38 +1409,24 @@ fn hash_join_batch(
 // ---------------------------------------------------------------------------
 
 /// Mark the operators the vectorized engine executes in batch mode
-/// (`batchMode: true` in EXPLAIN). Inside a parallel region only the
-/// morsel pipeline's leading scan/filter stages run on column slices;
-/// serial subtrees vectorize the full operator set.
+/// (`batchMode: true` in EXPLAIN): every data operator with a batch
+/// implementation, whether it runs serially or as a stage of a morsel
+/// pipeline under a `Gather`. Exchanges carry no mark.
 pub fn annotate_batch_mode(plan: &mut PhysicalPlan) {
-    annotate(plan, false);
-}
-
-fn annotate(plan: &mut PhysicalPlan, under_gather: bool) {
-    let in_gather = under_gather || matches!(plan.op, PhysOp::Gather { .. });
-    plan.batch_mode = if under_gather {
-        matches!(
-            plan.op,
-            PhysOp::Scan { .. } | PhysOp::Seek { .. } | PhysOp::IndexSeek { .. } | PhysOp::Filter { .. }
-        )
-    } else {
-        matches!(
-            plan.op,
-            PhysOp::Scan { .. }
-                | PhysOp::CachedScan { .. }
-                | PhysOp::Seek { .. }
-                | PhysOp::IndexSeek { .. }
-                | PhysOp::Filter { .. }
-                | PhysOp::Compute { .. }
-                | PhysOp::Aggregate { .. }
-                | PhysOp::Top { .. }
-                | PhysOp::HashJoin { .. }
-                | PhysOp::MergeJoin { .. }
-        )
-    };
-    for c in &mut plan.children {
-        annotate(c, in_gather);
-    }
+    plan.batch_mode = matches!(
+        plan.op,
+        PhysOp::Scan { .. }
+            | PhysOp::CachedScan { .. }
+            | PhysOp::Seek { .. }
+            | PhysOp::IndexSeek { .. }
+            | PhysOp::Filter { .. }
+            | PhysOp::Compute { .. }
+            | PhysOp::Aggregate { .. }
+            | PhysOp::Top { .. }
+            | PhysOp::HashJoin { .. }
+            | PhysOp::MergeJoin { .. }
+    );
+    plan.children.iter_mut().for_each(annotate_batch_mode);
 }
 
 #[cfg(test)]
@@ -1348,9 +1510,16 @@ mod tests {
         let width = 1 + r.below(3) as usize;
         let n = r.below(40) as usize;
         let flavors: Vec<u8> = (0..width).map(|_| r.below(6) as u8).collect();
-        let rows: Vec<Row> = (0..n)
+        let mut rows: Vec<Row> = (0..n)
             .map(|_| flavors.iter().map(|&f| gen_cell(f, r)).collect())
             .collect();
+        // Every third batch opens with an all-NULL row: a text column's
+        // dictionary then starts with the builder's "" placeholder, and
+        // the real "" cells behind it must still meet "" from the other
+        // side of a join.
+        if n > 0 && r.below(3) == 0 {
+            rows[0] = vec![Value::Null; width];
+        }
         Batch::from_rows(&rows, width)
     }
 
@@ -1391,6 +1560,47 @@ mod tests {
         }
     }
 
+    /// The governor is charged for what the operators hold: a join's
+    /// build side exactly as the row engine charges it (so the Grace
+    /// spill threshold does not move), grouped state per group — the
+    /// row engine decorates, and charges, every input row.
+    #[test]
+    fn charges_follow_what_is_held() {
+        use crate::memory::{values_bytes, MemoryBudget};
+        let ctx = EvalContext::default();
+        let budgeted = || ExecGuard::unbounded().with_memory(Arc::new(MemoryBudget::unlimited()));
+        let rows: Vec<Row> = (0..200)
+            .map(|i| vec![Value::Int(i % 7), Value::Text(format!("t{}", i % 5))])
+            .collect();
+        let batch = Batch::from_rows(&rows, 2);
+        let key = [BoundExpr::Column(0)];
+
+        let spec = JoinSpec {
+            kind: JoinKind::Inner,
+            left_keys: &key,
+            right_keys: &key,
+            residual: None,
+            left_width: 2,
+            right_width: 2,
+        };
+        let (vec_guard, row_guard) = (budgeted(), budgeted());
+        hash_join_batch(batch.clone(), batch.clone(), &spec, &ctx, &vec_guard).unwrap();
+        exec::hash_join(rows.clone(), rows.clone(), JoinKind::Inner, &key, &key, None, 2, 2, &ctx, &row_guard)
+            .unwrap();
+        assert_eq!(vec_guard.memory().used(), row_guard.memory().used());
+        assert_eq!(vec_guard.memory().used(), crate::vector::rows_bytes(&rows));
+
+        let group = [BoundExpr::Column(1)];
+        let aggs = [AggCall { func: AggFunc::Count, arg: None, distinct: false }];
+        let (vec_guard, row_guard) = (budgeted(), budgeted());
+        let got = aggregate_batch(batch, &group, &aggs, &ctx, &vec_guard).unwrap();
+        let want = exec::aggregate(rows, &group, &aggs, &ctx, &row_guard).unwrap();
+        assert_eq!(got, want);
+        let per_key = values_bytes(&[Value::Text("t0".into())]);
+        assert_eq!(vec_guard.memory().used(), 5 * per_key, "one charge per group");
+        assert_eq!(row_guard.memory().used(), 200 * per_key, "the oracle charges per input row");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
@@ -1411,7 +1621,11 @@ mod tests {
                     }
                 }
             }
-            match (eval_col(&expr, &batch, &ctx), oracle_err) {
+            let got = match eval_col_partial(&expr, &batch, &ctx) {
+                (col, None) => Ok(col),
+                (_, Some(err)) => Err(err),
+            };
+            match (got, oracle_err) {
                 (Ok(col), None) => {
                     for (i, want) in oracle_vals.iter().enumerate() {
                         prop_assert_eq!(&col.value(i), want, "cell {} of {:?}", i, expr);
@@ -1467,44 +1681,114 @@ mod tests {
         #[test]
         fn aggregate_matches_row_oracle(seed in proptest::any::<u64>()) {
             let mut r = Rng(seed | 1);
+            let n_keys = r.below(3) as usize;
+            check_aggregate(&mut r, n_keys)?;
+        }
+
+        /// Always keyed, up to three key expressions: the hash-table
+        /// path — group numbering, representative keys, `cmp_rows`
+        /// emission order, the sorted-order exact feed and its errors.
+        #[test]
+        fn grouped_aggregate_matches_row_oracle(seed in proptest::any::<u64>()) {
+            let mut r = Rng(seed | 1);
+            let n_keys = 1 + r.below(3) as usize;
+            check_aggregate(&mut r, n_keys)?;
+        }
+
+        /// All four join kinds, with and without a residual, over
+        /// random typed / null-riddled / mixed key expressions:
+        /// byte-identical rows in the oracle's order, identical first
+        /// error (build keys, probe keys and residual interleaved as
+        /// the oracle's per-row loop meets them).
+        #[test]
+        fn hash_join_matches_row_oracle(seed in proptest::any::<u64>()) {
+            let mut r = Rng(seed | 1);
             let ctx = EvalContext::default();
-            let batch = gen_batch(&mut r);
-            let width = batch.width();
-            let group: Vec<BoundExpr> = (0..r.below(3))
-                .map(|_| gen_expr(&mut r, width, 1))
-                .collect();
-            let funcs = [
-                AggFunc::Count,
-                AggFunc::Sum,
-                AggFunc::Avg,
-                AggFunc::Min,
-                AggFunc::Max,
-                AggFunc::Stdev,
-                AggFunc::Var,
-            ];
-            let aggs: Vec<AggCall> = (0..1 + r.below(3))
-                .map(|_| AggCall {
-                    func: funcs[r.below(7) as usize],
-                    arg: if r.below(5) == 0 {
-                        None
-                    } else {
-                        Some(gen_expr(&mut r, width, 2))
-                    },
-                    distinct: r.below(4) == 0,
-                })
-                .collect();
+            let left = gen_batch(&mut r);
+            let right = gen_batch(&mut r);
+            let (lw, rw) = (left.width(), right.width());
+            let n_keys = 1 + r.below(2) as usize;
+            let left_keys: Vec<BoundExpr> = (0..n_keys).map(|_| gen_expr(&mut r, lw, 1)).collect();
+            let right_keys: Vec<BoundExpr> = (0..n_keys).map(|_| gen_expr(&mut r, rw, 1)).collect();
+            let kind = [JoinKind::Inner, JoinKind::Left, JoinKind::Right, JoinKind::Full]
+                [r.below(4) as usize];
+            let residual = (r.below(2) == 0).then(|| gen_expr(&mut r, lw + rw, 2));
+            let spec = JoinSpec {
+                kind,
+                left_keys: &left_keys,
+                right_keys: &right_keys,
+                residual: residual.as_ref(),
+                left_width: lw,
+                right_width: rw,
+            };
             let guard = ExecGuard::unbounded();
-            let got = aggregate_batch(batch.clone(), &group, &aggs, &ctx, &guard);
-            let want = exec::aggregate(batch.to_rows(), &group, &aggs, &ctx, &guard);
+            let got = hash_join_batch(left.clone(), right.clone(), &spec, &ctx, &guard)
+                .map(Out::into_rows);
+            let want = exec::hash_join(
+                left.to_rows(),
+                right.to_rows(),
+                kind,
+                &left_keys,
+                &right_keys,
+                residual.as_ref(),
+                lw,
+                rw,
+                &ctx,
+                &guard,
+            );
             match (got, want) {
-                (Ok(g), Ok(w)) => prop_assert_eq!(g, w, "groups for {:?} / {:?}", group, aggs),
-                (Err(ge), Err(we)) => prop_assert_eq!(ge, we, "error for {:?} / {:?}", group, aggs),
+                (Ok(g), Ok(w)) => prop_assert_eq!(g, w, "{:?} join on {:?} = {:?} / {:?}", kind, left_keys, right_keys, residual),
+                (Err(ge), Err(we)) => prop_assert_eq!(ge, we, "{:?} join on {:?} = {:?} / {:?}", kind, left_keys, right_keys, residual),
                 (g, w) => {
                     return Err(TestCaseError::fail(format!(
-                        "outcome mismatch for {group:?} / {aggs:?}: batch {g:?} vs rows {w:?}"
+                        "outcome mismatch for {kind:?} join on {left_keys:?} = {right_keys:?} / \
+                         {residual:?}: batch {g:?} vs rows {w:?}"
                     )));
                 }
             }
         }
+    }
+
+    /// One random aggregate over one random batch, batch operator
+    /// against `exec::aggregate`.
+    fn check_aggregate(r: &mut Rng, n_keys: usize) -> std::result::Result<(), TestCaseError> {
+        let ctx = EvalContext::default();
+        let batch = gen_batch(r);
+        let width = batch.width();
+        let group: Vec<BoundExpr> = (0..n_keys).map(|_| gen_expr(r, width, 1)).collect();
+        let funcs = [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Stdev,
+            AggFunc::Var,
+        ];
+        // Zero aggregates is `GROUP BY` used as DISTINCT.
+        let aggs: Vec<AggCall> = (0..r.below(4))
+            .map(|_| AggCall {
+                func: funcs[r.below(7) as usize],
+                arg: if r.below(5) == 0 {
+                    None
+                } else {
+                    Some(gen_expr(r, width, 2))
+                },
+                distinct: r.below(4) == 0,
+            })
+            .collect();
+        let guard = ExecGuard::unbounded();
+        let got = aggregate_batch(batch.clone(), &group, &aggs, &ctx, &guard);
+        let want = exec::aggregate(batch.to_rows(), &group, &aggs, &ctx, &guard);
+        match (got, want) {
+            (Ok(g), Ok(w)) => prop_assert_eq!(g, w, "groups for {:?} / {:?}", group, aggs),
+            (Err(ge), Err(we)) => prop_assert_eq!(ge, we, "error for {:?} / {:?}", group, aggs),
+            (g, w) => {
+                return Err(TestCaseError::fail(format!(
+                    "outcome mismatch for {group:?} / {aggs:?}: batch {g:?} vs rows {w:?}"
+                )));
+            }
+        }
+        Ok(())
     }
 }

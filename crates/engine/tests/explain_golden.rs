@@ -268,6 +268,15 @@ fn serial_fallback_plan_snapshot() {
 /// byte-identical to the pre-vectorization seed snapshots (the
 /// `*_row.json` files are verbatim copies of those goldens) — no
 /// `batchMode` key, no other drift.
+///
+/// For the two DOP-4 plans the missing mark is nominal: a parallel
+/// region has one implementation, the morsel pipeline over batches and
+/// the shared hash kernel, whatever the switch says, so their Hash Match
+/// and Aggregate do run on batches. `batchMode` records which engine
+/// the plan was annotated for — the one that runs the region's build
+/// subtree, serial plans and unrecognized regions — and answers are
+/// pinned against the row engine at DOP 1 in
+/// `tests/vectorized_differential.rs`, not by this mark.
 #[test]
 fn row_mode_plans_unchanged_from_seed() {
     let join_sql = "SELECT o.id, c.name FROM orders AS o JOIN customers AS c ON o.cust = c.cid WHERE o.amount > 10.0";

@@ -10,17 +10,22 @@
 //!   rows in exact order (the vectorized kernels reproduce the oracle's
 //!   arithmetic exactly, replaying row-at-a-time whenever they cannot),
 //!   and failing queries must fail with the *identical* error;
-//! - at `DOP = 4` (every eligible plan forced parallel) rows are
-//!   compared with the same float tolerance the serial-vs-parallel
-//!   harness uses, since morsel merge order may differ, and errors must
-//!   agree by kind;
+//! - at `DOP = 4` (every eligible plan forced parallel) both engine
+//!   settings run one morsel pipeline — `SQLSHARE_VECTORIZED` only picks
+//!   the executor of a region's build subtree and of serial fallbacks —
+//!   so comparing them with each other would compare the pipeline with
+//!   itself. Each is compared against the **row engine at DOP 1**, the
+//!   one executor that shares no operator code with the pipeline, with
+//!   the float tolerance the serial-vs-parallel harness uses (morsel
+//!   merge order may differ); errors must agree by kind;
 //! - dedicated legs compose the vectorized engine with paged storage
 //!   (`SQLSHARE_PAGED=1` equivalent: pages decode straight into column
 //!   batches) and with the result cache disabled
 //!   (`SQLSHARE_RESULT_CACHE_MB=0` equivalent), byte-identical at
 //!   DOP 1 in both.
 
-use sqlshare_engine::{DataType, Engine, Schema, StorageLayer, Table, Value};
+use sqlshare_common::Error;
+use sqlshare_engine::{DataType, Engine, QueryOutput, Schema, StorageLayer, Table, Value};
 use sqlshare_sql::parser::parse_query;
 use sqlshare_wlgen::{sdss, sqlshare as wl, GeneratorConfig};
 
@@ -88,6 +93,41 @@ fn has_order_by(sql: &str) -> bool {
     parse_query(sql).map(|q| !q.order_by.is_empty()).unwrap_or(false)
 }
 
+/// A forced-parallel outcome against the serial row oracle's: same bag
+/// of rows (same sequence when the query pins its order) up to the
+/// float tolerance, or an error of the same kind.
+fn assert_matches_oracle(
+    what: &str,
+    sql: &str,
+    oracle: &Result<QueryOutput, Error>,
+    got: Result<QueryOutput, Error>,
+) {
+    match (oracle, got) {
+        (Ok(o), Ok(g)) => {
+            assert_eq!(o.rows.len(), g.rows.len(), "{what}: row count diverged for {sql}");
+            let (mut orows, mut grows) = (o.rows.clone(), g.rows);
+            if !has_order_by(sql) {
+                orows.sort_by(|a, b| cmp_row(a, b));
+                grows.sort_by(|a, b| cmp_row(a, b));
+            }
+            for (i, (or, gr)) in orows.iter().zip(&grows).enumerate() {
+                assert!(
+                    rows_match(or, gr),
+                    "{what}: row {i} diverged for {sql}\n  row engine, DOP 1: {or:?}\n  \
+                     {what}: {gr:?}"
+                );
+            }
+        }
+        (Err(oe), Err(ge)) => assert_eq!(
+            oe.kind(),
+            ge.kind(),
+            "{what}: error kind diverged for {sql}\n  row engine, DOP 1: {oe}\n  {what}: {ge}"
+        ),
+        (Ok(_), Err(ge)) => panic!("{what}: failed where the row engine at DOP 1 did not, {sql}: {ge}"),
+        (Err(oe), Ok(_)) => panic!("{what}: succeeded where the row engine at DOP 1 failed, {sql}: {oe}"),
+    }
+}
+
 struct Tally {
     compared_serial: usize,
     compared_parallel: usize,
@@ -95,7 +135,8 @@ struct Tally {
 }
 
 /// Replay every logged query from `corpus_name` on the row oracle and
-/// the vectorized engine, at DOP 1 (byte-identical) and forced DOP 4
+/// the vectorized engine at DOP 1 (byte-identical), and on both engine
+/// settings at forced DOP 4 against the DOP-1 row oracle
 /// (float-tolerant).
 fn run_corpus(corpus_name: &str, corpus: sqlshare_wlgen::sqlshare::GeneratedCorpus) -> Tally {
     let configure = |dop: usize, vectorized: bool| -> Engine {
@@ -143,7 +184,8 @@ fn run_corpus(corpus_name: &str, corpus: sqlshare_wlgen::sqlshare::GeneratedCorp
 
         // DOP 1: the strict leg. Same rows, same order, same bytes —
         // and on failure the *same* error, not merely the same kind.
-        match (row1.run(&canonical), vec1.run(&canonical)) {
+        let oracle = row1.run(&canonical);
+        match (&oracle, vec1.run(&canonical)) {
             (Ok(r), Ok(v)) => {
                 assert_eq!(
                     r.rows, v.rows,
@@ -153,7 +195,7 @@ fn run_corpus(corpus_name: &str, corpus: sqlshare_wlgen::sqlshare::GeneratedCorp
             }
             (Err(re), Err(ve)) => {
                 assert_eq!(
-                    re, ve,
+                    *re, ve,
                     "{corpus_name}: DOP-1 error diverged for {canonical}"
                 );
                 tally.errored += 1;
@@ -166,44 +208,14 @@ fn run_corpus(corpus_name: &str, corpus: sqlshare_wlgen::sqlshare::GeneratedCorp
             }
         }
 
-        // Forced DOP 4: float-tolerant (morsel merge order), bag
-        // compare unless the query pins its order.
-        match (row4.run(&canonical), vec4.run(&canonical)) {
-            (Ok(r), Ok(v)) => {
-                assert_eq!(
-                    r.rows.len(),
-                    v.rows.len(),
-                    "{corpus_name}: DOP-4 row count diverged for {canonical}"
-                );
-                let (mut rrows, mut vrows) = (r.rows, v.rows);
-                if !has_order_by(&canonical) {
-                    rrows.sort_by(|a, b| cmp_row(a, b));
-                    vrows.sort_by(|a, b| cmp_row(a, b));
-                }
-                for (i, (rr, vr)) in rrows.iter().zip(&vrows).enumerate() {
-                    assert!(
-                        rows_match(rr, vr),
-                        "{corpus_name}: DOP-4 row {i} diverged for {canonical}\n  \
-                         row:        {rr:?}\n  vectorized: {vr:?}"
-                    );
-                }
-                tally.compared_parallel += 1;
-            }
-            (Err(re), Err(ve)) => {
-                assert_eq!(
-                    re.kind(),
-                    ve.kind(),
-                    "{corpus_name}: DOP-4 error kind diverged for {canonical}\n  \
-                     row:        {re}\n  vectorized: {ve}"
-                );
-            }
-            (Ok(_), Err(ve)) => {
-                panic!("{corpus_name}: DOP-4 vectorized-only failure for {canonical}: {ve}")
-            }
-            (Err(re), Ok(_)) => {
-                panic!("{corpus_name}: DOP-4 row-only failure for {canonical}: {re}")
-            }
+        // Forced DOP 4, each engine setting against the serial row
+        // oracle: float-tolerant (morsel merge order), bag compare
+        // unless the query pins its order.
+        for (what, engine) in [("row engine, DOP 4", &row4), ("vectorized, DOP 4", &vec4)] {
+            let what = format!("{corpus_name}: {what}");
+            assert_matches_oracle(&what, &canonical, &oracle, engine.run(&canonical));
         }
+        tally.compared_parallel += usize::from(oracle.is_ok());
     }
 
     assert!(
@@ -330,21 +342,89 @@ fn zero_result_cache_is_byte_identical_at_dop1() {
     });
 }
 
+fn memory_fixture_engine(dop: usize, vectorized: bool) -> Engine {
+    let mut e = Engine::new();
+    e.set_storage(None);
+    e.set_max_dop(dop);
+    e.set_exec_threads(4);
+    e.set_parallelism_cost_threshold(0.0);
+    e.set_vectorized(vectorized);
+    e.disable_cache();
+    fixture_tables(&mut e);
+    e
+}
+
 #[test]
 fn memory_backed_fixture_is_byte_identical_across_dop() {
     // The same fixture over in-memory tables, serial and forced
-    // parallel: the morsel batch fast path must not change survivors.
+    // parallel: the morsel pipeline must not change survivors.
     for dop in [1, 4] {
-        assert_fixture_identical(|vectorized| {
-            let mut e = Engine::new();
-            e.set_storage(None);
-            e.set_max_dop(dop);
-            e.set_exec_threads(4);
-            e.set_parallelism_cost_threshold(0.0);
-            e.set_vectorized(vectorized);
-            e.disable_cache();
-            fixture_tables(&mut e);
-            e
-        });
+        assert_fixture_identical(|vectorized| memory_fixture_engine(dop, vectorized));
+    }
+    // At DOP 4 both settings share the morsel pipeline, so the check
+    // above compares it with itself there; what pins its answers is the
+    // row engine at DOP 1.
+    let oracle = memory_fixture_engine(1, false);
+    for vectorized in [false, true] {
+        let parallel = memory_fixture_engine(4, vectorized);
+        let what = format!("DOP 4, vectorized={vectorized}");
+        for sql in FIXTURE_QUERIES {
+            assert_matches_oracle(&what, sql, &oracle.run(sql), parallel.run(sql));
+        }
+    }
+}
+
+#[test]
+fn empty_string_keys_behind_nulls_match_the_row_oracle() {
+    // `a.s` opens with a NULL (and so does every 1,024-row morsel of
+    // it), which seeds the column's dictionary with "" as the NULL
+    // placeholder; the real "" cells behind it must still join "" from
+    // `b`'s dictionary and fall into one group when a computed text key
+    // builds a fresh dictionary per morsel.
+    let queries = [
+        "SELECT COUNT(*) FROM b JOIN a ON b.s = a.s",
+        "SELECT COUNT(*) FROM a JOIN b ON a.s = b.s",
+        "SELECT b.s, COUNT(*) FROM b LEFT JOIN a ON b.s = a.s GROUP BY b.s",
+        "SELECT s, COUNT(*) FROM a GROUP BY s",
+        "SELECT s || '', COUNT(*) FROM a GROUP BY s || ''",
+    ];
+    let engine = |dop: usize, vectorized: bool| {
+        let mut e = Engine::new();
+        e.set_storage(None);
+        e.set_max_dop(dop);
+        e.set_exec_threads(4);
+        e.set_parallelism_cost_threshold(0.0);
+        e.set_vectorized(vectorized);
+        e.disable_cache();
+        let text = |s: &str| Value::Text(s.into());
+        e.create_table(Table::new(
+            "a",
+            Schema::from_pairs([("s", DataType::Text)]),
+            (0..3000)
+                .map(|i| match (i % 1024, i % 3) {
+                    (0, _) => vec![Value::Null],
+                    (_, 1) => vec![text("")],
+                    _ => vec![text("a")],
+                })
+                .collect(),
+        ))
+        .unwrap();
+        e.create_table(Table::new(
+            "b",
+            Schema::from_pairs([("s", DataType::Text)]),
+            vec![vec![text("")], vec![text("a")]],
+        ))
+        .unwrap();
+        e
+    };
+    let oracle = engine(1, false);
+    let join = oracle.run(queries[0]).unwrap();
+    assert_eq!(join.rows, vec![vec![Value::Int(2997)]], "every non-NULL row of a joins once");
+    for (dop, vectorized) in [(1, true), (4, false), (4, true)] {
+        let other = engine(dop, vectorized);
+        let what = format!("DOP {dop}, vectorized={vectorized}");
+        for sql in queries {
+            assert_matches_oracle(&what, sql, &oracle.run(sql), other.run(sql));
+        }
     }
 }
