@@ -146,102 +146,234 @@ impl Json {
 
     /// Pretty serialization with two-space indentation.
     pub fn to_pretty_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
+        let mut w = JsonWriter::pretty();
+        w.value(self);
+        w.finish()
+    }
+}
+
+/// A streaming JSON encoder: values are written straight into one output
+/// string as the caller walks its own data, so a large document (a
+/// snapshot of the whole service) never exists as a [`Json`] tree.
+/// [`Json`]'s own serializers are this writer driven by the tree, so
+/// there is one escaper, one number formatter and one layout.
+///
+/// The caller is trusted to nest correctly: a [`key`](Self::key) before
+/// every value inside an object, every `begin_*` closed.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Spaces per nesting level; `None` is the compact form.
+    indent: Option<usize>,
+    /// One entry per open container: whether it has an item yet.
+    open: Vec<bool>,
+    /// A key was just written; the next value belongs to it.
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// Compact output (what `Json::to_string` emits).
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Number(n) => write_number(out, *n),
-            Json::String(s) => write_escaped(out, s),
+    /// Two-space indented output (what `Json::to_pretty_string` emits).
+    pub fn pretty() -> Self {
+        JsonWriter { indent: Some(2), ..Self::default() }
+    }
+
+    /// The encoded document.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Separator and layout before an array item or an object key.
+    #[inline]
+    fn next_item(&mut self) {
+        if let Some(has_items) = self.open.last_mut() {
+            if std::mem::replace(has_items, true) {
+                self.out.push(',');
+            }
+            self.newline_indent(self.open.len());
+        }
+    }
+
+    #[inline]
+    fn before_value(&mut self) {
+        if !std::mem::take(&mut self.after_key) {
+            self.next_item();
+        }
+    }
+
+    #[inline]
+    fn newline_indent(&mut self, depth: usize) {
+        if let Some(width) = self.indent {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', depth * width));
+        }
+    }
+
+    #[inline]
+    fn begin(&mut self, bracket: char) -> &mut Self {
+        self.before_value();
+        self.out.push(bracket);
+        self.open.push(false);
+        self
+    }
+
+    /// Close the innermost container; an empty one stays `[]` / `{}`.
+    #[inline]
+    fn end(&mut self, bracket: char) -> &mut Self {
+        if self.open.pop() == Some(true) {
+            self.newline_indent(self.open.len());
+        }
+        self.out.push(bracket);
+        self
+    }
+
+    #[inline]
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.begin('{')
+    }
+
+    #[inline]
+    pub fn end_object(&mut self) -> &mut Self {
+        self.end('}')
+    }
+
+    #[inline]
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.begin('[')
+    }
+
+    #[inline]
+    pub fn end_array(&mut self) -> &mut Self {
+        self.end(']')
+    }
+
+    /// An object key; the next value written is its value.
+    #[inline]
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.next_item();
+        self.escaped(key);
+        self.out.push(':');
+        if self.indent.is_some() {
+            self.out.push(' ');
+        }
+        self.after_key = true;
+        self
+    }
+
+    #[inline]
+    pub fn null(&mut self) -> &mut Self {
+        self.before_value();
+        self.out.push_str("null");
+        self
+    }
+
+    #[inline]
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.before_value();
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    pub fn number(&mut self, n: f64) -> &mut Self {
+        self.before_value();
+        if n.is_nan() || n.is_infinite() {
+            // JSON has no NaN/Inf; plans never produce them, but be safe.
+            self.out.push_str("null");
+        } else if n == n.trunc() && n.abs() < 1e15 {
+            let _ = write!(self.out, "{}", n as i64);
+        } else {
+            let _ = write!(self.out, "{}", n);
+        }
+        self
+    }
+
+    #[inline]
+    pub fn string(&mut self, s: &str) -> &mut Self {
+        self.before_value();
+        self.escaped(s);
+        self
+    }
+
+    /// A string value that is the concatenation of `parts`, escaped as
+    /// it is copied — a tagged value like `t:` + text costs one copy of
+    /// the text, into the output.
+    #[inline]
+    pub fn string_parts(&mut self, parts: &[&str]) -> &mut Self {
+        self.before_value();
+        self.out.push('"');
+        for part in parts {
+            escape_into(&mut self.out, part);
+        }
+        self.out.push('"');
+        self
+    }
+
+    /// A whole [`Json`] tree as the next value.
+    pub fn value(&mut self, v: &Json) -> &mut Self {
+        match v {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Number(n) => self.number(*n),
+            Json::String(s) => self.string(s),
             Json::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                self.begin_array();
+                for item in items {
+                    self.value(item);
                 }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, depth + 1);
-                    item.write(out, indent, depth + 1);
-                }
-                newline_indent(out, indent, depth);
-                out.push(']');
+                self.end_array()
             }
             Json::Object(obj) => {
-                if obj.is_empty() {
-                    out.push_str("{}");
-                    return;
+                self.begin_object();
+                for (k, v) in obj.iter() {
+                    self.key(k).value(v);
                 }
-                out.push('{');
-                for (i, (k, v)) in obj.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, depth + 1);
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
-                }
-                newline_indent(out, indent, depth);
-                out.push('}');
+                self.end_object()
             }
         }
     }
-}
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..depth * width {
-            out.push(' ');
-        }
+    #[inline]
+    fn escaped(&mut self, s: &str) {
+        self.out.push('"');
+        escape_into(&mut self.out, s);
+        self.out.push('"');
     }
 }
 
-fn write_number(out: &mut String, n: f64) {
-    if n.is_nan() || n.is_infinite() {
-        // JSON has no NaN/Inf; plans never produce them, but be safe.
-        out.push_str("null");
-    } else if n == n.trunc() && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{}", n);
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Append `s` to `out` as JSON string content (no surrounding quotes).
+#[inline]
+fn escape_into(out: &mut String, s: &str) {
+    // Only ASCII bytes are ever escaped, so everything between two of
+    // them is copied as one run — for most strings, the whole string.
+    let needs_escape = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(needs_escape) {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{:04x}", b);
             }
-            c => out.push(c),
         }
+        rest = &rest[at + 1..];
     }
-    out.push('"');
+    out.push_str(rest);
 }
 
 impl std::fmt::Display for Json {
     /// Compact serialization (`.to_string()` emits canonical JSON).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        f.write_str(&out)
+        let mut w = JsonWriter::new();
+        w.value(self);
+        f.write_str(&w.out)
     }
 }
 
@@ -555,6 +687,39 @@ mod tests {
         obj.insert("z", Json::num(3.0)); // replace keeps position
         let s = Json::Object(obj).to_string();
         assert_eq!(s, "{\"z\":3,\"a\":2}");
+    }
+
+    #[test]
+    fn streamed_document_equals_the_tree() {
+        let tree = Json::object([
+            ("lsn", Json::num(7.0)),
+            ("empty", Json::Array(vec![])),
+            ("none", Json::Object(JsonObject::new())),
+            (
+                "rows",
+                Json::Array(vec![
+                    Json::Array(vec![Json::str("t:a\"b\\\u{1}é"), Json::Null, Json::Bool(true)]),
+                    Json::Array(vec![Json::str("i:-5"), Json::num(0.25)]),
+                ]),
+            ),
+            ("nested", Json::object([("k", Json::str("v"))])),
+        ]);
+        for (mut w, want) in [
+            (JsonWriter::new(), tree.to_string()),
+            (JsonWriter::pretty(), tree.to_pretty_string()),
+        ] {
+            w.begin_object();
+            w.key("lsn").number(7.0);
+            w.key("empty").begin_array().end_array();
+            w.key("none").begin_object().end_object();
+            w.key("rows").begin_array();
+            w.begin_array().string_parts(&["t:", "a\"b\\\u{1}é"]).null().bool(true).end_array();
+            w.begin_array().string_parts(&["i:", "-5"]).number(0.25).end_array();
+            w.end_array();
+            w.key("nested").value(&Json::object([("k", Json::str("v"))]));
+            w.end_object();
+            assert_eq!(w.finish(), want);
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use crate::clock::SimInstant;
 use crate::dataset::{Dataset, DatasetKind, DatasetName, Metadata, Preview};
 use crate::permissions::Visibility;
-use sqlshare_common::json::{Json, JsonObject};
+use sqlshare_common::json::{Json, JsonWriter};
 use sqlshare_common::{Error, Result};
 use sqlshare_engine::{Column, DataType, FaultPlan, Row, Schema, Table, Value};
 use sqlshare_ingest::{HeaderMode, IngestOptions};
@@ -171,8 +171,7 @@ impl DurableStore {
     /// configured fsync policy and its LSN is committed.
     pub(crate) fn journal(&mut self, m: &Mutation) -> Result<u64> {
         let lsn = self.last_lsn + 1;
-        let record = m.to_json(lsn, self.epoch).to_string();
-        self.wal.append(record.as_bytes())?;
+        self.wal.append(m.encode(lsn, self.epoch).as_bytes())?;
         self.last_lsn = lsn;
         self.records_since_snapshot += 1;
         Ok(lsn)
@@ -188,8 +187,7 @@ impl DurableStore {
         epoch: u64,
         m: &Mutation,
     ) -> Result<()> {
-        let record = m.to_json(lsn, epoch).to_string();
-        self.wal.append(record.as_bytes())?;
+        self.wal.append(m.encode(lsn, epoch).as_bytes())?;
         self.last_lsn = lsn;
         self.records_since_snapshot += 1;
         Ok(())
@@ -321,28 +319,32 @@ pub(crate) enum Mutation {
 }
 
 impl Mutation {
-    pub(crate) fn to_json(&self, lsn: u64, epoch: u64) -> Json {
-        let mut o = JsonObject::new();
-        o.insert("lsn", Json::Number(lsn as f64));
+    /// The journal record for this mutation, written straight from the
+    /// borrowed fields: the upload's content is copied once, escaped, into
+    /// the record and nowhere else.
+    pub(crate) fn encode(&self, lsn: u64, epoch: u64) -> String {
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("lsn").number(lsn as f64);
         if epoch > 0 {
             // Epoch 0 is elided so single-node WALs keep their original
             // byte format (and old WALs decode as epoch 0).
-            o.insert("epoch", Json::Number(epoch as f64));
+            w.key("epoch").number(epoch as f64);
         }
         match self {
             Mutation::RegisterUser { username, email } => {
-                o.insert("op", Json::str("register-user"));
-                o.insert("username", Json::str(username.clone()));
-                o.insert("email", Json::str(email.clone()));
+                w.key("op").string("register-user");
+                w.key("username").string(username);
+                w.key("email").string(email);
             }
             Mutation::SetAdmin { username, admin } => {
-                o.insert("op", Json::str("set-admin"));
-                o.insert("username", Json::str(username.clone()));
-                o.insert("admin", Json::Bool(*admin));
+                w.key("op").string("set-admin");
+                w.key("username").string(username);
+                w.key("admin").bool(*admin);
             }
             Mutation::AdvanceDays { days } => {
-                o.insert("op", Json::str("advance-days"));
-                o.insert("days", Json::Number(*days as f64));
+                w.key("op").string("advance-days");
+                w.key("days").number(*days as f64);
             }
             Mutation::Upload {
                 user,
@@ -351,12 +353,12 @@ impl Mutation {
                 options,
                 created,
             } => {
-                o.insert("op", Json::str("upload"));
-                o.insert("user", Json::str(user.clone()));
-                o.insert("dataset", Json::str(dataset.clone()));
-                o.insert("content", Json::str(content.clone()));
-                o.insert("options", options_to_json(options));
-                o.insert("created", instant_to_json(*created));
+                w.key("op").string("upload");
+                w.key("user").string(user);
+                w.key("dataset").string(dataset);
+                w.key("content").string(content);
+                write_options(w.key("options"), options);
+                write_instant(w.key("created"), *created);
             }
             Mutation::SaveDataset {
                 user,
@@ -365,17 +367,17 @@ impl Mutation {
                 metadata,
                 created,
             } => {
-                o.insert("op", Json::str("save-dataset"));
-                o.insert("user", Json::str(user.clone()));
-                o.insert("dataset", Json::str(dataset.clone()));
-                o.insert("sql", Json::str(sql.clone()));
-                o.insert("metadata", metadata_to_json(metadata));
-                o.insert("created", instant_to_json(*created));
+                w.key("op").string("save-dataset");
+                w.key("user").string(user);
+                w.key("dataset").string(dataset);
+                w.key("sql").string(sql);
+                write_metadata(w.key("metadata"), metadata);
+                write_instant(w.key("created"), *created);
             }
             Mutation::Append { existing, sql } => {
-                o.insert("op", Json::str("append"));
-                o.insert("existing", dsname_to_json(existing));
-                o.insert("sql", Json::str(sql.clone()));
+                w.key("op").string("append");
+                write_dsname(w.key("existing"), existing);
+                w.key("sql").string(sql);
             }
             Mutation::Materialize {
                 source,
@@ -384,38 +386,39 @@ impl Mutation {
                 rows,
                 created,
             } => {
-                o.insert("op", Json::str("materialize"));
-                o.insert("source", dsname_to_json(source));
-                o.insert("name", dsname_to_json(name));
-                o.insert("schema", schema_to_json(schema));
-                o.insert("rows", rows_to_json(rows));
-                o.insert("created", instant_to_json(*created));
+                w.key("op").string("materialize");
+                write_dsname(w.key("source"), source);
+                write_dsname(w.key("name"), name);
+                write_schema(w.key("schema"), schema);
+                write_rows(w.key("rows"), rows);
+                write_instant(w.key("created"), *created);
             }
             Mutation::Delete { name } => {
-                o.insert("op", Json::str("delete"));
-                o.insert("name", dsname_to_json(name));
+                w.key("op").string("delete");
+                write_dsname(w.key("name"), name);
             }
             Mutation::SetVisibility { name, visibility } => {
-                o.insert("op", Json::str("set-visibility"));
-                o.insert("name", dsname_to_json(name));
-                o.insert("visibility", visibility_to_json(visibility));
+                w.key("op").string("set-visibility");
+                write_dsname(w.key("name"), name);
+                write_visibility(w.key("visibility"), visibility);
             }
             Mutation::SetMetadata { name, metadata } => {
-                o.insert("op", Json::str("set-metadata"));
-                o.insert("name", dsname_to_json(name));
-                o.insert("metadata", metadata_to_json(metadata));
+                w.key("op").string("set-metadata");
+                write_dsname(w.key("name"), name);
+                write_metadata(w.key("metadata"), metadata);
             }
             Mutation::MintDoi { name, doi } => {
-                o.insert("op", Json::str("mint-doi"));
-                o.insert("name", dsname_to_json(name));
-                o.insert("doi", Json::str(doi.clone()));
+                w.key("op").string("mint-doi");
+                write_dsname(w.key("name"), name);
+                w.key("doi").string(doi);
             }
             Mutation::RegisterUdf { name } => {
-                o.insert("op", Json::str("register-udf"));
-                o.insert("name", Json::str(name.clone()));
+                w.key("op").string("register-udf");
+                w.key("name").string(name);
             }
         }
-        Json::Object(o)
+        w.end_object();
+        w.finish()
     }
 
     /// Lease epoch carried by a journaled record. Records written before
@@ -525,6 +528,19 @@ pub(crate) fn bool_of(j: &Json, key: &str) -> Result<bool> {
     }
 }
 
+// Durable state has one encoder: the `write_*` functions below, each
+// emitting one value through a [`JsonWriter`] from borrowed data. The
+// decoders read the parsed tree.
+
+pub(crate) fn write_instant(w: &mut JsonWriter, at: SimInstant) {
+    w.begin_object();
+    w.key("day").number(at.day as f64);
+    w.key("seq").number(at.sequence as f64);
+    w.end_object();
+}
+
+/// The query log keeps entries as trees (replication ships them as
+/// documents), so its timestamps are built as one.
 pub(crate) fn instant_to_json(at: SimInstant) -> Json {
     Json::object([
         ("day", Json::Number(at.day as f64)),
@@ -542,15 +558,42 @@ pub(crate) fn instant_from_json(j: &Json) -> Result<SimInstant> {
 /// Tagged-string value encoding: exact for the full `i64` range and for
 /// every `f64` bit pattern (including NaN, which plain JSON cannot
 /// carry).
-pub(crate) fn value_to_json(v: &Value) -> Json {
+pub(crate) fn write_value(w: &mut JsonWriter, v: &Value) {
+    // A snapshot writes one of these per cell of every table, so the
+    // numeric tags are formatted on the stack, not through `format!`.
     match v {
-        Value::Null => Json::Null,
-        Value::Bool(b) => Json::Bool(*b),
-        Value::Int(i) => Json::str(format!("i:{i}")),
-        Value::Float(f) => Json::str(format!("f:{:016x}", f.to_bits())),
-        Value::Date(d) => Json::str(format!("d:{d}")),
-        Value::Text(s) => Json::str(format!("t:{s}")),
+        Value::Null => w.null(),
+        Value::Bool(b) => w.bool(*b),
+        Value::Int(i) => w.string_parts(&["i:", decimal(*i, &mut [0; 20])]),
+        Value::Float(f) => {
+            let mut hex = [0u8; 16];
+            for (k, digit) in hex.iter_mut().enumerate() {
+                *digit = b"0123456789abcdef"[(f.to_bits() >> (60 - 4 * k)) as usize & 0xf];
+            }
+            w.string_parts(&["f:", std::str::from_utf8(&hex).expect("hex digits")])
+        }
+        Value::Date(d) => w.string_parts(&["d:", decimal(*d as i64, &mut [0; 20])]),
+        Value::Text(s) => w.string_parts(&["t:", s]),
+    };
+}
+
+/// `n` in decimal, as `Display` prints it, in the tail of `buf`.
+fn decimal(n: i64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
     }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    std::str::from_utf8(&buf[at..]).expect("ascii digits")
 }
 
 pub(crate) fn value_from_json(j: &Json) -> Result<Value> {
@@ -576,12 +619,16 @@ pub(crate) fn value_from_json(j: &Json) -> Result<Value> {
     }
 }
 
-pub(crate) fn rows_to_json(rows: &[Row]) -> Json {
-    Json::Array(
-        rows.iter()
-            .map(|r| Json::Array(r.iter().map(value_to_json).collect()))
-            .collect(),
-    )
+pub(crate) fn write_rows(w: &mut JsonWriter, rows: &[Row]) {
+    w.begin_array();
+    for row in rows {
+        w.begin_array();
+        for v in row {
+            write_value(w, v);
+        }
+        w.end_array();
+    }
+    w.end_array();
 }
 
 pub(crate) fn rows_from_json(j: &Json) -> Result<Vec<Row>> {
@@ -619,25 +666,21 @@ fn datatype_from_tag(tag: &str) -> Result<DataType> {
     })
 }
 
-pub(crate) fn schema_to_json(schema: &Schema) -> Json {
-    Json::Array(
-        schema
-            .columns
-            .iter()
-            .map(|c| {
-                let mut o = JsonObject::new();
-                o.insert("name", Json::str(c.name.clone()));
-                o.insert("type", Json::str(datatype_tag(c.ty)));
-                if let Some(q) = &c.qualifier {
-                    o.insert("qualifier", Json::str(q.clone()));
-                }
-                if let Some(s) = &c.source_table {
-                    o.insert("source", Json::str(s.clone()));
-                }
-                Json::Object(o)
-            })
-            .collect(),
-    )
+pub(crate) fn write_schema(w: &mut JsonWriter, schema: &Schema) {
+    w.begin_array();
+    for c in &schema.columns {
+        w.begin_object();
+        w.key("name").string(&c.name);
+        w.key("type").string(datatype_tag(c.ty));
+        if let Some(q) = &c.qualifier {
+            w.key("qualifier").string(q);
+        }
+        if let Some(s) = &c.source_table {
+            w.key("source").string(s);
+        }
+        w.end_object();
+    }
+    w.end_array();
 }
 
 pub(crate) fn schema_from_json(j: &Json) -> Result<Schema> {
@@ -655,12 +698,12 @@ pub(crate) fn schema_from_json(j: &Json) -> Result<Schema> {
     Ok(Schema::new(columns))
 }
 
-pub(crate) fn table_to_json(table: &Table) -> Json {
-    Json::object([
-        ("name", Json::str(table.name.clone())),
-        ("schema", schema_to_json(&table.schema)),
-        ("rows", rows_to_json(&table.rows())),
-    ])
+pub(crate) fn write_table(w: &mut JsonWriter, table: &Table) {
+    w.begin_object();
+    w.key("name").string(&table.name);
+    write_schema(w.key("schema"), &table.schema);
+    write_rows(w.key("rows"), &table.rows());
+    w.end_object();
 }
 
 pub(crate) fn table_from_json(j: &Json) -> Result<Table> {
@@ -671,11 +714,11 @@ pub(crate) fn table_from_json(j: &Json) -> Result<Table> {
     ))
 }
 
-pub(crate) fn dsname_to_json(name: &DatasetName) -> Json {
-    Json::object([
-        ("owner", Json::str(name.owner.clone())),
-        ("name", Json::str(name.name.clone())),
-    ])
+pub(crate) fn write_dsname(w: &mut JsonWriter, name: &DatasetName) {
+    w.begin_object();
+    w.key("owner").string(&name.owner);
+    w.key("name").string(&name.name);
+    w.end_object();
 }
 
 pub(crate) fn dsname_from_json(j: &Json) -> Result<DatasetName> {
@@ -685,14 +728,15 @@ pub(crate) fn dsname_from_json(j: &Json) -> Result<DatasetName> {
     })
 }
 
-pub(crate) fn metadata_to_json(m: &Metadata) -> Json {
-    Json::object([
-        ("description", Json::str(m.description.clone())),
-        (
-            "tags",
-            Json::Array(m.tags.iter().map(|t| Json::str(t.clone())).collect()),
-        ),
-    ])
+pub(crate) fn write_metadata(w: &mut JsonWriter, m: &Metadata) {
+    w.begin_object();
+    w.key("description").string(&m.description);
+    w.key("tags").begin_array();
+    for t in &m.tags {
+        w.string(t);
+    }
+    w.end_array();
+    w.end_object();
 }
 
 pub(crate) fn metadata_from_json(j: &Json) -> Result<Metadata> {
@@ -707,15 +751,20 @@ pub(crate) fn metadata_from_json(j: &Json) -> Result<Metadata> {
     })
 }
 
-pub(crate) fn visibility_to_json(v: &Visibility) -> Json {
+pub(crate) fn write_visibility(w: &mut JsonWriter, v: &Visibility) {
     match v {
-        Visibility::Private => Json::str("private"),
-        Visibility::Public => Json::str("public"),
-        Visibility::Shared(users) => Json::object([(
-            "shared",
-            Json::Array(users.iter().map(|u| Json::str(u.clone())).collect()),
-        )]),
-    }
+        Visibility::Private => w.string("private"),
+        Visibility::Public => w.string("public"),
+        Visibility::Shared(users) => {
+            w.begin_object();
+            w.key("shared").begin_array();
+            for u in users {
+                w.string(u);
+            }
+            w.end_array();
+            w.end_object()
+        }
+    };
 }
 
 pub(crate) fn visibility_from_json(j: &Json) -> Result<Visibility> {
@@ -734,21 +783,18 @@ pub(crate) fn visibility_from_json(j: &Json) -> Result<Visibility> {
     }
 }
 
-fn options_to_json(o: &IngestOptions) -> Json {
-    let mut obj = JsonObject::new();
-    obj.insert(
-        "header",
-        Json::str(match o.header {
-            HeaderMode::Auto => "auto",
-            HeaderMode::Present => "present",
-            HeaderMode::Absent => "absent",
-        }),
-    );
-    obj.insert("prefix", Json::Number(o.inference_prefix as f64));
+fn write_options(w: &mut JsonWriter, o: &IngestOptions) {
+    w.begin_object();
+    w.key("header").string(match o.header {
+        HeaderMode::Auto => "auto",
+        HeaderMode::Present => "present",
+        HeaderMode::Absent => "absent",
+    });
+    w.key("prefix").number(o.inference_prefix as f64);
     if let Some(d) = o.delimiter {
-        obj.insert("delimiter", Json::str(d.to_string()));
+        w.key("delimiter").string(d.encode_utf8(&mut [0; 4]));
     }
-    Json::Object(obj)
+    w.end_object();
 }
 
 fn options_from_json(j: &Json) -> Result<IngestOptions> {
@@ -784,23 +830,17 @@ fn kind_from_tag(tag: &str) -> Result<DatasetKind> {
     })
 }
 
-fn preview_to_json(p: &Preview) -> Json {
-    Json::object([
-        ("schema", schema_to_json(&p.schema)),
-        ("rows", rows_to_json(&p.rows)),
-        ("truncated", Json::Bool(p.truncated)),
-        (
-            "deps",
-            Json::Array(
-                p.deps
-                    .iter()
-                    .map(|(k, g)| {
-                        Json::Array(vec![Json::str(k.clone()), Json::Number(*g as f64)])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn write_preview(w: &mut JsonWriter, p: &Preview) {
+    w.begin_object();
+    write_schema(w.key("schema"), &p.schema);
+    write_rows(w.key("rows"), &p.rows);
+    w.key("truncated").bool(p.truncated);
+    w.key("deps").begin_array();
+    for (k, g) in &p.deps {
+        w.begin_array().string(k).number(*g as f64).end_array();
+    }
+    w.end_array();
+    w.end_object();
 }
 
 fn preview_from_json(j: &Json) -> Result<Preview> {
@@ -823,23 +863,23 @@ fn preview_from_json(j: &Json) -> Result<Preview> {
     })
 }
 
-pub(crate) fn dataset_to_json(d: &Dataset, include_preview: bool) -> Json {
-    let mut o = JsonObject::new();
-    o.insert("owner", Json::str(d.name.owner.clone()));
-    o.insert("name", Json::str(d.name.name.clone()));
-    o.insert("sql", Json::str(d.sql.clone()));
-    o.insert("metadata", metadata_to_json(&d.metadata));
-    o.insert("kind", Json::str(kind_tag(d.kind)));
+pub(crate) fn write_dataset(w: &mut JsonWriter, d: &Dataset, include_preview: bool) {
+    w.begin_object();
+    w.key("owner").string(&d.name.owner);
+    w.key("name").string(&d.name.name);
+    w.key("sql").string(&d.sql);
+    write_metadata(w.key("metadata"), &d.metadata);
+    w.key("kind").string(kind_tag(d.kind));
     if let Some(b) = &d.base_table {
-        o.insert("base", Json::str(b.clone()));
+        w.key("base").string(b);
     }
-    o.insert("created", instant_to_json(d.created));
+    write_instant(w.key("created"), d.created);
     if include_preview {
         if let Some(p) = &d.preview {
-            o.insert("preview", preview_to_json(p));
+            write_preview(w.key("preview"), p);
         }
     }
-    Json::Object(o)
+    w.end_object();
 }
 
 pub(crate) fn dataset_from_json(j: &Json) -> Result<Dataset> {
@@ -881,9 +921,9 @@ mod tests {
             Value::Text(String::new()),
         ];
         for v in &values {
-            let encoded = value_to_json(v);
-            let reparsed =
-                sqlshare_common::json::parse(&encoded.to_string()).expect("valid json");
+            let mut w = JsonWriter::new();
+            write_value(&mut w, v);
+            let reparsed = sqlshare_common::json::parse(&w.finish()).expect("valid json");
             let back = value_from_json(&reparsed).expect("decodes");
             // Bit-exact comparison (Value's PartialEq treats NaN != NaN).
             assert_eq!(format!("{v:?}"), format!("{back:?}"));
@@ -926,7 +966,7 @@ mod tests {
         for (i, m) in ms.iter().enumerate() {
             let lsn = (i + 1) as u64;
             let epoch = (i as u64) % 3; // exercise elided epoch 0 too
-            let text = m.to_json(lsn, epoch).to_string();
+            let text = m.encode(lsn, epoch);
             let reparsed = sqlshare_common::json::parse(&text).expect("valid json");
             let (got_lsn, back) = Mutation::from_json(&reparsed).expect("decodes");
             assert_eq!(got_lsn, lsn);
@@ -941,12 +981,32 @@ mod tests {
             username: "ada".into(),
             email: "ada@uw.edu".into(),
         };
-        let text = m.to_json(4, 0).to_string();
+        let text = m.encode(4, 0);
         assert!(!text.contains("epoch"), "{text}");
         let reparsed = sqlshare_common::json::parse(&text).unwrap();
         assert_eq!(Mutation::epoch_of(&reparsed), 0);
-        let stamped = m.to_json(4, 2).to_string();
+        let stamped = m.encode(4, 2);
         assert!(stamped.contains("\"epoch\""), "{stamped}");
+    }
+
+    /// Every record of a WAL the pre-streaming encoder wrote (see
+    /// `tests/format_stability.rs`) decodes and encodes back to its own
+    /// bytes.
+    #[test]
+    fn parent_wal_records_re_encode_to_their_own_bytes() {
+        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/parent_format/wal.log");
+        // Scan a copy: a scan repairs the file it reads.
+        let copy = std::env::temp_dir().join(format!("sqlshare-wal-fixture-{}", std::process::id()));
+        std::fs::copy(fixture, &copy).unwrap();
+        let scan = Wal::scan(&copy).unwrap();
+        std::fs::remove_file(&copy).unwrap();
+        assert_eq!((scan.records.len(), scan.truncated_bytes), (14, 0));
+        for record in &scan.records {
+            let text = std::str::from_utf8(record).unwrap();
+            let doc = sqlshare_common::json::parse(text).unwrap();
+            let (lsn, m) = Mutation::from_json(&doc).unwrap();
+            assert_eq!(m.encode(lsn, Mutation::epoch_of(&doc)), text);
+        }
     }
 
     #[test]

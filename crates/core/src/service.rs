@@ -16,7 +16,7 @@ use crate::permissions::{check_access, DatasetGraph, Visibility};
 use crate::persist::{self, DurableOptions, DurableStore, Mutation, RecoveryReport};
 use crate::querylog::{Outcome, QueryLog, QueryLogEntry};
 use crate::repl::{AckGate, ReplApply, ReplState, Role};
-use sqlshare_common::json::{self, Json, JsonObject};
+use sqlshare_common::json::{self, Json, JsonWriter};
 use sqlshare_common::{CancelReason, CancellationToken, Error, Result};
 use sqlshare_engine::{Engine, FaultSite, Row, Schema, Table};
 use sqlshare_ingest::staging::Staging;
@@ -239,6 +239,11 @@ pub struct SqlShare {
     /// Quarantine registry and repair counters, `Arc`-shared so the
     /// server's scrub thread can record findings under a read lock.
     integrity: Arc<IntegrityHub>,
+    /// Catalog generation at which every cached preview was last checked
+    /// against its dependencies (`None`: not since the state was last
+    /// replaced wholesale). A mutation that moves no generation cannot
+    /// stale a preview, so `refresh_previews` has nothing to look at.
+    previews_checked_at: Option<u64>,
 }
 
 impl SqlShare {
@@ -1696,6 +1701,12 @@ impl SqlShare {
         &self.engine
     }
 
+    /// Uploads held in the staging area: files whose ingest hit a
+    /// transient failure and can be retried. A rejected file is not kept.
+    pub fn staged_uploads(&self) -> usize {
+        self.staging.len()
+    }
+
     /// Total bytes stored in base tables (the paper reports 143.02 GB for
     /// the production deployment).
     pub fn stored_bytes(&self) -> usize {
@@ -1946,7 +1957,7 @@ impl SqlShare {
     /// next commit retries after another full cadence interval.
     fn maybe_snapshot(&mut self) {
         if self.store.as_ref().is_some_and(DurableStore::wants_snapshot) {
-            let payload = self.snapshot_payload().to_string();
+            let payload = self.snapshot_payload();
             if let Some(store) = &mut self.store {
                 let _ = store.take_snapshot(&payload);
             }
@@ -1960,132 +1971,116 @@ impl SqlShare {
                 "service has no data directory (ephemeral mode)".into(),
             ));
         }
-        let payload = self.snapshot_payload().to_string();
+        let payload = self.snapshot_payload();
         let store = self.store.as_mut().expect("checked above");
         store.take_snapshot(&payload)
     }
 
-    fn snapshot_payload(&self) -> Json {
-        // Copy the clock out before building the document: two
-        // `self.clock()` calls in one expression would hold the first
-        // guard across the second lock and self-deadlock.
+    /// The snapshot document (`lsn`, `epoch`, `clock`, `state`), streamed
+    /// from live state into the string that goes to disk — no tree of the
+    /// whole service is built on the way.
+    fn snapshot_payload(&self) -> String {
+        // Copy the clock out first: a second `self.clock()` while the
+        // first guard is alive would self-deadlock.
         let clock = *self.clock();
-        Json::object([
-            (
-                "lsn",
-                Json::Number(self.store.as_ref().map_or(0, DurableStore::last_lsn) as f64),
-            ),
-            ("epoch", Json::Number(self.repl.epoch as f64)),
-            (
-                "clock",
-                Json::object([
-                    ("day", Json::Number(clock.day as f64)),
-                    ("seq", Json::Number(clock.sequence as f64)),
-                ]),
-            ),
-            ("state", self.durable_state_json(true)),
-        ])
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("lsn")
+            .number(self.store.as_ref().map_or(0, DurableStore::last_lsn) as f64);
+        w.key("epoch").number(self.repl.epoch as f64);
+        w.key("clock").begin_object();
+        w.key("day").number(clock.day as f64);
+        w.key("seq").number(clock.sequence as f64);
+        w.end_object();
+        self.write_durable_state(w.key("state"), true);
+        w.end_object();
+        w.finish()
     }
 
     /// The full durable state as canonical JSON: users, catalog tables
     /// and views, UDFs, datasets, visibility, and generation counters,
     /// all in sorted order. With `include_previews: false` this is the
     /// digest input — previews are derived caches and the clock is
-    /// captured separately.
-    pub fn durable_state_json(&self, include_previews: bool) -> Json {
-        let mut o = JsonObject::new();
-        o.insert(
-            "users",
-            Json::Array(
-                self.users
-                    .values()
-                    .map(|u| {
-                        Json::object([
-                            ("username", Json::str(u.username.clone())),
-                            ("email", Json::str(u.email.clone())),
-                            ("admin", Json::Bool(u.admin)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
+    /// captured separately. This is the only encoder of durable state;
+    /// snapshot, digest and [`SqlShare::durable_state_json`] all read it.
+    fn write_durable_state(&self, w: &mut JsonWriter, include_previews: bool) {
+        w.begin_object();
+        w.key("users").begin_array();
+        for u in self.users.values() {
+            w.begin_object();
+            w.key("username").string(&u.username);
+            w.key("email").string(&u.email);
+            w.key("admin").bool(u.admin);
+            w.end_object();
+        }
+        w.end_array();
         let mut tables: Vec<&Table> = self.engine.catalog().tables().collect();
         tables.sort_by(|a, b| a.name.cmp(&b.name));
-        o.insert(
-            "tables",
-            Json::Array(tables.iter().map(|t| persist::table_to_json(t)).collect()),
-        );
+        w.key("tables").begin_array();
+        for t in tables {
+            persist::write_table(w, t);
+        }
+        w.end_array();
         let mut views: Vec<_> = self.engine.catalog().views().collect();
         views.sort_by(|a, b| a.name.cmp(&b.name));
-        o.insert(
-            "views",
-            Json::Array(
-                views
-                    .iter()
-                    .map(|v| {
-                        Json::object([
-                            ("name", Json::str(v.name.clone())),
-                            ("sql", Json::str(v.sql.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
+        w.key("views").begin_array();
+        for v in views {
+            w.begin_object();
+            w.key("name").string(&v.name);
+            w.key("sql").string(&v.sql);
+            w.end_object();
+        }
+        w.end_array();
         let mut udfs: Vec<&str> = self.engine.catalog().udfs().collect();
         udfs.sort_unstable();
-        o.insert(
-            "udfs",
-            Json::Array(udfs.iter().map(|u| Json::str(u.to_string())).collect()),
-        );
-        o.insert(
-            "datasets",
-            Json::Array(
-                self.datasets
-                    .values()
-                    .map(|d| persist::dataset_to_json(d, include_previews))
-                    .collect(),
-            ),
-        );
+        w.key("udfs").begin_array();
+        for u in udfs {
+            w.string(u);
+        }
+        w.end_array();
+        w.key("datasets").begin_array();
+        for d in self.datasets.values() {
+            persist::write_dataset(w, d, include_previews);
+        }
+        w.end_array();
         let mut vis: Vec<(&String, &Visibility)> = self.visibility.iter().collect();
         vis.sort_by(|a, b| a.0.cmp(b.0));
-        o.insert(
-            "visibility",
-            Json::Array(
-                vis.iter()
-                    .map(|(k, v)| {
-                        Json::Array(vec![
-                            Json::str((*k).clone()),
-                            persist::visibility_to_json(v),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
+        w.key("visibility").begin_array();
+        for (k, v) in vis {
+            w.begin_array().string(k);
+            persist::write_visibility(w, v);
+            w.end_array();
+        }
+        w.end_array();
         let (global, gens) = self.engine.catalog().export_generations();
-        o.insert(
-            "generations",
-            Json::object([
-                ("global", Json::Number(global as f64)),
-                (
-                    "objects",
-                    Json::Array(
-                        gens.iter()
-                            .map(|(k, g)| {
-                                Json::Array(vec![Json::str(k.clone()), Json::Number(*g as f64)])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        );
-        Json::Object(o)
+        w.key("generations").begin_object();
+        w.key("global").number(global as f64);
+        w.key("objects").begin_array();
+        for (k, g) in &gens {
+            w.begin_array().string(k).number(*g as f64).end_array();
+        }
+        w.end_array();
+        w.end_object();
+        w.end_object();
+    }
+
+    fn durable_state_string(&self, include_previews: bool) -> String {
+        let mut w = JsonWriter::new();
+        self.write_durable_state(&mut w, include_previews);
+        w.finish()
+    }
+
+    /// The durable state as a document: the streamed encoding, parsed.
+    pub fn durable_state_json(&self, include_previews: bool) -> Json {
+        json::parse(&self.durable_state_string(include_previews))
+            .expect("the state encoder writes valid JSON")
     }
 
     /// FNV-64 of the canonical durable state (previews excluded). Two
     /// services with equal digests hold byte-identical durable state —
     /// the recovery differential suite's oracle.
     pub fn durable_digest(&self) -> u64 {
-        sqlshare_common::hash::fnv64_str(&self.durable_state_json(false).to_string())
+        sqlshare_common::hash::fnv64_str(&self.durable_state_string(false))
     }
 
     fn restore_snapshot(&mut self, doc: &Json) -> Result<()> {
@@ -2395,7 +2390,7 @@ impl SqlShare {
     /// streaming has been truncated by a snapshot: same shape the
     /// snapshot store persists (`lsn`, `epoch`, `clock`, `state`).
     pub fn replication_snapshot(&self) -> Json {
-        self.snapshot_payload()
+        json::parse(&self.snapshot_payload()).expect("the snapshot encoder writes valid JSON")
     }
 
     /// Replace this node's state with a primary's snapshot document and
@@ -2409,6 +2404,7 @@ impl SqlShare {
         self.datasets.clear();
         self.visibility.clear();
         self.users.clear();
+        self.previews_checked_at = None;
         self.restore_snapshot(doc)?;
         // The snapshot is authoritative: local history (including any
         // divergent tail that forced this reseed) is gone, so the tail
@@ -2422,7 +2418,7 @@ impl SqlShare {
             store.set_epoch(self.repl.epoch);
         }
         if self.store.is_some() {
-            let payload = self.snapshot_payload().to_string();
+            let payload = self.snapshot_payload();
             if let Some(store) = &mut self.store {
                 store.take_snapshot(&payload)?;
             }
@@ -2447,24 +2443,17 @@ impl SqlShare {
         Ok(())
     }
 
+    /// Quota check: a walk over the datasets `user` owns (their keys are
+    /// one `user.` range of the map) summing each base table's stored
+    /// size — no other user's datasets and no row are looked at.
     fn check_quota(&self, user: &str, incoming_bytes: usize) -> Result<()> {
-        let owned: Vec<&Dataset> = self
-            .datasets
-            .values()
-            .filter(|d| d.name.owner.eq_ignore_ascii_case(user))
-            .collect();
-        if owned.len() >= self.quota.max_datasets {
+        let (owned, bytes) = self.usage_of(user);
+        if owned >= self.quota.max_datasets {
             return Err(Error::Quota(format!(
                 "user '{user}' has reached the {} dataset quota",
                 self.quota.max_datasets
             )));
         }
-        let bytes: usize = owned
-            .iter()
-            .filter_map(|d| d.base_table.as_ref())
-            .filter_map(|b| self.engine.catalog().table(b).ok())
-            .map(|t| t.estimated_bytes())
-            .sum();
         if bytes + incoming_bytes > self.quota.max_bytes {
             return Err(Error::Quota(format!(
                 "user '{user}' would exceed the storage quota"
@@ -2473,8 +2462,31 @@ impl SqlShare {
         Ok(())
     }
 
+    /// What counts against `user`'s quota: datasets owned, and the bytes
+    /// their base tables store.
+    pub fn usage_of(&self, user: &str) -> (usize, usize) {
+        // Usernames hold no '.', so `user.` prefixes exactly the keys of
+        // the datasets this user owns.
+        let prefix = format!("{}.", user.to_lowercase());
+        let owned = self
+            .datasets
+            .range::<str, _>((std::ops::Bound::Included(prefix.as_str()), std::ops::Bound::Unbounded))
+            .take_while(|(key, _)| key.starts_with(&prefix));
+        let (mut count, mut bytes) = (0, 0);
+        for (_, d) in owned {
+            count += 1;
+            if let Some(table) = d.base_table.as_deref().and_then(|b| self.engine.catalog().table(b).ok()) {
+                bytes += table.estimated_bytes();
+            }
+        }
+        (count, bytes)
+    }
+
+    /// A dataset's preview: the first [`PREVIEW_ROWS`] rows, plus one
+    /// more read to learn whether there are more. The engine bounds the
+    /// scans, so the cost is the preview's size, not the dataset's.
     fn compute_preview(&self, sql: &str) -> Result<Preview> {
-        let output = self.engine.run(sql)?;
+        let output = self.engine.run_head(sql, PREVIEW_ROWS as u64 + 1)?;
         let truncated = output.rows.len() > PREVIEW_ROWS;
         let mut rows = output.rows;
         rows.truncate(PREVIEW_ROWS);
@@ -2492,7 +2504,15 @@ impl SqlShare {
     /// kept serving pre-mutation rows even though §3.2 promises downstream
     /// views see new data with no changes. A preview whose query now fails
     /// (e.g. its source was deleted) is dropped rather than left stale.
+    /// When the catalog generation has not moved since the last check
+    /// (visibility, metadata, DOI, user and clock mutations) no
+    /// dependency can have, and the catalog is not walked.
     fn refresh_previews(&mut self) {
+        let generation = self.engine.catalog().generation();
+        if self.previews_checked_at == Some(generation) {
+            return;
+        }
+        self.previews_checked_at = Some(generation);
         let stale: Vec<String> = self
             .datasets
             .iter()

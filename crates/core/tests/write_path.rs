@@ -1,0 +1,251 @@
+//! The write path pays for an upload once: what an upload, append or
+//! rejected upload leaves behind, and what its cost may depend on.
+
+use proptest::prelude::*;
+use sqlshare_core::dataset::PREVIEW_ROWS;
+use sqlshare_core::{DatasetName, DurableOptions, FsyncPolicy, Metadata, SqlShare, Visibility};
+use sqlshare_engine::physical::PhysOp;
+use sqlshare_ingest::{HeaderMode, IngestOptions};
+use sqlshare_sql::rewrite::AppendMode;
+
+fn service() -> SqlShare {
+    let mut s = SqlShare::new();
+    s.register_user("ada", "ada@uw.edu").unwrap();
+    s.register_user("bob", "bob@uw.edu").unwrap();
+    s
+}
+
+fn csv(rows: usize, salt: usize) -> String {
+    let mut content = String::from("id,reading,site\n");
+    for i in 0..rows {
+        content.push_str(&format!("{i},{}.5,site-{}\n", i * 3 + salt, (i + salt) % 7));
+    }
+    content
+}
+
+/// Row bounds on the scans of the plan a preview of `sql` runs.
+fn preview_scan_bounds(s: &SqlShare, sql: &str) -> (Vec<Option<u64>>, usize) {
+    let head = s.engine().run_head(sql, PREVIEW_ROWS as u64 + 1).unwrap();
+    let mut bounds = Vec::new();
+    head.plan.visit(&mut |n| {
+        if let PhysOp::Scan { head, .. } = &n.op {
+            bounds.push(*head);
+        }
+    });
+    (bounds, head.rows.len())
+}
+
+/// What `user` stores, recounted from the rows themselves.
+fn recount(s: &SqlShare, user: &str) -> (usize, usize) {
+    let owned: Vec<_> = s
+        .datasets()
+        .filter(|d| d.name.owner.eq_ignore_ascii_case(user))
+        .collect();
+    let bytes = owned
+        .iter()
+        .filter_map(|d| d.base_table.as_ref())
+        .map(|b| {
+            let table = s.engine().catalog().table(b).unwrap();
+            table
+                .rows()
+                .iter()
+                .flatten()
+                .map(|v| v.estimated_size())
+                .sum::<usize>()
+        })
+        .sum();
+    (owned.len(), bytes)
+}
+
+#[test]
+fn rejected_uploads_are_not_kept_in_staging() {
+    let mut s = service();
+    let present = IngestOptions { header: HeaderMode::Present, ..Default::default() };
+    for i in 0..1_000 {
+        let (content, options) = match i % 3 {
+            0 => (String::new(), IngestOptions::default()),
+            1 => ("   \n\t\n".to_string(), IngestOptions::default()),
+            _ => (format!("only,a,header,{i}\n"), present.clone()),
+        };
+        assert!(s.upload("ada", &format!("bad{i}"), &content, &options).is_err());
+    }
+    assert_eq!(s.staged_uploads(), 0);
+    assert_eq!(s.datasets().count(), 0);
+    // And an accepted upload leaves nothing staged either.
+    s.upload("ada", "good", &csv(10, 0), &IngestOptions::default()).unwrap();
+    assert_eq!(s.staged_uploads(), 0);
+}
+
+#[test]
+fn uploads_and_appends_leave_the_query_caches_as_they_found_them() {
+    let mut s = service();
+    s.set_cache_config(64, 3);
+    s.upload("ada", "base", &csv(900, 0), &IngestOptions::default()).unwrap();
+    let base = DatasetName::new("ada", "base");
+    s.save_dataset("ada", "high", "SELECT id, reading FROM base WHERE reading > 100", Metadata::default())
+        .unwrap();
+    // A user's queries do fill the cache and heat the views...
+    s.run_query("ada", "SELECT COUNT(*) FROM ada.high").unwrap();
+    s.run_query("ada", "SELECT site, COUNT(*) FROM ada.base GROUP BY site").unwrap();
+    let counters = |s: &SqlShare| {
+        let c = s.cache_stats();
+        (c.result_entries, c.result_bytes, c.view_hits, c.materializations)
+    };
+    let before = counters(&s);
+    assert!(before.0 == 2 && before.1 > 0 && before.2 == 3, "{before:?}");
+    // ...the service's own preview reads do neither: an upload leaves
+    // every counter exactly as it found it.
+    for i in 0..5 {
+        s.upload("ada", &format!("batch{i}"), &csv(100, i), &IngestOptions::default()).unwrap();
+        assert_eq!(counters(&s), before);
+    }
+    // An append redefines `base`, which drops the two results that read
+    // it and restarts its own hit count — the hit on `high` stands. What
+    // it must not do is add: no result parked for its UNION ALL preview
+    // or for the refreshed preview of `high`, no hit for either.
+    for i in 0..5 {
+        let batch = DatasetName::new("ada", format!("batch{i}"));
+        s.append("ada", &base, &batch, AppendMode::UnionAll).unwrap();
+        assert_eq!(counters(&s), (0, 0, 1, 0));
+    }
+    assert_eq!(s.preview("ada", &base).unwrap().rows.len(), PREVIEW_ROWS);
+}
+
+#[test]
+fn preview_of_a_large_upload_reads_its_head_only() {
+    let mut s = service();
+    s.upload("ada", "big", &csv(100_000, 1), &IngestOptions::default()).unwrap();
+    let big = DatasetName::new("ada", "big");
+    let preview = s.preview("ada", &big).unwrap();
+    assert_eq!(preview.rows.len(), PREVIEW_ROWS);
+    assert!(preview.truncated);
+    // The plan the preview ran: every scan bounded to the preview plus
+    // the one row that says "there is more".
+    let bound = Some(PREVIEW_ROWS as u64 + 1);
+    let sql = s.dataset(&big).unwrap().sql.clone();
+    assert_eq!(preview_scan_bounds(&s, &sql), (vec![bound], PREVIEW_ROWS + 1));
+    let head = s.engine().run_head(&sql, PREVIEW_ROWS as u64 + 1).unwrap();
+    assert_eq!(head.rows[..PREVIEW_ROWS], s.preview("ada", &big).unwrap().rows[..]);
+    // Appending keeps it so: both arms of the UNION ALL are bounded.
+    s.upload("ada", "more", &csv(50_000, 2), &IngestOptions::default()).unwrap();
+    s.append("ada", &big, &DatasetName::new("ada", "more"), AppendMode::UnionAll).unwrap();
+    let sql = s.dataset(&big).unwrap().sql.clone();
+    let (bounds, rows) = preview_scan_bounds(&s, &sql);
+    assert_eq!(bounds, vec![bound; 2]);
+    assert!(rows <= 2 * (PREVIEW_ROWS + 1));
+}
+
+#[test]
+fn an_upload_costs_the_same_beside_ten_datasets_or_a_thousand() {
+    // The same CSV into a service where its owner holds 10 datasets and
+    // one where they hold 1,000 (and a neighbour holds as many): the
+    // quota totals are sums of the tables' stored sizes over exactly the
+    // owner's datasets. (`Table::estimated_bytes` reading a stored field
+    // is `table::tests::size_is_a_stored_field_not_a_walk`.)
+    let content = csv(300, 5);
+    let mut usage = Vec::new();
+    for held in [10, 1_000] {
+        let mut s = service();
+        for i in 0..held {
+            s.upload("ada", &format!("d{i}"), &csv(3, i), &IngestOptions::default()).unwrap();
+            s.upload("bob", &format!("d{i}"), &csv(4, i), &IngestOptions::default()).unwrap();
+        }
+        let (count, bytes) = s.usage_of("ada");
+        assert_eq!((count, bytes), recount(&s, "ada"));
+        assert_eq!(count, held);
+        let (_, report) = s.upload("ADA", "subject", &content, &IngestOptions::default()).unwrap();
+        assert_eq!(report.rows, 300);
+        let after = s.usage_of("Ada");
+        assert_eq!(after, recount(&s, "ada"));
+        assert_eq!(s.usage_of("bob"), recount(&s, "bob"));
+        usage.push((after.0 - count, after.1 - bytes));
+    }
+    assert_eq!(usage[0], usage[1]);
+    assert_eq!(usage[0].0, 1);
+}
+
+#[test]
+fn mutations_that_move_no_generation_change_no_preview() {
+    let mut s = service();
+    s.upload("ada", "base", &csv(150, 0), &IngestOptions::default()).unwrap();
+    let base = DatasetName::new("ada", "base");
+    let view = s
+        .save_dataset("ada", "v", "SELECT id FROM base WHERE id > 10", Metadata::default())
+        .unwrap();
+    let previews = |s: &SqlShare| -> Vec<String> {
+        s.datasets().map(|d| format!("{:?}", d.preview)).collect()
+    };
+    let before = previews(&s);
+    let generation = s.engine().catalog().generation();
+    s.set_visibility("ada", &base, Visibility::Public).unwrap();
+    s.set_visibility("ada", &view, Visibility::Public).unwrap();
+    s.set_metadata("ada", &view, Metadata { description: "d".into(), tags: vec![] }).unwrap();
+    s.mint_doi("ada", &view).unwrap();
+    s.register_user("cy", "cy@uw.edu").unwrap();
+    s.set_admin("cy", true).unwrap();
+    s.advance_days(2);
+    assert_eq!(s.engine().catalog().generation(), generation);
+    assert_eq!(previews(&s), before);
+    // A mutation that does move one still reaches the downstream preview.
+    s.upload("ada", "more", &csv(20, 1), &IngestOptions::default()).unwrap();
+    s.append("ada", &base, &DatasetName::new("ada", "more"), AppendMode::UnionAll).unwrap();
+    let v = s.preview("ada", &view).unwrap();
+    assert!(v.truncated);
+    assert_ne!(previews(&s), before);
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    Upload(usize, usize),
+    Append(usize, usize),
+    Materialize(usize),
+    Delete(usize),
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0usize..8, 1usize..40).prop_map(|(d, rows)| Step::Upload(d, rows)),
+        (0usize..8, 0usize..8).prop_map(|(a, b)| Step::Append(a, b)),
+        (0usize..8).prop_map(Step::Materialize),
+        (0usize..8).prop_map(Step::Delete),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// After any sequence of uploads, appends, materializations and
+    /// deletes — and after reopening the directory — the totals the
+    /// quota check reads equal a recount over the rows.
+    #[test]
+    fn quota_totals_equal_a_recount(steps in proptest::collection::vec((step(), any::<bool>()), 1..40), case in any::<u32>()) {
+        let dir = std::env::temp_dir().join(format!("sqlshare-quota-{}-{case}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = DurableOptions::new(&dir).fsync(FsyncPolicy::Off).snapshot_every(7);
+        let mut s = SqlShare::open(options.clone()).unwrap();
+        s.register_user("ada", "a@uw.edu").unwrap();
+        s.register_user("bob", "b@uw.edu").unwrap();
+        for (i, (step, as_bob)) in steps.iter().enumerate() {
+            let user = if *as_bob { "bob" } else { "ada" };
+            let name = |d: usize| DatasetName::new(user, format!("d{d}"));
+            // Rejections (name taken, unknown dataset) are part of the walk.
+            let _ = match step {
+                Step::Upload(d, rows) => s
+                    .upload(user, &format!("d{d}"), &csv(*rows, i), &IngestOptions::default())
+                    .map(|_| ()),
+                Step::Append(a, b) => s.append(user, &name(*a), &name(*b), AppendMode::UnionAll),
+                Step::Materialize(d) => s.materialize(user, &name(*d), &format!("d{}", d + 8)).map(|_| ()),
+                Step::Delete(d) => s.delete_dataset(user, &name(*d)),
+            };
+            for user in ["ada", "bob"] {
+                prop_assert_eq!(s.usage_of(user), recount(&s, user));
+            }
+        }
+        let live = (s.usage_of("ada"), s.usage_of("bob"), s.stored_bytes());
+        drop(s);
+        let reopened = SqlShare::open(options).unwrap();
+        prop_assert_eq!((reopened.usage_of("ada"), reopened.usage_of("bob"), reopened.stored_bytes()), live);
+        prop_assert_eq!(reopened.usage_of("ada"), recount(&reopened, "ada"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -111,6 +111,9 @@ pub struct CacheStats {
     pub result_entries: usize,
     pub result_bytes: usize,
     pub materialized_views: usize,
+    /// Executions counted toward hot-view materialization and not yet
+    /// spent on one, summed over all views.
+    pub view_hits: u64,
 }
 
 #[derive(Default)]
@@ -443,6 +446,7 @@ impl QueryCache {
             result_entries: inner.results.len(),
             result_bytes: inner.result_bytes,
             materialized_views: inner.materialized.len(),
+            view_hits: inner.view_hits.values().sum(),
         }
     }
 }

@@ -477,7 +477,7 @@ impl Engine {
     /// a cold bind against the live catalog (tests compare this against
     /// the cached path).
     pub fn prepare_uncached(&self, sql: &str) -> Result<PreparedQuery> {
-        contain(|| self.prepare_cold(sql, cache::normalize_sql(sql), &self.guard(None), false))
+        contain(|| self.prepare_cold(sql, cache::normalize_sql(sql), &self.guard(None), false, None))
     }
 
     /// Execute a previously [`Engine::prepare`]d plan, polling `token`.
@@ -509,9 +509,36 @@ impl Engine {
         serial.set_max_dop(1);
         let guard = serial.guard(Some(token));
         let prepared =
-            contain(|| serial.prepare_cold(sql, cache::normalize_sql(sql), &guard, false))?;
+            contain(|| serial.prepare_cold(sql, cache::normalize_sql(sql), &guard, false, None))?;
+        serial.execute_uncached(prepared, &guard, started)
+    }
+
+    /// The first `limit` rows of `sql`, for previews: the query is
+    /// planned under a `TOP limit`, which the planner pushes into the
+    /// scans wherever nothing between drops or reorders rows, so a
+    /// preview of a wrapper view reads `limit` rows however large the
+    /// table. A preview is the service's bookkeeping, not a user's query:
+    /// it is not stored in the plan or result cache and does not count
+    /// toward hot-view materialization (pinned hot views are still read).
+    pub fn run_head(&self, sql: &str, limit: u64) -> Result<QueryOutput> {
+        let started = Instant::now();
+        let guard = self.guard(None);
+        let prepared = contain(|| {
+            self.prepare_cold(sql, cache::normalize_sql(sql), &guard, true, Some(limit))
+        })?;
+        self.execute_uncached(prepared, &guard, started)
+    }
+
+    /// Execute a plan with every result-side cache effect off: nothing
+    /// looked up, nothing stored, no view heat.
+    fn execute_uncached(
+        &self,
+        prepared: PreparedQuery,
+        guard: &ExecGuard,
+        started: Instant,
+    ) -> Result<QueryOutput> {
         let rows = contain(|| {
-            let rows = serial.execute_plan(&prepared.plan, &guard)?;
+            let rows = self.execute_plan(&prepared.plan, guard)?;
             guard.charge(cache::rows_bytes(&rows))?;
             Ok(rows)
         })?;
@@ -556,19 +583,21 @@ impl Engine {
         // Planning executes uncorrelated subqueries, so it sits under the
         // same containment barrier as execution; a panicking plan is a
         // failed query, and nothing is stored in the plan cache.
-        let prepared = Arc::new(contain(|| self.prepare_cold(sql, normalized, guard, true))?);
+        let prepared = Arc::new(contain(|| self.prepare_cold(sql, normalized, guard, true, None))?);
         self.cache.store_plan(key, Arc::clone(&prepared));
         Ok(prepared)
     }
 
     /// The uncached planning pipeline. `splice` controls whether pinned
-    /// hot-view materializations replace view expansions.
+    /// hot-view materializations replace view expansions; `head` plans
+    /// the query under a `TOP head`.
     fn prepare_cold(
         &self,
         sql: &str,
         normalized_sql: String,
         guard: &ExecGuard,
         splice: bool,
+        head: Option<u64>,
     ) -> Result<PreparedQuery> {
         let statement = parse_statement(sql)?;
         let query = match statement {
@@ -595,7 +624,14 @@ impl Engine {
             })
             .collect();
         let schema = logical.schema().clone();
-        let logical = optimize(logical);
+        let mut logical = optimize(logical);
+        if let Some(quantity) = head {
+            logical = LogicalPlan::Top {
+                input: Box::new(logical),
+                quantity,
+                percent: false,
+            };
+        }
         let plan = plan_physical_with(&logical, &self.catalog, &self.ctx, guard)?;
         let mut plan = parallelize(plan, self.max_dop, self.parallel_threshold);
         if self.vectorized {

@@ -224,9 +224,14 @@ pub fn execute(
 ) -> Result<Vec<Row>> {
     match &plan.op {
         PhysOp::ConstantScan => Ok(vec![Vec::new()]),
-        PhysOp::Scan { table } => {
+        PhysOp::Scan { table, head } => {
             guard.fault(FaultSite::Scan)?;
-            let rows = catalog.table(table)?.scan()?.into_owned();
+            let t = catalog.table(table)?;
+            let rows = match head {
+                Some(n) => t.scan_head(usize::try_from(*n).unwrap_or(usize::MAX))?,
+                None => t.scan()?,
+            }
+            .into_owned();
             guard.tick(rows.len() as u64)?;
             Ok(rows)
         }

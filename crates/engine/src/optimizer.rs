@@ -496,7 +496,9 @@ fn parallel_region_shape(plan: &PhysicalPlan) -> bool {
                 joined = true;
                 node = &node.children[0];
             }
-            PhysOp::Scan { .. } => return work,
+            // A row-bounded scan (`TOP n` pushed down) reads a prefix:
+            // nothing to split into morsels.
+            PhysOp::Scan { head, .. } => return work && head.is_none(),
             PhysOp::Seek { residual, .. } => return work || residual.is_some(),
             // An index seek always re-applies its full predicate over
             // the candidate rows — per-row work worth parallelizing.

@@ -423,7 +423,9 @@ fn compile<'a>(plan: &'a PhysicalPlan, catalog: &'a Catalog) -> Result<Option<Re
                 }));
                 node = &node.children[0];
             }
-            PhysOp::Scan { table } => {
+            // A row-bounded scan reads a prefix; there is nothing to split
+            // into morsels, so it runs serially (`_ => None` below).
+            PhysOp::Scan { table, head: None } => {
                 let source = (*catalog.table(table)?.columnar()?).clone();
                 return Ok(Some(Region::new(source, None, ops, agg)));
             }

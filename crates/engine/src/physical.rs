@@ -34,6 +34,10 @@ pub enum PhysOp {
     ConstantScan,
     Scan {
         table: String,
+        /// Row bound pushed down from a `TOP n` with nothing between it
+        /// and this scan that drops or reorders rows: read only the first
+        /// `head` rows of the clustered order.
+        head: Option<u64>,
     },
     /// Scan of a pinned hot-view result (the cache's automated snapshot
     /// materialization). Reported as a `Clustered Index Seek` over the
@@ -205,7 +209,7 @@ impl PhysicalPlan {
         let mut out = Vec::new();
         self.visit(&mut |n| {
             let table = match &n.op {
-                PhysOp::Scan { table }
+                PhysOp::Scan { table, .. }
                 | PhysOp::Seek { table, .. }
                 | PhysOp::IndexSeek { table, .. } => table,
                 PhysOp::CachedScan { name, .. } => name,
@@ -225,6 +229,27 @@ impl PhysicalPlan {
         for c in &self.children {
             c.visit(f);
         }
+    }
+}
+
+/// Push a `TOP n` row bound toward the data. It passes through operators
+/// that emit exactly their input rows, in order — `Compute`, and both
+/// inputs of a `Concatenation` (each alone can supply at most `n` of the
+/// first `n`) — and lands in a `Scan` as its `head`. Anything else (a
+/// filter, sort, join, aggregate, seek) stops it; the `Top` operator
+/// itself stays in the plan and does the final cut.
+fn push_head(node: &mut PhysicalPlan, n: u64) {
+    match &mut node.op {
+        PhysOp::Scan { head, .. } => *head = Some(head.map_or(n, |h| h.min(n))),
+        // Children past the first are materialized-subquery plans kept
+        // for EXPLAIN, not data inputs.
+        PhysOp::Compute { .. } => {
+            if let Some(input) = node.children.first_mut() {
+                push_head(input, n);
+            }
+        }
+        PhysOp::Concatenation => node.children.iter_mut().for_each(|c| push_head(c, n)),
+        _ => {}
     }
 }
 
@@ -355,7 +380,10 @@ impl Planner<'_> {
                 quantity,
                 percent,
             } => {
-                let child = self.plan(input)?;
+                let mut child = self.plan(input)?;
+                if !*percent {
+                    push_head(&mut child, *quantity);
+                }
                 let out_rows = if *percent {
                     (child.est.rows * (*quantity as f64) / 100.0).ceil()
                 } else {
@@ -479,6 +507,7 @@ impl Planner<'_> {
         let mut n = PhysicalPlan::new(
             PhysOp::Scan {
                 table: table.to_string(),
+                head: None,
             },
             "Clustered Index Scan",
             "Clustered Index Scan",

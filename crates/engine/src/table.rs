@@ -43,6 +43,9 @@ pub struct Table {
     /// never cache here — a resident full-table batch would defeat the
     /// buffer pool's memory bound.
     columnar: Arc<OnceLock<Arc<Batch>>>,
+    /// Estimated size of the rows, summed once at load: quota checks and
+    /// storage totals read it per table, never the rows.
+    bytes: usize,
 }
 
 impl Table {
@@ -50,11 +53,16 @@ impl Table {
     /// columns in column order.
     pub fn new(name: impl Into<String>, schema: Schema, mut rows: Vec<Row>) -> Self {
         rows.sort_by(cmp_rows);
+        let bytes = rows
+            .iter()
+            .map(|r| r.iter().map(Value::estimated_size).sum::<usize>())
+            .sum();
         Table {
             name: name.into(),
             schema,
             backing: Backing::Mem(Arc::new(rows)),
             columnar: Arc::new(OnceLock::new()),
+            bytes,
         }
     }
 
@@ -72,6 +80,7 @@ impl Table {
         Ok(Table {
             name,
             schema,
+            bytes: paged.estimated_bytes(),
             backing: Backing::Paged(Arc::new(paged)),
             columnar: Arc::new(OnceLock::new()),
         })
@@ -92,6 +101,7 @@ impl Table {
         Ok(Table {
             name: self.name,
             schema: self.schema,
+            bytes: paged.estimated_bytes(),
             backing: Backing::Paged(Arc::new(paged)),
             columnar: Arc::new(OnceLock::new()),
         })
@@ -131,12 +141,17 @@ impl Table {
 
     /// Total estimated size in bytes.
     pub fn estimated_bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// The first `n` rows in clustered order (all of them when the table
+    /// is shorter) — what a `TOP n` over a bare scan reads. The paged
+    /// backing decodes only the pages those rows live on.
+    pub fn scan_head(&self, n: usize) -> Result<Cow<'_, [Row]>> {
+        let n = n.min(self.row_count());
         match &self.backing {
-            Backing::Mem(rows) => rows
-                .iter()
-                .map(|r| r.iter().map(Value::estimated_size).sum::<usize>())
-                .sum(),
-            Backing::Paged(p) => p.estimated_bytes(),
+            Backing::Mem(rows) => Ok(Cow::Borrowed(&rows[..n])),
+            Backing::Paged(p) => Ok(Cow::Owned(p.scan_range(0..n)?)),
         }
     }
 
@@ -325,6 +340,30 @@ mod tests {
                 .seek_leading(Bound::Included(&one), Bound::Unbounded)
                 .unwrap()
                 .is_empty());
+        }
+    }
+
+    #[test]
+    fn size_is_a_stored_field_not_a_walk() {
+        // A table whose stored size disagrees with its rows answers with
+        // the stored size: nothing on the quota path can touch a row.
+        let mut t = Table::new("t", schema(), rows());
+        assert_eq!(
+            t.estimated_bytes(),
+            rows().iter().flatten().map(Value::estimated_size).sum::<usize>()
+        );
+        t.bytes = 12_345;
+        assert_eq!(t.estimated_bytes(), 12_345);
+        assert_eq!(t.clone().estimated_bytes(), 12_345);
+    }
+
+    #[test]
+    fn scan_head_is_a_prefix_of_scan() {
+        for t in tables() {
+            for n in [0, 1, 3, 5, 99] {
+                let head = t.scan_head(n).unwrap();
+                assert_eq!(&head[..], &t.rows()[..n.min(5)]);
+            }
         }
     }
 

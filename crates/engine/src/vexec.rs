@@ -133,11 +133,21 @@ fn exec_node(
 ) -> Result<Out> {
     match &plan.op {
         PhysOp::ConstantScan => Ok(Out::Rows(vec![Vec::new()])),
-        PhysOp::Scan { table } => {
+        PhysOp::Scan { table, head: None } => {
             guard.fault(FaultSite::Scan)?;
             let batch = catalog.table(table)?.columnar()?;
             guard.tick(batch.len as u64)?;
             Ok(Out::Batch((*batch).clone()))
+        }
+        // A row-bounded scan hands over the rows themselves: building
+        // (or caching) the table's columnar form for a prefix of it would
+        // cost what the bound exists to save.
+        PhysOp::Scan { table, head: Some(n) } => {
+            guard.fault(FaultSite::Scan)?;
+            let n = usize::try_from(*n).unwrap_or(usize::MAX);
+            let rows = catalog.table(table)?.scan_head(n)?.into_owned();
+            guard.tick(rows.len() as u64)?;
+            Ok(Out::Rows(rows))
         }
         PhysOp::CachedScan { rows, .. } => {
             guard.tick(rows.len() as u64)?;

@@ -117,6 +117,94 @@ fn order_by_and_top() {
     assert!(names.contains(&"Sort") && names.contains(&"Top"));
 }
 
+/// Row bounds (`head`) on the plan's scans, in plan order.
+fn scan_heads(plan: &sqlshare_engine::physical::PhysicalPlan) -> Vec<Option<u64>> {
+    let mut heads = Vec::new();
+    plan.visit(&mut |n| {
+        if let sqlshare_engine::physical::PhysOp::Scan { head, .. } = &n.op {
+            heads.push(*head);
+        }
+    });
+    heads
+}
+
+#[test]
+fn top_without_a_sort_bounds_the_scan() {
+    for vectorized in [true, false] {
+        let mut e = engine();
+        e.set_vectorized(vectorized);
+        // Through a projection, and into both arms of a UNION ALL.
+        let out = e.run("SELECT TOP 2 station + 100 FROM samples").unwrap();
+        assert_eq!(scan_heads(&out.plan), vec![Some(2)]);
+        assert_eq!(ints(&out.rows, 0), vec![101, 101]);
+        let out = e
+            .run("SELECT TOP 4 id FROM (SELECT id FROM stations UNION ALL SELECT station FROM samples) u")
+            .unwrap();
+        assert_eq!(scan_heads(&out.plan), vec![Some(4), Some(4)]);
+        assert_eq!(ints(&out.rows, 0), vec![1, 2, 4, 1]);
+        // The tighter of two nested bounds wins.
+        let out = e.run("SELECT TOP 3 * FROM (SELECT TOP 1 id FROM stations) s").unwrap();
+        assert_eq!(scan_heads(&out.plan), vec![Some(1)]);
+        assert_eq!(out.rows.len(), 1);
+        let out = e.run("SELECT TOP 0 * FROM samples").unwrap();
+        assert_eq!(scan_heads(&out.plan), vec![Some(0)]);
+        assert!(out.rows.is_empty());
+    }
+}
+
+#[test]
+fn top_stops_at_anything_that_drops_or_reorders_rows() {
+    let e = engine();
+    for sql in [
+        "SELECT TOP 2 station FROM samples ORDER BY depth DESC",
+        "SELECT TOP 2 station FROM samples WHERE nitrate <> 'NA'",
+        "SELECT TOP 2 station FROM samples WHERE depth + 1 > 6",
+        "SELECT DISTINCT TOP 2 station FROM samples",
+        "SELECT TOP 2 id FROM (SELECT id FROM stations UNION SELECT station FROM samples) u",
+        "SELECT TOP 2 station, COUNT(*) FROM samples GROUP BY station",
+        "SELECT TOP 2 s.station FROM samples s JOIN stations t ON s.station = t.id",
+        "SELECT TOP 50 PERCENT station FROM samples",
+    ] {
+        let out = e.run(sql).unwrap();
+        assert!(scan_heads(&out.plan).iter().all(Option::is_none), "{sql}");
+    }
+}
+
+#[test]
+fn run_head_reads_only_the_head_and_leaves_the_caches_alone() {
+    let mut e = engine();
+    // Whatever SQLSHARE_RESULT_CACHE_MB says: this test is about the cache.
+    e.set_cache_config(64, 1000);
+    e.create_view("wrap", "SELECT * FROM samples").unwrap();
+    e.create_view(
+        "grown",
+        "(SELECT station FROM samples) UNION ALL (SELECT id FROM stations)",
+    )
+    .unwrap();
+    let before = e.cache_stats();
+    let head = e.run_head("SELECT * FROM wrap", 3).unwrap();
+    assert_eq!(scan_heads(&head.plan), vec![Some(3)]);
+    assert_eq!(head.rows.len(), 3);
+    let full = e.run_with_dop("SELECT * FROM wrap", 1).unwrap();
+    assert_eq!(head.rows[..], full.rows[..3]);
+    assert_eq!(head.schema, full.schema);
+    assert_eq!(head.deps, full.deps);
+    let head = e.run_head("SELECT * FROM grown", 6).unwrap();
+    assert_eq!(scan_heads(&head.plan), vec![Some(6), Some(6)]);
+    assert_eq!(ints(&head.rows, 0), vec![1, 1, 2, 2, 3, 1]);
+    // `run_with_dop` runs on a clone sharing the cache, so compare
+    // against the stats taken after it.
+    let after_full = e.cache_stats();
+    e.run_head("SELECT * FROM wrap", 3).unwrap();
+    e.run_head("SELECT * FROM grown", 6).unwrap();
+    assert_eq!(e.cache_stats(), after_full);
+    assert_eq!(
+        (before.result_entries, before.view_hits, before.plan_entries),
+        (0, 0, 0)
+    );
+    assert!(after_full.view_hits > 0, "the full run does heat the view");
+}
+
 #[test]
 fn top_percent() {
     let e = engine();

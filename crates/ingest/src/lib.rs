@@ -86,7 +86,7 @@ pub fn ingest_text(name: &str, content: &str, options: &IngestOptions) -> Result
         Some(d) => d,
         None => delimiter::infer_delimiter(content, options.inference_prefix)?,
     };
-    let mut records = parser::parse_delimited(content, delimiter);
+    let records = parser::parse_delimited(content, delimiter);
     if records.is_empty() {
         return Err(Error::Ingest(format!("upload '{name}' has no rows")));
     }
@@ -103,20 +103,17 @@ pub fn ingest_text(name: &str, content: &str, options: &IngestOptions) -> Result
         HeaderMode::Absent => false,
         HeaderMode::Auto => names::looks_like_header(&records),
     };
-    let raw_names: Vec<Option<String>> = if header_used {
-        let header = records.remove(0);
-        (0..width)
-            .map(|i| {
-                header
-                    .get(i)
-                    .map(|s| s.trim())
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-            })
-            .collect()
-    } else {
-        vec![None; width]
-    };
+    let (header, records) = records.split_at(header_used as usize);
+    let raw_names: Vec<Option<String>> = (0..width)
+        .map(|i| {
+            header
+                .first()
+                .and_then(|h| h.get(i))
+                .map(|s| s.trim())
+                .filter(|s| !s.is_empty())
+                .map(str::to_string)
+        })
+        .collect();
     if records.is_empty() {
         return Err(Error::Ingest(format!(
             "upload '{name}' contains only a header row"
@@ -125,19 +122,13 @@ pub fn ingest_text(name: &str, content: &str, options: &IngestOptions) -> Result
     let (column_names, default_names_assigned) = names::finalize_names(&raw_names);
     let all_names_defaulted = default_names_assigned == width;
 
-    // Pad ragged rows.
-    let mut padded_rows = 0usize;
-    for r in &mut records {
-        if r.len() < width {
-            padded_rows += 1;
-            r.resize(width, String::new());
-        }
-    }
+    let padded_rows = records.iter().filter(|r| r.len() < width).count();
 
     // Type inference over the prefix, then full conversion with
-    // revert-to-string fallback.
-    let inferred = types::infer_types(&records, options.inference_prefix);
-    let (rows, final_types, reverted) = types::convert_rows(&records, &inferred);
+    // revert-to-string fallback (which also pads the ragged rows).
+    let mut inferred = types::infer_types(records, options.inference_prefix);
+    inferred.resize(width, DataType::Text);
+    let (rows, final_types, reverted) = types::convert_rows(records, &inferred);
     let type_reverts: Vec<String> = reverted
         .iter()
         .map(|&i| column_names[i].clone())
@@ -174,11 +165,16 @@ pub fn cell_to_value(cell: &str, ty: DataType) -> Option<Value> {
         DataType::Text => Some(Value::Text(cell.to_string())),
         DataType::Int => trimmed.parse::<i64>().ok().map(Value::Int),
         DataType::Float => trimmed.parse::<f64>().ok().map(Value::Float),
-        DataType::Bool => match trimmed.to_ascii_lowercase().as_str() {
-            "true" | "t" | "yes" => Some(Value::Bool(true)),
-            "false" | "f" | "no" => Some(Value::Bool(false)),
-            _ => None,
-        },
+        DataType::Bool => {
+            let is = |words: [&str; 3]| words.iter().any(|w| trimmed.eq_ignore_ascii_case(w));
+            if is(["true", "t", "yes"]) {
+                Some(Value::Bool(true))
+            } else if is(["false", "f", "no"]) {
+                Some(Value::Bool(false))
+            } else {
+                None
+            }
+        }
         DataType::Date => sqlshare_engine::value::parse_date(trimmed).map(Value::Date),
     }
 }

@@ -9,11 +9,11 @@
 /// empty cells, none of its cells parse as a number or date, and at least
 /// one column *below* it is numeric or date-like (i.e. the first row is
 /// typed differently from the data).
-pub fn looks_like_header(records: &[Vec<String>]) -> bool {
+pub fn looks_like_header<S: AsRef<str>>(records: &[Vec<S>]) -> bool {
     if records.len() < 2 {
         return false;
     }
-    let first = &records[0];
+    let first: Vec<&str> = records[0].iter().map(AsRef::as_ref).collect();
     if first.is_empty() || first.iter().any(|c| c.trim().is_empty()) {
         return false;
     }
@@ -26,7 +26,7 @@ pub fn looks_like_header(records: &[Vec<String>]) -> bool {
         let mut saw_value = false;
         let mut all_data_like = true;
         for row in records.iter().skip(1).take(50) {
-            if let Some(cell) = row.get(col) {
+            if let Some(cell) = row.get(col).map(AsRef::as_ref) {
                 if cell.trim().is_empty() {
                     continue;
                 }

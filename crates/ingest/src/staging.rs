@@ -2,8 +2,11 @@
 //!
 //! "By staging the file server-side we ensure robustness: if ingest
 //! fails, we can retry without forcing the user to re-upload the data."
-//! Staged files live until explicitly discarded; ingest attempts are
-//! counted, and a fault injector lets tests exercise the retry path.
+//! A staged file survives a *transient* failure (the fault injector
+//! stands in for one) so the attempt can be repeated; an attempt that ran
+//! consumes it, accepted or rejected — `ingest_text` is a pure function,
+//! so a file it rejects once it rejects forever, and keeping it would
+//! only leak its content.
 
 use crate::{ingest_text, IngestOptions, IngestReport};
 use sqlshare_common::{Error, Result};
@@ -75,8 +78,9 @@ impl Staging {
     }
 
     /// Attempt to ingest a staged file into a table named `table_name`.
-    /// On failure the file *remains staged* so the caller can retry
-    /// without re-uploading; on success it is removed.
+    /// On a transient failure the file *remains staged* so the caller can
+    /// retry without re-uploading; once `ingest_text` has run it is
+    /// removed, whatever the verdict.
     pub fn ingest(
         &mut self,
         id: StageId,
@@ -94,11 +98,8 @@ impl Staging {
                 "transient backend failure during ingest (staged file retained)".into(),
             ));
         }
-        let result = ingest_text(table_name, &file.content, options);
-        if result.is_ok() {
-            self.files.remove(&id);
-        }
-        result
+        let file = self.files.remove(&id).expect("looked up above");
+        ingest_text(table_name, &file.content, options)
     }
 
     /// Discard a staged file without ingesting it.
@@ -136,13 +137,15 @@ mod tests {
     }
 
     #[test]
-    fn bad_content_keeps_file() {
+    fn rejected_content_is_not_kept() {
         let mut s = Staging::new();
         let id = s.stage("empty.csv", "   ");
+        s.inject_failures(1);
         assert!(s.ingest(id, "empty", &IngestOptions::default()).is_err());
-        assert_eq!(s.len(), 1);
-        assert!(s.discard(id));
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 1, "a transient failure keeps the file");
+        assert!(s.ingest(id, "empty", &IngestOptions::default()).is_err());
+        assert!(s.is_empty(), "a deterministic rejection does not");
+        assert!(!s.discard(id));
     }
 
     #[test]

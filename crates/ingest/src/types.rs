@@ -22,93 +22,69 @@ const LATTICE: [DataType; 4] = [
 
 /// Infer one type per column from the first `prefix` records. Columns with
 /// no non-empty prefix values fall back to Text.
-pub fn infer_types(records: &[Vec<String>], prefix: usize) -> Vec<DataType> {
+pub fn infer_types<S: AsRef<str>>(records: &[Vec<S>], prefix: usize) -> Vec<DataType> {
     let width = records.iter().map(Vec::len).max().unwrap_or(0);
     let sample = &records[..records.len().min(prefix.max(1))];
     (0..width)
         .map(|col| {
-            let mut any = false;
-            let ty = LATTICE
+            let cells = || {
+                sample
+                    .iter()
+                    .filter_map(move |row| row.get(col))
+                    .map(AsRef::as_ref)
+                    .filter(|cell| !cell.trim().is_empty())
+            };
+            if cells().next().is_none() {
+                return DataType::Text;
+            }
+            LATTICE
                 .into_iter()
-                .find(|&ty| {
-                    sample.iter().all(|row| match row.get(col) {
-                        None => true,
-                        Some(cell) if cell.trim().is_empty() => true,
-                        Some(cell) => {
-                            any = true;
-                            cell_to_value(cell, ty).is_some()
-                        }
-                    })
-                })
-                .unwrap_or(DataType::Text);
-            // Track whether the column had any value at all in the prefix;
-            // an all-empty column is Text.
-            let mut saw_value = false;
-            for row in sample {
-                if let Some(cell) = row.get(col) {
-                    if !cell.trim().is_empty() {
-                        saw_value = true;
-                        break;
-                    }
-                }
-            }
-            if saw_value {
-                ty
-            } else {
-                DataType::Text
-            }
+                .find(|&ty| cells().all(|cell| cell_to_value(cell, ty).is_some()))
+                .unwrap_or(DataType::Text)
         })
         .collect()
 }
 
-/// Convert all records under the inferred types. When a value past the
-/// prefix fails to convert, the column *reverts to string* and conversion
-/// restarts for that column (the paper's ALTER TABLE fallback). Returns
-/// the rows, the final per-column types, and the indexes of reverted
-/// columns.
-pub fn convert_rows(
-    records: &[Vec<String>],
+/// A cell of a Text column: blank is NULL, anything else is kept as
+/// written.
+fn text_value(cell: &str) -> Value {
+    cell_to_value(cell, DataType::Text).expect("every cell converts to text")
+}
+
+/// Convert all records under the inferred types, each cell once. When a
+/// value past the prefix fails to convert, the column *reverts to string*
+/// (the paper's ALTER TABLE fallback): the rows already built get that
+/// column's cells back as written, and the pass goes on. Short records
+/// are padded with NULLs. Returns the rows, the final per-column types,
+/// and the indexes of reverted columns.
+pub fn convert_rows<S: AsRef<str>>(
+    records: &[Vec<S>],
     inferred: &[DataType],
 ) -> (Vec<Row>, Vec<DataType>, Vec<usize>) {
-    let width = inferred.len();
     let mut types = inferred.to_vec();
     let mut reverted = Vec::new();
-
-    // Find columns that need reverting (single pass per column).
-    for (col, ty) in types.iter_mut().enumerate() {
-        if *ty == DataType::Text {
-            continue;
-        }
-        let fails = records.iter().any(|row| {
-            row.get(col)
-                .map(|cell| cell_to_value(cell, *ty).is_none())
-                .unwrap_or(false)
-        });
-        if fails {
-            *ty = DataType::Text;
-            reverted.push(col);
-        }
-    }
-
-    let rows = records
-        .iter()
-        .map(|record| {
-            (0..width)
-                .map(|col| {
-                    record
+    let mut rows: Vec<Row> = Vec::with_capacity(records.len());
+    for record in records {
+        let mut row = Vec::with_capacity(types.len());
+        for col in 0..types.len() {
+            let Some(cell) = record.get(col).map(AsRef::as_ref) else {
+                row.push(Value::Null);
+                continue;
+            };
+            row.push(cell_to_value(cell, types[col]).unwrap_or_else(|| {
+                types[col] = DataType::Text;
+                reverted.push(col);
+                for (built, earlier) in rows.iter_mut().zip(records) {
+                    built[col] = earlier
                         .get(col)
-                        .map(|cell| {
-                            cell_to_value(cell, types[col]).unwrap_or_else(|| {
-                                // Unreachable after the revert pass, but be
-                                // lenient rather than panic on logic drift.
-                                Value::Text(cell.clone())
-                            })
-                        })
-                        .unwrap_or(Value::Null)
-                })
-                .collect()
-        })
-        .collect();
+                        .map_or(Value::Null, |cell| text_value(cell.as_ref()));
+                }
+                text_value(cell)
+            }));
+        }
+        rows.push(row);
+    }
+    reverted.sort_unstable();
     (rows, types, reverted)
 }
 

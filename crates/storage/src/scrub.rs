@@ -14,7 +14,12 @@
 //! * **`wal.log`** — frame-by-frame checksum walk via [`Wal::verify`],
 //!   flagging interior corruption (valid frames after a break) and
 //!   leaving torn tails to the recovery scan.
-//! * **`snapshot-<lsn>.json`** — trailer checksum + JSON parse.
+//! * **`snapshot-<lsn>.json`** — the trailer checksum over the payload,
+//!   read in budgeted units like a page file and resumed on the next
+//!   tick: a matching sum proves the bytes are the bytes written, and a
+//!   tick costs what its budget says whatever the snapshot's size. A
+//!   file without a well-formed trailer (legacy, or rot in the trailer
+//!   itself) is read whole and must also parse as JSON.
 //! * **`querylog.jsonl`** — every complete line must reparse.
 //!
 //! All reads go straight to the files, never through the buffer pool,
@@ -27,8 +32,10 @@
 
 use crate::btree::audit_node_page;
 use crate::page::{Page, PAGE_SIZE};
+use crate::snapshot::{trailer_sum, TRAILER_LEN};
 use crate::wal::Wal;
 use crate::IoCounter;
+use sqlshare_common::hash::Fnv64;
 use sqlshare_common::json;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -109,6 +116,8 @@ struct Inner {
     roots: Vec<PathBuf>,
     /// Resume point: the next file (by path) and page to scrub.
     cursor: Option<(PathBuf, u32)>,
+    /// Checksum so far of the snapshot the cursor stopped inside.
+    partial_sum: Option<Fnv64>,
     status: ScrubStatus,
 }
 
@@ -195,13 +204,15 @@ impl Scrubber {
         let mut remaining = self.budget;
         let mut findings = Vec::new();
         let mut status = inner.status;
+        let mut partial_sum = inner.partial_sum.take();
         loop {
             if idx >= files.len() {
                 status.passes += 1;
                 inner.cursor = None;
                 break;
             }
-            let scrub = self.scrub_file(&files[idx], page, remaining, &mut status);
+            let scrub =
+                self.scrub_file(&files[idx], page, remaining, &mut status, &mut partial_sum);
             status.units += scrub.units;
             status.findings += scrub.findings.len() as u64;
             findings.extend(scrub.findings);
@@ -221,6 +232,7 @@ impl Scrubber {
             }
         }
         inner.status = status;
+        inner.partial_sum = partial_sum;
         findings
     }
 
@@ -261,10 +273,14 @@ impl Scrubber {
         from_page: u32,
         budget: u64,
         status: &mut ScrubStatus,
+        partial_sum: &mut Option<Fnv64>,
     ) -> FileScrub {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if is_page_file(name) {
             return self.scrub_pages(path, from_page, budget, name.ends_with(".btree"), status);
+        }
+        if name.starts_with("snapshot-") {
+            return self.scrub_snapshot(path, from_page, budget, status, partial_sum);
         }
         let mut findings = Vec::new();
         let finding = |detail: String| ScrubFinding {
@@ -303,24 +319,105 @@ impl Scrubber {
                 pos += nl + 1;
             }
             // An unterminated final line is a torn append, not rot.
-        } else {
-            // snapshot-<lsn>.json
-            self.io.bump();
-            match std::fs::read_to_string(path) {
-                Ok(text) => {
-                    status.snapshots += 1;
-                    if !crate::snapshot::verify_payload(&text) {
-                        findings.push(finding("snapshot fails checksum or parse".into()));
-                    }
-                }
-                Err(e) => findings.push(finding(format!("snapshot unreadable: {e}"))),
-            }
         }
         FileScrub {
             units: file_units(len),
             resume: None,
             findings,
         }
+    }
+
+    /// `snapshot-<lsn>.json`: checksum `budget` units of the payload
+    /// starting at unit `from_unit`, carrying the sum in `partial_sum`
+    /// when the budget runs out mid-file. Snapshot files are written
+    /// once and renamed into place, so a resumed sum continues over the
+    /// bytes it started on; should it not match all the same, the file
+    /// is read whole once more before that becomes a finding.
+    fn scrub_snapshot(
+        &self,
+        path: &Path,
+        from_unit: u32,
+        budget: u64,
+        status: &mut ScrubStatus,
+        partial_sum: &mut Option<Fnv64>,
+    ) -> FileScrub {
+        use std::io::{Read, Seek, SeekFrom};
+        let done = |units: u64, detail: Option<String>| FileScrub {
+            units: units.max(1),
+            resume: None,
+            findings: detail
+                .map(|detail| ScrubFinding {
+                    path: path.to_path_buf(),
+                    page: None,
+                    detail,
+                })
+                .into_iter()
+                .collect(),
+        };
+        let unreadable = |e: std::io::Error| Some(format!("snapshot unreadable: {e}"));
+        // The whole file at once: no well-formed trailer, or a sum that
+        // did not match.
+        let whole = |status: &mut ScrubStatus| {
+            self.io.bump();
+            match std::fs::read_to_string(path) {
+                Ok(text) => {
+                    status.snapshots += 1;
+                    let ok = crate::snapshot::verify_payload(&text);
+                    let detail = (!ok).then(|| "snapshot fails checksum or parse".to_string());
+                    done(file_units(text.len() as u64), detail)
+                }
+                Err(e) => done(1, unreadable(e)),
+            }
+        };
+
+        self.io.bump();
+        let opened = std::fs::File::open(path).and_then(|f| Ok((f.metadata()?.len(), f)));
+        let (len, mut file) = match opened {
+            Ok(opened) => opened,
+            Err(e) => return done(1, unreadable(e)),
+        };
+        let mut tail = [0u8; TRAILER_LEN as usize];
+        let want = len.checked_sub(TRAILER_LEN).and_then(|payload_len| {
+            file.seek(SeekFrom::Start(payload_len)).ok()?;
+            file.read_exact(&mut tail).ok()?;
+            Some((payload_len, trailer_sum(&tail)?))
+        });
+        let Some((payload_len, want)) = want else {
+            return whole(status);
+        };
+
+        let (mut unit, mut sum) = match partial_sum.take() {
+            Some(sum) if from_unit > 0 => (u64::from(from_unit), sum),
+            _ => (0, Fnv64::new()),
+        };
+        if let Err(e) = file.seek(SeekFrom::Start(unit * PAGE_SIZE as u64)) {
+            return done(1, unreadable(e));
+        }
+        let mut units = 0u64;
+        let mut buf = [0u8; PAGE_SIZE];
+        while unit * (PAGE_SIZE as u64) < payload_len {
+            if units >= budget {
+                *partial_sum = Some(sum);
+                return FileScrub {
+                    units,
+                    resume: Some(unit as u32),
+                    findings: Vec::new(),
+                };
+            }
+            let n = (payload_len - unit * PAGE_SIZE as u64).min(PAGE_SIZE as u64) as usize;
+            self.io.bump();
+            if let Err(e) = file.read_exact(&mut buf[..n]) {
+                return done(units, unreadable(e));
+            }
+            sum.write(&buf[..n]);
+            units += 1;
+            unit += 1;
+        }
+        if sum.finish() != want {
+            return whole(status);
+        }
+        status.snapshots += 1;
+        done(units, None)
     }
 
     /// Page-structured files: verify `budget` pages starting at
@@ -555,6 +652,71 @@ mod tests {
         }
         assert!(ticks >= 8, "32 pages at 4 units/tick needs ≥ 8 ticks, took {ticks}");
         assert_eq!(s.status().pages, 32);
+    }
+
+    /// A payload of `units` read units and a bit, valid JSON.
+    fn big_payload(units: usize) -> String {
+        format!("{{\"pad\":\"{}\"}}", "x".repeat(units * PAGE_SIZE + 100))
+    }
+
+    #[test]
+    fn a_snapshot_is_checksummed_within_the_budget_and_resumed() {
+        let dir = temp_dir("snapbudget");
+        let store = SnapshotStore::new(&dir);
+        let path = store.write(9, &big_payload(10)).unwrap();
+        let s = scrubber(&dir, 4);
+        let mut ticks = 0;
+        while s.status().passes == 0 {
+            let before = s.status().units;
+            assert!(s.tick().is_empty());
+            assert!(s.status().units - before <= 4, "a tick read past its budget");
+            ticks += 1;
+            assert!(ticks < 100, "sweep never completed");
+        }
+        assert_eq!(ticks, 3, "11 units at 4 a tick");
+        assert_eq!(s.status().snapshots, 1);
+
+        // Rot in the last unit is found by the tick that gets there.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[10 * PAGE_SIZE + 50] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(s.tick().is_empty());
+        assert!(s.tick().is_empty());
+        let findings = s.tick();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].detail.contains("checksum"));
+    }
+
+    #[test]
+    fn a_snapshot_replaced_under_a_resumed_sum_is_read_again_not_reported() {
+        let dir = temp_dir("snapreplace");
+        let store = SnapshotStore::new(&dir);
+        store.write(9, &big_payload(10)).unwrap();
+        let s = scrubber(&dir, 4);
+        assert!(s.tick().is_empty());
+        // Same name and length, other bytes, its own valid trailer.
+        store.write(9, &big_payload(10).replace('x', "y")).unwrap();
+        assert!(s.full_pass().is_empty());
+        assert_eq!(s.status().findings, 0);
+    }
+
+    #[test]
+    fn a_snapshot_without_a_whole_trailer_must_still_parse() {
+        let dir = temp_dir("snaplegacy");
+        let s = scrubber(&dir, 4);
+        std::fs::write(dir.join("snapshot-1.json"), big_payload(6)).unwrap();
+        assert!(s.full_pass().is_empty(), "legacy file, valid JSON");
+        std::fs::write(dir.join("snapshot-1.json"), &big_payload(6)[1..]).unwrap();
+        assert_eq!(s.full_pass().len(), 1, "legacy file, not JSON");
+
+        // Rot inside the trailer: not a legacy file, a damaged one.
+        let path = SnapshotStore::new(&dir).write(1, &big_payload(6)).unwrap();
+        assert!(s.full_pass().is_empty());
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - 5;
+        bytes[at] = b'Z';
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(s.full_pass().len(), 1, "damaged trailer");
     }
 
     #[test]

@@ -84,6 +84,22 @@ fn check_trailer(text: &str) -> Option<std::result::Result<&str, ()>> {
     })
 }
 
+/// Bytes of the trailer [`SnapshotStore::write`] appends: the marker,
+/// sixteen hex digits, a newline.
+pub(crate) const TRAILER_LEN: u64 = SUM_MARKER.len() as u64 + 17;
+
+/// The checksum a well-formed trailer carries, given the last
+/// [`TRAILER_LEN`] bytes of a file. `None` for anything else (a legacy
+/// file, a damaged trailer): the caller falls back to
+/// [`verify_payload`], which tells those apart.
+pub(crate) fn trailer_sum(tail: &[u8]) -> Option<u64> {
+    let hex = tail.strip_prefix(SUM_MARKER.as_bytes())?.strip_suffix(b"\n")?;
+    if !hex.iter().all(u8::is_ascii_hexdigit) {
+        return None; // `from_str_radix` would take a sign
+    }
+    u64::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()
+}
+
 /// Whether a snapshot file's full contents verify: the trailer checksum
 /// must match when present, and the payload must parse as JSON. Used by
 /// the scrubber, which reads candidate files straight off disk.
