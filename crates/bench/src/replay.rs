@@ -6,18 +6,16 @@
 //! The harness replays a repetition-weighted, mixed read/write/submit
 //! request stream derived from a wlgen corpus against any HTTP endpoint
 //! speaking the SQLShare REST interface, at stepped offered
-//! concurrency, and reports achieved QPS, latency percentiles, and
-//! status-class counts. `benches/throughput.rs` drives it against both
-//! the blocking demo loop and the non-blocking server and writes
-//! `BENCH_throughput.json`; `tests/http_throughput.rs` runs a small
-//! smoke of the same harness in CI.
+//! concurrency, and reports status-class counts. `tests/http_throughput.rs` runs it against the
+//! server in CI; served throughput and latency are measured by the
+//! repository benchmark (`benchmark/`).
 
 use sqlshare_common::json::{self, Json};
 use sqlshare_core::SqlShare;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One replayable request.
 #[derive(Debug, Clone)]
@@ -30,8 +28,7 @@ pub enum ReplayOp {
 /// A minimal keep-alive HTTP/1.1 client: one connection, pipelining
 /// unused (request/response lockstep), chunked and Content-Length
 /// framed responses both understood, transparent reconnect when the
-/// server closes (the blocking baseline closes after every response —
-/// the reconnect counter is part of the measurement).
+/// server closes (the reconnect counter is part of the measurement).
 pub struct HttpClient {
     addr: SocketAddr,
     stream: Option<BufReader<TcpStream>>,
@@ -292,16 +289,6 @@ impl RetryPolicy {
             cap: Duration::from_millis(100),
         }
     }
-
-    /// Never back off — report every shed as its final status. This is
-    /// what the overload benches use so shed counts stay a direct
-    /// measure of admission control.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 0,
-            cap: Duration::ZERO,
-        }
-    }
 }
 
 impl Default for RetryPolicy {
@@ -462,182 +449,90 @@ pub fn build_workload(service: &SqlShare, total: usize, mix: MixSpec, seed: u64)
     ops
 }
 
-/// What one offered-concurrency step measured.
-#[derive(Debug, Clone)]
+/// What one replay step observed: requests issued and how each ended
+/// (its final status, after any `Retry-After` backoff). Timings are the
+/// repository benchmark's job (`benchmark/`), not this harness's.
+#[derive(Debug, Clone, Default)]
 pub struct StepStats {
-    pub offered: usize,
     pub requests: u64,
-    pub elapsed_secs: f64,
-    pub qps: f64,
-    pub p50_micros: u64,
-    pub p99_micros: u64,
     pub count_2xx: u64,
     pub count_429: u64,
     pub count_other_4xx: u64,
     pub count_5xx: u64,
     pub io_errors: u64,
-    pub reconnects: u64,
-    pub bytes_read: u64,
-    /// Shed responses observed (429/503 carrying `Retry-After`),
-    /// whether or not a retry followed. Distinct from `count_429`,
-    /// which only counts requests whose *final* status was 429.
-    pub sheds: u64,
-    /// Backoff-and-retry attempts made after sheds.
-    pub retries: u64,
-}
-
-impl StepStats {
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("offered_concurrency", Json::num(self.offered as f64)),
-            ("requests", Json::num(self.requests as f64)),
-            ("elapsed_secs", Json::num(self.elapsed_secs)),
-            ("qps", Json::num(self.qps)),
-            ("p50_micros", Json::num(self.p50_micros as f64)),
-            ("p99_micros", Json::num(self.p99_micros as f64)),
-            ("status_2xx", Json::num(self.count_2xx as f64)),
-            ("status_429", Json::num(self.count_429 as f64)),
-            ("status_other_4xx", Json::num(self.count_other_4xx as f64)),
-            ("status_5xx", Json::num(self.count_5xx as f64)),
-            ("io_errors", Json::num(self.io_errors as f64)),
-            ("reconnects", Json::num(self.reconnects as f64)),
-            ("bytes_read", Json::num(self.bytes_read as f64)),
-            ("sheds", Json::num(self.sheds as f64)),
-            ("retries", Json::num(self.retries as f64)),
-        ])
-    }
 }
 
 /// Replay `ops` against `addr` from `concurrency` client threads, each
 /// issuing `requests_per_client` requests round-robin from a staggered
 /// starting offset, honoring `Retry-After` with the default
-/// [`RetryPolicy`]. Latency is measured per attempt, wall-to-wall
-/// (backoff sleeps are excluded — they are deliberate idleness, not
-/// server time).
+/// [`RetryPolicy`].
 pub fn run_step(
     addr: SocketAddr,
     ops: &[ReplayOp],
     concurrency: usize,
     requests_per_client: usize,
 ) -> StepStats {
-    run_step_with(addr, ops, concurrency, requests_per_client, RetryPolicy::default())
-}
-
-/// Per-client replay tallies: latencies (µs), status counts
-/// `[2xx, 429, other 4xx, 5xx, io_error]`, reconnects, bytes read,
-/// sheds, retries.
-type ClientTallies = (Vec<u64>, [u64; 5], u64, u64, u64, u64);
-
-/// [`run_step`] with an explicit shed-retry policy.
-pub fn run_step_with(
-    addr: SocketAddr,
-    ops: &[ReplayOp],
-    concurrency: usize,
-    requests_per_client: usize,
-    policy: RetryPolicy,
-) -> StepStats {
     assert!(!ops.is_empty());
-    let started = Instant::now();
-    let results: Vec<ClientTallies> = std::thread::scope(|scope| {
+    let policy = RetryPolicy::default();
+    let per_client: Vec<StepStats> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..concurrency)
             .map(|i| {
                 scope.spawn(move || {
                     let mut client = HttpClient::new(addr);
                     let mut rng =
                         XorShift::new(0xB0FF ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                    let mut latencies = Vec::with_capacity(requests_per_client);
-                    // [2xx, 429, other 4xx, 5xx, io_error]
-                    let mut counts = [0u64; 5];
-                    let mut sheds = 0u64;
-                    let mut retries = 0u64;
+                    let mut stats = StepStats::default();
                     let start = (i * ops.len()) / concurrency.max(1);
                     for k in 0..requests_per_client {
                         let op = &ops[(start + k) % ops.len()];
                         let mut attempt = 0u32;
                         loop {
-                            let t0 = Instant::now();
                             match client.request(op) {
                                 Ok(resp) => {
-                                    let shed = matches!(resp.status, 429 | 503);
-                                    if shed {
-                                        if let Some(hint) = resp.retry_after {
-                                            sheds += 1;
-                                            if attempt < policy.max_retries {
-                                                retries += 1;
-                                                std::thread::sleep(backoff_delay(
-                                                    hint, attempt, policy, &mut rng,
-                                                ));
-                                                attempt += 1;
-                                                continue;
-                                            }
-                                        }
+                                    let hint = resp.retry_after.filter(|_| {
+                                        matches!(resp.status, 429 | 503)
+                                            && attempt < policy.max_retries
+                                    });
+                                    if let Some(hint) = hint {
+                                        std::thread::sleep(backoff_delay(
+                                            hint, attempt, policy, &mut rng,
+                                        ));
+                                        attempt += 1;
+                                        continue;
                                     }
-                                    latencies.push(t0.elapsed().as_micros() as u64);
                                     match resp.status {
-                                        200..=299 => counts[0] += 1,
-                                        429 => counts[1] += 1,
-                                        400..=499 => counts[2] += 1,
-                                        _ => counts[3] += 1,
+                                        200..=299 => stats.count_2xx += 1,
+                                        429 => stats.count_429 += 1,
+                                        400..=499 => stats.count_other_4xx += 1,
+                                        _ => stats.count_5xx += 1,
                                     }
                                 }
                                 Err(_) => {
-                                    counts[4] += 1;
+                                    stats.io_errors += 1;
                                     client.stream = None;
                                 }
                             }
                             break;
                         }
                     }
-                    (
-                        latencies,
-                        counts,
-                        client.reconnects,
-                        client.bytes_read,
-                        sheds,
-                        retries,
-                    )
+                    stats
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let elapsed = started.elapsed().as_secs_f64();
-
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut counts = [0u64; 5];
-    let mut reconnects = 0;
-    let mut bytes_read = 0;
-    let mut sheds = 0;
-    let mut retries = 0;
-    for (lats, c, rc, br, sh, rt) in results {
-        latencies.extend(lats);
-        for (total, part) in counts.iter_mut().zip(c) {
-            *total += part;
-        }
-        reconnects += rc;
-        bytes_read += br;
-        sheds += sh;
-        retries += rt;
+    let mut total = StepStats {
+        requests: (concurrency * requests_per_client) as u64,
+        ..StepStats::default()
+    };
+    for c in per_client {
+        total.count_2xx += c.count_2xx;
+        total.count_429 += c.count_429;
+        total.count_other_4xx += c.count_other_4xx;
+        total.count_5xx += c.count_5xx;
+        total.io_errors += c.io_errors;
     }
-    latencies.sort_unstable();
-    let requests = (concurrency * requests_per_client) as u64;
-    StepStats {
-        offered: concurrency,
-        requests,
-        elapsed_secs: elapsed,
-        qps: requests as f64 / elapsed.max(1e-9),
-        p50_micros: percentile(&latencies, 0.50),
-        p99_micros: percentile(&latencies, 0.99),
-        count_2xx: counts[0],
-        count_429: counts[1],
-        count_other_4xx: counts[2],
-        count_5xx: counts[3],
-        io_errors: counts[4],
-        reconnects,
-        bytes_read,
-        sheds,
-        retries,
-    }
+    total
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice.

@@ -47,8 +47,8 @@ pub enum Error {
     /// A bug surfaced mid-query (a contained panic inside an operator or
     /// a parallel worker). The query fails; the process keeps serving.
     Internal(String),
-    /// The query exceeded its memory budget (`SQLSHARE_QUERY_MEM_MB`) or
-    /// the engine-wide memory pool.
+    /// The query exceeded its memory budget or the engine-wide memory
+    /// pool.
     ResourceExhausted(String),
     /// The node cannot accept writes: it is a replication standby (or a
     /// fenced ex-primary). Reads still work; mutations should be retried

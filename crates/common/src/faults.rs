@@ -13,11 +13,10 @@
 //!   the engine, morsel workers, and scheduler, or
 //! * a short artificial delay — shaking out timing assumptions.
 //!
-//! Activated by `SQLSHARE_FAULTS=seed:rate` (e.g. `12345:0.05`), read
-//! once at engine construction like every other engine knob, or
-//! explicitly via `Engine::set_faults` in tests. The chaos differential
-//! suite (`tests/chaos_differential.rs`) replays the wlgen corpora under
-//! injection and asserts containment invariants.
+//! Installed only by a caller, through `Engine::set_fault_plan` /
+//! `SqlShare::set_fault_plan`: no deployment setting reaches it. The
+//! chaos differential suite (`tests/chaos_differential.rs`) replays the
+//! wlgen corpora under injection and asserts containment invariants.
 
 use crate::{Error, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,13 +115,13 @@ pub struct FaultPlan {
     /// Injection probability per check, in parts per million.
     rate_ppm: u64,
     /// Bit-rot probability per at-rest read, in parts per million.
-    /// Separate from `rate_ppm` so `SQLSHARE_FAULTS` chaos runs keep
-    /// their historical behavior unless rot is asked for explicitly.
+    /// Separate from `rate_ppm` so `seed:rate` chaos runs keep their
+    /// historical behavior unless rot is asked for explicitly.
     rot_ppm: u64,
     draws: AtomicU64,
     /// Deterministic override: always inject one specific fault at one
-    /// site and nothing anywhere else. Regression-test hook —
-    /// `SQLSHARE_FAULTS` plans never set this.
+    /// site and nothing anywhere else. Regression-test hook — seeded
+    /// plans never set this.
     forced: Option<(FaultSite, ForcedFault)>,
 }
 
@@ -193,12 +192,6 @@ impl FaultPlan {
             forced: Some((site, ForcedFault::Fail)),
             ..FaultPlan::new(0, 0.0)
         }
-    }
-
-    /// Parse `SQLSHARE_FAULTS` (`seed:rate`); `None` when unset or
-    /// malformed (fail open: a typo must not silently chaos production).
-    pub fn from_env() -> Option<FaultPlan> {
-        FaultPlan::parse(&std::env::var("SQLSHARE_FAULTS").ok()?)
     }
 
     /// Parse a `seed:rate` spec, e.g. `12345:0.05`.

@@ -17,7 +17,7 @@
 //!   macros with FROM-clause parameters (§5.2) and `prefix*` column
 //!   pattern expansion (§5.3), plus DOI minting on the service (§5.2).
 //! * [`persist`] — durability: the journaled mutation log, catalog
-//!   snapshots, and crash recovery (`SQLSHARE_DATA_DIR`).
+//!   snapshots, and crash recovery ([`DurableOptions`]).
 //! * [`rest`] — the REST surface as typed request dispatch, used by the
 //!   dependency-free HTTP server in `examples/rest_server.rs`.
 //! * [`accounts`], [`clock`] — users/quotas and the simulated timeline.
@@ -41,8 +41,12 @@ pub use integrity::{IntegrityHub, Quarantined, Repair};
 pub use permissions::Visibility;
 pub use persist::{DurableOptions, RecoveryReport};
 pub use querylog::{Outcome, QueryLog, QueryLogEntry};
-pub use repl::{AckGate, AckMode, ReplApply, ReplConfig, Role};
+pub use repl::{AckMode, ReplApply, ReplConfig, Role};
 pub use service::{JobStatus, QueryJob, QueryResult, SqlShare};
+pub use sqlshare_engine::cache::{DEFAULT_HOT_VIEW_THRESHOLD, DEFAULT_RESULT_CACHE_MB};
+pub use sqlshare_engine::engine::DEFAULT_MAX_DOP;
+pub use sqlshare_engine::paged::DEFAULT_POOL_MB;
+pub use sqlshare_engine::{Engine, StorageLayer};
 pub use sqlshare_scheduler::{SchedulerConfig, SchedulerStats, TenantStats};
 pub use sqlshare_storage::{
     read_tail, wal_generation, CrashPoint, FsyncPolicy, IoCounter, ScrubConfig, ScrubFinding,

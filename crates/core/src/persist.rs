@@ -52,11 +52,14 @@ pub struct DurableOptions {
 }
 
 impl DurableOptions {
+    /// Journaled mutations between snapshots unless told otherwise.
+    pub const DEFAULT_SNAPSHOT_EVERY: u64 = 64;
+
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurableOptions {
             dir: dir.into(),
             fsync: FsyncPolicy::Batch,
-            snapshot_every: 64,
+            snapshot_every: Self::DEFAULT_SNAPSHOT_EVERY,
         }
     }
 
@@ -70,24 +73,6 @@ impl DurableOptions {
     pub fn snapshot_every(mut self, records: u64) -> Self {
         self.snapshot_every = records.max(1);
         self
-    }
-
-    /// Read `SQLSHARE_DATA_DIR` / `SQLSHARE_FSYNC` /
-    /// `SQLSHARE_SNAPSHOT_EVERY`. `None` when no data directory is set —
-    /// the service stays ephemeral.
-    pub fn from_env() -> Option<DurableOptions> {
-        let dir = std::env::var("SQLSHARE_DATA_DIR").ok()?;
-        if dir.trim().is_empty() {
-            return None;
-        }
-        let mut options = DurableOptions::new(dir.trim()).fsync(FsyncPolicy::from_env());
-        if let Some(n) = std::env::var("SQLSHARE_SNAPSHOT_EVERY")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-        {
-            options.snapshot_every = n.max(1);
-        }
-        Some(options)
     }
 }
 
@@ -1016,8 +1001,7 @@ mod tests {
     }
 
     #[test]
-    fn durable_options_env_parsing() {
-        // from_env reads real env vars; only exercise the pure parts.
+    fn durable_options_builders_clamp() {
         let o = DurableOptions::new("/tmp/x")
             .fsync(FsyncPolicy::Always)
             .snapshot_every(0);

@@ -5,12 +5,10 @@
 //! which apply each record through the same LSN-idempotent path startup
 //! recovery uses. This module holds the pieces that are pure state or
 //! configuration; the service-side hooks (`apply_replicated`,
-//! `promote`, `demote`, ack gating in `commit`) live on
+//! `promote`, `demote`) live on
 //! [`SqlShare`](crate::SqlShare), and the transport (HTTP pull +
 //! heartbeat) lives in `sqlshare-server`.
 
-use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// What a node is allowed to do with writes.
@@ -48,37 +46,23 @@ pub enum AckMode {
     Quorum,
 }
 
-impl AckMode {
-    /// Parse `SQLSHARE_REPL_ACK` (`quorum` or `async`; default async).
-    pub fn from_env() -> AckMode {
-        match std::env::var("SQLSHARE_REPL_ACK").as_deref() {
-            Ok("quorum") => AckMode::Quorum,
-            _ => AckMode::Async,
-        }
-    }
-}
-
-/// Everything the `SQLSHARE_REPL_*` knobs configure.
-#[derive(Debug, Clone)]
+/// How a node replicates: whom it follows, when it acknowledges.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplConfig {
-    /// Address of the primary to follow (`SQLSHARE_REPL_PRIMARY`).
-    /// Set ⇒ this node boots as a standby.
+    /// Address of the primary to follow. Set ⇒ this node boots as a
+    /// standby.
     pub primary: Option<String>,
-    /// Ack mode (`SQLSHARE_REPL_ACK`).
     pub ack: AckMode,
-    /// Standby confirmations required per LSN in quorum mode
-    /// (`SQLSHARE_REPL_QUORUM`, default 1).
+    /// Standby confirmations required per LSN in quorum mode.
     pub quorum: usize,
     /// How long a quorum-mode commit waits for confirmations before
-    /// returning a timeout to the client
-    /// (`SQLSHARE_REPL_ACK_TIMEOUT_MS`, default 2000).
+    /// returning a timeout to the client.
     pub ack_timeout: Duration,
     /// Standby poll cadence; each successful poll renews the primary's
-    /// lease (`SQLSHARE_REPL_HEARTBEAT_MS`, default 500).
+    /// lease.
     pub heartbeat: Duration,
     /// Consecutive failed polls after which a standby considers the
-    /// lease lapsed and promotes itself
-    /// (`SQLSHARE_REPL_LEASE_MISSES`, default 3).
+    /// lease lapsed and promotes itself.
     pub lease_misses: u32,
 }
 
@@ -92,61 +76,6 @@ impl Default for ReplConfig {
             heartbeat: Duration::from_millis(500),
             lease_misses: 3,
         }
-    }
-}
-
-impl ReplConfig {
-    pub fn from_env() -> ReplConfig {
-        let d = ReplConfig::default();
-        let ms = |key: &str, dflt: Duration| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&v| v > 0)
-                .map(Duration::from_millis)
-                .unwrap_or(dflt)
-        };
-        ReplConfig {
-            primary: std::env::var("SQLSHARE_REPL_PRIMARY")
-                .ok()
-                .filter(|s| !s.is_empty()),
-            ack: AckMode::from_env(),
-            quorum: std::env::var("SQLSHARE_REPL_QUORUM")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(d.quorum),
-            ack_timeout: ms("SQLSHARE_REPL_ACK_TIMEOUT_MS", d.ack_timeout),
-            heartbeat: ms("SQLSHARE_REPL_HEARTBEAT_MS", d.heartbeat),
-            lease_misses: std::env::var("SQLSHARE_REPL_LEASE_MISSES")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(d.lease_misses),
-        }
-    }
-}
-
-/// Commit-time replication gate: `wait(lsn)` blocks until the quorum
-/// has confirmed `lsn` (true) or the ack timeout lapses (false). The
-/// server installs one backed by its ack hub when quorum mode is on;
-/// without a gate commits acknowledge as soon as they journal.
-#[derive(Clone)]
-pub struct AckGate(Arc<dyn Fn(u64) -> bool + Send + Sync>);
-
-impl AckGate {
-    pub fn new(f: impl Fn(u64) -> bool + Send + Sync + 'static) -> AckGate {
-        AckGate(Arc::new(f))
-    }
-
-    pub fn wait(&self, lsn: u64) -> bool {
-        (self.0)(lsn)
-    }
-}
-
-impl fmt::Debug for AckGate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("AckGate(..)")
     }
 }
 
@@ -191,8 +120,6 @@ pub(crate) struct ReplState {
     /// need not align with the local vector length — dedup compares
     /// against this high-water mark, not `entries.len()`.
     pub applied_query_id: u64,
-    /// Commit-time quorum gate, installed by the server.
-    pub ack_gate: Option<AckGate>,
 }
 
 #[cfg(test)]
@@ -206,13 +133,5 @@ mod tests {
         assert!(c.primary.is_none());
         assert_eq!(Role::default(), Role::Primary);
         assert_eq!(Role::Standby.name(), "standby");
-    }
-
-    #[test]
-    fn ack_gate_calls_through() {
-        let gate = AckGate::new(|lsn| lsn <= 5);
-        assert!(gate.wait(5));
-        assert!(!gate.wait(6));
-        assert_eq!(format!("{gate:?}"), "AckGate(..)");
     }
 }

@@ -15,7 +15,7 @@ use crate::integrity::{IntegrityHub, Repair};
 use crate::permissions::{check_access, DatasetGraph, Visibility};
 use crate::persist::{self, DurableOptions, DurableStore, Mutation, RecoveryReport};
 use crate::querylog::{Outcome, QueryLog, QueryLogEntry};
-use crate::repl::{AckGate, ReplApply, ReplState, Role};
+use crate::repl::{ReplApply, ReplState, Role};
 use sqlshare_common::json::{self, Json, JsonWriter};
 use sqlshare_common::{CancelReason, CancellationToken, Error, Result};
 use sqlshare_engine::{Engine, FaultSite, Row, Schema, Table};
@@ -231,7 +231,7 @@ pub struct SqlShare {
     recovering: bool,
     /// What the last recovery found, for observability.
     recovery: Option<RecoveryReport>,
-    /// Replication role, lease epoch, lag hint, and commit ack gate.
+    /// Replication role, lease epoch, and lag hint.
     repl: ReplState,
     /// Data directory in durable mode, kept so replication can serve
     /// the live WAL file without going through the store.
@@ -262,17 +262,38 @@ impl SqlShare {
         }
     }
 
+    /// Build a service around an engine the caller configured (executor,
+    /// parallelism, cache, memory limits, storage layer). This is the
+    /// one way to construct a configured service — `Config::open_service`
+    /// in the server crate and the test mode matrix both go through it;
+    /// the `set_*` methods below re-tune a service that already runs.
+    /// The engine's catalog must be empty: datasets enter through the
+    /// service.
+    pub fn with_engine(engine: Engine) -> Self {
+        SqlShare {
+            engine,
+            ..Self::default()
+        }
+    }
+
     /// Open a durable service: run crash recovery against the data
     /// directory (latest valid snapshot, then the WAL tail, truncating
     /// any torn record), reload the persisted query log, and start
     /// journaling new mutations.
     pub fn open(options: DurableOptions) -> Result<Self> {
-        Self::open_with_scheduler(options, SchedulerConfig::default())
+        Self::new().recover(options)
     }
 
-    /// [`SqlShare::open`] with a custom scheduler configuration.
-    pub fn open_with_scheduler(options: DurableOptions, config: SchedulerConfig) -> Result<Self> {
-        let mut svc = Self::with_scheduler(config);
+    /// [`SqlShare::open`] into this service, which must be freshly
+    /// constructed. What was configured on it first is in force while
+    /// recovery replays: recovered tables get its storage layer.
+    pub fn recover(self, options: DurableOptions) -> Result<Self> {
+        if self.store.is_some() || !self.users.is_empty() || !self.datasets.is_empty() {
+            return Err(Error::Internal(
+                "recover: the service already holds state".into(),
+            ));
+        }
+        let mut svc = self;
         svc.recovering = true;
         std::fs::create_dir_all(&options.dir).map_err(|e| {
             Error::Internal(format!("create data dir {}: {e}", options.dir.display()))
@@ -409,16 +430,6 @@ impl SqlShare {
         svc.recovering = false;
         svc.recovery = Some(report);
         Ok(svc)
-    }
-
-    /// Ephemeral service, or a durable one when `SQLSHARE_DATA_DIR` is
-    /// set (fsync policy from `SQLSHARE_FSYNC`, snapshot cadence from
-    /// `SQLSHARE_SNAPSHOT_EVERY`).
-    pub fn from_env() -> Result<Self> {
-        match DurableOptions::from_env() {
-            Some(options) => Self::open(options),
-            None => Ok(Self::new()),
-        }
     }
 
     // ---- users and time -------------------------------------------------
@@ -1233,17 +1244,16 @@ impl SqlShare {
         self.engine.cache_stats()
     }
 
-    /// The engine's paged storage layer, if one is attached
-    /// (`SQLSHARE_PAGED=1` or [`sqlshare_engine::Engine::set_storage`]).
-    /// The REST layer reads buffer-pool and spill statistics through it.
+    /// The engine's paged storage layer, if one is attached. The REST
+    /// layer reads buffer-pool and spill statistics through it.
     pub fn storage(&self) -> Option<&Arc<sqlshare_engine::StorageLayer>> {
         self.engine.storage()
     }
 
-    /// Attach (or detach) a paged-storage layer — the programmatic form
-    /// of `SQLSHARE_PAGED`. Tables created *after* the switch get the
-    /// new backing; existing tables keep theirs. Invalidates the worker
-    /// snapshot so queued work executes against the same layer.
+    /// Attach (or detach) a paged-storage layer. Tables created *after*
+    /// the switch get the new backing; existing tables keep theirs.
+    /// Invalidates the worker snapshot so queued work executes against
+    /// the same layer.
     pub fn set_storage(&mut self, layer: Option<Arc<sqlshare_engine::StorageLayer>>) {
         self.engine.set_storage(layer);
         self.invalidate_snapshot();
@@ -1284,17 +1294,16 @@ impl SqlShare {
     }
 
     /// Cap each query's memory budget in bytes (`usize::MAX` disables
-    /// the cap) — the programmatic form of `SQLSHARE_QUERY_MEM_MB`.
-    /// Invalidates the worker snapshot so queued work picks it up.
+    /// the cap). Invalidates the worker snapshot so queued work picks
+    /// it up.
     pub fn set_query_mem_limit(&mut self, bytes: usize) {
         self.engine.set_query_mem_limit(bytes);
         self.invalidate_snapshot();
     }
 
-    /// Install (or clear) a deterministic fault-injection plan — the
-    /// programmatic form of `SQLSHARE_FAULTS`. Invalidates the worker
-    /// snapshot; the plan (and its draw counter) is shared between the
-    /// sync path and worker snapshots.
+    /// Install (or clear) a deterministic fault-injection plan.
+    /// Invalidates the worker snapshot; the plan (and its draw counter)
+    /// is shared between the sync path and worker snapshots.
     pub fn set_fault_plan(&mut self, plan: Option<sqlshare_engine::FaultPlan>) {
         self.engine.set_fault_plan(plan);
         // Storage shares the engine's plan (and its draw counter), so
@@ -1743,20 +1752,6 @@ impl SqlShare {
         self.refresh_previews();
         self.invalidate_snapshot();
         self.maybe_snapshot();
-        // Quorum ack: the mutation is journaled and applied locally
-        // either way; without standby confirmation the client gets a
-        // timeout instead of an ack, so "acknowledged" still implies
-        // "replicated".
-        if lsn > 0 {
-            if let Some(gate) = self.repl.ack_gate.clone() {
-                if !gate.wait(lsn) {
-                    return Err(Error::Timeout(format!(
-                        "mutation journaled at lsn {lsn} but the standby quorum \
-                         did not confirm it in time; it may or may not survive failover"
-                    )));
-                }
-            }
-        }
         Ok(report)
     }
 
@@ -2239,16 +2234,14 @@ impl SqlShare {
     }
 
     /// Become the primary: bump the lease epoch so everything journaled
-    /// from here on supersedes the deposed primary's lease, and drop
-    /// any ack gate (a freshly promoted primary has no confirmed
-    /// standbys yet). Returns the new epoch.
+    /// from here on supersedes the deposed primary's lease. Returns the
+    /// new epoch.
     pub fn promote(&mut self) -> u64 {
         self.repl.role = Role::Primary;
         self.repl.epoch += 1;
         if let Some(store) = &mut self.store {
             store.set_epoch(self.repl.epoch);
         }
-        self.repl.ack_gate = None;
         self.repl.epoch
     }
 
@@ -2263,12 +2256,6 @@ impl SqlShare {
         if let Some(store) = &mut self.store {
             store.set_epoch(self.repl.epoch);
         }
-    }
-
-    /// Install the commit-time quorum gate (server-owned; `None` turns
-    /// quorum waiting off).
-    pub fn set_ack_gate(&mut self, gate: Option<AckGate>) {
-        self.repl.ack_gate = gate;
     }
 
     /// Record the newest LSN the primary has advertised, for lag
@@ -2395,12 +2382,14 @@ impl SqlShare {
 
     /// Replace this node's state with a primary's snapshot document and
     /// resume streaming from there. Existing catalog state is dropped —
-    /// the snapshot is authoritative. In durable mode the installed
-    /// state is immediately snapshotted locally so a crash right after
-    /// catch-up recovers to it. Returns the snapshot's LSN.
+    /// the snapshot is authoritative — while the engine's settings stay:
+    /// the tables come back in the configured storage layer. In durable
+    /// mode the installed state is immediately snapshotted locally so a
+    /// crash right after catch-up recovers to it. Returns the snapshot's
+    /// LSN.
     pub fn install_replica_snapshot(&mut self, doc: &Json) -> Result<u64> {
         let lsn = persist::u64_of(doc, "lsn")?;
-        self.engine = Engine::default();
+        self.engine.clear();
         self.datasets.clear();
         self.visibility.clear();
         self.users.clear();

@@ -13,7 +13,7 @@
 //! `durable_digest()` of the final state and `resnapshot-27.json` the
 //! snapshot the parent wrote after restarting on the other two files.
 
-use sqlshare_core::{DurableOptions, FsyncPolicy, SqlShare};
+use sqlshare_core::{DurableOptions, FsyncPolicy, IoCounter, ScrubConfig, Scrubber, SqlShare};
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> PathBuf {
@@ -33,9 +33,12 @@ fn data_dir(tag: &str, files: &[&str]) -> PathBuf {
     dir
 }
 
+fn options(dir: &Path) -> DurableOptions {
+    DurableOptions::new(dir).fsync(FsyncPolicy::Off).snapshot_every(10_000)
+}
+
 fn open(dir: &Path) -> SqlShare {
-    let options = DurableOptions::new(dir).fsync(FsyncPolicy::Off).snapshot_every(10_000);
-    SqlShare::open(options).expect("the parent's files open")
+    SqlShare::open(options(dir)).expect("the parent's files open")
 }
 
 #[test]
@@ -68,5 +71,35 @@ fn a_restored_snapshot_encodes_back_to_its_own_bytes() {
     std::fs::remove_file(dir.join("snapshot-13.json")).unwrap();
     service.force_snapshot().unwrap();
     assert_eq!(std::fs::read(dir.join("snapshot-13.json")).unwrap(), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fixture snapshot with its `#fnv64=` trailer cut off is still
+/// valid JSON. It is not a snapshot any more: recovery skips it, and as
+/// the WAL beside it starts at lsn 14, refuses to start rather than
+/// replay onto nothing; the scrubber reports the file.
+#[test]
+fn a_snapshot_with_its_trailer_cut_off_is_refused_and_reported() {
+    let dir = data_dir("cut", &["snapshot-13.json", "wal.log", "wal.gen"]);
+    let path = dir.join("snapshot-13.json");
+    let sealed = std::fs::read(&path).unwrap();
+    let trailer = sealed.iter().rposition(|&b| b == b'#').unwrap() - 1;
+    std::fs::write(&path, &sealed[..trailer]).unwrap();
+    assert!(sqlshare_common::json::parse(std::str::from_utf8(&sealed[..trailer]).unwrap()).is_ok());
+
+    let err = SqlShare::open(options(&dir)).unwrap_err();
+    assert_eq!(err.kind(), "corrupt", "{err}");
+
+    let scrubber = Scrubber::new(ScrubConfig::default(), IoCounter::new());
+    scrubber.add_root(&dir);
+    let findings = scrubber.full_pass();
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].path, path);
+
+    // Alone, with no WAL that needs it, the skipped candidate still
+    // stops the start: its name says the lineage reached lsn 13.
+    std::fs::remove_file(dir.join("wal.log")).unwrap();
+    let err = SqlShare::open(options(&dir)).unwrap_err();
+    assert!(err.to_string().contains("snapshot-13.json is corrupt"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

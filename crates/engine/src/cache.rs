@@ -14,10 +14,11 @@
 //!    bind time). Any catalog mutation bumps the touched key's
 //!    generation, so entries over mutated relations become unreachable
 //!    without evicting unrelated tenants' entries. Values live in an LRU
-//!    bounded by a byte budget (`SQLSHARE_RESULT_CACHE_MB`, default 64
-//!    MiB; `0` disables the result cache and hot views).
+//!    bounded by a byte budget ([`DEFAULT_RESULT_CACHE_MB`] unless the
+//!    engine is told otherwise; `0` disables the result cache and hot
+//!    views).
 //! 3. **Hot-view materialization** — a non-trivial view referenced by
-//!    ≥ `SQLSHARE_HOT_VIEW_THRESHOLD` executed queries gets its result
+//!    ≥ [`DEFAULT_HOT_VIEW_THRESHOLD`] executed queries gets its result
 //!    pinned; the binder splices it into downstream plans as a base-scan
 //!    (`Clustered Index Seek` with `cached: true` in EXPLAIN) — the
 //!    paper's snapshot semantics, automated.
@@ -33,8 +34,7 @@ use sqlshare_common::hash::Fnv64;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-/// Default result-cache byte budget when `SQLSHARE_RESULT_CACHE_MB` is
-/// unset.
+/// Default result-cache budget in MiB.
 pub const DEFAULT_RESULT_CACHE_MB: usize = 64;
 
 /// Default hot-view materialization threshold (executions referencing a
@@ -163,23 +163,15 @@ impl std::fmt::Debug for QueryCache {
     }
 }
 
-impl QueryCache {
-    /// Cache configured from the environment: `SQLSHARE_RESULT_CACHE_MB`
-    /// (default 64, 0 disables results + hot views) and
-    /// `SQLSHARE_HOT_VIEW_THRESHOLD` (default 3).
-    pub fn from_env() -> Self {
-        let mb = std::env::var("SQLSHARE_RESULT_CACHE_MB")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_RESULT_CACHE_MB);
-        let threshold = std::env::var("SQLSHARE_HOT_VIEW_THRESHOLD")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&v| v >= 1)
-            .unwrap_or(DEFAULT_HOT_VIEW_THRESHOLD);
-        Self::with_config(mb, threshold)
+/// [`DEFAULT_RESULT_CACHE_MB`] of results, hot views pinned after
+/// [`DEFAULT_HOT_VIEW_THRESHOLD`] executions.
+impl Default for QueryCache {
+    fn default() -> Self {
+        Self::with_config(DEFAULT_RESULT_CACHE_MB, DEFAULT_HOT_VIEW_THRESHOLD)
     }
+}
 
+impl QueryCache {
     /// Cache with an explicit result budget (MiB) and hot-view threshold.
     pub fn with_config(result_mb: usize, hot_view_threshold: u64) -> Self {
         QueryCache {
@@ -197,6 +189,14 @@ impl QueryCache {
             result_budget: 0,
             hot_view_threshold: u64::MAX,
             plan_cache_enabled: false,
+        }
+    }
+
+    /// A cold cache with this one's configuration.
+    pub fn emptied(&self) -> Self {
+        QueryCache {
+            inner: Mutex::new(CacheInner::default()),
+            ..*self
         }
     }
 

@@ -24,42 +24,8 @@ use sqlshare_sql::parser::{parse_query, parse_statement};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default parallelism cap, overridable via `SQLSHARE_MAX_DOP` (CI runs
-/// the suite at both `SQLSHARE_MAX_DOP=1` and the default to keep the
-/// serial and parallel paths green).
-fn max_dop_from_env() -> usize {
-    std::env::var("SQLSHARE_MAX_DOP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|d| d.max(1))
-        .unwrap_or(4)
-}
-
-/// Default OS worker-thread cap for parallel regions: the hardware
-/// parallelism, overridable via `SQLSHARE_EXEC_THREADS`. Read once at
-/// engine construction (not per execution, and never through mutable
-/// process-global state) so a configured engine behaves deterministically
-/// regardless of what the environment does afterwards.
-fn exec_threads_from_env() -> usize {
-    std::env::var("SQLSHARE_EXEC_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or_else(exec::hardware_threads)
-}
-
-/// Whether queries run on the vectorized engine ([`crate::vexec`]).
-/// Defaults to on; `SQLSHARE_VECTORIZED=0` (or `false`/`off`) selects
-/// the row-at-a-time interpreter, which stays alive as the correctness
-/// oracle the differential suites compare against.
-fn vectorized_from_env() -> bool {
-    !std::env::var("SQLSHARE_VECTORIZED")
-        .map(|v| {
-            let v = v.trim().to_ascii_lowercase();
-            v == "0" || v == "false" || v == "off"
-        })
-        .unwrap_or(false)
-}
+/// Default cap on per-query parallelism (like `MAXDOP`).
+pub const DEFAULT_MAX_DOP: usize = 4;
 
 /// Run `f`, converting any panic it leaks into [`Error::Internal`] — the
 /// containment barrier that turns one query's bug (or injected chaos
@@ -123,20 +89,19 @@ pub struct Engine {
     /// The multi-level cache, shared across clones of this engine (the
     /// service's worker snapshots populate and consult the same cache).
     cache: Arc<QueryCache>,
-    /// Per-query memory budget in bytes (`SQLSHARE_QUERY_MEM_MB`;
-    /// unlimited by default). Each run gets a fresh [`MemoryBudget`] of
-    /// this size.
+    /// Per-query memory budget in bytes (unlimited by default). Each
+    /// run gets a fresh [`MemoryBudget`] of this size.
     query_mem_bytes: usize,
-    /// Engine-wide memory pool (`SQLSHARE_TOTAL_MEM_MB`), shared across
+    /// Engine-wide memory pool (unlimited by default), shared across
     /// clones so concurrent worker snapshots draw from one budget.
     mem_pool: Arc<MemoryPool>,
-    /// Fault-injection schedule (`SQLSHARE_FAULTS=seed:rate`), shared
-    /// across clones so a chaos run draws one deterministic stream.
+    /// Fault-injection schedule, shared across clones so a chaos run
+    /// draws one deterministic stream.
     faults: Option<Arc<FaultPlan>>,
-    /// Paged storage layer (`SQLSHARE_PAGED=1`): when present, created
-    /// tables are converted to page-backed form and over-budget joins
-    /// and sorts spill to temp pages instead of failing. Shared across
-    /// clones so worker snapshots draw on one buffer pool.
+    /// Paged storage layer: when present, created tables are converted
+    /// to page-backed form and over-budget joins and sorts spill to temp
+    /// pages instead of failing. Shared across clones so worker
+    /// snapshots draw on one buffer pool.
     storage: Option<Arc<StorageLayer>>,
 }
 
@@ -183,23 +148,24 @@ impl Default for Engine {
 }
 
 impl Engine {
+    /// An empty engine with the default configuration: DOP cap
+    /// [`DEFAULT_MAX_DOP`], one worker thread per hardware thread, the
+    /// vectorized executor, a [`QueryCache::default`] cache, no memory
+    /// limits, no fault plan, in-memory tables. Everything else is set
+    /// by the caller through the setters below.
     pub fn new() -> Self {
         Engine {
             catalog: Catalog::new(),
             ctx: EvalContext::default(),
-            max_dop: max_dop_from_env(),
+            max_dop: DEFAULT_MAX_DOP,
             parallel_threshold: crate::cost::PARALLELISM_COST_THRESHOLD,
-            exec_threads: exec_threads_from_env(),
-            vectorized: vectorized_from_env(),
-            cache: Arc::new(QueryCache::from_env()),
-            query_mem_bytes: memory::mem_limit_from_env("SQLSHARE_QUERY_MEM_MB")
-                .unwrap_or(memory::UNLIMITED),
-            mem_pool: Arc::new(
-                memory::mem_limit_from_env("SQLSHARE_TOTAL_MEM_MB")
-                    .map_or_else(MemoryPool::unlimited, MemoryPool::new),
-            ),
-            faults: FaultPlan::from_env().map(Arc::new),
-            storage: StorageLayer::from_env(),
+            exec_threads: exec::hardware_threads(),
+            vectorized: true,
+            cache: Arc::new(QueryCache::default()),
+            query_mem_bytes: memory::UNLIMITED,
+            mem_pool: Arc::new(MemoryPool::unlimited()),
+            faults: None,
+            storage: None,
         }
     }
 
@@ -216,8 +182,8 @@ impl Engine {
     }
 
     /// Select the vectorized engine (`true`, the default) or the
-    /// row-at-a-time oracle (`false`) — the programmatic form of
-    /// `SQLSHARE_VECTORIZED`.
+    /// row-at-a-time interpreter (`false`), which stays alive as the
+    /// correctness oracle the differential suites compare against.
     pub fn set_vectorized(&mut self, on: bool) {
         self.vectorized = on;
     }
@@ -254,9 +220,9 @@ impl Engine {
             .with_storage(self.storage.clone())
     }
 
-    /// Attach (or detach) a paged storage layer — the programmatic form
-    /// of `SQLSHARE_PAGED=1`. Tables created afterwards are page-backed;
-    /// existing tables keep their current backing.
+    /// Attach (or detach) a paged storage layer. Tables created
+    /// afterwards are page-backed; existing tables keep their current
+    /// backing.
     pub fn set_storage(&mut self, layer: Option<Arc<StorageLayer>>) {
         self.storage = layer;
     }
@@ -267,14 +233,18 @@ impl Engine {
         self.storage.as_ref()
     }
 
-    /// Set the per-query memory budget in bytes (the programmatic form
-    /// of `SQLSHARE_QUERY_MEM_MB`; tests use byte granularity).
+    /// Set the per-query memory budget in bytes.
     pub fn set_query_mem_limit(&mut self, bytes: usize) {
         self.query_mem_bytes = bytes.max(1);
     }
 
-    /// Install (or clear) a fault-injection schedule — the programmatic
-    /// form of `SQLSHARE_FAULTS=seed:rate`.
+    /// Replace the engine-wide memory pool with one of `bytes`. Clones
+    /// made before this call keep drawing on the old pool.
+    pub fn set_total_mem_limit(&mut self, bytes: usize) {
+        self.mem_pool = Arc::new(MemoryPool::new(bytes.max(1)));
+    }
+
+    /// Install (or clear) a fault-injection schedule.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.faults = plan.map(Arc::new);
     }
@@ -336,6 +306,15 @@ impl Engine {
     }
 
     // ---- catalog -------------------------------------------------------
+
+    /// Forget every relation and start the cache cold; every setting
+    /// above stays. Clones made earlier keep the old catalog and the old
+    /// cache, so a query still running on one cannot store a result this
+    /// engine would later find under a reused generation.
+    pub fn clear(&mut self) {
+        self.catalog = Catalog::new();
+        self.cache = Arc::new(self.cache.emptied());
+    }
 
     /// Access the catalog.
     pub fn catalog(&self) -> &Catalog {

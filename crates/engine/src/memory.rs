@@ -9,11 +9,11 @@
 //! materialization, result assembly — and a charge past the limit fails
 //! the query with [`Error::ResourceExhausted`]. Two limits apply:
 //!
-//! * a per-query budget (`SQLSHARE_QUERY_MEM_MB`, read once at engine
-//!   construction; unlimited by default), and
+//! * a per-query budget (`Engine::set_query_mem_limit`; unlimited by
+//!   default), and
 //! * an engine-wide [`MemoryPool`] shared by every concurrent query of an
-//!   engine lineage (`SQLSHARE_TOTAL_MEM_MB`), released when the query's
-//!   budget is dropped.
+//!   engine lineage (`Engine::set_total_mem_limit`), released when the
+//!   query's budget is dropped.
 //!
 //! Accounting granularity is the operator buffer, not the row: a charge
 //! lands once per built buffer (per morsel in parallel regions), so
@@ -170,23 +170,6 @@ pub fn values_bytes(values: &[Value]) -> usize {
     std::mem::size_of::<Row>() + values.iter().map(value_bytes).sum::<usize>()
 }
 
-/// Read a `*_MB` environment variable as a byte limit; `None` when unset
-/// or unparsable (unlimited). Read once at engine construction, matching
-/// the `SQLSHARE_MAX_DOP` idiom — never per execution.
-pub fn mem_limit_from_env(var: &str) -> Option<usize> {
-    std::env::var(var).ok().and_then(|v| parse_mb(&v))
-}
-
-/// Parse a megabyte count into a byte limit (minimum 1 byte, so `0`
-/// means "reject any charged allocation", mirroring
-/// `SQLSHARE_RESULT_CACHE_MB=0` disabling the cache).
-pub fn parse_mb(v: &str) -> Option<usize> {
-    v.trim()
-        .parse::<usize>()
-        .ok()
-        .map(|mb| mb.saturating_mul(1024 * 1024).max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,13 +222,5 @@ mod tests {
         let short = values_bytes(&[Value::Int(1)]);
         let long = values_bytes(&[Value::Text("x".repeat(1000))]);
         assert!(long > short + 900);
-    }
-
-    #[test]
-    fn env_parse_is_mb() {
-        assert_eq!(parse_mb(" 8 "), Some(8 * 1024 * 1024));
-        assert_eq!(parse_mb("0"), Some(1), "0 MB still yields a (1-byte) limit");
-        assert_eq!(parse_mb("lots"), None);
-        assert_eq!(mem_limit_from_env("SQLSHARE_NO_SUCH_VAR"), None);
     }
 }

@@ -434,8 +434,8 @@ fn join_and(conjuncts: Vec<BoundExpr>) -> Option<BoundExpr> {
 /// Physical post-pass: wrap parallelizable regions in `Parallelism`
 /// exchange operators when their estimated cost clears `threshold` (see
 /// [`cost::choose_dop`]). `max_dop <= 1` disables the pass entirely, so
-/// `SQLSHARE_MAX_DOP=1` yields byte-identical plans to the pre-parallel
-/// engine.
+/// an engine capped at DOP 1 yields byte-identical plans to the
+/// pre-parallel engine.
 pub fn parallelize(mut plan: PhysicalPlan, max_dop: usize, threshold: f64) -> PhysicalPlan {
     if max_dop <= 1 {
         return plan;

@@ -1,11 +1,11 @@
 //! Out-of-core table backing: paged heaps, clustered seeks, and B-tree
 //! secondary indexes.
 //!
-//! When `SQLSHARE_PAGED=1`, tables are stored as [`PagedTable`]s: rows
-//! are encoded into slotted-page heap files read through a shared
-//! [`BufferPool`] (bounded by `SQLSHARE_BUFFER_POOL_MB`), and every
-//! non-leading column gets a B-tree secondary index keyed by an
-//! order-preserving encoding of [`Value`]. The same machinery backs
+//! On an engine with a [`StorageLayer`] attached, tables are stored as
+//! [`PagedTable`]s: rows are encoded into slotted-page heap files read
+//! through the layer's bounded [`BufferPool`], and every non-leading
+//! column gets a B-tree secondary index keyed by an order-preserving
+//! encoding of [`Value`]. The same machinery backs
 //! operator spill: over-budget hash joins and sorts write partitions /
 //! runs to temp heap files via [`SpillWriter`] and merge them back.
 //!
@@ -33,7 +33,6 @@
 //!   is monotone for bytewise order, so truncated bounds still yield a
 //!   superset.
 
-use crate::memory::parse_mb;
 use crate::value::{Row, Value};
 use sqlshare_common::faults::FaultPlan;
 use sqlshare_common::{Error, Result};
@@ -49,7 +48,7 @@ use std::sync::{Arc, Mutex};
 /// disambiguates. Total key length stays far under the B-tree's cap.
 pub const KEY_PREFIX: usize = 256;
 
-/// Default buffer-pool size when `SQLSHARE_BUFFER_POOL_MB` is unset.
+/// Buffer-pool size a deployment gets when it does not choose one.
 pub const DEFAULT_POOL_MB: usize = 64;
 
 // ---------------------------------------------------------------------------
@@ -248,19 +247,6 @@ impl StorageLayer {
         Ok(layer)
     }
 
-    /// Build from the environment: `Some` when `SQLSHARE_PAGED` is
-    /// truthy, sized by `SQLSHARE_BUFFER_POOL_MB` (default
-    /// [`DEFAULT_POOL_MB`]).
-    pub fn from_env() -> Option<Arc<Self>> {
-        let enabled = std::env::var("SQLSHARE_PAGED")
-            .map(|v| matches!(v.trim(), "1" | "true" | "on" | "yes"))
-            .unwrap_or(false);
-        if !enabled {
-            return None;
-        }
-        StorageLayer::temp(pool_bytes_from_env()).ok()
-    }
-
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
     }
@@ -338,14 +324,6 @@ impl Drop for StorageLayer {
             let _ = std::fs::remove_dir_all(&self.dir);
         }
     }
-}
-
-/// `SQLSHARE_BUFFER_POOL_MB` in bytes, defaulting to [`DEFAULT_POOL_MB`].
-pub fn pool_bytes_from_env() -> usize {
-    std::env::var("SQLSHARE_BUFFER_POOL_MB")
-        .ok()
-        .and_then(|v| parse_mb(&v))
-        .unwrap_or(DEFAULT_POOL_MB * 1024 * 1024)
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@
 //! owns what is specific to running them in parallel — region
 //! recognition, morsel dispatch, which columns each stage still needs,
 //! the order partial results are merged in. Both engines share it: the
-//! row engine (`SQLSHARE_VECTORIZED=0`) differs only in running the
+//! row engine (`Engine::set_vectorized(false)`) differs only in running the
 //! join's build subtree, and any region [`compile`] does not
 //! recognize, on the row interpreter.
 //!
@@ -522,8 +522,8 @@ fn build_join(
 /// control and accounting property (a DOP-4 query reserves four
 /// scheduler slots), while the executor never runs more OS threads than
 /// the guard's [`ExecGuard::exec_threads`] cap (hardware parallelism by
-/// default, `SQLSHARE_EXEC_THREADS` at engine construction, or an
-/// explicit [`crate::engine::Engine::set_exec_threads`]) — extra
+/// default, or an explicit
+/// [`crate::engine::Engine::set_exec_threads`]) — extra
 /// threads on an oversubscribed host are pure context-switch churn.
 ///
 /// Workers claim morsel indexes off a shared counter. A failing morsel

@@ -12,7 +12,7 @@
 //! ([`crate::paged::PagedTable`]) that stores rows in slotted heap
 //! pages behind a buffer pool with B-tree secondary indexes. Both
 //! produce byte-identical results; the paged backing bounds resident
-//! memory by `SQLSHARE_BUFFER_POOL_MB` instead of table size.
+//! memory by the layer's buffer pool instead of table size.
 
 use crate::paged::{PagedTable, StorageLayer};
 use crate::schema::Schema;

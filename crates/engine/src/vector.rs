@@ -20,20 +20,9 @@ use crate::memory;
 use crate::value::{Row, Value};
 use std::ops::Range;
 use std::sync::Arc;
-use std::sync::OnceLock;
 
-/// Rows per kernel-evaluation chunk, configurable via
-/// `SQLSHARE_BATCH_SIZE` (default 1024, matching the morsel size).
-pub fn batch_size() -> usize {
-    static SIZE: OnceLock<usize> = OnceLock::new();
-    *SIZE.get_or_init(|| {
-        std::env::var("SQLSHARE_BATCH_SIZE")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1024)
-    })
-}
+/// Rows per kernel-evaluation chunk (matches the morsel size).
+pub const BATCH_SIZE: usize = 1024;
 
 /// A packed validity bitmap: bit set = value present, cleared = NULL.
 #[derive(Debug, Clone, Default)]

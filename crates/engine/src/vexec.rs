@@ -1,8 +1,8 @@
 //! The vectorized executor: batch-at-a-time evaluation of physical
 //! plans over typed column vectors ([`crate::vector`]).
 //!
-//! This engine is selected by default (`SQLSHARE_VECTORIZED=0` falls
-//! back to the row interpreter in [`crate::exec`], which stays alive as
+//! This engine is selected by default (`Engine::set_vectorized(false)`
+//! selects the row interpreter in [`crate::exec`], which stays alive as
 //! the correctness oracle). The contract with the oracle is strict:
 //! **byte-identical rows and identical first errors** on every query.
 //!
@@ -45,7 +45,7 @@ use crate::physical::{PhysOp, PhysicalPlan};
 use crate::table::cmp_rows;
 use crate::value::{Row, Value};
 use crate::vector::{
-    batch_rows_bytes, batch_size, Batch, Bitmap, Col, ColumnBuilder, ColumnData, ColumnVec, NULL_ROW,
+    batch_rows_bytes, Batch, Bitmap, Col, ColumnBuilder, ColumnData, ColumnVec, BATCH_SIZE, NULL_ROW,
 };
 use sqlshare_common::{Error, Result};
 use sqlshare_sql::ast::{BinaryOp, JoinKind};
@@ -463,7 +463,7 @@ pub(crate) fn compute_batch(exprs: &[BoundExpr], input: &Batch, ctx: &EvalContex
 /// surviving row positions, reproducing the oracle's first error
 /// (whether an evaluation error or a truth-coercion error).
 pub(crate) fn eval_filter(expr: &BoundExpr, batch: &Batch, ctx: &EvalContext) -> Result<Vec<u32>> {
-    let bs = batch_size();
+    let bs = BATCH_SIZE;
     let mut sel = Vec::new();
     let mut scratch: Option<ScratchRow> = None;
     let mut start = 0usize;

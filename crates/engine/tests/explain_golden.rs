@@ -21,15 +21,10 @@ use std::path::PathBuf;
 /// A deterministic two-table catalog: a fact table wide enough to clear
 /// any size heuristics and a small dimension table.
 fn fixture_engine() -> Engine {
+    // `Engine::new()`: memory-resident tables, vectorized executor. The
+    // main snapshots fix that planner shape and its batchMode marks;
+    // paged backings and the row engine have their own goldens below.
     let mut e = Engine::new();
-    // Pin the in-memory backing regardless of `SQLSHARE_PAGED`: these
-    // snapshots fix the planner's shape for memory-resident tables, and
-    // paged backings add Index Seek alternatives with their own golden.
-    e.set_storage(None);
-    // Pin the executor regardless of `SQLSHARE_VECTORIZED`: the main
-    // snapshots fix the vectorized engine's batchMode marks, and the
-    // `*_row.json` twins re-pin to the row engine explicitly.
-    e.set_vectorized(true);
     e.create_table(Table::new(
         "orders",
         Schema::from_pairs([
@@ -204,9 +199,7 @@ fn parallel_aggregate_plan_snapshot() {
 
 #[test]
 fn index_seek_plan_snapshot() {
-    // Same fixture over a paged backing (attached explicitly, so the
-    // snapshot is identical with and without `SQLSHARE_PAGED`): a
-    // sargable predicate on a non-leading column plans as an Index Seek
+    // Same fixture over a paged backing: a sargable predicate on a non-leading column plans as an Index Seek
     // through the column's secondary B-tree.
     let mut e = fixture_engine();
     let layer = sqlshare_engine::StorageLayer::temp(4 << 20).unwrap();

@@ -5,8 +5,7 @@
 //! until it returns [`ParseOutcome::Incomplete`]. Nothing here blocks
 //! and nothing assumes a request arrives in one read — a request line
 //! split across ten TCP segments parses the same as one that arrives
-//! whole. This replaces the old demo server's `BufReader::read_line`
-//! loop, which parked a thread per connection on a blocking stream.
+//! whole.
 
 /// Hard cap on the request head (request line + headers). Anything
 /// bigger is either a client bug or an attack; no SQLShare route needs

@@ -3,7 +3,7 @@
 //!
 //! Architecture, one sentence per moving part:
 //!
-//! * **Event loops** (`SQLSHARE_HTTP_THREADS` of them) each run their
+//! * **Event loops** ([`HttpConfig::threads`] of them) each run their
 //!   own epoll instance; the shared nonblocking listener is registered
 //!   with `EPOLLEXCLUSIVE` on every loop so the kernel wakes one loop
 //!   per pending accept instead of the whole herd.
@@ -26,7 +26,7 @@
 //!   complete and outboxes flush (bounded by a drain deadline), then
 //!   joins every thread.
 
-pub mod blocking;
+pub mod config;
 pub mod conn;
 pub mod http;
 pub mod repl;
@@ -37,7 +37,7 @@ use http::ParsedRequest;
 pub use repl::ReplHub;
 use sqlshare_common::json::{self, Json};
 use sqlshare_core::rest::{self, Method, Request};
-use sqlshare_core::{AckMode, ReplConfig, Role, SqlShare};
+use sqlshare_core::{AckMode, ReplConfig, Role, ScrubConfig, SqlShare};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -49,29 +49,34 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
-/// Tuning knobs, all overridable from the environment.
-#[derive(Debug, Clone)]
+/// Everything [`Server::start`] is told about how to serve. A binary
+/// fills it from the environment through [`config::Config`]; tests and
+/// embedders set the fields.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpConfig {
-    /// Event-loop threads (`SQLSHARE_HTTP_THREADS`).
+    /// Event-loop threads.
     pub threads: usize,
-    /// Dispatch worker threads (`SQLSHARE_HTTP_WORKERS`).
+    /// Dispatch worker threads.
     pub workers: usize,
-    /// Concurrent connection cap (`SQLSHARE_MAX_CONNS`); excess accepts
-    /// are answered `503` and closed.
+    /// Concurrent connection cap; excess accepts are answered `503` and
+    /// closed.
     pub max_conns: usize,
-    /// Requests dispatched-or-queued across all connections
-    /// (`SQLSHARE_MAX_INFLIGHT`); excess requests are answered `429`.
+    /// Requests dispatched-or-queued across all connections; excess
+    /// requests are answered `429`.
     pub max_inflight: usize,
-    /// Request body cap in bytes (`SQLSHARE_MAX_BODY_MB`); larger
-    /// uploads are refused with `413`, never truncated.
+    /// Request body cap in bytes; larger uploads are refused with
+    /// `413`, never truncated.
     pub max_body: usize,
     /// Idle keep-alive connections are closed after this long.
     pub idle_timeout: Duration,
     /// How long shutdown waits for in-flight work to drain.
     pub drain_deadline: Duration,
-    /// Replication knobs (`SQLSHARE_REPL_*`): follow-the-primary
-    /// standby mode, ack mode, quorum size, heartbeat/lease timing.
+    /// Replication: follow-the-primary standby mode, ack mode, quorum
+    /// size, heartbeat/lease timing.
     pub repl: ReplConfig,
+    /// Background integrity scrubber cadence and budget; it runs when
+    /// enabled and the service has files at rest.
+    pub scrub: ScrubConfig,
 }
 
 impl Default for HttpConfig {
@@ -86,36 +91,8 @@ impl Default for HttpConfig {
             idle_timeout: Duration::from_secs(60),
             drain_deadline: Duration::from_secs(5),
             repl: ReplConfig::default(),
+            scrub: ScrubConfig::default(),
         }
-    }
-}
-
-impl HttpConfig {
-    /// Defaults overridden by `SQLSHARE_HTTP_THREADS`,
-    /// `SQLSHARE_HTTP_WORKERS`, `SQLSHARE_MAX_CONNS`,
-    /// `SQLSHARE_MAX_INFLIGHT`, and `SQLSHARE_MAX_BODY_MB`.
-    pub fn from_env() -> HttpConfig {
-        fn read(name: &str) -> Option<usize> {
-            std::env::var(name).ok()?.trim().parse().ok()
-        }
-        let mut c = HttpConfig::default();
-        if let Some(n) = read("SQLSHARE_HTTP_THREADS") {
-            c.threads = n.clamp(1, 64);
-        }
-        if let Some(n) = read("SQLSHARE_HTTP_WORKERS") {
-            c.workers = n.clamp(1, 256);
-        }
-        if let Some(n) = read("SQLSHARE_MAX_CONNS") {
-            c.max_conns = n.max(1);
-        }
-        if let Some(n) = read("SQLSHARE_MAX_INFLIGHT") {
-            c.max_inflight = n.max(1);
-        }
-        if let Some(n) = read("SQLSHARE_MAX_BODY_MB") {
-            c.max_body = n.max(1) * 1024 * 1024;
-        }
-        c.repl = ReplConfig::from_env();
-        c
     }
 }
 
@@ -335,7 +312,7 @@ impl Server {
         // Background integrity scrubber, when there are durable files
         // to sweep (data directory or paged storage) and the cadence is
         // not disabled. Joins through the repl thread list.
-        let scrub_config = sqlshare_core::ScrubConfig::from_env();
+        let scrub_config = config.scrub;
         let has_at_rest_files = shared.wal_path.is_some() || {
             let service = shared.service.read().unwrap_or_else(|e| e.into_inner());
             service.storage().is_some()
@@ -1170,7 +1147,7 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
 /// pool's working set. Findings quarantine the owning table and kick
 /// the repair ladder; objects only a replica can fix are fetched from
 /// peers page by page.
-fn scrub_loop(shared: Arc<Shared>, config: sqlshare_core::ScrubConfig) {
+fn scrub_loop(shared: Arc<Shared>, config: ScrubConfig) {
     let scrubber = sqlshare_core::Scrubber::new(config, sqlshare_core::IoCounter::new());
     {
         let service = shared.service.read().unwrap_or_else(|e| e.into_inner());
@@ -1273,27 +1250,5 @@ fn repair_from_peers(shared: &Shared, tables: &[String]) {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn config_from_env_parses_and_clamps() {
-        // Serialize env mutation within this process.
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::set_var("SQLSHARE_HTTP_THREADS", "3");
-        std::env::set_var("SQLSHARE_MAX_CONNS", "7");
-        std::env::set_var("SQLSHARE_MAX_BODY_MB", "2");
-        let c = HttpConfig::from_env();
-        assert_eq!(c.threads, 3);
-        assert_eq!(c.max_conns, 7);
-        assert_eq!(c.max_body, 2 * 1024 * 1024);
-        std::env::remove_var("SQLSHARE_HTTP_THREADS");
-        std::env::remove_var("SQLSHARE_MAX_CONNS");
-        std::env::remove_var("SQLSHARE_MAX_BODY_MB");
     }
 }

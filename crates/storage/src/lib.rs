@@ -94,8 +94,7 @@ impl IoCounter {
     }
 }
 
-/// When to force journal writes to stable storage
-/// (`SQLSHARE_FSYNC=always|batch|off`).
+/// When to force journal writes to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
     /// fsync after every appended record — maximum durability, one
@@ -114,8 +113,8 @@ impl FsyncPolicy {
     /// Records between forced syncs under [`FsyncPolicy::Batch`].
     pub const BATCH_INTERVAL: u64 = 32;
 
-    /// Parse a policy name; `None` for anything unrecognized (fail
-    /// closed to the default rather than silently dropping durability).
+    /// Parse a policy name (`always`, `batch`, `off`); `None` for
+    /// anything else.
     pub fn parse(s: &str) -> Option<FsyncPolicy> {
         match s.trim().to_ascii_lowercase().as_str() {
             "always" => Some(FsyncPolicy::Always),
@@ -123,15 +122,6 @@ impl FsyncPolicy {
             "off" => Some(FsyncPolicy::Off),
             _ => None,
         }
-    }
-
-    /// Read `SQLSHARE_FSYNC`, defaulting to `Batch` when unset or
-    /// malformed.
-    pub fn from_env() -> FsyncPolicy {
-        std::env::var("SQLSHARE_FSYNC")
-            .ok()
-            .and_then(|v| FsyncPolicy::parse(&v))
-            .unwrap_or_default()
     }
 }
 

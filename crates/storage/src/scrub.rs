@@ -3,8 +3,8 @@
 //! A long-lived data service accumulates bit-rot faster than queries
 //! notice it — a cold page can sit unread for months while its bits
 //! decay. The scrubber walks every durable file family on a cadence
-//! (`SQLSHARE_SCRUB_EVERY_MS`) under an I/O budget per tick
-//! (`SQLSHARE_SCRUB_IO_BUDGET`, in 8 KiB units), so detection latency
+//! ([`ScrubConfig::every_ms`]) under an I/O budget per tick
+//! ([`ScrubConfig::io_budget`], in 8 KiB units), so detection latency
 //! is bounded without stealing the foreground's disk bandwidth:
 //!
 //! * **heap / B-tree page files** — per-page checksum verification via
@@ -18,8 +18,8 @@
 //!   read in budgeted units like a page file and resumed on the next
 //!   tick: a matching sum proves the bytes are the bytes written, and a
 //!   tick costs what its budget says whatever the snapshot's size. A
-//!   file without a well-formed trailer (legacy, or rot in the trailer
-//!   itself) is read whole and must also parse as JSON.
+//!   file without a well-formed trailer (a cut-off tail, or rot in the
+//!   trailer itself) is a finding.
 //! * **`querylog.jsonl`** — every complete line must reparse.
 //!
 //! All reads go straight to the files, never through the buffer pool,
@@ -40,8 +40,7 @@ use sqlshare_common::json;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Scrub cadence knobs, from `SQLSHARE_SCRUB_EVERY_MS` /
-/// `SQLSHARE_SCRUB_IO_BUDGET`.
+/// Scrub cadence and per-tick budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScrubConfig {
     /// Milliseconds between ticks; 0 disables the background thread.
@@ -60,19 +59,6 @@ impl Default for ScrubConfig {
 }
 
 impl ScrubConfig {
-    pub fn from_env() -> ScrubConfig {
-        let parse = |var: &str| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-        };
-        let d = ScrubConfig::default();
-        ScrubConfig {
-            every_ms: parse("SQLSHARE_SCRUB_EVERY_MS").unwrap_or(d.every_ms),
-            io_budget: parse("SQLSHARE_SCRUB_IO_BUDGET").unwrap_or(d.io_budget).max(1),
-        }
-    }
-
     pub fn enabled(&self) -> bool {
         self.every_ms > 0
     }
@@ -701,22 +687,30 @@ mod tests {
     }
 
     #[test]
-    fn a_snapshot_without_a_whole_trailer_must_still_parse() {
-        let dir = temp_dir("snaplegacy");
+    fn a_snapshot_without_a_whole_trailer_is_a_finding() {
+        let dir = temp_dir("snaptrailer");
         let s = scrubber(&dir, 4);
-        std::fs::write(dir.join("snapshot-1.json"), big_payload(6)).unwrap();
-        assert!(s.full_pass().is_empty(), "legacy file, valid JSON");
-        std::fs::write(dir.join("snapshot-1.json"), &big_payload(6)[1..]).unwrap();
-        assert_eq!(s.full_pass().len(), 1, "legacy file, not JSON");
-
-        // Rot inside the trailer: not a legacy file, a damaged one.
         let path = SnapshotStore::new(&dir).write(1, &big_payload(6)).unwrap();
         assert!(s.full_pass().is_empty());
-        let mut bytes = std::fs::read(&path).unwrap();
+        let sealed = std::fs::read(&path).unwrap();
+
+        // The trailer cut off, whole or in part: what is left is valid
+        // JSON, and still not a snapshot anyone checksummed.
+        for cut in [TRAILER_LEN as usize, 5, 1] {
+            std::fs::write(&path, &sealed[..sealed.len() - cut]).unwrap();
+            let findings = s.full_pass();
+            assert_eq!(findings.len(), 1, "{cut} bytes cut off");
+            assert!(findings[0].detail.contains("checksum"));
+        }
+
+        // Rot inside the trailer.
+        let mut bytes = sealed.clone();
         let at = bytes.len() - 5;
         bytes[at] = b'Z';
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(s.full_pass().len(), 1, "damaged trailer");
+        std::fs::write(&path, &sealed).unwrap();
+        assert!(s.full_pass().is_empty());
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! A crash at any step leaves either the previous snapshot intact or a
 //! stray `.tmp` that [`SnapshotStore::load_latest`] ignores and
 //! [`SnapshotStore::prune`] deletes. `load_latest` walks candidates
-//! newest-first and falls back past any that fail to parse, so a
-//! corrupted newest snapshot degrades recovery (longer WAL replay from
-//! an older snapshot) instead of breaking it.
+//! newest-first and falls back past any whose checksum trailer is
+//! missing, damaged or wrong, so a corrupted newest snapshot degrades
+//! recovery (longer WAL replay from an older snapshot) instead of
+//! breaking it.
 
 use crate::IoCounter;
 use sqlshare_common::hash::fnv64;
@@ -68,30 +69,17 @@ pub struct SnapshotLoad {
 
 /// Checksum trailer appended after the JSON payload. JSON alone cannot
 /// detect every flipped bit (a rotted digit still parses), so writes
-/// stamp an fnv64 over the payload and loads verify it. Files without a
-/// trailer (pre-integrity snapshots) fall back to parse-only checking.
+/// stamp an fnv64 over the payload and every reader verifies it. A file
+/// without a whole trailer is a corrupt one: a cut-off tail must not
+/// turn a checksummed file into a merely parseable one.
 const SUM_MARKER: &str = "\n#fnv64=";
-
-/// Split `payload + trailer` back apart. `Some(Err(()))` means the
-/// trailer is present but damaged or mismatched — corrupt, not legacy.
-fn check_trailer(text: &str) -> Option<std::result::Result<&str, ()>> {
-    let idx = text.rfind(SUM_MARKER)?;
-    let payload = &text[..idx];
-    let sum = text[idx + SUM_MARKER.len()..].trim();
-    Some(match u64::from_str_radix(sum, 16) {
-        Ok(sum) if sum == fnv64(payload.as_bytes()) => Ok(payload),
-        _ => Err(()),
-    })
-}
 
 /// Bytes of the trailer [`SnapshotStore::write`] appends: the marker,
 /// sixteen hex digits, a newline.
 pub(crate) const TRAILER_LEN: u64 = SUM_MARKER.len() as u64 + 17;
 
 /// The checksum a well-formed trailer carries, given the last
-/// [`TRAILER_LEN`] bytes of a file. `None` for anything else (a legacy
-/// file, a damaged trailer): the caller falls back to
-/// [`verify_payload`], which tells those apart.
+/// [`TRAILER_LEN`] bytes of a file. `None` for anything else.
 pub(crate) fn trailer_sum(tail: &[u8]) -> Option<u64> {
     let hex = tail.strip_prefix(SUM_MARKER.as_bytes())?.strip_suffix(b"\n")?;
     if !hex.iter().all(u8::is_ascii_hexdigit) {
@@ -100,15 +88,21 @@ pub(crate) fn trailer_sum(tail: &[u8]) -> Option<u64> {
     u64::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()
 }
 
+/// The payload of a snapshot file whose trailer is whole and matches
+/// it; `None` for a missing, damaged or mismatched trailer.
+fn checked_payload(text: &str) -> Option<&str> {
+    let at = text.len().checked_sub(TRAILER_LEN as usize)?;
+    let sum = trailer_sum(&text.as_bytes()[at..])?;
+    // `at` is a char boundary: the byte there is the marker's newline.
+    let payload = &text[..at];
+    (sum == fnv64(payload.as_bytes())).then_some(payload)
+}
+
 /// Whether a snapshot file's full contents verify: the trailer checksum
-/// must match when present, and the payload must parse as JSON. Used by
+/// must be there and match, and the payload must parse as JSON. Used by
 /// the scrubber, which reads candidate files straight off disk.
 pub fn verify_payload(text: &str) -> bool {
-    match check_trailer(text) {
-        Some(Ok(payload)) => json::parse(payload.trim()).is_ok(),
-        Some(Err(())) => false,
-        None => json::parse(text.trim()).is_ok(),
-    }
+    checked_payload(text).is_some_and(|payload| json::parse(payload).is_ok())
 }
 
 impl SnapshotStore {
@@ -168,8 +162,8 @@ impl SnapshotStore {
         Ok(finished)
     }
 
-    /// The newest snapshot whose payload parses as JSON, as
-    /// `(lsn, payload)`. Unparseable candidates are skipped (fallback to
+    /// The newest snapshot that verifies ([`verify_payload`]), as
+    /// `(lsn, payload)`. Candidates that do not are skipped (fallback to
     /// older snapshots); `.tmp` leftovers are never considered.
     pub fn load_latest(&self) -> Result<Option<(u64, String)>> {
         Ok(self.load_latest_counted()?.latest)
@@ -195,13 +189,8 @@ impl SnapshotStore {
                     plan.rot(FaultSite::SnapshotLoad, &mut payload);
                 }
                 let text = String::from_utf8(payload).ok()?;
-                let payload = match check_trailer(&text) {
-                    Some(Ok(payload)) => payload.to_string(),
-                    Some(Err(())) => return None,
-                    // Legacy trailer-less file: parse is the only check.
-                    None => text,
-                };
-                json::parse(&payload).ok().map(|_| payload)
+                let payload = checked_payload(&text)?;
+                json::parse(payload).ok().map(|_| payload.to_string())
             })();
             match usable {
                 Some(payload) => {
@@ -319,8 +308,7 @@ mod tests {
         // Every candidate read rots one bit. The invariant under rot is
         // "never wrong data": a returned payload must be byte-identical
         // to something that was actually written (detection skipped past
-        // anything the flip damaged — at worst the flip landed in
-        // ignorable trailer whitespace).
+        // anything the flip damaged).
         let load = store.load_latest_counted().unwrap();
         if let Some((lsn, payload)) = &load.latest {
             assert_eq!(*payload, format!(r#"{{"v":{lsn}}}"#), "rot fed wrong data");
@@ -357,6 +345,29 @@ mod tests {
         }
         fs::write(&path, &sealed).unwrap();
         assert_eq!(store.load_latest().unwrap().unwrap().1, payload);
+    }
+
+    #[test]
+    fn a_file_without_a_whole_trailer_is_a_corrupt_candidate() {
+        let dir = temp_dir("trailer");
+        let store = SnapshotStore::new(&dir);
+        store.write(1, r#"{"v":1}"#).unwrap();
+        let sealed = fs::read(store.write(2, r#"{"v":2}"#).unwrap()).unwrap();
+        let newest = dir.join("snapshot-2.json");
+        // Every way of losing the trailer, the payload still being JSON:
+        // cut off whole, cut off part-way, its final newline gone, or
+        // never written.
+        let marker = sealed.len() - TRAILER_LEN as usize;
+        for len in [marker, marker + 1, marker + 12, sealed.len() - 1] {
+            fs::write(&newest, &sealed[..len]).unwrap();
+            let load = store.load_latest_counted().unwrap();
+            assert_eq!(load.latest.unwrap(), (1, r#"{"v":1}"#.to_string()), "cut at {len}");
+            assert_eq!((load.skipped_candidates, load.max_skipped_lsn), (1, 2), "cut at {len}");
+            assert!(!verify_payload(std::str::from_utf8(&sealed[..len]).unwrap()));
+        }
+        fs::write(&newest, &sealed).unwrap();
+        assert_eq!(store.load_latest_counted().unwrap().skipped_candidates, 0);
+        assert!(verify_payload(std::str::from_utf8(&sealed).unwrap()));
     }
 
     #[test]

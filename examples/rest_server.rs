@@ -17,34 +17,33 @@
 //! This runs the non-blocking `sqlshare-server` front end: epoll
 //! readiness loops, HTTP/1.1 keep-alive + pipelining, chunked streaming
 //! of large result sets, and admission control that degrades to
-//! 429 + `Retry-After` under overload. Tune it with
-//! `SQLSHARE_HTTP_THREADS`, `SQLSHARE_HTTP_WORKERS`,
-//! `SQLSHARE_MAX_CONNS`, `SQLSHARE_MAX_INFLIGHT`, and
-//! `SQLSHARE_MAX_BODY_MB`. Pass `--blocking` to run the original
-//! thread-per-connection demo loop instead (the benchmark baseline).
+//! 429 + `Retry-After` under overload.
 //!
-//! Set `SQLSHARE_DATA_DIR=/some/path` to run durably: mutations are
+//! This binary is where deployment configuration enters: the
+//! `SQLSHARE_*` environment is parsed once by
+//! `sqlshare_server::config::Config::from_env` (the README lists every
+//! variable; a malformed value or an unknown `SQLSHARE_*` name stops
+//! the start-up, naming the variable) and printed. Set
+//! `SQLSHARE_DATA_DIR=/some/path` to run durably: mutations are
 //! journaled to a write-ahead log and the catalog is recovered from the
-//! latest snapshot + WAL tail on restart (`SQLSHARE_FSYNC` and
-//! `SQLSHARE_SNAPSHOT_EVERY` tune the policy). Without it the service
-//! is ephemeral, exactly as before.
+//! latest snapshot + WAL tail on restart. Without it the service is
+//! ephemeral.
 
-use sqlshare_core::SqlShare;
-use sqlshare_server::{blocking::BlockingServer, HttpConfig, Server};
-use std::sync::{Arc, Mutex};
+use sqlshare_server::config::Config;
+use sqlshare_server::Server;
 
 fn main() -> std::io::Result<()> {
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut use_blocking = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--blocking" {
-            use_blocking = true;
-        } else {
-            addr = arg;
+    let addr = std::env::args().nth(1).unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    let config = match Config::from_env() {
+        Ok(config) => config,
+        Err(e) => {
+            eprintln!("configuration refused: {e}");
+            std::process::exit(2);
         }
-    }
+    };
+    println!("{config:#?}");
 
-    let service = match SqlShare::from_env() {
+    let service = match config.open_service() {
         Ok(s) => {
             if let Some(report) = s.recovery_report() {
                 println!(
@@ -63,35 +62,13 @@ fn main() -> std::io::Result<()> {
             s
         }
         Err(e) => {
-            eprintln!("failed to open data directory: {e}");
+            eprintln!("failed to open the service: {e}");
             std::process::exit(1);
         }
     };
 
-    if use_blocking {
-        let config = HttpConfig::from_env();
-        let server =
-            BlockingServer::start(Arc::new(Mutex::new(service)), &addr, config.max_body)?;
-        println!(
-            "SQLShare REST (blocking demo loop) listening on http://{}",
-            server.addr()
-        );
-        // The demo baseline has no signal handling; park forever.
-        loop {
-            std::thread::park();
-        }
-    }
-
-    let config = HttpConfig::from_env();
-    let server = Server::start(service, &addr, config.clone())?;
+    let server = Server::start(service, &addr, config.http)?;
     println!("SQLShare REST listening on http://{}", server.addr());
-    println!(
-        "  {} event loops, {} workers, {} max connections, {} MiB body cap",
-        config.threads,
-        config.workers,
-        config.max_conns,
-        config.max_body / (1024 * 1024)
-    );
     println!("try: curl -s http://{}/api/datasets", server.addr());
     loop {
         std::thread::park();

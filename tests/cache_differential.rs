@@ -164,9 +164,8 @@ fn run_corpus_serial(corpus_name: &str, corpus: sqlshare_wlgen::sqlshare::Genera
     cold.disable_cache();
     let mut warm: Engine = corpus.service.engine().clone();
     warm.set_max_dop(1);
-    // Force-enable all cache levels (hot-view threshold 2 so the repeated
-    // pass actually pins views) regardless of SQLSHARE_RESULT_CACHE_MB in
-    // the environment — the CI matrix runs this suite with caching off.
+    // A fresh cache at every level, hot-view threshold 2 so the repeated
+    // pass actually pins views.
     warm.set_cache_config(64, 2);
 
     replay_against_reference(corpus_name, &corpus, &cold, &warm, true);
@@ -214,9 +213,6 @@ fn sqlshare_corpus_cold_vs_warm_parallel() {
 
 fn service_with_cache() -> SqlShare {
     let mut s = SqlShare::new();
-    // Force-enable: this suite must assert hits even on the CI leg that
-    // sets SQLSHARE_RESULT_CACHE_MB=0.
-    s.set_cache_config(64, 3);
     s.register_user("alice", "alice@uw.edu").unwrap();
     s.register_user("bob", "bob@uw.edu").unwrap();
     s

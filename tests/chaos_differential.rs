@@ -16,9 +16,15 @@
 //! - at the service layer, every submission under chaos reaches a
 //!   terminal state and every reserved worker slot comes back.
 //!
-//! The fault plan comes from `SQLSHARE_FAULTS` (the CI chaos leg pins a
-//! seed) or defaults to a fixed in-code seed so the test is
-//! deterministic when run bare.
+//! Every engine-level invariant is checked on both executors: the
+//! vectorized engine and the row interpreter sit behind the same fault
+//! sites and must degrade identically.
+//!
+//! The fault plan is this file's own parameter: `SQLSHARE_FAULTS`
+//! (`seed:rate`; the CI chaos leg pins a seed), or a fixed in-code seed
+//! so the test is deterministic when run bare. No library reads it —
+//! the corpus generators and the never-faulted baselines run clean, and
+//! plans are installed where the harness wants them.
 
 use sqlshare_engine::{Engine, FaultPlan, Value};
 use sqlshare_sql::parser::parse_query;
@@ -90,30 +96,19 @@ fn has_order_by(sql: &str) -> bool {
     parse_query(sql).map(|q| !q.order_by.is_empty()).unwrap_or(false)
 }
 
-/// The CI chaos leg exports `SQLSHARE_FAULTS` for the whole process,
-/// but engines read it at construction — left in place it would chaos
-/// the corpus *generators* and the never-faulted baselines too. Capture
-/// the spec once, scrub the environment, and install plans explicitly
-/// where the harness wants them. Every test calls this before building
-/// anything.
-static ENV_SPEC: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
-
-fn chaos_spec() -> Option<&'static str> {
-    ENV_SPEC
-        .get_or_init(|| {
-            let spec = std::env::var("SQLSHARE_FAULTS").ok();
-            std::env::remove_var("SQLSHARE_FAULTS");
-            spec
-        })
-        .as_deref()
+fn chaos_spec() -> Option<String> {
+    std::env::var("SQLSHARE_FAULTS").ok()
 }
 
 /// The active chaos schedule: the CI leg's `SQLSHARE_FAULTS` seed when
-/// set, a fixed in-code seed otherwise.
+/// set (a spec that does not parse fails the suite), a fixed in-code
+/// seed otherwise.
 fn chaos_plan() -> FaultPlan {
-    chaos_spec()
-        .and_then(FaultPlan::parse)
-        .unwrap_or_else(|| FaultPlan::new(0xC4A05, 0.05))
+    match chaos_spec() {
+        Some(spec) => FaultPlan::parse(&spec)
+            .unwrap_or_else(|| panic!("SQLSHARE_FAULTS={spec:?}: not `seed:rate`")),
+        None => FaultPlan::new(0xC4A05, 0.05),
+    }
 }
 
 fn env_plan_set() -> bool {
@@ -212,10 +207,16 @@ fn compare_replay(
     injected_failures
 }
 
-/// The full engine-level chaos differential for one corpus: baseline,
-/// chaotic replay, then a clean replay on the same engine after
-/// clearing the plan, at DOP 1 (exact) and DOP 4 (float-tolerant).
-fn run_corpus(corpus_name: &str, corpus: &sqlshare_wlgen::sqlshare::GeneratedCorpus) {
+/// The full engine-level chaos differential for one corpus on one
+/// executor: baseline, chaotic replay, then a clean replay on the same
+/// engine after clearing the plan, at DOP 1 (exact) and DOP 4
+/// (float-tolerant).
+fn run_corpus(
+    corpus_name: &str,
+    corpus: &sqlshare_wlgen::sqlshare::GeneratedCorpus,
+    vectorized: bool,
+) {
+    let corpus_name = &format!("{corpus_name} {}", if vectorized { "vectorized" } else { "row" });
     let entries: Vec<(String, String)> = corpus
         .service
         .log()
@@ -232,6 +233,7 @@ fn run_corpus(corpus_name: &str, corpus: &sqlshare_wlgen::sqlshare::GeneratedCor
 
     // Never-faulted serial baseline, cache off: the pure reference.
     let mut baseline_engine: Engine = corpus.service.engine().clone();
+    baseline_engine.set_vectorized(vectorized);
     baseline_engine.set_max_dop(1);
     baseline_engine.disable_cache();
     let baseline: Vec<Outcome> = queries
@@ -246,6 +248,7 @@ fn run_corpus(corpus_name: &str, corpus: &sqlshare_wlgen::sqlshare::GeneratedCor
     let mut total_injected = 0usize;
     for dop in [1usize, 4] {
         let mut engine: Engine = corpus.service.engine().clone();
+        engine.set_vectorized(vectorized);
         engine.set_max_dop(dop);
         if dop > 1 {
             engine.set_parallelism_cost_threshold(0.0);
@@ -302,14 +305,18 @@ fn run_corpus(corpus_name: &str, corpus: &sqlshare_wlgen::sqlshare::GeneratedCor
 
 #[test]
 fn sqlshare_corpus_survives_chaos() {
-    chaos_spec();
-    run_corpus("sqlshare", &wl::generate(&GeneratorConfig::dev()));
+    let corpus = wl::generate(&GeneratorConfig::dev());
+    for vectorized in [true, false] {
+        run_corpus("sqlshare", &corpus, vectorized);
+    }
 }
 
 #[test]
 fn sdss_corpus_survives_chaos() {
-    chaos_spec();
-    run_corpus("sdss", &sdss::generate(&GeneratorConfig::dev()));
+    let corpus = sdss::generate(&GeneratorConfig::dev());
+    for vectorized in [true, false] {
+        run_corpus("sdss", &corpus, vectorized);
+    }
 }
 
 /// Service-level chaos: submissions under an active fault plan all
@@ -317,7 +324,6 @@ fn sdss_corpus_survives_chaos() {
 /// and every DOP slot is free once the dust settles.
 #[test]
 fn service_survives_chaos_and_releases_all_slots() {
-    chaos_spec();
     let mut corpus = wl::generate(&GeneratorConfig::dev());
     let entries: Vec<(String, String)> = corpus
         .service

@@ -188,14 +188,11 @@ fn ephemeral_mode_performs_zero_storage_io() {
     s.advance_days(3);
     s.delete_dataset("eve", &DatasetName::new("eve", "frozen")).unwrap();
     assert!(s.recovery_report().is_none());
-    // Paged tables (`SQLSHARE_PAGED=1`, an explicit opt-in that backs
-    // tables with temp files) are the one storage consumer an ephemeral
-    // service may legitimately own; without the opt-in there must be no
-    // store whose I/O counter could even exist.
-    if std::env::var_os("SQLSHARE_PAGED").is_none() {
-        assert!(
-            s.storage().is_none(),
-            "ephemeral service attached a paged storage layer"
-        );
-    }
+    // Paged tables are the one storage consumer an ephemeral service
+    // may own, and only when a layer is attached to it; nobody did, so
+    // there must be no store whose I/O counter could even exist.
+    assert!(
+        s.storage().is_none(),
+        "ephemeral service attached a paged storage layer"
+    );
 }

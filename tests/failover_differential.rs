@@ -27,9 +27,12 @@
 //! The seed comes from `SQLSHARE_REPL_SEED` (the CI failover leg pins
 //! one) or a fixed in-code default.
 
+#[path = "support/fsync.rs"]
+mod fsync;
+
 use sqlshare_common::json::{self, Json};
 use sqlshare_core::{
-    read_tail, AckGate, AckMode, DatasetName, DurableOptions, FsyncPolicy, Metadata, ReplApply,
+    read_tail, AckMode, DatasetName, DurableOptions, Metadata, ReplApply,
     SqlShare, Visibility,
 };
 use sqlshare_ingest::IngestOptions;
@@ -85,8 +88,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn durable_options(dir: &std::path::Path, snapshot_every: u64) -> DurableOptions {
+    // The CI leg runs the kill loop with `SQLSHARE_FSYNC=off`.
     DurableOptions::new(dir)
-        .fsync(FsyncPolicy::from_env())
+        .fsync(fsync::policy())
         .snapshot_every(snapshot_every)
 }
 
@@ -805,43 +809,6 @@ fn standby_reseeds_from_snapshot_after_primary_wal_reset() {
 }
 
 // ---------------------------------------------------------------------
-// 3. Quorum-ack semantics at the service layer: a failed gate returns
-//    the typed timeout, but the mutation is journaled — durable, never
-//    torn — exactly the "acknowledged vs. survived" line DESIGN draws.
-// ---------------------------------------------------------------------
-
-#[test]
-fn quorum_gate_timeout_leaves_the_mutation_durable_but_unacked() {
-    let dir = temp_dir("gate");
-    let options = durable_options(&dir, u64::MAX);
-    let mut s = SqlShare::open(options.clone()).expect("open");
-    s.register_user("ada", "ada@uw.edu").unwrap();
-
-    // A quorum that never confirms: commits time out *after* journaling.
-    s.set_ack_gate(Some(AckGate::new(|_| false)));
-    let err = s
-        .upload("ada", "t", "a\n1\n", &IngestOptions::default())
-        .unwrap_err();
-    assert_eq!(err.kind(), "timeout", "{err}");
-    let lsn_after = s.last_lsn();
-    let digest = s.durable_digest();
-    drop(s);
-
-    // The journaled-but-unacked mutation survives recovery cleanly.
-    let reopened = SqlShare::open(options).expect("recovery");
-    assert_eq!(reopened.last_lsn(), lsn_after);
-    assert_eq!(reopened.durable_digest(), digest);
-    assert!(reopened.dataset(&DatasetName::new("ada", "t")).is_some());
-
-    // A confirming quorum acks normally.
-    let mut s = reopened;
-    s.set_ack_gate(Some(AckGate::new(|_| true)));
-    s.upload("ada", "t2", "a\n2\n", &IngestOptions::default())
-        .unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------
 // 2b. Divergent-tail rejoin: a deposed primary whose WAL holds records
 //     the new lineage never saw must not pass them off as already-
 //     replicated history. The epoch-aware duplicate check flags the
@@ -1294,7 +1261,13 @@ fn quorum_wait_does_not_hold_the_write_lock() {
         .request(&ReplayOp::Get("/api/datasets/ada/parked?user=ada".into()))
         .unwrap();
     assert_eq!(got.status, 200, "timed-out mutation is still durable state");
+    let (lsn, digest) = server.with_service(|s| (s.last_lsn(), s.durable_digest()));
 
     server.shutdown();
+    // The journaled-but-unacked mutation survives recovery cleanly.
+    let reopened = SqlShare::open(durable_options(&dir, u64::MAX)).expect("recovery");
+    assert_eq!(reopened.last_lsn(), lsn);
+    assert_eq!(reopened.durable_digest(), digest);
+    assert!(reopened.dataset(&DatasetName::new("ada", "parked")).is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }

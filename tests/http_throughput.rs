@@ -1,7 +1,7 @@
-//! CI smoke for the replay harness + non-blocking server: a small-scale
-//! version of `benches/throughput.rs` that runs in well under a minute.
-//! Gated behind `SQLSHARE_THROUGHPUT_SMOKE=1` (the CI throughput leg);
-//! the full stepped comparison lives in the bench.
+//! CI smoke for the replay harness + non-blocking server over real
+//! sockets, in well under a minute. Gated behind
+//! `SQLSHARE_THROUGHPUT_SMOKE=1` (the CI throughput leg); served
+//! throughput and latency are measured by `benchmark/`.
 
 use sqlshare_bench::replay::{build_workload, run_step, MixSpec};
 use sqlshare_core::SqlShare;

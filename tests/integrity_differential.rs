@@ -26,9 +26,12 @@
 //! The seed comes from `SQLSHARE_ROT_SEED` (the CI bit-rot leg pins
 //! one) or a fixed in-code default.
 
+#[path = "support/fsync.rs"]
+mod fsync;
+
 use sqlshare_common::json::{self, Json};
 use sqlshare_core::{
-    read_tail, DurableOptions, FsyncPolicy, IoCounter, Repair, ScrubConfig, ScrubFinding,
+    read_tail, DurableOptions, IoCounter, Repair, ScrubConfig, ScrubFinding,
     Scrubber, SqlShare,
 };
 use sqlshare_engine::StorageLayer;
@@ -80,7 +83,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn durable_options(dir: &Path, snapshot_every: u64) -> DurableOptions {
     DurableOptions::new(dir)
-        .fsync(FsyncPolicy::from_env())
+        .fsync(fsync::policy())
         .snapshot_every(snapshot_every)
 }
 
@@ -89,7 +92,7 @@ fn durable_options(dir: &Path, snapshot_every: u64) -> DurableOptions {
 /// pages from disk — on-disk flips cannot hide behind the cache.
 fn tiny_layer(dir: &Path) -> Arc<StorageLayer> {
     std::fs::create_dir_all(dir).unwrap();
-    StorageLayer::new(dir, 1, FsyncPolicy::from_env()).expect("storage layer")
+    StorageLayer::new(dir, 1, fsync::policy()).expect("storage layer")
 }
 
 /// Serial, cache-less execution: answers are row-order deterministic
@@ -853,12 +856,11 @@ fn http_scrub_thread_repairs_index_rot_and_serves_pages() {
     let idx_path = files.iter().find(|(c, _)| c.is_some()).unwrap().1.clone();
     let heap_path = files.iter().find(|(c, _)| c.is_none()).unwrap().1.clone();
 
-    // The scrub cadence is env-driven, exactly as an operator sets it.
-    std::env::set_var("SQLSHARE_SCRUB_EVERY_MS", "10");
-    std::env::set_var("SQLSHARE_SCRUB_IO_BUDGET", "100000");
-    let server = Server::start(svc, "127.0.0.1:0", HttpConfig::default()).expect("bind");
-    std::env::remove_var("SQLSHARE_SCRUB_EVERY_MS");
-    std::env::remove_var("SQLSHARE_SCRUB_IO_BUDGET");
+    let cfg = HttpConfig {
+        scrub: ScrubConfig { every_ms: 10, io_budget: 100_000 },
+        ..HttpConfig::default()
+    };
+    let server = Server::start(svc, "127.0.0.1:0", cfg).expect("bind");
     let mut client = HttpClient::new(server.addr());
 
     // GET /api/repl/page round-trips a raw page, hex-encoded, with the

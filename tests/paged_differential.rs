@@ -275,7 +275,6 @@ fn thrashing_pool_keeps_answers_and_budget() {
     };
 
     let mut memory = Engine::new();
-    memory.set_storage(None);
     memory.create_table(table()).unwrap();
 
     let layer = StorageLayer::temp(0).unwrap(); // clamps to the 8-page floor
@@ -359,7 +358,6 @@ const SPILL_SORT: &str = "SELECT TOP 10 k, v, pad FROM fact ORDER BY v DESC, k";
 fn over_budget_operators_spill_instead_of_failing() {
     // Oracle: no budget, no storage.
     let mut oracle = Engine::new();
-    oracle.set_storage(None);
     spill_fixture(&mut oracle);
     oracle.set_max_dop(1);
 
@@ -373,7 +371,6 @@ fn over_budget_operators_spill_instead_of_failing() {
 
     // Control: the same budget without storage must still unwind.
     let mut starved = Engine::new();
-    starved.set_storage(None);
     spill_fixture(&mut starved);
     starved.set_max_dop(1);
     starved.set_query_mem_limit(256 << 10);
@@ -463,7 +460,6 @@ fn spill_bytes_visible_in_service_log_and_rest() {
 #[test]
 fn storage_endpoint_reports_disabled_without_layer() {
     let mut s = SqlShare::new();
-    s.set_storage(None);
     let r = dispatch(&mut s, &Request::get("/api/storage"));
     assert_eq!(r.status, 200);
     assert_eq!(

@@ -8,7 +8,7 @@
 //! same rows in the same order, same `truncated`, same schema, same
 //! dependency versions — on the vectorized engine at DOP 1, with every
 //! eligible plan forced parallel at DOP 4, and on the row engine
-//! (`SQLSHARE_VECTORIZED=0`). The development corpora hold many tables
+//! (`set_vectorized(false)`). The development corpora hold many tables
 //! shorter than a preview, on which a bound of 101 rows cuts nothing, so
 //! the same comparison is also made at bounds of 1 and 4 rows.
 

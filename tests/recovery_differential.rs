@@ -24,8 +24,11 @@
 //! The workload seed comes from `SQLSHARE_RECOVERY_SEED` (the CI
 //! recovery leg pins one) or a fixed in-code default.
 
+#[path = "support/fsync.rs"]
+mod fsync;
+
 use sqlshare_core::{
-    CrashPoint, DatasetName, DurableOptions, FsyncPolicy, Metadata, SqlShare, Visibility,
+    CrashPoint, DatasetName, DurableOptions, Metadata, SqlShare, Visibility,
 };
 use sqlshare_engine::{FaultPlan, FaultSite, Table};
 use sqlshare_ingest::IngestOptions;
@@ -81,10 +84,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn durable_options(dir: &std::path::Path, snapshot_every: u64) -> DurableOptions {
-    // Honor the CI leg's SQLSHARE_FSYNC; crashes here are simulated (the
-    // process survives), so `Off` is just as strong and much faster.
+    // The CI legs set `SQLSHARE_FSYNC`: `off` for the crash loop,
+    // `always` for a smoke.
     DurableOptions::new(dir)
-        .fsync(FsyncPolicy::from_env())
+        .fsync(fsync::policy())
         .snapshot_every(snapshot_every)
 }
 

@@ -151,9 +151,6 @@ fn rest_session_end_to_end() {
 #[test]
 fn rest_cache_stats_and_cache_hit_flag() {
     let mut s = SqlShare::new();
-    // Force caching on: the CI matrix also runs with the result cache
-    // disabled via SQLSHARE_RESULT_CACHE_MB=0.
-    s.set_cache_config(64, 3);
     dispatch(&mut s, &post("/api/users", &[("username", "ada"), ("email", "a@uw.edu")]));
     let r = dispatch(
         &mut s,

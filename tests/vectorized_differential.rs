@@ -1,6 +1,6 @@
 //! Row-vs-vectorized differential harness.
 //!
-//! The vectorized columnar engine (`SQLSHARE_VECTORIZED`, on by
+//! The vectorized columnar engine (`Engine::set_vectorized`, on by
 //! default) is proven against the row-at-a-time interpreter, which
 //! stays alive as the correctness oracle. Every query the workload
 //! generators produce — the SQLShare corpus of hand-written queries and
@@ -11,7 +11,7 @@
 //!   arithmetic exactly, replaying row-at-a-time whenever they cannot),
 //!   and failing queries must fail with the *identical* error;
 //! - at `DOP = 4` (every eligible plan forced parallel) both engine
-//!   settings run one morsel pipeline — `SQLSHARE_VECTORIZED` only picks
+//!   settings run one morsel pipeline — `set_vectorized` only picks
 //!   the executor of a region's build subtree and of serial fallbacks —
 //!   so comparing them with each other would compare the pipeline with
 //!   itself. Each is compared against the **row engine at DOP 1**, the
@@ -333,7 +333,6 @@ fn zero_result_cache_is_byte_identical_at_dop1() {
     // never do, so every run re-executes.
     assert_fixture_identical(|vectorized| {
         let mut e = Engine::new();
-        e.set_storage(None);
         e.set_max_dop(1);
         e.set_vectorized(vectorized);
         e.set_cache_config(0, 3);
@@ -344,7 +343,6 @@ fn zero_result_cache_is_byte_identical_at_dop1() {
 
 fn memory_fixture_engine(dop: usize, vectorized: bool) -> Engine {
     let mut e = Engine::new();
-    e.set_storage(None);
     e.set_max_dop(dop);
     e.set_exec_threads(4);
     e.set_parallelism_cost_threshold(0.0);
@@ -390,7 +388,6 @@ fn empty_string_keys_behind_nulls_match_the_row_oracle() {
     ];
     let engine = |dop: usize, vectorized: bool| {
         let mut e = Engine::new();
-        e.set_storage(None);
         e.set_max_dop(dop);
         e.set_exec_threads(4);
         e.set_parallelism_cost_threshold(0.0);
