@@ -34,7 +34,7 @@ use crate::permissions::Visibility;
 use sqlshare_common::json::{Json, JsonWriter};
 use sqlshare_common::{Error, Result};
 use sqlshare_engine::{Column, DataType, FaultPlan, Row, Schema, Table, Value};
-use sqlshare_ingest::{HeaderMode, IngestOptions};
+use sqlshare_ingest::{ingest_text, HeaderMode, IngestOptions, IngestReport};
 use sqlshare_storage::{CrashPoint, FsyncPolicy, SnapshotStore, Wal};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -152,26 +152,20 @@ impl DurableStore {
         })
     }
 
-    /// Journal one mutation; on success it is durable under the
-    /// configured fsync policy and its LSN is committed.
+    /// Journal one mutation under the next LSN and this node's lease
+    /// epoch; on success it is durable under the configured fsync policy
+    /// and its LSN is committed.
     pub(crate) fn journal(&mut self, m: &Mutation) -> Result<u64> {
         let lsn = self.last_lsn + 1;
-        self.wal.append(m.encode(lsn, self.epoch).as_bytes())?;
-        self.last_lsn = lsn;
-        self.records_since_snapshot += 1;
+        self.journal_at(lsn, self.epoch, m)?;
         Ok(lsn)
     }
 
-    /// Journal a record replicated from a primary, preserving the
-    /// primary's LSN and lease epoch so the standby's WAL replays to
-    /// byte-identical state. Replication delivers records in order, so
-    /// the LSN simply becomes the new high-water mark.
-    pub(crate) fn journal_replicated(
-        &mut self,
-        lsn: u64,
-        epoch: u64,
-        m: &Mutation,
-    ) -> Result<()> {
+    /// Journal a record at a given position: a record replicated from a
+    /// primary keeps the primary's LSN and lease epoch, so the standby's
+    /// WAL replays to byte-identical state. Replication delivers records
+    /// in order, so the LSN simply becomes the new high-water mark.
+    pub(crate) fn journal_at(&mut self, lsn: u64, epoch: u64, m: &Mutation) -> Result<()> {
         self.wal.append(m.encode(lsn, epoch).as_bytes())?;
         self.last_lsn = lsn;
         self.records_since_snapshot += 1;
@@ -479,6 +473,91 @@ impl Mutation {
         };
         Ok((lsn, m))
     }
+
+    /// Decode one WAL record payload into `(lsn, epoch, mutation)`;
+    /// `None` for bytes that are not a record this build understands.
+    pub(crate) fn decode(record: &[u8]) -> Option<(u64, u64, Mutation)> {
+        let doc = sqlshare_common::json::parse(std::str::from_utf8(record).ok()?).ok()?;
+        let (lsn, m) = Mutation::from_json(&doc).ok()?;
+        Some((lsn, Mutation::epoch_of(&doc), m))
+    }
+
+    /// What this record does to the base tables, by catalog key: the
+    /// one reading of which records create or drop a base table, under
+    /// what name and from what content. Apply and rung-2 repair both ask
+    /// it, so neither can disagree with the other about a record.
+    pub(crate) fn base_table(&self) -> Option<(String, BaseTable<'_>)> {
+        match self {
+            Mutation::Upload {
+                user,
+                dataset,
+                content,
+                options,
+                ..
+            } => Some((
+                base_table_key(&DatasetName::new(user.clone(), dataset.clone())),
+                BaseTable::Created(TableSource::Upload { content, options }),
+            )),
+            Mutation::Materialize {
+                name, schema, rows, ..
+            } => Some((
+                base_table_key(name),
+                BaseTable::Created(TableSource::Rows { schema, rows }),
+            )),
+            Mutation::Delete { name } => Some((base_table_key(name), BaseTable::Dropped)),
+            Mutation::RegisterUser { .. }
+            | Mutation::SetAdmin { .. }
+            | Mutation::AdvanceDays { .. }
+            | Mutation::SaveDataset { .. }
+            | Mutation::Append { .. }
+            | Mutation::SetVisibility { .. }
+            | Mutation::SetMetadata { .. }
+            | Mutation::MintDoi { .. }
+            | Mutation::RegisterUdf { .. } => None,
+        }
+    }
+}
+
+/// The base table behind a dataset: `owner.<name>$base`.
+pub(crate) fn base_table_key(name: &DatasetName) -> String {
+    format!("{}.{}", name.owner, base_name_part(&name.name))
+}
+
+pub(crate) fn base_name_part(dataset: &str) -> String {
+    format!("{dataset}$base")
+}
+
+/// A record's effect on one base table (see [`Mutation::base_table`]).
+pub(crate) enum BaseTable<'a> {
+    Created(TableSource<'a>),
+    /// Dropped, if the deleted dataset had one.
+    Dropped,
+}
+
+/// Where a created base table's rows come from — always the record.
+pub(crate) enum TableSource<'a> {
+    /// The raw upload: `ingest_text` is a pure function, so the rebuilt
+    /// table is byte-identical to the live one.
+    Upload {
+        content: &'a str,
+        options: &'a IngestOptions,
+    },
+    /// Rows captured at validation time.
+    Rows { schema: &'a Schema, rows: &'a [Row] },
+}
+
+impl TableSource<'_> {
+    /// Build the table under `key`, with the ingest report an upload has.
+    pub(crate) fn build(&self, key: &str) -> Result<(Table, Option<IngestReport>)> {
+        match self {
+            TableSource::Upload { content, options } => {
+                ingest_text(key, content, options).map(|(table, report)| (table, Some(report)))
+            }
+            TableSource::Rows { schema, rows } => {
+                Ok((Table::new(key, (*schema).clone(), rows.to_vec()), None))
+            }
+        }
+    }
 }
 
 // ---- JSON codec helpers -------------------------------------------------
@@ -511,6 +590,33 @@ pub(crate) fn bool_of(j: &Json, key: &str) -> Result<bool> {
         Json::Bool(b) => Ok(*b),
         _ => Err(bad(key)),
     }
+}
+
+pub(crate) fn array_of<'a>(j: &'a Json, key: &str) -> Result<&'a [Json]> {
+    field(j, key)?.as_array().ok_or_else(|| bad(key))
+}
+
+pub(crate) fn strings_of(j: &Json, key: &str) -> Result<Vec<String>> {
+    array_of(j, key)?
+        .iter()
+        .map(|s| s.as_str().map(str::to_string).ok_or_else(|| bad(key)))
+        .collect()
+}
+
+/// A `[key, value]` pair — how preview dependencies, the generation
+/// table and the visibility map store their entries.
+pub(crate) fn keyed_pair<'a>(j: &'a Json, what: &str) -> Result<(&'a str, &'a Json)> {
+    match j.as_array() {
+        Some([Json::String(key), value]) => Ok((key, value)),
+        _ => Err(bad(what)),
+    }
+}
+
+/// A `[catalog key, generation]` pair.
+pub(crate) fn generation_pair(j: &Json) -> Result<(String, u64)> {
+    let (key, generation) = keyed_pair(j, "generation")?;
+    let generation = generation.as_f64().ok_or_else(|| bad("generation"))?;
+    Ok((key.to_string(), generation as u64))
 }
 
 // Durable state has one encoder: the `write_*` functions below, each
@@ -727,12 +833,7 @@ pub(crate) fn write_metadata(w: &mut JsonWriter, m: &Metadata) {
 pub(crate) fn metadata_from_json(j: &Json) -> Result<Metadata> {
     Ok(Metadata {
         description: str_of(j, "description")?,
-        tags: field(j, "tags")?
-            .as_array()
-            .ok_or_else(|| bad("tags"))?
-            .iter()
-            .map(|t| t.as_str().map(str::to_string).ok_or_else(|| bad("tag")))
-            .collect::<Result<Vec<_>>>()?,
+        tags: strings_of(j, "tags")?,
     })
 }
 
@@ -756,14 +857,7 @@ pub(crate) fn visibility_from_json(j: &Json) -> Result<Visibility> {
     match j {
         Json::String(s) if s == "private" => Ok(Visibility::Private),
         Json::String(s) if s == "public" => Ok(Visibility::Public),
-        Json::Object(_) => Ok(Visibility::Shared(
-            field(j, "shared")?
-                .as_array()
-                .ok_or_else(|| bad("shared"))?
-                .iter()
-                .map(|u| u.as_str().map(str::to_string).ok_or_else(|| bad("user")))
-                .collect::<Result<Vec<_>>>()?,
-        )),
+        Json::Object(_) => Ok(Visibility::Shared(strings_of(j, "shared")?)),
         _ => Err(bad("visibility")),
     }
 }
@@ -829,16 +923,9 @@ fn write_preview(w: &mut JsonWriter, p: &Preview) {
 }
 
 fn preview_from_json(j: &Json) -> Result<Preview> {
-    let deps = field(j, "deps")?
-        .as_array()
-        .ok_or_else(|| bad("deps"))?
+    let deps = array_of(j, "deps")?
         .iter()
-        .map(|d| {
-            let pair = d.as_array().filter(|a| a.len() == 2).ok_or_else(|| bad("dep"))?;
-            let key = pair[0].as_str().ok_or_else(|| bad("dep key"))?.to_string();
-            let generation = pair[1].as_f64().ok_or_else(|| bad("dep gen"))? as u64;
-            Ok((key, generation))
-        })
+        .map(generation_pair)
         .collect::<Result<Vec<_>>>()?;
     Ok(Preview {
         schema: schema_from_json(field(j, "schema")?)?,

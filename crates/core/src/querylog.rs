@@ -6,7 +6,9 @@
 //! this log exactly as the paper's pipeline consumed the released corpus.
 
 use crate::clock::SimInstant;
-use crate::persist::{bool_of, field, instant_from_json, instant_to_json, str_of, u64_of};
+use crate::persist::{
+    bool_of, field, instant_from_json, instant_to_json, str_of, strings_of, u64_of,
+};
 use sqlshare_common::json::{Json, JsonObject};
 use sqlshare_common::Result;
 
@@ -136,18 +138,6 @@ impl QueryLogEntry {
     }
 
     pub fn from_json(j: &Json) -> Result<QueryLogEntry> {
-        let strings = |key: &str| -> Result<Vec<String>> {
-            field(j, key)?
-                .as_array()
-                .ok_or_else(|| sqlshare_common::Error::Json(format!("bad '{key}'")))?
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| sqlshare_common::Error::Json(format!("bad '{key}'")))
-                })
-                .collect()
-        };
         Ok(QueryLogEntry {
             id: u64_of(j, "id")?,
             user: str_of(j, "user")?,
@@ -164,8 +154,8 @@ impl QueryLogEntry {
                 .transpose()?
                 .unwrap_or(0),
             plan_json: j.get("plan").cloned(),
-            tables: strings("tables")?,
-            datasets: strings("datasets")?,
+            tables: strings_of(j, "tables")?,
+            datasets: strings_of(j, "datasets")?,
             touches_foreign_data: bool_of(j, "foreign")?,
         })
     }
@@ -175,6 +165,10 @@ impl QueryLogEntry {
 #[derive(Debug, Default, Clone)]
 pub struct QueryLog {
     entries: Vec<QueryLogEntry>,
+    /// Highest entry id ever pushed. Replicated entries carry ids the
+    /// primary assigned, so after a reseed or rejoin neither the vector
+    /// length nor the last entry's id says what has been applied.
+    high_id: u64,
 }
 
 impl QueryLog {
@@ -183,7 +177,12 @@ impl QueryLog {
     }
 
     pub fn push(&mut self, entry: QueryLogEntry) {
+        self.high_id = self.high_id.max(entry.id);
         self.entries.push(entry);
+    }
+
+    pub(crate) fn high_id(&self) -> u64 {
+        self.high_id
     }
 
     pub fn entries(&self) -> &[QueryLogEntry] {

@@ -19,9 +19,12 @@ pub enum Role {
     /// standby.
     #[default]
     Primary,
-    /// Applies replicated records, serves the read-only route set, and
-    /// answers mutations with a typed `read-only` rejection (503 over
-    /// REST). Promoted to primary when the lease lapses.
+    /// Applies replicated records and answers what reads state without
+    /// writing any: previews, listings, job status polls and the stats
+    /// routes. Mutations *and queries* (`POST /api/queries`, downloads)
+    /// get a typed `read-only` rejection (503 + `Retry-After` over
+    /// REST): a query logs an entry and ticks the clock, and both must
+    /// follow the primary's. Promoted to primary when the lease lapses.
     Standby,
 }
 
@@ -115,11 +118,6 @@ pub(crate) struct ReplState {
     /// Newest primary LSN a standby has seen advertised; lag =
     /// hint − local last LSN.
     pub primary_lsn_hint: u64,
-    /// Highest replicated query-log entry id applied locally. Entry ids
-    /// are assigned by the primary, so after a reseed or rejoin they
-    /// need not align with the local vector length — dedup compares
-    /// against this high-water mark, not `entries.len()`.
-    pub applied_query_id: u64,
 }
 
 #[cfg(test)]

@@ -20,7 +20,17 @@
 //! | `POST /api/queries`                        | submit query, returns id |
 //! | `GET  /api/queries/{id}`                   | poll status |
 //! | `GET  /api/queries/{id}/results`           | fetch results |
+//! | `POST /api/queries/{id}/cancel`            | cancel a submitted query |
+//! | `GET  /api/ready`                          | readiness, role, epoch, lag, last recovery |
+//! | `GET  /api/integrity`                      | quarantine list, scrub progress, repairs |
+//! | `GET  /api/scheduler`                      | per-tenant scheduler statistics |
+//! | `GET  /api/cache`                          | plan/result cache counters, per tenant |
 //! | `GET  /api/storage`                        | buffer-pool + spill statistics |
+//!
+//! The table is [`Route::parse`]: the one place a path is split and
+//! matched. Which enum a route is a variant of decides the lock it
+//! needs ([`is_mutation`]), whether a standby answers it, and the
+//! handler that can take it.
 
 use crate::dataset::{DatasetName, Metadata};
 use crate::permissions::Visibility;
@@ -153,176 +163,141 @@ pub fn status_for_kind(kind: &str) -> u16 {
     }
 }
 
-/// Does this route mutate the catalog? Mutations (user registration,
-/// uploads, view DDL, appends, permission and visibility changes,
-/// deletes) go through the journal-before-apply path and need
-/// exclusive (`&mut`) access via [`dispatch`]. Everything else —
-/// **including query submission and cancellation** — runs through
-/// [`dispatch_read`] under shared `&` access, so a front end can hold a
-/// read lock for the hot paths and reserve the write lock for the
-/// routes this returns `true` for. `tests/rest_dispatch.rs` audits that
-/// the split agrees with what [`dispatch_read`] actually handles.
-pub fn is_mutation(method: Method, path: &str) -> bool {
-    let (path, _) = split_query(path);
-    let segments: Vec<&str> = path.trim_matches('/').split('/').collect();
-    matches!(
-        (method, segments.as_slice()),
-        (Method::Post, ["api", "users"])
-            | (Method::Post, ["api", "datasets"])
-            | (Method::Delete, ["api", "datasets", _, _])
-            | (Method::Post, ["api", "views"])
-            | (Method::Post, ["api", "datasets", _, _, "append"])
-            | (Method::Post, ["api", "datasets", _, _, "permissions"])
-    )
+/// One route of the table in the module doc, by what it does to the
+/// service — which is also the handler that can take it. A
+/// [`WriteRoute`] goes through the journal-before-apply path and needs
+/// exclusive (`&mut`) access. A [`QueryRoute`] runs a query, a
+/// [`ReadRoute`] reads state or the job table — **submission, polling
+/// and cancellation included** — and both run under shared `&` access,
+/// so a front end can hold a read lock for the hot paths and reserve the
+/// write lock for mutations. A replication standby answers only
+/// `ReadRoute`s: a mutation belongs to the primary, and so does a query
+/// — it logs an entry and ticks the clock, both of which the primary's
+/// log replicates to the standby (DESIGN §4.7).
+enum Route<'a> {
+    Write(WriteRoute<'a>),
+    Query(QueryRoute<'a>),
+    Read(ReadRoute<'a>),
 }
 
-/// Dispatch a request against the service, mutations included. Routes
-/// that only need shared access are delegated to [`dispatch_read`].
-pub fn dispatch(service: &mut SqlShare, request: &Request) -> Response {
-    let (path, _) = split_query(&request.path);
-    let segments: Vec<&str> = path.trim_matches('/').split('/').collect();
+/// `(owner, name)` path segments of a dataset route.
+type Ds<'a> = (&'a str, &'a str);
+
+enum WriteRoute<'a> {
+    RegisterUser,
+    Upload,
+    SaveView,
+    Delete(Ds<'a>),
+    Append(Ds<'a>),
+    Permissions(Ds<'a>),
+}
+
+enum QueryRoute<'a> {
+    Submit,
+    Download(Ds<'a>),
+}
+
+enum ReadRoute<'a> {
+    Ready,
+    Integrity,
+    Scheduler,
+    Cache,
+    Storage,
+    ListDatasets,
+    Preview(Ds<'a>),
+    QueryStatus(&'a str),
+    QueryResults(&'a str),
+    CancelQuery(&'a str),
+}
+
+impl<'a> Route<'a> {
+    /// `path` without its query string.
+    fn parse(method: Method, path: &'a str) -> Option<Route<'a>> {
+        use {QueryRoute as Q, ReadRoute as R, WriteRoute as W};
+        let segments: Vec<&str> = path.trim_matches('/').split('/').collect();
+        Some(match (method, segments.as_slice()) {
+            (Method::Post, ["api", "users"]) => Route::Write(W::RegisterUser),
+            (Method::Post, ["api", "datasets"]) => Route::Write(W::Upload),
+            (Method::Post, ["api", "views"]) => Route::Write(W::SaveView),
+            (Method::Delete, ["api", "datasets", o, n]) => Route::Write(W::Delete((o, n))),
+            (Method::Post, ["api", "datasets", o, n, "append"]) => Route::Write(W::Append((o, n))),
+            (Method::Post, ["api", "datasets", o, n, "permissions"]) => {
+                Route::Write(W::Permissions((o, n)))
+            }
+            (Method::Post, ["api", "queries"]) => Route::Query(Q::Submit),
+            (Method::Get, ["api", "datasets", o, n, "download"]) => {
+                Route::Query(Q::Download((o, n)))
+            }
+            (Method::Get, ["api", "ready"]) => Route::Read(R::Ready),
+            (Method::Get, ["api", "integrity"]) => Route::Read(R::Integrity),
+            (Method::Get, ["api", "scheduler"]) => Route::Read(R::Scheduler),
+            (Method::Get, ["api", "cache"]) => Route::Read(R::Cache),
+            (Method::Get, ["api", "storage"]) => Route::Read(R::Storage),
+            (Method::Get, ["api", "datasets"]) => Route::Read(R::ListDatasets),
+            (Method::Get, ["api", "datasets", o, n]) => Route::Read(R::Preview((o, n))),
+            (Method::Get, ["api", "queries", id]) => Route::Read(R::QueryStatus(id)),
+            (Method::Get, ["api", "queries", id, "results"]) => Route::Read(R::QueryResults(id)),
+            (Method::Post, ["api", "queries", id, "cancel"]) => Route::Read(R::CancelQuery(id)),
+            _ => return None,
+        })
+    }
+}
+
+/// Does this route mutate the catalog? Mutations (user registration,
+/// uploads, view DDL, appends, permission and visibility changes,
+/// deletes) need exclusive access via [`dispatch`]; everything else runs
+/// through [`dispatch_read`] under shared access.
+pub fn is_mutation(method: Method, path: &str) -> bool {
+    match Route::parse(method, split_query(path).0) {
+        Some(Route::Write(_)) => true,
+        Some(Route::Query(_) | Route::Read(_)) | None => false,
+    }
+}
+
+/// Parse the request's route and pass it through the two gates every
+/// request meets before its handler; `Err` is the refusal.
+fn admit<'a>(
+    service: &SqlShare,
+    request: &'a Request,
+) -> Result<(Route<'a>, Option<&'a str>), Response> {
+    let (path, query_user) = split_query(&request.path);
+    let route = Route::parse(request.method, path);
     // While crash recovery is replaying the WAL the catalog is
     // incomplete; only the readiness probe answers.
-    if service.is_recovering() && segments.as_slice() != ["api", "ready"] {
-        return Response::error(503, "service is recovering; try again shortly");
-    }
-    // A standby refuses mutations *before* validating them: a lagging
-    // replica would otherwise answer with misleading validation errors
-    // about state it simply has not replicated yet. The typed error
-    // frames as 503 + Retry-After, so obedient clients back off and
-    // retry against the promoted primary.
-    if service.role() == crate::repl::Role::Standby && is_mutation(request.method, &request.path)
-    {
-        return Response::from_err(&sqlshare_common::Error::ReadOnly(
-            "node is a replication standby; send writes to the primary".into(),
+    if service.is_recovering() && !matches!(route, Some(Route::Read(ReadRoute::Ready))) {
+        return Err(Response::error(
+            503,
+            "service is recovering; try again shortly",
         ));
     }
-    match (request.method, segments.as_slice()) {
-        (Method::Post, ["api", "users"]) => {
-            let (Some(username), Some(email)) = (
-                str_field(&request.body, "username"),
-                str_field(&request.body, "email"),
-            ) else {
-                return Response::error(400, "username and email are required");
-            };
-            match service.register_user(&username, &email) {
-                Ok(()) => Response::created(Json::object([("username", Json::str(username))])),
-                Err(e) => Response::from_err(&e),
-            }
-        }
-        (Method::Post, ["api", "datasets"]) => {
-            let (Some(user), Some(name), Some(content)) = (
-                str_field(&request.body, "user"),
-                str_field(&request.body, "name"),
-                str_field(&request.body, "content"),
-            ) else {
-                return Response::error(400, "user, name, and content are required");
-            };
-            let header = match str_field(&request.body, "header").as_deref() {
-                Some("present") => HeaderMode::Present,
-                Some("absent") => HeaderMode::Absent,
-                _ => HeaderMode::Auto,
-            };
-            let options = IngestOptions {
-                header,
-                ..Default::default()
-            };
-            match service.upload(&user, &name, &content, &options) {
-                Ok((dataset, report)) => Response::created(Json::object([
-                    ("dataset", Json::str(dataset.flat())),
-                    ("rows", Json::num(report.rows as f64)),
-                    ("columns", Json::num(report.columns as f64)),
-                    ("headerUsed", Json::Bool(report.header_used)),
-                    (
-                        "defaultNamesAssigned",
-                        Json::num(report.default_names_assigned as f64),
-                    ),
-                    ("paddedRows", Json::num(report.padded_rows as f64)),
-                ])),
-                Err(e) => Response::from_err(&e),
-            }
-        }
-        (Method::Delete, ["api", "datasets", owner, name]) => {
-            let Some(user) = str_field(&request.body, "user") else {
-                return Response::error(400, "user is required");
-            };
-            let dn = DatasetName::new(*owner, *name);
-            match service.delete_dataset(&user, &dn) {
-                Ok(()) => Response::ok(Json::object([("deleted", Json::Bool(true))])),
-                Err(e) => Response::from_err(&e),
-            }
-        }
-        (Method::Post, ["api", "views"]) => {
-            let (Some(user), Some(name), Some(sql)) = (
-                str_field(&request.body, "user"),
-                str_field(&request.body, "name"),
-                str_field(&request.body, "sql"),
-            ) else {
-                return Response::error(400, "user, name, and sql are required");
-            };
-            let metadata = Metadata {
-                description: str_field(&request.body, "description").unwrap_or_default(),
-                tags: request
-                    .body
-                    .get("tags")
-                    .and_then(Json::as_array)
-                    .map(|a| {
-                        a.iter()
-                            .filter_map(Json::as_str)
-                            .map(str::to_string)
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-            };
-            match service.save_dataset(&user, &name, &sql, metadata) {
-                Ok(dn) => Response::created(Json::object([("dataset", Json::str(dn.flat()))])),
-                Err(e) => Response::from_err(&e),
-            }
-        }
-        (Method::Post, ["api", "datasets", owner, name, "append"]) => {
-            let (Some(user), Some(src_owner), Some(src_name)) = (
-                str_field(&request.body, "user"),
-                str_field(&request.body, "sourceOwner"),
-                str_field(&request.body, "sourceName"),
-            ) else {
-                return Response::error(400, "user, sourceOwner, and sourceName are required");
-            };
-            let existing = DatasetName::new(*owner, *name);
-            let new = DatasetName::new(src_owner, src_name);
-            match service.append(&user, &existing, &new, AppendMode::UnionAll) {
-                Ok(()) => Response::ok(Json::object([("appended", Json::Bool(true))])),
-                Err(e) => Response::from_err(&e),
-            }
-        }
-        (Method::Post, ["api", "datasets", owner, name, "permissions"]) => {
-            let Some(user) = str_field(&request.body, "user") else {
-                return Response::error(400, "user is required");
-            };
-            let visibility = match request.body.get("visibility") {
-                Some(Json::String(s)) if s == "public" => Visibility::Public,
-                Some(Json::String(s)) if s == "private" => Visibility::Private,
-                Some(Json::Array(users)) => Visibility::Shared(
-                    users
-                        .iter()
-                        .filter_map(Json::as_str)
-                        .map(str::to_string)
-                        .collect(),
-                ),
-                _ => {
-                    return Response::error(
-                        400,
-                        "visibility must be \"public\", \"private\", or a user list",
-                    )
-                }
-            };
-            let dn = DatasetName::new(*owner, *name);
-            match service.set_visibility(&user, &dn, visibility) {
-                Ok(()) => Response::ok(Json::object([("updated", Json::Bool(true))])),
-                Err(e) => Response::from_err(&e),
-            }
-        }
-        _ => dispatch_read(service, request),
+    let Some(route) = route else {
+        return Err(Response::error(
+            404,
+            format!("no route for {:?} {}", request.method, path),
+        ));
+    };
+    // A standby refuses what it does not answer *before* validating it:
+    // a lagging replica would otherwise answer with misleading
+    // validation errors about state it simply has not replicated yet.
+    // The typed error frames as 503 + Retry-After, so obedient clients
+    // back off and retry against the promoted primary.
+    if service.role() == crate::repl::Role::Standby && !matches!(route, Route::Read(_)) {
+        return Err(Response::from_err(&Error::ReadOnly(
+            "node is a replication standby; send writes and queries to the primary".into(),
+        )));
     }
+    Ok((route, query_user))
+}
+
+/// Dispatch a request against the service, mutations included.
+pub fn dispatch(service: &mut SqlShare, request: &Request) -> Response {
+    match admit(service, request) {
+        Err(refusal) => Err(refusal),
+        Ok((Route::Write(route), _)) => write(service, route, &request.body),
+        Ok((Route::Query(route), query_user)) => query(service, route, query_user, &request.body),
+        Ok((Route::Read(route), query_user)) => read(service, route, query_user, &request.body),
+    }
+    .unwrap_or_else(|refusal| refusal)
 }
 
 /// Dispatch a request that needs only shared (`&`) access: every read
@@ -331,29 +306,191 @@ pub fn dispatch(service: &mut SqlShare, request: &Request) -> Response {
 /// (the caller should have consulted [`is_mutation`]) is answered with
 /// a 500 rather than silently misrouted.
 pub fn dispatch_read(service: &SqlShare, request: &Request) -> Response {
-    let (path, query_user) = split_query(&request.path);
-    let segments: Vec<&str> = path.trim_matches('/').split('/').collect();
-    // While crash recovery is replaying the WAL the catalog is
-    // incomplete; only the readiness probe answers.
-    if service.is_recovering() && segments.as_slice() != ["api", "ready"] {
-        return Response::error(503, "service is recovering; try again shortly");
-    }
-    if is_mutation(request.method, &request.path) {
-        return Response::error(
+    match admit(service, request) {
+        Err(refusal) => Err(refusal),
+        Ok((Route::Write(_), _)) => Err(Response::error(
             500,
             "mutation route dispatched without write access (server bug)",
-        );
+        )),
+        Ok((Route::Query(route), query_user)) => query(service, route, query_user, &request.body),
+        Ok((Route::Read(route), query_user)) => read(service, route, query_user, &request.body),
     }
-    match (request.method, segments.as_slice()) {
-        (Method::Get, ["api", "ready"]) => {
+    .unwrap_or_else(|refusal| refusal)
+}
+
+/// A handler's answer. `Err` is a refusal met on the way: the 400 for a
+/// request missing a field, or the service's typed error.
+type Reply = std::result::Result<Response, Response>;
+
+fn refused(err: Error) -> Response {
+    Response::from_err(&err)
+}
+
+/// The named string fields of a JSON body, or the 400 that names them.
+fn required<'a, const N: usize>(
+    body: &'a Json,
+    names: [&str; N],
+) -> Result<[&'a str; N], Response> {
+    let mut found = [""; N];
+    for (slot, name) in found.iter_mut().zip(names) {
+        *slot = body.get(name).and_then(Json::as_str).ok_or_else(|| {
+            let missing = match names.as_slice() {
+                [] | [_] => format!("{} is required", names.concat()),
+                [a, b] => format!("{a} and {b} are required"),
+                [init @ .., last] => format!("{}, and {last} are required", init.join(", ")),
+            };
+            Response::error(400, missing)
+        })?;
+    }
+    Ok(found)
+}
+
+fn query_id(id: &str) -> Result<u64, Response> {
+    id.parse()
+        .map_err(|_| Response::error(400, "query id must be an integer"))
+}
+
+fn strings(list: &[Json]) -> Vec<String> {
+    list.iter()
+        .filter_map(Json::as_str)
+        .map(str::to_string)
+        .collect()
+}
+
+fn write(service: &mut SqlShare, route: WriteRoute<'_>, body: &Json) -> Reply {
+    Ok(match route {
+        WriteRoute::RegisterUser => {
+            let [username, email] = required(body, ["username", "email"])?;
+            service.register_user(username, email).map_err(refused)?;
+            Response::created(Json::object([("username", Json::str(username))]))
+        }
+        WriteRoute::Upload => {
+            let [user, name, content] = required(body, ["user", "name", "content"])?;
+            let header = match body.get("header").and_then(Json::as_str) {
+                Some("present") => HeaderMode::Present,
+                Some("absent") => HeaderMode::Absent,
+                _ => HeaderMode::Auto,
+            };
+            let options = IngestOptions {
+                header,
+                ..Default::default()
+            };
+            let (dataset, report) = service
+                .upload(user, name, content, &options)
+                .map_err(refused)?;
+            Response::created(Json::object([
+                ("dataset", Json::str(dataset.flat())),
+                ("rows", Json::num(report.rows as f64)),
+                ("columns", Json::num(report.columns as f64)),
+                ("headerUsed", Json::Bool(report.header_used)),
+                (
+                    "defaultNamesAssigned",
+                    Json::num(report.default_names_assigned as f64),
+                ),
+                ("paddedRows", Json::num(report.padded_rows as f64)),
+            ]))
+        }
+        WriteRoute::Delete((owner, name)) => {
+            let [user] = required(body, ["user"])?;
+            service
+                .delete_dataset(user, &DatasetName::new(owner, name))
+                .map_err(refused)?;
+            Response::ok(Json::object([("deleted", Json::Bool(true))]))
+        }
+        WriteRoute::SaveView => {
+            let [user, name, sql] = required(body, ["user", "name", "sql"])?;
+            let metadata = Metadata {
+                description: body
+                    .get("description")
+                    .and_then(Json::as_str)
+                    .unwrap_or_default()
+                    .to_string(),
+                tags: body
+                    .get("tags")
+                    .and_then(Json::as_array)
+                    .map(strings)
+                    .unwrap_or_default(),
+            };
+            let dn = service
+                .save_dataset(user, name, sql, metadata)
+                .map_err(refused)?;
+            Response::created(Json::object([("dataset", Json::str(dn.flat()))]))
+        }
+        WriteRoute::Append((owner, name)) => {
+            let [user, src_owner, src_name] =
+                required(body, ["user", "sourceOwner", "sourceName"])?;
+            let existing = DatasetName::new(owner, name);
+            let new = DatasetName::new(src_owner, src_name);
+            service
+                .append(user, &existing, &new, AppendMode::UnionAll)
+                .map_err(refused)?;
+            Response::ok(Json::object([("appended", Json::Bool(true))]))
+        }
+        WriteRoute::Permissions((owner, name)) => {
+            let [user] = required(body, ["user"])?;
+            let visibility = match body.get("visibility") {
+                Some(Json::String(s)) if s == "public" => Visibility::Public,
+                Some(Json::String(s)) if s == "private" => Visibility::Private,
+                Some(Json::Array(users)) => Visibility::Shared(strings(users)),
+                _ => {
+                    return Err(Response::error(
+                        400,
+                        "visibility must be \"public\", \"private\", or a user list",
+                    ))
+                }
+            };
+            service
+                .set_visibility(user, &DatasetName::new(owner, name), visibility)
+                .map_err(refused)?;
+            Response::ok(Json::object([("updated", Json::Bool(true))]))
+        }
+    })
+}
+
+/// The `?user=` of a `GET` made on someone's behalf.
+fn viewer(query_user: Option<&str>) -> Result<&str, Response> {
+    query_user.ok_or_else(|| Response::error(400, "a ?user= query parameter is required"))
+}
+
+fn query(
+    service: &SqlShare,
+    route: QueryRoute<'_>,
+    query_user: Option<&str>,
+    body: &Json,
+) -> Reply {
+    Ok(match route {
+        QueryRoute::Submit => {
+            let [user, sql] = required(body, ["user", "sql"])?;
+            let id = service.submit_query(user, sql).map_err(refused)?;
+            Response::created(Json::object([("id", Json::num(id as f64))]))
+        }
+        QueryRoute::Download((owner, name)) => {
+            let csv = service
+                .download(viewer(query_user)?, &DatasetName::new(owner, name))
+                .map_err(refused)?;
+            Response::ok(Json::object([("csv", Json::str(csv))]))
+        }
+    })
+}
+
+fn read(service: &SqlShare, route: ReadRoute<'_>, query_user: Option<&str>, body: &Json) -> Reply {
+    let text_rows = |rows: &[sqlshare_engine::Row]| -> Json {
+        Json::Array(
+            rows.iter()
+                .map(|r| Json::Array(r.iter().map(|v| Json::str(v.to_text())).collect()))
+                .collect(),
+        )
+    };
+    Ok(match route {
+        ReadRoute::Ready => {
             if service.is_recovering() {
-                return Response {
+                return Err(Response {
                     status: 503,
                     body: Json::object([
                         ("ready", Json::Bool(false)),
                         ("role", Json::str("recovering")),
                     ]),
-                };
+                });
             }
             // Standbys are "ready" while lagged: they serve the
             // read-only route set the whole time; `lagLsns` is how far
@@ -388,8 +525,8 @@ pub fn dispatch_read(service: &SqlShare, request: &Request) -> Response {
             }
             Response::ok(Json::object(pairs))
         }
-        (Method::Get, ["api", "integrity"]) => Response::ok(service.integrity().report()),
-        (Method::Get, ["api", "datasets"]) => {
+        ReadRoute::Integrity => Response::ok(service.integrity().report()),
+        ReadRoute::ListDatasets => {
             let list: Vec<Json> = service
                 .datasets()
                 .map(|d| {
@@ -402,107 +539,62 @@ pub fn dispatch_read(service: &SqlShare, request: &Request) -> Response {
                 .collect();
             Response::ok(Json::Array(list))
         }
-        (Method::Get, ["api", "datasets", owner, name]) => {
-            let Some(user) = query_user else {
-                return Response::error(400, "a ?user= query parameter is required");
-            };
-            let dn = DatasetName::new(*owner, *name);
-            match service.preview(&user, &dn) {
-                Ok(preview) => {
-                    let ds = service.dataset(&dn).expect("preview implies dataset");
-                    let columns: Vec<Json> = preview
-                        .schema
-                        .columns
-                        .iter()
-                        .map(|c| {
-                            Json::object([
-                                ("name", Json::str(c.name.clone())),
-                                ("type", Json::str(c.ty.sql_name())),
-                            ])
-                        })
-                        .collect();
-                    let rows: Vec<Json> = preview
-                        .rows
-                        .iter()
-                        .map(|r| {
-                            Json::Array(r.iter().map(|v| Json::str(v.to_text())).collect())
-                        })
-                        .collect();
-                    Response::ok(Json::object([
-                        ("name", Json::str(dn.flat())),
-                        ("sql", Json::str(ds.sql.clone())),
-                        ("description", Json::str(ds.metadata.description.clone())),
-                        (
-                            "tags",
-                            Json::Array(
-                                ds.metadata.tags.iter().map(|t| Json::str(t.clone())).collect(),
-                            ),
-                        ),
-                        ("columns", Json::Array(columns)),
-                        ("preview", Json::Array(rows)),
-                        ("truncated", Json::Bool(preview.truncated)),
-                    ]))
-                }
-                Err(e) => Response::from_err(&e),
-            }
+        ReadRoute::Preview((owner, name)) => {
+            let dn = DatasetName::new(owner, name);
+            let preview = service.preview(viewer(query_user)?, &dn).map_err(refused)?;
+            let ds = service.dataset(&dn).expect("preview implies dataset");
+            let columns: Vec<Json> = preview
+                .schema
+                .columns
+                .iter()
+                .map(|c| {
+                    Json::object([
+                        ("name", Json::str(c.name.clone())),
+                        ("type", Json::str(c.ty.sql_name())),
+                    ])
+                })
+                .collect();
+            Response::ok(Json::object([
+                ("name", Json::str(dn.flat())),
+                ("sql", Json::str(ds.sql.clone())),
+                ("description", Json::str(ds.metadata.description.clone())),
+                (
+                    "tags",
+                    Json::Array(
+                        ds.metadata
+                            .tags
+                            .iter()
+                            .map(|t| Json::str(t.clone()))
+                            .collect(),
+                    ),
+                ),
+                ("columns", Json::Array(columns)),
+                ("preview", text_rows(&preview.rows)),
+                ("truncated", Json::Bool(preview.truncated)),
+            ]))
         }
-        (Method::Get, ["api", "datasets", owner, name, "download"]) => {
-            let Some(user) = query_user else {
-                return Response::error(400, "a ?user= query parameter is required");
-            };
-            let dn = DatasetName::new(*owner, *name);
-            match service.download(&user, &dn) {
-                Ok(csv) => Response::ok(Json::object([("csv", Json::str(csv))])),
-                Err(e) => Response::from_err(&e),
-            }
-        }
-        (Method::Post, ["api", "queries"]) => {
-            let (Some(user), Some(sql)) = (
-                str_field(&request.body, "user"),
-                str_field(&request.body, "sql"),
-            ) else {
-                return Response::error(400, "user and sql are required");
-            };
-            match service.submit_query(&user, &sql) {
-                Ok(id) => Response::created(Json::object([("id", Json::num(id as f64))])),
-                Err(e) => Response::from_err(&e),
-            }
-        }
-        (Method::Get, ["api", "queries", id]) => match id.parse::<u64>() {
-            Ok(id) => match service.query_status(id) {
-                Ok(status) => {
-                    let mut fields = vec![("status", Json::str(status.label()))];
-                    match &status {
-                        JobStatus::Failed(err) => {
-                            fields.push(("error", Json::str(err.message())));
-                            fields.push(("errorKind", Json::str(err.kind())));
-                        }
-                        JobStatus::TimedOut(msg) | JobStatus::Cancelled(msg) => {
-                            fields.push(("error", Json::str(msg.clone())));
-                        }
-                        _ => {}
-                    }
-                    Response::ok(Json::object(fields))
+        ReadRoute::QueryStatus(id) => {
+            let status = service.query_status(query_id(id)?).map_err(refused)?;
+            let mut fields = vec![("status", Json::str(status.label()))];
+            match &status {
+                JobStatus::Failed(err) => {
+                    fields.push(("error", Json::str(err.message())));
+                    fields.push(("errorKind", Json::str(err.kind())));
                 }
-                Err(e) => Response::from_err(&e),
-            },
-            Err(_) => Response::error(400, "query id must be an integer"),
-        },
-        (Method::Post, ["api", "queries", id, "cancel"]) => match id.parse::<u64>() {
-            Ok(id) => {
-                let Some(user) = str_field(&request.body, "user") else {
-                    return Response::error(400, "user is required");
-                };
-                match service.cancel_query(&user, id) {
-                    Ok(()) => {
-                        Response::ok(Json::object([("cancelled", Json::Bool(true))]))
-                    }
-                    Err(e) => Response::from_err(&e),
+                JobStatus::TimedOut(msg) | JobStatus::Cancelled(msg) => {
+                    fields.push(("error", Json::str(msg.clone())));
                 }
+                _ => {}
             }
-            Err(_) => Response::error(400, "query id must be an integer"),
-        },
-        (Method::Get, ["api", "scheduler"]) => {
+            Response::ok(Json::object(fields))
+        }
+        ReadRoute::CancelQuery(id) => {
+            let id = query_id(id)?;
+            let [user] = required(body, ["user"])?;
+            service.cancel_query(user, id).map_err(refused)?;
+            Response::ok(Json::object([("cancelled", Json::Bool(true))]))
+        }
+        ReadRoute::Scheduler => {
             let stats = service.scheduler_stats();
             let tenant_json = |t: &sqlshare_scheduler::TenantStats| {
                 Json::object([
@@ -516,10 +608,7 @@ pub fn dispatch_read(service: &SqlShare, request: &Request) -> Response {
                     ("cancelled", Json::num(t.cancelled as f64)),
                     ("rejected", Json::num(t.rejected as f64)),
                     ("queueDepth", Json::num(t.queue_depth as f64)),
-                    (
-                        "meanQueueWaitMicros",
-                        Json::num(t.mean_queue_wait_micros()),
-                    ),
+                    ("meanQueueWaitMicros", Json::num(t.mean_queue_wait_micros())),
                     ("meanExecMicros", Json::num(t.mean_exec_micros())),
                 ])
             };
@@ -534,7 +623,7 @@ pub fn dispatch_read(service: &SqlShare, request: &Request) -> Response {
                 ("tenants", Json::Object(tenants)),
             ]))
         }
-        (Method::Get, ["api", "cache"]) => {
+        ReadRoute::Cache => {
             let stats = service.cache_stats();
             let tenants: sqlshare_common::json::JsonObject = service
                 .tenant_cache_stats()
@@ -567,7 +656,7 @@ pub fn dispatch_read(service: &SqlShare, request: &Request) -> Response {
                 ("tenants", Json::Object(tenants)),
             ]))
         }
-        (Method::Get, ["api", "storage"]) => match service.storage() {
+        ReadRoute::Storage => match service.storage() {
             None => Response::ok(Json::object([("enabled", Json::Bool(false))])),
             Some(layer) => {
                 let pool = layer.pool_stats();
@@ -585,55 +674,30 @@ pub fn dispatch_read(service: &SqlShare, request: &Request) -> Response {
                 ]))
             }
         },
-        (Method::Get, ["api", "queries", id, "results"]) => match id.parse::<u64>() {
-            Ok(id) => match service.query_results(id) {
-                Ok(result) => {
-                    let columns: Vec<Json> = result
-                        .schema
-                        .columns
-                        .iter()
-                        .map(|c| Json::str(c.name.clone()))
-                        .collect();
-                    let rows: Vec<Json> = result
-                        .rows
-                        .iter()
-                        .map(|r| {
-                            Json::Array(r.iter().map(|v| Json::str(v.to_text())).collect())
-                        })
-                        .collect();
-                    Response::ok(Json::object([
-                        ("columns", Json::Array(columns)),
-                        ("rows", Json::Array(rows)),
-                        (
-                            "runtimeMicros",
-                            Json::num(result.runtime_micros as f64),
-                        ),
-                        ("cacheHit", Json::Bool(result.cache_hit)),
-                        ("plan", result.plan_json.clone()),
-                    ]))
-                }
-                Err(e) => Response::from_err(&e),
-            },
-            Err(_) => Response::error(400, "query id must be an integer"),
-        },
-        _ => Response::error(404, format!("no route for {:?} {}", request.method, path)),
-    }
+        ReadRoute::QueryResults(id) => {
+            let result = service.query_results(query_id(id)?).map_err(refused)?;
+            let columns: Vec<Json> = result
+                .schema
+                .columns
+                .iter()
+                .map(|c| Json::str(c.name.clone()))
+                .collect();
+            Response::ok(Json::object([
+                ("columns", Json::Array(columns)),
+                ("rows", text_rows(&result.rows)),
+                ("runtimeMicros", Json::num(result.runtime_micros as f64)),
+                ("cacheHit", Json::Bool(result.cache_hit)),
+                ("plan", result.plan_json.clone()),
+            ]))
+        }
+    })
 }
 
-fn split_query(path: &str) -> (&str, Option<String>) {
+fn split_query(path: &str) -> (&str, Option<&str>) {
     match path.split_once('?') {
         None => (path, None),
-        Some((p, qs)) => {
-            let user = qs.split('&').find_map(|pair| {
-                pair.strip_prefix("user=").map(|v| v.to_string())
-            });
-            (p, user)
-        }
+        Some((p, qs)) => (p, qs.split('&').find_map(|pair| pair.strip_prefix("user="))),
     }
-}
-
-fn str_field(body: &Json, field: &str) -> Option<String> {
-    body.get(field).and_then(Json::as_str).map(str::to_string)
 }
 
 /// Build a `JsonObject`-backed body from string pairs (test/client helper).
@@ -660,7 +724,7 @@ mod tests {
     fn split_query_extracts_user() {
         let (p, u) = split_query("/api/datasets/a/b?user=ada");
         assert_eq!(p, "/api/datasets/a/b");
-        assert_eq!(u.as_deref(), Some("ada"));
+        assert_eq!(u, Some("ada"));
         let (p, u) = split_query("/api/datasets");
         assert_eq!(p, "/api/datasets");
         assert!(u.is_none());

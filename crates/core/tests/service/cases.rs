@@ -465,3 +465,112 @@ fn a_reseeded_standby_keeps_its_engine_settings() {
     let out = standby.run_query("ada", "SELECT COUNT(*) FROM sensors").unwrap();
     assert_eq!(out.rows[0][0].to_text(), "3");
 }
+
+/// Two users, one private dataset each, and a table big enough for a
+/// memory budget to matter.
+fn service_for_the_log() -> SqlShare {
+    let mut s = service_with_ada();
+    s.register_user("bob", "bob@example.com").unwrap();
+    let mut nums = String::from("n,label\n");
+    for i in 0..3_000 {
+        nums.push_str(&format!("{i},row-number-{i}\n"));
+    }
+    s.upload("ada", "nums", &nums, &IngestOptions::default()).unwrap();
+    s
+}
+
+/// A budget the query exceeds as planned but fits under once degraded
+/// to a serial, cache-bypassed run — if this mode has one (a mode that
+/// already plans serially has nothing to degrade to).
+fn budget_only_the_degraded_run_fits(sql: &str) -> Option<usize> {
+    let probe = service_for_the_log();
+    let canonical = probe.canonicalize("ada", sql).unwrap();
+    (5..60).map(|step| step * (32 << 10)).find(|&bytes| {
+        let mut engine = probe.engine().clone();
+        engine.disable_cache();
+        engine.set_query_mem_limit(bytes);
+        matches!(engine.run(&canonical), Err(e) if e.kind() == "resource")
+            && engine
+                .run_degraded_with_cancel(&canonical, sqlshare_common::CancellationToken::new())
+                .is_ok()
+    })
+}
+
+/// `run_query` and `submit_query` are one pipeline: the same statements
+/// through each, on two fresh services so neither warms the other's
+/// caches, leave the same log — every field but the entry's id and
+/// timestamp, its queue wait and its measured runtime.
+#[test]
+fn sync_and_async_queries_leave_the_same_log() {
+    let join = "SELECT a.n, a.label, b.label FROM nums a JOIN nums b ON a.n = b.n";
+    let degradable = budget_only_the_degraded_run_fits(join);
+    if mode().name == "dop4_forced" {
+        assert!(degradable.is_some(), "a forced-parallel join must have a degradable budget");
+    }
+    let statements = |budget: Option<usize>| -> Vec<(&'static str, &'static str, Option<usize>)> {
+        let mut all = vec![
+            ("ada", "SELECT COUNT(*) FROM sensors WHERE depth > 5.0", None),
+            ("ada", "SELECT COUNT(*) FROM sensors WHERE depth > 5.0", None), // a cache hit
+            ("ada", "SELEC oops FROM", None),
+            ("bob", "SELECT * FROM ada.sensors", None),
+            ("ada", "SELECT nope FROM sensors", None),
+            // Memory-killed, and too big even for the degraded retry.
+            ("ada", join, Some(16 << 10)),
+        ];
+        if let Some(bytes) = budget {
+            // Memory-killed, and answered by the degraded retry.
+            all.push(("ada", join, Some(bytes)));
+        }
+        all
+    };
+
+    let mut sync = service_for_the_log();
+    let mut submitted = service_for_the_log();
+    for (user, sql, budget) in statements(degradable) {
+        for s in [&mut sync, &mut submitted] {
+            s.set_query_mem_limit(budget.unwrap_or(usize::MAX));
+        }
+        let ran = sync.run_query(user, sql).map(|r| r.rows);
+        let id = submitted.submit_query(user, sql).unwrap();
+        let status = submitted.wait_for_job(id, std::time::Duration::from_secs(60)).unwrap();
+        assert!(status.is_terminal(), "{sql}: {status:?}");
+        let polled = submitted.query_results(id).map(|r| r.rows);
+        assert_eq!(ran, polled, "{sql}");
+    }
+
+    let normalized = |s: &SqlShare| -> Vec<String> {
+        s.log()
+            .entries()
+            .iter()
+            .cloned()
+            .map(|mut e| {
+                e.id = 0;
+                e.at = sqlshare_core::SimInstant { day: 0, sequence: 0 };
+                e.queue_wait_micros = 0;
+                if let Outcome::Success { runtime_micros, .. } = &mut e.outcome {
+                    *runtime_micros = 0;
+                }
+                format!("{e:?}")
+            })
+            .collect()
+    };
+    let (sync_log, submitted_log) = (normalized(&sync), normalized(&submitted));
+    assert_eq!(sync_log.len(), statements(degradable).len());
+    for (a, b) in sync_log.iter().zip(&submitted_log) {
+        assert_eq!(a, b);
+    }
+    assert_eq!(sync_log.len(), submitted_log.len());
+
+    let log = sync.log();
+    let entries = log.entries();
+    assert!(entries[0].outcome.is_success() && !entries[0].cache_hit);
+    assert_eq!(entries[1].cache_hit, mode().name != "cache_off");
+    let kinds: Vec<_> = entries[2..6].iter().map(|e| e.outcome.clone()).collect();
+    let error = |kind: &str| Outcome::Error(kind.into());
+    assert_eq!(kinds, [error("parse"), error("permission"), error("binding"), error("resource")]);
+    assert!(entries[5].degraded_retry && !entries[4].degraded_retry);
+    if let Some(retried) = entries.get(6) {
+        assert!(retried.degraded_retry && retried.outcome.is_success(), "{retried:?}");
+        assert!(retried.plan_json.is_some() && retried.datasets == ["ada.nums"]);
+    }
+}

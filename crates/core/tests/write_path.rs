@@ -249,3 +249,163 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// The position of a durable service: what a rejected mutation must
+/// leave exactly as it found it.
+fn position(s: &SqlShare) -> (u64, u64, String) {
+    let clock = s.replication_snapshot().get("clock").expect("snapshot clock").to_string();
+    (s.last_lsn(), s.durable_digest(), clock)
+}
+
+fn durable(tag: &str, snapshot_every: u64) -> (std::path::PathBuf, DurableOptions) {
+    let dir = std::env::temp_dir().join(format!("sqlshare-journal-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = DurableOptions::new(&dir).fsync(FsyncPolicy::Off).snapshot_every(snapshot_every);
+    (dir, options)
+}
+
+/// The three rejections that took an LSN: a view that does not bind, a
+/// view named like another dataset's base table, and an upload whose
+/// base table is named like an existing view. Each is refused by the
+/// validate stage — nothing journaled, nothing for recovery to fail on.
+#[test]
+fn a_rejected_mutation_takes_no_lsn() {
+    let (dir, options) = durable("rejected", u64::MAX);
+    let mut s = SqlShare::open(options.clone()).unwrap();
+    s.register_user("ada", "a@uw.edu").unwrap();
+    s.upload("ada", "x", &csv(5, 0), &IngestOptions::default()).unwrap();
+    s.save_dataset("ada", "y$base", "SELECT id FROM x", Metadata::default()).unwrap();
+    let before = position(&s);
+    assert_eq!(before.0, 3);
+
+    let err = s.save_dataset("ada", "v", "SELECT * FROM nonexistent", Metadata::default()).unwrap_err();
+    assert_eq!(err.kind(), "binding", "{err}");
+    let err = s.save_dataset("ada", "x$base", "SELECT id FROM x", Metadata::default()).unwrap_err();
+    assert_eq!(err.kind(), "catalog", "{err}");
+    let err = s.upload("ada", "y", &csv(3, 1), &IngestOptions::default()).unwrap_err();
+    assert_eq!(err.kind(), "catalog", "{err}");
+    let err = s.materialize("ada", &DatasetName::new("ada", "x"), "y").unwrap_err();
+    assert_eq!(err.kind(), "catalog", "{err}");
+    assert_eq!(position(&s), before);
+
+    drop(s);
+    let reopened = SqlShare::open(options).unwrap();
+    let report = reopened.recovery_report().unwrap();
+    assert_eq!((report.replayed_records, report.failed_records, report.last_lsn), (3, 0, 3));
+    assert_eq!(reopened.durable_digest(), before.1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Dataset names chosen to collide: with each other by case, with the
+/// base table of another (`x$base` is where `x` keeps its rows), and —
+/// since each is tried as both users — with the other user's datasets.
+const NAMES: [&str; 8] = ["x", "X", "x$base", "y", "y$base", "Y$Base", "v", "v$base$base"];
+
+/// View definitions: bindable, unbindable, unparsable, reading the other
+/// user's (usually private) data, and shaped to collide on append.
+const VIEWS: [&str; 8] = [
+    "SELECT id, reading FROM x WHERE id > 1",
+    "SELECT * FROM y ORDER BY id",
+    "SELECT * FROM nonexistent",
+    "SELECT nope FROM x",
+    "SELEC oops FROM",
+    "SELECT * FROM ada.x",
+    "SELECT * FROM bob.y",
+    "SELECT site FROM x",
+];
+
+#[derive(Debug, Clone)]
+enum Write {
+    Upload(usize, usize),
+    Save(usize, usize),
+    Append(usize, usize),
+    Materialize(usize, usize),
+    Delete(usize),
+    Visibility(usize, u8),
+    Metadata(usize),
+    Doi(usize),
+}
+
+fn write() -> impl Strategy<Value = Write> {
+    let name = || 0usize..NAMES.len();
+    prop_oneof![
+        (name(), 1usize..12).prop_map(|(n, rows)| Write::Upload(n, rows)),
+        (name(), 0usize..VIEWS.len()).prop_map(|(n, v)| Write::Save(n, v)),
+        (name(), name()).prop_map(|(a, b)| Write::Append(a, b)),
+        (name(), name()).prop_map(|(a, b)| Write::Materialize(a, b)),
+        name().prop_map(Write::Delete),
+        (name(), 0u8..3).prop_map(|(n, v)| Write::Visibility(n, v)),
+        name().prop_map(Write::Metadata),
+        name().prop_map(Write::Doi),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A mutation is journaled iff it is acknowledged: `Err` leaves the
+    /// LSN, the durable state and the clock where they were, `Ok` takes
+    /// exactly one LSN, and a reopened service replays every record
+    /// without a failure into the same state.
+    #[test]
+    fn a_mutation_is_journaled_iff_it_is_acknowledged(
+        steps in proptest::collection::vec((write(), any::<bool>(), any::<bool>()), 1..48),
+        case in any::<u32>(),
+    ) {
+        // Half the walks cross snapshots; the other half keep every
+        // record in the WAL, so reopening replays (and would count a
+        // failure on) each of them.
+        let cadence = if case.is_multiple_of(2) { 5 } else { u64::MAX };
+        let (dir, options) = durable(&format!("iff-{case}"), cadence);
+        let mut s = SqlShare::open(options.clone()).unwrap();
+        s.register_user("ada", "a@uw.edu").unwrap();
+        s.register_user("bob", "b@uw.edu").unwrap();
+        let mut acknowledged = 2;
+        for (i, (step, as_bob, on_own)) in steps.iter().enumerate() {
+            let (user, other) = if *as_bob { ("bob", "ada") } else { ("ada", "bob") };
+            // Owner-checked operations aim at the other user's datasets
+            // half the time.
+            let target = |n: usize| DatasetName::new(if *on_own { user } else { other }, NAMES[n]);
+            let before = position(&s);
+            let minted = matches!(step, Write::Doi(n) if s.dataset(&target(*n))
+                .is_some_and(|d| d.metadata.tags.iter().any(|t| t.starts_with("doi:"))));
+            let outcome = match step {
+                Write::Upload(n, rows) => s
+                    .upload(user, NAMES[*n], &csv(*rows, i), &IngestOptions::default())
+                    .map(|_| ()),
+                Write::Save(n, v) => s.save_dataset(user, NAMES[*n], VIEWS[*v], Metadata::default()).map(|_| ()),
+                Write::Append(a, b) => s.append(user, &target(*a), &DatasetName::new(user, NAMES[*b]), AppendMode::UnionAll),
+                Write::Materialize(a, b) => s.materialize(user, &target(*a), NAMES[*b]).map(|_| ()),
+                Write::Delete(n) => s.delete_dataset(user, &target(*n)),
+                Write::Visibility(n, v) => s.set_visibility(user, &target(*n), match v {
+                    0 => Visibility::Private,
+                    1 => Visibility::Public,
+                    _ => Visibility::Shared(vec![other.to_string()]),
+                }),
+                Write::Metadata(n) => s.set_metadata(user, &target(*n), Metadata { description: format!("step {i}"), tags: vec![] }),
+                Write::Doi(n) => s.mint_doi(user, &target(*n)).map(|_| ()),
+            };
+            match outcome {
+                // Minting twice answers with the DOI already there.
+                Ok(()) if minted => prop_assert_eq!(position(&s), before, "{:?}", step),
+                Ok(()) => {
+                    acknowledged += 1;
+                    prop_assert_eq!(s.last_lsn(), before.0 + 1, "{:?} acknowledged", step);
+                }
+                Err(e) => prop_assert_eq!(position(&s), before, "{:?} rejected: {}", step, e),
+            }
+        }
+        let live = position(&s);
+        prop_assert_eq!(live.0, acknowledged);
+        drop(s);
+        let reopened = SqlShare::open(options).unwrap();
+        let report = reopened.recovery_report().unwrap();
+        prop_assert_eq!(report.failed_records, 0);
+        prop_assert_eq!(report.last_lsn, acknowledged);
+        if cadence == u64::MAX {
+            prop_assert_eq!(report.replayed_records, acknowledged);
+        }
+        prop_assert_eq!(position(&reopened), live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

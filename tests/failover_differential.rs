@@ -1047,6 +1047,56 @@ fn replicated_query_entries_dedup_by_id_not_local_count() {
 }
 
 // ---------------------------------------------------------------------
+// 3c. A standby runs no queries of its own. A query logs an entry and
+//     ticks the clock; on a standby that entry took the id of the
+//     primary's next one — which then came back "already applied" and
+//     was dropped from the research corpus — and the clock stopped
+//     following the primary's. The one entry both query paths share
+//     refuses with the typed read-only error instead.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_standby_refuses_queries_and_loses_no_replicated_log_entry() {
+    let p_dir = temp_dir("squery-p");
+    let mut primary = SqlShare::open(durable_options(&p_dir, u64::MAX)).expect("open primary");
+    let mut standby = SqlShare::new();
+    primary.register_user("ada", "ada@uw.edu").unwrap();
+    primary.upload("ada", "t", "a\n1\n2\n", &IngestOptions::default()).unwrap();
+    standby.install_replica_snapshot(&primary.replication_snapshot()).unwrap();
+    standby.demote(0);
+    let clock = |s: &SqlShare| s.replication_snapshot().get("clock").unwrap().to_string();
+    let clock_before = clock(&standby);
+
+    let t = DatasetName::new("ada", "t");
+    for err in [
+        standby.run_query("ada", "SELECT a FROM t").map(|_| ()).unwrap_err(),
+        standby.submit_query("ada", "SELECT a FROM t").map(|_| ()).unwrap_err(),
+        standby.download("ada", &t).map(|_| ()).unwrap_err(),
+    ] {
+        assert_eq!(err.kind(), "read-only", "{err}");
+    }
+    assert!(standby.log().is_empty(), "a refused query was logged");
+    assert_eq!(clock(&standby), clock_before, "a refused query ticked the clock");
+    // What reads state without writing any keeps serving.
+    assert_eq!(standby.preview("ada", &t).unwrap().rows.len(), 2);
+
+    // The primary's first entry still has its id free on the standby,
+    // and the standby's clock follows it.
+    primary.run_query("ada", "SELECT a FROM t").unwrap();
+    let line = std::fs::read_to_string(primary.querylog_path().unwrap()).unwrap();
+    let entry = json::parse(line.lines().next().unwrap()).unwrap();
+    assert!(standby.apply_replicated_query_entry(&entry).unwrap(), "the primary's entry was dropped");
+    assert_eq!(standby.log().entries()[0].id, 1);
+    assert_eq!(clock(&standby), clock(&primary));
+
+    // Promoted, it answers queries again, under the next id.
+    standby.promote();
+    standby.run_query("ada", "SELECT a FROM t").unwrap();
+    assert_eq!(standby.log().entries()[1].id, 2);
+    let _ = std::fs::remove_dir_all(&p_dir);
+}
+
+// ---------------------------------------------------------------------
 // 4. The full stack over HTTP: quorum acks, lease-lapse promotion,
 //    client failover, read-only rejection with Retry-After.
 // ---------------------------------------------------------------------
@@ -1092,6 +1142,22 @@ fn http_pair_fails_over_with_zero_acked_write_loss() {
     let doc = json::parse(&String::from_utf8_lossy(&ready.body)).unwrap();
     assert_eq!(doc.get("role").and_then(Json::as_str), Some("standby"));
     assert!(doc.get("lagLsns").is_some(), "readiness lacks lag");
+    // So is a query — it would write the log — and a client that
+    // follows the primary rotates off the standby for it exactly as it
+    // does for a refused write.
+    let query = ReplayOp::Post(
+        "/api/queries".into(),
+        r#"{"user":"ada","sql":"SELECT 1"}"#.into(),
+    );
+    let resp = direct.request(&query).unwrap();
+    assert_eq!(resp.status, 503, "standby accepted a query");
+    assert!(resp.retry_after.is_some(), "503 without Retry-After");
+    let doc = json::parse(&String::from_utf8_lossy(&resp.body)).unwrap();
+    assert_eq!(doc.get("kind").and_then(Json::as_str), Some("read-only"));
+    let mut follower = FailoverClient::new(vec![standby.addr(), primary.addr()]);
+    let resp = follower.request(&query).unwrap();
+    assert_eq!(resp.status, 201, "query through the failover client");
+    assert_eq!((follower.failovers, follower.active_addr()), (1, primary.addr()));
 
     // Quorum-acked uploads through the failover client; kill the
     // primary halfway.

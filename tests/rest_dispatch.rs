@@ -281,70 +281,126 @@ fn every_error_kind_maps_to_a_deliberate_status() {
     }
 }
 
-/// The lock-split audit promised by `rest::is_mutation`'s docs: the
-/// routing predicate and what `dispatch_read` actually handles must
-/// agree, in both directions, over the whole route surface.
-#[test]
-fn is_mutation_split_agrees_with_dispatch_read() {
-    use sqlshare_core::rest::{dispatch_read, is_mutation, Method};
+/// What a route does, which decides its lock and who answers it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Does {
+    /// Journals a mutation: the write lock, the primary only.
+    Write,
+    /// Runs a query (logs an entry, ticks the clock): the read lock,
+    /// the primary only.
+    Query,
+    Read,
+}
 
+/// One sample request per route of `rest.rs`'s table. The lock decision
+/// itself is the compiler's (a route is a `WriteRoute`, a `QueryRoute`
+/// or a `ReadRoute`, and each handler takes one of them); this table
+/// pins what the surface looks like from outside.
+fn route_samples() -> Vec<(Does, Request)> {
+    use sqlshare_core::rest::Method;
+    let with = |method: Method, path: &str, pairs: &[(&str, &str)]| Request {
+        method,
+        path: path.to_string(),
+        body: body(pairs),
+    };
+    vec![
+        (Does::Write, post("/api/users", &[("username", "cy"), ("email", "c@uw.edu")])),
+        (Does::Write, post("/api/datasets", &[("user", "ada"), ("name", "more"), ("content", "a\n1\n")])),
+        (Does::Write, post("/api/views", &[("user", "ada"), ("name", "v"), ("sql", "SELECT a FROM tides")])),
+        (
+            Does::Write,
+            post(
+                "/api/datasets/ada/tides/append",
+                &[("user", "ada"), ("sourceOwner", "ada"), ("sourceName", "tides")],
+            ),
+        ),
+        (Does::Write, post("/api/datasets/ada/tides/permissions", &[("user", "ada")])),
+        (Does::Write, with(Method::Delete, "/api/datasets/ada/tides", &[("user", "bob")])),
+        (Does::Query, post("/api/queries", &[("user", "ada"), ("sql", "SELECT COUNT(*) FROM tides")])),
+        (Does::Query, Request::get("/api/datasets/ada/tides/download?user=ada")),
+        (Does::Read, Request::get("/api/ready")),
+        (Does::Read, Request::get("/api/integrity")),
+        (Does::Read, Request::get("/api/scheduler")),
+        (Does::Read, Request::get("/api/cache")),
+        (Does::Read, Request::get("/api/storage")),
+        (Does::Read, Request::get("/api/datasets")),
+        (Does::Read, Request::get("/api/datasets/ada/tides?user=ada")),
+        (Does::Read, Request::get("/api/queries/1")),
+        (Does::Read, Request::get("/api/queries/1/results")),
+        (Does::Read, post("/api/queries/1/cancel", &[("user", "ada")])),
+    ]
+}
+
+fn service_with_tides() -> SqlShare {
     let mut s = SqlShare::new();
     dispatch(&mut s, &post("/api/users", &[("username", "ada"), ("email", "a@uw.edu")]));
     let r = dispatch(
         &mut s,
-        &post(
-            "/api/datasets",
-            &[("user", "ada"), ("name", "tides"), ("content", "a,b\n1,2\n")],
-        ),
+        &post("/api/datasets", &[("user", "ada"), ("name", "tides"), ("content", "a,b\n1,2\n")]),
     );
     assert_eq!(r.status, 201);
+    s
+}
 
-    // Every route the demo servers can reach, one probe each.
-    let probes: Vec<(Method, String)> = vec![
-        (Method::Get, "/api/ready".into()),
-        (Method::Get, "/api/datasets".into()),
-        (Method::Get, "/api/datasets/ada/tides?user=ada".into()),
-        (Method::Get, "/api/datasets/ada/tides/download?user=ada".into()),
-        (Method::Get, "/api/cache".into()),
-        (Method::Get, "/api/scheduler".into()),
-        (Method::Post, "/api/queries".into()),
-        (Method::Post, "/api/users".into()),
-        (Method::Post, "/api/datasets".into()),
-        (Method::Post, "/api/views".into()),
-        (Method::Post, "/api/datasets/ada/tides/append".into()),
-        (Method::Post, "/api/datasets/ada/tides/permissions".into()),
-        (Method::Delete, "/api/datasets/ada/tides".into()),
-    ];
-    for (method, path) in &probes {
-        let request = match method {
-            Method::Get => Request::get(path.clone()),
-            _ => Request {
-                method: *method,
-                path: path.clone(),
-                body: Json::Null,
-            },
-        };
-        let read_status = dispatch_read(&s, &request).status;
-        if is_mutation(*method, path) {
-            // Misrouting a mutation to the read path must be a loud
-            // 500, never a silent no-op or a confusing client error.
-            assert_eq!(
-                read_status, 500,
-                "{method:?} {path}: is_mutation says write, dispatch_read must refuse"
-            );
-        } else {
-            assert_ne!(
-                read_status, 500,
-                "{method:?} {path}: is_mutation says read, dispatch_read must handle it"
-            );
-        }
+/// `is_mutation` and the two dispatchers agree over the whole surface,
+/// and each of the two gates a request meets first — a recovering node
+/// answers only the readiness probe, a standby answers only what writes
+/// nothing — holds on every route, before the request is even validated.
+#[test]
+fn every_route_takes_its_lock_and_passes_the_two_gates() {
+    use sqlshare_core::rest::{dispatch_read, is_mutation};
+
+    let samples = route_samples();
+    assert_eq!(samples.len(), 18, "one sample per row of the route table");
+    let s = service_with_tides();
+    for (does, request) in &samples {
+        let label = format!("{:?} {}", request.method, request.path);
+        assert_eq!(is_mutation(request.method, &request.path), *does == Does::Write, "{label}");
+        // Misrouting a mutation to the read path must be a loud 500,
+        // never a silent no-op or a confusing client error.
+        let read_status = dispatch_read(&s, request).status;
+        assert_eq!(read_status == 500, *does == Does::Write, "{label}: {read_status}");
     }
-
     // The predicate ignores query strings: routing must not change
     // because a client tacked on parameters.
-    assert!(is_mutation(Method::Post, "/api/views?foo=1"));
-    assert!(!is_mutation(Method::Post, "/api/queries?foo=1"));
-    // Submission and cancellation are deliberately on the read path.
-    assert!(!is_mutation(Method::Post, "/api/queries"));
-    assert!(!is_mutation(Method::Post, "/api/queries/7/cancel"));
+    assert!(is_mutation(sqlshare_core::rest::Method::Post, "/api/views?foo=1"));
+    assert!(!is_mutation(sqlshare_core::rest::Method::Post, "/api/queries?foo=1"));
+
+    // A standby: 503 `read-only` on everything that writes — bodies
+    // valid or not — and a normal answer on everything else.
+    let mut standby = service_with_tides();
+    standby.demote(0);
+    let lsn = standby.last_lsn();
+    for (does, request) in &samples {
+        let label = format!("standby {:?} {}", request.method, request.path);
+        let empty = Request { body: Json::Null, ..request.clone() };
+        for request in [request, &empty] {
+            let r = dispatch(&mut standby, request);
+            if *does == Does::Read {
+                assert_ne!(r.status, 503, "{label}");
+            } else {
+                assert_eq!(r.status, 503, "{label}");
+                assert_eq!(r.body.get("kind").and_then(Json::as_str), Some("read-only"), "{label}");
+            }
+        }
+        if *does != Does::Write {
+            let shared = dispatch_read(&standby, request).status;
+            assert_eq!(shared == 503, *does == Does::Query, "{label} under the read lock");
+        }
+    }
+    assert_eq!(standby.last_lsn(), lsn);
+    assert!(standby.log().is_empty(), "a standby's own query reached its log");
+
+    // A recovering node: 503 on every route but the probe, under either
+    // lock (the probe itself reports not-ready with a 503 of its own).
+    let mut recovering = service_with_tides();
+    recovering.set_recovering(true);
+    for (_, request) in &samples {
+        let label = format!("recovering {:?} {}", request.method, request.path);
+        let exclusive = dispatch(&mut recovering, request);
+        assert_eq!(exclusive.status, 503, "{label}");
+        assert_eq!(dispatch_read(&recovering, request).status, 503, "{label}");
+        let is_probe = request.path == "/api/ready";
+        assert_eq!(exclusive.body.get("ready").is_some(), is_probe, "{label}");
+    }
 }
