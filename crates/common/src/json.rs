@@ -13,7 +13,6 @@
 //! are deterministic and stable for fingerprinting.
 
 use crate::error::{Error, Result};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -73,11 +72,6 @@ impl JsonObject {
     /// Iterate entries in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Json)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Convert to a sorted map (useful in tests).
-    pub fn to_btree(&self) -> BTreeMap<String, Json> {
-        self.entries.iter().cloned().collect()
     }
 }
 

@@ -37,9 +37,11 @@ use sqlshare_common::{Error, Result};
 use sqlshare_engine::{Engine, Table};
 use sqlshare_ingest::staging::Staging;
 use sqlshare_ingest::{IngestOptions, IngestReport};
-use sqlshare_sql::ast::{ObjectName, Query, TableRef};
+use sqlshare_sql::ast::{ObjectName, Query};
 use sqlshare_sql::parser::parse_query;
-use sqlshare_sql::rewrite::{append_union, strip_order_by_for_view, wrapper_view, AppendMode};
+use sqlshare_sql::rewrite::{
+    append_union, rename_tables, strip_order_by_for_view, wrapper_view, AppendMode,
+};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -1141,7 +1143,7 @@ impl SqlShare {
     /// name when that dataset exists, so `FROM tides` works for the owner.
     fn qualify(&self, query: &Query, user: &str) -> Query {
         let mut q = query.clone();
-        qualify_query(&mut q, &|name: &ObjectName| {
+        rename_tables(&mut q, &|name: &ObjectName| {
             if name.0.len() == 1 {
                 let candidate = format!("{}.{}", user.to_lowercase(), name.0[0].to_lowercase());
                 if self.datasets.contains_key(&candidate) {
@@ -1176,121 +1178,6 @@ fn csv_escape(s: &str) -> String {
     }
 }
 
-/// Rewrite table names in a query via `f` (returning `Some` replaces).
-fn qualify_query(query: &mut Query, f: &dyn Fn(&ObjectName) -> Option<ObjectName>) {
-    fn walk_set(e: &mut sqlshare_sql::ast::SetExpr, f: &dyn Fn(&ObjectName) -> Option<ObjectName>) {
-        match e {
-            sqlshare_sql::ast::SetExpr::Select(s) => {
-                for t in &mut s.from {
-                    walk_table(t, f);
-                }
-                // Subqueries in expressions:
-                rewrite_exprs_in_select(s, f);
-            }
-            sqlshare_sql::ast::SetExpr::SetOp { left, right, .. } => {
-                walk_set(left, f);
-                walk_set(right, f);
-            }
-        }
-    }
-    fn walk_table(t: &mut TableRef, f: &dyn Fn(&ObjectName) -> Option<ObjectName>) {
-        match t {
-            TableRef::Named { name, alias } => {
-                if let Some(new_name) = f(name) {
-                    // Keep the original short name visible as an alias so
-                    // column qualifiers keep resolving.
-                    if alias.is_none() {
-                        *alias = Some(name.base().to_string());
-                    }
-                    *name = new_name;
-                }
-            }
-            TableRef::Derived { subquery, .. } => qualify_query(subquery, f),
-            TableRef::Join { left, right, .. } => {
-                walk_table(left, f);
-                walk_table(right, f);
-            }
-        }
-    }
-    fn rewrite_exprs_in_select(
-        s: &mut sqlshare_sql::ast::Select,
-        f: &dyn Fn(&ObjectName) -> Option<ObjectName>,
-    ) {
-        use sqlshare_sql::ast::{Expr, SelectItem};
-        fn walk_expr(e: &mut Expr, f: &dyn Fn(&ObjectName) -> Option<ObjectName>) {
-            match e {
-                Expr::ScalarSubquery(q) => qualify_query(q, f),
-                Expr::InSubquery { subquery, expr, .. } => {
-                    qualify_query(subquery, f);
-                    walk_expr(expr, f);
-                }
-                Expr::Exists { subquery, .. } => qualify_query(subquery, f),
-                Expr::Unary { expr, .. } => walk_expr(expr, f),
-                Expr::Binary { left, right, .. } => {
-                    walk_expr(left, f);
-                    walk_expr(right, f);
-                }
-                Expr::Function(call) => {
-                    for a in &mut call.args {
-                        walk_expr(a, f);
-                    }
-                }
-                Expr::Case {
-                    operand,
-                    branches,
-                    else_result,
-                } => {
-                    if let Some(o) = operand {
-                        walk_expr(o, f);
-                    }
-                    for (c, v) in branches {
-                        walk_expr(c, f);
-                        walk_expr(v, f);
-                    }
-                    if let Some(el) = else_result {
-                        walk_expr(el, f);
-                    }
-                }
-                Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => walk_expr(expr, f),
-                Expr::InList { expr, list, .. } => {
-                    walk_expr(expr, f);
-                    for e in list {
-                        walk_expr(e, f);
-                    }
-                }
-                Expr::Between {
-                    expr, low, high, ..
-                } => {
-                    walk_expr(expr, f);
-                    walk_expr(low, f);
-                    walk_expr(high, f);
-                }
-                Expr::Like { expr, pattern, .. } => {
-                    walk_expr(expr, f);
-                    walk_expr(pattern, f);
-                }
-                _ => {}
-            }
-        }
-        for item in &mut s.projection {
-            if let SelectItem::Expr { expr, .. } = item {
-                walk_expr(expr, f);
-            }
-        }
-        if let Some(w) = &mut s.selection {
-            walk_expr(w, f);
-        }
-        for g in &mut s.group_by {
-            walk_expr(g, f);
-        }
-        if let Some(h) = &mut s.having {
-            walk_expr(h, f);
-        }
-    }
-    walk_set(&mut query.body, f);
-    let _ = &query.order_by; // ORDER BY cannot reference tables.
-}
-
 /// Adapter exposing the service's dataset graph to the permission walker.
 struct GraphView<'a> {
     service: &'a SqlShare,
@@ -1315,11 +1202,6 @@ impl DatasetGraph for GraphView<'_> {
         let Ok(parsed) = parse_query(&ds.sql) else {
             return vec![];
         };
-        parsed
-            .referenced_tables()
-            .iter()
-            .map(|n| n.flat().to_lowercase())
-            .filter(|k| self.service.datasets.contains_key(k))
-            .collect()
+        self.service.referenced_dataset_keys(&parsed)
     }
 }

@@ -202,6 +202,10 @@ impl<'a> Binder<'a> {
         // Rewritten projection items (post aggregate/window extraction).
         let mut projection: Vec<SelectItem> = select.projection.clone();
         let mut having = select.having.clone();
+        // Group exprs -> their positions in the aggregate's output, and
+        // aggregate calls -> positions after the group keys: what every
+        // expression above the aggregate is rewritten with.
+        let mut rules: Vec<(Expr, usize)> = Vec::new();
 
         if has_aggregate {
             if projection
@@ -215,7 +219,7 @@ impl<'a> Binder<'a> {
             // Bind group keys over the FROM schema.
             let mut group_bound = Vec::new();
             let mut group_cols = Vec::new();
-            for (i, g) in select.group_by.iter().enumerate() {
+            for g in &select.group_by {
                 let bound = self.bind_expr(g, &from_schema)?;
                 let ty = bound.result_type(&types_of(&from_schema));
                 let col = match g {
@@ -233,7 +237,6 @@ impl<'a> Binder<'a> {
                     // rendered text (`GROUP BY year(d)` -> `YEAR(d)`).
                     _ => Column::new(g.to_string(), ty),
                 };
-                let _ = i;
                 group_bound.push(bound);
                 group_cols.push(col);
             }
@@ -290,26 +293,20 @@ impl<'a> Binder<'a> {
                 schema: agg_schema.clone(),
             };
 
-            // Rewrite projection + HAVING: group exprs -> positions,
-            // aggregate calls -> positions after the group keys.
             let group_len = select.group_by.len();
-            let rewrite = |e: &Expr| -> Expr {
-                let mut rules: Vec<(Expr, usize)> = Vec::new();
-                for (i, g) in select.group_by.iter().enumerate() {
-                    rules.push((g.clone(), i));
-                }
-                for (i, c) in unique_aggs.iter().enumerate() {
-                    rules.push((Expr::Function(c.clone()), group_len + i));
-                }
-                replace_subtrees(e, &rules)
-            };
+            for (i, g) in select.group_by.iter().enumerate() {
+                rules.push((g.clone(), i));
+            }
+            for (i, c) in unique_aggs.iter().enumerate() {
+                rules.push((Expr::Function(c.clone()), group_len + i));
+            }
             for item in &mut projection {
                 if let SelectItem::Expr { expr, .. } = item {
-                    *expr = rewrite(expr);
+                    replace_subtrees(expr, &rules);
                 }
             }
             if let Some(h) = &mut having {
-                *h = rewrite(h);
+                replace_subtrees(h, &rules);
             }
 
             // HAVING binds over the aggregate output.
@@ -414,7 +411,7 @@ impl<'a> Binder<'a> {
                 .collect();
             for item in &mut projection {
                 if let SelectItem::Expr { expr, .. } = item {
-                    *expr = replace_subtrees(expr, &rules);
+                    replace_subtrees(expr, &rules);
                 }
             }
         }
@@ -496,10 +493,14 @@ impl<'a> Binder<'a> {
                                 }
                             }
                             // Falls back to the projection input.
-                            Err(_) => SortKey {
-                                expr: self.bind_expr(&item.expr, &bind_schema)?,
-                                desc: item.desc,
-                            },
+                            Err(_) => {
+                                let mut expr = item.expr.clone();
+                                replace_subtrees(&mut expr, &rules);
+                                SortKey {
+                                    expr: self.bind_expr(&expr, &bind_schema)?,
+                                    desc: item.desc,
+                                }
+                            }
                         };
                         keys.push(key);
                     }
@@ -928,11 +929,10 @@ fn collect_agg_calls(expr: &Expr, out: &mut Vec<ast::FunctionCall>) -> Result<()
             return Ok(());
         }
     }
-    // Recurse into children; window specs and subqueries are their own
-    // scopes and are skipped.
-    let result = Ok(());
+    // Recurse into children (a window call's arguments and keys among
+    // them); subqueries are their own scopes and are not entered.
     expr.walk(&mut |e| {
-        if result.is_err() || std::ptr::eq(e, expr) {
+        if std::ptr::eq(e, expr) {
             return;
         }
         if let Expr::Function(call) = e {
@@ -944,7 +944,7 @@ fn collect_agg_calls(expr: &Expr, out: &mut Vec<ast::FunctionCall>) -> Result<()
             }
         }
     });
-    result
+    Ok(())
 }
 
 /// Collect windowed calls.
@@ -959,94 +959,20 @@ fn collect_window_calls(expr: &Expr, out: &mut Vec<ast::FunctionCall>) {
 }
 
 /// Replace every subtree structurally equal to a rule's pattern with a
-/// position-marker column.
-fn replace_subtrees(expr: &Expr, rules: &[(Expr, usize)]) -> Expr {
-    for (pattern, pos) in rules {
-        if expr == pattern {
-            return Expr::Column(ColumnRef {
-                qualifier: Some(POS_MARKER.to_string()),
-                name: pos.to_string(),
-            });
+/// position-marker column — in every operand position, a window call's
+/// `PARTITION BY` / `ORDER BY` keys included. Subqueries are their own
+/// scope and are left alone.
+fn replace_subtrees(expr: &mut Expr, rules: &[(Expr, usize)]) {
+    if let Some((_, pos)) = rules.iter().find(|(pattern, _)| pattern == expr) {
+        *expr = Expr::Column(ColumnRef {
+            qualifier: Some(POS_MARKER.to_string()),
+            name: pos.to_string(),
+        });
+        return;
+    }
+    expr.parts_mut(&mut |part| {
+        if let ast::PartMut::Expr(e) = part {
+            replace_subtrees(e, rules);
         }
-    }
-    match expr {
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(replace_subtrees(expr, rules)),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(replace_subtrees(left, rules)),
-            op: *op,
-            right: Box::new(replace_subtrees(right, rules)),
-        },
-        Expr::Function(call) => Expr::Function(ast::FunctionCall {
-            name: call.name.clone(),
-            args: call
-                .args
-                .iter()
-                .map(|a| replace_subtrees(a, rules))
-                .collect(),
-            distinct: call.distinct,
-            over: call.over.clone(),
-        }),
-        Expr::Case {
-            operand,
-            branches,
-            else_result,
-        } => Expr::Case {
-            operand: operand
-                .as_ref()
-                .map(|o| Box::new(replace_subtrees(o, rules))),
-            branches: branches
-                .iter()
-                .map(|(c, v)| (replace_subtrees(c, rules), replace_subtrees(v, rules)))
-                .collect(),
-            else_result: else_result
-                .as_ref()
-                .map(|e| Box::new(replace_subtrees(e, rules))),
-        },
-        Expr::Cast {
-            expr,
-            ty,
-            try_cast,
-        } => Expr::Cast {
-            expr: Box::new(replace_subtrees(expr, rules)),
-            ty: *ty,
-            try_cast: *try_cast,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(replace_subtrees(expr, rules)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(replace_subtrees(expr, rules)),
-            list: list.iter().map(|e| replace_subtrees(e, rules)).collect(),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(replace_subtrees(expr, rules)),
-            low: Box::new(replace_subtrees(low, rules)),
-            high: Box::new(replace_subtrees(high, rules)),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(replace_subtrees(expr, rules)),
-            pattern: Box::new(replace_subtrees(pattern, rules)),
-            negated: *negated,
-        },
-        other => other.clone(),
-    }
+    });
 }

@@ -13,7 +13,7 @@ use crate::exec::ExecGuard;
 use crate::logical::LogicalPlan;
 use crate::memory::{self, MemoryBudget, MemoryPool};
 use crate::paged::StorageLayer;
-use crate::physical::{plan_physical_with, PhysicalPlan};
+use crate::physical::{plan_physical_with, PhysOp, PhysicalPlan};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Row;
@@ -410,17 +410,9 @@ impl Engine {
     /// Hot-view splices show up here exactly as they will execute
     /// (`Clustered Index Seek` with `cached: true`).
     pub fn explain(&self, sql: &str) -> Result<PhysicalPlan> {
-        let query = parse_query(sql)?;
-        let mut binder = Binder::with_cache(&self.catalog, &self.cache);
-        let logical = binder.bind_query(&query)?;
-        let logical = optimize(logical);
-        let plan =
-            contain(|| plan_physical_with(&logical, &self.catalog, &self.ctx, &self.guard(None)))?;
-        let mut plan = parallelize(plan, self.max_dop, self.parallel_threshold);
-        if self.vectorized {
-            crate::vexec::annotate_batch_mode(&mut plan);
-        }
-        Ok(plan)
+        let normalized = cache::normalize_sql(sql);
+        contain(|| self.prepare_cold(sql, normalized, &self.guard(None), true, None, self.max_dop))
+            .map(|prepared| prepared.plan)
     }
 
     /// The degree of parallelism the optimizer would run `sql` at — the
@@ -456,7 +448,8 @@ impl Engine {
     /// a cold bind against the live catalog (tests compare this against
     /// the cached path).
     pub fn prepare_uncached(&self, sql: &str) -> Result<PreparedQuery> {
-        contain(|| self.prepare_cold(sql, cache::normalize_sql(sql), &self.guard(None), false, None))
+        let normalized = cache::normalize_sql(sql);
+        contain(|| self.prepare_cold(sql, normalized, &self.guard(None), false, None, self.max_dop))
     }
 
     /// Execute a previously [`Engine::prepare`]d plan, polling `token`.
@@ -484,12 +477,10 @@ impl Engine {
         token: CancellationToken,
     ) -> Result<QueryOutput> {
         let started = Instant::now();
-        let mut serial = self.clone();
-        serial.set_max_dop(1);
-        let guard = serial.guard(Some(token));
-        let prepared =
-            contain(|| serial.prepare_cold(sql, cache::normalize_sql(sql), &guard, false, None))?;
-        serial.execute_uncached(prepared, &guard, started)
+        let guard = self.guard(Some(token));
+        let normalized = cache::normalize_sql(sql);
+        let prepared = contain(|| self.prepare_cold(sql, normalized, &guard, false, None, 1))?;
+        self.execute_uncached(prepared, &guard, started)
     }
 
     /// The first `limit` rows of `sql`, for previews: the query is
@@ -502,8 +493,9 @@ impl Engine {
     pub fn run_head(&self, sql: &str, limit: u64) -> Result<QueryOutput> {
         let started = Instant::now();
         let guard = self.guard(None);
+        let normalized = cache::normalize_sql(sql);
         let prepared = contain(|| {
-            self.prepare_cold(sql, cache::normalize_sql(sql), &guard, true, Some(limit))
+            self.prepare_cold(sql, normalized, &guard, true, Some(limit), self.max_dop)
         })?;
         self.execute_uncached(prepared, &guard, started)
     }
@@ -562,14 +554,19 @@ impl Engine {
         // Planning executes uncorrelated subqueries, so it sits under the
         // same containment barrier as execution; a panicking plan is a
         // failed query, and nothing is stored in the plan cache.
-        let prepared = Arc::new(contain(|| self.prepare_cold(sql, normalized, guard, true, None))?);
+        let prepared = Arc::new(contain(|| {
+            self.prepare_cold(sql, normalized, guard, true, None, self.max_dop)
+        })?);
         self.cache.store_plan(key, Arc::clone(&prepared));
         Ok(prepared)
     }
 
-    /// The uncached planning pipeline. `splice` controls whether pinned
-    /// hot-view materializations replace view expansions; `head` plans
-    /// the query under a `TOP head`.
+    /// The planning pipeline, written once: `explain`, `prepare`,
+    /// `run_head`, the degraded retry and hot-view materialization all
+    /// plan through here (DESIGN §4.12 lists what each passes). `splice`
+    /// controls whether pinned hot-view materializations replace view
+    /// expansions; `head` plans the query under a `TOP head`; `max_dop`
+    /// caps the plan's parallelism (1 = serial).
     fn prepare_cold(
         &self,
         sql: &str,
@@ -577,6 +574,7 @@ impl Engine {
         guard: &ExecGuard,
         splice: bool,
         head: Option<u64>,
+        max_dop: usize,
     ) -> Result<PreparedQuery> {
         let statement = parse_statement(sql)?;
         let query = match statement {
@@ -612,13 +610,13 @@ impl Engine {
             };
         }
         let plan = plan_physical_with(&logical, &self.catalog, &self.ctx, guard)?;
-        let mut plan = parallelize(plan, self.max_dop, self.parallel_threshold);
+        let mut plan = parallelize(plan, max_dop, self.parallel_threshold);
         if self.vectorized {
             crate::vexec::annotate_batch_mode(&mut plan);
         }
         let fingerprint = cache::fingerprint(
             &normalized_sql,
-            self.max_dop,
+            max_dop,
             self.parallel_threshold.to_bits(),
             self.ctx.current_date,
         );
@@ -709,32 +707,20 @@ impl Engine {
         };
         let sql = view.sql.clone();
         let outcome = contain(|| -> Result<Option<MaterializedView>> {
-            let query = parse_query(&sql)?;
-            let mut binder = Binder::new(&self.catalog);
-            let logical = binder.bind_query(&query)?;
-            let schema = logical.schema().clone();
-            let logical = optimize(logical);
-            if matches!(logical, LogicalPlan::Scan { .. }) {
+            let guard = self.guard(None);
+            let normalized = cache::normalize_sql(&sql);
+            let prepared = self.prepare_cold(&sql, normalized, &guard, false, None, 1)?;
+            if matches!(prepared.plan.op, PhysOp::Scan { .. }) {
                 return Ok(None);
             }
-            let deps = binder
-                .into_deps()
-                .into_iter()
-                .map(|k| {
-                    let g = self.catalog.generation_of(&k);
-                    (k, g)
-                })
-                .collect();
-            let guard = self.guard(None);
-            let plan = plan_physical_with(&logical, &self.catalog, &self.ctx, &guard)?;
-            let rows = exec::execute(&plan, &self.catalog, &self.ctx, &guard)?;
+            let rows = exec::execute(&prepared.plan, &self.catalog, &self.ctx, &guard)?;
             if cache::rows_bytes(&rows) > self.cache.result_budget() {
                 return Ok(None);
             }
             Ok(Some(MaterializedView {
-                schema,
+                schema: prepared.schema,
                 rows: Arc::new(rows),
-                deps,
+                deps: prepared.deps,
             }))
         });
         match outcome {

@@ -159,11 +159,6 @@ impl ExecGuard {
         self.mem.charge(bytes)
     }
 
-    /// Charge the approximate footprint of a built row buffer.
-    pub fn charge_rows(&self, rows: &[Row]) -> Result<()> {
-        self.charge(rows.iter().map(|r| values_bytes(r)).sum())
-    }
-
     /// Fault-injection checkpoint: no-op without a plan, possibly an
     /// injected error/panic/delay with one. Every call site sits under a
     /// `catch_unwind` containment barrier (engine serial path, morsel

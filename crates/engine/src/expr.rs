@@ -11,7 +11,7 @@
 //! "not selected".
 
 use crate::functions::{like_match, EvalContext, ScalarFunc};
-use crate::logical::LogicalPlan;
+use crate::logical::{LogicalPlan, Part, PartMut};
 use crate::value::{DataType, Row, Value};
 use sqlshare_common::{Error, Result};
 use sqlshare_sql::ast::BinaryOp;
@@ -265,19 +265,24 @@ impl BoundExpr {
         });
     }
 
-    /// Depth-first walk (does not descend into subquery plans).
-    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a BoundExpr)) {
-        f(self);
+    /// The one enumeration of an expression's parts: its operand
+    /// expressions, and the subquery plan it may hold.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    pub fn parts<'a>(&'a self, f: &mut dyn FnMut(Part<'a>)) {
         match self {
             BoundExpr::Column(_) | BoundExpr::Literal(_) => {}
-            BoundExpr::Not(e) | BoundExpr::Neg(e) => e.walk(f),
+            BoundExpr::Not(expr)
+            | BoundExpr::Neg(expr)
+            | BoundExpr::Cast { expr, .. }
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::InSet { expr, .. } => f(Part::Expr(expr)),
             BoundExpr::Binary { left, right, .. } => {
-                left.walk(f);
-                right.walk(f);
+                f(Part::Expr(left));
+                f(Part::Expr(right));
             }
             BoundExpr::Func { args, .. } | BoundExpr::Udf { args, .. } => {
                 for a in args {
-                    a.walk(f);
+                    f(Part::Expr(a));
                 }
             }
             BoundExpr::Case {
@@ -286,251 +291,160 @@ impl BoundExpr {
                 else_result,
             } => {
                 if let Some(o) = operand {
-                    o.walk(f);
+                    f(Part::Expr(o));
                 }
                 for (c, v) in branches {
-                    c.walk(f);
-                    v.walk(f);
+                    f(Part::Expr(c));
+                    f(Part::Expr(v));
                 }
                 if let Some(e) = else_result {
-                    e.walk(f);
+                    f(Part::Expr(e));
                 }
             }
-            BoundExpr::Cast { expr, .. } | BoundExpr::IsNull { expr, .. } => expr.walk(f),
             BoundExpr::InList { expr, list, .. } => {
-                expr.walk(f);
+                f(Part::Expr(expr));
                 for e in list {
-                    e.walk(f);
+                    f(Part::Expr(e));
                 }
             }
-            BoundExpr::InSet { expr, .. } => expr.walk(f),
             BoundExpr::Between {
                 expr, low, high, ..
             } => {
-                expr.walk(f);
-                low.walk(f);
-                high.walk(f);
+                f(Part::Expr(expr));
+                f(Part::Expr(low));
+                f(Part::Expr(high));
             }
             BoundExpr::Like { expr, pattern, .. } => {
-                expr.walk(f);
-                pattern.walk(f);
+                f(Part::Expr(expr));
+                f(Part::Expr(pattern));
             }
-            BoundExpr::ScalarSubquery(_) => {}
-            BoundExpr::InSubquery { expr, .. } => expr.walk(f),
-            BoundExpr::Exists { .. } => {}
+            BoundExpr::InSubquery { expr, plan, .. } => {
+                f(Part::Expr(expr));
+                f(Part::Plan(plan));
+            }
+            BoundExpr::ScalarSubquery(plan) | BoundExpr::Exists { plan, .. } => f(Part::Plan(plan)),
         }
+    }
+
+    /// [`BoundExpr::parts`] for rewrites.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    pub fn parts_mut(&mut self, f: &mut dyn FnMut(PartMut<'_>)) {
+        match self {
+            BoundExpr::Column(_) | BoundExpr::Literal(_) => {}
+            BoundExpr::Not(expr)
+            | BoundExpr::Neg(expr)
+            | BoundExpr::Cast { expr, .. }
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::InSet { expr, .. } => f(PartMut::Expr(expr)),
+            BoundExpr::Binary { left, right, .. } => {
+                f(PartMut::Expr(left));
+                f(PartMut::Expr(right));
+            }
+            BoundExpr::Func { args, .. } | BoundExpr::Udf { args, .. } => {
+                for a in args {
+                    f(PartMut::Expr(a));
+                }
+            }
+            BoundExpr::Case {
+                operand,
+                branches,
+                else_result,
+            } => {
+                if let Some(o) = operand {
+                    f(PartMut::Expr(o));
+                }
+                for (c, v) in branches {
+                    f(PartMut::Expr(c));
+                    f(PartMut::Expr(v));
+                }
+                if let Some(e) = else_result {
+                    f(PartMut::Expr(e));
+                }
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                f(PartMut::Expr(expr));
+                for e in list {
+                    f(PartMut::Expr(e));
+                }
+            }
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                f(PartMut::Expr(expr));
+                f(PartMut::Expr(low));
+                f(PartMut::Expr(high));
+            }
+            BoundExpr::Like { expr, pattern, .. } => {
+                f(PartMut::Expr(expr));
+                f(PartMut::Expr(pattern));
+            }
+            BoundExpr::InSubquery { expr, plan, .. } => {
+                f(PartMut::Expr(expr));
+                f(PartMut::Plan(plan));
+            }
+            BoundExpr::ScalarSubquery(plan) | BoundExpr::Exists { plan, .. } => f(PartMut::Plan(plan)),
+        }
+    }
+
+    /// Depth-first walk (does not descend into subquery plans).
+    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a BoundExpr)) {
+        f(self);
+        self.parts(&mut |part| {
+            if let Part::Expr(e) = part {
+                e.walk(f);
+            }
+        });
+    }
+
+    /// Bottom-up rewrite: `f` sees every node of the expression (subquery
+    /// plans excluded) after its operands, and may replace it.
+    pub fn rewrite(&mut self, f: &mut dyn FnMut(&mut BoundExpr)) {
+        self.parts_mut(&mut |part| {
+            if let PartMut::Expr(e) = part {
+                e.rewrite(f);
+            }
+        });
+        f(self);
+    }
+
+    /// Whether a subquery is still pending materialization anywhere in
+    /// this expression.
+    pub fn holds_subquery(&self) -> bool {
+        let mut found = false;
+        self.parts(&mut |part| {
+            found |= match part {
+                Part::Plan(_) => true,
+                Part::Expr(e) => e.holds_subquery(),
+            }
+        });
+        found
     }
 
     /// Substitute each column reference `Column(i)` with `mapping[i]`
     /// (used to push ORDER BY keys below a projection).
     pub fn substitute_columns(&self, mapping: &[BoundExpr]) -> BoundExpr {
-        match self {
-            BoundExpr::Column(i) => match mapping.get(*i) {
-                Some(e) => e.clone(),
-                None => BoundExpr::Column(*i),
-            },
-            other => {
-                // Generic structural rewrite via remap on a cloned tree is
-                // not possible (substitution changes node kinds), so handle
-                // the composite cases explicitly.
-                match other {
-                    BoundExpr::Not(e) => {
-                        BoundExpr::Not(Box::new(e.substitute_columns(mapping)))
-                    }
-                    BoundExpr::Neg(e) => {
-                        BoundExpr::Neg(Box::new(e.substitute_columns(mapping)))
-                    }
-                    BoundExpr::Binary { left, op, right } => BoundExpr::Binary {
-                        left: Box::new(left.substitute_columns(mapping)),
-                        op: *op,
-                        right: Box::new(right.substitute_columns(mapping)),
-                    },
-                    BoundExpr::Func { func, args } => BoundExpr::Func {
-                        func: *func,
-                        args: args.iter().map(|a| a.substitute_columns(mapping)).collect(),
-                    },
-                    BoundExpr::Udf { name, args } => BoundExpr::Udf {
-                        name: name.clone(),
-                        args: args.iter().map(|a| a.substitute_columns(mapping)).collect(),
-                    },
-                    BoundExpr::Case {
-                        operand,
-                        branches,
-                        else_result,
-                    } => BoundExpr::Case {
-                        operand: operand
-                            .as_ref()
-                            .map(|o| Box::new(o.substitute_columns(mapping))),
-                        branches: branches
-                            .iter()
-                            .map(|(c, v)| {
-                                (c.substitute_columns(mapping), v.substitute_columns(mapping))
-                            })
-                            .collect(),
-                        else_result: else_result
-                            .as_ref()
-                            .map(|e| Box::new(e.substitute_columns(mapping))),
-                    },
-                    BoundExpr::Cast {
-                        expr,
-                        ty,
-                        try_cast,
-                    } => BoundExpr::Cast {
-                        expr: Box::new(expr.substitute_columns(mapping)),
-                        ty: *ty,
-                        try_cast: *try_cast,
-                    },
-                    BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-                        expr: Box::new(expr.substitute_columns(mapping)),
-                        negated: *negated,
-                    },
-                    BoundExpr::InList {
-                        expr,
-                        list,
-                        negated,
-                    } => BoundExpr::InList {
-                        expr: Box::new(expr.substitute_columns(mapping)),
-                        list: list.iter().map(|e| e.substitute_columns(mapping)).collect(),
-                        negated: *negated,
-                    },
-                    BoundExpr::InSet {
-                        expr,
-                        values,
-                        negated,
-                    } => BoundExpr::InSet {
-                        expr: Box::new(expr.substitute_columns(mapping)),
-                        values: values.clone(),
-                        negated: *negated,
-                    },
-                    BoundExpr::Between {
-                        expr,
-                        low,
-                        high,
-                        negated,
-                    } => BoundExpr::Between {
-                        expr: Box::new(expr.substitute_columns(mapping)),
-                        low: Box::new(low.substitute_columns(mapping)),
-                        high: Box::new(high.substitute_columns(mapping)),
-                        negated: *negated,
-                    },
-                    BoundExpr::Like {
-                        expr,
-                        pattern,
-                        negated,
-                    } => BoundExpr::Like {
-                        expr: Box::new(expr.substitute_columns(mapping)),
-                        pattern: Box::new(pattern.substitute_columns(mapping)),
-                        negated: *negated,
-                    },
-                    leaf => leaf.clone(),
+        let mut out = self.clone();
+        // Bottom-up, so a substituted subtree is not itself substituted.
+        out.rewrite(&mut |e| {
+            if let BoundExpr::Column(i) = e {
+                if let Some(m) = mapping.get(*i) {
+                    *e = m.clone();
                 }
             }
-        }
+        });
+        out
     }
 
     /// Rewrite all column indexes through `map` (used when pushing
     /// expressions across projections or splitting join keys).
     pub fn remap_columns(&self, map: &dyn Fn(usize) -> usize) -> BoundExpr {
-        match self {
-            BoundExpr::Column(i) => BoundExpr::Column(map(*i)),
-            BoundExpr::Literal(v) => BoundExpr::Literal(v.clone()),
-            BoundExpr::Not(e) => BoundExpr::Not(Box::new(e.remap_columns(map))),
-            BoundExpr::Neg(e) => BoundExpr::Neg(Box::new(e.remap_columns(map))),
-            BoundExpr::Binary { left, op, right } => BoundExpr::Binary {
-                left: Box::new(left.remap_columns(map)),
-                op: *op,
-                right: Box::new(right.remap_columns(map)),
-            },
-            BoundExpr::Func { func, args } => BoundExpr::Func {
-                func: *func,
-                args: args.iter().map(|a| a.remap_columns(map)).collect(),
-            },
-            BoundExpr::Udf { name, args } => BoundExpr::Udf {
-                name: name.clone(),
-                args: args.iter().map(|a| a.remap_columns(map)).collect(),
-            },
-            BoundExpr::Case {
-                operand,
-                branches,
-                else_result,
-            } => BoundExpr::Case {
-                operand: operand
-                    .as_ref()
-                    .map(|o| Box::new(o.remap_columns(map))),
-                branches: branches
-                    .iter()
-                    .map(|(c, v)| (c.remap_columns(map), v.remap_columns(map)))
-                    .collect(),
-                else_result: else_result
-                    .as_ref()
-                    .map(|e| Box::new(e.remap_columns(map))),
-            },
-            BoundExpr::Cast {
-                expr,
-                ty,
-                try_cast,
-            } => BoundExpr::Cast {
-                expr: Box::new(expr.remap_columns(map)),
-                ty: *ty,
-                try_cast: *try_cast,
-            },
-            BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-                expr: Box::new(expr.remap_columns(map)),
-                negated: *negated,
-            },
-            BoundExpr::InList {
-                expr,
-                list,
-                negated,
-            } => BoundExpr::InList {
-                expr: Box::new(expr.remap_columns(map)),
-                list: list.iter().map(|e| e.remap_columns(map)).collect(),
-                negated: *negated,
-            },
-            BoundExpr::InSet {
-                expr,
-                values,
-                negated,
-            } => BoundExpr::InSet {
-                expr: Box::new(expr.remap_columns(map)),
-                values: values.clone(),
-                negated: *negated,
-            },
-            BoundExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => BoundExpr::Between {
-                expr: Box::new(expr.remap_columns(map)),
-                low: Box::new(low.remap_columns(map)),
-                high: Box::new(high.remap_columns(map)),
-                negated: *negated,
-            },
-            BoundExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => BoundExpr::Like {
-                expr: Box::new(expr.remap_columns(map)),
-                pattern: Box::new(pattern.remap_columns(map)),
-                negated: *negated,
-            },
-            BoundExpr::ScalarSubquery(p) => BoundExpr::ScalarSubquery(p.clone()),
-            BoundExpr::InSubquery {
-                expr,
-                plan,
-                negated,
-            } => BoundExpr::InSubquery {
-                expr: Box::new(expr.remap_columns(map)),
-                plan: plan.clone(),
-                negated: *negated,
-            },
-            BoundExpr::Exists { plan, negated } => BoundExpr::Exists {
-                plan: plan.clone(),
-                negated: *negated,
-            },
-        }
+        let mut out = self.clone();
+        out.rewrite(&mut |e| {
+            if let BoundExpr::Column(i) = e {
+                *i = map(*i);
+            }
+        });
+        out
     }
 
     /// Expression-operator mnemonics in this subtree (Table 4 accounting):

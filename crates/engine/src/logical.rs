@@ -103,77 +103,152 @@ impl LogicalPlan {
         }
     }
 
-    /// All base tables referenced anywhere in the plan (including inside
-    /// subquery expressions).
-    pub fn base_tables(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_tables(&mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn collect_tables(&self, out: &mut Vec<String>) {
-        // Expressions may hold subquery plans; scan them too.
-        let scan_expr = |e: &BoundExpr, out: &mut Vec<String>| {
-            e.walk(&mut |x| match x {
-                BoundExpr::ScalarSubquery(p) => p.collect_tables(out),
-                BoundExpr::InSubquery { plan, .. } => plan.collect_tables(out),
-                BoundExpr::Exists { plan, .. } => plan.collect_tables(out),
-                _ => {}
-            });
-        };
+    /// The one enumeration of a plan node's parts: its input plans, then
+    /// *every expression position* of the node — predicate, projection,
+    /// join `ON`, group keys and aggregate arguments, window arguments /
+    /// partition / order keys, sort keys. The planner materializes
+    /// subqueries through this, so no operator can skip a position.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    pub fn parts<'a>(&'a self, f: &mut dyn FnMut(Part<'a>)) {
         match self {
-            LogicalPlan::OneRow => {}
-            LogicalPlan::Scan { table, .. } => out.push(table.clone()),
-            LogicalPlan::CachedScan { name, .. } => out.push(name.clone()),
+            LogicalPlan::Scan { .. } | LogicalPlan::CachedScan { .. } | LogicalPlan::OneRow => {}
             LogicalPlan::Filter { input, predicate } => {
-                scan_expr(predicate, out);
-                input.collect_tables(out);
+                f(Part::Plan(input));
+                f(Part::Expr(predicate));
             }
             LogicalPlan::Project { input, exprs, .. } => {
+                f(Part::Plan(input));
                 for e in exprs {
-                    scan_expr(e, out);
+                    f(Part::Expr(e));
                 }
-                input.collect_tables(out);
             }
             LogicalPlan::Join {
                 left, right, on, ..
             } => {
+                f(Part::Plan(left));
+                f(Part::Plan(right));
                 if let Some(on) = on {
-                    scan_expr(on, out);
+                    f(Part::Expr(on));
                 }
-                left.collect_tables(out);
-                right.collect_tables(out);
             }
-            LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Window { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Top { input, .. }
-            | LogicalPlan::Distinct { input } => input.collect_tables(out),
+            LogicalPlan::Aggregate {
+                input, group, aggs, ..
+            } => {
+                f(Part::Plan(input));
+                for e in group.iter().chain(aggs.iter().flat_map(|a| &a.arg)) {
+                    f(Part::Expr(e));
+                }
+            }
+            LogicalPlan::Window { input, calls, .. } => {
+                f(Part::Plan(input));
+                for c in calls {
+                    let keys = c.order_by.iter().map(|(e, _)| e);
+                    for e in c.args.iter().chain(&c.partition_by).chain(keys) {
+                        f(Part::Expr(e));
+                    }
+                }
+            }
+            LogicalPlan::Sort { input, keys } => {
+                f(Part::Plan(input));
+                for k in keys {
+                    f(Part::Expr(&k.expr));
+                }
+            }
+            LogicalPlan::Top { input, .. } | LogicalPlan::Distinct { input } => {
+                f(Part::Plan(input));
+            }
             LogicalPlan::SetOp { left, right, .. } => {
-                left.collect_tables(out);
-                right.collect_tables(out);
+                f(Part::Plan(left));
+                f(Part::Plan(right));
             }
         }
     }
 
-    /// Number of nodes in the plan tree (used in tests and reports).
-    pub fn node_count(&self) -> usize {
-        1 + match self {
-            LogicalPlan::Scan { .. }
-            | LogicalPlan::CachedScan { .. }
-            | LogicalPlan::OneRow => 0,
-            LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Window { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Top { input, .. }
-            | LogicalPlan::Distinct { input } => input.node_count(),
-            LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
-                left.node_count() + right.node_count()
+    /// [`LogicalPlan::parts`] for rewrites.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    pub fn parts_mut(&mut self, f: &mut dyn FnMut(PartMut<'_>)) {
+        match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::CachedScan { .. } | LogicalPlan::OneRow => {}
+            LogicalPlan::Filter { input, predicate } => {
+                f(PartMut::Plan(input));
+                f(PartMut::Expr(predicate));
+            }
+            LogicalPlan::Project { input, exprs, .. } => {
+                f(PartMut::Plan(input));
+                for e in exprs {
+                    f(PartMut::Expr(e));
+                }
+            }
+            LogicalPlan::Join {
+                left, right, on, ..
+            } => {
+                f(PartMut::Plan(left));
+                f(PartMut::Plan(right));
+                if let Some(on) = on {
+                    f(PartMut::Expr(on));
+                }
+            }
+            LogicalPlan::Aggregate {
+                input, group, aggs, ..
+            } => {
+                f(PartMut::Plan(input));
+                for e in group.iter_mut().chain(aggs.iter_mut().flat_map(|a| &mut a.arg)) {
+                    f(PartMut::Expr(e));
+                }
+            }
+            LogicalPlan::Window { input, calls, .. } => {
+                f(PartMut::Plan(input));
+                for c in calls {
+                    let keys = c.order_by.iter_mut().map(|(e, _)| e);
+                    for e in c.args.iter_mut().chain(&mut c.partition_by).chain(keys) {
+                        f(PartMut::Expr(e));
+                    }
+                }
+            }
+            LogicalPlan::Sort { input, keys } => {
+                f(PartMut::Plan(input));
+                for k in keys {
+                    f(PartMut::Expr(&mut k.expr));
+                }
+            }
+            LogicalPlan::Top { input, .. } | LogicalPlan::Distinct { input } => {
+                f(PartMut::Plan(input));
+            }
+            LogicalPlan::SetOp { left, right, .. } => {
+                f(PartMut::Plan(left));
+                f(PartMut::Plan(right));
             }
         }
     }
+
+    /// Rebuild this node with each input plan replaced by `f(input)` —
+    /// how a bottom-up rewrite recurses without naming the variants it
+    /// leaves alone.
+    pub fn map_inputs(mut self, f: &mut dyn FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+        self.parts_mut(&mut |part| {
+            if let PartMut::Plan(input) = part {
+                *input = f(std::mem::replace(input, LogicalPlan::OneRow));
+            }
+        });
+        self
+    }
+}
+
+/// A direct part of a [`LogicalPlan`] node or a [`BoundExpr`], as their
+/// `parts` enumerators hand it out: a plan's inputs and expressions, an
+/// expression's operands and the subquery plan it may hold. Each tree has
+/// exactly one function per form (`parts` to visit, `parts_mut` to
+/// rewrite) that knows a node's children; every other walk is written on
+/// those and names only the variants it acts on.
+#[derive(Debug, Clone, Copy)]
+pub enum Part<'a> {
+    Plan(&'a LogicalPlan),
+    Expr(&'a BoundExpr),
+}
+
+/// [`Part`] for rewrites.
+#[derive(Debug)]
+pub enum PartMut<'a> {
+    Plan(&'a mut LogicalPlan),
+    Expr(&'a mut BoundExpr),
 }

@@ -28,7 +28,7 @@
 use crate::cost::{self, choose_dop, Estimates};
 use crate::expr::BoundExpr;
 use crate::logical::LogicalPlan;
-use crate::physical::{PhysOp, PhysicalPlan};
+use crate::physical::{join_conjuncts, split_conjuncts, PhysOp, PhysicalPlan};
 use sqlshare_sql::ast::{BinaryOp, JoinKind, SetOp};
 
 /// Run the full optimization pipeline.
@@ -41,197 +41,42 @@ pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
 /// after binding is positional, so results are unaffected; callers that
 /// need output names capture the schema before optimizing.
 pub fn collapse_identity_projections(plan: LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => {
-            let input = Box::new(collapse_identity_projections(*input));
-            let identity = exprs.len() == input.schema().len()
+    match plan.map_inputs(&mut collapse_identity_projections) {
+        LogicalPlan::Project { input, exprs, .. }
+            if exprs.len() == input.schema().len()
                 && exprs
                     .iter()
                     .enumerate()
-                    .all(|(i, e)| matches!(e, BoundExpr::Column(c) if *c == i));
-            if identity {
-                *input
-            } else {
-                LogicalPlan::Project {
-                    input,
-                    exprs,
-                    schema,
-                }
-            }
+                    .all(|(i, e)| matches!(e, BoundExpr::Column(c) if *c == i)) =>
+        {
+            *input
         }
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(collapse_identity_projections(*input)),
-            predicate,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(collapse_identity_projections(*left)),
-            right: Box::new(collapse_identity_projections(*right)),
-            kind,
-            on,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(collapse_identity_projections(*input)),
-            group,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Window {
-            input,
-            calls,
-            schema,
-        } => LogicalPlan::Window {
-            input: Box::new(collapse_identity_projections(*input)),
-            calls,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(collapse_identity_projections(*input)),
-            keys,
-        },
-        LogicalPlan::Top {
-            input,
-            quantity,
-            percent,
-        } => LogicalPlan::Top {
-            input: Box::new(collapse_identity_projections(*input)),
-            quantity,
-            percent,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(collapse_identity_projections(*input)),
-        },
-        LogicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            schema,
-        } => LogicalPlan::SetOp {
-            op,
-            all,
-            left: Box::new(collapse_identity_projections(*left)),
-            right: Box::new(collapse_identity_projections(*right)),
-            schema,
-        },
-        leaf @ (LogicalPlan::Scan { .. }
-        | LogicalPlan::CachedScan { .. }
-        | LogicalPlan::OneRow) => leaf,
+        other => other,
     }
 }
 
 /// Push filter predicates as close to the data as safely possible.
 pub fn push_down_filters(plan: LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            let input = push_down_filters(*input);
-            push_predicate(input, predicate)
-        }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(push_down_filters(*input)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(push_down_filters(*left)),
-            right: Box::new(push_down_filters(*right)),
-            kind,
-            on,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(push_down_filters(*input)),
-            group,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Window {
-            input,
-            calls,
-            schema,
-        } => LogicalPlan::Window {
-            input: Box::new(push_down_filters(*input)),
-            calls,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(push_down_filters(*input)),
-            keys,
-        },
-        LogicalPlan::Top {
-            input,
-            quantity,
-            percent,
-        } => LogicalPlan::Top {
-            input: Box::new(push_down_filters(*input)),
-            quantity,
-            percent,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(push_down_filters(*input)),
-        },
-        LogicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            schema,
-        } => LogicalPlan::SetOp {
-            op,
-            all,
-            left: Box::new(push_down_filters(*left)),
-            right: Box::new(push_down_filters(*right)),
-            schema,
-        },
-        leaf => leaf,
+    match plan.map_inputs(&mut push_down_filters) {
+        LogicalPlan::Filter { input, predicate } => push_predicate(*input, predicate),
+        other => other,
     }
 }
 
 /// Place `predicate` above `input`, sinking whatever conjuncts can sink.
 fn push_predicate(input: LogicalPlan, predicate: BoundExpr) -> LogicalPlan {
-    let conjuncts = split_and(&predicate);
     let mut kept: Vec<BoundExpr> = Vec::new();
     let mut plan = input;
-    for c in conjuncts {
-        plan = match try_sink(plan, &c) {
+    for c in split_conjuncts(&predicate) {
+        plan = match try_sink(plan, c) {
             Ok(p) => p,
             Err(p) => {
-                kept.push(c);
+                kept.push(c.clone());
                 p
             }
         };
     }
-    match join_and(kept) {
+    match join_conjuncts(kept) {
         Some(residual) => LogicalPlan::Filter {
             input: Box::new(plan),
             predicate: residual,
@@ -406,29 +251,6 @@ fn try_sink(input: LogicalPlan, conjunct: &BoundExpr) -> Result<LogicalPlan, Log
         // because filtering before TOP changes which rows are kept).
         other => Err(other),
     }
-}
-
-fn split_and(e: &BoundExpr) -> Vec<BoundExpr> {
-    match e {
-        BoundExpr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => {
-            let mut out = split_and(left);
-            out.extend(split_and(right));
-            out
-        }
-        other => vec![other.clone()],
-    }
-}
-
-fn join_and(conjuncts: Vec<BoundExpr>) -> Option<BoundExpr> {
-    conjuncts.into_iter().reduce(|a, b| BoundExpr::Binary {
-        left: Box::new(a),
-        op: BinaryOp::And,
-        right: Box::new(b),
-    })
 }
 
 /// Physical post-pass: wrap parallelizable regions in `Parallelism`

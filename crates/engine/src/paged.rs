@@ -433,11 +433,6 @@ impl PagedTable {
         self.page_offsets.len()
     }
 
-    /// Number of secondary B-tree indexes built.
-    pub fn index_count(&self) -> usize {
-        self.indexes.iter().filter(|i| i.is_some()).count()
-    }
-
     pub fn layer(&self) -> &Arc<StorageLayer> {
         &self.layer
     }

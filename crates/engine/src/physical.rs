@@ -20,7 +20,7 @@ use crate::catalog::Catalog;
 use crate::cost::{self, Estimates, PredKind};
 use crate::expr::BoundExpr;
 use crate::functions::EvalContext;
-use crate::logical::{LogicalPlan, SortKey};
+use crate::logical::{LogicalPlan, Part, PartMut, SortKey};
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
 use crate::window::WindowCall;
@@ -255,18 +255,9 @@ fn push_head(node: &mut PhysicalPlan, n: u64) {
 
 /// Plan a logical plan into a physical plan, materializing uncorrelated
 /// subqueries along the way (which requires executing them — `catalog`
-/// and `ctx` are the execution environment).
-pub fn plan_physical(
-    logical: &LogicalPlan,
-    catalog: &Catalog,
-    ctx: &EvalContext,
-) -> Result<PhysicalPlan> {
-    plan_physical_with(logical, catalog, ctx, &crate::exec::ExecGuard::unbounded())
-}
-
-/// Like [`plan_physical`], but subqueries executed at plan time poll
-/// `guard` — a query spending its deadline inside a huge uncorrelated
-/// subquery must still be cancellable.
+/// and `ctx` are the execution environment). Subqueries executed at plan
+/// time poll `guard`: a query spending its deadline inside a huge
+/// uncorrelated subquery must still be cancellable.
 pub fn plan_physical_with(
     logical: &LogicalPlan,
     catalog: &Catalog,
@@ -288,7 +279,35 @@ struct Planner<'a> {
 }
 
 impl Planner<'_> {
+    /// Plan one node. Uncorrelated subqueries are materialized first, in
+    /// *every* expression position [`LogicalPlan::parts`] enumerates — no
+    /// operator below sees one — and their physical plans are attached
+    /// after the node's data inputs, on the node that consumes them.
     fn plan(&self, node: &LogicalPlan) -> Result<PhysicalPlan> {
+        let mut pending = false;
+        node.parts(&mut |part| {
+            if let Part::Expr(e) = part {
+                pending |= e.holds_subquery();
+            }
+        });
+        if !pending {
+            return self.plan_node(node);
+        }
+        let mut node = node.clone();
+        let mut subplans = Vec::new();
+        let mut result = Ok(());
+        node.parts_mut(&mut |part| {
+            if let (Ok(()), PartMut::Expr(e)) = (&result, part) {
+                result = self.materialize(e, &mut subplans);
+            }
+        });
+        result?;
+        let mut planned = self.plan_node(&node)?;
+        planned.children.extend(subplans);
+        Ok(planned)
+    }
+
+    fn plan_node(&self, node: &LogicalPlan) -> Result<PhysicalPlan> {
         match node {
             LogicalPlan::OneRow => Ok(PhysicalPlan::new(
                 PhysOp::ConstantScan,
@@ -359,7 +378,6 @@ impl Planner<'_> {
             } => self.plan_window(input, calls, schema),
             LogicalPlan::Sort { input, keys } => {
                 let child = self.plan(input)?;
-                let keys = self.materialize_in_sort_keys(keys, input.schema())?;
                 let est = Estimates {
                     rows: child.est.rows,
                     io: 0.0,
@@ -367,7 +385,7 @@ impl Planner<'_> {
                     row_size: child.est.row_size,
                 };
                 let mut n = PhysicalPlan::new(PhysOp::Sort { keys: keys.clone() }, "Sort", "Sort", est);
-                for k in &keys {
+                for k in keys {
                     k.expr.expression_ops(&mut n.expr_ops);
                     n.columns
                         .extend(columns_used(&k.expr, input.schema()));
@@ -522,7 +540,6 @@ impl Planner<'_> {
     }
 
     fn plan_filter(&self, input: &LogicalPlan, predicate: &BoundExpr) -> Result<PhysicalPlan> {
-        let predicate = self.materialize(predicate.clone())?;
         let schema = input.schema();
 
         // Predicates directly over a scan fold into the access operator,
@@ -536,19 +553,19 @@ impl Planner<'_> {
                 .first()
                 .map(|c| c.ty)
                 .unwrap_or(DataType::Text);
-            let bounds = extract_seek_bounds(&predicate.0, leading_ty);
+            let bounds = extract_seek_bounds(predicate, leading_ty);
             // No clustered-order bounds: a sargable non-leading column
             // can still go through its secondary B-tree when the table
             // is page-backed.
             if bounds.is_none() {
-                if let Some(n) = self.plan_index_seek(table, schema, &predicate)? {
+                if let Some(n) = self.plan_index_seek(table, schema, predicate)? {
                     return Ok(n);
                 }
             }
             let bounds = bounds.unwrap_or((
                 Bound::Unbounded,
                 Bound::Unbounded,
-                Some(predicate.0.clone()),
+                Some(predicate.clone()),
                 Vec::new(),
             ));
             {
@@ -607,36 +624,33 @@ impl Planner<'_> {
                     .iter()
                     .filter_map(|c| c.source_table.clone().map(|t| (t, c.name.clone())))
                     .collect();
-                // Record subquery plans materialized inside the predicate.
-                n.children.extend(predicate.1);
                 return Ok(n);
             }
         }
 
         let child = self.plan(input)?;
-        let sel = pred_selectivity(&predicate.0);
+        let sel = pred_selectivity(predicate);
         let est = Estimates {
             rows: (child.est.rows * sel).max(1.0),
             io: 0.0,
-            cpu: cost::row_cpu(child.est.rows, count_expr_ops(&predicate.0)),
+            cpu: cost::row_cpu(child.est.rows, count_expr_ops(predicate)),
             row_size: child.est.row_size,
         };
         let mut n = PhysicalPlan::new(
             PhysOp::Filter {
-                predicate: predicate.0.clone(),
+                predicate: predicate.clone(),
             },
             "Filter",
             "Filter",
             est,
         );
-        n.filters = split_conjuncts(&predicate.0)
+        n.filters = split_conjuncts(predicate)
             .iter()
             .map(|c| render_filter(c, schema))
             .collect();
-        predicate.0.expression_ops(&mut n.expr_ops);
-        n.columns = columns_used(&predicate.0, schema);
+        predicate.expression_ops(&mut n.expr_ops);
+        n.columns = columns_used(predicate, schema);
         n.children.push(child);
-        n.children.extend(predicate.1);
         Ok(n)
     }
 
@@ -647,14 +661,14 @@ impl Planner<'_> {
         &self,
         table: &str,
         schema: &Schema,
-        predicate: &(BoundExpr, Vec<PhysicalPlan>),
+        predicate: &BoundExpr,
     ) -> Result<Option<PhysicalPlan>> {
         let t = self.catalog.table(table)?;
         let Some(paged) = t.paged() else {
             return Ok(None);
         };
         let Some((column, lower, upper, consumed)) =
-            extract_index_bounds(&predicate.0, schema.columns.len())
+            extract_index_bounds(predicate, schema.columns.len())
         else {
             return Ok(None);
         };
@@ -678,7 +692,7 @@ impl Planner<'_> {
         // The full predicate re-applies over the candidates, so its
         // selectivity already covers the consumed bounds.
         let est = Estimates {
-            rows: (rows * pred_selectivity(&predicate.0)).max(1.0),
+            rows: (rows * pred_selectivity(predicate)).max(1.0),
             io: cost::scan_io(rows * sel, row_size),
             cpu: cost::row_cpu(rows * sel, 1),
             row_size,
@@ -689,21 +703,20 @@ impl Planner<'_> {
                 column,
                 lower,
                 upper,
-                predicate: predicate.0.clone(),
+                predicate: predicate.clone(),
             },
             "Index Seek",
             "Index Seek",
             est,
         );
         n.filters = consumed;
-        n.filters.push(render_filter(&predicate.0, schema));
-        predicate.0.expression_ops(&mut n.expr_ops);
+        n.filters.push(render_filter(predicate, schema));
+        predicate.expression_ops(&mut n.expr_ops);
         n.columns = schema
             .columns
             .iter()
             .filter_map(|c| c.source_table.clone().map(|t| (t, c.name.clone())))
             .collect();
-        n.children.extend(predicate.1.clone());
         Ok(Some(n))
     }
 
@@ -714,15 +727,8 @@ impl Planner<'_> {
         schema: &Schema,
     ) -> Result<PhysicalPlan> {
         let child = self.plan(input)?;
-        let mut subplans = Vec::new();
-        let mut mat_exprs = Vec::with_capacity(exprs.len());
-        for e in exprs {
-            let (m, subs) = self.materialize(e.clone())?;
-            mat_exprs.push(m);
-            subplans.extend(subs);
-        }
-        let trivial = mat_exprs.iter().all(BoundExpr::is_column) && subplans.is_empty();
-        let expr_count: usize = mat_exprs.iter().map(count_expr_ops).sum();
+        let trivial = exprs.iter().all(BoundExpr::is_column);
+        let expr_count: usize = exprs.iter().map(count_expr_ops).sum();
         let est = Estimates {
             rows: child.est.rows,
             io: 0.0,
@@ -731,19 +737,18 @@ impl Planner<'_> {
         };
         let mut n = PhysicalPlan::new(
             PhysOp::Compute {
-                exprs: mat_exprs.clone(),
+                exprs: exprs.to_vec(),
             },
             "Compute Scalar",
             "Compute Scalar",
             est,
         );
         n.visible = !trivial;
-        for e in &mat_exprs {
+        for e in exprs {
             e.expression_ops(&mut n.expr_ops);
             n.columns.extend(columns_used(e, input.schema()));
         }
         n.children.push(child);
-        n.children.extend(subplans);
         Ok(n)
     }
 
@@ -761,20 +766,10 @@ impl Planner<'_> {
         let right_width = right.schema().len();
         let row_size = schema.estimated_row_size() as f64;
 
-        let on_mat = match on {
-            Some(e) => Some(self.materialize(e.clone())?),
-            None => None,
-        };
-        let mut subplans = Vec::new();
-        let on_expr = on_mat.map(|(e, subs)| {
-            subplans = subs;
-            e
-        });
-
         // Split the ON condition into equi-key pairs and a residual.
-        let (pairs, residual) = match &on_expr {
+        let (pairs, residual) = match on {
             Some(e) if kind != JoinKind::Cross => split_equi_join(e, left_width),
-            _ => (Vec::new(), on_expr.clone()),
+            _ => (Vec::new(), on.clone()),
         };
 
         // Hash (and merge) joins bucket keys by value identity within a
@@ -820,7 +815,7 @@ impl Planner<'_> {
                 (
                     PhysOp::NestedLoops {
                         kind,
-                        on: on_expr.clone(),
+                        on: on.clone(),
                         left_width,
                         right_width,
                     },
@@ -849,7 +844,7 @@ impl Planner<'_> {
             (
                 PhysOp::NestedLoops {
                     kind,
-                    on: on_expr.clone(),
+                    on: on.clone(),
                     left_width,
                     right_width,
                 },
@@ -872,7 +867,7 @@ impl Planner<'_> {
             row_size,
         };
         let mut n = PhysicalPlan::new(phys, name, logical, est);
-        if let Some(on) = &on_expr {
+        if let Some(on) = on {
             n.filters = split_conjuncts(on)
                 .iter()
                 .map(|c| render_filter(c, schema))
@@ -882,7 +877,6 @@ impl Planner<'_> {
         }
         n.children.push(l);
         n.children.push(r);
-        n.children.extend(subplans);
         Ok(n)
     }
 
@@ -1046,167 +1040,53 @@ impl Planner<'_> {
         Ok(n)
     }
 
-    /// Materialize uncorrelated subqueries inside an expression: each is
-    /// planned, executed, and replaced by its value; the subquery physical
-    /// plans are returned for attachment to the consuming node.
-    fn materialize(&self, expr: BoundExpr) -> Result<(BoundExpr, Vec<PhysicalPlan>)> {
-        let mut subplans = Vec::new();
-        let out = self.materialize_rec(expr, &mut subplans)?;
-        Ok((out, subplans))
-    }
-
-    fn materialize_in_sort_keys(
-        &self,
-        keys: &[SortKey],
-        _schema: &Schema,
-    ) -> Result<Vec<SortKey>> {
-        keys.iter()
-            .map(|k| {
-                Ok(SortKey {
-                    expr: self.materialize(k.expr.clone())?.0,
-                    desc: k.desc,
-                })
-            })
-            .collect()
-    }
-
-    fn materialize_rec(
-        &self,
-        expr: BoundExpr,
-        subplans: &mut Vec<PhysicalPlan>,
-    ) -> Result<BoundExpr> {
-        Ok(match expr {
+    /// Materialize the uncorrelated subqueries inside an expression: each
+    /// is planned, executed, and replaced by its value; the subquery
+    /// physical plans are pushed onto `subplans` for attachment to the
+    /// consuming node.
+    fn materialize(&self, expr: &mut BoundExpr, subplans: &mut Vec<PhysicalPlan>) -> Result<()> {
+        let mut run = |plan: &LogicalPlan| -> Result<Vec<crate::value::Row>> {
+            let phys = self.plan(plan)?;
+            let rows = crate::exec::execute(&phys, self.catalog, self.ctx, self.guard)?;
+            subplans.push(phys);
+            Ok(rows)
+        };
+        match expr {
             BoundExpr::ScalarSubquery(plan) => {
-                let phys = self.plan(&plan)?;
-                let rows = crate::exec::execute(&phys, self.catalog, self.ctx, self.guard)?;
+                let rows = run(plan)?;
                 if rows.len() > 1 {
                     return Err(Error::Execution(
                         "scalar subquery returned more than one row".into(),
                     ));
                 }
-                let value = rows
-                    .into_iter()
-                    .next()
-                    .and_then(|r| r.into_iter().next())
-                    .unwrap_or(Value::Null);
-                subplans.push(phys);
-                BoundExpr::Literal(value)
+                let value = rows.into_iter().next().and_then(|r| r.into_iter().next());
+                *expr = BoundExpr::Literal(value.unwrap_or(Value::Null));
             }
             BoundExpr::InSubquery {
-                expr,
+                expr: operand,
                 plan,
                 negated,
             } => {
-                let phys = self.plan(&plan)?;
-                let rows = crate::exec::execute(&phys, self.catalog, self.ctx, self.guard)?;
-                let values: Vec<Value> = rows
-                    .into_iter()
-                    .filter_map(|r| r.into_iter().next())
-                    .collect();
-                subplans.push(phys);
-                BoundExpr::InSet {
-                    expr: Box::new(self.materialize_rec(*expr, subplans)?),
-                    values,
-                    negated,
-                }
+                let rows = run(plan)?;
+                *expr = BoundExpr::InSet {
+                    expr: std::mem::replace(operand, Box::new(BoundExpr::Literal(Value::Null))),
+                    values: rows.into_iter().filter_map(|r| r.into_iter().next()).collect(),
+                    negated: *negated,
+                };
             }
             BoundExpr::Exists { plan, negated } => {
-                let phys = self.plan(&plan)?;
-                let rows = crate::exec::execute(&phys, self.catalog, self.ctx, self.guard)?;
-                subplans.push(phys);
-                BoundExpr::Literal(Value::Bool(rows.is_empty() == negated))
+                let rows = run(plan)?;
+                *expr = BoundExpr::Literal(Value::Bool(rows.is_empty() == *negated));
             }
-            BoundExpr::Not(e) => BoundExpr::Not(Box::new(self.materialize_rec(*e, subplans)?)),
-            BoundExpr::Neg(e) => BoundExpr::Neg(Box::new(self.materialize_rec(*e, subplans)?)),
-            BoundExpr::Binary { left, op, right } => BoundExpr::Binary {
-                left: Box::new(self.materialize_rec(*left, subplans)?),
-                op,
-                right: Box::new(self.materialize_rec(*right, subplans)?),
-            },
-            BoundExpr::Func { func, args } => BoundExpr::Func {
-                func,
-                args: args
-                    .into_iter()
-                    .map(|a| self.materialize_rec(a, subplans))
-                    .collect::<Result<Vec<_>>>()?,
-            },
-            BoundExpr::Udf { name, args } => BoundExpr::Udf {
-                name,
-                args: args
-                    .into_iter()
-                    .map(|a| self.materialize_rec(a, subplans))
-                    .collect::<Result<Vec<_>>>()?,
-            },
-            BoundExpr::Case {
-                operand,
-                branches,
-                else_result,
-            } => BoundExpr::Case {
-                operand: match operand {
-                    Some(o) => Some(Box::new(self.materialize_rec(*o, subplans)?)),
-                    None => None,
-                },
-                branches: branches
-                    .into_iter()
-                    .map(|(c, v)| {
-                        Ok((
-                            self.materialize_rec(c, subplans)?,
-                            self.materialize_rec(v, subplans)?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>>>()?,
-                else_result: match else_result {
-                    Some(e) => Some(Box::new(self.materialize_rec(*e, subplans)?)),
-                    None => None,
-                },
-            },
-            BoundExpr::Cast {
-                expr,
-                ty,
-                try_cast,
-            } => BoundExpr::Cast {
-                expr: Box::new(self.materialize_rec(*expr, subplans)?),
-                ty,
-                try_cast,
-            },
-            BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-                expr: Box::new(self.materialize_rec(*expr, subplans)?),
-                negated,
-            },
-            BoundExpr::InList {
-                expr,
-                list,
-                negated,
-            } => BoundExpr::InList {
-                expr: Box::new(self.materialize_rec(*expr, subplans)?),
-                list: list
-                    .into_iter()
-                    .map(|e| self.materialize_rec(e, subplans))
-                    .collect::<Result<Vec<_>>>()?,
-                negated,
-            },
-            BoundExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => BoundExpr::Between {
-                expr: Box::new(self.materialize_rec(*expr, subplans)?),
-                low: Box::new(self.materialize_rec(*low, subplans)?),
-                high: Box::new(self.materialize_rec(*high, subplans)?),
-                negated,
-            },
-            BoundExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => BoundExpr::Like {
-                expr: Box::new(self.materialize_rec(*expr, subplans)?),
-                pattern: Box::new(self.materialize_rec(*pattern, subplans)?),
-                negated,
-            },
-            leaf => leaf,
-        })
+            _ => {}
+        }
+        let mut result = Ok(());
+        expr.parts_mut(&mut |part| {
+            if let (Ok(()), PartMut::Expr(e)) = (&result, part) {
+                result = self.materialize(e, subplans);
+            }
+        });
+        result
     }
 }
 
@@ -1228,6 +1108,15 @@ pub fn split_conjuncts(e: &BoundExpr) -> Vec<&BoundExpr> {
     }
     rec(e, &mut out);
     out
+}
+
+/// AND conjuncts back into one predicate — [`split_conjuncts`]'s inverse.
+pub fn join_conjuncts(conjuncts: Vec<BoundExpr>) -> Option<BoundExpr> {
+    conjuncts.into_iter().reduce(|a, b| BoundExpr::Binary {
+        left: Box::new(a),
+        op: BinaryOp::And,
+        right: Box::new(b),
+    })
 }
 
 /// Try to turn a predicate over a scan into clustered-index seek bounds on
@@ -1355,12 +1244,7 @@ fn extract_seek_bounds(predicate: &BoundExpr, leading_ty: DataType) -> Option<Se
     if matches!(lower, Bound::Unbounded) && matches!(upper, Bound::Unbounded) {
         return None;
     }
-    let residual_expr = residual.into_iter().reduce(|a, b| BoundExpr::Binary {
-        left: Box::new(a),
-        op: BinaryOp::And,
-        right: Box::new(b),
-    });
-    Some((lower, upper, residual_expr, consumed))
+    Some((lower, upper, join_conjuncts(residual), consumed))
 }
 
 /// Bounds on a single non-leading column, for a secondary-index seek:
@@ -1539,12 +1423,7 @@ fn split_equi_join(
         }
         residual.push(c.clone());
     }
-    let residual = residual.into_iter().reduce(|a, b| BoundExpr::Binary {
-        left: Box::new(a),
-        op: BinaryOp::And,
-        right: Box::new(b),
-    });
-    (pairs, residual)
+    (pairs, join_conjuncts(residual))
 }
 
 /// Which side of a join an expression's columns come from:

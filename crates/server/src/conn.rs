@@ -285,10 +285,6 @@ impl Conn {
     pub fn is_drained(&self) -> bool {
         !self.dispatch_in_flight && self.outbox.is_empty() && self.pending.is_empty()
     }
-
-    pub fn has_output(&self) -> bool {
-        !self.outbox.is_empty()
-    }
 }
 
 #[cfg(test)]

@@ -934,14 +934,15 @@ fn execute_repl(shared: &Shared, method: Method, path: &str, body: &Json) -> (u1
             let mut records = Vec::new();
             let mut end = from;
             let mut last_lsn = 0u64;
-            for payload in tail.records.iter().take(repl::WAL_BATCH_LIMIT) {
+            let batch = tail.records.iter().zip(&tail.ends).take(repl::WAL_BATCH_LIMIT);
+            for (payload, record_end) in batch {
                 let Ok(doc) = std::str::from_utf8(payload)
                     .map_err(|_| ())
                     .and_then(|text| json::parse(text).map_err(|_| ()))
                 else {
                     break; // stop at a malformed record; offset stays before it
                 };
-                end += (12 + payload.len()) as u64;
+                end = *record_end;
                 if let Some(lsn) = doc.get("lsn").and_then(Json::as_f64) {
                     last_lsn = lsn as u64;
                 }

@@ -46,39 +46,131 @@ impl Query {
         }
     }
 
-    /// Visit every SELECT block in this query, including those nested in
-    /// set operations, derived tables, and subquery expressions.
-    pub fn walk_selects<'a>(&'a self, f: &mut dyn FnMut(&'a Select)) {
-        self.body.walk_selects(f);
-    }
-
-    /// Visit every expression anywhere in the query.
-    pub fn walk_exprs<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
-        self.body.walk_exprs(f);
+    /// The one enumeration of a query's own parts: the SELECT blocks of
+    /// its body (set operations descended, left to right), then the
+    /// ORDER BY expressions.
+    pub fn parts<'a>(&'a self, f: &mut dyn FnMut(Part<'a>)) {
+        self.body.selects(&mut |s| f(Part::Select(s)));
         for item in &self.order_by {
-            item.expr.walk(f);
+            f(Part::Expr(&item.expr));
         }
     }
 
+    /// [`Query::parts`] for rewrites.
+    pub fn parts_mut(&mut self, f: &mut dyn FnMut(PartMut<'_>)) {
+        self.body.selects_mut(&mut |s| f(PartMut::Select(s)));
+        for item in &mut self.order_by {
+            f(PartMut::Expr(&mut item.expr));
+        }
+    }
+
+    /// Visit every SELECT block in this query, including those nested in
+    /// set operations and derived tables. SELECTs inside subquery
+    /// *expressions* are not visited: a subquery is its own query, and
+    /// callers that want it recurse (as [`Query::referenced_tables`] and
+    /// the feature analysis do).
+    pub fn walk_selects<'a>(&'a self, f: &mut dyn FnMut(&'a Select)) {
+        Part::Query(self).walk(&mut |part| match part {
+            Part::Select(s) => {
+                f(s);
+                true
+            }
+            Part::Query(_) | Part::Table(_) => true,
+            Part::Expr(_) => false,
+        });
+    }
+
+    /// Visit every expression anywhere in the query (derived tables
+    /// included; subquery expressions are visited, not entered).
+    pub fn walk_exprs<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+        Part::Query(self).walk(&mut |part| match part {
+            Part::Expr(e) => {
+                e.walk(f);
+                false
+            }
+            Part::Query(_) | Part::Select(_) | Part::Table(_) => true,
+        });
+    }
+
     /// Names of all tables/views referenced in FROM clauses (syntactic,
-    /// pre-binding; includes references inside subqueries).
+    /// pre-binding; includes references inside subqueries, in whatever
+    /// expression position they stand).
     pub fn referenced_tables(&self) -> Vec<ObjectName> {
         let mut names = Vec::new();
-        self.walk_selects(&mut |s| {
-            for t in &s.from {
-                t.collect_names(&mut names);
+        Part::Query(self).walk(&mut |part| {
+            if let Part::Table(TableRef::Named { name, .. }) = part {
+                names.push(name.clone());
             }
-        });
-        // Subqueries in expressions:
-        self.walk_exprs(&mut |e| {
-            if let Expr::ScalarSubquery(q) | Expr::Exists { subquery: q, .. } = e {
-                names.extend(q.referenced_tables());
-            }
-            if let Expr::InSubquery { subquery, .. } = e {
-                names.extend(subquery.referenced_tables());
-            }
+            true
         });
         names
+    }
+}
+
+/// A direct part of an AST node, as the `parts` enumerators hand it out.
+///
+/// [`Query`], [`Select`], [`TableRef`] and [`Expr`] each have exactly one
+/// function that knows what the node is made of — `parts`, and
+/// `parts_mut` for rewrites. Every walk and rewrite over queries is
+/// written on those four, so a new variant or clause is given its
+/// children in one place and no walker can forget a position.
+#[derive(Debug, Clone, Copy)]
+pub enum Part<'a> {
+    Query(&'a Query),
+    Select(&'a Select),
+    Table(&'a TableRef),
+    Expr(&'a Expr),
+}
+
+impl<'a> Part<'a> {
+    /// The parts of whatever node this is.
+    pub fn parts(self, f: &mut dyn FnMut(Part<'a>)) {
+        match self {
+            Part::Query(q) => q.parts(f),
+            Part::Select(s) => s.parts(f),
+            Part::Table(t) => t.parts(f),
+            Part::Expr(e) => e.parts(f),
+        }
+    }
+
+    /// Pre-order walk over everything below this node; `f` answers
+    /// whether to descend into the part it was handed.
+    pub fn walk(self, f: &mut dyn FnMut(Part<'a>) -> bool) {
+        self.parts(&mut |part| {
+            if f(part) {
+                part.walk(f);
+            }
+        });
+    }
+}
+
+/// [`Part`] for rewrites.
+#[derive(Debug)]
+pub enum PartMut<'a> {
+    Query(&'a mut Query),
+    Select(&'a mut Select),
+    Table(&'a mut TableRef),
+    Expr(&'a mut Expr),
+}
+
+impl PartMut<'_> {
+    fn parts(self, f: &mut dyn FnMut(PartMut<'_>)) {
+        match self {
+            PartMut::Query(q) => q.parts_mut(f),
+            PartMut::Select(s) => s.parts_mut(f),
+            PartMut::Table(t) => t.parts_mut(f),
+            PartMut::Expr(e) => e.parts_mut(f),
+        }
+    }
+
+    /// Pre-order walk over everything below this node, subqueries
+    /// included: `f` may rewrite each part before the walk descends
+    /// into it.
+    pub fn walk(self, f: &mut dyn FnMut(&mut PartMut<'_>)) {
+        self.parts(&mut |mut part| {
+            f(&mut part);
+            part.walk(f);
+        });
     }
 }
 
@@ -111,27 +203,22 @@ pub enum SetExpr {
 }
 
 impl SetExpr {
-    fn walk_selects<'a>(&'a self, f: &mut dyn FnMut(&'a Select)) {
+    fn selects<'a>(&'a self, f: &mut dyn FnMut(&'a Select)) {
         match self {
-            SetExpr::Select(s) => {
-                f(s);
-                for t in &s.from {
-                    t.walk_selects(f);
-                }
-            }
+            SetExpr::Select(s) => f(s),
             SetExpr::SetOp { left, right, .. } => {
-                left.walk_selects(f);
-                right.walk_selects(f);
+                left.selects(f);
+                right.selects(f);
             }
         }
     }
 
-    fn walk_exprs<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+    fn selects_mut(&mut self, f: &mut dyn FnMut(&mut Select)) {
         match self {
-            SetExpr::Select(s) => s.walk_exprs(f),
+            SetExpr::Select(s) => f(s),
             SetExpr::SetOp { left, right, .. } => {
-                left.walk_exprs(f);
-                right.walk_exprs(f);
+                left.selects_mut(f);
+                right.selects_mut(f);
             }
         }
     }
@@ -193,23 +280,34 @@ pub struct Select {
 }
 
 impl Select {
-    fn walk_exprs<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+    /// The one enumeration of a SELECT block's parts: the projected
+    /// expressions, the FROM items, then WHERE, GROUP BY and HAVING.
+    pub fn parts<'a>(&'a self, f: &mut dyn FnMut(Part<'a>)) {
         for item in &self.projection {
             if let SelectItem::Expr { expr, .. } = item {
-                expr.walk(f);
+                f(Part::Expr(expr));
             }
         }
         for t in &self.from {
-            t.walk_exprs(f);
+            f(Part::Table(t));
         }
-        if let Some(e) = &self.selection {
-            e.walk(f);
+        for e in self.selection.iter().chain(&self.group_by).chain(&self.having) {
+            f(Part::Expr(e));
         }
-        for e in &self.group_by {
-            e.walk(f);
+    }
+
+    /// [`Select::parts`] for rewrites.
+    pub fn parts_mut(&mut self, f: &mut dyn FnMut(PartMut<'_>)) {
+        for item in &mut self.projection {
+            if let SelectItem::Expr { expr, .. } = item {
+                f(PartMut::Expr(expr));
+            }
         }
-        if let Some(e) = &self.having {
-            e.walk(f);
+        for t in &mut self.from {
+            f(PartMut::Table(t));
+        }
+        for e in self.selection.iter_mut().chain(&mut self.group_by).chain(&mut self.having) {
+            f(PartMut::Expr(e));
         }
     }
 }
@@ -352,44 +450,44 @@ pub enum TableRef {
 }
 
 impl TableRef {
-    fn collect_names(&self, out: &mut Vec<ObjectName>) {
-        match self {
-            TableRef::Named { name, .. } => out.push(name.clone()),
-            // Derived tables are covered by the `walk_selects` recursion in
-            // `referenced_tables`; adding them here would double-count.
-            TableRef::Derived { .. } => {}
-            TableRef::Join { left, right, .. } => {
-                left.collect_names(out);
-                right.collect_names(out);
-            }
-        }
-    }
-
-    fn walk_selects<'a>(&'a self, f: &mut dyn FnMut(&'a Select)) {
+    /// The one enumeration of a FROM item's parts: a derived table's
+    /// query; a join's two sides and its `ON` condition.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    pub fn parts<'a>(&'a self, f: &mut dyn FnMut(Part<'a>)) {
         match self {
             TableRef::Named { .. } => {}
-            TableRef::Derived { subquery, .. } => subquery.walk_selects(f),
-            TableRef::Join { left, right, .. } => {
-                left.walk_selects(f);
-                right.walk_selects(f);
-            }
-        }
-    }
-
-    fn walk_exprs<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
-        match self {
-            TableRef::Named { .. } => {}
-            TableRef::Derived { subquery, .. } => subquery.walk_exprs(f),
+            TableRef::Derived { subquery, .. } => f(Part::Query(subquery)),
             TableRef::Join {
                 left,
                 right,
                 constraint,
                 ..
             } => {
-                left.walk_exprs(f);
-                right.walk_exprs(f);
+                f(Part::Table(left));
+                f(Part::Table(right));
                 if let Some(c) = constraint {
-                    c.walk(f);
+                    f(Part::Expr(c));
+                }
+            }
+        }
+    }
+
+    /// [`TableRef::parts`] for rewrites.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    pub fn parts_mut(&mut self, f: &mut dyn FnMut(PartMut<'_>)) {
+        match self {
+            TableRef::Named { .. } => {}
+            TableRef::Derived { subquery, .. } => f(PartMut::Query(subquery)),
+            TableRef::Join {
+                left,
+                right,
+                constraint,
+                ..
+            } => {
+                f(PartMut::Table(left));
+                f(PartMut::Table(right));
+                if let Some(c) = constraint {
+                    f(PartMut::Expr(c));
                 }
             }
         }
@@ -785,28 +883,30 @@ impl Expr {
         }
     }
 
-    /// Depth-first walk over this expression and all nested expressions
-    /// (including inside subqueries' own expressions is *not* done here;
-    /// callers that need it recurse via [`Query::walk_exprs`]).
-    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
-        f(self);
+    /// The one enumeration of an expression's parts: its operand
+    /// expressions in source order — a window call's `PARTITION BY` and
+    /// `ORDER BY` keys among them — and the subquery it may hold.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    pub fn parts<'a>(&'a self, f: &mut dyn FnMut(Part<'a>)) {
         match self {
             Expr::Column(_) | Expr::Literal(_) | Expr::Wildcard => {}
-            Expr::Unary { expr, .. } => expr.walk(f),
+            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
+                f(Part::Expr(expr));
+            }
             Expr::Binary { left, right, .. } => {
-                left.walk(f);
-                right.walk(f);
+                f(Part::Expr(left));
+                f(Part::Expr(right));
             }
             Expr::Function(call) => {
                 for a in &call.args {
-                    a.walk(f);
+                    f(Part::Expr(a));
                 }
                 if let Some(w) = &call.over {
                     for e in &w.partition_by {
-                        e.walk(f);
+                        f(Part::Expr(e));
                     }
-                    for it in &w.order_by {
-                        it.expr.walk(f);
+                    for item in &w.order_by {
+                        f(Part::Expr(&item.expr));
                     }
                 }
             }
@@ -816,49 +916,122 @@ impl Expr {
                 else_result,
             } => {
                 if let Some(o) = operand {
-                    o.walk(f);
+                    f(Part::Expr(o));
                 }
                 for (c, v) in branches {
-                    c.walk(f);
-                    v.walk(f);
+                    f(Part::Expr(c));
+                    f(Part::Expr(v));
                 }
                 if let Some(e) = else_result {
-                    e.walk(f);
+                    f(Part::Expr(e));
                 }
             }
-            Expr::Cast { expr, .. } => expr.walk(f),
-            Expr::IsNull { expr, .. } => expr.walk(f),
             Expr::InList { expr, list, .. } => {
-                expr.walk(f);
+                f(Part::Expr(expr));
                 for e in list {
-                    e.walk(f);
+                    f(Part::Expr(e));
                 }
             }
-            Expr::InSubquery { expr, .. } => expr.walk(f),
+            Expr::InSubquery { expr, subquery, .. } => {
+                f(Part::Expr(expr));
+                f(Part::Query(subquery));
+            }
             Expr::Between {
                 expr, low, high, ..
             } => {
-                expr.walk(f);
-                low.walk(f);
-                high.walk(f);
+                f(Part::Expr(expr));
+                f(Part::Expr(low));
+                f(Part::Expr(high));
             }
             Expr::Like { expr, pattern, .. } => {
-                expr.walk(f);
-                pattern.walk(f);
+                f(Part::Expr(expr));
+                f(Part::Expr(pattern));
             }
-            Expr::Exists { .. } | Expr::ScalarSubquery(_) => {}
+            Expr::Exists { subquery, .. } | Expr::ScalarSubquery(subquery) => {
+                f(Part::Query(subquery));
+            }
         }
     }
 
-    /// Collect all column references in this expression subtree.
-    pub fn columns(&self) -> Vec<&ColumnRef> {
-        let mut out = Vec::new();
-        self.walk(&mut |e| {
-            if let Expr::Column(c) = e {
-                out.push(c);
+    /// [`Expr::parts`] for rewrites.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    pub fn parts_mut(&mut self, f: &mut dyn FnMut(PartMut<'_>)) {
+        match self {
+            Expr::Column(_) | Expr::Literal(_) | Expr::Wildcard => {}
+            Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IsNull { expr, .. } => {
+                f(PartMut::Expr(expr));
+            }
+            Expr::Binary { left, right, .. } => {
+                f(PartMut::Expr(left));
+                f(PartMut::Expr(right));
+            }
+            Expr::Function(call) => {
+                for a in &mut call.args {
+                    f(PartMut::Expr(a));
+                }
+                if let Some(w) = &mut call.over {
+                    for e in &mut w.partition_by {
+                        f(PartMut::Expr(e));
+                    }
+                    for item in &mut w.order_by {
+                        f(PartMut::Expr(&mut item.expr));
+                    }
+                }
+            }
+            Expr::Case {
+                operand,
+                branches,
+                else_result,
+            } => {
+                if let Some(o) = operand {
+                    f(PartMut::Expr(o));
+                }
+                for (c, v) in branches {
+                    f(PartMut::Expr(c));
+                    f(PartMut::Expr(v));
+                }
+                if let Some(e) = else_result {
+                    f(PartMut::Expr(e));
+                }
+            }
+            Expr::InList { expr, list, .. } => {
+                f(PartMut::Expr(expr));
+                for e in list {
+                    f(PartMut::Expr(e));
+                }
+            }
+            Expr::InSubquery { expr, subquery, .. } => {
+                f(PartMut::Expr(expr));
+                f(PartMut::Query(subquery));
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                f(PartMut::Expr(expr));
+                f(PartMut::Expr(low));
+                f(PartMut::Expr(high));
+            }
+            Expr::Like { expr, pattern, .. } => {
+                f(PartMut::Expr(expr));
+                f(PartMut::Expr(pattern));
+            }
+            Expr::Exists { subquery, .. } | Expr::ScalarSubquery(subquery) => {
+                f(PartMut::Query(subquery));
+            }
+        }
+    }
+
+    /// Depth-first walk over this expression and all nested expressions.
+    /// Subquery expressions are visited but not entered: a subquery is
+    /// its own scope, and callers that want it go through
+    /// [`Expr::parts`] or [`Part::walk`].
+    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+        f(self);
+        self.parts(&mut |part| {
+            if let Part::Expr(e) = part {
+                e.walk(f);
             }
         });
-        out
     }
 }
 

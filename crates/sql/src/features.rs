@@ -70,20 +70,26 @@ impl QueryFeatures {
             ..Default::default()
         };
 
-        query.walk_selects(&mut |s| {
-            f.select_blocks += 1;
-            if s.top.is_some() {
-                f.top = true;
+        // SELECT blocks and FROM items, derived tables included;
+        // expressions are scanned below.
+        Part::Query(query).walk(&mut |part| match part {
+            Part::Select(s) => {
+                f.select_blocks += 1;
+                f.top |= s.top.is_some();
+                f.distinct |= s.distinct;
+                f.group_by |= !s.group_by.is_empty();
+                true
             }
-            if s.distinct {
-                f.distinct = true;
+            Part::Table(t) => {
+                f.subquery_in_from |= matches!(t, TableRef::Derived { .. });
+                if let TableRef::Join { kind, .. } = t {
+                    f.join = true;
+                    f.outer_join |= kind.is_outer();
+                }
+                true
             }
-            if !s.group_by.is_empty() {
-                f.group_by = true;
-            }
-            for t in &s.from {
-                scan_table_ref(t, &mut f);
-            }
+            Part::Query(_) => true,
+            Part::Expr(_) => false,
         });
 
         scan_set_expr(&query.body, &mut f);
@@ -95,28 +101,6 @@ impl QueryFeatures {
         tables.dedup();
         f.tables_referenced = tables.len();
         f
-    }
-
-    /// A rough "uses advanced SQL" predicate used by reports.
-    pub fn uses_advanced_sql(&self) -> bool {
-        self.window_function || self.set_operation || self.subquery_in_expr || self.subquery_in_from
-    }
-}
-
-fn scan_table_ref(t: &TableRef, f: &mut QueryFeatures) {
-    match t {
-        TableRef::Named { .. } => {}
-        TableRef::Derived { .. } => f.subquery_in_from = true,
-        TableRef::Join {
-            left, right, kind, ..
-        } => {
-            f.join = true;
-            if kind.is_outer() {
-                f.outer_join = true;
-            }
-            scan_table_ref(left, f);
-            scan_table_ref(right, f);
-        }
     }
 }
 
@@ -166,15 +150,12 @@ fn scan_expr(e: &Expr, f: &mut QueryFeatures, case_depth: usize) {
             }
         }
         Expr::Cast { .. } => f.cast = true,
-        Expr::ScalarSubquery(q) | Expr::Exists { subquery: q, .. } => {
+        Expr::ScalarSubquery(q)
+        | Expr::Exists { subquery: q, .. }
+        | Expr::InSubquery { subquery: q, .. } => {
             f.subquery_in_expr = true;
             // Walk the subquery too: features are whole-query properties.
             let sub = QueryFeatures::detect(q);
-            merge(f, &sub);
-        }
-        Expr::InSubquery { subquery, .. } => {
-            f.subquery_in_expr = true;
-            let sub = QueryFeatures::detect(subquery);
             merge(f, &sub);
         }
         _ => {}

@@ -104,30 +104,24 @@ fn detect_vertical_recomposition(body: &SetExpr) -> bool {
     if !collect_union_branches(body, &mut branches) || branches.len() < 2 {
         return false;
     }
+    // Tables named directly in each branch's FROM (joins descended,
+    // derived tables not entered).
     let mut tables: Vec<String> = Vec::new();
     for b in &branches {
         if let SetExpr::Select(s) = b {
-            for t in &s.from {
-                let mut names = Vec::new();
-                collect_named(t, &mut names);
-                tables.extend(names);
-            }
+            Part::Select(s).walk(&mut |part| match part {
+                Part::Table(TableRef::Named { name, .. }) => {
+                    tables.push(name.flat().to_ascii_lowercase());
+                    false
+                }
+                Part::Table(_) => true,
+                Part::Query(_) | Part::Select(_) | Part::Expr(_) => false,
+            });
         }
     }
     tables.sort();
     tables.dedup();
     tables.len() >= 2
-}
-
-fn collect_named(t: &TableRef, out: &mut Vec<String>) {
-    match t {
-        TableRef::Named { name, .. } => out.push(name.flat().to_ascii_lowercase()),
-        TableRef::Derived { .. } => {}
-        TableRef::Join { left, right, .. } => {
-            collect_named(left, out);
-            collect_named(right, out);
-        }
-    }
 }
 
 /// A projection item of the form `col AS other_name` (alias differs from

@@ -14,8 +14,11 @@
 //! * [`wrapper_view`] — the trivial `SELECT * FROM T` wrapper created for
 //!   every uploaded base table (§3.2), which erases the table/view
 //!   distinction and doubles as the starter query for novices.
+//! * [`rename_tables`] — how the service resolves an owner's short
+//!   dataset names (`FROM tides` for `ada.tides`) before binding and
+//!   before a view's text is stored.
 
-use crate::ast::{ObjectName, Query, Select, SelectItem, SetExpr, SetOp, TableRef};
+use crate::ast::{ObjectName, PartMut, Query, Select, SelectItem, SetExpr, SetOp, TableRef};
 use crate::parser::parse_query;
 use sqlshare_common::Result;
 
@@ -87,6 +90,25 @@ pub fn append_union(
         },
         order_by: Vec::new(),
     })
+}
+
+/// Rewrite table names via `f` (returning `Some` replaces) wherever the
+/// query names one: FROM clauses, derived tables, and subqueries in any
+/// expression position — the same positions [`Query::referenced_tables`]
+/// reports to the permission check, since both are the one walk.
+pub fn rename_tables(query: &mut Query, f: &dyn Fn(&ObjectName) -> Option<ObjectName>) {
+    PartMut::Query(query).walk(&mut |part| {
+        if let PartMut::Table(TableRef::Named { name, alias }) = part {
+            if let Some(new_name) = f(name) {
+                // Keep the original short name visible as an alias so
+                // column qualifiers keep resolving.
+                if alias.is_none() {
+                    *alias = Some(name.base().to_string());
+                }
+                *name = new_name;
+            }
+        }
+    });
 }
 
 #[cfg(test)]

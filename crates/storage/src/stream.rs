@@ -1,8 +1,8 @@
 //! Tail-following WAL reader for replication.
 //!
 //! [`read_tail`] reads checksummed records from a live `wal.log` starting
-//! at a byte offset, validating each frame exactly as recovery's
-//! [`Wal::scan`](crate::Wal) does — but it never repairs the file. A
+//! at a byte offset, through the same frame parser as recovery's
+//! [`Wal::scan`](crate::Wal) — but it never repairs the file. A
 //! record whose header, length, or checksum does not yet validate is
 //! treated as a write in flight: the reader hands off at the last valid
 //! record boundary and the next poll resumes from that offset, by which
@@ -16,19 +16,21 @@
 //! up from a snapshot instead. [`read_tail`] reports it as
 //! [`TailRead::reset`] and returns no records.
 
-use sqlshare_common::hash::fnv64;
+use crate::wal::frames;
+#[cfg(test)]
+use crate::wal::HEADER_LEN;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
-
-const HEADER_LEN: usize = 12;
-const MAX_RECORD: usize = 1 << 30;
 
 /// One poll of a live WAL tail.
 #[derive(Debug, Default)]
 pub struct TailRead {
     /// Fully validated record payloads, in append order.
     pub records: Vec<Vec<u8>>,
+    /// `ends[i]` is the offset of the byte after `records[i]` — where a
+    /// reader that consumed only the first `i + 1` records resumes.
+    pub ends: Vec<u64>,
     /// Offset of the byte after the last valid record — pass this as
     /// `from` on the next poll.
     pub end_offset: u64,
@@ -72,20 +74,10 @@ pub fn read_tail(path: &Path, from: u64) -> io::Result<TailRead> {
         end_offset: from,
         ..TailRead::default()
     };
-    let mut pos = 0usize;
-    while bytes.len() - pos >= HEADER_LEN {
-        let rec_len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        if rec_len > MAX_RECORD || bytes.len() - pos - HEADER_LEN < rec_len {
-            break;
-        }
-        let payload = &bytes[pos + HEADER_LEN..pos + HEADER_LEN + rec_len];
-        if fnv64(payload) != sum {
-            break;
-        }
+    for (payload, end) in frames(&bytes) {
         out.records.push(payload.to_vec());
-        pos += HEADER_LEN + rec_len;
-        out.end_offset = from + pos as u64;
+        out.end_offset = from + end as u64;
+        out.ends.push(out.end_offset);
     }
     Ok(out)
 }

@@ -46,7 +46,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Frame header: u32 length + u64 checksum.
-const HEADER_LEN: usize = 12;
+pub(crate) const HEADER_LEN: usize = 12;
 /// Sanity cap on a single record; anything larger is treated as
 /// corruption during a scan (a torn length prefix can decode to
 /// gigabytes).
@@ -184,16 +184,33 @@ fn valid_frame_at(bytes: &[u8], pos: usize) -> bool {
     fnv64(&bytes[pos + HEADER_LEN..pos + HEADER_LEN + len]) == sum
 }
 
-/// Parse the valid frame prefix: every record whose length and checksum
-/// validate, plus the byte offset where validation stopped.
-fn parse_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
-    let mut records = Vec::new();
+/// The valid frame prefix of `bytes`: each record whose length and
+/// checksum validate, as `(payload, offset just past its frame)`. The one
+/// frame parser — recovery's scan and the replication tail reader
+/// ([`crate::read_tail`]) both read through it.
+pub(crate) fn frames(bytes: &[u8]) -> impl Iterator<Item = (&[u8], usize)> {
     let mut pos = 0usize;
-    while valid_frame_at(bytes, pos) {
+    std::iter::from_fn(move || {
+        if !valid_frame_at(bytes, pos) {
+            return None;
+        }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        records.push(bytes[pos + HEADER_LEN..pos + HEADER_LEN + len].to_vec());
+        let payload = &bytes[pos + HEADER_LEN..pos + HEADER_LEN + len];
         pos += HEADER_LEN + len;
-    }
+        Some((payload, pos))
+    })
+}
+
+/// Every record of the valid frame prefix, plus the byte offset where
+/// validation stopped.
+fn parse_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
+    let mut pos = 0usize;
+    let records = frames(bytes)
+        .map(|(payload, end)| {
+            pos = end;
+            payload.to_vec()
+        })
+        .collect();
     (records, pos)
 }
 

@@ -1,6 +1,7 @@
 // The cases of `engine_conformance.rs`, compiled once per engine mode.
 
 use proptest::prelude::*;
+use sqlshare_core::SqlShare;
 use sqlshare_engine::{DataType, Engine, Schema, Table, Value};
 use sqlshare_ingest::{ingest_text, HeaderMode, IngestOptions};
 use sqlshare_sql::ast::{
@@ -471,4 +472,324 @@ proptest! {
             prop_assert_eq!(report.type_reverts.len(), 1);
         }
     }
+}
+
+// ---- position sweep -----------------------------------------------------------
+//
+// Subqueries and grouped expressions may stand wherever the parser accepts an
+// expression, and three layers walk those positions: the service qualifies
+// the owner's short dataset names, the binder matches grouped expressions,
+// the planner materializes subqueries. Each walk is written on one
+// enumeration of a node's parts; this sweep plants a fragment at every
+// position and holds the three to the same answer — through
+// `SqlShare::run_query` as the owner, with short names and qualified, against
+// the row interpreter at DOP 1, and never as an `internal` error.
+
+const A_CSV: &str = "k,v\n1,10\n1,11\n2,20\n2,21\n3,30\n4,40\n";
+const B_CSV: &str = "k,v\n1,15\n2,25\n2,35\n5,5\n";
+
+fn ada_with_a_and_b(engine: Engine) -> SqlShare {
+    let mut s = SqlShare::with_engine(engine);
+    s.register_user("ada", "ada@uw.edu").unwrap();
+    s.upload("ada", "a", A_CSV, &IngestOptions::default()).unwrap();
+    s.upload("ada", "b", B_CSV, &IngestOptions::default()).unwrap();
+    s
+}
+
+/// `(position, SQL)`: `$V` stands where a value goes, `$P` where a predicate
+/// goes, `$k` / `$v` are the outer columns a planted fragment may use, and
+/// `$a` / `$b` the two datasets.
+const POSITIONS: &[(&str, &str)] = &[
+    ("projection", "SELECT k, v, $V FROM $a"),
+    ("WHERE", "SELECT k, v FROM $a WHERE $P"),
+    ("JOIN ON", "SELECT x.k, x.v, y.v FROM $a AS x JOIN $b AS y ON x.k = y.k AND $P"),
+    ("LEFT JOIN ON", "SELECT x.k, x.v, y.v FROM $a AS x LEFT JOIN $b AS y ON x.k = y.k AND $P"),
+    ("GROUP BY", "SELECT $V, COUNT(*) FROM $a GROUP BY $V"),
+    ("HAVING", "SELECT k, COUNT(*) FROM $a GROUP BY k HAVING $P"),
+    ("ORDER BY", "SELECT k, v FROM $a ORDER BY $V, k, v"),
+    ("CASE operand", "SELECT k, v, CASE $V WHEN 1 THEN 'one' WHEN 35 THEN 'max' ELSE 'other' END FROM $a"),
+    ("CASE condition", "SELECT k, v, CASE WHEN $P THEN 'yes' ELSE 'no' END FROM $a"),
+    ("CASE result", "SELECT k, v, CASE WHEN k > 1 THEN $V ELSE 0 END FROM $a"),
+    ("CASE else", "SELECT k, v, CASE WHEN k > 1 THEN 0 ELSE $V END FROM $a"),
+    ("function argument", "SELECT k, v, ABS($V - 20) FROM $a"),
+    ("unary minus", "SELECT k, v, -$V FROM $a"),
+    ("NOT", "SELECT k, v FROM $a WHERE NOT ($P) OR k = 1"),
+    ("CAST", "SELECT k, v, CAST($V AS FLOAT) FROM $a"),
+    ("IS NULL", "SELECT k, v FROM $a WHERE $V IS NOT NULL"),
+    ("BETWEEN operand", "SELECT k, v FROM $a WHERE $V BETWEEN 1 AND 40"),
+    ("BETWEEN bounds", "SELECT k, v FROM $a WHERE v BETWEEN $V AND $V + 30"),
+    ("LIKE operand", "SELECT k, v FROM $a WHERE CAST($V AS VARCHAR) LIKE '%5' OR k = 1"),
+    ("LIKE pattern", "SELECT k, v FROM $a WHERE '35' LIKE CAST($V AS VARCHAR) OR k = 1"),
+    ("IN list operand", "SELECT k, v FROM $a WHERE $V IN (1, 35)"),
+    ("IN list", "SELECT k, v FROM $a WHERE v IN (10, 20, $V)"),
+    ("aggregate argument", "SELECT k, SUM($V) FROM $a GROUP BY k"),
+    ("window argument", "SELECT k, v, SUM($V) OVER (PARTITION BY k) FROM $a"),
+    ("PARTITION BY", "SELECT k, v, SUM(v) OVER (PARTITION BY $V) FROM $a"),
+    ("window ORDER BY", "SELECT k, v, ROW_NUMBER() OVER (ORDER BY $V, k, v) FROM $a"),
+    ("derived table", "SELECT d.kk FROM (SELECT k AS kk, $V AS w FROM $a WHERE $P) AS d WHERE d.w >= 0"),
+    ("set operation", "SELECT k FROM $a WHERE $P UNION ALL SELECT $V FROM $a"),
+    ("subquery in a subquery", "SELECT k, v FROM $a WHERE v < (SELECT MAX(v) FROM $b WHERE $P)"),
+];
+
+/// `(plant, value form, predicate form)`.
+const PLANTS: &[(&str, &str, &str)] = &[
+    (
+        "scalar subquery",
+        "(SELECT MAX(v) FROM $b)",
+        "$v < (SELECT MAX(v) FROM $b)",
+    ),
+    (
+        "IN subquery",
+        "CASE WHEN $k IN (SELECT k FROM $b) THEN 1 ELSE 0 END",
+        "$k IN (SELECT k FROM $b)",
+    ),
+    (
+        "EXISTS",
+        "CASE WHEN EXISTS (SELECT k FROM $b WHERE v > 30) THEN 1 ELSE 0 END",
+        "EXISTS (SELECT k FROM $b WHERE v > 30)",
+    ),
+];
+
+/// A grouped expression (`k + 1` under `GROUP BY k + 1`) at every position
+/// that sees the aggregate's output.
+const GROUPED: &[(&str, &str)] = &[
+    ("projection", "SELECT k + 1, COUNT(*) FROM $a GROUP BY k + 1"),
+    ("HAVING", "SELECT COUNT(*) FROM $a GROUP BY k + 1 HAVING k + 1 > 2"),
+    ("HAVING, IN subquery operand", "SELECT k + 1 FROM $a GROUP BY k + 1 HAVING (k + 1) IN (SELECT k FROM $b)"),
+    ("ORDER BY", "SELECT COUNT(*) FROM $a GROUP BY k + 1 ORDER BY k + 1 DESC"),
+    ("CASE operand", "SELECT CASE k + 1 WHEN 2 THEN 'two' ELSE 'other' END FROM $a GROUP BY k + 1"),
+    ("CASE condition", "SELECT CASE WHEN (k + 1) IN (SELECT k FROM $b) THEN 'yes' ELSE 'no' END FROM $a GROUP BY k + 1"),
+    ("CASE result", "SELECT CASE WHEN COUNT(*) > 1 THEN k + 1 ELSE 0 END FROM $a GROUP BY k + 1"),
+    ("CASE else", "SELECT CASE WHEN COUNT(*) > 1 THEN 0 ELSE k + 1 END FROM $a GROUP BY k + 1"),
+    ("function argument", "SELECT ABS(k + 1), COUNT(*) FROM $a GROUP BY k + 1"),
+    ("unary minus", "SELECT -(k + 1) FROM $a GROUP BY k + 1"),
+    ("CAST", "SELECT CAST(k + 1 AS FLOAT) FROM $a GROUP BY k + 1"),
+    ("BETWEEN bounds", "SELECT COUNT(*) FROM $a GROUP BY k + 1 HAVING 3 BETWEEN k + 1 AND k + 1 + 1"),
+    ("LIKE pattern", "SELECT COUNT(*) FROM $a GROUP BY k + 1 HAVING '3' LIKE CAST(k + 1 AS VARCHAR)"),
+    ("IN list", "SELECT COUNT(*) FROM $a GROUP BY k + 1 HAVING 3 IN (0, k + 1)"),
+    ("aggregate beside it", "SELECT (k + 1) * SUM(v) FROM $a GROUP BY k + 1"),
+    ("PARTITION BY", "SELECT k + 1, SUM(COUNT(*)) OVER (PARTITION BY k + 1) FROM $a GROUP BY k + 1"),
+    ("window ORDER BY", "SELECT k + 1, ROW_NUMBER() OVER (ORDER BY k + 1) FROM $a GROUP BY k + 1"),
+];
+
+/// Positions the binder rejects by design, with the typed error they get
+/// (never `internal`): `(what, SQL, error kind, message fragment)`.
+const REJECTED: &[(&str, &str, &str, &str)] = &[
+    (
+        "correlated subquery",
+        "SELECT k FROM $a AS x WHERE v > (SELECT MAX(v) FROM $b AS y WHERE y.k = x.k)",
+        "binding",
+        "correlated subqueries are not supported",
+    ),
+    (
+        "subquery returning two columns",
+        "SELECT k FROM $a WHERE v > (SELECT k, v FROM $b)",
+        "binding",
+        "exactly one column",
+    ),
+    (
+        "window function outside the SELECT list",
+        "SELECT k FROM $a WHERE SUM(v) OVER (PARTITION BY (SELECT MIN(k) FROM $b)) > 1",
+        "binding",
+        "only allowed in the SELECT list",
+    ),
+];
+
+fn instantiate(template: &str, a: &str, b: &str) -> String {
+    template.replace("$a", a).replace("$b", b)
+}
+
+fn sorted_rows(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
+    let mut out: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| r.iter().map(Value::to_text).collect())
+        .collect();
+    out.sort();
+    out
+}
+
+/// The sweep's SQL, as `(label, template over $a / $b)`.
+fn sweep_cases() -> Vec<(String, String)> {
+    let mut cases = Vec::new();
+    for (position, template) in POSITIONS {
+        // In a join both sides have `k` and `v`; under GROUP BY `v` is
+        // only reachable through an aggregate.
+        let (k, v) = match *position {
+            "JOIN ON" | "LEFT JOIN ON" => ("x.k", "x.v"),
+            "HAVING" => ("k", "SUM(v)"),
+            _ => ("k", "v"),
+        };
+        for (plant, value, predicate) in PLANTS {
+            let sql = template
+                .replace("$V", value)
+                .replace("$P", predicate)
+                .replace("$k", k)
+                .replace("$v", v);
+            cases.push((format!("{plant} in {position}"), sql));
+        }
+    }
+    for (position, template) in GROUPED {
+        cases.push((format!("grouped expression in {position}"), template.to_string()));
+    }
+    cases
+}
+
+#[test]
+fn subqueries_and_grouped_expressions_in_every_position() {
+    let service = ada_with_a_and_b(mode().engine());
+    let mut row_engine = Engine::new();
+    row_engine.set_vectorized(false);
+    row_engine.set_max_dop(1);
+    let reference = ada_with_a_and_b(row_engine);
+
+    for (label, template) in sweep_cases() {
+        let short = instantiate(&template, "a", "b");
+        let qualified = instantiate(&template, "ada.a", "ada.b");
+        let run = |s: &SqlShare, sql: &str| {
+            s.run_query("ada", sql)
+                .unwrap_or_else(|e| panic!("{label}: [{}] {e}\nsql: {sql}", e.kind()))
+        };
+        let expected = sorted_rows(&run(&reference, &qualified).rows);
+        assert!(!expected.is_empty(), "{label}: vacuous case\nsql: {qualified}");
+        assert_eq!(sorted_rows(&run(&service, &qualified).rows), expected, "{label}\nsql: {qualified}");
+        assert_eq!(sorted_rows(&run(&service, &short).rows), expected, "{label}\nsql: {short}");
+    }
+
+    for (what, template, kind, fragment) in REJECTED {
+        for (a, b) in [("a", "b"), ("ada.a", "ada.b")] {
+            let sql = instantiate(template, a, b);
+            let err = service.run_query("ada", &sql).expect_err(what);
+            assert_eq!(err.kind(), *kind, "{what}: {err}\nsql: {sql}");
+            assert!(err.to_string().contains(fragment), "{what}: {err}\nsql: {sql}");
+        }
+    }
+}
+
+/// ORDER BY and window ORDER BY are the two positions where row *order* is
+/// the answer: compare them unsorted.
+#[test]
+fn subquery_sort_keys_order_rows() {
+    let s = ada_with_a_and_b(mode().engine());
+    let ks = |sql: &str| -> Vec<String> {
+        let out = s.run_query("ada", sql).unwrap_or_else(|e| panic!("{e}\nsql: {sql}"));
+        out.rows.iter().map(|r| r[0].to_text()).collect()
+    };
+    // v - MAX(b.v) = v - 50, descending by its absolute value.
+    assert_eq!(
+        ks("SELECT v FROM a ORDER BY ABS(v - (SELECT MAX(v) FROM b)) DESC, v"),
+        ["10", "11", "20", "21", "30", "40"]
+    );
+    assert_eq!(
+        ks("SELECT v, ROW_NUMBER() OVER (ORDER BY CASE WHEN k IN (SELECT k FROM b) THEN 0 ELSE 1 END, v DESC) \
+            FROM a ORDER BY 2"),
+        ["21", "20", "11", "10", "40", "30"]
+    );
+}
+
+/// Bug (fails at 7756d60 with `unknown table or view 'b'`): the service's
+/// short-name qualification skipped join constraints, ORDER BY and window
+/// specifications, while the permission check visited them.
+#[test]
+fn short_names_resolve_in_join_on_order_by_and_over() {
+    let mut s = ada_with_a_and_b(mode().engine());
+    for (sql, qualified) in [
+        (
+            "SELECT a.k FROM a JOIN b ON a.k = b.k AND b.v > (SELECT AVG(v) FROM b)",
+            "SELECT a.k FROM ada.a JOIN ada.b ON a.k = b.k AND b.v > (SELECT AVG(v) FROM ada.b)",
+        ),
+        (
+            "SELECT k FROM a ORDER BY (SELECT MAX(v) FROM b), k",
+            "SELECT k FROM ada.a ORDER BY (SELECT MAX(v) FROM ada.b), k",
+        ),
+        (
+            "SELECT k, SUM(v) OVER (PARTITION BY (SELECT MIN(k) FROM b)) FROM a",
+            "SELECT k, SUM(v) OVER (PARTITION BY (SELECT MIN(k) FROM ada.b)) FROM ada.a",
+        ),
+    ] {
+        let short = s.run_query("ada", sql).unwrap_or_else(|e| panic!("{e}\nsql: {sql}"));
+        let qualified = s.run_query("ada", qualified).unwrap();
+        assert_eq!(sorted_rows(&short.rows), sorted_rows(&qualified.rows), "sql: {sql}");
+        // A view saved with such SQL stores the qualified name, so it
+        // still resolves for a reader who is not the owner.
+        let stored = s.canonicalize("ada", sql).unwrap();
+        assert!(!stored.contains("FROM b") && stored.contains("ada.b"), "stored: {stored}");
+    }
+    let view = s
+        .save_dataset(
+            "ada",
+            "above_avg",
+            "SELECT a.k FROM a JOIN b ON a.k = b.k AND b.v > (SELECT AVG(v) FROM b)",
+            Default::default(),
+        )
+        .unwrap();
+    s.register_user("bob", "bob@example.com").unwrap();
+    s.set_visibility("ada", &view, sqlshare_core::Visibility::Public).unwrap();
+    let out = s.run_query("bob", "SELECT COUNT(*) FROM ada.above_avg").unwrap();
+    assert_eq!(out.rows[0][0].to_text(), "4");
+}
+
+/// Bug (fails at 7756d60 with `internal: unmaterialized subquery reached
+/// the executor`): `plan_window` was the one operator that never
+/// materialized; aggregates and sort keys dropped the subquery's plan.
+#[test]
+fn subquery_under_over_is_materialized_and_its_plan_kept() {
+    let s = ada_with_a_and_b(mode().engine());
+    let out = s
+        .run_query("ada", "SELECT k, SUM(v) OVER (PARTITION BY (SELECT MIN(k) FROM ada.b)) FROM a")
+        .unwrap();
+    assert!(out.rows.iter().all(|r| r[1].to_text() == "132"), "{:?}", out.rows);
+    // The subquery's operators are part of the plan the log analyses.
+    for sql in [
+        "SELECT k, SUM(v) OVER (PARTITION BY (SELECT MIN(k) FROM ada.b)) FROM ada.a",
+        "SELECT k FROM ada.a ORDER BY (SELECT MAX(v) FROM ada.b), k",
+        "SELECT SUM(v + (SELECT MAX(v) FROM ada.b)) FROM ada.a",
+    ] {
+        let plan = s.engine().explain(sql).unwrap();
+        assert!(
+            plan.base_tables().iter().any(|t| t.contains("b$base")),
+            "subquery plan missing from {:?}\nsql: {sql}",
+            plan.base_tables()
+        );
+    }
+}
+
+/// Bug (fails at 7756d60 with `unknown column 'k'`): grouped-expression
+/// matching did not descend into `OVER (…)` or the left side of
+/// `IN (subquery)`.
+#[test]
+fn grouped_expression_matches_under_in_subquery_case_and_over() {
+    let s = ada_with_a_and_b(mode().engine());
+    let rows = |sql: &str| {
+        let out = s.run_query("ada", sql).unwrap_or_else(|e| panic!("{e}\nsql: {sql}"));
+        sorted_rows(&out.rows)
+    };
+    assert_eq!(
+        rows("SELECT k + 1 FROM a GROUP BY k + 1 HAVING (k + 1) IN (SELECT k FROM ada.b)"),
+        [["2"], ["5"]]
+    );
+    assert_eq!(
+        rows("SELECT CASE WHEN (k + 1) IN (SELECT k FROM ada.b) THEN k + 1 ELSE 0 END FROM a GROUP BY k + 1"),
+        [["0"], ["0"], ["2"], ["5"]]
+    );
+    assert_eq!(
+        rows("SELECT k + 1, SUM(COUNT(*)) OVER (PARTITION BY k + 1) FROM a GROUP BY k + 1"),
+        [["2", "2"], ["3", "2"], ["4", "1"], ["5", "1"]]
+    );
+}
+
+/// A filter on a view column pushed through the view's projection keeps
+/// pointing at that column when it is the left side of `IN (subquery)`
+/// (`substitute_columns` used to leave that operand unsubstituted).
+#[test]
+fn in_subquery_filter_pushes_through_a_reordering_view() {
+    let mut s = ada_with_a_and_b(mode().engine());
+    s.save_dataset("ada", "swapped", "SELECT v AS amount, k AS id FROM a", Default::default())
+        .unwrap();
+    let out = s
+        .run_query("ada", "SELECT id, amount FROM swapped WHERE id IN (SELECT k FROM b)")
+        .unwrap();
+    assert_eq!(
+        sorted_rows(&out.rows),
+        [["1", "10"], ["1", "11"], ["2", "20"], ["2", "21"]]
+    );
 }
