@@ -1,8 +1,9 @@
-//! `sqlshare-report` — regenerate the paper's tables and figures.
+//! `sqlshare-report` — regenerate the paper's tables and figures, and
+//! every other checked-in number (`BENCH_storage.json` included).
 //!
 //! ```text
 //! sqlshare-report all [--scale X] [--seed N]     # everything, paper order
-//! sqlshare-report table3 fig9 ...                # specific exhibits
+//! sqlshare-report table3 fig9 ...                # specific sections
 //! sqlshare-report list                           # available ids
 //! ```
 //!
@@ -36,10 +37,7 @@ fn main() {
                     .unwrap_or_else(|| die("--seed requires an integer"));
             }
             "list" => {
-                println!("available experiments:");
-                for id in reports::ALL {
-                    println!("  {id}");
-                }
+                print!("{}", reports::list());
                 return;
             }
             "--help" | "-h" => {

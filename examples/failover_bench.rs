@@ -11,11 +11,19 @@
 //! form (the randomized mid-ack kills live in
 //! `tests/failover_differential.rs`).
 //!
-//!     cargo run --release -p sqlshare-bench --example failover_bench
+//!     cargo run --release -p sqlshare-server --example failover_bench
 //!
 //! `SQLSHARE_FAILOVER_OPS` overrides the op count (default 120).
 
-use sqlshare_bench::replay::{FailoverClient, ReplayOp};
+#[allow(dead_code)]
+#[path = "../tests/support/http.rs"]
+mod http;
+#[allow(dead_code)]
+#[path = "../tests/support/replay.rs"]
+mod replay;
+
+use http::{FailoverClient, ReplayOp};
+use replay::percentile;
 use sqlshare_core::{AckMode, DurableOptions, FsyncPolicy, SqlShare};
 use sqlshare_server::{HttpConfig, Server};
 use std::time::{Duration, Instant};
@@ -122,8 +130,8 @@ fn main() {
 
     let mut sorted = ack_micros.clone();
     sorted.sort_unstable();
-    let p50 = sqlshare_bench::replay::percentile(&sorted, 50.0);
-    let p99 = sqlshare_bench::replay::percentile(&sorted, 99.0);
+    let p50 = percentile(&sorted, 0.50);
+    let p99 = percentile(&sorted, 0.99);
     eprintln!(
         "acked {}/{} uploads in {:.2}s (quorum ack p50 {p50}us, p99 {p99}us), \
          {} failover(s), survivor at {}",

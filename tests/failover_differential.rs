@@ -29,6 +29,9 @@
 
 #[path = "support/fsync.rs"]
 mod fsync;
+#[allow(dead_code)]
+#[path = "support/http.rs"]
+mod http;
 
 use sqlshare_common::json::{self, Json};
 use sqlshare_core::{
@@ -1103,7 +1106,7 @@ fn a_standby_refuses_queries_and_loses_no_replicated_log_entry() {
 
 #[test]
 fn http_pair_fails_over_with_zero_acked_write_loss() {
-    use sqlshare_bench::replay::{FailoverClient, HttpClient, ReplayOp};
+    use crate::http::{FailoverClient, HttpClient, ReplayOp};
     use sqlshare_server::{HttpConfig, Server};
     use std::time::Duration;
 
@@ -1202,7 +1205,7 @@ fn http_pair_fails_over_with_zero_acked_write_loss() {
 
 #[test]
 fn demote_endpoint_refuses_epochs_that_do_not_supersede_the_lease() {
-    use sqlshare_bench::replay::{HttpClient, ReplayOp};
+    use crate::http::{HttpClient, ReplayOp};
     use sqlshare_server::{HttpConfig, Server};
 
     let dir = temp_dir("demote");
@@ -1273,7 +1276,7 @@ fn demote_endpoint_refuses_epochs_that_do_not_supersede_the_lease() {
 
 #[test]
 fn quorum_wait_does_not_hold_the_write_lock() {
-    use sqlshare_bench::replay::{HttpClient, ReplayOp};
+    use crate::http::{HttpClient, ReplayOp};
     use sqlshare_server::{HttpConfig, Server};
     use std::time::{Duration, Instant};
 

@@ -5,7 +5,11 @@
 //! lock-split concurrency acceptance bar, admission-control shedding,
 //! and graceful shutdown draining in-flight requests.
 
-use sqlshare_bench::replay::{HttpClient, ReplayOp};
+#[allow(dead_code)]
+#[path = "support/http.rs"]
+mod http;
+
+use http::{HttpClient, HttpResponse, ReplayOp};
 use sqlshare_core::SqlShare;
 use sqlshare_server::{HttpConfig, Server, ServerHandle};
 use std::io::{Read, Write};
@@ -29,7 +33,7 @@ fn start(service: SqlShare, config: HttpConfig) -> ServerHandle {
     Server::start(service, "127.0.0.1:0", config).expect("bind server")
 }
 
-fn get(client: &mut HttpClient, path: &str) -> sqlshare_bench::replay::HttpResponse {
+fn get(client: &mut HttpClient, path: &str) -> HttpResponse {
     client.request(&ReplayOp::Get(path.into())).expect("request")
 }
 

@@ -28,6 +28,9 @@
 
 #[path = "support/fsync.rs"]
 mod fsync;
+#[allow(dead_code)]
+#[path = "support/http.rs"]
+mod http;
 
 use sqlshare_common::json::{self, Json};
 use sqlshare_core::{
@@ -840,7 +843,7 @@ fn a_random_bit_flip_in_every_file_family_is_detected() {
 
 #[test]
 fn http_scrub_thread_repairs_index_rot_and_serves_pages() {
-    use sqlshare_bench::replay::{HttpClient, ReplayOp};
+    use crate::http::{HttpClient, ReplayOp};
     use sqlshare_server::{HttpConfig, Server};
 
     let mut rng = Rng(rot_seed() ^ 0x77);
