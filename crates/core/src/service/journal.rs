@@ -169,18 +169,30 @@ impl SqlShare {
         }
         report.last_lsn = applied_lsn;
 
-        // 3. Persisted query log (torn tail repaired on load). Query
-        //    ticks are not journaled in the WAL, so the clock must also
-        //    fast-forward past the newest logged timestamp — otherwise a
-        //    recovered service would re-issue instants the crashed
-        //    process already spent on queries.
+        // 3. Persisted query log (torn tail repaired on load, anything
+        //    else refused — an entry that does not decode included).
+        //    Query ticks are not journaled in the WAL, so the clock must
+        //    also fast-forward past the newest logged timestamp —
+        //    otherwise a recovered service would re-issue instants the
+        //    crashed process already spent on queries.
         let querylog_path = DurableStore::querylog_path(&options.dir);
         let (docs, truncated) = jsonl::load_and_repair(&querylog_path)?;
         report.querylog_truncated_bytes = truncated;
         let entries = docs
             .iter()
-            .filter_map(|doc| QueryLogEntry::from_json(doc).ok());
-        let (reloaded, newest_logged) = svc.jobs.load_log(entries);
+            .enumerate()
+            .map(|(i, doc)| {
+                QueryLogEntry::from_json(doc).map_err(|e| {
+                    Error::Corrupt(format!(
+                        "jsonl {}: line {} is not a query log entry: {}",
+                        querylog_path.display(),
+                        i + 1,
+                        e.message()
+                    ))
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let (reloaded, newest_logged) = svc.jobs.load_log(entries.into_iter());
         report.querylog_entries = reloaded;
         if let Some(at) = newest_logged {
             svc.sync_clock(at);

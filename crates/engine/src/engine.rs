@@ -425,7 +425,7 @@ impl Engine {
 
     /// Run a query end to end.
     pub fn run(&self, sql: &str) -> Result<QueryOutput> {
-        self.run_guarded(sql, &self.guard(None))
+        self.run_guarded(sql, &self.guard(None), self.max_dop)
     }
 
     /// Run a query end to end, polling `token` as rows are processed.
@@ -433,7 +433,7 @@ impl Engine {
     /// rows with the token's error ([`Error::Timeout`] or
     /// [`Error::Cancelled`]).
     pub fn run_with_cancel(&self, sql: &str, token: CancellationToken) -> Result<QueryOutput> {
-        self.run_guarded(sql, &self.guard(Some(token)))
+        self.run_guarded(sql, &self.guard(Some(token)), self.max_dop)
     }
 
     /// Parse, bind, optimize, and plan `sql`, consulting the plan cache
@@ -441,7 +441,7 @@ impl Engine {
     /// configuration, and evaluation date). Uncorrelated subqueries are
     /// executed during planning, as in [`Engine::explain`].
     pub fn prepare(&self, sql: &str) -> Result<Arc<PreparedQuery>> {
-        self.prepare_guarded(sql, &self.guard(None))
+        self.prepare_guarded(sql, &self.guard(None), self.max_dop)
     }
 
     /// Plan `sql` bypassing the plan cache and hot-view splicing — always
@@ -529,25 +529,28 @@ impl Engine {
     /// applies; pair with [`Engine::set_parallelism_cost_threshold`] to
     /// force parallel plans).
     pub fn run_with_dop(&self, sql: &str, dop: usize) -> Result<QueryOutput> {
-        let mut engine = self.clone();
-        engine.set_max_dop(dop);
-        engine.run(sql)
+        self.run_guarded(sql, &self.guard(None), dop)
     }
 
-    fn plan_key(&self, normalized_sql: &str) -> PlanKey {
+    fn plan_key(&self, normalized_sql: &str, max_dop: usize) -> PlanKey {
         PlanKey {
             sql: normalized_sql.to_string(),
             catalog_gen: self.catalog.generation(),
-            max_dop: self.max_dop,
+            max_dop,
             threshold_bits: self.parallel_threshold.to_bits(),
             current_date: self.ctx.current_date,
             vectorized: self.vectorized,
         }
     }
 
-    fn prepare_guarded(&self, sql: &str, guard: &ExecGuard) -> Result<Arc<PreparedQuery>> {
+    fn prepare_guarded(
+        &self,
+        sql: &str,
+        guard: &ExecGuard,
+        max_dop: usize,
+    ) -> Result<Arc<PreparedQuery>> {
         let normalized = cache::normalize_sql(sql);
-        let key = self.plan_key(&normalized);
+        let key = self.plan_key(&normalized, max_dop);
         if let Some(plan) = self.cache.lookup_plan(&key) {
             return Ok(plan);
         }
@@ -555,7 +558,7 @@ impl Engine {
         // same containment barrier as execution; a panicking plan is a
         // failed query, and nothing is stored in the plan cache.
         let prepared = Arc::new(contain(|| {
-            self.prepare_cold(sql, normalized, guard, true, None, self.max_dop)
+            self.prepare_cold(sql, normalized, guard, true, None, max_dop)
         })?);
         self.cache.store_plan(key, Arc::clone(&prepared));
         Ok(prepared)
@@ -743,9 +746,9 @@ impl Engine {
         }
     }
 
-    fn run_guarded(&self, sql: &str, guard: &ExecGuard) -> Result<QueryOutput> {
+    fn run_guarded(&self, sql: &str, guard: &ExecGuard, max_dop: usize) -> Result<QueryOutput> {
         let started = Instant::now();
-        let prepared = self.prepare_guarded(sql, guard)?;
+        let prepared = self.prepare_guarded(sql, guard, max_dop)?;
         self.execute_prepared(&prepared, guard, started)
     }
 }

@@ -4,6 +4,13 @@
 //! large datasets; ... 143 GB total", §4 — and per-table sizes are small),
 //! so a materialized executor is the right tradeoff: every operator
 //! consumes and produces `Vec<Row>`.
+//!
+//! This row interpreter (`Engine::set_vectorized(false)`) is the oracle
+//! the batch engine is held to, so it shares no execution code with it:
+//! it is wholly serial — `Parallelism` exchanges are pass-throughs at any
+//! DOP — and evaluates every expression per row through
+//! `BoundExpr::eval`. The batch engine borrows from here, never the
+//! reverse.
 
 use crate::aggregate::Accumulator;
 use crate::catalog::Catalog;
@@ -413,14 +420,11 @@ pub fn execute(
             let (l, r) = two_children(plan, catalog, ctx, guard)?;
             hash_set_op(l, r, *op)
         }
-        PhysOp::Gather { dop } => crate::parallel::execute_gather(plan, *dop, catalog, ctx, guard),
-        PhysOp::Repartition { .. } => {
-            // The exchange itself is a marker: partitioning happens inside
-            // the parallel hash-join build. Executed standalone (serial
-            // fallback) it is a pass-through.
+        // Exchanges say how the batch engine spreads a region over
+        // workers; the row interpreter runs every plan serially.
+        PhysOp::Gather { .. } | PhysOp::Repartition { .. } | PhysOp::Segment => {
             execute(data_child(plan)?, catalog, ctx, guard)
         }
-        PhysOp::Segment => execute(data_child(plan)?, catalog, ctx, guard),
         PhysOp::SequenceProject { calls } => {
             let input = execute(data_child(plan)?, catalog, ctx, guard)?;
             guard.tick(input.len() as u64)?;

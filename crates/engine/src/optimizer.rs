@@ -28,6 +28,7 @@
 use crate::cost::{self, choose_dop, Estimates};
 use crate::expr::BoundExpr;
 use crate::logical::LogicalPlan;
+use crate::parallel::Pipeline;
 use crate::physical::{join_conjuncts, split_conjuncts, PhysOp, PhysicalPlan};
 use sqlshare_sql::ast::{BinaryOp, JoinKind, SetOp};
 
@@ -262,10 +263,18 @@ pub fn parallelize(mut plan: PhysicalPlan, max_dop: usize, threshold: f64) -> Ph
     if max_dop <= 1 {
         return plan;
     }
-    if parallel_region_shape(&plan) {
+    // The region is the pipeline the plan tops, read by the function the
+    // executor runs it by.
+    let region = Pipeline::of(&plan)
+        .ok()
+        .filter(Pipeline::parallelizable)
+        .map(|p| p.join_depth());
+    if let Some(join_depth) = region {
         let dop = choose_dop(plan.total_cost(), max_dop, threshold);
         if dop > 1 {
-            repartition_build(&mut plan, dop);
+            if let Some(depth) = join_depth {
+                repartition_build(&mut plan, depth, dop);
+            }
             return exchange(
                 PhysOp::Gather { dop },
                 "Parallelism (Gather Streams)",
@@ -283,76 +292,21 @@ pub fn parallelize(mut plan: PhysicalPlan, max_dop: usize, threshold: f64) -> Ph
     plan
 }
 
-/// Whether the subtree is a region the morsel executor can run: an
-/// optional hash/scalar Aggregate over a Filter/Compute chain, with at
-/// most one Hash Match whose probe (left) input continues the chain
-/// down to a base-table Scan/Seek. Must stay in sync with
-/// `parallel::compile` (which re-checks at execution and falls back to
-/// serial, so a mismatch costs performance, not correctness). Regions
-/// with no work beyond the bare scan are rejected — an exchange over a
-/// plain table copy is pure overhead.
-fn parallel_region_shape(plan: &PhysicalPlan) -> bool {
-    let mut node = plan;
-    let mut work = false;
-    if let PhysOp::Aggregate { .. } = node.op {
-        work = true;
-        match node.children.first() {
-            Some(c) => node = c,
-            None => return false,
-        }
+/// Wrap the build input of the region's join, `depth` first-child steps
+/// below its top, in a `Parallelism (Repartition Streams)` marker.
+fn repartition_build(mut node: &mut PhysicalPlan, depth: usize, dop: usize) {
+    for _ in 0..depth {
+        node = &mut node.children[0];
     }
-    let mut joined = false;
-    loop {
-        match &node.op {
-            PhysOp::Filter { .. } | PhysOp::Compute { .. } => {
-                work = true;
-                match node.children.first() {
-                    Some(c) => node = c,
-                    None => return false,
-                }
-            }
-            PhysOp::HashJoin { .. } | PhysOp::MergeJoin { .. }
-                if !joined && node.children.len() >= 2 =>
-            {
-                work = true;
-                joined = true;
-                node = &node.children[0];
-            }
-            // A row-bounded scan (`TOP n` pushed down) reads a prefix:
-            // nothing to split into morsels.
-            PhysOp::Scan { head, .. } => return work && head.is_none(),
-            PhysOp::Seek { residual, .. } => return work || residual.is_some(),
-            // An index seek always re-applies its full predicate over
-            // the candidate rows — per-row work worth parallelizing.
-            PhysOp::IndexSeek { .. } => return true,
-            _ => return false,
-        }
-    }
-}
-
-/// Wrap the build input of the region's Hash Match (if any) in a
-/// `Parallelism (Repartition Streams)` marker: at execution the build
-/// rows are hashed on the join keys into `dop` hash-table partitions.
-fn repartition_build(node: &mut PhysicalPlan, dop: usize) {
-    match &node.op {
-        PhysOp::Aggregate { .. } | PhysOp::Filter { .. } | PhysOp::Compute { .. } => {
-            if let Some(c) = node.children.first_mut() {
-                repartition_build(c, dop);
-            }
-        }
-        PhysOp::HashJoin { .. } | PhysOp::MergeJoin { .. } if node.children.len() >= 2 => {
-            let build = node.children.remove(1);
-            let wrapped = exchange(
-                PhysOp::Repartition { dop },
-                "Parallelism (Repartition Streams)",
-                "Repartition Streams",
-                dop,
-                build,
-            );
-            node.children.insert(1, wrapped);
-        }
-        _ => {}
-    }
+    let build = node.children.remove(1);
+    let wrapped = exchange(
+        PhysOp::Repartition { dop },
+        "Parallelism (Repartition Streams)",
+        "Repartition Streams",
+        dop,
+        build,
+    );
+    node.children.insert(1, wrapped);
 }
 
 fn exchange(

@@ -1,30 +1,33 @@
-//! Morsel-driven parallel execution.
+//! The batch pipeline: one driver for every chain of batch operators,
+//! at every degree of parallelism.
 //!
-//! A `Parallelism (Gather Streams)` operator marks a subtree that runs
-//! on a small worker pool: the base table under it, as a column
-//! [`Batch`], is cut into fixed-size *morsels*, workers claim morsels
-//! off a shared atomic counter, push each morsel slice through the
-//! region's operator pipeline (seek residual → filters / compute
-//! scalars → probe of the shared hash-join table → pre-aggregation),
-//! and the gather merges the per-morsel outputs back into one stream
-//! *in morsel order* — so for everything but floating-point aggregates
-//! the parallel result is byte-identical to the serial one, not merely
-//! bag-equal.
+//! A *pipeline* is read off the plan from the node that tops it
+//! ([`Pipeline::of`]): an optional Aggregate, then Filter and Compute
+//! Scalar stages and at most one Hash Match or Merge Join, followed down
+//! its probe input to a *source*. The source is a base-table access — a
+//! Scan, a Seek's range or an Index Seek's candidates, whose predicate
+//! becomes the first Filter stage — or, below any other node, that
+//! node's output batch. The stages are [`crate::vexec`]'s batch
+//! operators over [`crate::hashtable`]; this module implements none of
+//! them. It owns the order they run in, which columns each stage still
+//! needs, and how the source is cut into morsels:
 //!
-//! The pipeline stages are not implemented here: filters, computes,
-//! the join and the aggregates are [`crate::vexec`]'s batch operators
-//! over [`crate::hashtable`], driven a morsel at a time. This module
-//! owns what is specific to running them in parallel — region
-//! recognition, morsel dispatch, which columns each stage still needs,
-//! the order partial results are merged in. Both engines share it: the
-//! row engine (`Engine::set_vectorized(false)`) differs only in running the
-//! join's build subtree, and any region [`compile`] does not
-//! recognize, on the row interpreter.
+//! * **DOP 1** — every serial batch plan: vexec hands each pipeline
+//!   node here — runs the source as one morsel, in the order a serial
+//!   evaluation meets the operators: the probe side before the join's
+//!   build subtree, a Right/Full join's unmatched build rows appended
+//!   inside the probe stage, a one-morsel aggregate's partial taken as
+//!   the result. Rows and first errors are therefore the row oracle's.
+//! * **Under a `Parallelism (Gather Streams)`** the join is built once,
+//!   the source is cut into fixed-size *morsels* that workers claim off
+//!   a shared atomic counter, and the gather merges the per-morsel
+//!   outputs back into one stream *in morsel order* — so for everything
+//!   but floating-point aggregates the parallel result is byte-identical
+//!   to the serial one, not merely bag-equal.
 //!
-//! The shape of a parallel region is deliberately restricted to what
-//! [`compile`] recognizes; `execute_gather` falls back to plain serial
-//! execution for anything else, so correctness never depends on the
-//! optimizer and the executor agreeing about eligibility.
+//! The optimizer places exchanges by the same shape
+//! ([`Pipeline::parallelizable`], [`Pipeline::join_depth`]), so the
+//! executor never meets a region it cannot run.
 //!
 //! Cancellation: each worker forks the caller's [`ExecGuard`] (the
 //! guard is not `Sync`; the underlying token is shared), and a tripped
@@ -40,140 +43,121 @@ use crate::functions::EvalContext;
 use crate::physical::{PhysOp, PhysicalPlan};
 use crate::value::Row;
 use crate::vector::{batch_rows_bytes, Batch, NULL_ROW};
-use crate::vexec::{self, GroupMerger, JoinBuild, JoinSpec};
+use crate::vexec::{self, GroupMerger, JoinBuild, JoinSpec, Out};
 use sqlshare_common::{Error, Result};
 use sqlshare_sql::ast::JoinKind;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Rows per morsel. Small enough that a worker pool balances skewed
 /// filters, large enough that the claim (one `fetch_add`) is noise.
 pub const MORSEL_SIZE: usize = 1024;
 
-/// Execute a `Gather` node: compile the subtree below it into a morsel
-/// pipeline and run it on `dop` workers. Unsupported subtree shapes run
-/// serially (same results, no parallelism).
-pub fn execute_gather(
+/// Run the pipeline `plan` tops at `dop`: as one morsel on the caller's
+/// thread at DOP 1, as morsels on up to `dop` workers under a Gather.
+pub(crate) fn execute(
     plan: &PhysicalPlan,
     dop: usize,
     catalog: &Catalog,
     ctx: &EvalContext,
     guard: &ExecGuard,
-) -> Result<Vec<Row>> {
-    gather_inner(plan, dop, catalog, ctx, guard, false)
-}
-
-/// [`execute_gather`] for the vectorized engine: the serial fallback
-/// and the join's build subtree run on [`crate::vexec`].
-pub(crate) fn execute_gather_vectorized(
-    plan: &PhysicalPlan,
-    dop: usize,
-    catalog: &Catalog,
-    ctx: &EvalContext,
-    guard: &ExecGuard,
-) -> Result<Vec<Row>> {
-    gather_inner(plan, dop, catalog, ctx, guard, true)
-}
-
-fn gather_inner(
-    plan: &PhysicalPlan,
-    dop: usize,
-    catalog: &Catalog,
-    ctx: &EvalContext,
-    guard: &ExecGuard,
-    vectorized: bool,
-) -> Result<Vec<Row>> {
-    let child = exec::data_child(plan)?;
-    let dop = dop.max(1);
-    let Some(region) = compile(child, catalog)? else {
-        return if vectorized {
-            vexec::execute(child, catalog, ctx, guard)
-        } else {
-            exec::execute(child, catalog, ctx, guard)
-        };
+) -> Result<Out> {
+    let pipeline = Pipeline::of(plan)?;
+    let mut source = match pipeline.source {
+        Source::Table(node) => table_source(node, catalog)?,
+        Source::Node(node) => match vexec::exec_node(node, catalog, ctx, guard)? {
+            // A bare aggregate over a row-shaped input (a sort, a set
+            // operation, a spilled join) is the row engine's own:
+            // re-encoding wide rows into columns just to decode them
+            // again would cost more than the batch kernels save.
+            Out::Rows(rows) if pipeline.ops.is_empty() => {
+                return match &pipeline.agg {
+                    Some(agg) => exec::aggregate(rows, agg.group, agg.aggs, ctx, guard).map(Out::Rows),
+                    None => Ok(Out::Rows(rows)),
+                };
+            }
+            out => out.into_batch(),
+        },
     };
-    let join = match region.probe_spec() {
-        Some(spec) => Some(build_join(spec, catalog, ctx, guard, vectorized)?),
-        None => None,
+    let serial = dop <= 1;
+    if serial {
+        source = pipeline.slice_source(&source, 0..source.len, guard)?;
+    }
+    let Some((at, spec)) = pipeline.probe() else {
+        return pipeline.drive(0, &source, None, dop, ctx, guard);
     };
-    let join = join.as_ref();
-    let n_rows = region.source.len;
-    // The unmatched-build tail for Right/Full joins can only be read
-    // once every probe morsel has run — the probes are what populate the
-    // matched flags — so each branch computes it after `run_morsels`
-    // returns, never before.
-    match &region.agg {
-        None => {
-            // Morsel materialization: once an operator builds new rows,
-            // the morsel's output is held until the gather drains it.
-            let builds = region.ops.iter().any(|op| !matches!(op, Op::Filter(_)));
-            let chunks = run_morsels(n_rows, dop, guard, |_, range, g| {
-                let out = region.run(range, join, ctx, g)?;
-                if builds {
-                    g.charge(batch_rows_bytes(&out))?;
-                }
-                Ok(out.to_rows())
-            })?;
-            let mut out: Vec<Row> = chunks.into_iter().flatten().collect();
-            if let Some(tail) = region.tail(join, ctx, guard)? {
-                out.extend(tail.to_rows());
-            }
-            Ok(out)
-        }
-        Some(agg) if agg.group.is_empty() => {
-            // Scalar aggregate: one partial per morsel, merged in morsel
-            // order; always exactly one output row, even on empty input.
-            let mut partials = run_morsels(n_rows, dop, guard, |_, range, g| {
-                vexec::scalar_partial(&region.run(range, join, ctx, g)?, agg.aggs, ctx, g)
-            })?;
-            if let Some(tail) = region.tail(join, ctx, guard)? {
-                partials.push(vexec::scalar_partial(&tail, agg.aggs, ctx, guard)?);
-            }
-            let mut accs = vexec::new_accs(agg.aggs);
-            for partial in &partials {
-                for (acc, p) in accs.iter_mut().zip(partial) {
-                    acc.merge(p)?;
-                }
-            }
-            Ok(vec![accs.iter().map(Accumulator::finish).collect()])
-        }
-        Some(agg) => {
-            let partials = run_morsels(n_rows, dop, guard, |_, range, g| {
-                vexec::group_batch(&region.run(range, join, ctx, g)?, agg.group, agg.aggs, ctx, g)
-            })?;
-            let mut merger = GroupMerger::new(agg.group.len(), agg.aggs.len());
-            for partial in partials {
-                merger.push(partial)?;
-            }
-            if let Some(tail) = region.tail(join, ctx, guard)? {
-                merger.push(vexec::group_batch(&tail, agg.group, agg.aggs, ctx, guard)?)?;
-            }
-            Ok(merger.finish())
+    // Serially the probe side runs before the build subtree, as a join
+    // evaluates its inputs; a parallel region builds first so that every
+    // worker can probe.
+    let lower = if serial {
+        Some(pipeline.run(0..at, source.clone(), None, false, ctx, guard)?)
+    } else {
+        None
+    };
+    match (build_join(spec, catalog, ctx, guard)?, lower) {
+        (Build::Hashed(join), Some(lower)) => pipeline.drive(at, &lower, Some(&join), dop, ctx, guard),
+        (Build::Hashed(join), None) => pipeline.drive(0, &source, Some(&join), dop, ctx, guard),
+        // Over budget with storage attached: the pipeline is cut at the
+        // join, which runs as a Grace hash join over the whole probe side.
+        (Build::Spilled(right), lower) => {
+            let left = match lower {
+                Some(lower) => lower.to_rows(),
+                None => run_morsels(source.len, dop, guard, |_, range, g| {
+                    let morsel = pipeline.slice_source(&source, range, g)?;
+                    Ok(pipeline.run(0..at, morsel, None, false, ctx, g)?.to_rows())
+                })?
+                .into_iter()
+                .flatten()
+                .collect(),
+            };
+            let layer = Arc::clone(guard.storage().expect("only a storage layer lets a build spill"));
+            let j = &spec.join;
+            let joined = crate::spill::grace_hash_join(
+                left,
+                right,
+                j.kind,
+                j.left_keys,
+                j.right_keys,
+                j.residual,
+                j.left_width,
+                j.right_width,
+                ctx,
+                guard,
+                &layer,
+            )?;
+            pipeline.drive(at + 1, &vexec::rows_to_batch(&joined), None, dop, ctx, guard)
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Region compilation
+// Pipeline shape
 // ---------------------------------------------------------------------------
 
-/// One morsel-parallel region: a base-table batch plus the operator
-/// pipeline every morsel of it is pushed through.
-struct Region<'a> {
-    /// The base table (or the slice of it a seek selects). Morsels are
-    /// zero-copy slices.
-    source: Batch,
-    /// Seek residual predicate, applied before everything else.
-    residual: Option<&'a BoundExpr>,
-    /// Pipeline stages, bottom-up (source side first).
+/// One pipeline: a source plus the stages each morsel of it is pushed
+/// through.
+pub(crate) struct Pipeline<'a> {
+    source: Source<'a>,
+    /// Stages, bottom-up (source side first).
     ops: Vec<Op<'a>>,
     /// `live[i]`: the columns of the batch entering `ops[i]` that it or
     /// anything after it reads (`live[ops.len()]`: what the aggregate
-    /// reads); `None` when the batch reaches the region's output whole.
+    /// reads); `None` when the batch reaches the pipeline's output whole.
     /// A stage materializes only these for the next one.
     live: Vec<Option<Vec<usize>>>,
-    /// Terminal pre-aggregation, merged serially after the gather.
+    /// Terminal aggregation: the result at DOP 1, per-morsel partials
+    /// merged after the gather above it.
     agg: Option<AggSpec<'a>>,
+}
+
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// A base-table access (Scan, Seek, Index Seek): morsels are
+    /// zero-copy slices of the table's batch.
+    Table(&'a PhysicalPlan),
+    /// Any other node: the stages read its output batch.
+    Node(&'a PhysicalPlan),
 }
 
 enum Op<'a> {
@@ -184,7 +168,7 @@ enum Op<'a> {
 
 struct ProbeSpec<'a> {
     /// Build-side subtree (below the `Repartition` marker), executed
-    /// serially once before the morsel workers start.
+    /// once before anything probes.
     build: &'a PhysicalPlan,
     join: JoinSpec<'a>,
 }
@@ -202,21 +186,91 @@ fn columns_of<'e>(exprs: impl IntoIterator<Item = &'e BoundExpr>) -> Vec<usize> 
     idxs
 }
 
-impl<'a> Region<'a> {
-    /// `ops` as [`compile`] collects them: top-down.
-    fn new(
-        source: Batch,
-        residual: Option<&'a BoundExpr>,
-        mut ops: Vec<Op<'a>>,
-        agg: Option<AggSpec<'a>>,
-    ) -> Self {
-        ops.reverse();
-        // Walk the pipeline top-down, carrying what is read above.
+impl<'a> Pipeline<'a> {
+    /// Read the pipeline `plan` tops off the plan: an optional Aggregate,
+    /// then Filter / Compute Scalar stages and at most one Hash Match or
+    /// Merge Join, down the probe input to the source. The one definition
+    /// of a pipeline's shape: the executor runs it, the optimizer places
+    /// exchanges by it.
+    pub(crate) fn of(plan: &'a PhysicalPlan) -> Result<Self> {
+        let mut node = plan;
+        let agg = match &node.op {
+            PhysOp::Aggregate { group, aggs, .. } => {
+                node = exec::data_child(node)?;
+                Some(AggSpec { group, aggs })
+            }
+            _ => None,
+        };
+        // Collected top-down.
+        let mut ops: Vec<Op<'a>> = Vec::new();
+        let mut joined = false;
+        let source = loop {
+            match &node.op {
+                PhysOp::Filter { predicate } => ops.push(Op::Filter(predicate)),
+                PhysOp::Compute { exprs } => ops.push(Op::Compute(exprs)),
+                PhysOp::HashJoin {
+                    kind,
+                    left_keys,
+                    right_keys,
+                    residual,
+                    left_width,
+                    right_width,
+                } if !joined => {
+                    joined = true;
+                    ops.push(Op::Probe(ProbeSpec {
+                        build: build_child(node)?,
+                        join: JoinSpec {
+                            kind: *kind,
+                            left_keys,
+                            right_keys,
+                            residual: residual.as_ref(),
+                            left_width: *left_width,
+                            right_width: *right_width,
+                        },
+                    }));
+                }
+                // A Merge Join runs as an inner hash join (the operator
+                // name is what plan statistics need). Inner joins never
+                // null-pad, so the widths are irrelevant.
+                PhysOp::MergeJoin {
+                    left_keys,
+                    right_keys,
+                    residual,
+                } if !joined => {
+                    joined = true;
+                    ops.push(Op::Probe(ProbeSpec {
+                        build: build_child(node)?,
+                        join: JoinSpec {
+                            kind: JoinKind::Inner,
+                            left_keys,
+                            right_keys,
+                            residual: residual.as_ref(),
+                            left_width: 0,
+                            right_width: 0,
+                        },
+                    }));
+                }
+                // A row-bounded scan reads a prefix, not a table to cut
+                // into morsels: it is a `Node` source below.
+                PhysOp::Scan { head: None, .. } => break Source::Table(node),
+                PhysOp::Seek { residual, .. } => {
+                    ops.extend(residual.as_ref().map(Op::Filter));
+                    break Source::Table(node);
+                }
+                PhysOp::IndexSeek { predicate, .. } => {
+                    ops.push(Op::Filter(predicate));
+                    break Source::Table(node);
+                }
+                _ => break Source::Node(node),
+            }
+            node = exec::data_child(node)?;
+        };
+        // Walk the stages top-down, carrying what is read above.
         let mut need = agg.as_ref().map(|a| {
             columns_of(a.group.iter().chain(a.aggs.iter().filter_map(|c| c.arg.as_ref())))
         });
         let mut live = vec![need.clone()];
-        for op in ops.iter().rev() {
+        for op in &ops {
             need = match op {
                 Op::Filter(p) => need.map(|mut n| {
                     p.column_indexes(&mut n);
@@ -224,8 +278,8 @@ impl<'a> Region<'a> {
                 }),
                 Op::Compute(exprs) => Some(columns_of(exprs.iter())),
                 // The probe input is the left side of the combined row,
-                // plus the probe keys. (A Merge Join region carries no
-                // widths to split the combined row by: keep everything.)
+                // plus the probe keys. (A Merge Join carries no widths to
+                // split the combined row by: keep everything.)
                 Op::Probe(spec) if spec.join.left_width > 0 => need.map(|n| {
                     let mut n: Vec<usize> = n
                         .into_iter()
@@ -239,54 +293,63 @@ impl<'a> Region<'a> {
             };
             live.push(need.clone());
         }
+        ops.reverse();
         live.reverse();
-        Region { source, residual, ops, live, agg }
+        Ok(Pipeline { source, ops, live, agg })
     }
 
-    fn probe_spec(&self) -> Option<&ProbeSpec<'a>> {
-        self.ops.iter().find_map(|op| match op {
-            Op::Probe(spec) => Some(spec),
+    /// Whether a Gather over this pipeline is worth placing: it reads a
+    /// base table and runs a stage over it. An exchange over a plain
+    /// table copy is pure overhead.
+    pub(crate) fn parallelizable(&self) -> bool {
+        matches!(self.source, Source::Table(_)) && (self.agg.is_some() || !self.ops.is_empty())
+    }
+
+    /// First-child steps from the pipeline's top node to its join, if it
+    /// has one.
+    pub(crate) fn join_depth(&self) -> Option<usize> {
+        // A table predicate's stage sits below the join and is no node.
+        let (at, _) = self.probe()?;
+        Some(usize::from(self.agg.is_some()) + self.ops.len() - 1 - at)
+    }
+
+    fn probe(&self) -> Option<(usize, &ProbeSpec<'a>)> {
+        self.ops.iter().enumerate().find_map(|(i, op)| match op {
+            Op::Probe(spec) => Some((i, spec)),
             _ => None,
         })
     }
 
-    /// Push one morsel of the source through the pipeline.
-    ///
-    /// Each stage is a batch operator over the whole morsel, so within
-    /// a morsel errors surface stage by stage — the order the serial
-    /// executors report them in over a whole table — and row order is
-    /// preserved throughout.
-    fn run(
-        &self,
-        range: Range<usize>,
-        join: Option<&JoinBuild>,
-        ctx: &EvalContext,
-        guard: &ExecGuard,
-    ) -> Result<Batch> {
-        // Per-morsel scan checkpoint: chaos faults here land *inside*
-        // worker threads, exercising the catch_unwind barrier in
-        // `run_morsels`.
-        guard.fault(FaultSite::Scan)?;
-        guard.tick(range.len() as u64)?;
-        let mut batch = self.source.slice(range);
-        if let Some(p) = self.residual {
-            batch = filter(batch, p, self.live[0].as_deref(), ctx)?;
+    /// Rows `range` of `source`. A table morsel is also a scan
+    /// checkpoint: chaos faults here land *inside* worker threads,
+    /// exercising the catch_unwind barrier in `run_morsels`.
+    fn slice_source(&self, source: &Batch, range: Range<usize>, guard: &ExecGuard) -> Result<Batch> {
+        if matches!(self.source, Source::Table(_)) {
+            guard.fault(FaultSite::Scan)?;
+            guard.tick(range.len() as u64)?;
         }
-        self.apply(0, batch, join, ctx, guard)
+        Ok(source.slice(range))
     }
 
-    /// Run `ops[from..]` over `batch`.
-    fn apply(
+    /// Push `batch` through `stages`.
+    ///
+    /// Each stage is a batch operator over the whole batch, so errors
+    /// surface stage by stage — the order the row engine reports them in
+    /// over the same rows — and row order is preserved throughout.
+    /// `whole`: `batch` is the pipeline's entire input, so a Right/Full
+    /// probe appends the build rows nothing matched.
+    fn run(
         &self,
-        from: usize,
+        stages: Range<usize>,
         mut batch: Batch,
         join: Option<&JoinBuild>,
+        whole: bool,
         ctx: &EvalContext,
         guard: &ExecGuard,
     ) -> Result<Batch> {
-        for (i, op) in self.ops.iter().enumerate().skip(from) {
+        for i in stages {
             let live = self.live[i + 1].as_deref();
-            batch = match op {
+            batch = match &self.ops[i] {
                 Op::Filter(p) => {
                     guard.tick(batch.len as u64)?;
                     filter(batch, p, live, ctx)?
@@ -297,23 +360,120 @@ impl<'a> Region<'a> {
                 }
                 Op::Probe(spec) => {
                     let build = join.ok_or_else(|| {
-                        Error::Execution("internal: parallel probe without build".into())
+                        Error::Execution("internal: probe without build".into())
                     })?;
                     guard.fault(FaultSite::JoinProbe)?;
-                    let (lsel, rsel) = build.probe(&batch, &spec.join, ctx, guard)?;
-                    let width = batch.width() + build.batch.width();
+                    let probe = vexec::widen(batch, spec.join.left_width);
+                    let (mut lsel, mut rsel) = build.probe(&probe, &spec.join, ctx, guard)?;
+                    if whole {
+                        let tail = build.unmatched();
+                        lsel.resize(lsel.len() + tail.len(), NULL_ROW);
+                        rsel.extend(tail);
+                    }
+                    let width = probe.width() + build.batch.width();
                     let live = live.map(|l| vexec::live_mask(l, width));
-                    vexec::combine(&batch, &build.batch, &lsel, &rsel, live.as_deref())
+                    vexec::combine(&probe, &build.batch, &lsel, &rsel, live.as_deref())
                 }
             };
         }
         Ok(batch)
     }
 
-    /// Unmatched build rows of a Right/Full join, null-padded on the
-    /// probe side and pushed through the stages above the join;
-    /// appended after the gathered streams, exactly where the serial
-    /// executor emits them. `None` when there are none.
+    /// Run stages `from..` over `input` and finish: at DOP 1 one morsel
+    /// whose output (or aggregate) is the result; above it morsels on up
+    /// to `dop` workers, gathered in morsel order with a Right/Full
+    /// join's unmatched build rows last. `from == 0` means `input` is the
+    /// source, whose morsels are scan checkpoints above DOP 1 (at DOP 1
+    /// the caller took the one checkpoint).
+    fn drive(
+        &self,
+        from: usize,
+        input: &Batch,
+        join: Option<&JoinBuild>,
+        dop: usize,
+        ctx: &EvalContext,
+        guard: &ExecGuard,
+    ) -> Result<Out> {
+        let stages = from..self.ops.len();
+        if dop <= 1 {
+            let out = self.run(stages, input.clone(), join, true, ctx, guard)?;
+            return Ok(match &self.agg {
+                None => Out::Batch(out),
+                Some(agg) if agg.group.is_empty() => {
+                    let accs = vexec::scalar_partial(&out, agg.aggs, ctx, guard)?;
+                    Out::Rows(vec![accs.iter().map(Accumulator::finish).collect()])
+                }
+                Some(agg) => Out::Rows(vexec::group_batch(&out, agg.group, agg.aggs, ctx, guard)?.finish()),
+            });
+        }
+        let morsel = |range: Range<usize>, g: &ExecGuard| {
+            let batch = if from == 0 {
+                self.slice_source(input, range, g)?
+            } else {
+                input.slice(range)
+            };
+            self.run(stages.clone(), batch, join, false, ctx, g)
+        };
+        // The unmatched-build tail for Right/Full joins can only be read
+        // once every probe morsel has run — the probes are what populate
+        // the matched flags — so each branch reads it after
+        // `run_morsels` returns, never before.
+        match &self.agg {
+            None => {
+                // Morsel materialization: once a stage builds new rows,
+                // the morsel's output is held until the gather drains it.
+                let builds = self.ops[from..].iter().any(|op| !matches!(op, Op::Filter(_)));
+                let chunks = run_morsels(input.len, dop, guard, |_, range, g| {
+                    let out = morsel(range, g)?;
+                    if builds {
+                        g.charge(batch_rows_bytes(&out))?;
+                    }
+                    Ok(out.to_rows())
+                })?;
+                let mut out: Vec<Row> = chunks.into_iter().flatten().collect();
+                if let Some(tail) = self.tail(join, ctx, guard)? {
+                    out.extend(tail.to_rows());
+                }
+                Ok(Out::Rows(out))
+            }
+            Some(agg) if agg.group.is_empty() => {
+                // Scalar aggregate: one partial per morsel, merged in
+                // morsel order; always exactly one output row, even on
+                // empty input.
+                let mut partials = run_morsels(input.len, dop, guard, |_, range, g| {
+                    vexec::scalar_partial(&morsel(range, g)?, agg.aggs, ctx, g)
+                })?;
+                if let Some(tail) = self.tail(join, ctx, guard)? {
+                    partials.push(vexec::scalar_partial(&tail, agg.aggs, ctx, guard)?);
+                }
+                let mut accs = vexec::new_accs(agg.aggs);
+                for partial in &partials {
+                    for (acc, p) in accs.iter_mut().zip(partial) {
+                        acc.merge(p)?;
+                    }
+                }
+                Ok(Out::Rows(vec![accs.iter().map(Accumulator::finish).collect()]))
+            }
+            Some(agg) => {
+                let partials = run_morsels(input.len, dop, guard, |_, range, g| {
+                    vexec::group_batch(&morsel(range, g)?, agg.group, agg.aggs, ctx, g)
+                })?;
+                let mut merger = GroupMerger::new(agg.group.len(), agg.aggs.len());
+                for partial in partials {
+                    merger.push(partial)?;
+                }
+                if let Some(tail) = self.tail(join, ctx, guard)? {
+                    merger.push(vexec::group_batch(&tail, agg.group, agg.aggs, ctx, guard)?)?;
+                }
+                Ok(Out::Rows(merger.finish()))
+            }
+        }
+    }
+
+    /// Unmatched build rows of a Right/Full join after a parallel probe,
+    /// null-padded on the probe side and pushed through the stages above
+    /// the join; appended after the gathered streams, exactly where the
+    /// serial executor emits them. `None` when there are none.
     fn tail(
         &self,
         join: Option<&JoinBuild>,
@@ -325,16 +485,11 @@ impl<'a> Region<'a> {
         if rsel.is_empty() {
             return Ok(None);
         }
-        let at = self
-            .ops
-            .iter()
-            .position(|op| matches!(op, Op::Probe(_)))
-            .expect("a build implies a probe stage");
-        let Op::Probe(spec) = &self.ops[at] else { unreachable!() };
+        let (at, spec) = self.probe().expect("a build implies a probe stage");
         guard.tick(rsel.len() as u64)?;
         let left = Batch::from_rows(&[], spec.join.left_width);
         let padded = vexec::combine(&left, &build.batch, &vec![NULL_ROW; rsel.len()], &rsel, None);
-        self.apply(at + 1, padded, None, ctx, guard).map(Some)
+        self.run(at + 1..self.ops.len(), padded, None, false, ctx, guard).map(Some)
     }
 }
 
@@ -354,134 +509,53 @@ fn filter(
     Ok(batch.gather_live(&sel, live.as_deref()))
 }
 
-/// Recognize a parallelizable subtree: an optional Aggregate on top of a
-/// Filter/Compute chain, with at most one hash join whose probe (left)
-/// input continues the chain down to a Scan or Seek. Mirrored by
-/// `optimizer::parallel_region_shape`, but execution never trusts that —
-/// anything unrecognized returns `None` and runs serially.
-fn compile<'a>(plan: &'a PhysicalPlan, catalog: &'a Catalog) -> Result<Option<Region<'a>>> {
-    let mut agg = None;
-    let mut node = plan;
-    if let PhysOp::Aggregate { group, aggs, .. } = &node.op {
-        agg = Some(AggSpec { group, aggs });
-        node = exec::data_child(node)?;
-    }
-    let mut ops: Vec<Op<'a>> = Vec::new();
-    let mut joined = false;
-    loop {
-        match &node.op {
-            PhysOp::Filter { predicate } => {
-                ops.push(Op::Filter(predicate));
-                node = exec::data_child(node)?;
-            }
-            PhysOp::Compute { exprs } => {
-                ops.push(Op::Compute(exprs));
-                node = exec::data_child(node)?;
-            }
-            PhysOp::HashJoin {
-                kind,
-                left_keys,
-                right_keys,
-                residual,
-                left_width,
-                right_width,
-            } if !joined && node.children.len() >= 2 => {
-                joined = true;
-                ops.push(Op::Probe(ProbeSpec {
-                    build: build_child(node)?,
-                    join: JoinSpec {
-                        kind: *kind,
-                        left_keys,
-                        right_keys,
-                        residual: residual.as_ref(),
-                        left_width: *left_width,
-                        right_width: *right_width,
-                    },
-                }));
-                node = &node.children[0];
-            }
-            // The serial executor runs a Merge Join as an inner hash
-            // join (the operator name is what plan statistics need), so
-            // the parallel region can too. Inner joins never null-pad,
-            // so the widths are irrelevant.
-            PhysOp::MergeJoin {
-                left_keys,
-                right_keys,
-                residual,
-            } if !joined && node.children.len() >= 2 => {
-                joined = true;
-                ops.push(Op::Probe(ProbeSpec {
-                    build: build_child(node)?,
-                    join: JoinSpec {
-                        kind: JoinKind::Inner,
-                        left_keys,
-                        right_keys,
-                        residual: residual.as_ref(),
-                        left_width: 0,
-                        right_width: 0,
-                    },
-                }));
-                node = &node.children[0];
-            }
-            // A row-bounded scan reads a prefix; there is nothing to split
-            // into morsels, so it runs serially (`_ => None` below).
-            PhysOp::Scan { table, head: None } => {
-                let source = (*catalog.table(table)?.columnar()?).clone();
-                return Ok(Some(Region::new(source, None, ops, agg)));
-            }
-            PhysOp::Seek {
-                table,
-                lower,
-                upper,
-                residual,
-            } => {
-                let t = catalog.table(table)?;
-                let lo = exec::as_ref_bound(lower);
-                let hi = exec::as_ref_bound(upper);
-                let source = match t.seek_bounds(lo, hi) {
-                    Some(range) => t.columnar()?.slice(range),
-                    None => Batch::from_rows(&t.seek_leading(lo, hi)?, t.schema.len()),
-                };
-                return Ok(Some(Region::new(source, residual.as_ref(), ops, agg)));
-            }
-            PhysOp::IndexSeek {
-                table,
-                column,
-                lower,
-                upper,
-                predicate,
-            } => {
-                // The candidate ordinals are ascending, so the morsel
-                // source is in clustered order — same rows, same order
-                // as the serial arm (and as scan + filter on fallback).
-                let t = catalog.table(table)?;
-                let candidates = match t.paged() {
-                    Some(p) => p.secondary_candidates(
-                        *column,
-                        exec::as_ref_bound(lower),
-                        exec::as_ref_bound(upper),
-                    )?,
-                    None => None,
-                };
-                let source = match candidates {
-                    Some(ordinals) => Batch::from_rows(
-                        &t.paged()
-                            .expect("candidates imply paged backing")
-                            .fetch_rows(&ordinals)?,
-                        t.schema.len(),
-                    ),
-                    None => (*t.columnar()?).clone(),
-                };
-                return Ok(Some(Region::new(source, Some(predicate), ops, agg)));
-            }
-            _ => return Ok(None),
+/// A base-table access's rows as a batch, in clustered order: the whole
+/// table, a Seek's range, or an Index Seek's candidates. The access's
+/// predicate is the pipeline's first Filter stage, not applied here.
+fn table_source(node: &PhysicalPlan, catalog: &Catalog) -> Result<Batch> {
+    match &node.op {
+        PhysOp::Scan { table, .. } => Ok((*catalog.table(table)?.columnar()?).clone()),
+        PhysOp::Seek {
+            table,
+            lower,
+            upper,
+            ..
+        } => {
+            let t = catalog.table(table)?;
+            let (lo, hi) = (exec::as_ref_bound(lower), exec::as_ref_bound(upper));
+            Ok(match t.seek_bounds(lo, hi) {
+                Some(range) => t.columnar()?.slice(range),
+                None => Batch::from_rows(&t.seek_leading(lo, hi)?, t.schema.len()),
+            })
         }
+        PhysOp::IndexSeek {
+            table,
+            column,
+            lower,
+            upper,
+            ..
+        } => {
+            // The candidate ordinals are ascending, so the candidates are
+            // in clustered order — the rows a scan + filter keeps, which
+            // is also the source when the backing cannot serve the bounds.
+            let t = catalog.table(table)?;
+            if let Some(p) = t.paged() {
+                let (lo, hi) = (exec::as_ref_bound(lower), exec::as_ref_bound(upper));
+                if let Some(ordinals) = p.secondary_candidates(*column, lo, hi)? {
+                    return Ok(Batch::from_rows(&p.fetch_rows(&ordinals)?, t.schema.len()));
+                }
+            }
+            Ok((*t.columnar()?).clone())
+        }
+        _ => unreachable!("`Pipeline::of` reads tables through these three accesses only"),
     }
 }
 
 /// A join's build input, below its `Repartition` marker.
 fn build_child(join: &PhysicalPlan) -> Result<&PhysicalPlan> {
-    let build = &join.children[1];
+    let build = join.children.get(1).ok_or_else(|| {
+        Error::Execution("internal: binary operator missing inputs".into())
+    })?;
     if matches!(build.op, PhysOp::Repartition { .. }) {
         exec::data_child(build)
     } else {
@@ -489,26 +563,37 @@ fn build_child(join: &PhysicalPlan) -> Result<&PhysicalPlan> {
     }
 }
 
-/// Execute the build subtree serially and index it once; every morsel
-/// worker then probes the same read-only table. Partitioning is how the
-/// probe side is driven (morsels), not a property of the table.
+/// A join's build side: indexed in memory, or — over budget with a
+/// storage layer attached — its rows, for the Grace hash join.
+enum Build {
+    Hashed(JoinBuild),
+    Spilled(Vec<Row>),
+}
+
+/// Execute the build subtree and index it once; every probe then reads
+/// the same read-only table. Partitioning is how the probe side is
+/// driven (morsels), not a property of the table.
 fn build_join(
     spec: &ProbeSpec,
     catalog: &Catalog,
     ctx: &EvalContext,
     guard: &ExecGuard,
-    vectorized: bool,
-) -> Result<JoinBuild> {
+) -> Result<Build> {
+    let right = vexec::execute_batch(spec.build, catalog, ctx, guard)?;
     guard.fault(FaultSite::JoinBuild)?;
-    let right = if vectorized {
-        vexec::execute_batch(spec.build, catalog, ctx, guard)?
-    } else {
-        vexec::rows_to_batch(&exec::execute(spec.build, catalog, ctx, guard)?)
-    };
     // The build side is pinned for the probe's lifetime, charged as the
     // row engine charges its materialized rows.
-    guard.charge(batch_rows_bytes(&right))?;
-    JoinBuild::new(right, &spec.join, ctx, guard)
+    let bytes = batch_rows_bytes(&right);
+    if let Err(e) = guard.charge(bytes) {
+        if !matches!(e, Error::ResourceExhausted(_)) || guard.storage().is_none() {
+            return Err(e);
+        }
+        // The failed charge was still recorded (add-before-check);
+        // refund it — the spill path charges per partition instead.
+        guard.memory().release(bytes);
+        return Ok(Build::Spilled(right.to_rows()));
+    }
+    JoinBuild::new(right, &spec.join, ctx, guard).map(Build::Hashed)
 }
 
 // ---------------------------------------------------------------------------
@@ -572,7 +657,7 @@ fn run_morsels<T: Send>(
                         // an injected chaos fault) fails this morsel —
                         // and through the earliest-error rule below, this
                         // query — never the process. The pipeline only
-                        // borrows shared state (`&Region`, `&JoinBuild`)
+                        // borrows shared state (`&Pipeline`, `&JoinBuild`)
                         // whose mutations are per-element atomics, so
                         // unwinding mid-morsel cannot leave it torn;
                         // `AssertUnwindSafe` is sound here.

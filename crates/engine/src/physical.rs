@@ -1119,9 +1119,6 @@ pub fn join_conjuncts(conjuncts: Vec<BoundExpr>) -> Option<BoundExpr> {
     })
 }
 
-/// Try to turn a predicate over a scan into clustered-index seek bounds on
-/// the leading column. Returns `(lower, upper, residual, consumed_desc)`.
-#[allow(clippy::type_complexity)]
 /// Comparison type groups: `Int` and `Float` compare numerically with each
 /// other; every other type only compares order-consistently with itself
 /// (cross-group comparisons go through `sql_cmp`'s permissive text
@@ -1154,97 +1151,104 @@ fn seek_order_matches(col: DataType, lit: &Value) -> bool {
     lit_group == type_group(col)
 }
 
-/// Extracted seek range: lower/upper bounds on the leading column, the
-/// residual predicate left to evaluate per row, and the rendered
-/// conjuncts the seek consumed (for EXPLAIN).
-type SeekBounds = (Bound<Value>, Bound<Value>, Option<BoundExpr>, Vec<String>);
+/// A range on one column, tightened a conjunct at a time, and the
+/// rendered conjuncts that bound it (for EXPLAIN).
+struct ColumnRange {
+    lower: Bound<Value>,
+    upper: Bound<Value>,
+    consumed: Vec<String>,
+}
 
-fn extract_seek_bounds(predicate: &BoundExpr, leading_ty: DataType) -> Option<SeekBounds> {
-    let conjuncts = split_conjuncts(predicate);
-    let mut lower: Bound<Value> = Bound::Unbounded;
-    let mut upper: Bound<Value> = Bound::Unbounded;
-    let mut residual: Vec<BoundExpr> = Vec::new();
-    let mut consumed: Vec<String> = Vec::new();
-    for c in &conjuncts {
-        match c {
+impl ColumnRange {
+    fn new() -> Self {
+        ColumnRange {
+            lower: Bound::Unbounded,
+            upper: Bound::Unbounded,
+            consumed: Vec::new(),
+        }
+    }
+
+    fn is_bounded(&self) -> bool {
+        !matches!((&self.lower, &self.upper), (Bound::Unbounded, Bound::Unbounded))
+    }
+
+    /// Tighten the range by `c` if it bounds `#col`: `#col op lit` or
+    /// `lit op #col` with `op` one of `= < <= > >=`, or `#col BETWEEN lit
+    /// AND lit`, over non-null literals `admit` accepts. Returns whether
+    /// `c` was consumed.
+    fn take(&mut self, c: &BoundExpr, col: usize, admit: impl Fn(&Value) -> bool) -> bool {
+        let ok = |v: &Value| !v.is_null() && admit(v);
+        let is_col = |e: &BoundExpr| matches!(e, BoundExpr::Column(i) if *i == col);
+        let (lower, upper, rendered) = match c {
             BoundExpr::Binary { left, op, right } => {
-                // col0 <op> literal, or literal <op> col0.
-                let (col_left, lit, op) = match (left.as_ref(), right.as_ref()) {
-                    (BoundExpr::Column(0), BoundExpr::Literal(v)) => (true, v.clone(), *op),
-                    (BoundExpr::Literal(v), BoundExpr::Column(0)) => (false, v.clone(), *op),
-                    _ => {
-                        residual.push((*c).clone());
-                        continue;
-                    }
+                // Normalize to `#col op lit`.
+                let (lit, op) = match (left.as_ref(), right.as_ref()) {
+                    (l, BoundExpr::Literal(v)) if is_col(l) => (v, *op),
+                    (BoundExpr::Literal(v), r) if is_col(r) => match op {
+                        BinaryOp::Lt => (v, BinaryOp::Gt),
+                        BinaryOp::LtEq => (v, BinaryOp::GtEq),
+                        BinaryOp::Gt => (v, BinaryOp::Lt),
+                        BinaryOp::GtEq => (v, BinaryOp::LtEq),
+                        other => (v, *other),
+                    },
+                    _ => return false,
                 };
-                if lit.is_null() || !seek_order_matches(leading_ty, &lit) {
-                    residual.push((*c).clone());
-                    continue;
-                }
-                // Normalize to col0 <op> lit.
-                let op = if col_left {
-                    op
-                } else {
-                    match op {
-                        BinaryOp::Lt => BinaryOp::Gt,
-                        BinaryOp::LtEq => BinaryOp::GtEq,
-                        BinaryOp::Gt => BinaryOp::Lt,
-                        BinaryOp::GtEq => BinaryOp::LtEq,
-                        other => other,
-                    }
+                let (lower, upper, name) = match op {
+                    BinaryOp::Eq => (Bound::Included(lit), Bound::Included(lit), "EQ"),
+                    BinaryOp::Lt => (Bound::Unbounded, Bound::Excluded(lit), "LT"),
+                    BinaryOp::LtEq => (Bound::Unbounded, Bound::Included(lit), "LE"),
+                    BinaryOp::Gt => (Bound::Excluded(lit), Bound::Unbounded, "GT"),
+                    BinaryOp::GtEq => (Bound::Included(lit), Bound::Unbounded, "GE"),
+                    _ => return false,
                 };
-                match op {
-                    BinaryOp::Eq => {
-                        lower = tighten_lower(lower, Bound::Included(lit.clone()));
-                        upper = tighten_upper(upper, Bound::Included(lit.clone()));
-                        consumed.push(format!("#0 EQ {lit}"));
-                    }
-                    BinaryOp::Lt => {
-                        upper = tighten_upper(upper, Bound::Excluded(lit.clone()));
-                        consumed.push(format!("#0 LT {lit}"));
-                    }
-                    BinaryOp::LtEq => {
-                        upper = tighten_upper(upper, Bound::Included(lit.clone()));
-                        consumed.push(format!("#0 LE {lit}"));
-                    }
-                    BinaryOp::Gt => {
-                        lower = tighten_lower(lower, Bound::Excluded(lit.clone()));
-                        consumed.push(format!("#0 GT {lit}"));
-                    }
-                    BinaryOp::GtEq => {
-                        lower = tighten_lower(lower, Bound::Included(lit.clone()));
-                        consumed.push(format!("#0 GE {lit}"));
-                    }
-                    _ => residual.push((*c).clone()),
+                if !ok(lit) {
+                    return false;
                 }
+                (lower, upper, format!("#{col} {name} {lit}"))
             }
             BoundExpr::Between {
                 expr,
                 low,
                 high,
                 negated: false,
-            } if matches!(expr.as_ref(), BoundExpr::Column(0)) => {
-                match (low.as_ref(), high.as_ref()) {
-                    (BoundExpr::Literal(lo), BoundExpr::Literal(hi))
-                        if !lo.is_null()
-                            && !hi.is_null()
-                            && seek_order_matches(leading_ty, lo)
-                            && seek_order_matches(leading_ty, hi) =>
-                    {
-                        lower = tighten_lower(lower, Bound::Included(lo.clone()));
-                        upper = tighten_upper(upper, Bound::Included(hi.clone()));
-                        consumed.push(format!("#0 BETWEEN {lo} AND {hi}"));
-                    }
-                    _ => residual.push((*c).clone()),
-                }
-            }
-            other => residual.push((*other).clone()),
+            } if is_col(expr) => match (low.as_ref(), high.as_ref()) {
+                (BoundExpr::Literal(lo), BoundExpr::Literal(hi)) if ok(lo) && ok(hi) => (
+                    Bound::Included(lo),
+                    Bound::Included(hi),
+                    format!("#{col} BETWEEN {lo} AND {hi}"),
+                ),
+                _ => return false,
+            },
+            _ => return false,
+        };
+        let current = std::mem::replace(&mut self.lower, Bound::Unbounded);
+        self.lower = tighten_lower(current, lower.cloned());
+        let current = std::mem::replace(&mut self.upper, Bound::Unbounded);
+        self.upper = tighten_upper(current, upper.cloned());
+        self.consumed.push(rendered);
+        true
+    }
+}
+
+/// Extracted seek range: lower/upper bounds on the leading column, the
+/// residual predicate left to evaluate per row, and the rendered
+/// conjuncts the seek consumed (for EXPLAIN).
+type SeekBounds = (Bound<Value>, Bound<Value>, Option<BoundExpr>, Vec<String>);
+
+/// Try to turn a predicate over a scan into clustered-index seek bounds
+/// on the leading column; every conjunct that sets no bound — or whose
+/// literal's type group does not match the column's — stays residual.
+fn extract_seek_bounds(predicate: &BoundExpr, leading_ty: DataType) -> Option<SeekBounds> {
+    let mut range = ColumnRange::new();
+    let mut residual: Vec<BoundExpr> = Vec::new();
+    for c in split_conjuncts(predicate) {
+        if !range.take(c, 0, |lit| seek_order_matches(leading_ty, lit)) {
+            residual.push(c.clone());
         }
     }
-    if matches!(lower, Bound::Unbounded) && matches!(upper, Bound::Unbounded) {
-        return None;
-    }
-    Some((lower, upper, join_conjuncts(residual), consumed))
+    range
+        .is_bounded()
+        .then_some((range.lower, range.upper, join_conjuncts(residual), range.consumed))
 }
 
 /// Bounds on a single non-leading column, for a secondary-index seek:
@@ -1261,88 +1265,15 @@ fn extract_index_bounds(
     n_columns: usize,
 ) -> Option<(usize, Bound<Value>, Bound<Value>, Vec<String>)> {
     let conjuncts = split_conjuncts(predicate);
-    for col in 1..n_columns {
-        let mut lower: Bound<Value> = Bound::Unbounded;
-        let mut upper: Bound<Value> = Bound::Unbounded;
-        let mut consumed: Vec<String> = Vec::new();
+    (1..n_columns).find_map(|col| {
+        let mut range = ColumnRange::new();
         for c in &conjuncts {
-            match c {
-                BoundExpr::Binary { left, op, right } => {
-                    let (col_left, lit, op) = match (left.as_ref(), right.as_ref()) {
-                        (BoundExpr::Column(i), BoundExpr::Literal(v)) if *i == col => {
-                            (true, v.clone(), *op)
-                        }
-                        (BoundExpr::Literal(v), BoundExpr::Column(i)) if *i == col => {
-                            (false, v.clone(), *op)
-                        }
-                        _ => continue,
-                    };
-                    if lit.is_null() {
-                        continue;
-                    }
-                    let op = if col_left {
-                        op
-                    } else {
-                        match op {
-                            BinaryOp::Lt => BinaryOp::Gt,
-                            BinaryOp::LtEq => BinaryOp::GtEq,
-                            BinaryOp::Gt => BinaryOp::Lt,
-                            BinaryOp::GtEq => BinaryOp::LtEq,
-                            other => other,
-                        }
-                    };
-                    match op {
-                        BinaryOp::Eq => {
-                            lower = tighten_lower(lower, Bound::Included(lit.clone()));
-                            upper = tighten_upper(upper, Bound::Included(lit.clone()));
-                            consumed.push(format!("#{col} EQ {lit}"));
-                        }
-                        BinaryOp::Lt => {
-                            upper = tighten_upper(upper, Bound::Excluded(lit.clone()));
-                            consumed.push(format!("#{col} LT {lit}"));
-                        }
-                        BinaryOp::LtEq => {
-                            upper = tighten_upper(upper, Bound::Included(lit.clone()));
-                            consumed.push(format!("#{col} LE {lit}"));
-                        }
-                        BinaryOp::Gt => {
-                            lower = tighten_lower(lower, Bound::Excluded(lit.clone()));
-                            consumed.push(format!("#{col} GT {lit}"));
-                        }
-                        BinaryOp::GtEq => {
-                            lower = tighten_lower(lower, Bound::Included(lit.clone()));
-                            consumed.push(format!("#{col} GE {lit}"));
-                        }
-                        _ => {}
-                    }
-                }
-                BoundExpr::Between {
-                    expr,
-                    low,
-                    high,
-                    negated: false,
-                } if matches!(expr.as_ref(), BoundExpr::Column(i) if *i == col) => {
-                    if let (BoundExpr::Literal(lo), BoundExpr::Literal(hi)) =
-                        (low.as_ref(), high.as_ref())
-                    {
-                        if !lo.is_null() && !hi.is_null() {
-                            lower = tighten_lower(lower, Bound::Included(lo.clone()));
-                            upper = tighten_upper(upper, Bound::Included(hi.clone()));
-                            consumed.push(format!("#{col} BETWEEN {lo} AND {hi}"));
-                        }
-                    }
-                }
-                _ => {}
-            }
+            range.take(c, col, |_| true);
         }
-        if !matches!(
-            (&lower, &upper),
-            (Bound::Unbounded, Bound::Unbounded)
-        ) {
-            return Some((col, lower, upper, consumed));
-        }
-    }
-    None
+        range
+            .is_bounded()
+            .then_some((col, range.lower, range.upper, range.consumed))
+    })
 }
 
 fn tighten_lower(current: Bound<Value>, new: Bound<Value>) -> Bound<Value> {

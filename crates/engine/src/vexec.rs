@@ -21,14 +21,21 @@
 //! downstream error positions (e.g. "not a boolean" in a filter) are
 //! also exact.
 //!
-//! Hash join and grouped aggregation — the serial arms here and the
-//! stages of a morsel pipeline in [`crate::parallel`] alike — are one
-//! set of batch operators over [`crate::hashtable`]: key columns are
-//! encoded to fixed-width atoms, rows are matched or numbered through
-//! the flat table, and only index vectors move until the consumer
-//! gathers the columns it reads. They charge the memory governor for
-//! what they hold — the join's build side byte for byte as the row
-//! engine charges it ([`crate::vector::batch_rows_bytes`] replicates
+//! This module interprets the plan node by node and owns the batch
+//! operators; it does not drive a chain of them. A Scan, Seek, Index
+//! Seek, Filter, Compute Scalar, Hash Match, Merge Join or Aggregate is
+//! the top of a pipeline, which [`crate::parallel`] runs — as one morsel
+//! here, at a `Gather`'s DOP under an exchange — and every other
+//! operator (sorts, set operations, nested loops, windows) runs on rows
+//! below or above it.
+//!
+//! Hash join and grouped aggregation are batch operators over
+//! [`crate::hashtable`]: key columns are encoded to fixed-width atoms,
+//! rows are matched or numbered through the flat table, and only index
+//! vectors move until the consumer gathers the columns it reads. They
+//! charge the memory governor for what they hold — the join's build
+//! side byte for byte as the row engine charges it
+//! ([`crate::vector::batch_rows_bytes`] replicates
 //! [`crate::memory::values_bytes`] per row, so the Grace-spill
 //! threshold is the same), grouped state per group — hit the same
 //! fault-injection sites in the same order, and fall back to the same
@@ -51,7 +58,6 @@ use sqlshare_common::{Error, Result};
 use sqlshare_sql::ast::{BinaryOp, JoinKind};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::Arc;
 
 /// Execute a physical plan to completion on the vectorized engine.
 pub fn execute(
@@ -63,8 +69,7 @@ pub fn execute(
     Ok(exec_node(plan, catalog, ctx, guard)?.into_rows())
 }
 
-/// [`execute`], leaving the result in columns (the morsel executor's
-/// join build side).
+/// [`execute`], leaving the result in columns (a join's build side).
 pub(crate) fn execute_batch(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -74,8 +79,8 @@ pub(crate) fn execute_batch(
     Ok(exec_node(plan, catalog, ctx, guard)?.into_batch())
 }
 
-/// Intermediate operator output: column batches while the pipeline
-/// stays vectorized, rows once an operator materializes.
+/// Intermediate operator output: column batches out of a pipeline, rows
+/// once an operator materializes.
 pub(crate) enum Out {
     Batch(Batch),
     Rows(Vec<Row>),
@@ -96,7 +101,7 @@ impl Out {
         }
     }
 
-    fn into_batch(self) -> Batch {
+    pub(crate) fn into_batch(self) -> Batch {
         match self {
             Out::Batch(b) => b,
             Out::Rows(r) => rows_to_batch(&r),
@@ -125,7 +130,7 @@ fn child(plan: &PhysicalPlan, catalog: &Catalog, ctx: &EvalContext, guard: &Exec
     exec_node(exec::data_child(plan)?, catalog, ctx, guard)
 }
 
-fn exec_node(
+pub(crate) fn exec_node(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     ctx: &EvalContext,
@@ -133,11 +138,17 @@ fn exec_node(
 ) -> Result<Out> {
     match &plan.op {
         PhysOp::ConstantScan => Ok(Out::Rows(vec![Vec::new()])),
-        PhysOp::Scan { table, head: None } => {
-            guard.fault(FaultSite::Scan)?;
-            let batch = catalog.table(table)?.columnar()?;
-            guard.tick(batch.len as u64)?;
-            Ok(Out::Batch((*batch).clone()))
+        // The top of a pipeline, run as one morsel.
+        PhysOp::Scan { head: None, .. }
+        | PhysOp::Seek { .. }
+        | PhysOp::IndexSeek { .. }
+        | PhysOp::Filter { .. }
+        | PhysOp::Compute { .. }
+        | PhysOp::HashJoin { .. }
+        | PhysOp::MergeJoin { .. }
+        | PhysOp::Aggregate { .. } => crate::parallel::execute(plan, 1, catalog, ctx, guard),
+        PhysOp::Gather { dop } => {
+            crate::parallel::execute(exec::data_child(plan)?, *dop, catalog, ctx, guard)
         }
         // A row-bounded scan hands over the rows themselves: building
         // (or caching) the table's columnar form for a prefix of it would
@@ -154,75 +165,6 @@ fn exec_node(
             let width = rows.first().map(Row::len).unwrap_or(0);
             Ok(Out::Batch(Batch::from_rows(rows, width)))
         }
-        PhysOp::Seek {
-            table,
-            lower,
-            upper,
-            residual,
-        } => {
-            guard.fault(FaultSite::Scan)?;
-            let t = catalog.table(table)?;
-            let lo = exec::as_ref_bound(lower);
-            let hi = exec::as_ref_bound(upper);
-            let batch = match t.seek_bounds(lo, hi) {
-                Some(range) => t.columnar()?.slice(range),
-                None => {
-                    let p = t.paged().expect("non-mem backing is paged");
-                    let rows = p.scan_range(p.seek_range(lo, hi)?)?;
-                    Batch::from_rows(&rows, t.schema.len())
-                }
-            };
-            guard.tick(batch.len as u64)?;
-            match residual {
-                None => Ok(Out::Batch(batch)),
-                Some(pred) => {
-                    let sel = eval_filter(pred, &batch, ctx)?;
-                    Ok(Out::Batch(batch.gather(&sel)))
-                }
-            }
-        }
-        PhysOp::IndexSeek {
-            table,
-            column,
-            lower,
-            upper,
-            predicate,
-        } => {
-            guard.fault(FaultSite::Scan)?;
-            let t = catalog.table(table)?;
-            let candidates = match t.paged() {
-                Some(p) => p.secondary_candidates(
-                    *column,
-                    exec::as_ref_bound(lower),
-                    exec::as_ref_bound(upper),
-                )?,
-                None => None,
-            };
-            let batch = match candidates {
-                Some(ordinals) => {
-                    let rows = t
-                        .paged()
-                        .expect("candidates imply paged backing")
-                        .fetch_rows(&ordinals)?;
-                    Batch::from_rows(&rows, t.schema.len())
-                }
-                None => (*t.columnar()?).clone(),
-            };
-            guard.tick(batch.len as u64)?;
-            let sel = eval_filter(predicate, &batch, ctx)?;
-            Ok(Out::Batch(batch.gather(&sel)))
-        }
-        PhysOp::Filter { predicate } => {
-            let input = child(plan, catalog, ctx, guard)?.into_batch();
-            guard.tick(input.len as u64)?;
-            let sel = eval_filter(predicate, &input, ctx)?;
-            Ok(Out::Batch(input.gather(&sel)))
-        }
-        PhysOp::Compute { exprs } => {
-            let input = child(plan, catalog, ctx, guard)?.into_batch();
-            guard.tick(input.len as u64)?;
-            Ok(Out::Batch(compute_batch(exprs, &input, ctx)?))
-        }
         PhysOp::Top { quantity, percent } => {
             let out = child(plan, catalog, ctx, guard)?;
             let len = out.len();
@@ -238,53 +180,6 @@ fn exec_node(
                     Out::Rows(r)
                 }
             })
-        }
-        PhysOp::Aggregate { group, aggs, .. } => {
-            // A row-shaped child (join output, sort, set op) feeds the
-            // row engine's own aggregate directly: re-encoding wide
-            // rows into columns just to decode them again would cost
-            // more than the batch kernels save, and calling the oracle
-            // is byte-identical by construction.
-            match child(plan, catalog, ctx, guard)? {
-                Out::Rows(rows) => Ok(Out::Rows(exec::aggregate(rows, group, aggs, ctx, guard)?)),
-                Out::Batch(input) => Ok(Out::Rows(aggregate_batch(input, group, aggs, ctx, guard)?)),
-            }
-        }
-        PhysOp::HashJoin {
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            left_width,
-            right_width,
-        } => {
-            let (l, r) = two_children(plan, catalog, ctx, guard)?;
-            let spec = JoinSpec {
-                kind: *kind,
-                left_keys,
-                right_keys,
-                residual: residual.as_ref(),
-                left_width: *left_width,
-                right_width: *right_width,
-            };
-            hash_join_batch(l, r, &spec, ctx, guard)
-        }
-        PhysOp::MergeJoin {
-            left_keys,
-            right_keys,
-            residual,
-        } => {
-            // Same as the row engine: executed as an inner hash join.
-            let (l, r) = two_children(plan, catalog, ctx, guard)?;
-            let spec = JoinSpec {
-                kind: JoinKind::Inner,
-                left_keys,
-                right_keys,
-                residual: residual.as_ref(),
-                left_width: l.width(),
-                right_width: r.width(),
-            };
-            hash_join_batch(l, r, &spec, ctx, guard)
         }
         PhysOp::NestedLoops {
             kind,
@@ -324,33 +219,13 @@ fn exec_node(
             let (l, r) = two_rows(plan, catalog, ctx, guard)?;
             Ok(Out::Rows(exec::hash_set_op(l, r, *op)?))
         }
-        PhysOp::Segment => child(plan, catalog, ctx, guard),
+        PhysOp::Segment | PhysOp::Repartition { .. } => child(plan, catalog, ctx, guard),
         PhysOp::SequenceProject { calls } => {
             let input = child(plan, catalog, ctx, guard)?.into_rows();
             guard.tick(input.len() as u64)?;
             Ok(Out::Rows(crate::window::compute_windows(input, calls, ctx)?))
         }
-        PhysOp::Gather { dop } => Ok(Out::Rows(crate::parallel::execute_gather_vectorized(
-            plan, *dop, catalog, ctx, guard,
-        )?)),
-        PhysOp::Repartition { .. } => child(plan, catalog, ctx, guard),
     }
-}
-
-fn two_children(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    ctx: &EvalContext,
-    guard: &ExecGuard,
-) -> Result<(Batch, Batch)> {
-    if plan.children.len() < 2 {
-        return Err(Error::Execution(
-            "internal: binary operator missing inputs".into(),
-        ));
-    }
-    let l = exec_node(&plan.children[0], catalog, ctx, guard)?.into_batch();
-    let r = exec_node(&plan.children[1], catalog, ctx, guard)?.into_batch();
-    Ok((l, r))
 }
 
 fn two_rows(
@@ -914,10 +789,9 @@ fn cmp_kernel(op: BinaryOp, l: &Col, r: &Col, n: usize) -> Option<Col> {
 // Batch operators: aggregate + hash join, over `crate::hashtable`
 // ---------------------------------------------------------------------------
 //
-// Both operators are written once and driven two ways: the serial arms
-// above hand them a whole input, the morsel executor a morsel at a time
-// against shared read-only state (`JoinBuild`) or into per-morsel state
-// merged in morsel order (`Groups`).
+// `crate::parallel` drives both, a morsel at a time (the whole input at
+// DOP 1), against shared read-only state (`JoinBuild`) or into
+// per-morsel state merged in morsel order (`Groups`).
 
 /// One group's fresh accumulators.
 pub(crate) fn new_accs(aggs: &[AggCall]) -> Vec<Accumulator> {
@@ -1054,8 +928,8 @@ fn feed_exact(
     Ok(())
 }
 
-/// One input's scalar-aggregate state (a whole input serially, a morsel
-/// in a parallel region).
+/// One input's scalar-aggregate state (the whole input at DOP 1, a
+/// morsel above it).
 pub(crate) fn scalar_partial(
     input: &Batch,
     aggs: &[AggCall],
@@ -1203,21 +1077,6 @@ impl GroupMerger {
     pub(crate) fn finish(self) -> Vec<Row> {
         emit_groups(self.keys, &self.accs)
     }
-}
-
-fn aggregate_batch(
-    input: Batch,
-    group: &[BoundExpr],
-    aggs: &[AggCall],
-    ctx: &EvalContext,
-    guard: &ExecGuard,
-) -> Result<Vec<Row>> {
-    if group.is_empty() {
-        // Scalar aggregate: one output row, even on empty input.
-        let accs = scalar_partial(&input, aggs, ctx, guard)?;
-        return Ok(vec![accs.iter().map(Accumulator::finish).collect()]);
-    }
-    Ok(group_batch(&input, group, aggs, ctx, guard)?.finish())
 }
 
 /// A hash join's configuration (the `HashJoin` / `MergeJoin` payload).
@@ -1368,52 +1227,6 @@ pub(crate) fn combine(
     Batch::new(cols, lsel.len())
 }
 
-fn hash_join_batch(
-    left: Batch,
-    right: Batch,
-    spec: &JoinSpec,
-    ctx: &EvalContext,
-    guard: &ExecGuard,
-) -> Result<Out> {
-    guard.fault(FaultSite::JoinBuild)?;
-    // Charge the build side exactly as the row engine would for the
-    // materialized rows; over budget with storage attached, fall back
-    // to the same Grace hash join.
-    let build_bytes = batch_rows_bytes(&right);
-    if let Err(e) = guard.charge(build_bytes) {
-        let spillable = matches!(e, Error::ResourceExhausted(_)) && guard.storage().is_some();
-        if !spillable {
-            return Err(e);
-        }
-        guard.memory().release(build_bytes);
-        let layer = Arc::clone(guard.storage().expect("checked above"));
-        return Ok(Out::Rows(crate::spill::grace_hash_join(
-            left.to_rows(),
-            right.to_rows(),
-            spec.kind,
-            spec.left_keys,
-            spec.right_keys,
-            spec.residual,
-            spec.left_width,
-            spec.right_width,
-            ctx,
-            guard,
-            &layer,
-        )?));
-    }
-    let build = JoinBuild::new(right, spec, ctx, guard)?;
-    guard.fault(FaultSite::JoinProbe)?;
-    // Late materialization for every join kind: the probe yields index
-    // pairs, both sides' columns are gathered once at the end (text as
-    // dictionary codes), and the output stays a batch for the consumer.
-    let left = widen(left, spec.left_width);
-    let (mut lsel, mut rsel) = build.probe(&left, spec, ctx, guard)?;
-    let tail = build.unmatched();
-    lsel.resize(lsel.len() + tail.len(), NULL_ROW);
-    rsel.extend(tail);
-    Ok(Out::Batch(combine(&left, &build.batch, &lsel, &rsel, None)))
-}
-
 // ---------------------------------------------------------------------------
 // EXPLAIN annotation
 // ---------------------------------------------------------------------------
@@ -1454,7 +1267,63 @@ mod tests {
 
     use super::*;
     use crate::aggregate::AggFunc;
+    use crate::cost::Estimates;
     use proptest::prelude::*;
+    use std::sync::Arc;
+
+    /// `op` over `children`, as the planner would hand it to the executor.
+    fn node(op: PhysOp, children: Vec<PhysicalPlan>) -> PhysicalPlan {
+        PhysicalPlan {
+            op,
+            physical_op: String::new(),
+            logical_op: String::new(),
+            visible: true,
+            est: Estimates { rows: 0.0, io: 0.0, cpu: 0.0, row_size: 0.0 },
+            filters: Vec::new(),
+            expr_ops: Vec::new(),
+            columns: Vec::new(),
+            degree_of_parallelism: None,
+            batch_mode: true,
+            children,
+        }
+    }
+
+    /// A leaf handing `batch`'s rows to the operator above it.
+    fn leaf(batch: &Batch) -> PhysicalPlan {
+        let rows = Arc::new(batch.to_rows());
+        node(PhysOp::CachedScan { name: "t".into(), rows }, Vec::new())
+    }
+
+    /// A Hash Match over two inputs, run as the serial executor runs it.
+    fn hash_join_batch(
+        left: Batch,
+        right: Batch,
+        spec: &JoinSpec,
+        ctx: &EvalContext,
+        guard: &ExecGuard,
+    ) -> Result<Out> {
+        let op = PhysOp::HashJoin {
+            kind: spec.kind,
+            left_keys: spec.left_keys.to_vec(),
+            right_keys: spec.right_keys.to_vec(),
+            residual: spec.residual.cloned(),
+            left_width: spec.left_width,
+            right_width: spec.right_width,
+        };
+        exec_node(&node(op, vec![leaf(&left), leaf(&right)]), &Catalog::new(), ctx, guard)
+    }
+
+    /// An Aggregate over one input, run as the serial executor runs it.
+    fn aggregate_batch(
+        input: Batch,
+        group: &[BoundExpr],
+        aggs: &[AggCall],
+        ctx: &EvalContext,
+        guard: &ExecGuard,
+    ) -> Result<Vec<Row>> {
+        let op = PhysOp::Aggregate { group: group.to_vec(), aggs: aggs.to_vec(), hash: true };
+        exec_node(&node(op, vec![leaf(&input)]), &Catalog::new(), ctx, guard).map(Out::into_rows)
+    }
 
     /// Deterministic xorshift so every case derives from one seed the
     /// proptest harness prints on failure.

@@ -1,0 +1,147 @@
+//! The batch pipeline at every DOP against the row interpreter.
+//!
+//! The row interpreter (`Engine::set_vectorized(false)`) is the oracle:
+//! serial at any DOP, sharing no execution code with the batch engine.
+//! At DOP 1 the batch pipeline runs as one morsel in the order a serial
+//! evaluation meets its operators, so it must match the oracle byte for
+//! byte — rows and first errors. Above DOP 1 it spills an over-budget
+//! join like the serial engine does.
+
+use sqlshare_engine::{DataType, Engine, Schema, StorageLayer, Table, Value};
+
+/// `facts(k, v, w)`: 5,000 rows over 97 keys, `w` a float with a NULL
+/// every 11th row; `dims(id, name)`: ids 0..120, so 23 dims match no fact.
+fn tables(e: &mut Engine) {
+    let facts = (0..5000)
+        .map(|i| {
+            vec![
+                Value::Int(i % 97),
+                Value::Int(i),
+                if i % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float((i % 13) as f64 * 0.1)
+                },
+            ]
+        })
+        .collect();
+    e.create_table(Table::new(
+        "facts",
+        Schema::from_pairs([("k", DataType::Int), ("v", DataType::Int), ("w", DataType::Float)]),
+        facts,
+    ))
+    .unwrap();
+    let dims = (0..120)
+        .map(|i| vec![Value::Int(i), Value::Text(format!("dim{}", i % 40))])
+        .collect();
+    e.create_table(Table::new(
+        "dims",
+        Schema::from_pairs([("id", DataType::Int), ("name", DataType::Text)]),
+        dims,
+    ))
+    .unwrap();
+}
+
+fn engine(dop: usize, vectorized: bool) -> Engine {
+    let mut e = Engine::new();
+    e.set_max_dop(dop);
+    e.set_exec_threads(4);
+    e.set_parallelism_cost_threshold(0.0);
+    e.set_vectorized(vectorized);
+    e.disable_cache();
+    tables(&mut e);
+    e
+}
+
+#[test]
+fn row_engine_reports_the_oracles_first_error_in_a_forced_parallel_plan() {
+    // The filter divides by zero at v = 4500 (the fifth morsel); the
+    // projection overflows from v = 2 on, a row the filter keeps. Serially
+    // the filter runs over every row before the projection sees one.
+    let sql = "SELECT v * 4611686018427387904 FROM facts WHERE 10 / (v - 4500) IS NOT NULL";
+    let oracle = engine(1, false).run(sql).unwrap_err();
+    assert_eq!(oracle.message(), "division by zero", "{oracle}");
+    let row = engine(4, false);
+    assert!(row.explain(sql).unwrap().max_parallelism() > 1, "expected a parallel plan");
+    assert_eq!(row.run(sql).unwrap_err(), oracle);
+}
+
+#[test]
+fn over_budget_join_spills_in_a_forced_parallel_plan() {
+    let sql = "SELECT COUNT(*), SUM(f.v), MIN(d.pad) FROM facts AS f JOIN wide AS d ON f.k = d.id";
+    let with_wide = |budget: Option<usize>| {
+        let mut e = Engine::new();
+        e.set_storage(Some(StorageLayer::temp(4 << 20).unwrap()));
+        e.set_max_dop(4);
+        e.set_exec_threads(4);
+        e.set_parallelism_cost_threshold(0.0);
+        e.disable_cache();
+        if let Some(bytes) = budget {
+            e.set_query_mem_limit(bytes);
+        }
+        tables(&mut e);
+        e.create_table(Table::new(
+            "wide",
+            Schema::from_pairs([("id", DataType::Int), ("pad", DataType::Text)]),
+            (0..4000)
+                .map(|i| vec![Value::Int(i % 97), Value::Text(format!("pad-{i:0>120}"))])
+                .collect(),
+        ))
+        .unwrap();
+        e
+    };
+    let want = with_wide(None).run(sql).unwrap();
+    let subject = with_wide(Some(256 << 10));
+    let got = subject.run(sql).unwrap();
+    assert!(got.plan.max_parallelism() > 1, "expected a parallel plan");
+    assert_eq!(got.rows, want.rows);
+    assert!(got.spill_bytes > 0, "completed without spilling under a 256 KiB budget");
+    assert_eq!(subject.memory_pool().used(), 0);
+}
+
+/// The batch engine at DOP 1 against the row oracle: identical rows in
+/// identical order, or the identical error.
+fn assert_dop1_identical(sql: &str) -> Result<Vec<Vec<Value>>, sqlshare_common::Error> {
+    let oracle = engine(1, false).run(sql).map(|o| o.rows);
+    let batch = engine(1, true);
+    assert_eq!(batch.explain(sql).unwrap().max_parallelism(), 1);
+    assert_eq!(batch.run(sql).map(|o| o.rows), oracle, "{sql}");
+    oracle
+}
+
+#[test]
+fn right_and_full_joins_under_a_float_sum_match_the_oracle_at_dop1() {
+    // 0.1-step floats make the sum depend on the order rows reach it;
+    // the 23 unmatched dims join as NULL-padded rows the sum skips and
+    // the count sees.
+    for kind in ["RIGHT", "FULL"] {
+        for sql in [
+            format!("SELECT SUM(f.w), COUNT(*) FROM facts AS f {kind} JOIN dims AS d ON f.k = d.id"),
+            format!(
+                "SELECT d.name, SUM(f.w), COUNT(f.v) FROM facts AS f {kind} JOIN dims AS d \
+                 ON f.k = d.id GROUP BY d.name"
+            ),
+        ] {
+            let rows = assert_dop1_identical(&sql).unwrap();
+            assert!(!rows.is_empty(), "{sql}");
+        }
+    }
+}
+
+#[test]
+fn a_join_whose_inputs_both_fail_reports_the_probe_sides_error_at_dop1() {
+    // The probe (left) input divides by zero, the build input overflows:
+    // a serial join evaluates its probe side first.
+    let sql = "SELECT p.x, q.y FROM (SELECT k, 10 / (v - 4500) AS x FROM facts) AS p \
+               JOIN (SELECT id, id * 4611686018427387904 AS y FROM dims) AS q ON p.k = q.id";
+    let err = assert_dop1_identical(sql).unwrap_err();
+    assert_eq!(err.message(), "division by zero", "{err}");
+}
+
+#[test]
+fn the_row_interpreter_names_nothing_of_the_batch_engine() {
+    let source = include_str!("../src/exec.rs");
+    for name in ["vexec", "parallel::", "hashtable"] {
+        assert!(!source.contains(name), "exec.rs names `{name}`");
+    }
+}

@@ -196,8 +196,8 @@ pub(crate) struct Shared {
     mailboxes: Vec<LoopMailbox>,
     queue: WorkQueue,
     /// Standby-ack bookkeeping for quorum commits. Acks are recorded
-    /// without the service lock so a commit waiting inside the write
-    /// lock can always be unblocked.
+    /// without the service lock, so no mutation holding it can delay
+    /// the ack a waiting commit needs.
     pub(crate) repl_hub: Arc<ReplHub>,
     /// WAL file served to standbys, captured at start so the streaming
     /// endpoint never needs the service lock. `None` in ephemeral mode.
@@ -588,32 +588,19 @@ fn offer_request(idx: usize, shared: &Shared, conn: &mut Conn, fd: i32, request:
         return;
     }
     // Standby acks are absorbed on the event loop itself: no worker, no
-    // service lock. A quorum commit blocks *inside* the write lock
-    // waiting for acks, so if acks queued behind mutations on the
-    // worker pool the system would stall for the full ack timeout.
-    // (Only when no dispatch is in flight — pipelined responses must
-    // stay ordered; the fallthrough worker path handles acks too.)
+    // service lock. A quorum commit waits for acks after releasing the
+    // write lock, but it holds its worker thread while it waits: with
+    // `workers` such commits in flight, an ack queued to the pool would
+    // sit behind them until `ack_timeout`. (Only when no dispatch is in
+    // flight — pipelined responses must stay ordered; the worker path
+    // handles acks too.)
     if request.method == "POST"
         && request.path == "/api/repl/ack"
         && !conn.dispatch_in_flight
         && conn.pending.is_empty()
     {
-        let parsed = json::parse(&String::from_utf8_lossy(&request.body)).ok();
-        let ack = parsed.as_ref().and_then(|doc| {
-            let who = doc.get("standby")?.as_str()?;
-            let lsn = doc.get("lsn")?.as_f64()?;
-            Some((who.to_string(), lsn as u64))
-        });
-        let (status, body) = match ack {
-            Some((who, lsn)) => {
-                shared.repl_hub.record_ack(&who, lsn);
-                (200, Json::object([("acked", Json::Bool(true))]))
-            }
-            None => (
-                400,
-                Json::object([("error", Json::str("ack needs 'standby' and 'lsn'"))]),
-            ),
-        };
+        let body = json::parse(&String::from_utf8_lossy(&request.body)).unwrap_or(Json::Null);
+        let (status, body) = record_ack(shared, &body);
         shared.stats.count_status(status);
         conn.enqueue(Payload::response(
             status,
@@ -829,8 +816,8 @@ fn execute(shared: &Shared, request: ParsedRequest) -> (Payload, bool) {
 
     // Replication control plane, handled ahead of the REST dispatch.
     // The WAL stream reads the journal file directly and the ack sink
-    // touches only the hub, so neither can deadlock against a quorum
-    // commit holding the write lock.
+    // touches only the hub, so neither waits on a mutation holding the
+    // write lock.
     if req.path.starts_with("/api/repl/") {
         let (status, body) = execute_repl(shared, method, &req.path, &req.body);
         let retry_after = (status == 503).then_some(1);
@@ -895,6 +882,19 @@ fn execute(shared: &Shared, request: ParsedRequest) -> (Payload, bool) {
         _ => None,
     };
     frame(response.status, response.body, retry_after)
+}
+
+/// `POST /api/repl/ack`: standby `standby` has applied everything up to
+/// `lsn`. Touches only the ack hub, from an event loop or a worker.
+fn record_ack(shared: &Shared, body: &Json) -> (u16, Json) {
+    let ack = (|| Some((body.get("standby")?.as_str()?, body.get("lsn")?.as_f64()?)))();
+    match ack {
+        Some((who, lsn)) => {
+            shared.repl_hub.record_ack(who, lsn as u64);
+            (200, Json::object([("acked", Json::Bool(true))]))
+        }
+        None => (400, Json::object([("error", Json::str("ack needs 'standby' and 'lsn'"))])),
+    }
 }
 
 /// The `/api/repl/*` control plane: WAL tail streaming, standby acks,
@@ -1014,20 +1014,7 @@ fn execute_repl(shared: &Shared, method: Method, path: &str, body: &Json) -> (u1
         }
         // Worker-pool fallback for acks that arrive on a pipelined
         // connection (the event-loop fast path skips those).
-        (Method::Post, "/api/repl/ack") => {
-            let ack = (|| {
-                let who = body.get("standby")?.as_str()?;
-                let lsn = body.get("lsn")?.as_f64()?;
-                Some((who.to_string(), lsn as u64))
-            })();
-            match ack {
-                Some((who, lsn)) => {
-                    shared.repl_hub.record_ack(&who, lsn);
-                    (200, Json::object([("acked", Json::Bool(true))]))
-                }
-                None => err(400, "ack needs 'standby' and 'lsn'"),
-            }
-        }
+        (Method::Post, "/api/repl/ack") => record_ack(shared, body),
         (Method::Get, "/api/repl/snapshot") => {
             let service = shared.service.read().unwrap_or_else(|e| e.into_inner());
             (200, service.replication_snapshot())

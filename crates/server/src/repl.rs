@@ -5,10 +5,12 @@
 //! `GET /api/repl/wal?from=<offset>` every `SQLSHARE_REPL_HEARTBEAT_MS`;
 //! the poll doubles as the lease heartbeat. The primary answers straight
 //! off the WAL *file* via [`sqlshare_storage::read_tail`] — no service
-//! lock — so a quorum commit blocked inside the write lock can never
-//! starve the stream that will unblock it. Acks
-//! (`POST /api/repl/ack`) are absorbed by the event loops without
-//! touching the worker pool or the service lock for the same reason.
+//! lock — so a mutation holding the write lock never stalls the stream
+//! that confirms the commits before it. A quorum commit waits for its
+//! acks after releasing the write lock, but on its worker thread, so
+//! acks (`POST /api/repl/ack`) are absorbed by the event loops: with
+//! every worker waiting on a quorum, an ack queued to the pool would
+//! wait out `SQLSHARE_REPL_ACK_TIMEOUT_MS`.
 
 use crate::Shared;
 use sqlshare_common::json::{self, Json};

@@ -4,7 +4,8 @@
 //! and naturally tolerant of torn tails — a crash mid-append leaves a
 //! final line without a newline (or with unparseable JSON), which
 //! [`load_and_repair`] drops and truncates away so later appends extend
-//! a clean file.
+//! a clean file. Damage with parseable lines behind it is refused, as
+//! the WAL refuses it: truncating there would drop logged queries.
 
 use crate::{FsyncPolicy, IoCounter};
 use sqlshare_common::json::{self, Json};
@@ -20,7 +21,8 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
 /// Load every complete, parseable line from a JSONL file, truncating
 /// the file after the last good line (torn-tail repair). Returns the
 /// parsed documents and the number of bytes discarded. A missing file
-/// loads as empty.
+/// loads as empty. A bad line with a parseable line after it is not a
+/// torn tail: that is `Error::Corrupt`, and the file is not touched.
 pub fn load_and_repair(path: &Path) -> Result<(Vec<Json>, u64)> {
     load_and_repair_counted(path, &IoCounter::new())
 }
@@ -38,18 +40,27 @@ pub fn load_and_repair_counted(path: &Path, io: &IoCounter) -> Result<(Vec<Json>
 
     let mut docs = Vec::new();
     let mut valid = 0usize;
-    let mut pos = 0usize;
-    while let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') {
-        let line = &bytes[pos..pos + nl];
-        let Ok(text) = std::str::from_utf8(line) else {
-            break;
-        };
-        let Ok(doc) = json::parse(text) else {
+    while let Some(nl) = bytes[valid..].iter().position(|&b| b == b'\n') {
+        let Some(doc) = parse_line(&bytes[valid..valid + nl]) else {
             break;
         };
         docs.push(doc);
-        pos += nl + 1;
-        valid = pos;
+        valid += nl + 1;
+    }
+    // A crash mid-append leaves one partial final line, so a torn tail
+    // has nothing parseable after the break. A parseable line beyond a
+    // bad one is interior damage: refuse, leaving the file as it was,
+    // rather than truncate the documents behind it.
+    if let Some(nl) = bytes[valid..].iter().position(|&b| b == b'\n') {
+        let rest = &bytes[valid + nl + 1..];
+        if rest.split(|&b| b == b'\n').any(|line| parse_line(line).is_some()) {
+            return Err(Error::Corrupt(format!(
+                "jsonl {}: line {} is not a JSON document but later lines are; refusing to \
+                 truncate past it — repair or remove that line",
+                path.display(),
+                docs.len() + 1
+            )));
+        }
     }
 
     let truncated = (bytes.len() - valid) as u64;
@@ -62,6 +73,10 @@ pub fn load_and_repair_counted(path: &Path, io: &IoCounter) -> Result<(Vec<Json>
             .map_err(|e| io_err("repair", path, e))?;
     }
     Ok((docs, truncated))
+}
+
+fn parse_line(line: &[u8]) -> Option<Json> {
+    json::parse(std::str::from_utf8(line).ok()?).ok()
 }
 
 /// An open JSONL file handle for appending.
@@ -194,11 +209,20 @@ mod tests {
 
     #[test]
     fn garbage_line_stops_the_load() {
+        // Followed by a parseable line: interior damage, refused untouched.
         let path = temp_file("garbage");
-        std::fs::write(&path, "{\"n\":1}\nnot json\n{\"n\":2}\n").unwrap();
+        let bytes = "{\"n\":1}\nnot json\n{\"n\":2}\n";
+        std::fs::write(&path, bytes).unwrap();
+        let err = load_and_repair(&path).unwrap_err();
+        assert_eq!(err.kind(), "corrupt", "{err}");
+        assert!(err.message().contains("line 2"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), bytes);
+        // Followed by nothing parseable: a torn tail, truncated.
+        std::fs::write(&path, "{\"n\":1}\nnot json\n{\"n\":\n").unwrap();
         let (docs, truncated) = load_and_repair(&path).unwrap();
         assert_eq!(docs, vec![doc(1.0)]);
-        assert!(truncated > 0);
+        assert_eq!(truncated, 15);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"n\":1}\n");
     }
 
     #[test]
