@@ -162,7 +162,6 @@ impl IntegrityHub {
                 ("pagesVerified", Json::num(s.pages as f64)),
                 ("walFramesVerified", Json::num(s.wal_frames as f64)),
                 ("snapshotsVerified", Json::num(s.snapshots as f64)),
-                ("querylogLinesVerified", Json::num(s.querylog_lines as f64)),
                 ("findings", Json::num(s.findings as f64)),
             ]),
             None => Json::Null,

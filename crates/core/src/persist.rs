@@ -43,7 +43,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
     /// Data directory holding `wal.log`, `snapshot-<lsn>.json`, and
-    /// `querylog.jsonl`. Created if missing.
+    /// `querylog.log`. Created if missing.
     pub dir: PathBuf,
     /// When journal appends are forced to stable storage.
     pub fsync: FsyncPolicy,
@@ -93,7 +93,7 @@ pub struct RecoveryReport {
     pub truncated_wal_bytes: u64,
     /// Highest LSN in durable state after recovery.
     pub last_lsn: u64,
-    /// Query-log entries reloaded from `querylog.jsonl`.
+    /// Query-log entries reloaded from `querylog.log`.
     pub querylog_entries: u64,
     /// Bytes discarded from the query log's torn tail.
     pub querylog_truncated_bytes: u64,
@@ -119,8 +119,10 @@ impl DurableStore {
         dir.join("wal.log")
     }
 
+    /// The query log: a record log in the WAL's frame format, one
+    /// `QueryLogEntry` JSON document per record.
     pub(crate) fn querylog_path(dir: &Path) -> PathBuf {
-        dir.join("querylog.jsonl")
+        dir.join("querylog.log")
     }
 
     pub(crate) fn epoch_path(dir: &Path) -> PathBuf {

@@ -110,7 +110,7 @@ pub struct QueryLogEntry {
 }
 
 impl QueryLogEntry {
-    /// One-line JSON encoding for `querylog.jsonl`.
+    /// One-line JSON encoding: the payload of a `querylog.log` record.
     pub fn to_json(&self) -> Json {
         let mut o = JsonObject::new();
         o.insert("id", Json::Number(self.id as f64));

@@ -23,7 +23,7 @@ use sqlshare_scheduler::{
     FailureClass, JobDisposition, JobReport, Scheduler, SchedulerConfig, SchedulerStats,
     SubmitOptions,
 };
-use sqlshare_storage::{FsyncPolicy, JsonlAppender};
+use sqlshare_storage::{FsyncPolicy, Wal};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,14 +124,14 @@ pub(super) struct Attempt {
 
 /// What worker closures share with the service, each piece behind its
 /// own lock: the job table (the condvar wakes waiters on every status
-/// change), the in-memory query log with its optional JSONL sink, and
+/// change), the in-memory query log with its optional durable sink, and
 /// the per-tenant cache counters (keyed by lowercased username).
 #[derive(Debug, Default)]
 struct Shared {
     jobs: Mutex<HashMap<u64, QueryJob>>,
     changed: Condvar,
     log: Mutex<QueryLog>,
-    sink: Mutex<Option<JsonlAppender>>,
+    sink: Mutex<Option<Wal>>,
     tenant_cache: Mutex<HashMap<String, TenantCacheStats>>,
 }
 
@@ -141,8 +141,6 @@ pub(super) struct Jobs {
     shared: Arc<Shared>,
     next_job_id: AtomicU64,
     scheduler: Scheduler,
-    /// Deadline applied to submitted queries with no explicit deadline.
-    default_deadline: Option<Duration>,
 }
 
 /// Stage 2 — run. The prepared plan executes under `token`; a query
@@ -247,9 +245,9 @@ impl Shared {
         finished
     }
 
-    fn mirror(&self, line: &Json) {
-        if let Some(appender) = lock(&self.sink).as_mut() {
-            let _ = appender.append(line);
+    fn mirror(&self, entry: &Json) {
+        if let Some(sink) = lock(&self.sink).as_mut() {
+            let _ = sink.append(entry.to_string().as_bytes());
         }
     }
 
@@ -313,9 +311,10 @@ impl Jobs {
         (count, newest)
     }
 
-    /// Start mirroring logged queries to `querylog.jsonl`.
+    /// Start mirroring logged queries to the record log at `path`. The
+    /// log is never reset and carries no fault plan or crash point.
     pub(super) fn open_sink(&self, path: &Path, fsync: FsyncPolicy) -> Result<()> {
-        *lock(&self.shared.sink) = Some(JsonlAppender::open(path, fsync)?);
+        *lock(&self.shared.sink) = Some(Wal::open(path, fsync)?);
         Ok(())
     }
 
@@ -341,7 +340,6 @@ impl SqlShare {
     /// count, queue capacity, default deadline).
     pub fn with_scheduler(config: SchedulerConfig) -> Self {
         let jobs = Jobs {
-            default_deadline: config.default_deadline,
             scheduler: Scheduler::new(config),
             ..Jobs::default()
         };
@@ -386,8 +384,9 @@ impl SqlShare {
     }
 
     /// Like [`SqlShare::submit_query`], with a per-query deadline
-    /// (covering queue wait and execution). When the deadline fires the
-    /// query unwinds cooperatively and the job ends `TimedOut`.
+    /// (covering queue wait and execution; `None` takes the scheduler's
+    /// `default_deadline`). When the deadline fires the query unwinds
+    /// cooperatively and the job ends `TimedOut`.
     pub fn submit_query_with_deadline(
         &self,
         user: &str,
@@ -442,7 +441,7 @@ impl SqlShare {
             Err(_) => 1,
         };
         let options = SubmitOptions {
-            deadline: deadline.or(self.jobs.default_deadline),
+            deadline,
             token: Some(token),
             slots,
         };
@@ -575,11 +574,6 @@ impl SqlShare {
     /// tests and operational tooling.
     pub fn scheduler(&self) -> &Scheduler {
         &self.jobs.scheduler
-    }
-
-    /// Set the deadline applied to future submissions without one.
-    pub fn set_default_deadline(&mut self, deadline: Option<Duration>) {
-        self.jobs.default_deadline = deadline;
     }
 
     /// Per-tenant result-cache hit/miss counters, sorted by username.

@@ -19,7 +19,7 @@ use sqlshare_common::json::{self, Json, JsonWriter};
 use sqlshare_common::{Error, Result};
 use sqlshare_engine::{FaultPlan, Table};
 use sqlshare_ingest::IngestReport;
-use sqlshare_storage::{jsonl, CrashPoint, SnapshotStore, Wal};
+use sqlshare_storage::{CrashPoint, FsyncPolicy, SnapshotStore, Wal};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -169,25 +169,27 @@ impl SqlShare {
         }
         report.last_lsn = applied_lsn;
 
-        // 3. Persisted query log (torn tail repaired on load, anything
-        //    else refused — an entry that does not decode included).
-        //    Query ticks are not journaled in the WAL, so the clock must
-        //    also fast-forward past the newest logged timestamp —
-        //    otherwise a recovered service would re-issue instants the
-        //    crashed process already spent on queries.
+        // 3. Persisted query log, scanned like the WAL: a torn tail is
+        //    truncated, interior damage refused, and so is a valid frame
+        //    that does not decode as an entry. Query ticks are not
+        //    journaled in the WAL, so the clock must also fast-forward
+        //    past the newest logged timestamp — otherwise a recovered
+        //    service would re-issue instants the crashed process already
+        //    spent on queries.
         let querylog_path = DurableStore::querylog_path(&options.dir);
-        let (docs, truncated) = jsonl::load_and_repair(&querylog_path)?;
-        report.querylog_truncated_bytes = truncated;
-        let entries = docs
+        let dropped = migrate_jsonl_querylog(&options.dir, &querylog_path)?;
+        let scan = Wal::scan(&querylog_path)?;
+        report.querylog_truncated_bytes = dropped + scan.truncated_bytes;
+        let entries = scan
+            .records
             .iter()
             .enumerate()
-            .map(|(i, doc)| {
-                QueryLogEntry::from_json(doc).map_err(|e| {
+            .map(|(i, record)| {
+                decode_entry(record).ok_or_else(|| {
                     Error::Corrupt(format!(
-                        "jsonl {}: line {} is not a query log entry: {}",
+                        "{}: record {} is not a query log entry",
                         querylog_path.display(),
-                        i + 1,
-                        e.message()
+                        i + 1
                     ))
                 })
             })
@@ -539,4 +541,62 @@ impl SqlShare {
         self.install(lsn, Mutation::epoch_of(doc), Install::Snapshot(doc))?;
         Ok(lsn)
     }
+}
+
+/// A query-log record's payload as an entry, if it is one.
+fn decode_entry(payload: &[u8]) -> Option<QueryLogEntry> {
+    let doc = json::parse(std::str::from_utf8(payload).ok()?).ok()?;
+    QueryLogEntry::from_json(&doc).ok()
+}
+
+/// One-time migration of a query log written before it was a record log:
+/// `querylog.jsonl`, one entry per line. A torn tail — a bad line with
+/// nothing parseable after it — is dropped; any other bad line refuses,
+/// and nothing is written. The entries become frames in a temp file,
+/// fsynced and renamed to `log`, and only then is the old file deleted:
+/// a crash reruns the migration (a leftover temp file is discarded) or
+/// finishes it (both files present: only the delete was left). Returns
+/// the bytes dropped.
+fn migrate_jsonl_querylog(dir: &Path, log: &Path) -> Result<u64> {
+    let old = dir.join("querylog.jsonl");
+    let io = |what: &str, e: std::io::Error| {
+        Error::Internal(format!("migrating {}: {what}: {e}", old.display()))
+    };
+    if !old.exists() {
+        return Ok(0);
+    }
+    let mut dropped = 0;
+    if !log.exists() {
+        let bytes = std::fs::read(&old).map_err(|e| io("read", e))?;
+        // The piece after the last newline is empty, or a torn append.
+        let lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        let entries: Vec<QueryLogEntry> = lines[..lines.len() - 1]
+            .iter()
+            .map_while(|line| decode_entry(line))
+            .collect();
+        let parses = |line: &&[u8]| std::str::from_utf8(line).is_ok_and(|t| json::parse(t).is_ok());
+        if entries.len() + 1 < lines.len() && lines[entries.len()..].iter().any(parses) {
+            return Err(Error::Corrupt(format!(
+                "{}: line {} is not a query log entry and not a torn tail; nothing was \
+                 migrated — repair or remove that line",
+                old.display(),
+                entries.len() + 1
+            )));
+        }
+        let tmp = log.with_extension("log.tmp");
+        let _ = std::fs::remove_file(&tmp);
+        let mut frames = Wal::open(&tmp, FsyncPolicy::Off)?;
+        for entry in &entries {
+            frames.append(entry.to_json().to_string().as_bytes())?;
+        }
+        frames.sync()?;
+        std::fs::rename(&tmp, log).map_err(|e| io("rename", e))?;
+        if let Ok(d) = std::fs::File::open(dir) {
+            let _ = d.sync_all(); // the rename is durable before the delete
+        }
+        let kept: usize = lines[..entries.len()].iter().map(|l| l.len() + 1).sum();
+        dropped = (bytes.len() - kept) as u64;
+    }
+    std::fs::remove_file(&old).map_err(|e| io("remove", e))?;
+    Ok(dropped)
 }

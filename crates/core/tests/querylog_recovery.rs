@@ -1,9 +1,15 @@
-//! Recovering the persisted query log: a torn tail is repaired, damage
-//! with logged queries behind it is refused and left on disk.
+//! Recovering the persisted query log, a record log in the WAL's frame
+//! format (`[u32 len][u64 fnv64][entry JSON]`): a torn tail is repaired,
+//! damage with logged queries behind it is refused and left on disk, and
+//! no damaged entry is ever loaded. A log written as JSON lines by
+//! earlier releases is migrated once at open.
 
-use sqlshare_core::{DurableOptions, FsyncPolicy, SqlShare};
+use sqlshare_common::hash::fnv64;
+use sqlshare_core::{
+    read_tail, DurableOptions, FsyncPolicy, IoCounter, ScrubConfig, Scrubber, SqlShare,
+};
 use sqlshare_ingest::IngestOptions;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A durable service that ran three queries, closed; its data directory
 /// and the path of its query log.
@@ -13,8 +19,13 @@ fn logged_three(tag: &str) -> (PathBuf, DurableOptions, PathBuf) {
     let options = DurableOptions::new(&dir).fsync(FsyncPolicy::Off);
     let mut s = SqlShare::open(options.clone()).unwrap();
     s.register_user("ada", "a@uw.edu").unwrap();
-    s.upload("ada", "nums", "n\n1\n2\n3\n", &IngestOptions::default()).unwrap();
-    for sql in ["SELECT COUNT(*) FROM nums", "SELECT SUM(n) FROM nums", "SELECT MAX(n) FROM nums"] {
+    s.upload("ada", "nums", "n\n1\n2\n3\n", &IngestOptions::default())
+        .unwrap();
+    for sql in [
+        "SELECT COUNT(*) FROM nums",
+        "SELECT SUM(n) FROM nums",
+        "SELECT MAX(n) FROM nums",
+    ] {
         s.run_query("ada", sql).unwrap();
     }
     let log = s.querylog_path().expect("a durable service logs queries");
@@ -22,19 +33,38 @@ fn logged_three(tag: &str) -> (PathBuf, DurableOptions, PathBuf) {
     (dir, options, log)
 }
 
+/// One record as the log frames it.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&fnv64(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// The loaded log, one JSON document per entry.
+fn entries(s: &SqlShare) -> Vec<String> {
+    s.log()
+        .entries()
+        .iter()
+        .map(|e| e.to_json().to_string())
+        .collect()
+}
+
 #[test]
 fn a_damaged_first_line_is_refused_and_left_on_disk() {
     let (dir, options, log) = logged_three("first-line");
     let mut bytes = std::fs::read(&log).unwrap();
-    assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 3);
-    assert_eq!(bytes[0], b'{');
-    bytes[0] = b'[';
+    assert_eq!(read_tail(&log, 0).unwrap().records.len(), 3);
+    assert_eq!(
+        bytes[12], b'{',
+        "the first payload follows its 12-byte header"
+    );
+    bytes[12] = b'[';
     std::fs::write(&log, &bytes).unwrap();
 
     let err = SqlShare::open(options).expect_err("a damaged log must not open");
     assert_eq!(err.kind(), "corrupt", "{err}");
-    assert!(err.message().contains("line 1"), "{err}");
-    assert!(err.message().contains("querylog"), "{err}");
+    assert!(err.message().contains("querylog.log"), "{err}");
     assert_eq!(std::fs::read(&log).unwrap(), bytes, "the log was modified");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -42,14 +72,14 @@ fn a_damaged_first_line_is_refused_and_left_on_disk() {
 #[test]
 fn an_entry_that_does_not_decode_is_refused() {
     let (dir, options, log) = logged_three("undecodable");
-    let text = std::fs::read_to_string(&log).unwrap();
-    let damaged = format!("{{\"not\":\"an entry\"}}\n{text}");
+    let mut damaged = frame(br#"{"not":"an entry"}"#);
+    damaged.extend(std::fs::read(&log).unwrap());
     std::fs::write(&log, &damaged).unwrap();
 
     let err = SqlShare::open(options).expect_err("an undecodable entry must not open");
     assert_eq!(err.kind(), "corrupt", "{err}");
-    assert!(err.message().contains("line 1"), "{err}");
-    assert_eq!(std::fs::read_to_string(&log).unwrap(), damaged);
+    assert!(err.message().contains("querylog.log: record 1"), "{err}");
+    assert_eq!(std::fs::read(&log).unwrap(), damaged);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -58,7 +88,7 @@ fn a_torn_final_line_is_still_repaired() {
     let (dir, options, log) = logged_three("torn");
     let clean = std::fs::read(&log).unwrap();
     let mut torn = clean.clone();
-    torn.extend_from_slice(b"{\"id\":4,\"us");
+    torn.extend_from_slice(&frame(b"{\"id\":4,\"user\":\"ada\"}")[..11]);
     std::fs::write(&log, &torn).unwrap();
 
     let s = SqlShare::open(options).unwrap();
@@ -67,5 +97,197 @@ fn a_torn_final_line_is_still_repaired() {
     assert_eq!(report.querylog_truncated_bytes, 11);
     assert_eq!(std::fs::read(&log).unwrap(), clean);
     drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flip inside a logged SQL literal still parses as JSON, so only a
+/// checksum can see it: it must refuse the open, not reload `TELECT`,
+/// and the scrubber must report it.
+#[test]
+fn a_flipped_sql_literal_is_refused_and_scrubbed_not_loaded() {
+    let (dir, options, log) = logged_three("literal");
+    let mut bytes = std::fs::read(&log).unwrap();
+    let second = read_tail(&log, 0).unwrap().ends[0] as usize;
+    let needle = br#""sql":"SELECT SUM"#;
+    let at = bytes[second..]
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("the second entry logs its SQL")
+        + second
+        + br#""sql":""#.len();
+    bytes[at] = b'T';
+    std::fs::write(&log, &bytes).unwrap();
+
+    let err = SqlShare::open(options).expect_err("an altered entry must not load");
+    assert_eq!(err.kind(), "corrupt", "{err}");
+    assert!(err.message().contains("querylog.log"), "{err}");
+    assert_eq!(std::fs::read(&log).unwrap(), bytes, "the log was modified");
+
+    let scrubber = Scrubber::new(ScrubConfig::default(), IoCounter::new());
+    scrubber.add_root(&dir);
+    let findings = scrubber.full_pass();
+    assert!(findings.iter().any(|f| f.path == log), "{findings:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every single-bit flip anywhere in a three-entry log ends in a refusal
+/// that leaves the file as it was, or in a truncated torn tail below an
+/// unaltered prefix of the entries — never in an altered entry loaded.
+#[test]
+fn no_single_bit_flip_loads_an_altered_entry() {
+    let (dir, options, log) = logged_three("sweep");
+    let pristine = std::fs::read(&log).unwrap();
+    let originals = entries(&SqlShare::open(options.clone()).unwrap());
+    assert_eq!(originals.len(), 3);
+
+    let mut seed = 0x5eed_u64;
+    let (mut refused, mut truncated) = (0, 0);
+    for trial in 0..200 {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let bit = (seed >> 33) as usize % (pristine.len() * 8);
+        let mut flipped = pristine.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(&log, &flipped).unwrap();
+        match SqlShare::open(options.clone()) {
+            Err(err) => {
+                assert_eq!(err.kind(), "corrupt", "trial {trial}, bit {bit}: {err}");
+                assert_eq!(
+                    std::fs::read(&log).unwrap(),
+                    flipped,
+                    "trial {trial}: file touched"
+                );
+                refused += 1;
+            }
+            Ok(s) => {
+                let loaded = entries(&s);
+                assert!(
+                    loaded.len() < 3,
+                    "trial {trial}, bit {bit}: the flip went unseen"
+                );
+                assert_eq!(
+                    loaded,
+                    originals[..loaded.len()],
+                    "trial {trial}, bit {bit}"
+                );
+                assert!(s.recovery_report().unwrap().querylog_truncated_bytes > 0);
+                truncated += 1;
+            }
+        }
+    }
+    assert!(
+        refused > 0 && truncated > 0,
+        "{refused} refused, {truncated} truncated"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- the one-time migration from `querylog.jsonl` ----------------------
+
+/// `logged_three`, with its log rewritten the way earlier releases'
+/// appender wrote it (`to_json().to_string()` plus a newline) and the
+/// framed log removed; the entries as logged, and the old file's path.
+fn logged_three_as_jsonl(tag: &str) -> (PathBuf, DurableOptions, Vec<String>, PathBuf) {
+    let (dir, options, log) = logged_three(tag);
+    let logged = entries(&SqlShare::open(options.clone()).unwrap());
+    let jsonl = dir.join("querylog.jsonl");
+    std::fs::write(
+        &jsonl,
+        logged.iter().map(|e| format!("{e}\n")).collect::<String>(),
+    )
+    .unwrap();
+    std::fs::remove_file(&log).unwrap();
+    (dir, options, logged, jsonl)
+}
+
+/// The reopened service holds `want`, continues ids and the clock past
+/// them, and the old file is gone. Returns the bytes recovery dropped.
+fn assert_migrated(dir: &Path, options: DurableOptions, want: &[String]) -> u64 {
+    let s = SqlShare::open(options).unwrap();
+    assert_eq!(entries(&s), want);
+    assert_eq!(
+        s.recovery_report().unwrap().querylog_entries,
+        want.len() as u64
+    );
+    assert!(!dir.join("querylog.jsonl").exists());
+    assert!(!dir.join("querylog.log.tmp").exists());
+    assert_eq!(
+        read_tail(&s.querylog_path().unwrap(), 0)
+            .unwrap()
+            .records
+            .len(),
+        want.len()
+    );
+    s.run_query("ada", "SELECT MIN(n) FROM nums").unwrap();
+    let log = s.log();
+    let (last, next) = (&log.entries()[want.len() - 1], &log.entries()[want.len()]);
+    assert_eq!(next.id, last.id + 1);
+    assert!(
+        next.at > last.at,
+        "the clock did not fast-forward past the migrated log"
+    );
+    drop(log);
+    s.recovery_report().unwrap().querylog_truncated_bytes
+}
+
+#[test]
+fn a_jsonl_log_migrates_to_frames_with_every_entry() {
+    let (dir, options, logged, _) = logged_three_as_jsonl("migrate");
+    assert_eq!(assert_migrated(&dir, options.clone(), &logged), 0);
+    // A second open has nothing to migrate.
+    let log = dir.join("querylog.log");
+    let before = std::fs::read(&log).unwrap();
+    let s = SqlShare::open(options).unwrap();
+    assert_eq!(s.log().len(), 4);
+    assert_eq!(s.recovery_report().unwrap().querylog_truncated_bytes, 0);
+    assert_eq!(std::fs::read(&log).unwrap(), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_torn_final_jsonl_line_is_dropped_by_the_migration() {
+    let (dir, options, logged, jsonl) = logged_three_as_jsonl("migrate-torn");
+    let mut text = std::fs::read_to_string(&jsonl).unwrap();
+    text.push_str("{\"id\":4,\"us");
+    std::fs::write(&jsonl, text).unwrap();
+    assert_eq!(assert_migrated(&dir, options, &logged), 11);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_damaged_interior_jsonl_line_refuses_and_writes_nothing() {
+    let (dir, options, logged, jsonl) = logged_three_as_jsonl("migrate-bad");
+    let text = format!("{}\nnot json\n{}\n", logged[0], logged[1]);
+    std::fs::write(&jsonl, &text).unwrap();
+    let err = SqlShare::open(options).expect_err("interior damage must not migrate");
+    assert_eq!(err.kind(), "corrupt", "{err}");
+    assert!(err.message().contains("querylog.jsonl: line 2"), "{err}");
+    assert_eq!(std::fs::read_to_string(&jsonl).unwrap(), text);
+    assert!(!dir.join("querylog.log").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn both_logs_present_means_only_the_delete_was_left() {
+    let (dir, options, logged, jsonl) = logged_three_as_jsonl("migrate-both");
+    // The rename happened: the framed log is complete. The leftover old
+    // file is deleted, not migrated a second time.
+    let framed: Vec<u8> = logged.iter().flat_map(|e| frame(e.as_bytes())).collect();
+    std::fs::write(dir.join("querylog.log"), framed).unwrap();
+    assert!(jsonl.exists());
+    assert_migrated(&dir, options, &logged);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_leftover_temp_file_is_discarded_and_the_migration_reruns() {
+    let (dir, options, logged, _) = logged_three_as_jsonl("migrate-tmp");
+    let half: Vec<u8> = frame(logged[0].as_bytes())
+        .into_iter()
+        .chain([7, 7, 7])
+        .collect();
+    std::fs::write(dir.join("querylog.log.tmp"), half).unwrap();
+    assert_migrated(&dir, options, &logged);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -26,8 +26,9 @@ use std::sync::{Arc, OnceLock};
 
 #[derive(Debug, Clone)]
 enum Backing {
-    /// Shared: tables are immutable after load, and engines are cloned
-    /// per fixed-DOP / degraded run, so a clone must not copy rows.
+    /// Shared: tables are immutable after load, and the service clones
+    /// its engine into the workers' snapshot after every catalog change
+    /// (`SqlShare::engine_snapshot`), so a clone must not copy rows.
     Mem(Arc<Vec<Row>>),
     Paged(Arc<PagedTable>),
 }

@@ -191,8 +191,8 @@ fn run_head_reads_only_the_head_and_leaves_the_caches_alone() {
     let head = e.run_head("SELECT * FROM grown", 6).unwrap();
     assert_eq!(scan_heads(&head.plan), vec![Some(6), Some(6)]);
     assert_eq!(ints(&head.rows, 0), vec![1, 1, 2, 2, 3, 1]);
-    // `run_with_dop` runs on a clone sharing the cache, so compare
-    // against the stats taken after it.
+    // `run_with_dop` is a full run that heats the view and stores its
+    // result, so compare against the stats taken after it.
     let after_full = e.cache_stats();
     e.run_head("SELECT * FROM wrap", 3).unwrap();
     e.run_head("SELECT * FROM grown", 6).unwrap();

@@ -42,7 +42,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -897,6 +897,36 @@ fn record_ack(shared: &Shared, body: &Json) -> (u16, Json) {
     }
 }
 
+/// One poll of a record log (`wal.log` or `querylog.log`) from the byte
+/// offset `from=` in `query`: up to [`repl::WAL_BATCH_LIMIT`] records as
+/// JSON, the offset the next poll resumes from, and whether the file is
+/// now shorter than `from`. It reads the file, never the service lock,
+/// and stops before a record that is not JSON. A missing or malformed
+/// `from` is refused with 400.
+fn repl_tail(path: &Path, query: &str) -> Result<(Vec<Json>, u64, bool), (u16, Json)> {
+    let refuse =
+        |status: u16, message: String| (status, Json::object([("error", Json::str(message))]));
+    let from = query
+        .split('&')
+        .find_map(|kv| kv.strip_prefix("from="))
+        .and_then(|v| v.parse::<u64>().ok())
+        .ok_or_else(|| refuse(400, "'from' must be a byte offset (a whole number)".into()))?;
+    let tail = sqlshare_core::read_tail(path, from)
+        .map_err(|e| refuse(500, format!("{} read failed: {e}", path.display())))?;
+    let mut records = Vec::new();
+    let mut end = from;
+    let batch = tail.records.iter().zip(&tail.ends).take(repl::WAL_BATCH_LIMIT);
+    for (payload, record_end) in batch {
+        let parsed = std::str::from_utf8(payload).ok().and_then(|t| json::parse(t).ok());
+        let Some(doc) = parsed else {
+            break; // the offset stays before it
+        };
+        records.push(doc);
+        end = *record_end;
+    }
+    Ok((records, end, tail.reset))
+}
+
 /// The `/api/repl/*` control plane: WAL tail streaming, standby acks,
 /// snapshot catch-up, and promote/demote. Returns (status, body).
 fn execute_repl(shared: &Shared, method: Method, path: &str, body: &Json) -> (u16, Json) {
@@ -916,101 +946,48 @@ fn execute_repl(shared: &Shared, method: Method, path: &str, body: &Json) -> (u1
             let Some(wal_path) = shared.wal_path.as_deref() else {
                 return err(404, "replication requires durable mode (no data directory)");
             };
-            let from = query
-                .split('&')
-                .find_map(|kv| kv.strip_prefix("from="))
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(0);
             // Generation before content: if a snapshot resets the WAL
             // between the two reads, the follower sees fresh bytes
             // under the *old* generation and reseeds on its next poll —
             // the reverse order could stamp dead history with the new
             // generation and stall the stream.
             let wal_generation = sqlshare_core::wal_generation(wal_path);
-            let tail = match sqlshare_core::read_tail(wal_path, from) {
-                Ok(t) => t,
-                Err(e) => return err(500, &format!("wal read failed: {e}")),
+            let (records, end, reset) = match repl_tail(wal_path, query) {
+                Ok(tail) => tail,
+                Err(refused) => return refused,
             };
-            let mut records = Vec::new();
-            let mut end = from;
-            let mut last_lsn = 0u64;
-            let batch = tail.records.iter().zip(&tail.ends).take(repl::WAL_BATCH_LIMIT);
-            for (payload, record_end) in batch {
-                let Ok(doc) = std::str::from_utf8(payload)
-                    .map_err(|_| ())
-                    .and_then(|text| json::parse(text).map_err(|_| ()))
-                else {
-                    break; // stop at a malformed record; offset stays before it
-                };
-                end = *record_end;
-                if let Some(lsn) = doc.get("lsn").and_then(Json::as_f64) {
-                    last_lsn = lsn as u64;
-                }
-                records.push(doc);
-            }
+            let last_lsn = records.last().and_then(|r| r.get("lsn")?.as_f64());
+            let epoch = shared.repl_epoch.load(Ordering::Relaxed);
             (
                 200,
                 Json::object([
                     ("records", Json::Array(records)),
                     ("end", Json::num(end as f64)),
-                    ("reset", Json::Bool(tail.reset)),
+                    ("reset", Json::Bool(reset)),
                     ("generation", Json::num(wal_generation as f64)),
-                    (
-                        "epoch",
-                        Json::num(shared.repl_epoch.load(Ordering::Relaxed) as f64),
-                    ),
-                    ("lastLsn", Json::num(last_lsn as f64)),
+                    ("epoch", Json::num(epoch as f64)),
+                    ("lastLsn", Json::num(last_lsn.unwrap_or(0.0))),
                 ]),
             )
         }
-        // Query-log tail, served the same lock-free way. The file is
-        // append-only JSONL: ship complete lines from the follower's
-        // byte offset, stopping cleanly at a mid-write tail.
+        // The query log is a record log too, served the same lock-free
+        // way. It is never reset, so `reset` means the follower's
+        // cursor is from another life.
         (Method::Get, "/api/repl/querylog") => {
             let Some(path) = shared.querylog_path.as_deref() else {
                 return err(404, "replication requires durable mode (no data directory)");
             };
-            let from = query
-                .split('&')
-                .find_map(|kv| kv.strip_prefix("from="))
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(0);
-            let bytes = std::fs::read(path).unwrap_or_default();
-            if (bytes.len() as u64) < from {
-                // The sink never shrinks in normal operation; a shorter
-                // file means the follower's cursor is from another life.
-                return (
+            match repl_tail(path, query) {
+                Ok((records, end, reset)) => (
                     200,
                     Json::object([
-                        ("entries", Json::Array(Vec::new())),
-                        ("end", Json::num(0.0)),
-                        ("reset", Json::Bool(true)),
+                        ("records", Json::Array(records)),
+                        ("end", Json::num(end as f64)),
+                        ("reset", Json::Bool(reset)),
                     ]),
-                );
+                ),
+                Err(refused) => refused,
             }
-            let mut end = from as usize;
-            let mut entries = Vec::new();
-            while entries.len() < repl::WAL_BATCH_LIMIT {
-                let Some(nl) = bytes[end..].iter().position(|&b| b == b'\n') else {
-                    break; // incomplete final line: the next poll gets it
-                };
-                let parsed = std::str::from_utf8(&bytes[end..end + nl])
-                    .ok()
-                    .and_then(|text| json::parse(text.trim()).ok());
-                let Some(doc) = parsed else {
-                    break; // stop at a malformed line; offset stays before it
-                };
-                end += nl + 1;
-                entries.push(doc);
-            }
-            (
-                200,
-                Json::object([
-                    ("entries", Json::Array(entries)),
-                    ("end", Json::num(end as f64)),
-                    ("reset", Json::Bool(false)),
-                ]),
-            )
         }
         // Worker-pool fallback for acks that arrive on a pipelined
         // connection (the event-loop fast path skips those).

@@ -22,8 +22,9 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Most records one `GET /api/repl/wal` answer carries; a standby that
-/// receives a full batch polls again immediately.
+/// Most records one `GET /api/repl/wal` or `/api/repl/querylog` answer
+/// carries; a standby that receives a full WAL batch polls again
+/// immediately.
 pub(crate) const WAL_BATCH_LIMIT: usize = 256;
 
 /// Confirmed-LSN tracking per standby. Commit-side `wait_for` blocks on
@@ -409,7 +410,7 @@ fn poll_querylog(
     if matches!(doc.get("reset"), Some(Json::Bool(true))) {
         return Ok(0);
     }
-    let Some(entries) = doc.get("entries").and_then(Json::as_array) else {
+    let Some(entries) = doc.get("records").and_then(Json::as_array) else {
         return Ok(cursor);
     };
     let end = doc.get("end").and_then(Json::as_f64).unwrap_or(cursor as f64) as u64;

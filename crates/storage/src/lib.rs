@@ -1,6 +1,5 @@
-//! Storage primitives: write-ahead log, atomic snapshots, append-only
-//! JSONL segments, and the paged layer (slotted pages, buffer pool,
-//! heap files, B-trees).
+//! Storage primitives: the record log, atomic snapshots, and the paged
+//! layer (slotted pages, buffer pool, heap files, B-trees).
 //!
 //! SQLShare ran for years as a public service; the value of such a
 //! service is the corpus that survives every crash and restart (§2–3 of
@@ -8,9 +7,9 @@
 //! `sqlshare-core`: the service journals every catalog mutation to a
 //! [`wal::Wal`] *before* applying it, periodically captures the full
 //! durable state as an atomically-renamed [`snapshot`], and appends the
-//! query log as a [`jsonl`] segment. Recovery loads the latest valid
-//! snapshot and replays the WAL tail, truncating at the first torn or
-//! corrupt record.
+//! query log to a second [`wal::Wal`] of its own. Both logs are
+//! recovered by [`Wal::scan`] (a torn tail is truncated, interior damage
+//! refused), checked by [`Wal::verify`] and shipped by [`read_tail`].
 //!
 //! The paged layer ([`page`], [`pagefile`], [`buffer_pool`], [`heap`],
 //! [`btree`]) makes tables out-of-core: rows live in 8 KiB slotted
@@ -33,15 +32,14 @@
 //!   which deliberately leaves a torn tail the recovery scan must
 //!   tolerate.
 //! * **Torn writes are detected.** Every page carries an fnv64 checksum
-//!   over its payload, sealed on write and verified on read; WAL and
-//!   JSONL records are checksummed / reparseable the same way.
+//!   over its payload, sealed on write and verified on read; every log
+//!   record is checksummed the same way.
 //! * **No panics escape.** Fault-plan checks sit under `catch_unwind`;
 //!   storage failures surface as typed `Error`s.
 
 pub mod btree;
 pub mod buffer_pool;
 pub mod heap;
-pub mod jsonl;
 pub mod page;
 pub mod pagefile;
 pub mod scrub;
@@ -55,7 +53,6 @@ use std::sync::Arc;
 pub use btree::{audit_node_page, BTree};
 pub use buffer_pool::{BufferPool, PoolStats};
 pub use heap::HeapFile;
-pub use jsonl::JsonlAppender;
 pub use page::{Page, PAGE_SIZE};
 pub use pagefile::PageFile;
 pub use scrub::{ScrubConfig, ScrubFinding, ScrubStatus, Scrubber};
@@ -64,7 +61,7 @@ pub use stream::{read_tail, TailRead};
 pub use wal::{wal_generation, CrashPoint, Wal, WalAudit, WalScan};
 
 /// A shareable count of filesystem operations. Every store in this
-/// crate (WAL, snapshot store, JSONL appender, page file) owns one;
+/// crate (WAL, snapshot store, page file) owns one;
 /// callers that want an aggregate (e.g. "all durability I/O for this
 /// service") construct a single counter and thread it through the
 /// `*_counted` constructors. Per-store counters keep concurrent test

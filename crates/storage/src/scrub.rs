@@ -11,16 +11,15 @@
 //!   [`Page::verify`]; B-tree nodes additionally get the single-node
 //!   structural audit ([`crate::btree::audit_node_page`]: valid kind,
 //!   sorted keys).
-//! * **`wal.log`** — frame-by-frame checksum walk via [`Wal::verify`],
-//!   flagging interior corruption (valid frames after a break) and
-//!   leaving torn tails to the recovery scan.
+//! * **`wal.log`, `querylog.log`** — frame-by-frame checksum walk via
+//!   [`Wal::verify`], flagging interior corruption (valid frames after a
+//!   break) and leaving torn tails to the recovery scan.
 //! * **`snapshot-<lsn>.json`** — the trailer checksum over the payload,
 //!   read in budgeted units like a page file and resumed on the next
 //!   tick: a matching sum proves the bytes are the bytes written, and a
 //!   tick costs what its budget says whatever the snapshot's size. A
 //!   file without a well-formed trailer (a cut-off tail, or rot in the
 //!   trailer itself) is a finding.
-//! * **`querylog.jsonl`** — every complete line must reparse.
 //!
 //! All reads go straight to the files, never through the buffer pool,
 //! so a scrub pass cannot evict the working set. Reads race foreground
@@ -36,7 +35,6 @@ use crate::snapshot::{trailer_sum, TRAILER_LEN};
 use crate::wal::Wal;
 use crate::IoCounter;
 use sqlshare_common::hash::Fnv64;
-use sqlshare_common::json;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -75,12 +73,11 @@ pub struct ScrubStatus {
     pub units: u64,
     /// Heap / B-tree pages checksum-verified.
     pub pages: u64,
-    /// WAL frames validated.
+    /// Record-log frames validated, over both logs: `wal.log` and
+    /// `querylog.log`.
     pub wal_frames: u64,
     /// Snapshot candidates verified.
     pub snapshots: u64,
-    /// Query-log lines reparsed.
-    pub querylog_lines: u64,
     /// Corruption findings reported (cumulative, repeats included —
     /// a bad page is re-found every pass until repaired).
     pub findings: u64,
@@ -92,7 +89,7 @@ pub struct ScrubStatus {
 pub struct ScrubFinding {
     pub path: PathBuf,
     /// Page number within a `.heap` / `.btree` file; `None` for
-    /// whole-file families (WAL, snapshot, query log).
+    /// whole-file families (record logs, snapshots).
     pub page: Option<u32>,
     pub detail: String,
 }
@@ -131,7 +128,7 @@ fn is_page_file(name: &str) -> bool {
 
 fn is_scrubbable(name: &str) -> bool {
     name == "wal.log"
-        || name == "querylog.jsonl"
+        || name == "querylog.log"
         || (name.starts_with("snapshot-") && name.ends_with(".json"))
         || is_page_file(name)
 }
@@ -268,48 +265,28 @@ impl Scrubber {
         if name.starts_with("snapshot-") {
             return self.scrub_snapshot(path, from_page, budget, status, partial_sum);
         }
-        let mut findings = Vec::new();
-        let finding = |detail: String| ScrubFinding {
-            path: path.to_path_buf(),
-            page: None,
-            detail,
+        // A record log: `wal.log` or `querylog.log`.
+        let detail = match Wal::verify(path, &self.io) {
+            Ok(audit) => {
+                status.wal_frames += audit.frames;
+                audit.interior_corrupt.then(|| {
+                    format!("interior record-log corruption after byte {}", audit.valid_bytes)
+                })
+            }
+            Err(e) => Some(e.to_string()),
         };
         let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        if name == "wal.log" {
-            match Wal::verify(path, &self.io) {
-                Ok(audit) => {
-                    status.wal_frames += audit.frames;
-                    if audit.interior_corrupt {
-                        findings.push(finding(format!(
-                            "interior WAL corruption after byte {}",
-                            audit.valid_bytes
-                        )));
-                    }
-                }
-                Err(e) => findings.push(finding(e.to_string())),
-            }
-        } else if name == "querylog.jsonl" {
-            self.io.bump();
-            let bytes = std::fs::read(path).unwrap_or_default();
-            let mut pos = 0usize;
-            while let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') {
-                let line = &bytes[pos..pos + nl];
-                status.querylog_lines += 1;
-                let ok = std::str::from_utf8(line)
-                    .is_ok_and(|l| l.trim().is_empty() || json::parse(l.trim()).is_ok());
-                if !ok {
-                    findings.push(finding(format!(
-                        "query-log line at byte {pos} fails to reparse"
-                    )));
-                }
-                pos += nl + 1;
-            }
-            // An unterminated final line is a torn append, not rot.
-        }
         FileScrub {
             units: file_units(len),
             resume: None,
-            findings,
+            findings: detail
+                .map(|detail| ScrubFinding {
+                    path: path.to_path_buf(),
+                    page: None,
+                    detail,
+                })
+                .into_iter()
+                .collect(),
         }
     }
 
@@ -533,7 +510,9 @@ mod tests {
         wal.append(br#"{"lsn":1}"#).unwrap();
         wal.append(br#"{"lsn":2}"#).unwrap();
         SnapshotStore::new(&dir).write(2, r#"{"v":2}"#).unwrap();
-        std::fs::write(dir.join("querylog.jsonl"), "{\"q\":1}\n{\"q\":2}\n").unwrap();
+        let mut log = Wal::open(&dir.join("querylog.log"), FsyncPolicy::Off).unwrap();
+        log.append(br#"{"q":1}"#).unwrap();
+        log.append(br#"{"q":2}"#).unwrap();
         let pf = PageFile::create(&dir.join("t-1.heap"), IoCounter::new()).unwrap();
         let no = pf.allocate();
         let mut p = Page::new();
@@ -544,9 +523,8 @@ mod tests {
         assert!(s.full_pass().is_empty());
         let st = s.status();
         assert_eq!(st.passes, 1);
-        assert_eq!(st.wal_frames, 2);
+        assert_eq!(st.wal_frames, 4, "both record logs");
         assert_eq!(st.snapshots, 1);
-        assert_eq!(st.querylog_lines, 2);
         assert_eq!(st.pages, 1);
         assert_eq!(st.findings, 0);
     }
@@ -554,17 +532,20 @@ mod tests {
     #[test]
     fn each_family_yields_a_finding_when_rotted() {
         let dir = temp_dir("rot");
-        // WAL with interior corruption: flip a byte in record 1 of 2.
-        let wal_path = dir.join("wal.log");
-        let mut wal = Wal::open(&wal_path, FsyncPolicy::Off).unwrap();
-        wal.append(br#"{"lsn":1,"pad":"xxxxxxxxxxxxxxxx"}"#).unwrap();
-        let boundary = wal.offset();
-        wal.append(br#"{"lsn":2}"#).unwrap();
-        drop(wal);
-        let mut bytes = std::fs::read(&wal_path).unwrap();
-        bytes[20] ^= 0x10; // inside record 1's payload
-        std::fs::write(&wal_path, &bytes).unwrap();
-        assert!(boundary > 20);
+        // Both record logs with interior corruption: flip a byte in
+        // record 1 of 2.
+        for name in ["wal.log", "querylog.log"] {
+            let path = dir.join(name);
+            let mut log = Wal::open(&path, FsyncPolicy::Off).unwrap();
+            log.append(br#"{"lsn":1,"pad":"xxxxxxxxxxxxxxxx"}"#).unwrap();
+            let boundary = log.offset();
+            log.append(br#"{"lsn":2}"#).unwrap();
+            drop(log);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[20] ^= 0x10; // inside record 1's payload
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(boundary > 20);
+        }
 
         // Snapshot with a flipped digit (parses, fails the trailer sum).
         let store = SnapshotStore::new(&dir);
@@ -573,9 +554,6 @@ mod tests {
         let mut bytes = std::fs::read(&snap_path).unwrap();
         bytes[5] ^= 0x01;
         std::fs::write(&snap_path, &bytes).unwrap();
-
-        // Query log with a rotted interior line.
-        std::fs::write(dir.join("querylog.jsonl"), "{\"q\":1}\n{\"q:2}\n{\"q\":3}\n").unwrap();
 
         // Heap page with a flipped bit.
         let heap_path = dir.join("t-1.heap");
@@ -609,12 +587,14 @@ mod tests {
         };
         assert_eq!(family("wal.log"), 1, "{findings:?}");
         assert_eq!(family("snapshot-7.json"), 1, "{findings:?}");
-        assert_eq!(family("querylog.jsonl"), 1, "{findings:?}");
+        assert_eq!(family("querylog.log"), 1, "{findings:?}");
         assert_eq!(family("t-1.heap"), 1, "{findings:?}");
         assert_eq!(family("t-2.btree"), 1, "{findings:?}");
-        assert!(findings
-            .iter()
-            .any(|f| f.path.ends_with("wal.log") && f.detail.contains("interior")));
+        for name in ["wal.log", "querylog.log"] {
+            assert!(findings
+                .iter()
+                .any(|f| f.path.ends_with(name) && f.detail.contains("interior")));
+        }
         assert_eq!(s.status().findings, findings.len() as u64);
     }
 

@@ -7,6 +7,10 @@
 //! [u32 LE payload length][u64 LE fnv64(payload)][payload bytes]
 //! ```
 //!
+//! The service keeps two logs in this format: the mutation journal
+//! (`wal.log`) and the query log (`querylog.log`, one entry per record,
+//! never reset).
+//!
 //! The journal-before-apply protocol upstream guarantees that every
 //! acknowledged mutation has a fully-written record here. Two failure
 //! shapes matter:
@@ -303,7 +307,7 @@ impl Wal {
         let (records, pos) = parse_frames(&bytes);
         if let Some(at) = resync(&bytes, pos) {
             return Err(Error::Corrupt(format!(
-                "wal {}: interior corruption at byte {pos} (valid frame resumes at byte \
+                "{}: interior corruption at byte {pos} (valid frame resumes at byte \
                  {at}); refusing to truncate acknowledged records — repair from a replica",
                 path.display()
             )));

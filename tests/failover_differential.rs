@@ -445,27 +445,25 @@ fn replicate_upto(
     (offset, fed)
 }
 
-/// Replay the primary's query-log file (complete lines in `0..to`)
-/// into the standby — `apply_replicated_query_entry` is idempotent by
-/// entry id, so replaying from 0 every time is safe. The log must
-/// replicate too: it is durable acknowledged state (the paper's
-/// research corpus), and query executions tick the simulated clock, so
-/// a promoted standby that missed them would stamp different
-/// timestamps than the primary lineage.
+/// Replay the primary's query-log file (the records in bytes `0..to`)
+/// into the standby through `read_tail`, as the server serves it —
+/// `apply_replicated_query_entry` is idempotent by entry id, so
+/// replaying from 0 every time is safe. The log must replicate too: it
+/// is durable acknowledged state (the paper's research corpus), and
+/// query executions tick the simulated clock, so a promoted standby
+/// that missed them would stamp different timestamps than the primary
+/// lineage.
 fn replicate_log_upto(path: &std::path::Path, to: u64, standby: &mut SqlShare) {
-    let bytes = std::fs::read(path).unwrap_or_default();
-    let to = (to as usize).min(bytes.len());
-    let mut pos = 0usize;
-    while pos < to {
-        let Some(nl) = bytes[pos..to].iter().position(|&b| b == b'\n') else {
+    let tail = read_tail(path, 0).expect("read primary query log");
+    for (record, end) in tail.records.iter().zip(&tail.ends) {
+        if *end > to {
             break;
-        };
-        let line = std::str::from_utf8(&bytes[pos..pos + nl]).expect("utf8 query-log line");
-        let doc = json::parse(line.trim()).expect("valid query-log json");
+        }
+        let doc = json::parse(std::str::from_utf8(record).expect("utf8 query-log record"))
+            .expect("valid query-log json");
         standby
             .apply_replicated_query_entry(&doc)
             .expect("standby refused a query-log entry");
-        pos += nl + 1;
     }
 }
 
@@ -687,7 +685,7 @@ fn kill_primary_at_fifty_random_points_loses_no_acked_mutation() {
             let dead_wal = dead_dir.join("wal.log");
             let bytes = std::fs::read(&dead_wal).unwrap();
             std::fs::write(&dead_wal, &bytes[..repl_offset as usize]).unwrap();
-            let dead_qlog = dead_dir.join("querylog.jsonl");
+            let dead_qlog = dead_dir.join("querylog.log");
             let qbytes = std::fs::read(&dead_qlog).unwrap_or_default();
             let cut = (ack_qlog as usize).min(qbytes.len());
             std::fs::write(&dead_qlog, &qbytes[..cut]).unwrap();
@@ -1017,10 +1015,11 @@ fn replicated_query_entries_dedup_by_id_not_local_count() {
         primary.run_query("ada", "SELECT a FROM t").unwrap();
     }
     let qlog = primary.querylog_path().unwrap();
-    let lines: Vec<String> = String::from_utf8(std::fs::read(&qlog).unwrap())
+    let lines: Vec<String> = read_tail(&qlog, 0)
         .unwrap()
-        .lines()
-        .map(str::to_string)
+        .records
+        .into_iter()
+        .map(|record| String::from_utf8(record).unwrap())
         .collect();
     assert!(lines.len() >= 4);
 
@@ -1086,8 +1085,8 @@ fn a_standby_refuses_queries_and_loses_no_replicated_log_entry() {
     // The primary's first entry still has its id free on the standby,
     // and the standby's clock follows it.
     primary.run_query("ada", "SELECT a FROM t").unwrap();
-    let line = std::fs::read_to_string(primary.querylog_path().unwrap()).unwrap();
-    let entry = json::parse(line.lines().next().unwrap()).unwrap();
+    let tail = read_tail(&primary.querylog_path().unwrap(), 0).unwrap();
+    let entry = json::parse(std::str::from_utf8(&tail.records[0]).unwrap()).unwrap();
     assert!(standby.apply_replicated_query_entry(&entry).unwrap(), "the primary's entry was dropped");
     assert_eq!(standby.log().entries()[0].id, 1);
     assert_eq!(clock(&standby), clock(&primary));
@@ -1263,6 +1262,45 @@ fn demote_endpoint_refuses_epochs_that_do_not_supersede_the_lease() {
         "wal poll response lacks the generation counter"
     );
 
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// 5b. A tail poll names the byte offset it resumes from. A poll without
+//     one, or with one that is not a whole number, is refused with 400
+//     naming the parameter — not answered with the whole log from 0.
+// ---------------------------------------------------------------------
+
+#[test]
+fn repl_tail_routes_refuse_a_missing_or_malformed_from() {
+    use crate::http::{HttpClient, ReplayOp};
+    use sqlshare_server::{HttpConfig, Server};
+
+    let dir = temp_dir("tail-from");
+    let mut svc = SqlShare::open(durable_options(&dir, u64::MAX)).unwrap();
+    svc.register_user("ada", "ada@uw.edu").unwrap();
+    svc.upload("ada", "t", "a\n1\n", &IngestOptions::default()).unwrap();
+    svc.run_query("ada", "SELECT a FROM t").unwrap();
+    let server = Server::start(svc, "127.0.0.1:0", HttpConfig::default()).expect("bind");
+    let mut client = HttpClient::new(server.addr());
+    for route in ["/api/repl/wal", "/api/repl/querylog"] {
+        for query in ["", "?from=", "?from=abc", "?from=-1", "?from=1.5", "?to=0"] {
+            let resp = client
+                .request(&ReplayOp::Get(format!("{route}{query}")))
+                .unwrap();
+            assert_eq!(resp.status, 400, "{route}{query}");
+            let body = String::from_utf8_lossy(&resp.body);
+            assert!(body.contains("'from'"), "{route}{query}: {body}");
+        }
+        let resp = client
+            .request(&ReplayOp::Get(format!("{route}?from=0")))
+            .unwrap();
+        assert_eq!(resp.status, 200, "{route}");
+        let doc = json::parse(&String::from_utf8_lossy(&resp.body)).unwrap();
+        let records = doc.get("records").and_then(Json::as_array).unwrap();
+        assert!(!records.is_empty(), "{route} shipped nothing from 0");
+    }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -366,11 +366,11 @@ fn bit_rot_chaos_on_a_live_pair_never_serves_wrong_data() {
     assert!(rebuilt >= 1, "no index-rot round exercised rung 1");
     assert!(remat >= 1, "no heap-rot round exercised rung 2");
 
-    // --- Query-log family: structural rot is a parse-level finding ---
-    let qlog = p_dir.join("querylog.jsonl");
+    // --- Query-log family: a record log like the WAL, so rot inside
+    // its first frame, with frames after it, is a checksum finding ---
+    let qlog = p_dir.join("querylog.log");
     let pristine = std::fs::read(&qlog).unwrap();
-    let brace = pristine.iter().position(|&b| b == b'{').unwrap();
-    flip_bit(&qlog, brace * 8 + rng.below(8));
+    flip_bit(&qlog, 20 * 8 + rng.below(8)); // inside the first frame's payload
     let findings = scrub(&[&p_dir]);
     assert!(
         findings.iter().any(|f| f.path == qlog),
@@ -741,11 +741,9 @@ fn snapshot_rot_is_skipped_when_covered_and_refused_when_not() {
 // ---------------------------------------------------------------------
 // 7. Detection sweep (satellite): one random seeded bit flip per file
 //    family — heap page, B-tree page, WAL, snapshot, query log — must
-//    be *detected*: a scrub finding for checksummed families; for the
-//    WAL, a finding or a recovery-time truncation/refusal (tail rot is
-//    deliberately left to recovery); for the query log, a parse-level
-//    finding on structural bytes (the documented detection floor of an
-//    uncheck-summed legacy format).
+//    be *detected*: a scrub finding for pages and snapshots; for the two
+//    record logs (WAL, query log), a finding or a recovery-time
+//    truncation/refusal (tail rot is deliberately left to recovery).
 // ---------------------------------------------------------------------
 
 #[test]
@@ -770,7 +768,7 @@ fn a_random_bit_flip_in_every_file_family_is_detected() {
     let btree = files.iter().find(|(c, _)| c.is_some()).unwrap().1.clone();
 
     let wal = dir.join("wal.log");
-    let qlog = dir.join("querylog.jsonl");
+    let qlog = dir.join("querylog.log");
     let snapshot = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -780,7 +778,6 @@ fn a_random_bit_flip_in_every_file_family_is_detected() {
                 .is_some_and(|n| n.starts_with("snapshot-") && n.ends_with(".json"))
         })
         .expect("cadence wrote a snapshot");
-    let clean_frames = Wal::verify(&wal, &IoCounter::new()).unwrap().frames;
 
     let families: Vec<(&str, &Path)> = vec![
         ("heap", &heap),
@@ -792,30 +789,17 @@ fn a_random_bit_flip_in_every_file_family_is_detected() {
     for (family, path) in &families {
         let pristine = std::fs::read(path).unwrap();
         assert!(!pristine.is_empty(), "{family} file is empty");
+        let clean_frames = Wal::verify(path, &IoCounter::new()).unwrap().frames;
         for trial in 0..20 {
-            let bit = if *family == "querylog" {
-                // Parse-level detection is the documented guarantee for
-                // the uncheck-summed legacy format: flips on structural
-                // bytes must break the reparse. (Flips inside literals
-                // are the caveat §4.8 records — and why every other
-                // family carries real checksums.)
-                let braces: Vec<usize> = pristine
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &b)| b == b'{' || b == b'}')
-                    .map(|(i, _)| i)
-                    .collect();
-                braces[rng.below(braces.len())] * 8 + rng.below(8)
-            } else {
-                rng.below(pristine.len() * 8)
-            };
+            let bit = rng.below(pristine.len() * 8);
             flip_bit(path, bit);
             let found = scrub(&[&dir, &pages]).iter().any(|f| &f.path == path);
-            let detected = if *family == "wal" {
-                // Tail rot carries no finding; recovery truncates or
-                // refuses instead. Either channel counts as detection.
+            let detected = if *family == "wal" || *family == "querylog" {
+                // Record-log tail rot carries no finding; recovery
+                // truncates or refuses instead. Either channel counts
+                // as detection.
                 found || {
-                    let audit = Wal::verify(&wal, &IoCounter::new()).unwrap();
+                    let audit = Wal::verify(path, &IoCounter::new()).unwrap();
                     audit.interior_corrupt
                         || audit.tail_bytes > 0
                         || audit.frames < clean_frames

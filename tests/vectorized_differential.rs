@@ -10,14 +10,13 @@
 //!   rows in exact order (the vectorized kernels reproduce the oracle's
 //!   arithmetic exactly, replaying row-at-a-time whenever they cannot),
 //!   and failing queries must fail with the *identical* error;
-//! - at `DOP = 4` (every eligible plan forced parallel) both engine
-//!   settings run one morsel pipeline — `set_vectorized` only picks
-//!   the executor of a region's build subtree and of serial fallbacks —
-//!   so comparing them with each other would compare the pipeline with
-//!   itself. Each is compared against the **row engine at DOP 1**, the
-//!   one executor that shares no operator code with the pipeline, with
-//!   the float tolerance the serial-vs-parallel harness uses (morsel
-//!   merge order may differ); errors must agree by kind;
+//! - at `DOP = 4` (every eligible plan forced parallel) the vectorized
+//!   engine runs the plan as a morsel pipeline, while the row engine
+//!   stays wholly serial: it runs `Gather` and `Repartition` as
+//!   pass-throughs and nothing of the pipeline. Each is compared
+//!   against the **row engine at DOP 1**, the serial plan's answers,
+//!   with the float tolerance the serial-vs-parallel harness uses
+//!   (morsel merge order may differ); errors must agree by kind;
 //! - dedicated legs compose the vectorized engine with paged storage
 //!   (`SQLSHARE_PAGED=1` equivalent: pages decode straight into column
 //!   batches) and with the result cache disabled
@@ -359,9 +358,9 @@ fn memory_backed_fixture_is_byte_identical_across_dop() {
     for dop in [1, 4] {
         assert_fixture_identical(|vectorized| memory_fixture_engine(dop, vectorized));
     }
-    // At DOP 4 both settings share the morsel pipeline, so the check
-    // above compares it with itself there; what pins its answers is the
-    // row engine at DOP 1.
+    // At DOP 4 the check above compares the morsel pipeline with the
+    // row engine running the same parallel plan serially; the row
+    // engine at DOP 1 pins both to the serial plan's answers.
     let oracle = memory_fixture_engine(1, false);
     for vectorized in [false, true] {
         let parallel = memory_fixture_engine(4, vectorized);
