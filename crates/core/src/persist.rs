@@ -202,14 +202,16 @@ impl DurableStore {
     }
 
     /// Persist `payload` as the snapshot at the current LSN, then
-    /// truncate the WAL it makes redundant. On failure the WAL keeps
-    /// full history and the previous snapshot stays authoritative.
-    pub(crate) fn take_snapshot(&mut self, payload: &str) -> Result<()> {
+    /// truncate the WAL it makes redundant. On failure — a payload that
+    /// could not be encoded included — the WAL keeps full history and the
+    /// previous snapshot stays authoritative.
+    pub(crate) fn take_snapshot(&mut self, payload: Result<String>) -> Result<()> {
         // Success or failure, restart the cadence — a persistently
-        // failing disk shouldn't retry on every mutation.
+        // failing disk (or page) shouldn't retry on every mutation.
         self.records_since_snapshot = 0;
+        let payload = payload?;
         self.wal.sync()?;
-        self.snapshots.write(self.last_lsn, payload)?;
+        self.snapshots.write(self.last_lsn, &payload)?;
         self.wal.reset()?;
         let _ = self.snapshots.prune(2);
         Ok(())
@@ -791,12 +793,30 @@ pub(crate) fn schema_from_json(j: &Json) -> Result<Schema> {
     Ok(Schema::new(columns))
 }
 
-pub(crate) fn write_table(w: &mut JsonWriter, table: &Table) {
+/// A table as `{name, schema, rows}`: rows row-major, each cell read out
+/// of its typed column (text borrowed, not cloned) and encoded as
+/// [`write_value`] would. A paged table is decoded first, so a page
+/// that fails its checksum is an error here, not a panic.
+pub(crate) fn write_table(w: &mut JsonWriter, table: &Table) -> Result<()> {
+    let batch = table.batch()?;
     w.begin_object();
     w.key("name").string(&table.name);
     write_schema(w.key("schema"), &table.schema);
-    write_rows(w.key("rows"), &table.rows());
+    w.key("rows").begin_array();
+    for i in 0..batch.len {
+        w.begin_array();
+        for col in &batch.cols {
+            if let Some(s) = col.text(i) {
+                w.string_parts(&["t:", s]);
+            } else {
+                write_value(w, &col.value(i));
+            }
+        }
+        w.end_array();
+    }
+    w.end_array();
     w.end_object();
+    Ok(())
 }
 
 pub(crate) fn table_from_json(j: &Json) -> Result<Table> {

@@ -849,7 +849,8 @@ impl SqlShare {
     /// digest input — previews are derived caches and the clock is
     /// captured separately. This is the only encoder of durable state;
     /// snapshot, digest and [`SqlShare::durable_state_json`] all read it.
-    fn write_durable_state(&self, w: &mut JsonWriter, include_previews: bool) {
+    /// Fails when a paged table cannot be read back.
+    fn write_durable_state(&self, w: &mut JsonWriter, include_previews: bool) -> Result<()> {
         w.begin_object();
         w.key("users").begin_array();
         for u in self.users.values() {
@@ -864,7 +865,7 @@ impl SqlShare {
         tables.sort_by(|a, b| a.name.cmp(&b.name));
         w.key("tables").begin_array();
         for t in tables {
-            persist::write_table(w, t);
+            persist::write_table(w, t)?;
         }
         w.end_array();
         let mut views: Vec<_> = self.engine.catalog().views().collect();
@@ -908,25 +909,35 @@ impl SqlShare {
         w.end_array();
         w.end_object();
         w.end_object();
+        Ok(())
     }
 
-    fn durable_state_string(&self, include_previews: bool) -> String {
+    fn durable_state_string(&self, include_previews: bool) -> Result<String> {
         let mut w = JsonWriter::new();
-        self.write_durable_state(&mut w, include_previews);
-        w.finish()
+        self.write_durable_state(&mut w, include_previews)?;
+        Ok(w.finish())
     }
 
     /// The durable state as a document: the streamed encoding, parsed.
+    ///
+    /// # Panics
+    /// When a paged table cannot be read back (a page failing its
+    /// checksum).
     pub fn durable_state_json(&self, include_previews: bool) -> Json {
-        json::parse(&self.durable_state_string(include_previews))
-            .expect("the state encoder writes valid JSON")
+        let state = self.durable_state_string(include_previews).expect("durable state readable");
+        json::parse(&state).expect("the state encoder writes valid JSON")
     }
 
     /// FNV-64 of the canonical durable state (previews excluded). Two
     /// services with equal digests hold byte-identical durable state —
     /// the recovery differential suite's oracle.
+    ///
+    /// # Panics
+    /// When a paged table cannot be read back (a page failing its
+    /// checksum).
     pub fn durable_digest(&self) -> u64 {
-        sqlshare_common::hash::fnv64_str(&self.durable_state_string(false))
+        let state = self.durable_state_string(false).expect("durable state readable");
+        sqlshare_common::hash::fnv64_str(&state)
     }
 
     /// Drop everything and rebuild from a snapshot document (`clock`,

@@ -299,7 +299,9 @@ impl SqlShare {
         }
     }
 
-    /// Force a snapshot now (durable mode only) — truncates the WAL.
+    /// Force a snapshot now (durable mode only) — truncates the WAL. A
+    /// paged table that cannot be read back fails it with that error
+    /// before anything is written, leaving the WAL as it was.
     pub fn force_snapshot(&mut self) -> Result<()> {
         if self.journal.store.is_none() {
             return Err(Error::Request(
@@ -308,13 +310,13 @@ impl SqlShare {
         }
         let payload = self.snapshot_payload();
         let store = self.journal.store.as_mut().expect("checked above");
-        store.take_snapshot(&payload)
+        store.take_snapshot(payload)
     }
 
     /// The snapshot document (`lsn`, `epoch`, `clock`, `state`), streamed
     /// from live state into the string that goes to disk — no tree of the
     /// whole service is built on the way.
-    fn snapshot_payload(&self) -> String {
+    fn snapshot_payload(&self) -> Result<String> {
         // Copy the clock out first: a second `self.clock()` while the
         // first guard is alive would self-deadlock.
         let clock = *self.clock();
@@ -327,9 +329,9 @@ impl SqlShare {
             sequence: clock.sequence,
         };
         persist::write_instant(w.key("clock"), now);
-        self.write_durable_state(w.key("state"), true);
+        self.write_durable_state(w.key("state"), true)?;
         w.end_object();
-        w.finish()
+        Ok(w.finish())
     }
 
     /// True while startup recovery is still replaying. The REST layer
@@ -525,8 +527,13 @@ impl SqlShare {
     /// The document a standby needs to catch up when the WAL it was
     /// streaming has been truncated by a snapshot: same shape the
     /// snapshot store persists (`lsn`, `epoch`, `clock`, `state`).
+    ///
+    /// # Panics
+    /// When a paged table cannot be read back (a page failing its
+    /// checksum).
     pub fn replication_snapshot(&self) -> Json {
-        json::parse(&self.snapshot_payload()).expect("the snapshot encoder writes valid JSON")
+        let payload = self.snapshot_payload().expect("durable state readable");
+        json::parse(&payload).expect("the snapshot encoder writes valid JSON")
     }
 
     /// Replace this node's state with a primary's snapshot document and

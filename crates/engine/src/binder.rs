@@ -584,7 +584,7 @@ impl<'a> Binder<'a> {
                                 let plan = LogicalPlan::CachedScan {
                                     name: key,
                                     schema: mat.schema.clone(),
-                                    rows: mat.rows.clone(),
+                                    batch: mat.batch.clone(),
                                 };
                                 return Ok(requalify(plan, &visible));
                             }

@@ -30,6 +30,7 @@
 
 use crate::schema::Schema;
 use crate::value::{Row, Value};
+use crate::vector::Batch;
 use sqlshare_common::hash::Fnv64;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -79,7 +80,8 @@ pub struct ResultKey {
 pub struct MaterializedView {
     /// The view's bound output schema (pre-requalification).
     pub schema: Schema,
-    pub rows: Arc<Vec<Row>>,
+    /// The result, one column per schema column.
+    pub batch: Arc<Batch>,
     /// Dependencies of the view's own expansion, with the generations
     /// they were materialized at.
     pub deps: Vec<(String, u64)>,

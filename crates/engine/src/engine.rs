@@ -17,6 +17,7 @@ use crate::physical::{plan_physical_with, PhysOp, PhysicalPlan};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Row;
+use crate::vector::Batch;
 use sqlshare_common::json::Json;
 use sqlshare_common::{CancellationToken, Error, Result};
 use sqlshare_sql::ast::Statement;
@@ -336,9 +337,10 @@ impl Engine {
         self.ctx.current_date = days_since_epoch;
     }
 
-    /// Register a base table. With a storage layer attached the rows are
-    /// written out as slotted pages (plus B-tree secondary indexes) and
-    /// the in-memory copy is dropped; reads go through the buffer pool.
+    /// Register a base table. With a storage layer attached the table's
+    /// columns are written out as slotted row pages (plus B-tree
+    /// secondary indexes) and not kept; reads go through the buffer
+    /// pool.
     pub fn create_table(&mut self, table: Table) -> Result<()> {
         let key = canonical_key(&table.name);
         let table = match &self.storage {
@@ -721,8 +723,8 @@ impl Engine {
                 return Ok(None);
             }
             Ok(Some(MaterializedView {
+                batch: Arc::new(Batch::from_rows(&rows, prepared.schema.len())),
                 schema: prepared.schema,
-                rows: Arc::new(rows),
                 deps: prepared.deps,
             }))
         });

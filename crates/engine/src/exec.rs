@@ -230,16 +230,16 @@ pub fn execute(
             guard.fault(FaultSite::Scan)?;
             let t = catalog.table(table)?;
             let rows = match head {
-                Some(n) => t.scan_head(usize::try_from(*n).unwrap_or(usize::MAX))?,
-                None => t.scan()?,
+                Some(n) => t.head(usize::try_from(*n).unwrap_or(usize::MAX))?,
+                None => t.batch()?,
             }
-            .into_owned();
+            .to_rows();
             guard.tick(rows.len() as u64)?;
             Ok(rows)
         }
-        PhysOp::CachedScan { rows, .. } => {
-            guard.tick(rows.len() as u64)?;
-            Ok(rows.as_ref().clone())
+        PhysOp::CachedScan { batch, .. } => {
+            guard.tick(batch.len as u64)?;
+            Ok(batch.to_rows())
         }
         PhysOp::Seek {
             table,
@@ -249,15 +249,15 @@ pub fn execute(
         } => {
             guard.fault(FaultSite::Scan)?;
             let t = catalog.table(table)?;
-            let hits = t.seek_leading(as_ref_bound(lower), as_ref_bound(upper))?;
+            let hits = t.seek(as_ref_bound(lower), as_ref_bound(upper))?.to_rows();
             guard.tick(hits.len() as u64)?;
             match residual {
-                None => Ok(hits.into_owned()),
+                None => Ok(hits),
                 Some(pred) => {
                     let mut out = Vec::new();
-                    for row in hits.iter() {
-                        if eval_predicate(pred, row, ctx)? {
-                            out.push(row.clone());
+                    for row in hits {
+                        if eval_predicate(pred, &row, ctx)? {
+                            out.push(row);
                         }
                     }
                     Ok(out)
@@ -272,24 +272,12 @@ pub fn execute(
             predicate,
         } => {
             guard.fault(FaultSite::Scan)?;
-            let t = catalog.table(table)?;
-            // Candidate ordinals come back in clustered order, so the
-            // filtered output is row-for-row identical to a full scan
-            // plus filter — which is also the fallback when the backing
-            // can't serve the bounds (no paged backing, unsafe ranks).
-            let candidates = match t.paged() {
-                Some(p) => {
-                    p.secondary_candidates(*column, as_ref_bound(lower), as_ref_bound(upper))?
-                }
-                None => None,
-            };
-            let rows = match candidates {
-                Some(ordinals) => t
-                    .paged()
-                    .expect("candidates imply paged backing")
-                    .fetch_rows(&ordinals)?,
-                None => t.scan()?.into_owned(),
-            };
+            // Candidates come back in clustered order, so the filtered
+            // output is row-for-row identical to a full scan plus filter.
+            let rows = catalog
+                .table(table)?
+                .index_seek(*column, as_ref_bound(lower), as_ref_bound(upper))?
+                .to_rows();
             let mut out = Vec::new();
             for row in rows {
                 guard.tick(1)?;

@@ -85,10 +85,12 @@ fn fold(a: u64, b: u64) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// The strings of one text key column, coded. Codes below `home.len()`
-/// are the adopted dictionary's own; later strings are appended.
-struct TextPool {
+/// are the adopted dictionary's own; later strings are appended. A
+/// [`crate::vector::ColumnBuilder`] interns a text column's dictionary
+/// through a pool with no home, so the engine codes strings one way.
+pub(crate) struct TextPool {
     home: Option<Arc<Vec<String>>>,
-    extra: Vec<String>,
+    pub(crate) extra: Vec<String>,
     /// string → code, built when the first string has to be looked up
     /// (a table that only ever sees its home dictionary never hashes a
     /// string). Slots hold `code + 1`.
@@ -97,13 +99,21 @@ struct TextPool {
 }
 
 impl TextPool {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TextPool {
             home: None,
             extra: Vec::new(),
             index: OnceLock::new(),
             seed: RandomState::new(),
         }
+    }
+
+    /// A pool expecting up to about `n` strings: its index is sized for
+    /// them at once instead of growing.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let pool = TextPool::new();
+        let _ = pool.index.set(pool.build_index(n));
+        pool
     }
 
     fn home_len(&self) -> usize {
@@ -154,18 +164,21 @@ impl TextPool {
         slots[self.slot_of(slots, s)].checked_sub(1)
     }
 
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(code) = self.lookup(s) {
+    /// The code of `s`, appending it on first sight (one probe either
+    /// way; only a new string is copied).
+    pub(crate) fn intern(&mut self, s: &str) -> u32 {
+        let slots = self.index.get_or_init(|| self.build_index(self.len()));
+        let at = self.slot_of(slots, s);
+        if let Some(code) = slots[at].checked_sub(1) {
             return code;
         }
+        let grow = (self.len() + 1) * 2 > slots.len();
         let code = self.len() as u32;
         self.extra.push(s.to_string());
-        if self.len() * 2 > self.index.get().map_or(0, Vec::len) {
+        if grow {
             self.index = OnceLock::from(self.build_index(self.len() * 2));
         } else {
-            let slots = self.index.get().expect("lookup built the index");
-            let at = self.slot_of(slots, s);
-            self.index.get_mut().expect("lookup built the index")[at] = code + 1;
+            self.index.get_mut().expect("built above")[at] = code + 1;
         }
         code
     }

@@ -7,7 +7,7 @@
 use crate::aggregate::AggCall;
 use crate::expr::BoundExpr;
 use crate::schema::Schema;
-use crate::value::Row;
+use crate::vector::Batch;
 use crate::window::WindowCall;
 use sqlshare_sql::ast::{JoinKind, SetOp};
 use std::sync::Arc;
@@ -30,7 +30,7 @@ pub enum LogicalPlan {
     CachedScan {
         name: String,
         schema: Schema,
-        rows: Arc<Vec<Row>>,
+        batch: Arc<Batch>,
     },
     /// A single empty row — the input of a FROM-less SELECT
     /// (SQL Server's "Constant Scan").

@@ -529,35 +529,22 @@ impl PagedTable {
             .collect()
     }
 
-    /// Global ordinal of the first row failing `pred`, where `pred` on
-    /// the leading value is monotone (true then false) in clustered
-    /// order. Page-level binary search plus one page decode.
-    fn boundary(&self, pred: impl Fn(&Value) -> bool) -> Result<usize> {
-        let p = self.first_leading.partition_point(|v| pred(v));
+    /// Global ordinal of the first row whose leading value `x` fails
+    /// `keep(x.total_cmp(v))`, where `keep` holds on a prefix of the
+    /// clustered order. Page-level binary search plus one page decode.
+    fn boundary(&self, v: &Value, keep: fn(Ordering) -> bool) -> Result<usize> {
+        let p = self.first_leading.partition_point(|x| keep(x.total_cmp(v)));
         if p == 0 {
             return Ok(0);
         }
         let rows = self.decode_page(p - 1)?;
-        Ok(self.page_offsets[p - 1] + rows.partition_point(|r| pred(&r[0])))
+        Ok(self.page_offsets[p - 1] + rows.partition_point(|r| keep(r[0].total_cmp(v))))
     }
 
-    /// The ordinal range matching leading-column bounds; replicates
-    /// `Table::seek_leading`'s partition points exactly.
+    /// The ordinal range matching leading-column bounds — the partition
+    /// points an in-memory table's `Table::seek` finds.
     pub fn seek_range(&self, lower: Bound<&Value>, upper: Bound<&Value>) -> Result<Range<usize>> {
-        if self.row_count == 0 {
-            return Ok(0..0);
-        }
-        let start = match lower {
-            Bound::Unbounded => 0,
-            Bound::Included(v) => self.boundary(|x| x.total_cmp(v) == Ordering::Less)?,
-            Bound::Excluded(v) => self.boundary(|x| x.total_cmp(v) != Ordering::Greater)?,
-        };
-        let end = match upper {
-            Bound::Unbounded => self.row_count,
-            Bound::Included(v) => self.boundary(|x| x.total_cmp(v) != Ordering::Greater)?,
-            Bound::Excluded(v) => self.boundary(|x| x.total_cmp(v) == Ordering::Less)?,
-        };
-        Ok(if start >= end { 0..0 } else { start..end })
+        crate::table::seek_range(self.row_count, lower, upper, |v, keep| self.boundary(v, keep))
     }
 
     /// Decode the rows of an ordinal range (page at a time through the

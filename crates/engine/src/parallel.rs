@@ -36,7 +36,7 @@
 
 use crate::aggregate::{Accumulator, AggCall};
 use crate::catalog::Catalog;
-use crate::exec::{self, ExecGuard};
+use crate::exec::{self, as_ref_bound, ExecGuard};
 use crate::expr::BoundExpr;
 use crate::faults::FaultSite;
 use crate::functions::EvalContext;
@@ -487,7 +487,7 @@ impl<'a> Pipeline<'a> {
         }
         let (at, spec) = self.probe().expect("a build implies a probe stage");
         guard.tick(rsel.len() as u64)?;
-        let left = Batch::from_rows(&[], spec.join.left_width);
+        let left = vexec::widen(Batch::default(), spec.join.left_width);
         let padded = vexec::combine(&left, &build.batch, &vec![NULL_ROW; rsel.len()], &rsel, None);
         self.run(at + 1..self.ops.len(), padded, None, false, ctx, guard).map(Some)
     }
@@ -514,39 +514,20 @@ fn filter(
 /// predicate is the pipeline's first Filter stage, not applied here.
 fn table_source(node: &PhysicalPlan, catalog: &Catalog) -> Result<Batch> {
     match &node.op {
-        PhysOp::Scan { table, .. } => Ok((*catalog.table(table)?.columnar()?).clone()),
+        PhysOp::Scan { table, .. } => catalog.table(table)?.batch(),
         PhysOp::Seek {
             table,
             lower,
             upper,
             ..
-        } => {
-            let t = catalog.table(table)?;
-            let (lo, hi) = (exec::as_ref_bound(lower), exec::as_ref_bound(upper));
-            Ok(match t.seek_bounds(lo, hi) {
-                Some(range) => t.columnar()?.slice(range),
-                None => Batch::from_rows(&t.seek_leading(lo, hi)?, t.schema.len()),
-            })
-        }
+        } => catalog.table(table)?.seek(as_ref_bound(lower), as_ref_bound(upper)),
         PhysOp::IndexSeek {
             table,
             column,
             lower,
             upper,
             ..
-        } => {
-            // The candidate ordinals are ascending, so the candidates are
-            // in clustered order — the rows a scan + filter keeps, which
-            // is also the source when the backing cannot serve the bounds.
-            let t = catalog.table(table)?;
-            if let Some(p) = t.paged() {
-                let (lo, hi) = (exec::as_ref_bound(lower), exec::as_ref_bound(upper));
-                if let Some(ordinals) = p.secondary_candidates(*column, lo, hi)? {
-                    return Ok(Batch::from_rows(&p.fetch_rows(&ordinals)?, t.schema.len()));
-                }
-            }
-            Ok((*t.columnar()?).clone())
-        }
+        } => catalog.table(table)?.index_seek(*column, as_ref_bound(lower), as_ref_bound(upper)),
         _ => unreachable!("`Pipeline::of` reads tables through these three accesses only"),
     }
 }

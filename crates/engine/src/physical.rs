@@ -44,7 +44,7 @@ pub enum PhysOp {
     /// materialized relation, with `cached: true` in EXPLAIN.
     CachedScan {
         name: String,
-        rows: std::sync::Arc<Vec<crate::value::Row>>,
+        batch: std::sync::Arc<crate::vector::Batch>,
     },
     Seek {
         table: String,
@@ -321,8 +321,8 @@ impl Planner<'_> {
                 },
             )),
             LogicalPlan::Scan { table, schema } => self.plan_scan(table, schema),
-            LogicalPlan::CachedScan { name, schema, rows } => {
-                let row_count = rows.len() as f64;
+            LogicalPlan::CachedScan { name, schema, batch } => {
+                let row_count = batch.len as f64;
                 let row_size = schema.estimated_row_size() as f64;
                 let est = Estimates {
                     rows: row_count,
@@ -334,7 +334,7 @@ impl Planner<'_> {
                 let mut n = PhysicalPlan::new(
                     PhysOp::CachedScan {
                         name: name.clone(),
-                        rows: rows.clone(),
+                        batch: batch.clone(),
                     },
                     "Clustered Index Seek",
                     "Clustered Index Seek",

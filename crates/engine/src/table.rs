@@ -7,29 +7,30 @@
 //! column order, which gives the physical planner real `Clustered Index
 //! Seek` opportunities on leading-column predicates.
 //!
-//! Tables have two interchangeable backings: an in-memory `Vec<Row>`
-//! (the default, and the differential oracle) and a paged one
-//! ([`crate::paged::PagedTable`]) that stores rows in slotted heap
-//! pages behind a buffer pool with B-tree secondary indexes. Both
-//! produce byte-identical results; the paged backing bounds resident
-//! memory by the layer's buffer pool instead of table size.
+//! Tables have two backings that produce byte-identical results. An
+//! in-memory table is stored once, as its typed column [`Batch`] in
+//! clustered order: a scan gets the batch, a `TOP n` a zero-copy prefix,
+//! a seek the slice a binary search on the leading column finds. A paged
+//! table ([`crate::paged::PagedTable`]) keeps rows in slotted heap pages
+//! behind a buffer pool with B-tree secondary indexes and decodes what a
+//! read asks for, bounding resident memory by the pool, not the table.
 
 use crate::paged::{PagedTable, StorageLayer};
 use crate::schema::Schema;
 use crate::value::{Row, Value};
-use crate::vector::Batch;
+use crate::vector::{Batch, Col};
 use sqlshare_common::Result;
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::{Bound, Range};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum Backing {
-    /// Shared: tables are immutable after load, and the service clones
-    /// its engine into the workers' snapshot after every catalog change
-    /// (`SqlShare::engine_snapshot`), so a clone must not copy rows.
-    Mem(Arc<Vec<Row>>),
+    /// The columns in clustered order. Shared: tables are immutable
+    /// after load, and the service clones its engine into the workers'
+    /// snapshot after every catalog change (`SqlShare::engine_snapshot`),
+    /// so a clone must not copy them.
+    Mem(Arc<Batch>),
     Paged(Arc<PagedTable>),
 }
 
@@ -39,64 +40,43 @@ pub struct Table {
     pub name: String,
     pub schema: Schema,
     backing: Backing,
-    /// Lazily built columnar view of an in-memory backing, shared
-    /// across clones (tables are immutable after load). Paged backings
-    /// never cache here — a resident full-table batch would defeat the
-    /// buffer pool's memory bound.
-    columnar: Arc<OnceLock<Arc<Batch>>>,
     /// Estimated size of the rows, summed once at load: quota checks and
     /// storage totals read it per table, never the rows.
     bytes: usize,
 }
 
 impl Table {
-    /// Create an in-memory table, clustering (sorting) the rows on all
+    /// Create an in-memory table from rows, clustering them on all
     /// columns in column order.
-    pub fn new(name: impl Into<String>, schema: Schema, mut rows: Vec<Row>) -> Self {
-        rows.sort_by(cmp_rows);
-        let bytes = rows
-            .iter()
-            .map(|r| r.iter().map(Value::estimated_size).sum::<usize>())
-            .sum();
+    pub fn new(name: impl Into<String>, schema: Schema, rows: Vec<Row>) -> Self {
+        let batch = Batch::from_rows(&rows, schema.len());
+        Self::from_batch(name, schema, batch)
+    }
+
+    /// Create an in-memory table from its columns (one per schema
+    /// column), clustering the rows on all columns in column order.
+    pub fn from_batch(name: impl Into<String>, schema: Schema, batch: Batch) -> Self {
+        debug_assert_eq!(batch.width(), schema.len());
+        let batch = cluster(batch);
         Table {
             name: name.into(),
             schema,
-            backing: Backing::Mem(Arc::new(rows)),
-            columnar: Arc::new(OnceLock::new()),
-            bytes,
+            bytes: batch.cols.iter().map(|c| cells_bytes(c, batch.len)).sum(),
+            backing: Backing::Mem(Arc::new(batch)),
         }
     }
 
-    /// Create a paged table: rows are clustered, encoded into heap
-    /// pages under `layer`, and indexed (B-tree per non-leading column).
-    pub fn new_paged(
-        name: impl Into<String>,
-        schema: Schema,
-        mut rows: Vec<Row>,
-        layer: &Arc<StorageLayer>,
-    ) -> Result<Self> {
-        rows.sort_by(cmp_rows);
-        let name = name.into();
-        let paged = PagedTable::build(layer, &name, schema.len(), &rows)?;
-        Ok(Table {
-            name,
-            schema,
-            bytes: paged.estimated_bytes(),
-            backing: Backing::Paged(Arc::new(paged)),
-            columnar: Arc::new(OnceLock::new()),
-        })
-    }
-
-    /// Convert to the paged backing. A no-op when the table already
-    /// lives on `layer`; a table paged on a *different* layer is
-    /// rematerialized and rebuilt so it lands in the requested pool
-    /// (otherwise re-creating tables after a storage switch would
-    /// silently keep their old backing).
+    /// Convert to the paged backing: the clustered rows are encoded into
+    /// heap pages under `layer` and indexed (B-tree per non-leading
+    /// column). A no-op when the table already lives on `layer`; a table
+    /// paged on a *different* layer is rematerialized and rebuilt so it
+    /// lands in the requested pool (otherwise re-creating tables after a
+    /// storage switch would silently keep their old backing).
     pub fn into_paged(self, layer: &Arc<StorageLayer>) -> Result<Self> {
-        let rows = match self.backing {
-            Backing::Paged(ref p) if Arc::ptr_eq(p.layer(), layer) => return Ok(self),
-            Backing::Paged(ref p) => p.scan_all()?,
-            Backing::Mem(rows) => Arc::unwrap_or_clone(rows),
+        let rows = match &self.backing {
+            Backing::Paged(p) if Arc::ptr_eq(p.layer(), layer) => return Ok(self),
+            Backing::Paged(p) => p.scan_all()?,
+            Backing::Mem(batch) => batch.to_rows(),
         };
         let paged = PagedTable::build(layer, &self.name, self.schema.len(), &rows)?;
         Ok(Table {
@@ -104,7 +84,6 @@ impl Table {
             schema: self.schema,
             bytes: paged.estimated_bytes(),
             backing: Backing::Paged(Arc::new(paged)),
-            columnar: Arc::new(OnceLock::new()),
         })
     }
 
@@ -118,26 +97,9 @@ impl Table {
 
     pub fn row_count(&self) -> usize {
         match &self.backing {
-            Backing::Mem(rows) => rows.len(),
+            Backing::Mem(batch) => batch.len,
             Backing::Paged(p) => p.row_count(),
         }
-    }
-
-    /// All rows in clustered order. Borrowed for the in-memory backing,
-    /// decoded for the paged one.
-    pub fn scan(&self) -> Result<Cow<'_, [Row]>> {
-        match &self.backing {
-            Backing::Mem(rows) => Ok(Cow::Borrowed(rows)),
-            Backing::Paged(p) => Ok(Cow::Owned(p.scan_all()?)),
-        }
-    }
-
-    /// Convenience accessor for tests and tooling.
-    ///
-    /// # Panics
-    /// On paged-storage I/O errors; query paths use [`Table::scan`].
-    pub fn rows(&self) -> Cow<'_, [Row]> {
-        self.scan().expect("paged table scan failed")
     }
 
     /// Total estimated size in bytes.
@@ -145,91 +107,158 @@ impl Table {
         self.bytes
     }
 
+    /// Every row in clustered order: the stored batch, or for a paged
+    /// table a fresh one decoded page at a time, so resident memory stays
+    /// bounded by the buffer pool.
+    pub fn batch(&self) -> Result<Batch> {
+        match &self.backing {
+            Backing::Mem(batch) => Ok((**batch).clone()),
+            Backing::Paged(p) => p.scan_columnar(self.schema.len()),
+        }
+    }
+
     /// The first `n` rows in clustered order (all of them when the table
     /// is shorter) — what a `TOP n` over a bare scan reads. The paged
     /// backing decodes only the pages those rows live on.
-    pub fn scan_head(&self, n: usize) -> Result<Cow<'_, [Row]>> {
+    pub fn head(&self, n: usize) -> Result<Batch> {
         let n = n.min(self.row_count());
         match &self.backing {
-            Backing::Mem(rows) => Ok(Cow::Borrowed(&rows[..n])),
-            Backing::Paged(p) => Ok(Cow::Owned(p.scan_range(0..n)?)),
+            Backing::Mem(batch) => Ok(batch.slice(0..n)),
+            Backing::Paged(p) => Ok(Batch::from_rows(&p.scan_range(0..n)?, self.schema.len())),
         }
     }
 
     /// Clustered-index seek on the *leading* column: the rows matching
     /// the bounds. This is what the planner compiles sargable predicates
     /// on column 0 into. Both backings locate the same partition points
-    /// (the paged one by page-level binary search); results are
-    /// identical, the paged backing just decodes only the touched pages.
-    pub fn seek_leading(
-        &self,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-    ) -> Result<Cow<'_, [Row]>> {
+    /// (the paged one by page-level binary search); the paged backing
+    /// decodes only the touched pages.
+    pub fn seek(&self, lower: Bound<&Value>, upper: Bound<&Value>) -> Result<Batch> {
         match &self.backing {
-            Backing::Mem(rows) => Ok(match self.seek_bounds(lower, upper) {
-                Some(range) if !range.is_empty() => Cow::Borrowed(&rows[range]),
-                _ => Cow::Borrowed(&[][..]),
-            }),
+            Backing::Mem(batch) => {
+                let range = seek_range(batch.len, lower, upper, |v, keep| {
+                    Ok(partition_point(batch.len, |i| keep(cmp_cell(&batch.cols[0], i, v))))
+                })?;
+                Ok(batch.slice(range))
+            }
             Backing::Paged(p) => {
-                let range = p.seek_range(lower, upper)?;
-                Ok(Cow::Owned(p.scan_range(range)?))
+                let rows = p.scan_range(p.seek_range(lower, upper)?)?;
+                Ok(Batch::from_rows(&rows, self.schema.len()))
             }
         }
     }
 
-    /// The clustered ordinal range a leading-column seek covers, for
-    /// the in-memory backing only (`None` for paged tables — they
-    /// resolve bounds through [`PagedTable::seek_range`]). An empty
-    /// range means no matches.
-    pub(crate) fn seek_bounds(
+    /// The candidates of a secondary-index seek on `column`, in clustered
+    /// order: the rows a paged table's B-tree narrows the heap to (a
+    /// superset of the matches), or every row when no order-safe index
+    /// serves the bounds. The caller re-applies the full predicate.
+    pub fn index_seek(
         &self,
+        column: usize,
         lower: Bound<&Value>,
         upper: Bound<&Value>,
-    ) -> Option<Range<usize>> {
-        let Backing::Mem(rows) = &self.backing else {
-            return None;
-        };
-        if rows.is_empty() {
-            return Some(0..0);
+    ) -> Result<Batch> {
+        if let Some(p) = self.paged() {
+            if let Some(ordinals) = p.secondary_candidates(column, lower, upper)? {
+                return Ok(Batch::from_rows(&p.fetch_rows(&ordinals)?, self.schema.len()));
+            }
         }
-        let start = match lower {
-            Bound::Unbounded => 0,
-            Bound::Included(v) => {
-                rows.partition_point(|row| row[0].total_cmp(v) == Ordering::Less)
-            }
-            Bound::Excluded(v) => {
-                rows.partition_point(|row| row[0].total_cmp(v) != Ordering::Greater)
-            }
-        };
-        let end = match upper {
-            Bound::Unbounded => rows.len(),
-            Bound::Included(v) => {
-                rows.partition_point(|row| row[0].total_cmp(v) != Ordering::Greater)
-            }
-            Bound::Excluded(v) => {
-                rows.partition_point(|row| row[0].total_cmp(v) == Ordering::Less)
-            }
-        };
-        Some(if start >= end { 0..0 } else { start..end })
+        self.batch()
     }
+}
 
-    /// The table as a column batch. In-memory backings build it once
-    /// and cache it (shared across clones); paged backings decode a
-    /// fresh batch per call, page at a time, so resident memory stays
-    /// bounded by the buffer pool.
-    pub fn columnar(&self) -> Result<Arc<Batch>> {
-        match &self.backing {
-            Backing::Mem(rows) => {
-                if let Some(batch) = self.columnar.get() {
-                    return Ok(Arc::clone(batch));
-                }
-                let batch = Arc::new(Batch::from_rows(rows, self.schema.len()));
-                Ok(Arc::clone(self.columnar.get_or_init(|| batch)))
-            }
-            Backing::Paged(p) => Ok(Arc::new(p.scan_columnar(self.schema.len())?)),
+/// The clustered ordinal range a leading-column seek covers, out of
+/// `len` rows. `boundary(v, keep)` answers the first ordinal whose
+/// leading value `x` fails `keep(x.total_cmp(v))`; `keep` holds on a
+/// prefix of the clustered order. An empty range means no matches.
+pub(crate) fn seek_range(
+    len: usize,
+    lower: Bound<&Value>,
+    upper: Bound<&Value>,
+    mut boundary: impl FnMut(&Value, fn(Ordering) -> bool) -> Result<usize>,
+) -> Result<Range<usize>> {
+    let start = match lower {
+        Bound::Unbounded => 0,
+        Bound::Included(v) => boundary(v, Ordering::is_lt)?,
+        Bound::Excluded(v) => boundary(v, Ordering::is_le)?,
+    };
+    let end = match upper {
+        Bound::Unbounded => len,
+        Bound::Included(v) => boundary(v, Ordering::is_le)?,
+        Bound::Excluded(v) => boundary(v, Ordering::is_lt)?,
+    };
+    Ok(if start >= end { 0..0 } else { start..end })
+}
+
+/// The first of `0..len` failing `pred`, which holds on a prefix.
+fn partition_point(len: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, len);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
         }
     }
+    lo
+}
+
+/// `Value::total_cmp` of row `i` of `col` against `v`; text is compared
+/// in place.
+fn cmp_cell(col: &Col, i: usize, v: &Value) -> Ordering {
+    match (col.text(i), v) {
+        (Some(cell), Value::Text(s)) => cell.cmp(s),
+        _ => col.value(i).total_cmp(v),
+    }
+}
+
+/// Sort a batch into clustered order: a stable sort of the row positions
+/// under exactly [`cmp_rows`]' order, then one gather. Ints compare
+/// through their `f64` image, as `Value::total_cmp` does, so integers
+/// above 2^53 that round together keep their input order. A leading
+/// text column's first eight bytes settle most comparisons without
+/// reading the strings: a NULL or non-text cell keys as 0, which no
+/// cell it precedes can key below, and equal keys compare in full.
+fn cluster(batch: Batch) -> Batch {
+    let key: Vec<u64> = match batch.cols.first() {
+        Some(lead) => (0..batch.len).map(|i| lead.text(i).map_or(0, prefix_key)).collect(),
+        None => Vec::new(),
+    };
+    let mut order: Vec<u32> = (0..batch.len as u32).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (a as usize, b as usize);
+        key[a].cmp(&key[b]).then_with(|| {
+            let cmp = |col: &Col| cmp_cells(col, a, b);
+            batch.cols.iter().map(cmp).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        })
+    });
+    batch.gather(&order)
+}
+
+/// The first eight bytes of `s`, zero-padded, as a big-endian integer:
+/// ordered as the strings are wherever two keys differ.
+fn prefix_key(s: &str) -> u64 {
+    let mut bytes = [0; 8];
+    let n = s.len().min(8);
+    bytes[..n].copy_from_slice(&s.as_bytes()[..n]);
+    u64::from_be_bytes(bytes)
+}
+
+/// `Value::total_cmp` of rows `a` and `b` of one column; text is
+/// compared in place.
+fn cmp_cells(col: &Col, a: usize, b: usize) -> Ordering {
+    match (col.text(a), col.text(b)) {
+        (Some(x), Some(y)) => x.cmp(y),
+        _ => col.value(a).total_cmp(&col.value(b)),
+    }
+}
+
+/// Σ `Value::estimated_size` over the first `len` cells of `col`.
+fn cells_bytes(col: &Col, len: usize) -> usize {
+    (0..len)
+        .map(|i| col.text(i).map_or_else(|| col.value(i).estimated_size(), |s| s.len().max(1)))
+        .sum()
 }
 
 /// Lexicographic row comparison under the total value order.
@@ -271,7 +300,7 @@ mod tests {
     fn tables() -> Vec<Table> {
         let mem = Table::new("t", schema(), rows());
         let layer = StorageLayer::temp(0).unwrap();
-        let paged = Table::new_paged("t", schema(), rows(), &layer).unwrap();
+        let paged = mem.clone().into_paged(&layer).unwrap();
         assert!(paged.paged().is_some());
         assert!(mem.paged().is_none());
         vec![mem, paged]
@@ -280,8 +309,8 @@ mod tests {
     #[test]
     fn rows_are_clustered() {
         for t in tables() {
-            let keys: Vec<i64> = t
-                .rows()
+            let rows = t.batch().unwrap().to_rows();
+            let keys: Vec<i64> = rows
                 .iter()
                 .map(|r| match r[0] {
                     Value::Int(i) => i,
@@ -290,7 +319,7 @@ mod tests {
                 .collect();
             assert_eq!(keys, vec![1, 3, 3, 5, 9]);
             // Secondary column also ordered within equal keys.
-            assert_eq!(t.rows()[1][1], Value::Text("b".into()));
+            assert_eq!(rows[1][1], Value::Text("b".into()));
         }
     }
 
@@ -299,9 +328,9 @@ mod tests {
         for t in tables() {
             let three = Value::Int(3);
             let hits = t
-                .seek_leading(Bound::Included(&three), Bound::Included(&three))
+                .seek(Bound::Included(&three), Bound::Included(&three))
                 .unwrap();
-            assert_eq!(hits.len(), 2);
+            assert_eq!(hits.len, 2);
         }
     }
 
@@ -309,11 +338,11 @@ mod tests {
     fn seek_range() {
         for t in tables() {
             let lo = Value::Int(3);
-            let hits = t.seek_leading(Bound::Excluded(&lo), Bound::Unbounded).unwrap();
-            assert_eq!(hits.len(), 2); // 5 and 9
+            let hits = t.seek(Bound::Excluded(&lo), Bound::Unbounded).unwrap();
+            assert_eq!(hits.len, 2); // 5 and 9
             let hi = Value::Int(5);
-            let hits = t.seek_leading(Bound::Unbounded, Bound::Excluded(&hi)).unwrap();
-            assert_eq!(hits.len(), 3); // 1, 3, 3
+            let hits = t.seek(Bound::Unbounded, Bound::Excluded(&hi)).unwrap();
+            assert_eq!(hits.len, 3); // 1, 3, 3
         }
     }
 
@@ -322,7 +351,7 @@ mod tests {
         for t in tables() {
             let four = Value::Int(4);
             assert!(t
-                .seek_leading(Bound::Included(&four), Bound::Included(&four))
+                .seek(Bound::Included(&four), Bound::Included(&four))
                 .unwrap()
                 .is_empty());
         }
@@ -335,10 +364,10 @@ mod tests {
         let one = Value::Int(1);
         for t in [
             Table::new("e", schema.clone(), vec![]),
-            Table::new_paged("e", schema, vec![], &layer).unwrap(),
+            Table::new("e", schema, vec![]).into_paged(&layer).unwrap(),
         ] {
             assert!(t
-                .seek_leading(Bound::Included(&one), Bound::Unbounded)
+                .seek(Bound::Included(&one), Bound::Unbounded)
                 .unwrap()
                 .is_empty());
         }
@@ -362,8 +391,8 @@ mod tests {
     fn scan_head_is_a_prefix_of_scan() {
         for t in tables() {
             for n in [0, 1, 3, 5, 99] {
-                let head = t.scan_head(n).unwrap();
-                assert_eq!(&head[..], &t.rows()[..n.min(5)]);
+                let head = t.head(n).unwrap().to_rows();
+                assert_eq!(&head[..], &t.batch().unwrap().to_rows()[..n.min(5)]);
             }
         }
     }
@@ -376,7 +405,7 @@ mod tests {
         let layer = StorageLayer::temp(0).unwrap();
         let paged = mem.clone().into_paged(&layer).unwrap();
         assert_eq!(paged.estimated_bytes(), bytes);
-        assert_eq!(paged.rows(), mem.rows());
+        assert_eq!(paged.batch().unwrap().to_rows(), mem.batch().unwrap().to_rows());
         assert_eq!(paged.row_count(), mem.row_count());
     }
 
@@ -396,6 +425,6 @@ mod tests {
         // switch must actually move them.
         let on_b = on_a.into_paged(&b).unwrap();
         assert!(Arc::ptr_eq(on_b.paged().unwrap().layer(), &b));
-        assert_eq!(on_b.rows(), mem.rows());
+        assert_eq!(on_b.batch().unwrap().to_rows(), mem.batch().unwrap().to_rows());
     }
 }

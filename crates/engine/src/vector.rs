@@ -16,6 +16,7 @@
 //! touching the typed data, matching the row interpreter's
 //! null-propagation rules exactly.
 
+use crate::hashtable::TextPool;
 use crate::memory;
 use crate::value::{Row, Value};
 use std::ops::Range;
@@ -207,6 +208,20 @@ impl Col {
         self.vec.value(self.off + i)
     }
 
+    /// Row `i` borrowed, when it is a text cell (of a text or a `Mixed`
+    /// column).
+    pub fn text(&self, i: usize) -> Option<&str> {
+        match &self.vec.data {
+            _ if !self.is_valid(i) => None,
+            ColumnData::Text { codes, dict } => Some(&dict[codes[self.off + i] as usize]),
+            ColumnData::Mixed(v) => match &v[self.off + i] {
+                Value::Text(s) => Some(s),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     /// A literal broadcast to `len` rows.
     pub fn broadcast(value: &Value, len: usize) -> Self {
         let mut b = ColumnBuilder::new();
@@ -240,7 +255,8 @@ impl Batch {
     /// Columnarize rows. `width` covers the empty-table case where the
     /// column count cannot be inferred from the data.
     pub fn from_rows(rows: &[Row], width: usize) -> Self {
-        let mut builders: Vec<ColumnBuilder> = (0..width).map(|_| ColumnBuilder::new()).collect();
+        let mut builders: Vec<ColumnBuilder> =
+            (0..width).map(|_| ColumnBuilder::with_capacity(rows.len())).collect();
         for row in rows {
             for (b, v) in builders.iter_mut().zip(row.iter()) {
                 b.push(v);
@@ -302,6 +318,13 @@ impl Batch {
     }
 }
 
+/// Equal width and rows, cell for cell under `Value`'s equality.
+impl PartialEq for Batch {
+    fn eq(&self, other: &Self) -> bool {
+        self.width() == other.width() && self.to_rows() == other.to_rows()
+    }
+}
+
 /// Selection-vector entry meaning "no source row": gathers as NULL.
 pub const NULL_ROW: u32 = u32::MAX;
 
@@ -355,10 +378,15 @@ pub struct ColumnBuilder {
     data: ColumnData,
     validity: Bitmap,
     any_null: bool,
-    dict_index: std::collections::HashMap<String, u32>,
+    /// A text column's strings while it is built; `finish` (or a
+    /// demotion) moves them into `data`.
+    text: TextPool,
     /// Values seen while the column is still all-null (no type chosen).
     pending_nulls: usize,
     started: bool,
+    /// Values expected: the typed vectors, the validity bitmap and a
+    /// text column's string index are sized for them once.
+    capacity: usize,
 }
 
 impl Default for ColumnBuilder {
@@ -369,22 +397,20 @@ impl Default for ColumnBuilder {
 
 impl ColumnBuilder {
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// A builder for about `rows` values.
+    pub fn with_capacity(rows: usize) -> Self {
         ColumnBuilder {
             data: ColumnData::Int(Vec::new()),
-            validity: Bitmap::default(),
+            validity: Bitmap { words: Vec::with_capacity(rows.div_ceil(64)), len: 0 },
             any_null: false,
-            dict_index: std::collections::HashMap::new(),
+            text: TextPool::new(),
             pending_nulls: 0,
             started: false,
+            capacity: rows,
         }
-    }
-
-    pub fn len(&self) -> usize {
-        self.validity.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.validity.is_empty()
     }
 
     pub fn push(&mut self, v: &Value) {
@@ -402,54 +428,45 @@ impl ColumnBuilder {
             self.start_with(v);
         }
         self.validity.push(true);
-        let demote = match (&mut self.data, v) {
-            (ColumnData::Int(vec), Value::Int(i)) => {
-                vec.push(*i);
-                false
-            }
-            (ColumnData::Float(vec), Value::Float(f)) => {
-                vec.push(*f);
-                false
-            }
-            (ColumnData::Bool(vec), Value::Bool(b)) => {
-                vec.push(*b);
-                false
-            }
-            (ColumnData::Date(vec), Value::Date(d)) => {
-                vec.push(*d);
-                false
-            }
-            (ColumnData::Text { codes, dict }, Value::Text(s)) => {
-                let dict_mut = Arc::get_mut(dict).expect("builder owns its dict");
-                let code = *self.dict_index.entry(s.clone()).or_insert_with(|| {
-                    dict_mut.push(s.clone());
-                    (dict_mut.len() - 1) as u32
-                });
-                codes.push(code);
-                false
-            }
-            (ColumnData::Mixed(vec), v) => {
-                vec.push(v.clone());
-                false
-            }
-            _ => true,
-        };
-        if demote {
-            self.demote();
-            if let ColumnData::Mixed(vec) = &mut self.data {
-                vec.push(v.clone());
+        match (&mut self.data, v) {
+            (ColumnData::Int(vec), Value::Int(i)) => vec.push(*i),
+            (ColumnData::Float(vec), Value::Float(f)) => vec.push(*f),
+            (ColumnData::Bool(vec), Value::Bool(b)) => vec.push(*b),
+            (ColumnData::Date(vec), Value::Date(d)) => vec.push(*d),
+            (ColumnData::Text { codes, .. }, Value::Text(s)) => codes.push(self.text.intern(s)),
+            (ColumnData::Mixed(vec), v) => vec.push(v.clone()),
+            _ => {
+                self.demote();
+                if let ColumnData::Mixed(vec) = &mut self.data {
+                    vec.push(v.clone());
+                }
             }
         }
     }
 
+    /// [`ColumnBuilder::push`] of `Value::Text(s)` from a borrowed cell:
+    /// once the column is text, a string already interned allocates
+    /// nothing.
+    pub fn push_str(&mut self, s: &str) {
+        if let ColumnData::Text { codes, .. } = &mut self.data {
+            self.validity.push(true);
+            return codes.push(self.text.intern(s));
+        }
+        self.push(&Value::Text(s.to_owned()))
+    }
+
     fn start_with(&mut self, v: &Value) {
         self.started = true;
+        let n = self.capacity;
         self.data = match v {
-            Value::Int(_) => ColumnData::Int(Vec::new()),
-            Value::Float(_) => ColumnData::Float(Vec::new()),
-            Value::Bool(_) => ColumnData::Bool(Vec::new()),
-            Value::Date(_) => ColumnData::Date(Vec::new()),
-            Value::Text(_) => ColumnData::Text { codes: Vec::new(), dict: Arc::new(Vec::new()) },
+            Value::Int(_) => ColumnData::Int(Vec::with_capacity(n)),
+            Value::Float(_) => ColumnData::Float(Vec::with_capacity(n)),
+            Value::Bool(_) => ColumnData::Bool(Vec::with_capacity(n)),
+            Value::Date(_) => ColumnData::Date(Vec::with_capacity(n)),
+            Value::Text(_) => {
+                self.text = TextPool::with_capacity(n);
+                ColumnData::Text { codes: Vec::with_capacity(n), dict: Arc::default() }
+            }
             Value::Null => unreachable!("nulls handled before start_with"),
         };
         // Backfill placeholders for the leading nulls.
@@ -465,13 +482,12 @@ impl ColumnBuilder {
             ColumnData::Float(v) => v.push(0.0),
             ColumnData::Bool(v) => v.push(false),
             ColumnData::Date(v) => v.push(0),
-            ColumnData::Text { codes, dict } => {
-                if dict.is_empty() {
+            ColumnData::Text { codes, .. } => {
+                if self.text.extra.is_empty() {
                     // Registered like any other string, so a real ""
                     // arriving later shares code 0 instead of taking a
                     // second entry: dictionaries hold distinct strings.
-                    Arc::get_mut(dict).expect("builder owns its dict").push(String::new());
-                    self.dict_index.insert(String::new(), 0);
+                    self.text.intern("");
                 }
                 codes.push(0);
             }
@@ -481,24 +497,20 @@ impl ColumnBuilder {
 
     /// Rebuild the typed data as `Mixed`, preserving nulls.
     fn demote(&mut self) {
-        let len = self.data.len();
-        let mut mixed = Vec::with_capacity(len + 1);
-        for i in 0..len {
-            if !self.validity.get(i) {
-                mixed.push(Value::Null);
-                continue;
-            }
-            mixed.push(match &self.data {
-                ColumnData::Int(v) => Value::Int(v[i]),
-                ColumnData::Float(v) => Value::Float(v[i]),
-                ColumnData::Bool(v) => Value::Bool(v[i]),
-                ColumnData::Date(v) => Value::Date(v[i]),
-                ColumnData::Text { codes, dict } => Value::Text(dict[codes[i] as usize].clone()),
-                ColumnData::Mixed(_) => unreachable!("Mixed never demotes"),
-            });
+        let typed = ColumnVec {
+            data: self.take_data(),
+            validity: Some(self.validity.clone()),
+        };
+        self.data = ColumnData::Mixed((0..typed.len()).map(|i| typed.value(i)).collect());
+    }
+
+    /// The data built so far, a text column's dictionary moved in.
+    fn take_data(&mut self) -> ColumnData {
+        let mut data = std::mem::replace(&mut self.data, ColumnData::Mixed(Vec::new()));
+        if let ColumnData::Text { dict, .. } = &mut data {
+            *dict = Arc::new(std::mem::replace(&mut self.text, TextPool::new()).extra);
         }
-        self.data = ColumnData::Mixed(mixed);
-        self.dict_index.clear();
+        data
     }
 
     pub fn finish(mut self) -> ColumnVec {
@@ -510,7 +522,7 @@ impl ColumnBuilder {
             }
         }
         ColumnVec {
-            data: self.data,
+            data: self.take_data(),
             validity: if self.any_null { Some(self.validity) } else { None },
         }
     }
@@ -523,24 +535,8 @@ pub fn batch_rows_bytes(batch: &Batch) -> usize {
     let mut total = batch.len * std::mem::size_of::<Row>();
     for col in &batch.cols {
         total += batch.len * std::mem::size_of::<Value>();
-        match &col.vec.data {
-            ColumnData::Text { codes, dict } => {
-                for i in 0..batch.len {
-                    if col.is_valid(i) {
-                        total += dict[codes[col.off + i] as usize].len();
-                    }
-                }
-            }
-            ColumnData::Mixed(values) => {
-                for i in 0..batch.len {
-                    if let Value::Text(s) = &values[col.off + i] {
-                        if col.is_valid(i) {
-                            total += s.len();
-                        }
-                    }
-                }
-            }
-            _ => {}
+        if let ColumnData::Text { .. } | ColumnData::Mixed(_) = &col.vec.data {
+            total += (0..batch.len).filter_map(|i| col.text(i)).map(str::len).sum::<usize>();
         }
     }
     total

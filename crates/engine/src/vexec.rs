@@ -150,20 +150,15 @@ pub(crate) fn exec_node(
         PhysOp::Gather { dop } => {
             crate::parallel::execute(exec::data_child(plan)?, *dop, catalog, ctx, guard)
         }
-        // A row-bounded scan hands over the rows themselves: building
-        // (or caching) the table's columnar form for a prefix of it would
-        // cost what the bound exists to save.
         PhysOp::Scan { table, head: Some(n) } => {
             guard.fault(FaultSite::Scan)?;
-            let n = usize::try_from(*n).unwrap_or(usize::MAX);
-            let rows = catalog.table(table)?.scan_head(n)?.into_owned();
-            guard.tick(rows.len() as u64)?;
-            Ok(Out::Rows(rows))
+            let head = catalog.table(table)?.head(usize::try_from(*n).unwrap_or(usize::MAX))?;
+            guard.tick(head.len as u64)?;
+            Ok(Out::Batch(head))
         }
-        PhysOp::CachedScan { rows, .. } => {
-            guard.tick(rows.len() as u64)?;
-            let width = rows.first().map(Row::len).unwrap_or(0);
-            Ok(Out::Batch(Batch::from_rows(rows, width)))
+        PhysOp::CachedScan { batch, .. } => {
+            guard.tick(batch.len as u64)?;
+            Ok(Out::Batch((**batch).clone()))
         }
         PhysOp::Top { quantity, percent } => {
             let out = child(plan, catalog, ctx, guard)?;
@@ -1290,8 +1285,7 @@ mod tests {
 
     /// A leaf handing `batch`'s rows to the operator above it.
     fn leaf(batch: &Batch) -> PhysicalPlan {
-        let rows = Arc::new(batch.to_rows());
-        node(PhysOp::CachedScan { name: "t".into(), rows }, Vec::new())
+        node(PhysOp::CachedScan { name: "t".into(), batch: Arc::new(batch.clone()) }, Vec::new())
     }
 
     /// A Hash Match over two inputs, run as the serial executor runs it.

@@ -281,7 +281,7 @@ fn plan_samples() -> Vec<(LogicalPlan, usize, usize)> {
             LogicalPlan::CachedScan {
                 name: "v".into(),
                 schema: schema(),
-                rows: Arc::new(vec![]),
+                batch: Arc::default(),
             },
             0,
             0,

@@ -145,3 +145,27 @@ fn the_row_interpreter_names_nothing_of_the_batch_engine() {
         assert!(!source.contains(name), "exec.rs names `{name}`");
     }
 }
+
+#[test]
+fn an_in_memory_table_is_stored_once_as_its_columns() {
+    let table = include_str!("../src/table.rs");
+    for name in ["Vec<Row>>", "OnceLock"] {
+        assert!(!table.contains(name), "table.rs holds `{name}`");
+    }
+    // Outside their tests, the batch executors columnarize rows only
+    // where an operator's row output meets a batch consumer; tables and
+    // pinned views already are batches.
+    for (file, source) in [
+        ("vexec.rs", include_str!("../src/vexec.rs")),
+        ("parallel.rs", include_str!("../src/parallel.rs")),
+    ] {
+        let code = source.split("#[cfg(test)]").next().unwrap();
+        for (at, _) in code.match_indices("Batch::from_rows") {
+            let head = &code[..at];
+            let decl = &head[head.rfind("fn ").unwrap() + 3..];
+            let site = decl.split(|c: char| !c.is_alphanumeric() && c != '_').next().unwrap();
+            let boundary = ["rows_to_batch", "widen"].contains(&site);
+            assert!(boundary, "{file}: `Batch::from_rows` in `{site}`");
+        }
+    }
+}

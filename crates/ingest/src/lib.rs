@@ -128,7 +128,7 @@ pub fn ingest_text(name: &str, content: &str, options: &IngestOptions) -> Result
     // revert-to-string fallback (which also pads the ragged rows).
     let mut inferred = types::infer_types(records, options.inference_prefix);
     inferred.resize(width, DataType::Text);
-    let (rows, final_types, reverted) = types::convert_rows(records, &inferred);
+    let (columns, final_types, reverted) = types::convert_columns(records, &inferred);
     let type_reverts: Vec<String> = reverted
         .iter()
         .map(|&i| column_names[i].clone())
@@ -148,14 +148,14 @@ pub fn ingest_text(name: &str, content: &str, options: &IngestOptions) -> Result
         all_names_defaulted,
         padded_rows,
         type_reverts,
-        rows: rows.len(),
+        rows: columns.len,
         columns: width,
     };
-    Ok((Table::new(name, schema, rows), report))
+    Ok((Table::from_batch(name, schema, columns), report))
 }
 
 /// Convert a parsed cell to a NULL-aware value of the given type; used by
-/// `types::convert_rows` and exposed for tests.
+/// `types::convert_columns` and exposed for tests.
 pub fn cell_to_value(cell: &str, ty: DataType) -> Option<Value> {
     let trimmed = cell.trim();
     if trimmed.is_empty() {
@@ -230,7 +230,7 @@ mod tests {
         .unwrap();
         assert_eq!(report.padded_rows, 2);
         assert_eq!(table.row_count(), 3);
-        let rows = table.rows();
+        let rows = table.batch().unwrap().to_rows();
         let short = rows.iter().find(|r| r[0] == Value::Int(6)).unwrap();
         assert!(short[1].is_null() && short[2].is_null());
     }
@@ -273,7 +273,8 @@ mod tests {
         assert_eq!(report.type_reverts, vec!["v"]);
         assert_eq!(table.schema.columns[0].ty, DataType::Text);
         assert_eq!(table.row_count(), 6);
-        assert!(table.rows().iter().any(|r| r[0] == Value::Text("oops".into())));
+        let rows = table.batch().unwrap().to_rows();
+        assert!(rows.iter().any(|r| r[0] == Value::Text("oops".into())));
     }
 
     #[test]
@@ -309,7 +310,7 @@ mod tests {
         .unwrap();
         // Column b stays Int despite the empty cell.
         assert_eq!(table.schema.columns[1].ty, DataType::Int);
-        assert!(table.rows().iter().any(|r| r[1].is_null()));
+        assert!(table.batch().unwrap().to_rows().iter().any(|r| r[1].is_null()));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! and the ingest continues." (§3.1)
 
 use crate::cell_to_value;
-use sqlshare_engine::{DataType, Row, Value};
+use sqlshare_engine::vector::{Batch, Col, ColumnBuilder};
+use sqlshare_engine::{DataType, Value};
 
 /// The specificity lattice walked during inference, most specific first.
 /// (`unify` in the engine encodes the same lattice; inference tries each
@@ -45,47 +46,54 @@ pub fn infer_types<S: AsRef<str>>(records: &[Vec<S>], prefix: usize) -> Vec<Data
         .collect()
 }
 
-/// A cell of a Text column: blank is NULL, anything else is kept as
-/// written.
-fn text_value(cell: &str) -> Value {
-    cell_to_value(cell, DataType::Text).expect("every cell converts to text")
-}
-
-/// Convert all records under the inferred types, each cell once. When a
-/// value past the prefix fails to convert, the column *reverts to string*
-/// (the paper's ALTER TABLE fallback): the rows already built get that
-/// column's cells back as written, and the pass goes on. Short records
-/// are padded with NULLs. Returns the rows, the final per-column types,
-/// and the indexes of reverted columns.
-pub fn convert_rows<S: AsRef<str>>(
+/// Convert all records under the inferred types into typed columns, a
+/// column at a time, each cell straight from its borrowed text (a text
+/// cell is interned, never copied per row). When a value past the
+/// prefix fails to convert, the column *reverts to string* (the paper's
+/// ALTER TABLE fallback): it is built again from its cells as written.
+/// Short records are padded with NULLs. Returns the columns, the final
+/// per-column types, and the indexes of reverted columns.
+pub fn convert_columns<S: AsRef<str>>(
     records: &[Vec<S>],
     inferred: &[DataType],
-) -> (Vec<Row>, Vec<DataType>, Vec<usize>) {
+) -> (Batch, Vec<DataType>, Vec<usize>) {
     let mut types = inferred.to_vec();
     let mut reverted = Vec::new();
-    let mut rows: Vec<Row> = Vec::with_capacity(records.len());
-    for record in records {
-        let mut row = Vec::with_capacity(types.len());
-        for col in 0..types.len() {
-            let Some(cell) = record.get(col).map(AsRef::as_ref) else {
-                row.push(Value::Null);
-                continue;
-            };
-            row.push(cell_to_value(cell, types[col]).unwrap_or_else(|| {
+    let build = |col: usize, ty: DataType| {
+        let mut builder = ColumnBuilder::with_capacity(records.len());
+        let converted = records.iter().all(|record| push_cell(&mut builder, record, col, ty));
+        converted.then(|| Col::new(builder.finish()))
+    };
+    let cols = (0..types.len())
+        .map(|col| {
+            build(col, types[col]).unwrap_or_else(|| {
                 types[col] = DataType::Text;
                 reverted.push(col);
-                for (built, earlier) in rows.iter_mut().zip(records) {
-                    built[col] = earlier
-                        .get(col)
-                        .map_or(Value::Null, |cell| text_value(cell.as_ref()));
-                }
-                text_value(cell)
-            }));
-        }
-        rows.push(row);
+                build(col, DataType::Text).expect("every cell converts to text")
+            })
+        })
+        .collect();
+    (Batch::new(cols, records.len()), types, reverted)
+}
+
+/// Push the record's cell `col` (NULL past the end of a short record)
+/// as a value of type `ty`; false, pushing nothing, when it does not
+/// convert.
+fn push_cell<S: AsRef<str>>(
+    builder: &mut ColumnBuilder,
+    record: &[S],
+    col: usize,
+    ty: DataType,
+) -> bool {
+    match record.get(col).map(AsRef::as_ref) {
+        Some(text) if ty == DataType::Text && !text.trim().is_empty() => builder.push_str(text),
+        Some(cell) => match cell_to_value(cell, ty) {
+            Some(v) => builder.push(&v),
+            None => return false,
+        },
+        None => builder.push(&Value::Null),
     }
-    reverted.sort_unstable();
-    (rows, types, reverted)
+    true
 }
 
 #[cfg(test)]
@@ -137,23 +145,23 @@ mod tests {
         // With prefix 2, inference says Int...
         assert_eq!(infer_types(&r, 2), vec![DataType::Int]);
         // ...and conversion reverts to Text.
-        let (rows, types, reverted) = convert_rows(&r, &[DataType::Int]);
+        let (batch, types, reverted) = convert_columns(&r, &[DataType::Int]);
         assert_eq!(types, vec![DataType::Text]);
         assert_eq!(reverted, vec![0]);
-        assert_eq!(rows[2][0], Value::Text("oops".into()));
+        assert_eq!(batch.to_rows()[2][0], Value::Text("oops".into()));
     }
 
     #[test]
     fn conversion_produces_nulls_for_missing() {
         let r = recs(&[&["1", "x"], &["2"]]);
-        let (rows, _, _) = convert_rows(&r, &[DataType::Int, DataType::Text]);
-        assert!(rows[1][1].is_null());
+        let (batch, _, _) = convert_columns(&r, &[DataType::Int, DataType::Text]);
+        assert!(batch.to_rows()[1][1].is_null());
     }
 
     #[test]
     fn no_false_reverts() {
         let r = recs(&[&["1"], &["2"], &["3"]]);
-        let (_, types, reverted) = convert_rows(&r, &[DataType::Int]);
+        let (_, types, reverted) = convert_columns(&r, &[DataType::Int]);
         assert_eq!(types, vec![DataType::Int]);
         assert!(reverted.is_empty());
     }

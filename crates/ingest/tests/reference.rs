@@ -13,7 +13,8 @@
 
 mod oracle {
     use sqlshare_common::{Error, Result};
-    use sqlshare_engine::{Column, DataType, Row, Schema, Table, Value};
+    use sqlshare_engine::table::cmp_rows;
+    use sqlshare_engine::{Column, DataType, Row, Schema, Value};
     use sqlshare_ingest::{HeaderMode, IngestOptions, IngestReport};
 
     // ---- parser.rs -------------------------------------------------------
@@ -326,7 +327,11 @@ mod oracle {
 
     // ---- lib.rs ----------------------------------------------------------
 
-    pub fn ingest_text(name: &str, content: &str, options: &IngestOptions) -> Result<(Table, IngestReport)> {
+    pub fn ingest_text(
+        name: &str,
+        content: &str,
+        options: &IngestOptions,
+    ) -> Result<(Schema, Vec<Row>, IngestReport)> {
         if content.trim().is_empty() {
             return Err(Error::Ingest(format!("upload '{name}' is empty")));
         }
@@ -408,7 +413,11 @@ mod oracle {
             rows: rows.len(),
             columns: width,
         };
-        Ok((Table::new(name, schema, rows), report))
+        // Clustered order by the row comparison, never through `Table`:
+        // the reference stays independent of how tables cluster columns.
+        let mut rows = rows;
+        rows.sort_by(cmp_rows);
+        Ok((schema, rows, report))
     }
 
     pub fn cell_to_value(cell: &str, ty: DataType) -> Option<Value> {
@@ -433,33 +442,39 @@ mod oracle {
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sqlshare_engine::vector::ColumnData;
 use sqlshare_ingest::{ingest_text, HeaderMode, IngestOptions};
 use sqlshare_wlgen::tables::{generate_csv, Dirtiness};
 
 /// Ingest `content` both ways and require the same verdict: equal table
-/// (name, schema, rows in clustered order) and equal report, or the same
-/// rejection. Rows are compared through `Debug` because `Value`'s
+/// (name, schema, rows in clustered order, size) and equal report, or
+/// the same rejection. Rows are compared through `Debug` because `Value`'s
 /// `PartialEq` says NaN != NaN and "nan" is a perfectly good float cell.
 fn assert_same(content: &str, options: &IngestOptions) {
     let new = ingest_text("t", content, options);
     let old = oracle::ingest_text("t", content, options);
     match (new, old) {
-        (Ok((table, report)), Ok((want_table, want_report))) => {
+        (Ok((table, report)), Ok((want_schema, want_rows, want_report))) => {
             assert_eq!(report, want_report, "report for {content:?} under {options:?}");
-            assert_eq!(table.name, want_table.name);
-            assert_eq!(table.schema, want_table.schema, "schema for {content:?} under {options:?}");
+            assert_eq!(table.name, "t");
+            assert_eq!(table.schema, want_schema, "schema for {content:?} under {options:?}");
             assert_eq!(
-                format!("{:?}", table.rows()),
-                format!("{:?}", want_table.rows()),
+                format!("{:?}", table.batch().unwrap().to_rows()),
+                format!("{:?}", want_rows),
                 "rows for {content:?} under {options:?}"
             );
-            assert_eq!(table.estimated_bytes(), want_table.estimated_bytes());
+            let want_bytes: usize = want_rows.iter().flatten().map(|v| v.estimated_size()).sum();
+            assert_eq!(table.estimated_bytes(), want_bytes);
+            // Every column is typed by the schema: ingest never falls back
+            // to the heterogeneous layout.
+            let columns = table.batch().unwrap().cols;
+            assert!(columns.iter().all(|c| !matches!(c.vec.data, ColumnData::Mixed(_))));
         }
         (Err(e), Err(want)) => assert_eq!(e.to_string(), want.to_string(), "{content:?}"),
         (new, old) => panic!(
             "verdicts differ for {content:?} under {options:?}: new {:?}, oracle {:?}",
             new.map(|(_, r)| r),
-            old.map(|(_, r)| r)
+            old.map(|(_, _, r)| r)
         ),
     }
 }
@@ -609,5 +624,6 @@ fn a_revert_past_the_prefix_rewrites_the_rows_already_built() {
     assert_eq!(report.type_reverts, vec!["v"]);
     // The cells converted as integers before the revert come back as
     // written, padding included.
-    assert!(table.rows().iter().any(|r| format!("{:?}", r[1]) == "Text(\" 007 \")"));
+    let rows = table.batch().unwrap().to_rows();
+    assert!(rows.iter().any(|r| format!("{:?}", r[1]) == "Text(\" 007 \")"));
 }
