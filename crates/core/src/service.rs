@@ -34,6 +34,7 @@ use jobs::{Attempt, Jobs};
 use journal::Journal;
 use sqlshare_common::json::{self, Json, JsonWriter};
 use sqlshare_common::{Error, Result};
+use sqlshare_engine::catalog::canonical_key;
 use sqlshare_engine::{Engine, Table};
 use sqlshare_ingest::staging::Staging;
 use sqlshare_ingest::{IngestOptions, IngestReport};
@@ -961,7 +962,9 @@ impl SqlShare {
     /// Rebuild in-memory state from a snapshot's `state` object. Views
     /// are installed raw (no binder validation) so restore order cannot
     /// matter; generations are imported last, overriding the bumps the
-    /// rebuild itself caused.
+    /// rebuild itself caused — except a table's that restored wider than
+    /// it was written (a parent version's cells of other types): it keeps
+    /// no generation, so the previews over it are computed afresh.
     fn restore_state(&mut self, state: &Json) -> Result<()> {
         for u in persist::array_of(state, "users")? {
             let username = persist::str_of(u, "username")?;
@@ -974,8 +977,13 @@ impl SqlShare {
                 },
             );
         }
+        let mut widened = Vec::new();
         for t in persist::array_of(state, "tables")? {
-            self.engine.create_table(persist::table_from_json(t)?)?;
+            let table = persist::table_from_json(t)?;
+            if table.schema != persist::schema_from_json(persist::field(t, "schema")?)? {
+                widened.push(canonical_key(&table.name));
+            }
+            self.engine.create_table(table)?;
         }
         for v in persist::array_of(state, "views")? {
             self.engine
@@ -998,10 +1006,11 @@ impl SqlShare {
                 .insert(key.to_string(), persist::visibility_from_json(visibility)?);
         }
         let gens = persist::field(state, "generations")?;
-        let objects = persist::array_of(gens, "objects")?
+        let mut objects = persist::array_of(gens, "objects")?
             .iter()
             .map(persist::generation_pair)
             .collect::<Result<Vec<_>>>()?;
+        objects.retain(|(key, _)| !widened.contains(key));
         self.engine
             .catalog_mut()
             .import_generations(persist::u64_of(gens, "global")?, objects);

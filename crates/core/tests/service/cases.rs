@@ -154,6 +154,35 @@ fn append_rewrites_view_and_downstream_sees_new_rows() {
 }
 
 #[test]
+fn an_appended_batch_whose_column_infers_as_text_turns_the_column_to_text() {
+    // The paper's workflow: an upload whose column infers as integers,
+    // then an appended batch whose same column infers as text. The
+    // appended view's column is their unified type, and every cell of
+    // the preview has the type the dataset lists.
+    let mut s = service();
+    s.register_user("ada", "ada@uw.edu").unwrap();
+    s.upload("ada", "obs", "k\n3\n4\n", &IngestOptions::default()).unwrap();
+    s.upload("ada", "obs_late", "k\na\n3\n", &IngestOptions::default()).unwrap();
+    let obs = DatasetName::new("ada", "obs");
+    s.append("ada", &obs, &DatasetName::new("ada", "obs_late"), AppendMode::UnionAll)
+        .unwrap();
+    let ds = s.dataset(&obs).unwrap();
+    let preview = ds.preview.as_ref().unwrap();
+    assert_eq!(preview.schema.types(), [sqlshare_engine::DataType::Text]);
+    assert_eq!(preview.rows.len(), 4);
+    for row in &preview.rows {
+        for (v, c) in row.iter().zip(&preview.schema.columns) {
+            assert_eq!(v.data_type(), Some(c.ty), "{v:?} in column '{}'", c.name);
+        }
+    }
+    // 3 and '3' are one value of the column, and one group.
+    let out = s.run_query("ada", "SELECT k, COUNT(*) FROM obs GROUP BY k").unwrap();
+    let groups: Vec<(String, String)> =
+        out.rows.iter().map(|r| (r[0].to_text(), r[1].to_text())).collect();
+    assert_eq!(groups, [("3".into(), "2".into()), ("4".into(), "1".into()), ("a".into(), "1".into())]);
+}
+
+#[test]
 fn append_schema_mismatch_rejected() {
     let mut s = service_with_ada();
     s.upload("ada", "two_cols", "a,b\n1,2\n", &IngestOptions::default())

@@ -1,0 +1,147 @@
+//! A table a parent version stored with cells its schema does not
+//! declare — a materialized snapshot whose `int` column holds `f:` and
+//! `t:` cells — restores, from a snapshot and from a WAL `materialize`
+//! record alike: each column lists as `unify` of its cells' types, every
+//! cell is the cast value, and the state is stable across reopens. The
+//! files are ones this version wrote, rewritten and re-sealed here; the
+//! formats themselves are unchanged.
+
+use sqlshare_common::hash::fnv64;
+use sqlshare_core::{DatasetName, DurableOptions, FsyncPolicy, Metadata, SqlShare};
+use sqlshare_engine::{DataType, Value};
+use sqlshare_ingest::IngestOptions;
+use sqlshare_storage::Wal;
+use std::path::{Path, PathBuf};
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sqlshare-typed-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn options(dir: &Path) -> DurableOptions {
+    DurableOptions::new(dir)
+        .fsync(FsyncPolicy::Off)
+        .snapshot_every(10_000)
+}
+
+/// `ada.snap`: a materialized view of two BIGINT columns, `a` (900001..)
+/// and `b` (800001..). Their cells appear in no other record or table.
+fn write_state(dir: &Path) {
+    let mut s = SqlShare::open(options(dir)).unwrap();
+    s.register_user("ada", "ada@uw.edu").unwrap();
+    s.upload("ada", "nums", "n\n1\n2\n3\n", &IngestOptions::default())
+        .unwrap();
+    s.save_dataset(
+        "ada",
+        "shifted",
+        "SELECT n + 900000 AS a, n + 800000 AS b FROM nums",
+        Metadata::default(),
+    )
+    .unwrap();
+    s.materialize("ada", &DatasetName::new("ada", "shifted"), "snap")
+        .unwrap();
+}
+
+/// What a parent version could have stored in `text` from byte `at` on:
+/// `a`'s 900002 as a float, `b`'s 800003 as a text cell.
+fn mistype(text: &str, at: usize) -> String {
+    let float = format!("\"f:{:016x}\"", 2.5f64.to_bits());
+    let rest =
+        text[at..]
+            .replacen("\"i:900002\"", &float, 1)
+            .replacen("\"i:800003\"", "\"t:x\"", 1);
+    format!("{}{rest}", &text[..at])
+}
+
+/// The restored snapshot table: its listed types and its rows, and the
+/// service's durable digest.
+fn restored(dir: &Path) -> (Vec<DataType>, Vec<Vec<Value>>, u64) {
+    let s = SqlShare::open(options(dir)).expect("a mistyped table restores");
+    let out = s
+        .run_query("ada", "SELECT a, b FROM snap ORDER BY a")
+        .unwrap();
+    let ds = s.dataset(&DatasetName::new("ada", "snap")).unwrap();
+    let listed = ds.preview.as_ref().unwrap().schema.types();
+    assert_eq!(listed, out.schema.types(), "the listing is the table's");
+    (out.schema.types(), out.rows, s.durable_digest())
+}
+
+fn assert_widened(dir: &Path) {
+    let (types, rows, digest) = restored(dir);
+    // Int with Float is Float; Int with Text is Text.
+    assert_eq!(types, [DataType::Float, DataType::Text]);
+    let t = |s: &str| Value::Text(s.into());
+    assert_eq!(
+        rows,
+        vec![
+            vec![Value::Float(2.5), t("800002")],
+            vec![Value::Float(900001.0), t("800001")],
+            vec![Value::Float(900003.0), t("x")],
+        ]
+    );
+    // Reopening reads the same files to the same state, and a snapshot
+    // of it (now typed) restores to it too.
+    assert_eq!(restored(dir).2, digest);
+    SqlShare::open(options(dir))
+        .unwrap()
+        .force_snapshot()
+        .unwrap();
+    assert_eq!(restored(dir), (types, rows, digest));
+}
+
+#[test]
+fn a_snapshot_table_holding_cells_of_other_types_restores_widened() {
+    let dir = fresh_dir("snapshot");
+    write_state(&dir);
+    SqlShare::open(options(&dir))
+        .unwrap()
+        .force_snapshot()
+        .unwrap();
+    let snapshots: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    let [snapshot] = &snapshots[..] else {
+        panic!("one snapshot: {snapshots:?}")
+    };
+    let text = std::fs::read_to_string(snapshot).unwrap();
+    let payload = &text[..text.rfind("\n#fnv64=").expect("a sealed snapshot")];
+    // The table's cells, not those of the previews written after it.
+    let table = payload
+        .find("\"name\":\"ada.snap$base\"")
+        .expect("the snapshot table");
+    let payload = mistype(payload, table);
+    assert_eq!(
+        payload.matches("\"t:x\"").count(),
+        1,
+        "the table's cells, rewritten"
+    );
+    let sealed = format!("{payload}\n#fnv64={:016x}\n", fnv64(payload.as_bytes()));
+    std::fs::write(snapshot, sealed).unwrap();
+    assert_widened(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_wal_materialize_record_holding_cells_of_other_types_replays_widened() {
+    let dir = fresh_dir("wal");
+    write_state(&dir);
+    let path = dir.join("wal.log");
+    let records = Wal::scan(&path).unwrap().records;
+    std::fs::remove_file(&path).unwrap();
+    let mut wal = Wal::open(&path, FsyncPolicy::Off).unwrap();
+    let mut rewritten = 0;
+    for record in records {
+        let text = std::str::from_utf8(&record).unwrap();
+        let record = mistype(text, 0);
+        rewritten += usize::from(record != text);
+        wal.append(record.as_bytes()).unwrap();
+    }
+    drop(wal);
+    assert_eq!(rewritten, 1, "the materialize record, rewritten");
+    assert_widened(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,6 +1,6 @@
 //! Aggregate functions and accumulators.
 
-use crate::expr::BoundExpr;
+use crate::expr::{overflow, BoundExpr};
 use crate::value::{DataType, Value};
 use sqlshare_common::{Error, Result};
 
@@ -75,7 +75,9 @@ pub struct Accumulator {
     count: i64,
     sum: f64,
     sum_sq: f64,
-    int_sum: i64,
+    /// An integer SUM's total, which `finish` checks fits `i64`: `i128`
+    /// cannot overflow below 2^64 rows, so partials merge in any order.
+    int_sum: i128,
     all_int: bool,
     min: Option<Value>,
     max: Option<Value>,
@@ -136,7 +138,7 @@ impl Accumulator {
                 let f = match v {
                     Value::Int(i) => {
                         if self.func == AggFunc::Sum {
-                            self.int_sum = self.int_sum.wrapping_add(*i);
+                            self.int_sum += i128::from(*i);
                         }
                         *i as f64
                     }
@@ -200,7 +202,7 @@ impl Accumulator {
         self.count += other.count;
         self.sum += other.sum;
         self.sum_sq += other.sum_sq;
-        self.int_sum = self.int_sum.wrapping_add(other.int_sum);
+        self.int_sum += other.int_sum;
         self.all_int &= other.all_int;
         if let Some(m) = &other.min {
             if self
@@ -226,9 +228,10 @@ impl Accumulator {
     }
 
     /// Final aggregate value. Empty input yields NULL for everything but
-    /// COUNT, which yields 0.
-    pub fn finish(&self) -> Value {
-        match self.func {
+    /// COUNT, which yields 0. An integer SUM whose total leaves `i64` is
+    /// an `integer overflow`, as `+` is.
+    pub fn finish(&self) -> Result<Value> {
+        Ok(match self.func {
             AggFunc::Count => Value::Int(self.count),
             AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
             AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
@@ -236,7 +239,7 @@ impl Accumulator {
                 if self.count == 0 {
                     Value::Null
                 } else if self.all_int {
-                    Value::Int(self.int_sum)
+                    Value::Int(i64::try_from(self.int_sum).map_err(|_| overflow())?)
                 } else {
                     Value::Float(self.sum)
                 }
@@ -263,7 +266,7 @@ impl Accumulator {
                     }
                 }
             }
-        }
+        })
     }
 }
 
@@ -276,7 +279,7 @@ mod tests {
         for v in vals {
             acc.push(v).unwrap();
         }
-        acc.finish()
+        acc.finish().unwrap()
     }
 
     #[test]
@@ -354,7 +357,7 @@ mod tests {
                     right.push(v).unwrap();
                 }
                 left.merge(&right).unwrap();
-                assert_eq!(left.finish(), serial, "{func:?} distinct={distinct}");
+                assert_eq!(left.finish().unwrap(), serial, "{func:?} distinct={distinct}");
             }
         }
     }
@@ -370,7 +373,7 @@ mod tests {
             right.push(&v).unwrap();
         }
         left.merge(&right).unwrap();
-        assert_eq!(left.finish(), Value::Int(3));
+        assert_eq!(left.finish().unwrap(), Value::Int(3));
     }
 
     #[test]

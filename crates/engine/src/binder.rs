@@ -10,7 +10,8 @@
 use crate::aggregate::{AggCall, AggFunc};
 use crate::cache::QueryCache;
 use crate::catalog::{Catalog, Relation};
-use crate::expr::BoundExpr;
+use crate::expr::{common_type, BoundExpr};
+use crate::functions::ScalarFunc;
 use crate::logical::{LogicalPlan, SortKey};
 use crate::schema::{Column, Schema};
 use crate::value::{DataType, Value};
@@ -126,19 +127,25 @@ impl<'a> Binder<'a> {
                         r.schema().len()
                     )));
                 }
-                // Result schema: left names, unified types, no qualifiers.
+                // Result schema: left names, unified types, no qualifiers;
+                // a side whose column has another type converts it.
+                let typed = |side: &LogicalPlan, i| (!null_only(side, i)).then(|| side.schema().columns[i].ty);
+                let types: Vec<DataType> = (0..l.schema().len())
+                    .map(|i| typed(&l, i).into_iter().chain(typed(&r, i)).reduce(DataType::unify))
+                    .map(|ty| ty.unwrap_or(DataType::Text))
+                    .collect();
                 let columns = l
                     .schema()
                     .columns
                     .iter()
-                    .zip(&r.schema().columns)
-                    .map(|(a, b)| Column::new(a.name.clone(), a.ty.unify(b.ty)))
+                    .zip(&types)
+                    .map(|(c, &ty)| Column::new(c.name.clone(), ty))
                     .collect();
                 Ok(LogicalPlan::SetOp {
                     op: *op,
                     all: *all,
-                    left: Box::new(l),
-                    right: Box::new(r),
+                    left: Box::new(conform(l, &types)),
+                    right: Box::new(conform(r, &types)),
                     schema: Schema::new(columns),
                 })
             }
@@ -221,7 +228,7 @@ impl<'a> Binder<'a> {
             let mut group_cols = Vec::new();
             for g in &select.group_by {
                 let bound = self.bind_expr(g, &from_schema)?;
-                let ty = bound.result_type(&types_of(&from_schema));
+                let ty = bound.result_type(&from_schema.types());
                 let col = match g {
                     Expr::Column(c) => {
                         let idx = from_schema.resolve(c.qualifier.as_deref(), &c.name)?;
@@ -256,7 +263,7 @@ impl<'a> Binder<'a> {
                     [Expr::Wildcard] => (None, DataType::Int),
                     [one] => {
                         let bound = self.bind_expr(one, &from_schema)?;
-                        let ty = bound.result_type(&types_of(&from_schema));
+                        let ty = bound.result_type(&from_schema.types());
                         (Some(bound), ty)
                     }
                     [] => {
@@ -377,9 +384,13 @@ impl<'a> Binder<'a> {
                         .iter()
                         .map(|o| Ok((self.bind_expr(&o.expr, &schema_now)?, o.desc)))
                         .collect::<Result<Vec<_>>>()?;
+                    if let (WinFunc::Lag | WinFunc::Lead, [value, _, default]) = (func, &mut args[..]) {
+                        // The default stands in for the value: they meet.
+                        meet([value, default].into_iter(), &schema_now);
+                    }
                     let arg_ty = args
                         .first()
-                        .map(|a| a.result_type(&types_of(&schema_now)))
+                        .map(|a| a.result_type(&schema_now.types()))
                         .unwrap_or(DataType::Int);
                     new_cols.push(Column::new(
                         Expr::Function(call.clone()).to_string(),
@@ -441,7 +452,7 @@ impl<'a> Binder<'a> {
                 }
                 SelectItem::Expr { expr, alias } => {
                     let bound = self.bind_expr(expr, &bind_schema)?;
-                    let ty = bound.result_type(&types_of(&bind_schema));
+                    let ty = bound.result_type(&bind_schema.types());
                     let col = match (&bound, alias) {
                         (_, Some(a)) => Column::new(a.clone(), ty),
                         (BoundExpr::Column(i), None) => {
@@ -660,7 +671,7 @@ impl<'a> Binder<'a> {
 
     /// Bind a scalar expression over `schema`.
     pub fn bind_expr(&mut self, expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
-        Ok(match expr {
+        let mut bound = match expr {
             Expr::Column(ColumnRef { qualifier, name }) => {
                 if qualifier.as_deref() == Some(POS_MARKER) {
                     BoundExpr::Column(name.parse::<usize>().map_err(|_| {
@@ -787,7 +798,19 @@ impl<'a> Binder<'a> {
                 plan: Box::new(self.bind_subquery(subquery)?),
                 negated: *negated,
             },
-        })
+        };
+        // Values that meet — `CASE` results, `COALESCE` / `ISNULL`
+        // arguments — take their common type.
+        match &mut bound {
+            BoundExpr::Case { branches, else_result, .. } => {
+                meet(branches.iter_mut().map(|(_, v)| v).chain(else_result.as_deref_mut()), schema)
+            }
+            BoundExpr::Func { func: ScalarFunc::Coalesce | ScalarFunc::IsNullFn, args } => {
+                meet(args.iter_mut(), schema)
+            }
+            _ => {}
+        }
+        Ok(bound)
     }
 
     fn bind_subquery(&mut self, q: &Query) -> Result<LogicalPlan> {
@@ -825,7 +848,7 @@ impl<'a> Binder<'a> {
                 call.name
             )));
         }
-        if let Some(func) = crate::functions::ScalarFunc::from_name(&call.name) {
+        if let Some(func) = ScalarFunc::from_name(&call.name) {
             use crate::functions::ScalarFunc::*;
             let mut args = Vec::with_capacity(call.args.len());
             for (i, a) in call.args.iter().enumerate() {
@@ -898,8 +921,55 @@ fn short_name(name: &str) -> String {
     name.rsplit('.').next().unwrap_or(name).to_string()
 }
 
-fn types_of(schema: &Schema) -> Vec<DataType> {
-    schema.columns.iter().map(|c| c.ty).collect()
+/// Where `exprs`, bound over `schema`, meet: each takes their
+/// [`common_type`] by an implicit conversion.
+fn meet<'e>(exprs: impl Iterator<Item = &'e mut BoundExpr>, schema: &Schema) {
+    let (exprs, types): (Vec<_>, _) = (exprs.collect(), schema.types());
+    let ty = common_type(exprs.iter().map(|e| &**e), &types);
+    exprs.into_iter().for_each(|e| convert_implicit(e, ty, &types));
+}
+
+/// The implicit conversion where values meet (SQL Server's
+/// `CONVERT_IMPLICIT`): `e`, over columns of `input_types`, in a strict
+/// CAST to `ty` unless it has that type. The conversions [`common_type`]
+/// asks for — Int to Float, any to Text — cannot fail; a NULL literal
+/// fits any type as it is.
+fn convert_implicit(e: &mut BoundExpr, ty: DataType, input_types: &[DataType]) {
+    if !matches!(e, BoundExpr::Literal(Value::Null)) && e.result_type(input_types) != ty {
+        let expr = Box::new(std::mem::replace(e, BoundExpr::Literal(Value::Null)));
+        *e = BoundExpr::Cast { expr, ty, try_cast: false };
+    }
+}
+
+/// A set-operation side whose columns take `types`: under a projection
+/// converting the columns of other types, when there are any.
+fn conform(side: LogicalPlan, types: &[DataType]) -> LogicalPlan {
+    let input = side.schema().types();
+    if input == types {
+        return side;
+    }
+    let mut exprs: Vec<BoundExpr> = (0..types.len()).map(BoundExpr::Column).collect();
+    exprs.iter_mut().zip(types).for_each(|(e, &ty)| convert_implicit(e, ty, &input));
+    let columns = side.schema().columns.iter().zip(types);
+    let columns = columns.map(|(c, &ty)| Column { ty, ..c.clone() }).collect();
+    LogicalPlan::Project {
+        input: Box::new(side),
+        exprs,
+        schema: Schema::new(columns),
+    }
+}
+
+/// Whether column `i` of a set-operation side can only be NULL (`SELECT
+/// NULL AS c ... UNION ...`): it has no type of its own and takes the
+/// other side's.
+fn null_only(side: &LogicalPlan, i: usize) -> bool {
+    match side {
+        LogicalPlan::Project { exprs, .. } => matches!(exprs[i], BoundExpr::Literal(Value::Null)),
+        LogicalPlan::Distinct { input } | LogicalPlan::Sort { input, .. } => null_only(input, i),
+        LogicalPlan::Top { input, .. } => null_only(input, i),
+        LogicalPlan::SetOp { left, right, .. } => null_only(left, i) && null_only(right, i),
+        _ => false,
+    }
 }
 
 fn bind_type(ty: TypeName) -> DataType {

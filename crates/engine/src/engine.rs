@@ -194,12 +194,20 @@ impl Engine {
         self.vectorized
     }
 
-    /// Run a plan on whichever executor this engine is configured for.
-    fn execute_plan(&self, plan: &PhysicalPlan, guard: &ExecGuard) -> Result<Vec<Row>> {
-        if self.vectorized {
-            crate::vexec::execute(plan, &self.catalog, &self.ctx, guard)
+    /// Run a plan on whichever executor this engine is configured for,
+    /// holding its rows to the binder's contract: every value has its
+    /// column's declared type. A value that does not is a bug, reported
+    /// as an internal error on this query.
+    fn execute_plan(&self, prepared: &PreparedQuery, guard: &ExecGuard) -> Result<Vec<Row>> {
+        let rows = if self.vectorized {
+            crate::vexec::execute(&prepared.plan, &self.catalog, &self.ctx, guard)?
         } else {
-            exec::execute(plan, &self.catalog, &self.ctx, guard)
+            exec::execute(&prepared.plan, &self.catalog, &self.ctx, guard)?
+        };
+        let mut cells = rows.iter().flat_map(|row| row.iter().zip(&prepared.schema.columns));
+        match cells.find(|(v, c)| v.data_type().is_some_and(|ty| ty != c.ty)) {
+            Some((v, c)) => Err(Error::Internal(format!("column '{}' is {} but holds {v:?}", c.name, c.ty))),
+            None => Ok(rows),
         }
     }
 
@@ -511,7 +519,7 @@ impl Engine {
         started: Instant,
     ) -> Result<QueryOutput> {
         let rows = contain(|| {
-            let rows = self.execute_plan(&prepared.plan, guard)?;
+            let rows = self.execute_plan(&prepared, guard)?;
             guard.charge(cache::rows_bytes(&rows))?;
             Ok(rows)
         })?;
@@ -661,7 +669,7 @@ impl Engine {
             });
         }
         let rows = contain(|| {
-            let rows = self.execute_plan(&prepared.plan, guard)?;
+            let rows = self.execute_plan(prepared, guard)?;
             // Result assembly: the gathered output is the query's last
             // allocation; charge it before it can reach the cache.
             guard.charge(cache::rows_bytes(&rows))?;
@@ -723,7 +731,7 @@ impl Engine {
                 return Ok(None);
             }
             Ok(Some(MaterializedView {
-                batch: Arc::new(Batch::from_rows(&rows, prepared.schema.len())),
+                batch: Arc::new(Batch::from_rows(&rows, &prepared.schema.types())),
                 schema: prepared.schema,
                 deps: prepared.deps,
             }))

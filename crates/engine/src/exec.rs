@@ -652,7 +652,7 @@ pub(crate) fn aggregate(
             guard.tick(1)?;
             feed(&mut accs, aggs, row, ctx)?;
         }
-        return Ok(vec![accs.iter().map(Accumulator::finish).collect()]);
+        return Ok(vec![accs.iter().map(Accumulator::finish).collect::<Result<_>>()?]);
     }
     // Keyed grouping: evaluate keys, sort by them, aggregate runs.
     guard.fault(FaultSite::AggMerge)?;
@@ -686,7 +686,9 @@ pub(crate) fn aggregate(
             feed(&mut accs, aggs, row, ctx)?;
         }
         let mut out_row = keyed[i].0.clone();
-        out_row.extend(accs.iter().map(Accumulator::finish));
+        for acc in &accs {
+            out_row.push(acc.finish()?);
+        }
         out.push(out_row);
         i = j;
     }

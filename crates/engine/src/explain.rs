@@ -124,6 +124,7 @@ mod tests {
             columns: vec![("incomes".into(), "income".into())],
             degree_of_parallelism: None,
             batch_mode: false,
+            types: vec![],
             children: vec![],
         }
     }

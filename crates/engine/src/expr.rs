@@ -110,7 +110,7 @@ impl BoundExpr {
                 let v = e.eval(row, ctx)?;
                 match v {
                     Value::Null => Ok(Value::Null),
-                    Value::Int(i) => Ok(Value::Int(-i)),
+                    Value::Int(i) => Ok(Value::Int(i.checked_neg().ok_or_else(overflow)?)),
                     Value::Float(f) => Ok(Value::Float(-f)),
                     other => Err(Error::Execution(format!(
                         "cannot negate '{}'",
@@ -470,11 +470,15 @@ impl BoundExpr {
         matches!(self, BoundExpr::Column(_))
     }
 
-    /// Best-effort result type for schema construction.
+    /// The type of every non-NULL value [`BoundExpr::eval`] returns for
+    /// input columns of `input_types`, each rule mirroring evaluation.
+    /// Where values meet (`CASE`, `COALESCE`, `ISNULL`) the binder has
+    /// converted them to their [`common_type`].
     pub fn result_type(&self, input_types: &[DataType]) -> DataType {
+        use DataType::*;
         match self {
-            BoundExpr::Column(i) => input_types.get(*i).copied().unwrap_or(DataType::Text),
-            BoundExpr::Literal(v) => v.data_type().unwrap_or(DataType::Text),
+            BoundExpr::Column(i) => input_types.get(*i).copied().unwrap_or(Text),
+            BoundExpr::Literal(v) => v.data_type().unwrap_or(Text),
             BoundExpr::Not(_)
             | BoundExpr::IsNull { .. }
             | BoundExpr::InList { .. }
@@ -482,52 +486,57 @@ impl BoundExpr {
             | BoundExpr::Between { .. }
             | BoundExpr::Like { .. }
             | BoundExpr::Exists { .. }
-            | BoundExpr::InSubquery { .. } => DataType::Bool,
+            | BoundExpr::InSubquery { .. } => Bool,
             BoundExpr::Neg(e) => e.result_type(input_types),
-            BoundExpr::Binary { left, op, right } => match op {
-                BinaryOp::And
-                | BinaryOp::Or
-                | BinaryOp::Eq
-                | BinaryOp::NotEq
-                | BinaryOp::Lt
-                | BinaryOp::LtEq
-                | BinaryOp::Gt
-                | BinaryOp::GtEq => DataType::Bool,
-                BinaryOp::Concat => DataType::Text,
-                _ => {
-                    let lt = left.result_type(input_types);
-                    let rt = right.result_type(input_types);
-                    if lt == DataType::Text || rt == DataType::Text {
-                        DataType::Text
-                    } else if lt == DataType::Float || rt == DataType::Float {
-                        DataType::Float
-                    } else if lt == DataType::Date || rt == DataType::Date {
-                        DataType::Date
-                    } else {
-                        DataType::Int
-                    }
+            BoundExpr::Binary { left, op, right } => {
+                use BinaryOp::*;
+                let (lt, rt) = (left.result_type(input_types), right.result_type(input_types));
+                match (lt, op, rt) {
+                    (_, And | Or | Eq | NotEq | Lt | LtEq | Gt | GtEq, _) => Bool,
+                    (_, Concat, _) | (Text, Add, _) | (_, Add, Text) => Text,
+                    (Date, Add | Sub, Int) => Date,
+                    (Date, Sub, Date) | (Int, _, Int) => Int,
+                    _ => Float,
                 }
+            }
+            BoundExpr::Func { func, args } => match func.result_type() {
+                Some(ty) => ty,
+                None if *func == ScalarFunc::NullIf => {
+                    args.first().map_or(Text, |a| a.result_type(input_types))
+                }
+                None => common_type(args, input_types),
             },
-            BoundExpr::Func { func, .. } => func.result_type(),
-            BoundExpr::Udf { .. } => DataType::Float,
+            BoundExpr::Udf { .. } => Float,
             BoundExpr::Case {
                 branches,
                 else_result,
                 ..
-            } => branches
-                .first()
-                .map(|(_, v)| v.result_type(input_types))
-                .or_else(|| else_result.as_ref().map(|e| e.result_type(input_types)))
-                .unwrap_or(DataType::Text),
+            } => common_type(
+                branches.iter().map(|(_, v)| v).chain(else_result.as_deref()),
+                input_types,
+            ),
             BoundExpr::Cast { ty, .. } => *ty,
-            BoundExpr::ScalarSubquery(p) => p
-                .schema()
-                .columns
-                .first()
-                .map(|c| c.ty)
-                .unwrap_or(DataType::Text),
+            BoundExpr::ScalarSubquery(p) => {
+                p.schema().columns.first().map(|c| c.ty).unwrap_or(Text)
+            }
         }
     }
+}
+
+/// Where the values of `exprs` meet (`CASE` results, `COALESCE` and
+/// `ISNULL` arguments, the sides of a set operation), the type they all
+/// take: [`DataType::unify`] over their result types. A NULL literal has
+/// no type of its own and meets any; with nothing else, the type is Text.
+pub fn common_type<'a>(
+    exprs: impl IntoIterator<Item = &'a BoundExpr>,
+    input_types: &[DataType],
+) -> DataType {
+    exprs
+        .into_iter()
+        .filter(|e| !matches!(e, BoundExpr::Literal(Value::Null)))
+        .map(|e| e.result_type(input_types))
+        .reduce(DataType::unify)
+        .unwrap_or(DataType::Text)
 }
 
 impl fmt::Display for BoundExpr {
@@ -749,7 +758,7 @@ fn eval_binary(
     }
 }
 
-fn overflow() -> Error {
+pub(crate) fn overflow() -> Error {
     Error::Execution("integer overflow".into())
 }
 

@@ -173,19 +173,21 @@ impl ScalarFunc {
         }
     }
 
-    /// The result type, given that we only need it for schema inference of
-    /// projections (conservative).
-    pub fn result_type(&self) -> DataType {
+    /// The type of every non-NULL value [`ScalarFunc::eval`] returns;
+    /// `None` for the NULL-handling trio, which return an argument:
+    /// `NULLIF` has its first argument's type, `COALESCE` / `ISNULL` the
+    /// arguments' common type.
+    pub fn result_type(&self) -> Option<DataType> {
         use ScalarFunc::*;
-        match self {
+        Some(match self {
             Upper | Lower | Substring | Replace | Ltrim | Rtrim | Trim | Left | Right
             | Reverse | Concat => DataType::Text,
             Len | Charindex | Patindex | IsNumeric | Sign | Year | Month | Day | Datepart
             | Datediff => DataType::Int,
             Abs | Square | Sqrt | Round | Floor | Ceiling | Power | Exp | Log => DataType::Float,
-            Coalesce | IsNullFn | NullIf => DataType::Text,
+            Coalesce | IsNullFn | NullIf => return None,
             Dateadd | Getdate => DataType::Date,
-        }
+        })
     }
 
     /// Evaluate the function.

@@ -13,8 +13,8 @@
 //! key), bools and dates as their integer, text as a code in the
 //! table's per-column [`TextPool`]. A text column whose dictionary the
 //! pool adopted (the first one it sees — the build side of a join)
-//! contributes its codes unchanged; any other dictionary, and the text
-//! cells of a `Mixed` column, are interned by string.
+//! contributes its codes unchanged; any other dictionary is interned by
+//! string. Every key column has one layout, so a column has one tag.
 //!
 //! **Two equivalences.** Join keys follow `exec::join_key`: a NULL
 //! component keeps the row out of the table and out of every probe, all
@@ -33,7 +33,6 @@
 //! chains are in build-row order, groups are numbered by first
 //! appearance).
 
-use crate::value::Value;
 use crate::vector::{Col, ColumnData};
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
@@ -300,21 +299,6 @@ fn encode(eq: KeyEq, cols: &[Col], len: usize, mut pools: Pools) -> Encoded {
                             trans[c] = pools.code(j, &dict[c]);
                         }
                         put(i, TAG_TEXT, trans[c]);
-                    }
-                }
-            }
-            ColumnData::Mixed(v) => {
-                for i in (0..len).filter(|&i| valid(i)) {
-                    match &v[off + i] {
-                        Value::Null => {}
-                        Value::Bool(b) => put(i, TAG_BOOL, u64::from(*b)),
-                        Value::Int(x) => put(i, TAG_NUM, (*x as f64).to_bits()),
-                        Value::Float(f) => put(i, TAG_NUM, eq.num(*f)),
-                        Value::Date(d) => put(i, TAG_DATE, *d as u32 as u64),
-                        Value::Text(s) => {
-                            let code = pools.code(j, s);
-                            put(i, TAG_TEXT, code);
-                        }
                     }
                 }
             }
@@ -620,13 +604,16 @@ impl JoinTable {
 mod tests {
     use super::*;
     use crate::table::cmp_rows;
-    use crate::value::Row;
-    use crate::vector::{Batch, ColumnVec};
+    use crate::value::{DataType, Row, Value};
+    use crate::vector::Batch;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
+    /// A column typed by its first non-NULL value.
     fn col(values: &[Value]) -> Col {
-        Col::new(ColumnVec::from_values(values))
+        let ty = values.iter().find_map(Value::data_type).unwrap_or(DataType::Int);
+        let rows: Vec<Row> = values.iter().map(|v| vec![v.clone()]).collect();
+        Batch::from_rows(&rows, &[ty]).cols.remove(0)
     }
 
     fn text(s: &str) -> Value {
@@ -657,7 +644,7 @@ mod tests {
     fn join_keys_follow_exec_join_key() {
         let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
         let build = [
-            Value::Int(1),
+            Value::Float(1.0),
             Value::Null,
             Value::Float(f64::NAN),
             Value::Float(0.0),
@@ -669,17 +656,18 @@ mod tests {
             Value::Null,
             Value::Float(nan2),
             Value::Float(-0.0),
-            Value::Int(0),
-            text("1"),
+            Value::Float(0.0),
         ];
         assert_eq!(
             join(&build, &probe),
-            vec![vec![0, 5], vec![], vec![2], vec![4], vec![3], vec![]],
-            "Int(1) = Float(1.0), NULL never joins, NaNs are one key, -0.0 <> 0.0, \
-             text '1' is not the number 1"
+            vec![vec![0, 5], vec![], vec![2], vec![4], vec![3]],
+            "NULL never joins, NaNs are one key, -0.0 <> 0.0"
         );
+        assert_eq!(join(&[Value::Int(1)], &[Value::Float(1.0)]), [[0]], "Int(1) = Float(1.0)");
+        assert_eq!(join(&[Value::Int(1)], &[text("1")]), [[]], "text '1' is not the number 1");
         // The model the encoder mirrors.
-        for (b, p) in build.iter().flat_map(|b| probe.iter().map(move |p| (b, p))) {
+        let values = [&build[..], &probe, &[Value::Int(1), Value::Int(0), text("1")]].concat();
+        for (b, p) in values.iter().flat_map(|b| values.iter().map(move |p| (b, p))) {
             let (b, p) = (std::slice::from_ref(b), std::slice::from_ref(p));
             let same = match (crate::exec::join_key(b), crate::exec::join_key(p)) {
                 (Some(x), Some(y)) => x == y,
@@ -694,7 +682,7 @@ mod tests {
         let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
         let values = [
             Value::Null,
-            Value::Int(1),
+            Value::Float(1.0),
             Value::Float(f64::NAN),
             Value::Float(1.0),
             Value::Null,
@@ -706,12 +694,17 @@ mod tests {
         assert_eq!(
             groups(&values),
             vec![0, 1, 2, 1, 0, 3, 4, 5, 2],
-            "NULL is a group, Int(1) = Float(1.0), NaNs group by payload, -0.0 <> 0.0"
+            "NULL is a group, NaNs group by payload, -0.0 <> 0.0"
         );
+        // Pairs meet in two calls, so an Int column meets a Float one:
+        // Int(1) = Float(1.0).
+        let values = [&values[..], &[Value::Int(1), Value::Int(0)]].concat();
         for (i, a) in values.iter().enumerate() {
             for (j, b) in values.iter().enumerate() {
-                let g = groups(&[a.clone(), b.clone()]);
-                assert_eq!(g[0] == g[1], a.total_eq(b), "values {i} and {j}");
+                let mut t = GroupTable::new(1);
+                let (a1, b1) = (std::slice::from_ref(a), std::slice::from_ref(b));
+                let (ga, gb) = (t.assign(&[col(a1)], 1), t.assign(&[col(b1)], 1));
+                assert_eq!(ga == gb, a.total_eq(b), "values {i} and {j}");
             }
         }
     }
@@ -739,16 +732,16 @@ mod tests {
     fn empty_string_behind_a_leading_null_is_one_key() {
         // The builder seeds a text dictionary with "" as the leading
         // NULL's placeholder; the real "" must share that code, or a ""
-        // from another dictionary (or a `Mixed` cell) finds the
-        // placeholder's code and misses the rows.
+        // from another dictionary finds the placeholder's code and misses
+        // the rows.
         let a = [Value::Null, text(""), text("a")];
         let b = [text(""), text("a")];
         assert_eq!(join(&a, &b), vec![vec![1], vec![2]]);
         assert_eq!(join(&b, &a), vec![vec![], vec![0], vec![1]]);
         assert_eq!(
-            join(&a, &[Value::Int(1), text(""), Value::Null]),
+            join(&a, &[text("b"), text(""), Value::Null]),
             vec![vec![], vec![1], vec![]],
-            "a Mixed probe column interns by string"
+            "a probe dictionary of its own interns by string"
         );
         let mut t = GroupTable::new(1);
         assert_eq!(t.assign(&[col(&a)], 3), vec![0, 1, 2]);
@@ -758,7 +751,8 @@ mod tests {
 
     #[test]
     fn shared_dictionary_codes_are_used_unchanged() {
-        let batch = Batch::from_rows(&[vec![text("x")], vec![text("y")], vec![text("x")]], 1);
+        let batch =
+            Batch::from_rows(&[vec![text("x")], vec![text("y")], vec![text("x")]], &[DataType::Text]);
         let table = JoinTable::build(&batch.cols, 3);
         // Same `Arc`: no string is ever looked up, so no index is built.
         let ids = table.lookup(&batch.slice(1..3).cols, 2);
@@ -767,27 +761,6 @@ mod tests {
             [&[1][..], &[0, 2]]
         );
         assert!(table.table.pools[0].index.get().is_none());
-    }
-
-    #[test]
-    fn mixed_column_encodes_per_cell() {
-        let values = [
-            Value::Int(2),
-            text("2"),
-            Value::Float(2.0),
-            Value::Null,
-            Value::Bool(true),
-            text("2"),
-        ];
-        assert!(matches!(col(&values).vec.data, ColumnData::Mixed(_)));
-        assert_eq!(groups(&values), vec![0, 1, 0, 2, 3, 1]);
-        assert_eq!(
-            join(
-                &values,
-                &[Value::Int(2), text("2"), Value::Null, Value::Int(1)]
-            ),
-            vec![vec![0, 2], vec![1, 5], vec![], vec![]]
-        );
     }
 
     #[test]
@@ -800,13 +773,8 @@ mod tests {
         assert_eq!(ids[31], 1);
         // A key outside the array (and one of another type) moves the
         // table to hashing without renumbering a group.
-        let more = [
-            Value::Int(5),
-            Value::Int(1991),
-            Value::Float(1992.5),
-            Value::Float(1992.0),
-        ];
-        assert_eq!(t.assign(&[col(&more)], 4), vec![30, 1, 31, 2]);
+        assert_eq!(t.assign(&[col(&[Value::Int(5), Value::Int(1991)])], 2), vec![30, 1]);
+        assert_eq!(t.assign(&[col(&[Value::Float(1992.5), Value::Float(1992.0)])], 2), vec![31, 2]);
         assert!(matches!(t.0.index, Index::Hash { .. }));
         let sparse: Vec<Value> = (0..100).map(|i| Value::Int(i * 1_000_003)).collect();
         let mut t = GroupTable::new(1);
@@ -863,9 +831,9 @@ mod tests {
         }
     }
 
-    /// One cell of a key column: typed flavors hit the per-type loops
-    /// (dense and sparse integer domains, dictionary text), flavor 5
-    /// mixes types into a `Mixed` column. About one cell in six is NULL.
+    /// One cell of a key column of the given flavor: every flavor is one
+    /// type's loop (dense and sparse integer domains, floats with NaN and
+    /// -0.0, dictionary text, dates). About one cell in six is NULL.
     fn gen_cell(flavor: u64, domain: u64, r: &mut Rng) -> Value {
         if r.below(6) == 0 {
             return Value::Null;
@@ -883,14 +851,12 @@ mod tests {
             // it in the column it must still be one key.
             3 if x.is_multiple_of(7) => Value::Text(String::new()),
             3 => Value::Text(format!("s{x}")),
-            4 => Value::Date(x as i32 - 10),
-            _ => match x % 4 {
-                0 => Value::Int(x as i64),
-                1 => Value::Float(x as f64),
-                2 => Value::Text(format!("{x}")),
-                _ => Value::Bool(x % 8 == 3),
-            },
+            _ => Value::Date(x as i32 - 10),
         }
+    }
+
+    fn flavor_type(flavor: u64) -> DataType {
+        [DataType::Int, DataType::Int, DataType::Float, DataType::Text, DataType::Date][flavor as usize]
     }
 
     fn gen_keys(r: &mut Rng, flavors: &[u64], domain: u64, n: usize) -> Vec<Row> {
@@ -918,7 +884,8 @@ mod tests {
         #[test]
         fn tables_match_btreemap_model(seed in proptest::any::<u64>()) {
             let mut r = Rng(seed | 1);
-            let flavors: Vec<u64> = (0..1 + r.below(3)).map(|_| r.below(6)).collect();
+            let flavors: Vec<u64> = (0..1 + r.below(3)).map(|_| r.below(5)).collect();
+            let types: Vec<DataType> = flavors.iter().map(|&f| flavor_type(f)).collect();
             // Small domains make duplicates, large ones make the table
             // grow through several resizes.
             let domain = [4, 40, 5000][r.below(3) as usize];
@@ -927,13 +894,14 @@ mod tests {
             let n_probe = r.below(200) as usize;
             let probe = gen_keys(&mut r, &flavors, domain, n_probe);
             let width = flavors.len();
+            let batch = |rows: &[Row]| Batch::from_rows(rows, &types);
 
             // Grouping, fed in two calls: ids follow first appearance.
             let mut model: BTreeMap<K, u32> = BTreeMap::new();
             let mut table = GroupTable::new(width);
             let split = n / 3;
-            let mut got = table.assign(&Batch::from_rows(&build[..split], width).cols, split);
-            got.extend(table.assign(&Batch::from_rows(&build[split..], width).cols, n - split));
+            let mut got = table.assign(&batch(&build[..split]).cols, split);
+            got.extend(table.assign(&batch(&build[split..]).cols, n - split));
             for (key, id) in build.iter().zip(got) {
                 let next = model.len() as u32;
                 prop_assert_eq!(id, *model.entry(K(key.clone())).or_insert(next), "group of {:?}", key);
@@ -947,8 +915,8 @@ mod tests {
                     model.entry(K(k)).or_default().push(i);
                 }
             }
-            let table = JoinTable::build(&Batch::from_rows(&build, width).cols, n);
-            let ids = table.lookup(&Batch::from_rows(&probe, width).cols, probe.len());
+            let table = JoinTable::build(&batch(&build).cols, n);
+            let ids = table.lookup(&batch(&probe).cols, probe.len());
             for (key, id) in probe.iter().zip(ids) {
                 let want = join_norm(key).and_then(|k| model.get(&K(k)).cloned()).unwrap_or_default();
                 let got: Vec<usize> = if id == NO_KEY {

@@ -335,6 +335,7 @@ fn exchange(
         columns: Vec::new(),
         degree_of_parallelism: Some(dop),
         batch_mode: false,
+        types: child.types.clone(),
         children: vec![child],
     }
 }

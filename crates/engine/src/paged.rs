@@ -33,7 +33,7 @@
 //!   is monotone for bytewise order, so truncated bounds still yield a
 //!   superset.
 
-use crate::value::{Row, Value};
+use crate::value::{DataType, Row, Value};
 use sqlshare_common::faults::FaultPlan;
 use sqlshare_common::{Error, Result};
 use sqlshare_storage::{BTree, BufferPool, FsyncPolicy, HeapFile, IoCounter, PoolStats, PAGE_SIZE};
@@ -577,11 +577,13 @@ impl PagedTable {
 
     /// Decode the whole table straight into a column batch, page by
     /// page through the buffer pool (no intermediate `Vec<Row>` of the
-    /// full table). `width` comes from the schema — the heap does not
-    /// record column count, and empty tables still need it.
-    pub fn scan_columnar(&self, width: usize) -> Result<crate::vector::Batch> {
-        let mut builders: Vec<crate::vector::ColumnBuilder> =
-            (0..width).map(|_| crate::vector::ColumnBuilder::new()).collect();
+    /// full table). `types` come from the schema — the heap records
+    /// neither column types nor count, and empty tables still need them.
+    pub fn scan_columnar(&self, types: &[DataType]) -> Result<crate::vector::Batch> {
+        let mut builders: Vec<crate::vector::ColumnBuilder> = types
+            .iter()
+            .map(|&ty| crate::vector::ColumnBuilder::with_capacity(ty, self.row_count))
+            .collect();
         for pg in 0..self.page_offsets.len() {
             for row in self.decode_page(pg)? {
                 for (b, v) in builders.iter_mut().zip(row.iter()) {

@@ -41,7 +41,7 @@ use crate::expr::BoundExpr;
 use crate::faults::FaultSite;
 use crate::functions::EvalContext;
 use crate::physical::{PhysOp, PhysicalPlan};
-use crate::value::Row;
+use crate::value::{DataType, Row};
 use crate::vector::{batch_rows_bytes, Batch, NULL_ROW};
 use crate::vexec::{self, GroupMerger, JoinBuild, JoinSpec, Out};
 use sqlshare_common::{Error, Result};
@@ -77,7 +77,7 @@ pub(crate) fn execute(
                     None => Ok(Out::Rows(rows)),
                 };
             }
-            out => out.into_batch(),
+            out => out.into_batch(&node.types),
         },
     };
     let serial = dop <= 1;
@@ -126,7 +126,7 @@ pub(crate) fn execute(
                 guard,
                 &layer,
             )?;
-            pipeline.drive(at + 1, &vexec::rows_to_batch(&joined), None, dop, ctx, guard)
+            pipeline.drive(at + 1, &Out::Rows(joined).into_batch(spec.types), None, dop, ctx, guard)
         }
     }
 }
@@ -171,6 +171,8 @@ struct ProbeSpec<'a> {
     /// once before anything probes.
     build: &'a PhysicalPlan,
     join: JoinSpec<'a>,
+    /// The join's output types: the probe side's, then the build side's.
+    types: &'a [DataType],
 }
 
 struct AggSpec<'a> {
@@ -219,6 +221,7 @@ impl<'a> Pipeline<'a> {
                     joined = true;
                     ops.push(Op::Probe(ProbeSpec {
                         build: build_child(node)?,
+                        types: &node.types,
                         join: JoinSpec {
                             kind: *kind,
                             left_keys,
@@ -240,6 +243,7 @@ impl<'a> Pipeline<'a> {
                     joined = true;
                     ops.push(Op::Probe(ProbeSpec {
                         build: build_child(node)?,
+                        types: &node.types,
                         join: JoinSpec {
                             kind: JoinKind::Inner,
                             left_keys,
@@ -363,16 +367,15 @@ impl<'a> Pipeline<'a> {
                         Error::Execution("internal: probe without build".into())
                     })?;
                     guard.fault(FaultSite::JoinProbe)?;
-                    let probe = vexec::widen(batch, spec.join.left_width);
-                    let (mut lsel, mut rsel) = build.probe(&probe, &spec.join, ctx, guard)?;
+                    let (mut lsel, mut rsel) = build.probe(&batch, &spec.join, ctx, guard)?;
                     if whole {
                         let tail = build.unmatched();
                         lsel.resize(lsel.len() + tail.len(), NULL_ROW);
                         rsel.extend(tail);
                     }
-                    let width = probe.width() + build.batch.width();
+                    let width = batch.width() + build.batch.width();
                     let live = live.map(|l| vexec::live_mask(l, width));
-                    vexec::combine(&probe, &build.batch, &lsel, &rsel, live.as_deref())
+                    vexec::combine(&batch, &build.batch, &lsel, &rsel, live.as_deref())
                 }
             };
         }
@@ -401,9 +404,9 @@ impl<'a> Pipeline<'a> {
                 None => Out::Batch(out),
                 Some(agg) if agg.group.is_empty() => {
                     let accs = vexec::scalar_partial(&out, agg.aggs, ctx, guard)?;
-                    Out::Rows(vec![accs.iter().map(Accumulator::finish).collect()])
+                    Out::Rows(vec![accs.iter().map(Accumulator::finish).collect::<Result<_>>()?])
                 }
-                Some(agg) => Out::Rows(vexec::group_batch(&out, agg.group, agg.aggs, ctx, guard)?.finish()),
+                Some(agg) => Out::Rows(vexec::group_batch(&out, agg.group, agg.aggs, ctx, guard)?.finish()?),
             });
         }
         let morsel = |range: Range<usize>, g: &ExecGuard| {
@@ -452,7 +455,7 @@ impl<'a> Pipeline<'a> {
                         acc.merge(p)?;
                     }
                 }
-                Ok(Out::Rows(vec![accs.iter().map(Accumulator::finish).collect()]))
+                Ok(Out::Rows(vec![accs.iter().map(Accumulator::finish).collect::<Result<_>>()?]))
             }
             Some(agg) => {
                 let partials = run_morsels(input.len, dop, guard, |_, range, g| {
@@ -465,7 +468,7 @@ impl<'a> Pipeline<'a> {
                 if let Some(tail) = self.tail(join, ctx, guard)? {
                     merger.push(vexec::group_batch(&tail, agg.group, agg.aggs, ctx, guard)?)?;
                 }
-                Ok(Out::Rows(merger.finish()))
+                Ok(Out::Rows(merger.finish()?))
             }
         }
     }
@@ -487,7 +490,7 @@ impl<'a> Pipeline<'a> {
         }
         let (at, spec) = self.probe().expect("a build implies a probe stage");
         guard.tick(rsel.len() as u64)?;
-        let left = vexec::widen(Batch::default(), spec.join.left_width);
+        let left = Out::Rows(Vec::new()).into_batch(&spec.types[..spec.join.left_width]);
         let padded = vexec::combine(&left, &build.batch, &vec![NULL_ROW; rsel.len()], &rsel, None);
         self.run(at + 1..self.ops.len(), padded, None, false, ctx, guard).map(Some)
     }

@@ -153,6 +153,9 @@ pub struct PhysicalPlan {
     /// Whether the vectorized engine executes this operator in batch
     /// mode (EXPLAIN `batchMode: true`).
     pub batch_mode: bool,
+    /// Output column types, the logical schema's (a node that passes
+    /// rows through has its input's): operator rows columnarize as these.
+    pub types: Vec<DataType>,
     pub children: Vec<PhysicalPlan>,
 }
 
@@ -169,6 +172,7 @@ impl PhysicalPlan {
             columns: Vec::new(),
             degree_of_parallelism: None,
             batch_mode: false,
+            types: Vec::new(),
             children: Vec::new(),
         }
     }
@@ -308,7 +312,7 @@ impl Planner<'_> {
     }
 
     fn plan_node(&self, node: &LogicalPlan) -> Result<PhysicalPlan> {
-        match node {
+        let mut planned = match node {
             LogicalPlan::OneRow => Ok(PhysicalPlan::new(
                 PhysOp::ConstantScan,
                 "Constant Scan",
@@ -461,6 +465,7 @@ impl Planner<'_> {
                             "Concatenation",
                             est,
                         );
+                        concat.types = schema.types();
                         concat.children.push(l);
                         concat.children.push(r);
                         if *all {
@@ -509,7 +514,9 @@ impl Planner<'_> {
                     }
                 }
             }
-        }
+        }?;
+        planned.types = node.schema().types();
+        Ok(planned)
     }
 
     fn plan_scan(&self, table: &str, schema: &Schema) -> Result<PhysicalPlan> {
@@ -779,8 +786,7 @@ impl Planner<'_> {
         // sides type to different groups must run as nested loops, where
         // the ON predicate is evaluated exactly; otherwise the choice of
         // join operator (driven by cost estimates) would change results.
-        let left_types: Vec<DataType> = left.schema().columns.iter().map(|c| c.ty).collect();
-        let right_types: Vec<DataType> = right.schema().columns.iter().map(|c| c.ty).collect();
+        let (left_types, right_types) = (left.schema().types(), right.schema().types());
         let keys_hashable = pairs.iter().all(|(lk, rk)| {
             type_group(lk.result_type(&left_types)) == type_group(rk.result_type(&right_types))
         });
@@ -939,6 +945,7 @@ impl Planner<'_> {
                 row_size: lower.est.row_size,
             };
             let mut sort = PhysicalPlan::new(PhysOp::Sort { keys }, "Sort", "Sort", est);
+            sort.types = lower.types.clone();
             sort.children.push(lower);
             lower = sort;
         }
@@ -997,6 +1004,7 @@ impl Planner<'_> {
                 row_size: lower.est.row_size,
             };
             let mut sort = PhysicalPlan::new(PhysOp::Sort { keys }, "Sort", "Sort", est);
+            sort.types = lower.types.clone();
             sort.children.push(lower);
             lower = sort;
         }
@@ -1015,6 +1023,7 @@ impl Planner<'_> {
         for p in &spec.partition_by {
             segment.columns.extend(columns_used(p, input.schema()));
         }
+        segment.types = lower.types.clone();
         segment.children.push(lower);
 
         let mut n = PhysicalPlan::new(

@@ -130,6 +130,11 @@ impl Schema {
         Schema { columns }
     }
 
+    /// Column types in order.
+    pub fn types(&self) -> Vec<DataType> {
+        self.columns.iter().map(|c| c.ty).collect()
+    }
+
     /// Column names in order.
     pub fn names(&self) -> Vec<&str> {
         self.columns.iter().map(|c| c.name.as_str()).collect()

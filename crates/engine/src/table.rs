@@ -17,7 +17,7 @@
 
 use crate::paged::{PagedTable, StorageLayer};
 use crate::schema::Schema;
-use crate::value::{Row, Value};
+use crate::value::{DataType, Row, Value};
 use crate::vector::{Batch, Col};
 use sqlshare_common::Result;
 use std::cmp::Ordering;
@@ -47,16 +47,29 @@ pub struct Table {
 
 impl Table {
     /// Create an in-memory table from rows, clustering them on all
-    /// columns in column order.
-    pub fn new(name: impl Into<String>, schema: Schema, rows: Vec<Row>) -> Self {
-        let batch = Batch::from_rows(&rows, schema.len());
+    /// columns in column order. Rows from outside the engine (a record a
+    /// parent version wrote) may hold cells of other types than their
+    /// column's: it widens to [`DataType::unify`] of them, cells cast.
+    pub fn new(name: impl Into<String>, mut schema: Schema, mut rows: Vec<Row>) -> Self {
+        for (j, col) in schema.columns.iter_mut().enumerate() {
+            col.ty = rows.iter().filter_map(|r| r.get(j)?.data_type()).fold(col.ty, DataType::unify);
+        }
+        let types = schema.types();
+        for row in &mut rows {
+            for (v, &ty) in row.iter_mut().zip(&types) {
+                if v.data_type().is_some_and(|t| t != ty) {
+                    *v = v.cast(ty).expect("a type unify widened to holds every cell");
+                }
+            }
+        }
+        let batch = Batch::from_rows(&rows, &types);
         Self::from_batch(name, schema, batch)
     }
 
     /// Create an in-memory table from its columns (one per schema
     /// column), clustering the rows on all columns in column order.
     pub fn from_batch(name: impl Into<String>, schema: Schema, batch: Batch) -> Self {
-        debug_assert_eq!(batch.width(), schema.len());
+        debug_assert_eq!(batch.types(), schema.types());
         let batch = cluster(batch);
         Table {
             name: name.into(),
@@ -113,7 +126,7 @@ impl Table {
     pub fn batch(&self) -> Result<Batch> {
         match &self.backing {
             Backing::Mem(batch) => Ok((**batch).clone()),
-            Backing::Paged(p) => p.scan_columnar(self.schema.len()),
+            Backing::Paged(p) => p.scan_columnar(&self.schema.types()),
         }
     }
 
@@ -124,7 +137,7 @@ impl Table {
         let n = n.min(self.row_count());
         match &self.backing {
             Backing::Mem(batch) => Ok(batch.slice(0..n)),
-            Backing::Paged(p) => Ok(Batch::from_rows(&p.scan_range(0..n)?, self.schema.len())),
+            Backing::Paged(p) => Ok(Batch::from_rows(&p.scan_range(0..n)?, &self.schema.types())),
         }
     }
 
@@ -143,7 +156,7 @@ impl Table {
             }
             Backing::Paged(p) => {
                 let rows = p.scan_range(p.seek_range(lower, upper)?)?;
-                Ok(Batch::from_rows(&rows, self.schema.len()))
+                Ok(Batch::from_rows(&rows, &self.schema.types()))
             }
         }
     }
@@ -160,7 +173,7 @@ impl Table {
     ) -> Result<Batch> {
         if let Some(p) = self.paged() {
             if let Some(ordinals) = p.secondary_candidates(column, lower, upper)? {
-                return Ok(Batch::from_rows(&p.fetch_rows(&ordinals)?, self.schema.len()));
+                return Ok(Batch::from_rows(&p.fetch_rows(&ordinals)?, &self.schema.types()));
             }
         }
         self.batch()

@@ -6,10 +6,10 @@
 //! `TOP`) and passing columns through projections is zero-copy. The
 //! typed representations mirror the engine's [`Value`] scalar types:
 //! i64, f64, bool, i32 days-since-epoch dates, and dictionary-encoded
-//! strings. A column whose values span more than one non-null type
-//! falls back to `Mixed` (boxed [`Value`]s) so round-tripping a batch
-//! through rows is always byte-exact — the differential oracle demands
-//! it.
+//! strings. A column's schema type *is* its layout: the binder makes
+//! every value an expression produces its column's declared type, a
+//! [`ColumnBuilder`] is created from that type, and no fallback layout
+//! exists — so round-tripping a batch through rows is byte-exact.
 //!
 //! Null semantics: a column may carry a validity [`Bitmap`]; a cleared
 //! bit means SQL `NULL`. Kernels in `vexec` consult validity before
@@ -18,7 +18,7 @@
 
 use crate::hashtable::TextPool;
 use crate::memory;
-use crate::value::{Row, Value};
+use crate::value::{DataType, Row, Value};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -116,9 +116,6 @@ pub enum ColumnData {
     /// [`crate::hashtable`] keys on codes unchanged when both sides
     /// share the `Arc`, and by string otherwise.
     Text { codes: Vec<u32>, dict: Arc<Vec<String>> },
-    /// Heterogeneous fallback: exact `Value`s (covers Int/Float mixes
-    /// and anything else a user table throws at us).
-    Mixed(Vec<Value>),
 }
 
 impl ColumnData {
@@ -129,12 +126,22 @@ impl ColumnData {
             ColumnData::Bool(v) => v.len(),
             ColumnData::Date(v) => v.len(),
             ColumnData::Text { codes, .. } => codes.len(),
-            ColumnData::Mixed(v) => v.len(),
         }
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The type every valid cell of this layout has.
+    pub fn data_type(&self) -> DataType {
+        match self {
+            ColumnData::Int(_) => DataType::Int,
+            ColumnData::Float(_) => DataType::Float,
+            ColumnData::Bool(_) => DataType::Bool,
+            ColumnData::Date(_) => DataType::Date,
+            ColumnData::Text { .. } => DataType::Text,
+        }
     }
 }
 
@@ -171,18 +178,7 @@ impl ColumnVec {
             ColumnData::Bool(v) => Value::Bool(v[i]),
             ColumnData::Date(v) => Value::Date(v[i]),
             ColumnData::Text { codes, dict } => Value::Text(dict[codes[i] as usize].clone()),
-            ColumnData::Mixed(v) => v[i].clone(),
         }
-    }
-
-    /// Build a column from `Value`s, picking the tightest typed layout
-    /// that round-trips exactly (falling back to `Mixed`).
-    pub fn from_values(values: &[Value]) -> Self {
-        let mut builder = ColumnBuilder::new();
-        for v in values {
-            builder.push(v);
-        }
-        builder.finish()
     }
 }
 
@@ -208,23 +204,19 @@ impl Col {
         self.vec.value(self.off + i)
     }
 
-    /// Row `i` borrowed, when it is a text cell (of a text or a `Mixed`
-    /// column).
+    /// Row `i` borrowed, when it is a valid cell of a text column.
     pub fn text(&self, i: usize) -> Option<&str> {
         match &self.vec.data {
-            _ if !self.is_valid(i) => None,
-            ColumnData::Text { codes, dict } => Some(&dict[codes[self.off + i] as usize]),
-            ColumnData::Mixed(v) => match &v[self.off + i] {
-                Value::Text(s) => Some(s),
-                _ => None,
-            },
+            ColumnData::Text { codes, dict } if self.is_valid(i) => {
+                Some(&dict[codes[self.off + i] as usize])
+            }
             _ => None,
         }
     }
 
-    /// A literal broadcast to `len` rows.
-    pub fn broadcast(value: &Value, len: usize) -> Self {
-        let mut b = ColumnBuilder::new();
+    /// A literal of type `ty` broadcast to `len` rows.
+    pub fn broadcast(value: &Value, ty: DataType, len: usize) -> Self {
+        let mut b = ColumnBuilder::with_capacity(ty, len);
         for _ in 0..len {
             b.push(value);
         }
@@ -248,15 +240,19 @@ impl Batch {
         self.cols.len()
     }
 
+    /// The column types, read off the layouts.
+    pub fn types(&self) -> Vec<DataType> {
+        self.cols.iter().map(|c| c.vec.data.data_type()).collect()
+    }
+
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Columnarize rows. `width` covers the empty-table case where the
-    /// column count cannot be inferred from the data.
-    pub fn from_rows(rows: &[Row], width: usize) -> Self {
+    /// Columnarize rows whose columns have the types `types`.
+    pub fn from_rows(rows: &[Row], types: &[DataType]) -> Self {
         let mut builders: Vec<ColumnBuilder> =
-            (0..width).map(|_| ColumnBuilder::with_capacity(rows.len())).collect();
+            types.iter().map(|&ty| ColumnBuilder::with_capacity(ty, rows.len())).collect();
         for row in rows {
             for (b, v) in builders.iter_mut().zip(row.iter()) {
                 b.push(v);
@@ -362,70 +358,47 @@ fn gather_col(col: &Col, sel: &[u32]) -> Col {
             codes: pick(codes, off, sel),
             dict: Arc::clone(dict),
         },
-        ColumnData::Mixed(v) => ColumnData::Mixed(
-            sel.iter()
-                .map(|&i| if i == NULL_ROW { Value::Null } else { v[off + i as usize].clone() })
-                .collect(),
-        ),
     };
     Col::new(ColumnVec { data, validity })
 }
 
-/// Incremental column builder. Starts optimistically typed from the
-/// first non-null value and demotes to `Mixed` when a second type
-/// shows up.
+/// Incremental column builder of one type, fixed when it is created
+/// (from a schema or a `result_type`). Pushing a value of another type
+/// is a bug in whoever typed the column: the builder panics naming both
+/// types, and the engine's containment barrier fails that query alone.
 pub struct ColumnBuilder {
     data: ColumnData,
     validity: Bitmap,
     any_null: bool,
-    /// A text column's strings while it is built; `finish` (or a
-    /// demotion) moves them into `data`.
+    /// A text column's strings while it is built; `finish` moves them
+    /// into `data`.
     text: TextPool,
-    /// Values seen while the column is still all-null (no type chosen).
-    pending_nulls: usize,
-    started: bool,
-    /// Values expected: the typed vectors, the validity bitmap and a
-    /// text column's string index are sized for them once.
-    capacity: usize,
-}
-
-impl Default for ColumnBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ColumnBuilder {
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// A builder for about `rows` values.
-    pub fn with_capacity(rows: usize) -> Self {
+    /// A builder for about `rows` values of type `ty`: the typed vector,
+    /// the validity bitmap and a text column's string index are sized
+    /// for them once.
+    pub fn with_capacity(ty: DataType, rows: usize) -> Self {
+        let data = match ty {
+            DataType::Int => ColumnData::Int(Vec::with_capacity(rows)),
+            DataType::Float => ColumnData::Float(Vec::with_capacity(rows)),
+            DataType::Bool => ColumnData::Bool(Vec::with_capacity(rows)),
+            DataType::Date => ColumnData::Date(Vec::with_capacity(rows)),
+            DataType::Text => ColumnData::Text { codes: Vec::with_capacity(rows), dict: Arc::default() },
+        };
         ColumnBuilder {
-            data: ColumnData::Int(Vec::new()),
+            data,
             validity: Bitmap { words: Vec::with_capacity(rows.div_ceil(64)), len: 0 },
             any_null: false,
-            text: TextPool::new(),
-            pending_nulls: 0,
-            started: false,
-            capacity: rows,
+            text: if ty == DataType::Text { TextPool::with_capacity(rows) } else { TextPool::new() },
         }
     }
 
     pub fn push(&mut self, v: &Value) {
-        if matches!(v, Value::Null) {
-            self.any_null = true;
+        if v.is_null() {
             self.validity.push(false);
-            if self.started {
-                self.push_placeholder();
-            } else {
-                self.pending_nulls += 1;
-            }
-            return;
-        }
-        if !self.started {
-            self.start_with(v);
+            return self.push_null();
         }
         self.validity.push(true);
         match (&mut self.data, v) {
@@ -434,49 +407,23 @@ impl ColumnBuilder {
             (ColumnData::Bool(vec), Value::Bool(b)) => vec.push(*b),
             (ColumnData::Date(vec), Value::Date(d)) => vec.push(*d),
             (ColumnData::Text { codes, .. }, Value::Text(s)) => codes.push(self.text.intern(s)),
-            (ColumnData::Mixed(vec), v) => vec.push(v.clone()),
-            _ => {
-                self.demote();
-                if let ColumnData::Mixed(vec) = &mut self.data {
-                    vec.push(v.clone());
-                }
-            }
+            (data, v) => mismatch(data, v.data_type()),
         }
     }
 
     /// [`ColumnBuilder::push`] of `Value::Text(s)` from a borrowed cell:
-    /// once the column is text, a string already interned allocates
-    /// nothing.
+    /// a string already interned allocates nothing.
     pub fn push_str(&mut self, s: &str) {
-        if let ColumnData::Text { codes, .. } = &mut self.data {
-            self.validity.push(true);
-            return codes.push(self.text.intern(s));
+        self.validity.push(true);
+        match &mut self.data {
+            ColumnData::Text { codes, .. } => codes.push(self.text.intern(s)),
+            data => mismatch(data, Some(DataType::Text)),
         }
-        self.push(&Value::Text(s.to_owned()))
     }
 
-    fn start_with(&mut self, v: &Value) {
-        self.started = true;
-        let n = self.capacity;
-        self.data = match v {
-            Value::Int(_) => ColumnData::Int(Vec::with_capacity(n)),
-            Value::Float(_) => ColumnData::Float(Vec::with_capacity(n)),
-            Value::Bool(_) => ColumnData::Bool(Vec::with_capacity(n)),
-            Value::Date(_) => ColumnData::Date(Vec::with_capacity(n)),
-            Value::Text(_) => {
-                self.text = TextPool::with_capacity(n);
-                ColumnData::Text { codes: Vec::with_capacity(n), dict: Arc::default() }
-            }
-            Value::Null => unreachable!("nulls handled before start_with"),
-        };
-        // Backfill placeholders for the leading nulls.
-        for _ in 0..self.pending_nulls {
-            self.push_placeholder();
-        }
-        self.pending_nulls = 0;
-    }
-
-    fn push_placeholder(&mut self) {
+    /// A NULL's placeholder cell (its validity bit is already clear).
+    fn push_null(&mut self) {
+        self.any_null = true;
         match &mut self.data {
             ColumnData::Int(v) => v.push(0),
             ColumnData::Float(v) => v.push(0.0),
@@ -491,41 +438,26 @@ impl ColumnBuilder {
                 }
                 codes.push(0);
             }
-            ColumnData::Mixed(v) => v.push(Value::Null),
         }
-    }
-
-    /// Rebuild the typed data as `Mixed`, preserving nulls.
-    fn demote(&mut self) {
-        let typed = ColumnVec {
-            data: self.take_data(),
-            validity: Some(self.validity.clone()),
-        };
-        self.data = ColumnData::Mixed((0..typed.len()).map(|i| typed.value(i)).collect());
-    }
-
-    /// The data built so far, a text column's dictionary moved in.
-    fn take_data(&mut self) -> ColumnData {
-        let mut data = std::mem::replace(&mut self.data, ColumnData::Mixed(Vec::new()));
-        if let ColumnData::Text { dict, .. } = &mut data {
-            *dict = Arc::new(std::mem::replace(&mut self.text, TextPool::new()).extra);
-        }
-        data
     }
 
     pub fn finish(mut self) -> ColumnVec {
-        if !self.started {
-            // All-null column: keep the Int placeholder type with an
-            // all-null bitmap.
-            for _ in 0..self.pending_nulls {
-                self.push_placeholder();
-            }
+        if let ColumnData::Text { dict, .. } = &mut self.data {
+            *dict = Arc::new(self.text.extra);
         }
         ColumnVec {
-            data: self.take_data(),
+            data: self.data,
             validity: if self.any_null { Some(self.validity) } else { None },
         }
     }
+}
+
+fn mismatch(data: &ColumnData, got: Option<DataType>) -> ! {
+    panic!(
+        "internal: a {} value pushed to a {} column",
+        got.map_or("NULL", DataType::sql_name),
+        data.data_type().sql_name()
+    )
 }
 
 /// The memory-governor charge for a batch of rows, replicating
@@ -535,7 +467,7 @@ pub fn batch_rows_bytes(batch: &Batch) -> usize {
     let mut total = batch.len * std::mem::size_of::<Row>();
     for col in &batch.cols {
         total += batch.len * std::mem::size_of::<Value>();
-        if let ColumnData::Text { .. } | ColumnData::Mixed(_) = &col.vec.data {
+        if let ColumnData::Text { .. } = &col.vec.data {
             total += (0..batch.len).filter_map(|i| col.text(i)).map(str::len).sum::<usize>();
         }
     }
@@ -551,24 +483,25 @@ pub fn rows_bytes(rows: &[Row]) -> usize {
 mod tests {
     use super::*;
 
-    fn v(values: Vec<Value>) -> ColumnVec {
-        ColumnVec::from_values(&values)
+    fn v(ty: DataType, values: Vec<Value>) -> ColumnVec {
+        let rows: Vec<Row> = values.into_iter().map(|v| vec![v]).collect();
+        Batch::from_rows(&rows, &[ty]).cols[0].vec.as_ref().clone()
     }
 
     #[test]
     fn typed_roundtrip() {
-        let cases: Vec<Vec<Value>> = vec![
-            vec![Value::Int(1), Value::Null, Value::Int(-3)],
-            vec![Value::Float(1.5), Value::Float(f64::NAN), Value::Null],
-            vec![Value::Bool(true), Value::Bool(false)],
-            vec![Value::Date(0), Value::Date(19000), Value::Null],
-            vec![Value::Text("a".into()), Value::Text("b".into()), Value::Text("a".into())],
-            vec![Value::Null, Value::Null],
-            vec![Value::Null, Value::Int(4), Value::Float(2.5)],
-            vec![Value::Int(1), Value::Text("x".into())],
+        let cases: Vec<(DataType, Vec<Value>)> = vec![
+            (DataType::Int, vec![Value::Int(1), Value::Null, Value::Int(-3)]),
+            (DataType::Float, vec![Value::Float(1.5), Value::Float(f64::NAN), Value::Null]),
+            (DataType::Bool, vec![Value::Bool(true), Value::Bool(false)]),
+            (DataType::Date, vec![Value::Date(0), Value::Date(19000), Value::Null]),
+            (DataType::Text, vec![Value::Text("a".into()), Value::Text("b".into()), Value::Text("a".into())]),
+            (DataType::Int, vec![Value::Null, Value::Null]),
+            (DataType::Text, vec![Value::Null, Value::Null]),
         ];
-        for values in cases {
-            let col = v(values.clone());
+        for (ty, values) in cases {
+            let col = v(ty, values.clone());
+            assert_eq!(col.data.data_type(), ty, "the layout is the declared type");
             let back: Vec<Value> = (0..values.len()).map(|i| col.value(i)).collect();
             for (a, b) in values.iter().zip(back.iter()) {
                 // total_eq semantics (NaN == NaN) via PartialEq.
@@ -578,20 +511,17 @@ mod tests {
     }
 
     #[test]
-    fn mixed_numeric_demotes() {
-        let col = v(vec![Value::Int(1), Value::Float(2.5)]);
-        assert!(matches!(col.data, ColumnData::Mixed(_)));
-        assert_eq!(col.value(0), Value::Int(1));
-        assert_eq!(col.value(1), Value::Float(2.5));
+    #[should_panic(expected = "a FLOAT value pushed to a BIGINT column")]
+    fn a_value_of_another_type_is_refused() {
+        v(DataType::Int, vec![Value::Int(1), Value::Float(2.5)]);
     }
 
     #[test]
     fn dictionary_shares_codes() {
-        let col = v(vec![
-            Value::Text("x".into()),
-            Value::Text("y".into()),
-            Value::Text("x".into()),
-        ]);
+        let col = v(
+            DataType::Text,
+            vec![Value::Text("x".into()), Value::Text("y".into()), Value::Text("x".into())],
+        );
         match &col.data {
             ColumnData::Text { codes, dict } => {
                 assert_eq!(dict.len(), 2);
@@ -605,12 +535,15 @@ mod tests {
     fn null_placeholder_shares_its_code_with_the_empty_string() {
         // A leading NULL seeds the dictionary with "" as its
         // placeholder; a real "" later must not take a second entry.
-        let col = v(vec![
-            Value::Null,
-            Value::Text(String::new()),
-            Value::Text("a".into()),
-            Value::Text(String::new()),
-        ]);
+        let col = v(
+            DataType::Text,
+            vec![
+                Value::Null,
+                Value::Text(String::new()),
+                Value::Text("a".into()),
+                Value::Text(String::new()),
+            ],
+        );
         match &col.data {
             ColumnData::Text { codes, dict } => {
                 assert_eq!(**dict, ["", "a"]);
@@ -627,7 +560,7 @@ mod tests {
         let rows: Vec<Row> = (0..10)
             .map(|i| vec![Value::Int(i), Value::Text(format!("r{i}"))])
             .collect();
-        let batch = Batch::from_rows(&rows, 2);
+        let batch = Batch::from_rows(&rows, &[DataType::Int, DataType::Text]);
         assert_eq!(batch.to_rows(), rows);
 
         let slice = batch.slice(3..7);
@@ -644,7 +577,7 @@ mod tests {
             vec![Value::Null, Value::Text("".into()), Value::Float(2.0)],
             vec![Value::Int(3), Value::Null, Value::Float(4.0)],
         ];
-        let batch = Batch::from_rows(&rows, 3);
+        let batch = Batch::from_rows(&rows, &[DataType::Int, DataType::Text, DataType::Float]);
         assert_eq!(batch_rows_bytes(&batch), rows_bytes(&rows));
     }
 
@@ -660,8 +593,9 @@ mod tests {
 
     #[test]
     fn empty_batch_keeps_width() {
-        let batch = Batch::from_rows(&[], 4);
-        assert_eq!(batch.width(), 4);
+        let types = [DataType::Int, DataType::Text, DataType::Date, DataType::Bool];
+        let batch = Batch::from_rows(&[], &types);
+        assert_eq!(batch.types(), types);
         assert!(batch.is_empty());
     }
 }

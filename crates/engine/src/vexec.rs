@@ -50,7 +50,7 @@ use crate::functions::EvalContext;
 use crate::hashtable::{GroupTable, JoinTable};
 use crate::physical::{PhysOp, PhysicalPlan};
 use crate::table::cmp_rows;
-use crate::value::{Row, Value};
+use crate::value::{DataType, Row, Value};
 use crate::vector::{
     batch_rows_bytes, Batch, Bitmap, Col, ColumnBuilder, ColumnData, ColumnVec, BATCH_SIZE, NULL_ROW,
 };
@@ -76,7 +76,7 @@ pub(crate) fn execute_batch(
     ctx: &EvalContext,
     guard: &ExecGuard,
 ) -> Result<Batch> {
-    Ok(exec_node(plan, catalog, ctx, guard)?.into_batch())
+    Ok(exec_node(plan, catalog, ctx, guard)?.into_batch(&plan.types))
 }
 
 /// Intermediate operator output: column batches out of a pipeline, rows
@@ -101,28 +101,13 @@ impl Out {
         }
     }
 
-    pub(crate) fn into_batch(self) -> Batch {
+    /// The output as a batch: where an operator's rows meet a batch
+    /// consumer, they are columnarized as `types`, its output types.
+    pub(crate) fn into_batch(self, types: &[DataType]) -> Batch {
         match self {
             Out::Batch(b) => b,
-            Out::Rows(r) => rows_to_batch(&r),
+            Out::Rows(r) => Batch::from_rows(&r, types),
         }
-    }
-}
-
-/// Columnarize operator output rows (width from the first row; an
-/// empty result has no columns — see [`widen`]).
-pub(crate) fn rows_to_batch(rows: &[Row]) -> Batch {
-    Batch::from_rows(rows, rows.first().map(Row::len).unwrap_or(0))
-}
-
-/// An empty row-shaped result forgets its width; outer joins pad with
-/// it, so restore the planned one.
-pub(crate) fn widen(b: Batch, width: usize) -> Batch {
-    if b.width() < width {
-        debug_assert!(b.is_empty(), "only an empty result can have lost columns");
-        Batch::from_rows(&[], width)
-    } else {
-        b
     }
 }
 
@@ -285,7 +270,7 @@ fn eval_col_partial(expr: &BoundExpr, batch: &Batch, ctx: &EvalContext) -> Parti
         return (col, None);
     }
     let mut scratch = ScratchRow::new(expr, batch);
-    let mut b = ColumnBuilder::new();
+    let mut b = ColumnBuilder::with_capacity(expr.result_type(&batch.types()), batch.len);
     let mut err = None;
     for i in 0..batch.len {
         scratch.load(batch, i);
@@ -379,29 +364,11 @@ fn truth_select(col: &Col, len: usize, base: usize, sel: &mut Vec<u32>) -> Resul
                 }
             }
         }
+        // No other type is boolean: the first valid cell is the error.
         _ => {
-            for i in 0..len {
-                if !col.is_valid(i) {
-                    continue;
-                }
-                match col.value(i) {
-                    Value::Bool(b) => {
-                        if b {
-                            sel.push((base + i) as u32);
-                        }
-                    }
-                    Value::Int(x) => {
-                        if x != 0 {
-                            sel.push((base + i) as u32);
-                        }
-                    }
-                    other => {
-                        return Err(Error::Execution(format!(
-                            "'{}' is not a boolean",
-                            other.to_text()
-                        )))
-                    }
-                }
+            if let Some(i) = (0..len).find(|&i| col.is_valid(i)) {
+                let text = col.value(i).to_text();
+                return Err(Error::Execution(format!("'{text}' is not a boolean")));
             }
         }
     }
@@ -417,7 +384,7 @@ fn eval_kernel(expr: &BoundExpr, batch: &Batch) -> Option<Col> {
     let n = batch.len;
     match expr {
         BoundExpr::Column(i) => batch.cols.get(*i).cloned(),
-        BoundExpr::Literal(v) => Some(Col::broadcast(v, n)),
+        BoundExpr::Literal(v) => Some(Col::broadcast(v, expr.result_type(&[]), n)),
         BoundExpr::Neg(e) => neg_kernel(&eval_kernel(e, batch)?, n),
         BoundExpr::Not(e) => {
             let t = truth_col(&eval_kernel(e, batch)?, n)?;
@@ -492,19 +459,9 @@ fn truth_col(col: &Col, n: usize) -> Option<Vec<Option<bool>>> {
                 out.push(col.is_valid(i).then(|| v[col.off + i] != 0));
             }
         }
-        _ => {
-            for i in 0..n {
-                if !col.is_valid(i) {
-                    out.push(None);
-                    continue;
-                }
-                match col.value(i) {
-                    Value::Bool(b) => out.push(Some(b)),
-                    Value::Int(x) => out.push(Some(x != 0)),
-                    _ => return None,
-                }
-            }
-        }
+        // No other type is boolean: only an all-NULL column is.
+        _ if (0..n).any(|i| col.is_valid(i)) => return None,
+        _ => out.resize(n, None),
     }
     Some(out)
 }
@@ -540,9 +497,10 @@ fn neg_kernel(c: &Col, n: usize) -> Option<Col> {
     let validity = one_validity(c, n);
     match &c.vec.data {
         ColumnData::Int(v) => {
+            // `i64::MIN` has no negation: the replay reports the overflow.
             let data = (0..n)
-                .map(|i| if c.is_valid(i) { -v[c.off + i] } else { 0 })
-                .collect();
+                .map(|i| if c.is_valid(i) { v[c.off + i].checked_neg() } else { Some(0) })
+                .collect::<Option<_>>()?;
             Some(Col::new(ColumnVec {
                 data: ColumnData::Int(data),
                 validity,
@@ -806,10 +764,9 @@ fn valid_count(c: &Col, n: usize) -> usize {
 /// without a chance of error. Kernel success already guarantees
 /// oracle-identical cell values, `COUNT` ignores its input beyond
 /// null-ness, and [`Accumulator::push`] is infallible for `Int`/`Float`
-/// (integer SUM wraps rather than erroring) — so bailing to
-/// [`feed_exact`] (`None`) covers everything else: DISTINCT, text/mixed
-/// numeric feeds (parse errors), and expressions the kernels cannot
-/// compile.
+/// (an integer SUM can only overflow at `finish`) — so bailing to
+/// [`feed_exact`] (`None`) covers everything else: DISTINCT, text
+/// feeds (parse errors), and expressions the kernels cannot compile.
 fn typed_feeds(input: &Batch, aggs: &[AggCall]) -> Option<Vec<Option<Col>>> {
     let mut cols = Vec::with_capacity(aggs.len());
     for a in aggs {
@@ -895,7 +852,8 @@ fn each_number(c: &Col, n: usize, mut f: impl FnMut(usize, Value)) {
 /// Feed `input` row by row, aggregate by aggregate — the oracle's own
 /// loop, so the first argument-evaluation or accumulation error is the
 /// one it reports. The caller passes rows in the order the oracle feeds
-/// them.
+/// them, a group's rows together; like the oracle, a group is finished
+/// (its SUM overflow reported) before the next one is fed.
 fn feed_exact(
     input: &Batch,
     aggs: &[AggCall],
@@ -907,8 +865,12 @@ fn feed_exact(
         .iter()
         .map(|a| a.arg.as_ref().map(|e| eval_col_partial(e, input, ctx)))
         .collect();
+    let n = aggs.len();
     for pos in 0..input.len {
-        let base = gids.map_or(0, |g| g[pos] as usize) * aggs.len();
+        let base = gids.map_or(0, |g| g[pos] as usize) * n;
+        if let Some(prev) = gids.filter(|g| pos > 0 && g[pos - 1] != g[pos]).map(|g| g[pos - 1] as usize) {
+            accs[prev * n..(prev + 1) * n].iter().try_for_each(|a| a.finish().map(drop))?;
+        }
         for (ai, arg) in args.iter_mut().enumerate() {
             let v = match arg {
                 None => Value::Int(1), // COUNT(*)
@@ -949,25 +911,27 @@ pub(crate) struct Groups {
 }
 
 impl Groups {
-    pub(crate) fn finish(self) -> Vec<Row> {
+    pub(crate) fn finish(self) -> Result<Vec<Row>> {
         emit_groups(self.keys.to_rows(), &self.accs)
     }
 }
 
 /// Output rows, groups in `cmp_rows` order like the oracle's sort.
-fn emit_groups(keys: Vec<Row>, accs: &[Accumulator]) -> Vec<Row> {
+fn emit_groups(keys: Vec<Row>, accs: &[Accumulator]) -> Result<Vec<Row>> {
     let na = accs.len() / keys.len().max(1);
     let mut out: Vec<Row> = keys
         .into_iter()
         .enumerate()
         .map(|(g, mut row)| {
-            row.extend(accs[g * na..(g + 1) * na].iter().map(Accumulator::finish));
-            row
+            for acc in &accs[g * na..(g + 1) * na] {
+                row.push(acc.finish()?);
+            }
+            Ok(row)
         })
-        .collect();
+        .collect::<Result<_>>()?;
     // Keys are distinct, so comparing whole rows compares keys.
     out.sort_by(cmp_rows);
-    out
+    Ok(out)
 }
 
 /// Group one input: evaluate keys, number the groups through the hash
@@ -1069,7 +1033,7 @@ impl GroupMerger {
         Ok(())
     }
 
-    pub(crate) fn finish(self) -> Vec<Row> {
+    pub(crate) fn finish(self) -> Result<Vec<Row>> {
         emit_groups(self.keys, &self.accs)
     }
 }
@@ -1102,7 +1066,6 @@ impl JoinBuild {
         ctx: &EvalContext,
         guard: &ExecGuard,
     ) -> Result<JoinBuild> {
-        let right = widen(right, spec.right_width);
         guard.tick(right.len as u64)?;
         let (keys, _, err) = eval_cols(spec.right_keys, &right, ctx);
         if let Some(e) = err {
@@ -1253,7 +1216,7 @@ mod tests {
     //! with nulls are pushed through the filter / comparison /
     //! arithmetic / aggregation kernels and compared against naive
     //! per-row [`BoundExpr::eval`] — the row engine's own code — cell
-    //! by cell and error by error. The generators deliberately mix
+    //! by cell and error by error. The generators deliberately meet
     //! numeric type groups (`Int` × `Float` columns, NaN literals,
     //! numeric and non-numeric text) to cover the seams between
     //! `Value::total_cmp` (the builder/sort order, NaN-last) and
@@ -1279,13 +1242,15 @@ mod tests {
             columns: Vec::new(),
             degree_of_parallelism: None,
             batch_mode: true,
+            types: Vec::new(),
             children,
         }
     }
 
     /// A leaf handing `batch`'s rows to the operator above it.
     fn leaf(batch: &Batch) -> PhysicalPlan {
-        node(PhysOp::CachedScan { name: "t".into(), batch: Arc::new(batch.clone()) }, Vec::new())
+        let op = PhysOp::CachedScan { name: "t".into(), batch: Arc::new(batch.clone()) };
+        PhysicalPlan { types: batch.types(), ..node(op, Vec::new()) }
     }
 
     /// A Hash Match over two inputs, run as the serial executor runs it.
@@ -1356,14 +1321,13 @@ mod tests {
         }
     }
 
-    /// One cell of a column with the given flavor (typed columns hit
-    /// the tight per-type loops; the mixed flavor forces the
-    /// `ColumnData::Mixed` fallback) with a ~1-in-5 null rate.
+    /// One cell of a column of the given flavor, one per type, with a
+    /// ~1-in-5 null rate.
     fn gen_cell(flavor: u8, r: &mut Rng) -> Value {
         if r.below(5) == 0 {
             return Value::Null;
         }
-        match flavor % 6 {
+        match flavor {
             0 => Value::Int(r.below(13) as i64 - 6),
             1 => {
                 if r.below(10) == 0 {
@@ -1374,15 +1338,17 @@ mod tests {
             }
             2 => Value::Text(["x", "y", "7", "-3", ""][r.below(5) as usize].into()),
             3 => Value::Date(r.below(300) as i32),
-            4 => Value::Bool(r.below(2) == 1),
-            _ => gen_value(r),
+            _ => Value::Bool(r.below(2) == 1),
         }
     }
+
+    const FLAVOR_TYPES: [DataType; 5] =
+        [DataType::Int, DataType::Float, DataType::Text, DataType::Date, DataType::Bool];
 
     fn gen_batch(r: &mut Rng) -> Batch {
         let width = 1 + r.below(3) as usize;
         let n = r.below(40) as usize;
-        let flavors: Vec<u8> = (0..width).map(|_| r.below(6) as u8).collect();
+        let flavors: Vec<u8> = (0..width).map(|_| r.below(5) as u8).collect();
         let mut rows: Vec<Row> = (0..n)
             .map(|_| flavors.iter().map(|&f| gen_cell(f, r)).collect())
             .collect();
@@ -1393,7 +1359,8 @@ mod tests {
         if n > 0 && r.below(3) == 0 {
             rows[0] = vec![Value::Null; width];
         }
-        Batch::from_rows(&rows, width)
+        let types: Vec<DataType> = flavors.iter().map(|&f| FLAVOR_TYPES[f as usize]).collect();
+        Batch::from_rows(&rows, &types)
     }
 
     /// A random expression over the batch's columns. Covers every
@@ -1445,7 +1412,7 @@ mod tests {
         let rows: Vec<Row> = (0..200)
             .map(|i| vec![Value::Int(i % 7), Value::Text(format!("t{}", i % 5))])
             .collect();
-        let batch = Batch::from_rows(&rows, 2);
+        let batch = Batch::from_rows(&rows, &[DataType::Int, DataType::Text]);
         let key = [BoundExpr::Column(0)];
 
         let spec = JoinSpec {

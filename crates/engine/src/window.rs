@@ -241,7 +241,7 @@ fn compute_one(
                     };
                     acc.push(&v)?;
                 }
-                let v = acc.finish();
+                let v = acc.finish()?;
                 for _ in 0..n {
                     out.push(v.clone());
                 }
@@ -265,7 +265,7 @@ fn compute_one(
                         };
                         acc.push(&v)?;
                     }
-                    let v = acc.finish();
+                    let v = acc.finish()?;
                     for _ in i..j {
                         out.push(v.clone());
                     }

@@ -153,8 +153,8 @@ fn an_in_memory_table_is_stored_once_as_its_columns() {
         assert!(!table.contains(name), "table.rs holds `{name}`");
     }
     // Outside their tests, the batch executors columnarize rows only
-    // where an operator's row output meets a batch consumer; tables and
-    // pinned views already are batches.
+    // where an operator's row output meets a batch consumer
+    // (`Out::into_batch`); tables and pinned views already are batches.
     for (file, source) in [
         ("vexec.rs", include_str!("../src/vexec.rs")),
         ("parallel.rs", include_str!("../src/parallel.rs")),
@@ -164,8 +164,21 @@ fn an_in_memory_table_is_stored_once_as_its_columns() {
             let head = &code[..at];
             let decl = &head[head.rfind("fn ").unwrap() + 3..];
             let site = decl.split(|c: char| !c.is_alphanumeric() && c != '_').next().unwrap();
-            let boundary = ["rows_to_batch", "widen"].contains(&site);
-            assert!(boundary, "{file}: `Batch::from_rows` in `{site}`");
+            assert_eq!(site, "into_batch", "{file}: `Batch::from_rows` in `{site}`");
+        }
+    }
+}
+
+#[test]
+fn a_column_has_one_layout_its_type() {
+    // The binder types every value, builders are made from that type:
+    // there is no heterogeneous layout to fall back to or demote into.
+    for (file, source) in [
+        ("vector.rs", include_str!("../src/vector.rs")),
+        ("hashtable.rs", include_str!("../src/hashtable.rs")),
+    ] {
+        for name in ["Mixed", "demote"] {
+            assert!(!source.contains(name), "{file} names `{name}`");
         }
     }
 }

@@ -713,3 +713,123 @@ mod cancellation {
         assert_eq!(err.kind(), "timeout");
     }
 }
+
+/// `t(x INT, s TEXT)` and `d(k TEXT, name TEXT)`: a union of `x` and `s`
+/// is a text column, whichever operator reads it.
+fn union_engine() -> Engine {
+    let mut e = mode().engine();
+    e.create_table(Table::new(
+        "t",
+        Schema::from_pairs([("x", DataType::Int), ("s", DataType::Text)]),
+        vec![vec![i(3), t("a")], vec![i(4), t("b")]],
+    ))
+    .unwrap();
+    e.create_table(Table::new(
+        "d",
+        Schema::from_pairs([("k", DataType::Text), ("name", DataType::Text)]),
+        vec![vec![t("3"), t("three")], vec![t("a"), t("A")]],
+    ))
+    .unwrap();
+    e
+}
+
+fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+    rows.sort_by(sqlshare_engine::table::cmp_rows);
+    rows
+}
+
+#[test]
+fn a_union_column_has_one_type_whatever_the_plan() {
+    // A hash join used to meet the text '3' with the integer 3 nowhere,
+    // while nested loops compared them as text: the answer followed the
+    // join's spelling.
+    let e = union_engine();
+    let u = "(SELECT x AS k FROM t UNION ALL SELECT s FROM t) AS u";
+    let want = vec![vec![t("3"), t("three")], vec![t("a"), t("A")]];
+    for sql in [
+        format!("SELECT u.k, d.name FROM {u} JOIN d ON u.k = d.k"),
+        format!("SELECT u.k, d.name FROM {u}, d WHERE u.k = d.k"),
+    ] {
+        let out = e.run(&sql).unwrap();
+        assert_eq!(out.schema.types(), [DataType::Text, DataType::Text], "{sql}");
+        assert_eq!(sorted(out.rows), want, "{sql}");
+    }
+    // 3 and '3' are one group.
+    let out = e
+        .run("SELECT k, COUNT(*) FROM (SELECT x AS k FROM t UNION ALL SELECT '3' FROM t) AS g GROUP BY k")
+        .unwrap();
+    assert_eq!(out.rows, vec![vec![t("3"), i(3)], vec![t("4"), i(1)]]);
+}
+
+#[test]
+fn where_types_meet_the_values_take_the_common_type() {
+    let e = engine();
+    // CASE and COALESCE over Int and Float branches are Float; a NULL
+    // branch has no type of its own.
+    let out = e
+        .run(
+            "SELECT CASE WHEN station > 1 THEN station ELSE depth END, \
+             COALESCE(station, depth), CASE WHEN station = 1 THEN NULL ELSE station END \
+             FROM samples WHERE depth = 5.0",
+        )
+        .unwrap();
+    assert_eq!(out.schema.types(), [DataType::Float, DataType::Float, DataType::Int]);
+    assert_eq!(
+        out.rows,
+        vec![vec![f(5.0), f(1.0), Value::Null], vec![f(2.0), f(2.0), i(2)], vec![f(3.0), f(3.0), i(3)]]
+    );
+    // NULLIF has its first argument's type, so integer division stays
+    // integral.
+    let out = e.run("SELECT station / NULLIF(station, 2) FROM samples WHERE depth = 5.0").unwrap();
+    assert_eq!(out.schema.types(), [DataType::Int]);
+    assert_eq!(out.rows, vec![vec![i(1)], vec![Value::Null], vec![i(1)]]);
+}
+
+/// `big(x)`: the extreme integers.
+fn extremes_engine() -> Engine {
+    let mut e = mode().engine();
+    e.create_table(Table::new(
+        "big",
+        Schema::from_pairs([("x", DataType::Int)]),
+        vec![vec![i(i64::MIN)], vec![i(i64::MAX)]],
+    ))
+    .unwrap();
+    e
+}
+
+#[test]
+fn negating_the_smallest_integer_overflows() {
+    let e = extremes_engine();
+    let err = e.run("SELECT -x FROM big").unwrap_err();
+    assert_eq!(err.message(), "integer overflow", "{err}");
+    let out = e.run("SELECT -x FROM big WHERE x > 0").unwrap();
+    assert_eq!(out.rows, vec![vec![i(-i64::MAX)]]);
+}
+
+#[test]
+fn an_integer_sum_that_leaves_bigint_overflows() {
+    // i64::MAX plus 4,999 ones, over a few morsels, and a -4,999 that
+    // brings the total back.
+    let mut e = mode().engine();
+    let rows = std::iter::once(vec![i(0), i(i64::MAX)])
+        .chain((1..5000).map(|n| vec![i(n % 3), i(1)]))
+        .chain([vec![i(1), i(-4999)]])
+        .collect();
+    e.create_table(Table::new(
+        "ones",
+        Schema::from_pairs([("g", DataType::Int), ("x", DataType::Int)]),
+        rows,
+    ))
+    .unwrap();
+    for sql in [
+        "SELECT SUM(x) FROM ones WHERE x > 0",
+        "SELECT g, SUM(x) FROM ones WHERE x > 0 GROUP BY g",
+        "SELECT g, SUM(x) OVER (PARTITION BY g) FROM ones WHERE x > 0",
+    ] {
+        let err = e.run(sql).unwrap_err();
+        assert_eq!(err.message(), "integer overflow", "{sql}: {err}");
+    }
+    // A total back inside BIGINT is no overflow, however the rows meet.
+    let out = e.run("SELECT SUM(x) FROM ones").unwrap();
+    assert_eq!(out.rows, vec![vec![i(i64::MAX)]]);
+}

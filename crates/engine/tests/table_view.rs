@@ -46,10 +46,10 @@ fn leading_range(rows: &[Row], lower: Bound<&Value>, upper: Bound<&Value>) -> Ra
     }
 }
 
-/// Every reader of `Table::new(rows)` against `rows` sorted by
-/// `cmp_rows`; seeks are bounded by each of `probes`.
-fn assert_view(width: usize, rows: Vec<Row>, probes: &[Value]) {
-    let schema = Schema::from_pairs((0..width).map(|i| (format!("c{i}"), DataType::Text)));
+/// Every reader of `Table::new(rows)`, columns of `types`, against
+/// `rows` sorted by `cmp_rows`; seeks are bounded by each of `probes`.
+fn assert_view(types: &[DataType], rows: Vec<Row>, probes: &[Value]) {
+    let schema = Schema::from_pairs(types.iter().enumerate().map(|(i, &ty)| (format!("c{i}"), ty)));
     let mut want = rows.clone();
     want.sort_by(cmp_rows);
     let table = Table::new("t", schema, rows);
@@ -76,13 +76,17 @@ fn assert_view(width: usize, rows: Vec<Row>, probes: &[Value]) {
 
 const TWO_53: i64 = 1 << 53;
 
-/// The boundary values of each column flavor: integers at the ends of
-/// `i64` and above 2^53 where neighbours share an `f64` image, floats
-/// with distinct NaN payloads and both zeros, text with `""`, dates,
-/// booleans, an Int/Float mix, and nothing at all.
-fn pool(flavor: usize) -> Vec<Value> {
+/// The type and boundary values of each column flavor: integers at the
+/// ends of `i64` and above 2^53 where neighbours share an `f64` image,
+/// floats with distinct NaN payloads and both zeros, text with `""`,
+/// dates, booleans, and nothing at all.
+fn pool(flavor: usize) -> (DataType, Vec<Value>) {
     let nan = |bits: u64| Value::Float(f64::from_bits(bits));
-    match flavor {
+    let ty = [DataType::Int, DataType::Float, DataType::Text, DataType::Date, DataType::Bool]
+        .get(flavor)
+        .copied()
+        .unwrap_or(DataType::Int);
+    let values = match flavor {
         0 => vec![
             Value::Int(i64::MIN),
             Value::Int(i64::MAX),
@@ -113,17 +117,9 @@ fn pool(flavor: usize) -> Vec<Value> {
         ],
         3 => vec![Value::Date(-1), Value::Date(0), Value::Date(19_000), Value::Null],
         4 => vec![Value::Bool(false), Value::Bool(true), Value::Null],
-        5 => vec![
-            Value::Int(0),
-            Value::Float(-0.0),
-            Value::Int(1),
-            Value::Float(1.0),
-            Value::Int(TWO_53 + 1),
-            Value::Float(TWO_53 as f64),
-            Value::Null,
-        ],
         _ => vec![Value::Null],
-    }
+    };
+    (ty, values)
 }
 
 #[test]
@@ -132,7 +128,7 @@ fn boundary_tables_read_as_their_sorted_rows() {
     // `''` behind a leading NULL: the dictionary's placeholder and the
     // real empty string share one code.
     assert_view(
-        2,
+        &[DataType::Text, DataType::Int],
         vec![
             vec![Value::Null, Value::Int(3)],
             vec![text(""), Value::Int(2)],
@@ -145,7 +141,7 @@ fn boundary_tables_read_as_their_sorted_rows() {
     // column: the second column orders them, and where it ties too they
     // keep their input order. Comparing the `i64`s would get both wrong.
     assert_view(
-        2,
+        &[DataType::Int, DataType::Int],
         vec![
             vec![Value::Int(TWO_53 + 1), Value::Int(7)],
             vec![Value::Int(TWO_53), Value::Int(7)],
@@ -156,13 +152,41 @@ fn boundary_tables_read_as_their_sorted_rows() {
         ],
         &[Value::Int(TWO_53), Value::Int(TWO_53 + 1), Value::Float(TWO_53 as f64)],
     );
-    // An all-NULL column and a Mixed Int/Float one.
-    assert_view(2, (0..5).map(|i| vec![Value::Null, pool(5)[i].clone()]).collect(), &[Value::Null]);
-    assert_view(2, (0..7).rev().map(|i| vec![pool(5)[i].clone(), Value::Null]).collect(), &pool(5));
+    // An all-NULL column beside a Float one, leading and trailing.
+    let (_, floats) = pool(1);
+    let nulls_first = floats.iter().map(|v| vec![Value::Null, v.clone()]).collect();
+    assert_view(&[DataType::Text, DataType::Float], nulls_first, &[Value::Null]);
+    let nulls_last = floats.iter().rev().map(|v| vec![v.clone(), Value::Null]).collect();
+    assert_view(&[DataType::Float, DataType::Text], nulls_last, &floats);
     // NaN payloads and signed zeros.
-    assert_view(1, pool(1).into_iter().rev().map(|v| vec![v]).collect(), &pool(1));
+    assert_view(&[DataType::Float], floats.iter().rev().map(|v| vec![v.clone()]).collect(), &floats);
     // The empty table.
-    assert_view(3, Vec::new(), &[Value::Int(0)]);
+    assert_view(&[DataType::Int, DataType::Text, DataType::Date], Vec::new(), &[Value::Int(0)]);
+}
+
+#[test]
+fn cells_of_other_types_widen_their_column() {
+    // Rows from outside the engine (a parent version's record) may hold
+    // cells the declared type does not: the column widens to `unify` of
+    // them all and every cell is cast to it.
+    let schema =
+        Schema::from_pairs([("n", DataType::Int), ("s", DataType::Int), ("d", DataType::Date)]);
+    let t = |s: &str| Value::Text(s.into());
+    let rows = vec![
+        vec![Value::Int(2), Value::Int(10), Value::Date(0)],
+        vec![Value::Float(0.5), t("9"), Value::Null],
+    ];
+    let table = Table::new("t", schema, rows);
+    assert_eq!(table.schema.types(), [DataType::Float, DataType::Text, DataType::Date]);
+    let batch = table.batch().unwrap();
+    assert_eq!(batch.types(), table.schema.types());
+    assert_eq!(
+        batch.to_rows(),
+        vec![
+            vec![Value::Float(0.5), t("9"), Value::Null],
+            vec![Value::Float(2.0), t("10"), Value::Date(0)],
+        ]
+    );
 }
 
 proptest! {
@@ -170,16 +194,16 @@ proptest! {
 
     #[test]
     fn a_table_reads_as_its_rows_sorted_by_cmp_rows(
-        flavors in proptest::collection::vec(0usize..7, 1..4),
+        flavors in proptest::collection::vec(0usize..6, 1..4),
         picks in proptest::collection::vec(0usize..64, 0..120),
     ) {
         let width = flavors.len();
-        let pools: Vec<Vec<Value>> = flavors.iter().map(|&f| pool(f)).collect();
+        let (types, pools): (Vec<DataType>, Vec<Vec<Value>>) = flavors.iter().map(|&f| pool(f)).unzip();
         let rows: Vec<Row> = picks
             .chunks(width)
             .filter(|c| c.len() == width)
             .map(|c| c.iter().zip(&pools).map(|(&p, pool)| pool[p % pool.len()].clone()).collect())
             .collect();
-        assert_view(width, rows, &pools[0]);
+        assert_view(&types, rows, &pools[0]);
     }
 }

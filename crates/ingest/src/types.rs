@@ -60,7 +60,7 @@ pub fn convert_columns<S: AsRef<str>>(
     let mut types = inferred.to_vec();
     let mut reverted = Vec::new();
     let build = |col: usize, ty: DataType| {
-        let mut builder = ColumnBuilder::with_capacity(records.len());
+        let mut builder = ColumnBuilder::with_capacity(ty, records.len());
         let converted = records.iter().all(|record| push_cell(&mut builder, record, col, ty));
         converted.then(|| Col::new(builder.finish()))
     };

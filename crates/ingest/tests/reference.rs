@@ -442,7 +442,6 @@ mod oracle {
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqlshare_engine::vector::ColumnData;
 use sqlshare_ingest::{ingest_text, HeaderMode, IngestOptions};
 use sqlshare_wlgen::tables::{generate_csv, Dirtiness};
 
@@ -465,10 +464,8 @@ fn assert_same(content: &str, options: &IngestOptions) {
             );
             let want_bytes: usize = want_rows.iter().flatten().map(|v| v.estimated_size()).sum();
             assert_eq!(table.estimated_bytes(), want_bytes);
-            // Every column is typed by the schema: ingest never falls back
-            // to the heterogeneous layout.
-            let columns = table.batch().unwrap().cols;
-            assert!(columns.iter().all(|c| !matches!(c.vec.data, ColumnData::Mixed(_))));
+            // Every column's layout is its schema type.
+            assert_eq!(table.batch().unwrap().types(), table.schema.types());
         }
         (Err(e), Err(want)) => assert_eq!(e.to_string(), want.to_string(), "{content:?}"),
         (new, old) => panic!(

@@ -73,8 +73,21 @@ impl Mode {
 /// [`MODES`] (module names cannot be computed from a `const`).
 macro_rules! in_every_mode {
     ($file:literal) => {
-        in_every_mode!($file: default dop1 dop4_forced cache_off row paged);
+        in_modes!($file: default dop1 dop4_forced cache_off row paged);
+
+        #[test]
+        fn every_mode_is_instantiated() {
+            assert_eq!(
+                crate::modes::MODES.map(|m| m.name),
+                ["default", "dop1", "dop4_forced", "cache_off", "row", "paged"]
+            );
+        }
     };
+}
+
+/// `in_modes!("suite/cases.rs": dop1 row)`: the file's tests once per
+/// listed mode, each copy in a module named after it.
+macro_rules! in_modes {
     ($file:literal: $($mode:ident)*) => {
         $(mod $mode {
             fn mode() -> &'static crate::modes::Mode {
@@ -82,10 +95,5 @@ macro_rules! in_every_mode {
             }
             include!($file);
         })*
-
-        #[test]
-        fn every_mode_is_instantiated() {
-            assert_eq!(crate::modes::MODES.map(|m| m.name), [$(stringify!($mode)),*]);
-        }
     };
 }
