@@ -580,6 +580,7 @@ pub fn parallelism(_wb: &Workbench) -> String {
     const DIM_ROWS: i64 = 500;
 
     let mut engine = Engine::new();
+    engine.set_max_dop(4);
     // Median-of-5 reruns must time the morsel executor, not the result
     // cache: a repeat that short-circuits to cached rows would report a
     // fake DOP speedup.
@@ -662,7 +663,7 @@ pub fn parallelism(_wb: &Workbench) -> String {
         assert_eq!(
             engine.plan_dop(sql),
             4,
-            "{label} must plan parallel at the default DOP cap"
+            "{label} must plan parallel at a DOP cap of 4"
         );
         let (t1, rows) = time_at(&engine, sql, 1);
         let (t2, _) = time_at(&engine, sql, 2);

@@ -44,7 +44,6 @@ pub use querylog::{Outcome, QueryLog, QueryLogEntry};
 pub use repl::{AckMode, ReplApply, ReplConfig, Role};
 pub use service::{JobStatus, QueryJob, QueryResult, SqlShare};
 pub use sqlshare_engine::cache::{DEFAULT_HOT_VIEW_THRESHOLD, DEFAULT_RESULT_CACHE_MB};
-pub use sqlshare_engine::engine::DEFAULT_MAX_DOP;
 pub use sqlshare_engine::paged::DEFAULT_POOL_MB;
 pub use sqlshare_engine::{Engine, StorageLayer};
 pub use sqlshare_scheduler::{SchedulerConfig, SchedulerStats, TenantStats};

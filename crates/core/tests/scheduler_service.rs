@@ -325,7 +325,7 @@ fn cancelled_dop4_hash_join_releases_all_slots_promptly() {
     assert_eq!(stats.totals.cancelled, 1);
     assert_eq!(stats.totals.running, 0);
     assert_eq!(stats.totals.running_slots, 0, "cancelled job leaked slots");
-    assert_eq!(s.scheduler().free_slots(), stats.slots);
+    assert_eq!(s.scheduler().free_slots(), stats.workers);
 }
 
 /// A job cancelled while its retry-at-DOP-1 is in flight must end
@@ -368,7 +368,7 @@ fn cancel_during_degraded_retry_ends_cancelled() {
     assert_eq!(stats.totals.completed, 0);
     assert_eq!(stats.totals.degraded_retries, 1);
     assert_eq!(stats.totals.running_slots, 0);
-    assert_eq!(s.scheduler().free_slots(), stats.slots, "slots leaked");
+    assert_eq!(s.scheduler().free_slots(), stats.workers, "slots leaked");
     // The cancelled retry is logged with its failure class and flag.
     let log = s.log();
     let last = log.entries().last().unwrap();
@@ -405,7 +405,7 @@ fn memory_killed_query_does_not_take_down_other_tenants() {
     assert_eq!(stats.tenants["ada"].failed_resource, 1);
     assert_eq!(stats.tenants["ada"].degraded_retries, 1);
     assert_eq!(stats.tenants["bob"].completed, 1);
-    assert_eq!(s.scheduler().free_slots(), stats.slots, "slots leaked");
+    assert_eq!(s.scheduler().free_slots(), stats.workers, "slots leaked");
 }
 
 /// An injected panic inside a parallel worker at DOP 4 fails only its
@@ -436,7 +436,7 @@ fn worker_panic_at_dop4_fails_one_job_and_service_survives() {
     assert_eq!(stats.totals.failed, 1);
     assert_eq!(stats.tenants["ada"].failed_internal, 1);
     assert_eq!(stats.totals.running_slots, 0);
-    assert_eq!(s.scheduler().free_slots(), stats.slots, "panicked job leaked slots");
+    assert_eq!(s.scheduler().free_slots(), stats.workers, "panicked job leaked slots");
 
     // The process kept serving: clear the plan and run again.
     s.set_fault_plan(None);

@@ -25,9 +25,6 @@ use sqlshare_sql::parser::{parse_query, parse_statement};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default cap on per-query parallelism (like `MAXDOP`).
-pub const DEFAULT_MAX_DOP: usize = 4;
-
 /// Run `f`, converting any panic it leaks into [`Error::Internal`] — the
 /// containment barrier that turns one query's bug (or injected chaos
 /// panic) into a per-query failure instead of a process abort.
@@ -74,15 +71,13 @@ impl QueryOutput {
 pub struct Engine {
     catalog: Catalog,
     ctx: EvalContext,
-    /// Upper bound on per-query parallelism; 1 disables the parallel
-    /// executor entirely.
+    /// Upper bound on per-query parallelism, and so on the worker
+    /// threads a parallel region runs; 1 disables the parallel executor
+    /// entirely.
     max_dop: usize,
     /// Plan cost above which the optimizer considers DOP > 1. Zero or
     /// negative forces parallelism on every eligible plan (test hook).
     parallel_threshold: f64,
-    /// OS worker-thread cap for parallel regions (the physical side of
-    /// DOP); carried on every [`ExecGuard`] this engine creates.
-    exec_threads: usize,
     /// Whether queries execute on the vectorized engine
     /// ([`crate::vexec`]); off selects the row interpreter
     /// ([`crate::exec`]), the correctness oracle.
@@ -149,18 +144,18 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An empty engine with the default configuration: DOP cap
-    /// [`DEFAULT_MAX_DOP`], one worker thread per hardware thread, the
-    /// vectorized executor, a [`QueryCache::default`] cache, no memory
-    /// limits, no fault plan, in-memory tables. Everything else is set
-    /// by the caller through the setters below.
+    /// An empty engine with the default configuration: a DOP cap of the
+    /// CPUs this process may run on ([`exec::hardware_threads`],
+    /// measured here once), the vectorized executor, a
+    /// [`QueryCache::default`] cache, no memory limits, no fault plan,
+    /// in-memory tables. Everything else is set by the caller through
+    /// the setters below.
     pub fn new() -> Self {
         Engine {
             catalog: Catalog::new(),
             ctx: EvalContext::default(),
-            max_dop: DEFAULT_MAX_DOP,
+            max_dop: exec::hardware_threads(),
             parallel_threshold: crate::cost::PARALLELISM_COST_THRESHOLD,
-            exec_threads: exec::hardware_threads(),
             vectorized: true,
             cache: Arc::new(QueryCache::default()),
             query_mem_bytes: memory::UNLIMITED,
@@ -170,16 +165,11 @@ impl Engine {
         }
     }
 
-    /// Cap per-query parallelism (like `MAXDOP`); 1 disables it.
+    /// Cap per-query parallelism (like `MAXDOP`); 1 disables it. A
+    /// region at DOP n runs up to n worker threads whatever the host
+    /// has: a cap above the CPU count oversubscribes them.
     pub fn set_max_dop(&mut self, max_dop: usize) {
         self.max_dop = max_dop.max(1);
-    }
-
-    /// Cap the OS worker threads parallel regions may use, independent
-    /// of the plan's DOP (tests use this to force real worker threads on
-    /// single-core hosts without touching process-global state).
-    pub fn set_exec_threads(&mut self, threads: usize) {
-        self.exec_threads = threads.max(1);
     }
 
     /// Select the vectorized engine (`true`, the default) or the
@@ -211,16 +201,14 @@ impl Engine {
         }
     }
 
-    /// An [`ExecGuard`] carrying this engine's worker-thread cap, a
-    /// fresh per-query [`MemoryBudget`] drawing on the shared pool, and
-    /// the fault-injection schedule.
+    /// An [`ExecGuard`] carrying a fresh per-query [`MemoryBudget`]
+    /// drawing on the shared pool, and the fault-injection schedule.
     fn guard(&self, token: Option<CancellationToken>) -> ExecGuard {
         let guard = match token {
             Some(token) => ExecGuard::new(token),
             None => ExecGuard::unbounded(),
         };
         guard
-            .with_exec_threads(self.exec_threads)
             .with_memory(Arc::new(MemoryBudget::new(
                 self.query_mem_bytes,
                 Some(Arc::clone(&self.mem_pool)),
@@ -268,7 +256,7 @@ impl Engine {
         &self.mem_pool
     }
 
-    /// The configured parallelism cap.
+    /// The configured parallelism cap (by default the CPU count).
     pub fn max_dop(&self) -> usize {
         self.max_dop
     }

@@ -51,12 +51,6 @@ const CHECK_INTERVAL: u64 = 1024;
 pub struct ExecGuard {
     token: Option<CancellationToken>,
     until_check: Cell<u64>,
-    /// Upper bound on OS worker threads a parallel region may spawn
-    /// under this guard. The plan's DOP is an accounting property; this
-    /// is the physical cap (hardware parallelism by default, set
-    /// explicitly by the engine so tests can force the threaded path
-    /// deterministically instead of mutating process-global state).
-    exec_threads: usize,
     /// Per-query memory budget charged by buffer-building operators.
     /// Shared (`Arc`) across worker forks so a parallel region's
     /// allocations all land on the owning query.
@@ -78,7 +72,6 @@ impl Default for ExecGuard {
         ExecGuard {
             token: None,
             until_check: Cell::new(CHECK_INTERVAL),
-            exec_threads: hardware_threads(),
             mem: Arc::new(MemoryBudget::unlimited()),
             faults: None,
             storage: None,
@@ -87,7 +80,9 @@ impl Default for ExecGuard {
     }
 }
 
-/// OS threads the hardware offers; the default worker-thread cap.
+/// The CPUs the calling thread may run on: its affinity mask, capped by
+/// a cgroup CPU quota. Re-reads the cgroup files on every call, so the
+/// engine measures it once, as its default DOP.
 pub fn hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
@@ -104,18 +99,6 @@ impl ExecGuard {
     /// Guard that never cancels (synchronous / plan-time execution).
     pub fn unbounded() -> Self {
         ExecGuard::default()
-    }
-
-    /// Cap the OS worker threads parallel regions may use (minimum 1,
-    /// i.e. run inline on the calling thread).
-    pub fn with_exec_threads(mut self, cap: usize) -> Self {
-        self.exec_threads = cap.max(1);
-        self
-    }
-
-    /// The OS worker-thread cap for parallel regions under this guard.
-    pub fn exec_threads(&self) -> usize {
-        self.exec_threads
     }
 
     /// Attach a per-query memory budget. Operators that build buffers
@@ -184,17 +167,14 @@ impl ExecGuard {
     /// share the underlying [`CancellationToken`], so one `cancel()`
     /// lands in every worker.
     pub fn fork(&self) -> ExecGuard {
-        let forked = match &self.token {
-            Some(token) => ExecGuard::new(token.clone()),
-            None => ExecGuard::unbounded(),
-        };
-        let mut forked = forked
-            .with_exec_threads(self.exec_threads)
-            .with_memory(Arc::clone(&self.mem))
-            .with_faults(self.faults.clone())
-            .with_storage(self.storage.clone());
-        forked.spill = Arc::clone(&self.spill);
-        forked
+        ExecGuard {
+            token: self.token.clone(),
+            until_check: Cell::new(CHECK_INTERVAL),
+            mem: Arc::clone(&self.mem),
+            faults: self.faults.clone(),
+            storage: self.storage.clone(),
+            spill: Arc::clone(&self.spill),
+        }
     }
 
     /// Record `rows` units of work; errors if the token has tripped.

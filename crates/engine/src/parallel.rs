@@ -584,16 +584,10 @@ fn build_join(
 // Morsel dispatch
 // ---------------------------------------------------------------------------
 
-/// Run `f` once per morsel of `n_rows` input rows on up to `dop` worker
-/// threads, returning the per-morsel results in morsel order.
-///
-/// Morsel-driven scheduling is elastic: the plan's DOP is an admission
-/// control and accounting property (a DOP-4 query reserves four
-/// scheduler slots), while the executor never runs more OS threads than
-/// the guard's [`ExecGuard::exec_threads`] cap (hardware parallelism by
-/// default, or an explicit
-/// [`crate::engine::Engine::set_exec_threads`]) — extra
-/// threads on an oversubscribed host are pure context-switch churn.
+/// Run `f` once per morsel of `n_rows` input rows on `min(dop, morsels)`
+/// worker threads, returning the per-morsel results in morsel order.
+/// The DOP is the worker count: the engine plans no more than the CPUs
+/// it may run on unless told otherwise.
 ///
 /// Workers claim morsel indexes off a shared counter. A failing morsel
 /// does not abort the others (so the error reported is deterministically
@@ -608,7 +602,7 @@ fn run_morsels<T: Send>(
 ) -> Result<Vec<T>> {
     let morsels = n_rows.div_ceil(MORSEL_SIZE);
     let range_of = |m: usize| m * MORSEL_SIZE..((m + 1) * MORSEL_SIZE).min(n_rows);
-    let workers = dop.min(morsels).min(guard.exec_threads());
+    let workers = dop.min(morsels);
     if workers <= 1 {
         // Zero or one morsel, or DOP 1: run inline on the caller's
         // thread (same code path, no thread overhead).
@@ -707,11 +701,10 @@ mod tests {
     /// An engine whose every eligible plan is forced parallel at `dop`,
     /// and a serial twin over the same catalog.
     fn twins(dop: usize) -> (Engine, Engine) {
+        // The explicit DOP below runs that many worker threads even on a
+        // one-CPU host, so the scoped-thread machinery (claiming, abort,
+        // error ordering) is exercised, not just the inline path.
         let mut parallel = Engine::new();
-        // Force real worker threads even on single-core CI hosts so the
-        // scoped-thread machinery (claiming, abort, error ordering) is
-        // exercised, not just the inline fallback.
-        parallel.set_exec_threads(4);
         let rows: Vec<Vec<Value>> = (0..5000)
             .map(|i| {
                 vec![

@@ -45,7 +45,6 @@ fn tables(e: &mut Engine) {
 fn engine(dop: usize, vectorized: bool) -> Engine {
     let mut e = Engine::new();
     e.set_max_dop(dop);
-    e.set_exec_threads(4);
     e.set_parallelism_cost_threshold(0.0);
     e.set_vectorized(vectorized);
     e.disable_cache();
@@ -73,7 +72,6 @@ fn over_budget_join_spills_in_a_forced_parallel_plan() {
         let mut e = Engine::new();
         e.set_storage(Some(StorageLayer::temp(4 << 20).unwrap()));
         e.set_max_dop(4);
-        e.set_exec_threads(4);
         e.set_parallelism_cost_threshold(0.0);
         e.disable_cache();
         if let Some(bytes) = budget {

@@ -40,14 +40,12 @@ use std::time::{Duration, Instant};
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Worker threads executing jobs.
+    /// Worker threads executing jobs, and the worker *slots* available
+    /// to running jobs. A serial query holds one slot; an
+    /// intra-query-parallel job submitted with `SubmitOptions::slots =
+    /// dop` holds `dop`, so a DOP-4 query accounts for four workers'
+    /// worth of capacity.
     pub workers: usize,
-    /// Total worker *slots* available to running jobs. A serial query
-    /// holds one slot; an intra-query-parallel job submitted with
-    /// `SubmitOptions::slots = dop` holds `dop`, so a DOP-4 query
-    /// accounts for four workers' worth of capacity. `0` means "same as
-    /// `workers`".
-    pub slots: usize,
     /// Maximum queued (not yet running) jobs per tenant; submissions
     /// beyond this are rejected with [`Error::Overloaded`].
     pub queue_capacity: usize,
@@ -64,7 +62,6 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             workers: 4,
-            slots: 0,
             queue_capacity: 64,
             default_deadline: None,
             start_paused: false,
@@ -170,10 +167,8 @@ pub struct JobContext {
 /// `429` with a [`LoadSnapshot::retry_after`] hint, not a deeper queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadSnapshot {
-    /// Worker threads executing jobs.
+    /// Worker threads executing jobs, and so the worker slots.
     pub workers: usize,
-    /// Total worker slots (DOP-weighted capacity).
-    pub slot_capacity: usize,
     /// Slots currently held by running jobs.
     pub running_slots: usize,
     /// Jobs queued (not yet running) across all tenants.
@@ -186,7 +181,7 @@ impl LoadSnapshot {
     /// Every slot busy *and* work already waiting: new work can only
     /// deepen queues.
     pub fn saturated(&self) -> bool {
-        self.running_slots >= self.slot_capacity && self.queued > 0
+        self.running_slots >= self.workers && self.queued > 0
     }
 
     /// A coarse client back-off hint in whole seconds, scaled to how
@@ -271,7 +266,7 @@ struct State {
     next_seq: u64,
     running: usize,
     /// Worker slots held by running jobs; dequeue is gated on
-    /// `running_slots + job.slots <= config.slots`.
+    /// `running_slots + job.slots <= config.workers`.
     running_slots: usize,
 }
 
@@ -308,10 +303,8 @@ impl Default for Scheduler {
 
 impl Scheduler {
     pub fn new(config: SchedulerConfig) -> Self {
-        let workers = config.workers.max(1);
         let config = SchedulerConfig {
-            workers,
-            slots: if config.slots == 0 { workers } else { config.slots },
+            workers: config.workers.max(1),
             queue_capacity: config.queue_capacity.max(1),
             ..config
         };
@@ -385,7 +378,7 @@ impl Scheduler {
             .or(self.shared.config.default_deadline)
             .map(|d| now + d);
 
-        let slots = opts.slots.max(1).min(self.shared.config.slots);
+        let slots = opts.slots.max(1).min(self.shared.config.workers);
         let entry = state.tenants.get_mut(tenant).expect("just inserted");
         entry.stats.submitted += 1;
         let newly_active = entry.queue.is_empty();
@@ -453,7 +446,6 @@ impl Scheduler {
         debug_assert_eq!(totals.running_slots, state.running_slots as u64);
         SchedulerStats {
             workers: self.shared.config.workers,
-            slots: self.shared.config.slots,
             totals,
             tenants,
         }
@@ -462,7 +454,7 @@ impl Scheduler {
     /// Worker slots not currently held by running jobs.
     pub fn free_slots(&self) -> usize {
         let state = self.lock();
-        self.shared.config.slots.saturating_sub(state.running_slots)
+        self.shared.config.workers.saturating_sub(state.running_slots)
     }
 
     /// One-lock snapshot of scheduler pressure — the overload signal a
@@ -473,7 +465,6 @@ impl Scheduler {
         let state = self.lock();
         LoadSnapshot {
             workers: self.shared.config.workers,
-            slot_capacity: self.shared.config.slots,
             running_slots: state.running_slots,
             queued: state.tenants.values().map(|t| t.queue.len()).sum(),
             queue_capacity: self.shared.config.queue_capacity,
@@ -663,7 +654,7 @@ fn worker_loop(shared: &Shared) {
         // every accepted job eventually runs and records an outcome.
         let can_take = state.shutdown || !state.paused;
         let job = if can_take {
-            next_job(&mut state, shared.config.slots)
+            next_job(&mut state, shared.config.workers)
         } else {
             None
         };

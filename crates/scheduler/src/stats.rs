@@ -96,11 +96,9 @@ impl TenantStats {
 /// A point-in-time snapshot of the whole scheduler.
 #[derive(Debug, Clone, Default)]
 pub struct SchedulerStats {
-    /// Worker threads in the pool.
+    /// Worker threads in the pool, and so the worker slots available to
+    /// running jobs (a DOP-n query holds n of them).
     pub workers: usize,
-    /// Total worker slots available to running jobs (≥ `workers` only
-    /// if configured so; a DOP-n query holds n of them).
-    pub slots: usize,
     /// Aggregate counters over all tenants.
     pub totals: TenantStats,
     /// Per-tenant counters, keyed by tenant name (sorted for stable

@@ -341,7 +341,7 @@ fn parallel_job_holds_multiple_slots() {
     assert_eq!(narrow_ran.load(AtomicOrdering::SeqCst), 1);
     let stats = sched.stats();
     assert_eq!(stats.totals.running_slots, 0);
-    assert_eq!(sched.free_slots(), stats.slots);
+    assert_eq!(sched.free_slots(), stats.workers);
 }
 
 #[test]
@@ -492,7 +492,7 @@ fn cancelled_wide_job_releases_all_slots() {
     let stats = sched.stats();
     assert_eq!(stats.tenants["kate"].cancelled, 1);
     assert_eq!(stats.totals.running_slots, 0);
-    assert_eq!(sched.free_slots(), stats.slots);
+    assert_eq!(sched.free_slots(), stats.workers);
 }
 
 #[test]
@@ -554,7 +554,7 @@ fn panicking_job_fails_alone_and_releases_slots() {
         workers: 4,
         ..Default::default()
     });
-    let total_slots = sched.stats().slots;
+    let total_slots = sched.stats().workers;
     sched
         .submit(
             "kate",
@@ -637,7 +637,6 @@ fn load_snapshot_tracks_queue_pressure_and_backoff() {
 fn load_snapshot_backoff_is_clamped() {
     let snap = LoadSnapshot {
         workers: 1,
-        slot_capacity: 1,
         running_slots: 1,
         queued: 10_000,
         queue_capacity: 64,

@@ -16,7 +16,7 @@
 use crate::HttpConfig;
 use sqlshare_core::{
     AckMode, DurableOptions, Engine, FsyncPolicy, SqlShare, StorageLayer,
-    DEFAULT_HOT_VIEW_THRESHOLD, DEFAULT_MAX_DOP, DEFAULT_POOL_MB, DEFAULT_RESULT_CACHE_MB,
+    DEFAULT_HOT_VIEW_THRESHOLD, DEFAULT_POOL_MB, DEFAULT_RESULT_CACHE_MB,
 };
 use std::fmt;
 use std::path::PathBuf;
@@ -32,7 +32,7 @@ pub struct Config {
     pub data_dir: Option<PathBuf>,
     pub fsync: FsyncPolicy,
     pub snapshot_every: u64,
-    pub max_dop: usize,
+    pub max_dop: Option<usize>,
     pub result_cache_mb: usize,
     pub query_mem_mb: Option<usize>,
     pub total_mem_mb: Option<usize>,
@@ -49,7 +49,7 @@ impl Default for Config {
             data_dir: None,
             fsync: FsyncPolicy::default(),
             snapshot_every: DurableOptions::DEFAULT_SNAPSHOT_EVERY,
-            max_dop: DEFAULT_MAX_DOP,
+            max_dop: None,
             result_cache_mb: DEFAULT_RESULT_CACHE_MB,
             query_mem_mb: None,
             total_mem_mb: None,
@@ -130,9 +130,9 @@ pub const VARS: &[Var] = &[
         set: |c, v| put(&mut c.snapshot_every, positive(v)),
     },
     Var {
-        name: "SQLSHARE_MAX_DOP", kind: POSITIVE, default: "4",
-        doc: "Per-query parallelism cap; 1 disables the parallel executor.",
-        set: |c, v| put(&mut c.max_dop, positive(v)),
+        name: "SQLSHARE_MAX_DOP", kind: POSITIVE, default: "(CPUs)",
+        doc: "Per-query parallelism cap and worker threads per parallel region; 1 disables the parallel executor.",
+        set: |c, v| put(&mut c.max_dop, positive(v).map(Some)),
     },
     Var {
         name: "SQLSHARE_RESULT_CACHE_MB", kind: MIB_SIZE, default: "64",
@@ -286,7 +286,9 @@ impl Config {
     /// so a durable service recovers into the configured storage layer.
     pub fn open_service(&self) -> sqlshare_common::Result<SqlShare> {
         let mut engine = Engine::new();
-        engine.set_max_dop(self.max_dop);
+        if let Some(dop) = self.max_dop {
+            engine.set_max_dop(dop);
+        }
         engine.set_cache_config(self.result_cache_mb, DEFAULT_HOT_VIEW_THRESHOLD);
         if let Some(mb) = self.query_mem_mb {
             engine.set_query_mem_limit(mb * MIB);
@@ -326,7 +328,7 @@ mod tests {
         let options = DurableOptions::new("x");
         assert_eq!((c.fsync, c.snapshot_every), (options.fsync, options.snapshot_every));
         let engine = Engine::new();
-        assert_eq!(c.max_dop, engine.max_dop());
+        assert_eq!(c.open_service().unwrap().engine().max_dop(), engine.max_dop());
         assert_eq!(c.result_cache_mb * MIB, engine.cache().result_budget());
         // Setting nothing and setting every variable to blanks are the same.
         let blanks: Vec<(&str, &str)> = VARS.iter().map(|v| (v.name, " ")).collect();
@@ -343,7 +345,7 @@ mod tests {
             ("/var/lib/sqlshare", |c| c.data_dir = Some("/var/lib/sqlshare".into())),
             ("always", |c| c.fsync = FsyncPolicy::Always),
             ("7", |c| c.snapshot_every = 7),
-            ("2", |c| c.max_dop = 2),
+            ("2", |c| c.max_dop = Some(2)),
             ("0", |c| c.result_cache_mb = 0),
             ("16", |c| c.query_mem_mb = Some(16)),
             ("512", |c| c.total_mem_mb = Some(512)),

@@ -117,7 +117,7 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> ParseOutcome {
         }
     };
 
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     let mut keep_alive = http11;
     let mut expect_continue = false;
     for line in lines {
@@ -125,11 +125,14 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> ParseOutcome {
             continue;
         }
         let (name, value) = match line.split_once(':') {
-            Some((n, v)) => (n.trim(), v.trim()),
+            // Whitespace before the colon is refused (RFC 9112 §5.1): a
+            // peer that trims it and one that does not would read two
+            // different headers.
+            Some((n, v)) if !n.ends_with([' ', '\t']) => (n.trim_start(), v.trim()),
             // A header line with no colon: framing of the *next*
             // request is still known, but trusting the rest of this
             // head is not worth it.
-            None => {
+            _ => {
                 return ParseOutcome::Bad {
                     status: 400,
                     message: "malformed header line",
@@ -139,10 +142,17 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> ParseOutcome {
             }
         };
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = match value.parse::<usize>() {
-                Ok(n) => n,
-                // Body length unknown -> framing is lost; must close.
-                Err(_) => {
+            // Digits only, and a repeated header must repeat the value
+            // (RFC 9110 §8.6): anything else is how a request is
+            // smuggled past a proxy that frames it differently. Body
+            // length unknown -> framing is lost; must close.
+            let parsed = Some(value)
+                .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|v| v.parse::<usize>().ok());
+            match (parsed, content_length) {
+                (Some(n), None) => content_length = Some(n),
+                (Some(n), Some(seen)) if n == seen => {}
+                _ => {
                     return ParseOutcome::Bad {
                         status: 400,
                         message: "malformed Content-Length header",
@@ -150,7 +160,7 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> ParseOutcome {
                         consumed: 0,
                     }
                 }
-            };
+            }
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             // We never advertise request-chunking support and decoding
             // it buys nothing for a JSON API.
@@ -174,6 +184,7 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> ParseOutcome {
         }
     }
 
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         // Refusing up front (instead of the old demo's silent
         // `min(4 MiB)` truncation) means the client finds out its
@@ -346,19 +357,37 @@ mod tests {
         assert!(!req.keep_alive);
     }
 
+    fn assert_fatal_400(raw: &[u8]) {
+        let outcome = parse_request(raw, MAX);
+        let fatal = matches!(outcome, ParseOutcome::Bad { status: 400, recoverable: false, .. });
+        assert!(fatal, "{:?} parsed as {outcome:?}", String::from_utf8_lossy(raw));
+    }
+
     #[test]
     fn malformed_content_length_is_400_and_fatal() {
-        match parse_request(b"POST / HTTP/1.1\r\ncontent-length: banana\r\n\r\n", MAX) {
-            ParseOutcome::Bad {
-                status,
-                recoverable,
-                ..
-            } => {
-                assert_eq!(status, 400);
-                assert!(!recoverable);
-            }
-            other => panic!("expected Bad, got {:?}", other),
-        }
+        assert_fatal_400(b"POST / HTTP/1.1\r\ncontent-length: banana\r\n\r\n");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_400_and_fatal() {
+        assert_fatal_400(b"POST / HTTP/1.1\r\ncontent-length: 4\r\nContent-Length: 5\r\n\r\nabcde");
+        assert_fatal_400(b"POST / HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 4\r\n\r\nabcde");
+        // The same value twice frames the body one way only.
+        let raw = b"POST / HTTP/1.1\r\ncontent-length: 4\r\ncontent-length: 4\r\n\r\nabcd";
+        assert_eq!(parse_ok(raw).0.body, b"abcd");
+    }
+
+    #[test]
+    fn a_signed_content_length_is_400_and_fatal() {
+        assert_fatal_400(b"POST / HTTP/1.1\r\ncontent-length: +4\r\n\r\nabcd");
+        assert_fatal_400(b"POST / HTTP/1.1\r\ncontent-length: -0\r\n\r\n");
+        assert_fatal_400(b"POST / HTTP/1.1\r\ncontent-length: \r\n\r\n");
+    }
+
+    #[test]
+    fn whitespace_before_the_colon_is_400_and_fatal() {
+        assert_fatal_400(b"POST / HTTP/1.1\r\nContent-Length : 4\r\n\r\nabcd");
+        assert_fatal_400(b"POST / HTTP/1.1\r\nContent-Length\t: 4\r\n\r\nabcd");
     }
 
     #[test]

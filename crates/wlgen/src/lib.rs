@@ -23,6 +23,7 @@ pub mod text;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sqlshare_core::{Engine, SqlShare};
 
 /// Generator configuration.
 #[derive(Debug, Clone, Copy)]
@@ -59,5 +60,15 @@ impl GeneratorConfig {
     /// Scale a paper-scale count, keeping at least `min`.
     pub(crate) fn scaled(&self, paper_value: usize, min: usize) -> usize {
         ((paper_value as f64 * self.scale).round() as usize).max(min)
+    }
+
+    /// The empty service a generator drives. Its DOP cap is 4, not the
+    /// host's CPU count, so the corpus plans (and the report's operator
+    /// tables) come out the same on any host; the cost threshold is the
+    /// engine's default.
+    pub(crate) fn service(&self) -> SqlShare {
+        let mut engine = Engine::new();
+        engine.set_max_dop(4);
+        SqlShare::with_engine(engine)
     }
 }

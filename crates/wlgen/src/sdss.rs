@@ -39,7 +39,7 @@ pub const SDSS_UDFS: &[&str] = &[
 /// Generate the SDSS comparison corpus.
 pub fn generate(config: &GeneratorConfig) -> GeneratedCorpus {
     let mut rng = config.rng();
-    let mut service = SqlShare::new();
+    let mut service = config.service();
     let mut stats = GenStats::default();
 
     // --- the pre-engineered schema, loaded once -------------------------

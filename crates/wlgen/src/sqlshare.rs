@@ -90,7 +90,7 @@ const TIMELINE_DAYS: i32 = 1600;
 /// Generate a full SQLShare corpus.
 pub fn generate(config: &GeneratorConfig) -> GeneratedCorpus {
     let mut rng = config.rng();
-    let mut service = SqlShare::new();
+    let mut service = config.service();
     let mut stats = GenStats::default();
     for udf in SQLSHARE_UDFS {
         service.register_udf(udf);

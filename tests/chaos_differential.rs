@@ -361,7 +361,7 @@ fn service_survives_chaos_and_releases_all_slots() {
     assert_eq!(stats.totals.running_slots, 0, "chaos leaked running slots");
     assert_eq!(
         s.scheduler().free_slots(),
-        stats.slots,
+        stats.workers,
         "chaos leaked reserved slots"
     );
     // The process kept serving: clear the plan and the next submission
@@ -372,5 +372,5 @@ fn service_survives_chaos_and_releases_all_slots() {
     let status = s.wait_for_job(id, Duration::from_secs(120)).unwrap();
     assert!(status.is_terminal(), "post-chaos job stuck: {status:?}");
     assert!(s.scheduler().wait_idle(Duration::from_secs(60)));
-    assert_eq!(s.scheduler().free_slots(), s.scheduler_stats().slots);
+    assert_eq!(s.scheduler().free_slots(), s.scheduler_stats().workers);
 }

@@ -8,13 +8,13 @@
 //! which is otherwise only the reference side of the differentials.
 
 use sqlshare_engine::cache::DEFAULT_HOT_VIEW_THRESHOLD;
-use sqlshare_engine::engine::DEFAULT_MAX_DOP;
 use sqlshare_engine::{Engine, StorageLayer};
 
 #[derive(Debug)]
 pub struct Mode {
     pub name: &'static str,
-    max_dop: usize,
+    /// `None`: `Engine::new()`'s cap, the CPUs the test may run on.
+    max_dop: Option<usize>,
     /// Plan-cost threshold 0: every eligible plan goes parallel however
     /// small its tables (the morsel executor on hand-sized inputs).
     force_parallel: bool,
@@ -26,7 +26,7 @@ pub struct Mode {
 
 const DEFAULT: Mode = Mode {
     name: "default",
-    max_dop: DEFAULT_MAX_DOP,
+    max_dop: None,
     force_parallel: false,
     result_cache: true,
     vectorized: true,
@@ -35,8 +35,8 @@ const DEFAULT: Mode = Mode {
 
 pub const MODES: [Mode; 6] = [
     DEFAULT,
-    Mode { name: "dop1", max_dop: 1, ..DEFAULT },
-    Mode { name: "dop4_forced", max_dop: 4, force_parallel: true, ..DEFAULT },
+    Mode { name: "dop1", max_dop: Some(1), ..DEFAULT },
+    Mode { name: "dop4_forced", max_dop: Some(4), force_parallel: true, ..DEFAULT },
     Mode { name: "cache_off", result_cache: false, ..DEFAULT },
     Mode { name: "row", vectorized: false, ..DEFAULT },
     Mode { name: "paged", paged_pool_mb: Some(4), ..DEFAULT },
@@ -53,7 +53,9 @@ impl Mode {
     /// An empty engine in this mode.
     pub fn engine(&self) -> Engine {
         let mut e = Engine::new();
-        e.set_max_dop(self.max_dop);
+        if let Some(dop) = self.max_dop {
+            e.set_max_dop(dop);
+        }
         if self.force_parallel {
             e.set_parallelism_cost_threshold(0.0);
         }

@@ -343,7 +343,6 @@ fn zero_result_cache_is_byte_identical_at_dop1() {
 fn memory_fixture_engine(dop: usize, vectorized: bool) -> Engine {
     let mut e = Engine::new();
     e.set_max_dop(dop);
-    e.set_exec_threads(4);
     e.set_parallelism_cost_threshold(0.0);
     e.set_vectorized(vectorized);
     e.disable_cache();
@@ -388,7 +387,6 @@ fn empty_string_keys_behind_nulls_match_the_row_oracle() {
     let engine = |dop: usize, vectorized: bool| {
         let mut e = Engine::new();
         e.set_max_dop(dop);
-        e.set_exec_threads(4);
         e.set_parallelism_cost_threshold(0.0);
         e.set_vectorized(vectorized);
         e.disable_cache();
