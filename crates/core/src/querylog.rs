@@ -4,13 +4,18 @@
 //! SQL text, measured runtime, the Listing-1 JSON plan, and the datasets
 //! and base tables it touched. The `sqlshare-workload` crate consumes
 //! this log exactly as the paper's pipeline consumed the released corpus.
+//!
+//! The log is its frames (`querylog.log` when durable, the same bytes in
+//! memory otherwise); [`QueryLog::entries`] decodes them for analysis.
 
 use crate::clock::SimInstant;
 use crate::persist::{
     bool_of, field, instant_from_json, instant_to_json, str_of, strings_of, u64_of,
 };
-use sqlshare_common::json::{Json, JsonObject};
+use sqlshare_common::json::{self, Json, JsonObject};
 use sqlshare_common::Result;
+use sqlshare_storage::{frame, frames, Wal};
+use std::borrow::Cow;
 
 /// Outcome of a logged query.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,54 +164,86 @@ impl QueryLogEntry {
             touches_foreign_data: bool_of(j, "foreign")?,
         })
     }
+
+    /// A `querylog.log` record's payload as an entry, if it is one.
+    pub fn decode(payload: &[u8]) -> Option<QueryLogEntry> {
+        let doc = json::parse(std::str::from_utf8(payload).ok()?).ok()?;
+        QueryLogEntry::from_json(&doc).ok()
+    }
 }
 
-/// Append-only query log.
-#[derive(Debug, Default, Clone)]
+/// Append-only query log: its frames, and what the next append needs.
+#[derive(Debug, Default)]
 pub struct QueryLog {
-    entries: Vec<QueryLogEntry>,
-    /// Highest entry id ever pushed. Replicated entries carry ids the
-    /// primary assigned, so after a reseed or rejoin neither the vector
-    /// length nor the last entry's id says what has been applied.
+    frames: Frames,
+    len: usize,
+    /// Highest entry id ever appended. Replicated entries carry ids the
+    /// primary assigned, so after a reseed or rejoin the count says
+    /// neither what has been applied nor which id is free.
     high_id: u64,
 }
 
+/// Where a log's frames live: `querylog.log` when durable, else memory.
+#[derive(Debug)]
+enum Frames {
+    File(Wal),
+    Memory(Vec<u8>),
+}
+
+impl Default for Frames {
+    fn default() -> Self {
+        Frames::Memory(Vec::new())
+    }
+}
+
 impl QueryLog {
-    pub fn new() -> Self {
-        Self::default()
+    /// The durable log `wal`, holding `len` entries up to id `high_id`.
+    pub(crate) fn durable(wal: Wal, len: usize, high_id: u64) -> Self {
+        QueryLog {
+            frames: Frames::File(wal),
+            len,
+            high_id,
+        }
     }
 
-    pub fn push(&mut self, entry: QueryLogEntry) {
+    /// Append `entry` as one frame. The caller holds the log's lock and
+    /// has assigned or checked the id under it, so the frames are in id
+    /// order. A failed append leaves the log as it was.
+    pub(crate) fn append(&mut self, entry: &QueryLogEntry) -> Result<()> {
+        let payload = entry.to_json().to_string();
+        match &mut self.frames {
+            Frames::File(wal) => wal.append(payload.as_bytes())?,
+            Frames::Memory(bytes) => bytes.extend_from_slice(&frame(payload.as_bytes())),
+        }
+        self.len += 1;
         self.high_id = self.high_id.max(entry.id);
-        self.entries.push(entry);
+        Ok(())
     }
 
     pub(crate) fn high_id(&self) -> u64 {
         self.high_id
     }
 
-    pub fn entries(&self) -> &[QueryLogEntry] {
-        &self.entries
+    /// Every entry, decoded from the frames in append order.
+    ///
+    /// # Panics
+    /// When a durable log's file cannot be read back.
+    pub fn entries(&self) -> Vec<QueryLogEntry> {
+        let bytes = match &self.frames {
+            Frames::File(wal) => Cow::Owned(std::fs::read(wal.path()).expect("the log reads back")),
+            Frames::Memory(bytes) => Cow::Borrowed(bytes),
+        };
+        frames(&bytes)
+            .map(|(payload, _)| QueryLogEntry::decode(payload).expect("a logged entry"))
+            .collect()
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Successful entries only.
-    pub fn successes(&self) -> impl Iterator<Item = &QueryLogEntry> {
-        self.entries.iter().filter(|e| e.outcome.is_success())
-    }
-
-    /// Entries by a given user.
-    pub fn by_user<'a>(&'a self, user: &'a str) -> impl Iterator<Item = &'a QueryLogEntry> {
-        self.entries
-            .iter()
-            .filter(move |e| e.user.eq_ignore_ascii_case(user))
+        self.len == 0
     }
 }
 
@@ -240,14 +277,17 @@ mod tests {
     }
 
     #[test]
-    fn log_accumulates_and_filters() {
-        let mut log = QueryLog::new();
-        log.push(entry(1, "ada", true));
-        log.push(entry(2, "ada", false));
-        log.push(entry(3, "bob", true));
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.successes().count(), 2);
-        assert_eq!(log.by_user("ADA").count(), 2);
+    fn an_ephemeral_log_is_its_frames() {
+        let mut log = QueryLog::default();
+        let appended = [entry(1, "ada", true), entry(2, "ada", false), entry(5, "bob", true)];
+        for e in &appended {
+            log.append(e).unwrap();
+        }
+        assert_eq!((log.len(), log.high_id()), (3, 5));
+        let framed: Vec<u8> =
+            appended.iter().flat_map(|e| frame(e.to_json().to_string().as_bytes())).collect();
+        assert!(matches!(&log.frames, Frames::Memory(bytes) if *bytes == framed));
+        assert_eq!(format!("{:?}", log.entries()), format!("{appended:?}"));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! author's permissions. **Run** ([`run`]) executes the prepared plan
 //! under a cancellation token, with the one degraded retry. **Finish**
 //! ([`Shared::finish`]) builds the query-log entry — the only place one
-//! is built — and counts the tenant's cache hit or miss.
+//! is built — assigns its id and appends it under the log's one lock,
+//! and counts the tenant's cache hit or miss.
 //! [`SqlShare::run_query`] is those stages on the caller's thread
 //! against the live engine; [`SqlShare::submit_query_with_deadline`] is
 //! the same stages inside the scheduler's closure against the engine
@@ -23,9 +24,7 @@ use sqlshare_scheduler::{
     FailureClass, JobDisposition, JobReport, Scheduler, SchedulerConfig, SchedulerStats,
     SubmitOptions,
 };
-use sqlshare_storage::{FsyncPolicy, Wal};
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -124,14 +123,13 @@ pub(super) struct Attempt {
 
 /// What worker closures share with the service, each piece behind its
 /// own lock: the job table (the condvar wakes waiters on every status
-/// change), the in-memory query log with its optional durable sink, and
-/// the per-tenant cache counters (keyed by lowercased username).
+/// change), the query log, and the per-tenant cache counters (keyed by
+/// lowercased username).
 #[derive(Debug, Default)]
 struct Shared {
     jobs: Mutex<HashMap<u64, QueryJob>>,
     changed: Condvar,
     log: Mutex<QueryLog>,
-    sink: Mutex<Option<Wal>>,
     tenant_cache: Mutex<HashMap<String, TenantCacheStats>>,
 }
 
@@ -176,10 +174,10 @@ fn run(
 impl Shared {
     /// Stage 3 — finish: the attempt becomes a [`QueryLogEntry`],
     /// whatever its outcome, and the outcome becomes what the caller is
-    /// told. The entry's id is assigned under the log's lock; the line
-    /// is mirrored to the durable sink best effort (the query already
-    /// ran; a full disk must not fail it retroactively). A failed query
-    /// logs no plan and nothing it touched.
+    /// told. The entry's id is assigned and its frame appended under the
+    /// log's one lock, so the log's order is id order. The append is best
+    /// effort: the query already ran, and a full disk must not fail it
+    /// retroactively. A failed query logs no plan and nothing it touched.
     fn finish(
         &self,
         attempt: Attempt,
@@ -237,18 +235,9 @@ impl Shared {
             }
         };
         let mut log = lock(&self.log);
-        entry.id = log.len() as u64 + 1;
-        let line = entry.to_json();
-        log.push(entry);
-        drop(log);
-        self.mirror(&line);
+        entry.id = log.high_id() + 1;
+        let _ = log.append(&entry);
         finished
-    }
-
-    fn mirror(&self, entry: &Json) {
-        if let Some(sink) = lock(&self.sink).as_mut() {
-            let _ = sink.append(entry.to_string().as_bytes());
-        }
     }
 
     /// What being asynchronous adds to stage 3: the finished query
@@ -291,47 +280,6 @@ impl Shared {
             f(job);
         }
         self.changed.notify_all();
-    }
-}
-
-impl Jobs {
-    /// Reload persisted query-log entries at recovery; returns how many,
-    /// and the newest timestamp among them.
-    pub(super) fn load_log(
-        &self,
-        entries: impl Iterator<Item = QueryLogEntry>,
-    ) -> (u64, Option<SimInstant>) {
-        let mut log = lock(&self.shared.log);
-        let (mut count, mut newest) = (0, None::<SimInstant>);
-        for entry in entries {
-            newest = newest.max(Some(entry.at));
-            log.push(entry);
-            count += 1;
-        }
-        (count, newest)
-    }
-
-    /// Start mirroring logged queries to the record log at `path`. The
-    /// log is never reset and carries no fault plan or crash point.
-    pub(super) fn open_sink(&self, path: &Path, fsync: FsyncPolicy) -> Result<()> {
-        *lock(&self.shared.sink) = Some(Wal::open(path, fsync)?);
-        Ok(())
-    }
-
-    /// Append an entry the primary logged, idempotently by entry id: ids
-    /// are assigned upstream, so the test is against the highest id this
-    /// log ever held, not its length. The entry is mirrored to this
-    /// node's own sink, so it survives recovery and can be served onward.
-    pub(super) fn append_replicated(&self, entry: QueryLogEntry) -> bool {
-        let mut log = lock(&self.shared.log);
-        if entry.id <= log.high_id() {
-            return false;
-        }
-        let line = entry.to_json();
-        log.push(entry);
-        drop(log);
-        self.shared.mirror(&line);
-        true
     }
 }
 
@@ -586,6 +534,7 @@ impl SqlShare {
         out
     }
 
+    /// The query log; while the guard lives no entry is logged.
     pub fn log(&self) -> MutexGuard<'_, QueryLog> {
         lock(&self.jobs.shared.log)
     }

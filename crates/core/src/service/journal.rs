@@ -13,7 +13,7 @@
 use super::SqlShare;
 use crate::clock::SimInstant;
 use crate::persist::{self, DurableOptions, DurableStore, Mutation, RecoveryReport};
-use crate::querylog::QueryLogEntry;
+use crate::querylog::{QueryLog, QueryLogEntry};
 use crate::repl::{ReplApply, ReplState, Role};
 use sqlshare_common::json::{self, Json, JsonWriter};
 use sqlshare_common::{Error, Result};
@@ -171,36 +171,33 @@ impl SqlShare {
 
         // 3. Persisted query log, scanned like the WAL: a torn tail is
         //    truncated, interior damage refused, and so is a valid frame
-        //    that does not decode as an entry. Query ticks are not
-        //    journaled in the WAL, so the clock must also fast-forward
-        //    past the newest logged timestamp — otherwise a recovered
-        //    service would re-issue instants the crashed process already
-        //    spent on queries.
+        //    that does not decode as an entry; an entry is kept only as
+        //    its id and instant. Query ticks are not journaled in the WAL,
+        //    so the clock must also fast-forward past the newest logged
+        //    timestamp — otherwise a recovered service would re-issue
+        //    instants the crashed process already spent on queries.
         let querylog_path = DurableStore::querylog_path(&options.dir);
         let dropped = migrate_jsonl_querylog(&options.dir, &querylog_path)?;
         let scan = Wal::scan(&querylog_path)?;
         report.querylog_truncated_bytes = dropped + scan.truncated_bytes;
-        let entries = scan
-            .records
-            .iter()
-            .enumerate()
-            .map(|(i, record)| {
-                decode_entry(record).ok_or_else(|| {
-                    Error::Corrupt(format!(
-                        "{}: record {} is not a query log entry",
-                        querylog_path.display(),
-                        i + 1
-                    ))
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let (reloaded, newest_logged) = svc.jobs.load_log(entries.into_iter());
-        report.querylog_entries = reloaded;
+        let (mut high_id, mut newest_logged) = (0, None::<SimInstant>);
+        for (i, record) in scan.records.iter().enumerate() {
+            let entry = QueryLogEntry::decode(record).ok_or_else(|| {
+                Error::Corrupt(format!(
+                    "{}: record {} is not a query log entry",
+                    querylog_path.display(),
+                    i + 1
+                ))
+            })?;
+            high_id = high_id.max(entry.id);
+            newest_logged = newest_logged.max(Some(entry.at));
+        }
+        report.querylog_entries = scan.records.len() as u64;
         if let Some(at) = newest_logged {
             svc.sync_clock(at);
         }
 
-        // 4. Go live: open the WAL and query-log sink for appending.
+        // 4. Go live: open the WAL and the query log for appending.
         // The lease-epoch meta file may outrun the journaled epochs: a
         // promotion that crashed before journaling anything still
         // fences the old lease after restart.
@@ -213,7 +210,10 @@ impl SqlShare {
         store.set_epoch(journal.repl.epoch);
         journal.data_dir = Some(options.dir.clone());
         journal.store = Some(store);
-        svc.jobs.open_sink(&querylog_path, options.fsync)?;
+        // The query log is never reset and carries no fault plan or
+        // crash point.
+        let querylog = Wal::open(&querylog_path, options.fsync)?;
+        *svc.log() = QueryLog::durable(querylog, scan.records.len(), high_id);
         svc.journal.recovering = false;
         svc.journal.recovery = Some(report);
         Ok(svc)
@@ -403,10 +403,10 @@ impl SqlShare {
         self.journal.data_dir().map(DurableStore::wal_path)
     }
 
-    /// Where the durable query-log sink lives (`None` in ephemeral
-    /// mode) — the second file replication streams, because the log is
-    /// durable acknowledged state too (it is the paper's research
-    /// corpus) and recovery reads it back.
+    /// Where the durable query log lives (`None` in ephemeral mode) —
+    /// the second file replication streams, because the log is durable
+    /// acknowledged state too (it is the paper's research corpus) and
+    /// recovery reads it back.
     pub fn querylog_path(&self) -> Option<PathBuf> {
         self.journal.data_dir().map(DurableStore::querylog_path)
     }
@@ -509,19 +509,23 @@ impl SqlShare {
 
     /// Apply one replicated query-log entry — the query-log analogue of
     /// [`apply_replicated`](Self::apply_replicated), idempotent by
-    /// entry id. Its timestamp fast-forwards the clock: queries tick the
+    /// entry id (the primary's log is in id order). The entry lands in
+    /// this node's own log, or the call fails and it stays unapplied.
+    /// Its timestamp fast-forwards the clock: queries tick the
     /// simulated clock on the primary, and a promoted standby must issue
     /// timestamps from where the primary left off, not from its last
     /// replicated *mutation*.
     pub fn apply_replicated_query_entry(&mut self, doc: &Json) -> Result<bool> {
         let entry = QueryLogEntry::from_json(doc)
             .map_err(|e| Error::Request(format!("bad replicated query-log entry: {e}")))?;
-        let at: SimInstant = entry.at;
-        let applied = self.jobs.append_replicated(entry);
-        if applied {
-            self.sync_clock(at);
+        let mut log = self.log();
+        if entry.id <= log.high_id() {
+            return Ok(false);
         }
-        Ok(applied)
+        log.append(&entry)?;
+        drop(log);
+        self.sync_clock(entry.at);
+        Ok(true)
     }
 
     /// The document a standby needs to catch up when the WAL it was
@@ -550,20 +554,14 @@ impl SqlShare {
     }
 }
 
-/// A query-log record's payload as an entry, if it is one.
-fn decode_entry(payload: &[u8]) -> Option<QueryLogEntry> {
-    let doc = json::parse(std::str::from_utf8(payload).ok()?).ok()?;
-    QueryLogEntry::from_json(&doc).ok()
-}
-
 /// One-time migration of a query log written before it was a record log:
 /// `querylog.jsonl`, one entry per line. A torn tail — a bad line with
 /// nothing parseable after it — is dropped; any other bad line refuses,
-/// and nothing is written. The entries become frames in a temp file,
-/// fsynced and renamed to `log`, and only then is the old file deleted:
-/// a crash reruns the migration (a leftover temp file is discarded) or
-/// finishes it (both files present: only the delete was left). Returns
-/// the bytes dropped.
+/// and nothing is written. The lines become frames, byte for byte, in a
+/// temp file, fsynced and renamed to `log`, and only then is the old file
+/// deleted: a crash reruns the migration (a leftover temp file is
+/// discarded) or finishes it (both files present: only the delete was
+/// left). Returns the bytes dropped.
 fn migrate_jsonl_querylog(dir: &Path, log: &Path) -> Result<u64> {
     let old = dir.join("querylog.jsonl");
     let io = |what: &str, e: std::io::Error| {
@@ -577,31 +575,31 @@ fn migrate_jsonl_querylog(dir: &Path, log: &Path) -> Result<u64> {
         let bytes = std::fs::read(&old).map_err(|e| io("read", e))?;
         // The piece after the last newline is empty, or a torn append.
         let lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
-        let entries: Vec<QueryLogEntry> = lines[..lines.len() - 1]
+        let entries = lines[..lines.len() - 1]
             .iter()
-            .map_while(|line| decode_entry(line))
-            .collect();
+            .take_while(|line| QueryLogEntry::decode(line).is_some())
+            .count();
         let parses = |line: &&[u8]| std::str::from_utf8(line).is_ok_and(|t| json::parse(t).is_ok());
-        if entries.len() + 1 < lines.len() && lines[entries.len()..].iter().any(parses) {
+        if entries + 1 < lines.len() && lines[entries..].iter().any(parses) {
             return Err(Error::Corrupt(format!(
                 "{}: line {} is not a query log entry and not a torn tail; nothing was \
                  migrated — repair or remove that line",
                 old.display(),
-                entries.len() + 1
+                entries + 1
             )));
         }
         let tmp = log.with_extension("log.tmp");
         let _ = std::fs::remove_file(&tmp);
         let mut frames = Wal::open(&tmp, FsyncPolicy::Off)?;
-        for entry in &entries {
-            frames.append(entry.to_json().to_string().as_bytes())?;
+        for line in &lines[..entries] {
+            frames.append(line)?;
         }
         frames.sync()?;
         std::fs::rename(&tmp, log).map_err(|e| io("rename", e))?;
         if let Ok(d) = std::fs::File::open(dir) {
             let _ = d.sync_all(); // the rename is durable before the delete
         }
-        let kept: usize = lines[..entries.len()].iter().map(|l| l.len() + 1).sum();
+        let kept: usize = lines[..entries].iter().map(|l| l.len() + 1).sum();
         dropped = (bytes.len() - kept) as u64;
     }
     std::fs::remove_file(&old).map_err(|e| io("remove", e))?;

@@ -2,14 +2,19 @@
 //! format (`[u32 len][u64 fnv64][entry JSON]`): a torn tail is repaired,
 //! damage with logged queries behind it is refused and left on disk, and
 //! no damaged entry is ever loaded. A log written as JSON lines by
-//! earlier releases is migrated once at open.
+//! earlier releases is migrated once at open. The log's order is id
+//! order and ids are never reused, which is what lets a standby replay
+//! it idempotently by id.
 
 use sqlshare_common::hash::fnv64;
+use sqlshare_common::json;
 use sqlshare_core::{
-    read_tail, DurableOptions, FsyncPolicy, IoCounter, ScrubConfig, Scrubber, SqlShare,
+    read_tail, DurableOptions, FsyncPolicy, IoCounter, QueryLogEntry, ScrubConfig, Scrubber,
+    SqlShare,
 };
 use sqlshare_ingest::IngestOptions;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// A durable service that ran three queries, closed; its data directory
 /// and the path of its query log.
@@ -290,4 +295,82 @@ fn a_leftover_temp_file_is_discarded_and_the_migration_reruns() {
     std::fs::write(dir.join("querylog.log.tmp"), half).unwrap();
     assert_migrated(&dir, options, &logged);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- ids and order -------------------------------------------------------
+
+/// A record's payload as the JSON document replication ships.
+fn doc(record: &[u8]) -> json::Json {
+    json::parse(std::str::from_utf8(record).unwrap()).unwrap()
+}
+
+/// Queries finish on the scheduler's workers in any order. Each takes
+/// its id and appends its frame under the log's one lock, so the file is
+/// in id order, and a standby replaying it — which skips any id at or
+/// below the highest it holds — applies every entry.
+#[test]
+fn concurrent_queries_are_logged_in_id_order() {
+    let dir = std::env::temp_dir().join(format!("sqlshare-querylog-{}-order", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut s = SqlShare::open(DurableOptions::new(&dir).fsync(FsyncPolicy::Off)).unwrap();
+    s.register_user("ada", "a@uw.edu").unwrap();
+    s.upload("ada", "nums", "n\n1\n2\n3\n", &IngestOptions::default())
+        .unwrap();
+    let (threads, per_thread) = (8, 400);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                for _ in 0..per_thread {
+                    let id = s.submit_query("ada", "SELECT SUM(n) FROM nums").unwrap();
+                    let status = s.wait_for_job(id, Duration::from_secs(60)).unwrap();
+                    assert!(status.is_terminal(), "job {id} is still {}", status.label());
+                }
+            });
+        }
+    });
+
+    let records = read_tail(&s.querylog_path().unwrap(), 0).unwrap().records;
+    assert_eq!(records.len(), threads * per_thread);
+    let ids: Vec<u64> = records
+        .iter()
+        .map(|r| QueryLogEntry::decode(r).expect("an entry").id)
+        .collect();
+    let out_of_order = ids.windows(2).filter(|w| w[0] >= w[1]).count();
+    assert_eq!(out_of_order, 0, "{out_of_order} records follow a higher id");
+
+    let mut standby = SqlShare::new();
+    let applied = records
+        .iter()
+        .filter(|r| standby.apply_replicated_query_entry(&doc(r)).unwrap())
+        .count();
+    assert_eq!(applied, threads * per_thread, "the standby dropped entries");
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A local id continues from the highest id logged, not from the count:
+/// after replicated ids {1, 2, 5}, the next two queries are 6 and 7.
+#[test]
+fn local_ids_continue_past_a_gap_in_replicated_ids() {
+    let mut primary = SqlShare::new();
+    primary.register_user("ada", "a@uw.edu").unwrap();
+    primary
+        .upload("ada", "nums", "n\n1\n2\n3\n", &IngestOptions::default())
+        .unwrap();
+    for _ in 0..5 {
+        primary.run_query("ada", "SELECT COUNT(*) FROM nums").unwrap();
+    }
+    let mut s = SqlShare::new();
+    s.install_replica_snapshot(&primary.replication_snapshot())
+        .unwrap();
+    for entry in primary.log().entries() {
+        if [1, 2, 5].contains(&entry.id) {
+            assert!(s.apply_replicated_query_entry(&entry.to_json()).unwrap());
+        }
+    }
+    for _ in 0..2 {
+        s.run_query("ada", "SELECT MAX(n) FROM nums").unwrap();
+    }
+    let ids: Vec<u64> = s.log().entries().iter().map(|e| e.id).collect();
+    assert_eq!(ids, [1, 2, 5, 6, 7]);
 }

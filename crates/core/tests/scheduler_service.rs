@@ -147,7 +147,8 @@ fn light_tenant_is_not_starved_behind_heavy_one() {
     // The query log records completion order: round-robin puts bob's
     // two queries at positions 1 and 3, not after all six of ada's.
     let log = s.log();
-    let users: Vec<&str> = log.entries().iter().map(|e| e.user.as_str()).collect();
+    let entries = log.entries();
+    let users: Vec<&str> = entries.iter().map(|e| e.user.as_str()).collect();
     assert_eq!(users.len(), 8);
     assert_eq!(users[1], "bob", "completion order {users:?}");
     assert_eq!(users[3], "bob", "completion order {users:?}");
@@ -165,7 +166,8 @@ fn deadline_expired_query_times_out() {
     assert!(matches!(status, JobStatus::TimedOut(_)), "got {status:?}");
     assert_eq!(s.query_results(id).unwrap_err().kind(), "timeout");
     let log = s.log();
-    let last = log.entries().last().unwrap();
+    let entries = log.entries();
+    let last = entries.last().unwrap();
     assert!(matches!(&last.outcome, sqlshare_core::Outcome::Error(k) if k == "timeout"));
     drop(log);
     assert!(s.scheduler().wait_idle(Duration::from_secs(30)));
@@ -236,7 +238,8 @@ fn overloaded_tenant_is_rejected() {
     assert_eq!(err.kind(), "overloaded");
     {
         let log = s.log();
-        let last = log.entries().last().unwrap();
+        let entries = log.entries();
+        let last = entries.last().unwrap();
         assert!(matches!(&last.outcome, sqlshare_core::Outcome::Error(k) if k == "overloaded"));
     }
     s.scheduler().resume();
@@ -371,7 +374,8 @@ fn cancel_during_degraded_retry_ends_cancelled() {
     assert_eq!(s.scheduler().free_slots(), stats.workers, "slots leaked");
     // The cancelled retry is logged with its failure class and flag.
     let log = s.log();
-    let last = log.entries().last().unwrap();
+    let entries = log.entries();
+    let last = entries.last().unwrap();
     assert!(last.degraded_retry);
     assert!(matches!(&last.outcome, sqlshare_core::Outcome::Error(k) if k == "cancelled"));
 }
@@ -458,7 +462,8 @@ fn query_log_records_queue_wait_split() {
     let status = s.wait_for_job(id, Duration::from_secs(10)).unwrap();
     assert!(matches!(status, JobStatus::Complete));
     let log = s.log();
-    let last = log.entries().last().unwrap();
+    let entries = log.entries();
+    let last = entries.last().unwrap();
     // The job sat in the paused queue for >= 20ms before running.
     assert!(
         last.queue_wait_micros >= 20_000,

@@ -62,7 +62,8 @@ fn qualified_names_work_for_everyone_public() {
     let out = s.run_query("bob", "SELECT * FROM ada.sensors").unwrap();
     assert_eq!(out.rows.len(), 3);
     let log = s.log();
-    let entry = log.entries().last().unwrap();
+    let entries = log.entries();
+    let entry = entries.last().unwrap();
     assert!(entry.touches_foreign_data);
     assert!(entry.plan_json.is_some());
 }

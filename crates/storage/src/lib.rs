@@ -7,7 +7,8 @@
 //! `sqlshare-core`: the service journals every catalog mutation to a
 //! [`wal::Wal`] *before* applying it, periodically captures the full
 //! durable state as an atomically-renamed [`snapshot`], and appends the
-//! query log to a second [`wal::Wal`] of its own. Both logs are
+//! query log to a second [`wal::Wal`] of its own (an ephemeral service
+//! keeps the same [`frame`]s in memory). Both logs are
 //! recovered by [`Wal::scan`] (a torn tail is truncated, interior damage
 //! refused), checked by [`Wal::verify`] and shipped by [`read_tail`].
 //!
@@ -58,7 +59,7 @@ pub use pagefile::PageFile;
 pub use scrub::{ScrubConfig, ScrubFinding, ScrubStatus, Scrubber};
 pub use snapshot::{SnapshotLoad, SnapshotStore};
 pub use stream::{read_tail, TailRead};
-pub use wal::{wal_generation, CrashPoint, Wal, WalAudit, WalScan};
+pub use wal::{frame, frames, wal_generation, CrashPoint, Wal, WalAudit, WalScan};
 
 /// A shareable count of filesystem operations. Every store in this
 /// crate (WAL, snapshot store, page file) owns one;

@@ -167,7 +167,8 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
     Error::Internal(format!("wal {what} {}: {e}", path.display()))
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
+/// One record as [`Wal::append`] writes it and [`frames`] reads it back.
+pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&fnv64(payload).to_le_bytes());
@@ -189,10 +190,11 @@ fn valid_frame_at(bytes: &[u8], pos: usize) -> bool {
 }
 
 /// The valid frame prefix of `bytes`: each record whose length and
-/// checksum validate, as `(payload, offset just past its frame)`. The one
-/// frame parser — recovery's scan and the replication tail reader
-/// ([`crate::read_tail`]) both read through it.
-pub(crate) fn frames(bytes: &[u8]) -> impl Iterator<Item = (&[u8], usize)> {
+/// checksum validate, as `(payload, offset just past its frame)`. It
+/// borrows the payloads and allocates nothing. The one frame parser —
+/// recovery's scan, the replication tail reader ([`crate::read_tail`])
+/// and an in-memory log of frames all read through it.
+pub fn frames(bytes: &[u8]) -> impl Iterator<Item = (&[u8], usize)> {
     let mut pos = 0usize;
     std::iter::from_fn(move || {
         if !valid_frame_at(bytes, pos) {
@@ -485,6 +487,11 @@ impl Wal {
         self.since_sync = 0;
         self.forget_reservation();
         Ok(())
+    }
+
+    /// The file this log appends to.
+    pub fn path(&self) -> &Path {
+        &self.path
     }
 
     /// Current validated end-of-file offset.

@@ -353,8 +353,8 @@ mod tests {
             seed: 5,
             scale: 0.01,
         });
-        let log = corpus.service.log();
-        let mut sqls: Vec<&str> = log.entries().iter().map(|e| e.sql.as_str()).collect();
+        let entries = corpus.service.log().entries();
+        let mut sqls: Vec<&str> = entries.iter().map(|e| e.sql.as_str()).collect();
         let total = sqls.len();
         sqls.sort();
         sqls.dedup();

@@ -1256,10 +1256,10 @@ mod tests {
         let a = generate(&GeneratorConfig { seed: 3, scale: 0.005 });
         let b = generate(&GeneratorConfig { seed: 3, scale: 0.005 });
         assert_eq!(a.stats, b.stats);
-        let log_a = a.service.log();
-        let log_b = b.service.log();
-        let sqls_a: Vec<&str> = log_a.entries().iter().map(|e| e.sql.as_str()).collect();
-        let sqls_b: Vec<&str> = log_b.entries().iter().map(|e| e.sql.as_str()).collect();
+        let entries_a = a.service.log().entries();
+        let entries_b = b.service.log().entries();
+        let sqls_a: Vec<&str> = entries_a.iter().map(|e| e.sql.as_str()).collect();
+        let sqls_b: Vec<&str> = entries_b.iter().map(|e| e.sql.as_str()).collect();
         assert_eq!(sqls_a, sqls_b);
     }
 

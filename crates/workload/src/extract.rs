@@ -107,8 +107,8 @@ pub fn extract_entry(entry: &QueryLogEntry) -> Option<ExtractedQuery> {
 }
 
 /// Extract every successful query in a log.
-pub fn extract_corpus(entries: &[QueryLogEntry]) -> Vec<ExtractedQuery> {
-    entries.iter().filter_map(extract_entry).collect()
+pub fn extract_corpus(entries: impl IntoIterator<Item = QueryLogEntry>) -> Vec<ExtractedQuery> {
+    entries.into_iter().filter_map(|e| extract_entry(&e)).collect()
 }
 
 /// Accumulators for one plan walk.

@@ -351,7 +351,8 @@ fn cache_hits_are_recorded_in_the_query_log() {
     s.run_query("alice", sql).unwrap();
     s.run_query("alice", sql).unwrap();
     let log = s.log();
-    let mut hits = log.entries().iter().filter(|e| e.cache_hit);
+    let entries = log.entries();
+    let mut hits = entries.iter().filter(|e| e.cache_hit);
     assert!(hits.next().is_some(), "warm execution must log cache_hit = true");
     let cold = log
         .entries()

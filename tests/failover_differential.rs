@@ -1197,6 +1197,86 @@ fn http_pair_fails_over_with_zero_acked_write_loss() {
 }
 
 // ---------------------------------------------------------------------
+// 4b. Concurrent queries over sockets: four clients submit at once, the
+//     primary's scheduler workers finish them in any order, and the
+//     standby tailing the primary's query log ends up with exactly the
+//     primary's ids — none dropped as "already applied".
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_standby_holds_the_primarys_ids_after_concurrent_http_queries() {
+    use crate::http::{HttpClient, ReplayOp};
+    use sqlshare_server::{HttpConfig, Server, ServerHandle};
+    use std::time::{Duration, Instant};
+
+    let p_dir = temp_dir("qorder-p");
+    let s_dir = temp_dir("qorder-s");
+    let heartbeat = Duration::from_millis(20);
+
+    // One tenant per client, so no client can fill a tenant's queue
+    // (64) and be refused.
+    let (clients, per_client) = (4, 60);
+    let mut primary_svc = SqlShare::open(durable_options(&p_dir, u64::MAX)).unwrap();
+    for c in 0..clients {
+        let user = format!("u{c}");
+        primary_svc.register_user(&user, "u@uw.edu").unwrap();
+        primary_svc
+            .upload(&user, "t", "a\n1\n2\n3\n", &IngestOptions::default())
+            .unwrap();
+    }
+    let mut primary_cfg = HttpConfig::default();
+    primary_cfg.repl.heartbeat = heartbeat;
+    let primary = Server::start(primary_svc, "127.0.0.1:0", primary_cfg).expect("bind primary");
+
+    let standby_svc = SqlShare::open(durable_options(&s_dir, u64::MAX)).unwrap();
+    let mut standby_cfg = HttpConfig::default();
+    standby_cfg.repl.primary = Some(primary.addr().to_string());
+    standby_cfg.repl.heartbeat = heartbeat;
+    let standby = Server::start(standby_svc, "127.0.0.1:0", standby_cfg).expect("bind standby");
+
+    let addr = primary.addr();
+    std::thread::scope(|scope| {
+        for c in 0..clients {
+            scope.spawn(move || {
+                let mut client = HttpClient::new(addr);
+                let query = ReplayOp::Post(
+                    "/api/queries".into(),
+                    format!(r#"{{"user":"u{c}","sql":"SELECT SUM(a) FROM t"}}"#),
+                );
+                for _ in 0..per_client {
+                    let resp = client.request(&query).unwrap();
+                    assert_eq!(resp.status, 201, "{}", String::from_utf8_lossy(&resp.body));
+                }
+            });
+        }
+    });
+
+    let ids = |server: &ServerHandle| -> Vec<u64> {
+        server.with_service(|s| s.log().entries().iter().map(|e| e.id).collect())
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut logged = ids(&primary);
+    while logged.len() < clients * per_client && Instant::now() < deadline {
+        std::thread::sleep(heartbeat);
+        logged = ids(&primary);
+    }
+    assert_eq!(logged.len(), clients * per_client, "the primary did not log every query");
+    let mut replicated = ids(&standby);
+    while replicated != logged && Instant::now() < deadline {
+        std::thread::sleep(heartbeat);
+        replicated = ids(&standby);
+    }
+    let missing = logged.iter().filter(|id| !replicated.contains(id)).count();
+    assert_eq!(missing, 0, "the standby dropped {missing} of the primary's entries");
+    assert_eq!(replicated, logged);
+
+    standby.shutdown();
+    primary.shutdown();
+    let _ = std::fs::remove_dir_all(&p_dir);
+    let _ = std::fs::remove_dir_all(&s_dir);
+}
+
+// ---------------------------------------------------------------------
 // 5. Demote is fenced: a healthy primary steps down only for a strictly
 //    newer lease epoch. Equal or stale epochs — anyone can POST them —
 //    must not be able to leave the cluster writeless.
