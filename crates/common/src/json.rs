@@ -138,6 +138,17 @@ impl Json {
         self.as_object().and_then(|o| o.get(key))
     }
 
+    /// Levels of array and object nesting: 0 for a scalar, 1 for `[]` or
+    /// `{}`. [`parse`] reads back exactly the documents of depth at most
+    /// [`MAX_DEPTH`].
+    pub fn depth(&self) -> usize {
+        match self {
+            Json::Array(items) => 1 + items.iter().map(Json::depth).max().unwrap_or(0),
+            Json::Object(o) => 1 + o.iter().map(|(_, v)| v.depth()).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
     /// Pretty serialization with two-space indentation.
     pub fn to_pretty_string(&self) -> String {
         let mut w = JsonWriter::pretty();
@@ -371,11 +382,18 @@ impl std::fmt::Display for Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, and a request body is parsed before it is
+/// routed, so an unbounded depth would let one request exhaust a
+/// thread's stack.
+pub const MAX_DEPTH: usize = 512;
+
 /// Parse a JSON document.
 pub fn parse(input: &str) -> Result<Json> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -392,6 +410,8 @@ pub fn parse(input: &str) -> Result<Json> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -436,8 +456,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
@@ -449,6 +469,20 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parse an array or object one level deeper, up to [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::Json(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self)?;
+        self.depth -= 1;
+        Ok(value)
     }
 
     fn object(&mut self) -> Result<Json> {
@@ -661,6 +695,19 @@ mod tests {
     fn integers_serialize_without_fraction() {
         assert_eq!(Json::num(3.0).to_string(), "3");
         assert_eq!(Json::num(3.25).to_string(), "3.25");
+    }
+
+    #[test]
+    fn nesting_is_capped_not_crashing() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let deepest = parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(deepest.depth(), MAX_DEPTH);
+        assert_eq!(parse(&deepest.to_string()).unwrap(), deepest);
+        assert_eq!(parse("{\"a\":[1,{}],\"b\":2}").unwrap().depth(), 3);
+        assert_eq!(Json::num(1.0).depth(), 0);
+        for doc in [nested(MAX_DEPTH + 1), "[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            assert_eq!(parse(&doc).unwrap_err().kind(), "json");
+        }
     }
 
     #[test]

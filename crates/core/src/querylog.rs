@@ -103,7 +103,8 @@ pub struct QueryLogEntry {
     /// (0 when nothing spilled or no paged storage layer is attached).
     pub spill_bytes: u64,
     /// The cleaned JSON plan (Phase 1 output, Fig. 5a). Present only for
-    /// successful queries.
+    /// successful queries, and written to the log only when the encoded
+    /// entry stays within [`json::MAX_DEPTH`], so every entry reads back.
     pub plan_json: Option<Json>,
     /// Base tables touched (catalog keys).
     pub tables: Vec<String>,
@@ -127,7 +128,13 @@ impl QueryLogEntry {
         o.insert("cache_hit", Json::Bool(self.cache_hit));
         o.insert("degraded_retry", Json::Bool(self.degraded_retry));
         o.insert("spill_bytes", Json::Number(self.spill_bytes as f64));
-        if let Some(plan) = &self.plan_json {
+        // The entry adds one level to its plan's (two per operator); a plan
+        // that would take it past what `json::parse` reads is left out.
+        if let Some(plan) = self
+            .plan_json
+            .as_ref()
+            .filter(|p| p.depth() < json::MAX_DEPTH)
+        {
             o.insert("plan", plan.clone());
         }
         o.insert(

@@ -370,28 +370,9 @@ impl SqlShare {
         lock(&shared.jobs).insert(id, job);
 
         let engine = self.engine_snapshot();
-        // Plan once on the submit path: the optimizer's degree of
-        // parallelism decides how many worker slots the job reserves (a
-        // DOP-4 hash join accounts for four workers' worth of backend
-        // capacity, not one), and the worker executes this same plan
-        // against the same snapshot instead of planning a second time.
-        // Planning failures keep the normal job lifecycle: the stored
-        // error surfaces when the job is picked up, like any failure.
-        let prepared = engine.prepare(&touched.canonical);
-        // An expected result-cache hit needs no backend capacity: the
-        // worker will serve pinned rows without executing, so reserve a
-        // single slot instead of the plan's DOP. (If the entry is evicted
-        // between here and execution the query simply runs under-reserved
-        // once — slots are scheduler accounting, not a thread cap.)
-        let slots = match &prepared {
-            Ok(p) if engine.cached_result_available(p) => 1,
-            Ok(p) => p.dop(),
-            Err(_) => 1,
-        };
         let options = SubmitOptions {
             deadline,
             token: Some(token),
-            slots,
         };
         let queued = attempt.clone();
         let worker = Arc::clone(&shared);
@@ -423,7 +404,7 @@ impl SqlShare {
                     let picked_up = engine
                         .fault_plan()
                         .map_or(Ok(()), |faults| faults.check(FaultSite::SchedDequeue));
-                    let plan = picked_up.and(prepared);
+                    let plan = picked_up.and_then(|()| engine.prepare(&touched.canonical));
                     run(&engine, plan, &touched.canonical, &ctx.token, &mut degraded)
                 }))
                 .unwrap_or_else(|payload| Err(Error::from_panic(payload)));

@@ -9,8 +9,8 @@
 use sqlshare_common::hash::fnv64;
 use sqlshare_common::json;
 use sqlshare_core::{
-    read_tail, DurableOptions, FsyncPolicy, IoCounter, QueryLogEntry, ScrubConfig, Scrubber,
-    SqlShare,
+    read_tail, DurableOptions, FsyncPolicy, IoCounter, Metadata, Outcome, QueryLogEntry,
+    ScrubConfig, Scrubber, SqlShare,
 };
 use sqlshare_ingest::IngestOptions;
 use std::path::{Path, PathBuf};
@@ -71,6 +71,58 @@ fn a_damaged_first_line_is_refused_and_left_on_disk() {
     assert_eq!(err.kind(), "corrupt", "{err}");
     assert!(err.message().contains("querylog.log"), "{err}");
     assert_eq!(std::fs::read(&log).unwrap(), bytes, "the log was modified");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_plan_too_deep_to_read_back_is_logged_without_it() {
+    // Depth stacked through views is not bounded yet: binding and running
+    // these views takes more than a default thread stack in a debug build.
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(log_and_reopen_a_plan_too_deep_to_read_back)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+fn log_and_reopen_a_plan_too_deep_to_read_back() {
+    let dir = std::env::temp_dir().join(format!(
+        "sqlshare-querylog-{}-deep-plan",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = DurableOptions::new(&dir).fsync(FsyncPolicy::Off);
+    let mut s = SqlShare::open(options.clone()).unwrap();
+    s.register_user("ada", "a@uw.edu").unwrap();
+    s.upload("ada", "v0", "n\n1\n", &IngestOptions::default())
+        .unwrap();
+    // Each view is a UNION ALL chain over the one below it: every view
+    // is within the parser's bound, but the stack of them is not.
+    let links = " UNION ALL SELECT 1".repeat(40);
+    let views = 8;
+    for i in 1..=views {
+        let sql = format!("SELECT n FROM v{}{links}", i - 1);
+        s.save_dataset("ada", &format!("v{i}"), &sql, Metadata::default())
+            .unwrap();
+    }
+    let deep = s
+        .run_query("ada", &format!("SELECT COUNT(*) FROM v{views}"))
+        .unwrap();
+    assert!(
+        deep.plan_json.depth() >= json::MAX_DEPTH,
+        "the plan is {} levels deep",
+        deep.plan_json.depth()
+    );
+    let shallow = s.run_query("ada", "SELECT COUNT(*) FROM v0").unwrap();
+    drop(s);
+
+    let s = SqlShare::open(options).expect("the service reopens");
+    let logged = s.log().entries();
+    assert_eq!(logged.len(), 2);
+    assert!(matches!(logged[0].outcome, Outcome::Success { rows: 1, .. }));
+    assert_eq!(logged[0].plan_json, None);
+    assert_eq!(logged[1].plan_json, Some(shallow.plan_json));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -249,49 +249,53 @@ fn overloaded_tenant_is_rejected() {
     assert_eq!(stats.totals.completed, 2);
 }
 
-/// A query the optimizer parallelizes at DOP 4 reserves four worker
-/// slots for the duration of its run: while it executes, the scheduler
-/// reports one running job holding four slots and no free capacity.
+/// A query the optimizer parallelizes at DOP 4 holds one scheduler
+/// worker, like any other query: its region's threads are the engine's.
+/// With two workers, a serial query from another tenant runs to
+/// completion while the join is still running.
 #[test]
-fn parallel_query_reserves_dop_worker_slots() {
+fn a_parallel_query_holds_one_worker() {
     let mut s = service_with_nums(
-        SchedulerConfig { workers: 4, ..Default::default() },
+        SchedulerConfig { workers: 2, ..Default::default() },
         20_000,
     );
+    s.register_user("bob", "bob@example.com").unwrap();
     s.set_parallelism(4, 0.0);
-    // A bucketed self-equijoin: plans as a parallel hash join (morsel
-    // scans feeding Repartition/Gather) and produces enough probe output
-    // to be observed mid-flight.
-    let sql = "SELECT COUNT(*) FROM ada.nums a JOIN ada.nums b ON a.n % 50 = b.n % 50";
+    // A bucketed self-equijoin: plans as a parallel hash join and
+    // produces enough probe output to be observed mid-flight.
+    let sql = "SELECT COUNT(*) FROM ada.nums a JOIN ada.nums b ON a.n % 5 = b.n % 5";
     let canonical = s.canonicalize("ada", sql).unwrap();
     assert_eq!(s.engine().plan_dop(&canonical), 4, "query must plan at DOP 4");
 
-    let id = s.submit_query("ada", sql).unwrap();
+    let join = s.submit_query("ada", sql).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    let mut saw_full_reservation = false;
     while std::time::Instant::now() < deadline {
-        let stats = s.scheduler_stats();
-        if stats.totals.running == 1 && stats.totals.running_slots == 4 {
-            assert_eq!(s.scheduler().free_slots(), 0);
-            saw_full_reservation = true;
-            break;
-        }
-        if matches!(s.query_status(id), Ok(st) if st.is_terminal()) {
+        if matches!(s.query_status(join), Ok(JobStatus::Running)) {
             break;
         }
         std::thread::sleep(Duration::from_millis(1));
     }
+    assert!(matches!(s.query_status(join), Ok(JobStatus::Running)));
+
+    let serial = s.submit_query("bob", "SELECT COUNT(*) FROM ada.nums").unwrap();
+    let status = s.wait_for_job(serial, Duration::from_secs(30)).unwrap();
+    assert!(matches!(status, JobStatus::Complete), "got {status:?}");
     assert!(
-        saw_full_reservation,
-        "never observed the DOP-4 job holding all four slots"
+        matches!(s.query_status(join), Ok(JobStatus::Running)),
+        "the serial query must complete while the join still runs"
     );
-    s.cancel_query("ada", id).unwrap();
-    let status = s.wait_for_job(id, Duration::from_secs(30)).unwrap();
+
+    s.cancel_query("ada", join).unwrap();
+    let status = s.wait_for_job(join, Duration::from_secs(30)).unwrap();
     assert!(matches!(status, JobStatus::Cancelled(_)), "got {status:?}");
+    assert!(s.scheduler().wait_idle(Duration::from_secs(30)));
+    let stats = s.scheduler_stats();
+    assert_eq!(stats.totals.running, 0);
+    assert_eq!(stats.totals.queue_depth, 0);
 }
 
-/// Cancelling a DOP-4 hash join mid-execution stops every worker
-/// promptly and releases all four reserved slots back to the pool.
+/// Cancelling a DOP-4 hash join mid-execution stops every thread of
+/// its parallel region promptly and gives its scheduler worker back.
 #[test]
 fn cancelled_dop4_hash_join_releases_all_slots_promptly() {
     let mut s = service_with_nums(
@@ -326,13 +330,12 @@ fn cancelled_dop4_hash_join_releases_all_slots_promptly() {
     assert!(s.scheduler().wait_idle(Duration::from_secs(30)));
     let stats = s.scheduler_stats();
     assert_eq!(stats.totals.cancelled, 1);
-    assert_eq!(stats.totals.running, 0);
-    assert_eq!(stats.totals.running_slots, 0, "cancelled job leaked slots");
-    assert_eq!(s.scheduler().free_slots(), stats.workers);
+    assert_eq!(stats.totals.running, 0, "cancelled job kept its worker");
+    assert_eq!(stats.totals.queue_depth, 0);
 }
 
 /// A job cancelled while its retry-at-DOP-1 is in flight must end
-/// `Cancelled`, not `Complete`, and release every reserved slot. The
+/// `Cancelled`, not `Complete`, and give its worker back. The
 /// forced dequeue-exhaustion fault makes the first attempt fail the
 /// moment a worker picks the job up, so the degraded serial retry is
 /// what the cancel lands on.
@@ -370,8 +373,8 @@ fn cancel_during_degraded_retry_ends_cancelled() {
     assert_eq!(stats.totals.cancelled, 1);
     assert_eq!(stats.totals.completed, 0);
     assert_eq!(stats.totals.degraded_retries, 1);
-    assert_eq!(stats.totals.running_slots, 0);
-    assert_eq!(s.scheduler().free_slots(), stats.workers, "slots leaked");
+    assert_eq!(stats.totals.running, 0, "cancelled job kept its worker");
+    assert_eq!(stats.totals.queue_depth, 0);
     // The cancelled retry is logged with its failure class and flag.
     let log = s.log();
     let entries = log.entries();
@@ -409,12 +412,13 @@ fn memory_killed_query_does_not_take_down_other_tenants() {
     assert_eq!(stats.tenants["ada"].failed_resource, 1);
     assert_eq!(stats.tenants["ada"].degraded_retries, 1);
     assert_eq!(stats.tenants["bob"].completed, 1);
-    assert_eq!(s.scheduler().free_slots(), stats.workers, "slots leaked");
+    assert_eq!(stats.totals.running, 0, "a job kept its worker");
+    assert_eq!(stats.totals.queue_depth, 0);
 }
 
 /// An injected panic inside a parallel worker at DOP 4 fails only its
-/// own job: the panic is contained into `Error::Internal`, all four
-/// reserved slots come back, and the very next submission runs clean.
+/// own job: the panic is contained into `Error::Internal`, its worker
+/// comes back, and the very next submission runs clean.
 #[test]
 fn worker_panic_at_dop4_fails_one_job_and_service_survives() {
     use sqlshare_engine::{FaultPlan, FaultSite};
@@ -439,8 +443,8 @@ fn worker_panic_at_dop4_fails_one_job_and_service_survives() {
     let stats = s.scheduler_stats();
     assert_eq!(stats.totals.failed, 1);
     assert_eq!(stats.tenants["ada"].failed_internal, 1);
-    assert_eq!(stats.totals.running_slots, 0);
-    assert_eq!(s.scheduler().free_slots(), stats.workers, "panicked job leaked slots");
+    assert_eq!(stats.totals.running, 0, "panicked job kept its worker");
+    assert_eq!(stats.totals.queue_depth, 0);
 
     // The process kept serving: clear the plan and run again.
     s.set_fault_plan(None);

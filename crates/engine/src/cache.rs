@@ -284,12 +284,6 @@ impl QueryCache {
         }
     }
 
-    /// Whether a result is cached for `key`, without counting a hit (the
-    /// scheduler uses this to skip DOP slot reservation on expected hits).
-    pub fn peek_result(&self, key: &ResultKey) -> bool {
-        self.result_budget > 0 && self.lock().results.contains_key(key)
-    }
-
     /// Store a result, evicting least-recently-used entries until the
     /// byte budget holds. Results larger than the whole budget are not
     /// cached.
@@ -641,11 +635,13 @@ mod tests {
         assert!(stats.evictions >= 1, "expected LRU eviction: {stats:?}");
         assert!(stats.result_bytes <= 1024 * 1024);
         // The most recent entry survived.
-        assert!(cache.peek_result(&ResultKey {
-            fingerprint: 3,
-            sql: "q3".into(),
-            deps: vec![("t".into(), 1)],
-        }));
+        assert!(cache
+            .lookup_result(&ResultKey {
+                fingerprint: 3,
+                sql: "q3".into(),
+                deps: vec![("t".into(), 1)],
+            })
+            .is_some());
     }
 
     #[test]
@@ -659,8 +655,11 @@ mod tests {
         cache.store_result(mk(1, "alice.data"), Schema::new(vec![]), &[vec![Value::Int(1)]]);
         cache.store_result(mk(2, "bob.data"), Schema::new(vec![]), &[vec![Value::Int(2)]]);
         cache.invalidate_key("alice.data");
-        assert!(!cache.peek_result(&mk(1, "alice.data")));
-        assert!(cache.peek_result(&mk(2, "bob.data")), "unrelated entry must survive");
+        assert!(cache.lookup_result(&mk(1, "alice.data")).is_none());
+        assert!(
+            cache.lookup_result(&mk(2, "bob.data")).is_some(),
+            "unrelated entry must survive"
+        );
         assert_eq!(cache.stats().invalidations, 1);
     }
 
@@ -673,7 +672,7 @@ mod tests {
             deps: vec![],
         };
         cache.store_result(key.clone(), Schema::new(vec![]), &[vec![Value::Int(1)]]);
-        assert!(!cache.peek_result(&key));
+        assert!(cache.lookup_result(&key).is_none());
         assert!(!cache.note_view_hit("v"));
     }
 }

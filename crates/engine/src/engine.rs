@@ -104,9 +104,8 @@ pub struct Engine {
 /// A query planned once for later execution: the bound output schema, the
 /// parallelized physical plan, and the cache identity (normalized SQL,
 /// fingerprint, dependency generations) the result cache is keyed on.
-/// The service plans on the submit path to learn the degree of
-/// parallelism (slot reservation), then executes this same plan on a
-/// worker instead of planning the query a second time.
+/// The service plans on the submit path, then executes this same plan on
+/// a worker instead of planning the query a second time.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     pub schema: Schema,
@@ -122,11 +121,6 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
-    /// The degree of parallelism the plan will run at (1 = serial).
-    pub fn dop(&self) -> usize {
-        self.plan.max_parallelism()
-    }
-
     /// The result-cache key for this plan.
     pub fn result_key(&self) -> ResultKey {
         ResultKey {
@@ -292,14 +286,6 @@ impl Engine {
     /// Cache counters and occupancy.
     pub fn cache_stats(&self) -> cache::CacheStats {
         self.cache.stats()
-    }
-
-    /// Whether the result cache already holds rows for this plan — used
-    /// by the scheduler to skip DOP slot reservation on expected hits
-    /// (the cache lookup does no real work, so a hit needs no backend
-    /// capacity). Does not count toward hit/miss statistics.
-    pub fn cached_result_available(&self, prepared: &PreparedQuery) -> bool {
-        self.cache.peek_result(&prepared.result_key())
     }
 
     // ---- catalog -------------------------------------------------------

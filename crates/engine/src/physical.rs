@@ -178,8 +178,7 @@ impl PhysicalPlan {
     }
 
     /// Highest degree of parallelism of any exchange in the plan; 1 for
-    /// a fully serial plan. The scheduler charges this many worker
-    /// slots for the query.
+    /// a fully serial plan.
     pub fn max_parallelism(&self) -> usize {
         let mut dop = 1usize;
         self.visit(&mut |n| {

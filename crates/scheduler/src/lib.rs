@@ -6,10 +6,11 @@
 //! more queries than the median). This crate provides the substrate
 //! that makes that survivable:
 //!
-//! * a **worker pool** executing jobs off the caller's thread;
-//! * **bounded per-tenant queues** with **weighted fair dequeue**
-//!   (round-robin over tenants, `weight` consecutive jobs per turn), so
-//!   one heavy user cannot starve others;
+//! * a **worker pool** executing jobs off the caller's thread, one job
+//!   per worker whatever the job does inside (a parallel query's own
+//!   threads are the engine's, not the pool's);
+//! * **bounded per-tenant queues** with **round-robin dequeue** (one
+//!   job per tenant per turn), so one heavy user cannot starve others;
 //! * **admission control**: submissions beyond a tenant's queue
 //!   capacity are rejected with [`Error::Overloaded`];
 //! * **deadlines** enforced by a reaper thread that trips each job's
@@ -25,8 +26,8 @@
 //! [`JobDisposition`] plus an optional [`FailureClass`] and a
 //! degraded-retry flag — so the scheduler can attribute its fate in the
 //! stats. A job that *panics* is contained by the worker (the panic
-//! fails that job alone, recorded as `internal`) and its slots are
-//! released like any other outcome.
+//! fails that job alone, recorded as `internal`) and the worker goes
+//! back to the queue like after any other outcome.
 
 pub mod stats;
 
@@ -40,11 +41,7 @@ use std::time::{Duration, Instant};
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Worker threads executing jobs, and the worker *slots* available
-    /// to running jobs. A serial query holds one slot; an
-    /// intra-query-parallel job submitted with `SubmitOptions::slots =
-    /// dop` holds `dop`, so a DOP-4 query accounts for four workers'
-    /// worth of capacity.
+    /// Worker threads executing jobs; each running job holds one.
     pub workers: usize,
     /// Maximum queued (not yet running) jobs per tenant; submissions
     /// beyond this are rejected with [`Error::Overloaded`].
@@ -54,7 +51,7 @@ pub struct SchedulerConfig {
     pub default_deadline: Option<Duration>,
     /// Start with dequeuing paused (jobs accumulate until
     /// [`Scheduler::resume`]); used by tests that need deterministic
-    /// queue states, and by services that want to warm up first.
+    /// queue states.
     pub start_paused: bool,
 }
 
@@ -79,10 +76,6 @@ pub struct SubmitOptions {
     /// lets the caller hold the cancel handle before the job is even
     /// queued, so a concurrent cancel can never miss the job.
     pub token: Option<CancellationToken>,
-    /// Worker slots this job occupies while running — the query's
-    /// degree of parallelism. `0` means 1; values beyond the
-    /// scheduler's slot capacity are clamped so the job can still run.
-    pub slots: usize,
 }
 
 /// How a job ended, as reported by the job itself.
@@ -161,16 +154,12 @@ pub struct JobContext {
     pub queue_wait: Duration,
 }
 
-/// A point-in-time view of scheduler pressure, exposed so the HTTP
-/// front end can shed load *before* queues collapse: when
-/// [`LoadSnapshot::saturated`] the right client-facing answer is
-/// `429` with a [`LoadSnapshot::retry_after`] hint, not a deeper queue.
+/// A point-in-time view of scheduler pressure, from which the HTTP
+/// front end derives the `Retry-After` hint of a `429`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadSnapshot {
-    /// Worker threads executing jobs, and so the worker slots.
+    /// Worker threads executing jobs.
     pub workers: usize,
-    /// Slots currently held by running jobs.
-    pub running_slots: usize,
     /// Jobs queued (not yet running) across all tenants.
     pub queued: usize,
     /// Per-tenant queue capacity (admission control's rejection bound).
@@ -178,12 +167,6 @@ pub struct LoadSnapshot {
 }
 
 impl LoadSnapshot {
-    /// Every slot busy *and* work already waiting: new work can only
-    /// deepen queues.
-    pub fn saturated(&self) -> bool {
-        self.running_slots >= self.workers && self.queued > 0
-    }
-
     /// A coarse client back-off hint in whole seconds, scaled to how
     /// many queued jobs each worker must drain first; clamped to
     /// `1..=30` so a burst never tells clients to go away for minutes.
@@ -208,12 +191,6 @@ struct QueuedJob {
     job: JobFn,
     token: CancellationToken,
     enqueued: Instant,
-    /// Worker slots held while running (clamped at submission).
-    slots: usize,
-    /// Times this job, at the head of its tenant's queue, was passed
-    /// over for lack of free slots while some other job was admitted.
-    /// Feeds the anti-starvation reservation in [`next_job`].
-    skipped: u32,
 }
 
 /// Deadline heap entry, ordered soonest-first.
@@ -244,15 +221,8 @@ impl Ord for DeadlineEntry {
 #[derive(Default)]
 struct TenantState {
     queue: VecDeque<QueuedJob>,
-    /// Jobs dequeued per round-robin turn (fairness weight); 1 = strict
-    /// alternation with other tenants.
-    weight: u32,
-    /// Jobs taken in the current turn.
-    burst: u32,
     /// Jobs currently executing for this tenant.
     running: usize,
-    /// Worker slots those jobs hold (≥ `running`; DOP-n jobs hold n).
-    running_slots: usize,
     stats: TenantStats,
 }
 
@@ -265,9 +235,6 @@ struct State {
     shutdown: bool,
     next_seq: u64,
     running: usize,
-    /// Worker slots held by running jobs; dequeue is gated on
-    /// `running_slots + job.slots <= config.workers`.
-    running_slots: usize,
 }
 
 struct Shared {
@@ -317,7 +284,6 @@ impl Scheduler {
                 shutdown: false,
                 next_seq: 0,
                 running: 0,
-                running_slots: 0,
             }),
             work_cv: Condvar::new(),
             reaper_cv: Condvar::new(),
@@ -358,9 +324,6 @@ impl Scheduler {
             return Err(Error::Cancelled("scheduler is shut down".into()));
         }
         let entry = state.tenants.entry(tenant.to_string()).or_default();
-        if entry.weight == 0 {
-            entry.weight = 1;
-        }
         if entry.queue.len() >= self.shared.config.queue_capacity {
             entry.stats.rejected += 1;
             return Err(Error::Overloaded(format!(
@@ -377,8 +340,6 @@ impl Scheduler {
             .deadline
             .or(self.shared.config.default_deadline)
             .map(|d| now + d);
-
-        let slots = opts.slots.max(1).min(self.shared.config.workers);
         let entry = state.tenants.get_mut(tenant).expect("just inserted");
         entry.stats.submitted += 1;
         let newly_active = entry.queue.is_empty();
@@ -386,8 +347,6 @@ impl Scheduler {
             job: Box::new(move |ctx: &JobContext| job(ctx).into()),
             token: token.clone(),
             enqueued: now,
-            slots,
-            skipped: 0,
         });
         let depth = entry.queue.len() as u64;
         entry.stats.max_queue_depth = entry.stats.max_queue_depth.max(depth);
@@ -407,26 +366,10 @@ impl Scheduler {
         Ok(JobTicket { seq, token })
     }
 
-    /// Stop dequeuing new jobs (running jobs continue).
-    pub fn pause(&self) {
-        self.lock().paused = true;
-    }
-
-    /// Resume dequeuing.
+    /// Resume dequeuing after [`SchedulerConfig::start_paused`].
     pub fn resume(&self) {
         self.lock().paused = false;
         self.shared.work_cv.notify_all();
-    }
-
-    /// Set a tenant's fairness weight: the number of consecutive jobs
-    /// it may dequeue per round-robin turn. Minimum 1.
-    pub fn set_tenant_weight(&self, tenant: &str, weight: u32) {
-        let mut state = self.lock();
-        state
-            .tenants
-            .entry(tenant.to_string())
-            .or_default()
-            .weight = weight.max(1);
     }
 
     /// Snapshot of scheduler statistics.
@@ -438,23 +381,15 @@ impl Scheduler {
             let mut s = t.stats.clone();
             s.queue_depth = t.queue.len() as u64;
             s.running = t.running as u64;
-            s.running_slots = t.running_slots as u64;
             totals.add(&s);
             tenants.insert(name.clone(), s);
         }
         debug_assert_eq!(totals.running, state.running as u64);
-        debug_assert_eq!(totals.running_slots, state.running_slots as u64);
         SchedulerStats {
             workers: self.shared.config.workers,
             totals,
             tenants,
         }
-    }
-
-    /// Worker slots not currently held by running jobs.
-    pub fn free_slots(&self) -> usize {
-        let state = self.lock();
-        self.shared.config.workers.saturating_sub(state.running_slots)
     }
 
     /// One-lock snapshot of scheduler pressure — the overload signal a
@@ -465,7 +400,6 @@ impl Scheduler {
         let state = self.lock();
         LoadSnapshot {
             workers: self.shared.config.workers,
-            running_slots: state.running_slots,
             queued: state.tenants.values().map(|t| t.queue.len()).sum(),
             queue_capacity: self.shared.config.queue_capacity,
         }
@@ -542,108 +476,25 @@ impl Drop for Scheduler {
     }
 }
 
-/// Pass-overs after which a slot-blocked head job earns a reservation.
-const STARVATION_SKIPS: u32 = 8;
-/// Queue wait after which a head job that has been passed over at least
-/// once earns a reservation even if pass-overs were sparse.
-const STARVATION_PATIENCE: Duration = Duration::from_millis(500);
-
-/// Has this head job been slot-blocked long enough to deserve a
-/// reservation? Only jobs that were actually passed over count — plain
-/// weighted round-robin is untouched while everything fits.
-fn starving(job: &QueuedJob) -> bool {
-    job.skipped >= STARVATION_SKIPS
-        || (job.skipped > 0 && job.enqueued.elapsed() >= STARVATION_PATIENCE)
-}
-
-/// Pick the next job according to weighted round-robin over tenants,
-/// gated on free worker slots: a job runs only when `running_slots +
-/// job.slots` fits in `slot_capacity`. First fit over the rotation — a
-/// wide (high-DOP) job at the front of one tenant's queue does not
-/// block another tenant's narrow job from slipping through, but
-/// submission-order within one tenant is preserved.
-///
-/// First fit alone can starve a wide job indefinitely: narrow jobs from
-/// other tenants keep slipping through, so free slots never accumulate
-/// to the wide job's demand. Anti-starvation reservation: every time a
-/// head job is passed over for slots while another job is admitted, its
-/// `skipped` count grows; once a job has been passed over
-/// [`STARVATION_SKIPS`] times (or once plus [`STARVATION_PATIENCE`] of
-/// queue wait), the longest-waiting such job is *reserved* — other jobs
-/// are then admitted only if they would still leave it enough free
-/// slots, so capacity drains to the reserved job instead of leaking to
-/// the narrow stream.
+/// Round-robin over tenants, one job per turn: take the head job of the
+/// first tenant in the rotation, then move that tenant to the back if it
+/// still has queued work. Submission order within a tenant is preserved.
 ///
 /// Caller must hold the state lock. Returns the job and its tenant.
-fn next_job(state: &mut State, slot_capacity: usize) -> Option<(String, QueuedJob)> {
-    // The reservation: the longest-waiting starving head job, if any.
-    let mut reserved: Option<(&str, usize, Instant)> = None;
-    for name in &state.rotation {
-        let Some(job) = state.tenants.get(name).and_then(|t| t.queue.front()) else {
-            continue;
-        };
-        if starving(job) && reserved.is_none_or(|(_, _, at)| job.enqueued < at) {
-            reserved = Some((name, job.slots, job.enqueued));
-        }
+fn next_job(state: &mut State) -> Option<(String, QueuedJob)> {
+    let tenant_name = state.rotation.pop_front()?;
+    let tenant = state
+        .tenants
+        .get_mut(&tenant_name)
+        .expect("rotation entry has tenant state");
+    let job = tenant
+        .queue
+        .pop_front()
+        .expect("a tenant is in the rotation only while it has queued jobs");
+    if !tenant.queue.is_empty() {
+        state.rotation.push_back(tenant_name.clone());
     }
-    let reserved: Option<(String, usize)> =
-        reserved.map(|(name, slots, _)| (name.to_string(), slots));
-
-    // Heads passed over for slots this scan; they are only charged a
-    // skip if the scan actually admits some other job.
-    let mut passed_over: Vec<String> = Vec::new();
-    let mut idx = 0;
-    while idx < state.rotation.len() {
-        let tenant_name = state.rotation[idx].clone();
-        let tenant = state
-            .tenants
-            .get_mut(&tenant_name)
-            .expect("rotation entry has tenant state");
-        let Some(job) = tenant.queue.front() else {
-            // Stale rotation entry (queue drained elsewhere).
-            tenant.burst = 0;
-            state.rotation.remove(idx);
-            continue;
-        };
-        if state.running_slots + job.slots > slot_capacity {
-            // Doesn't fit right now; try the next tenant.
-            passed_over.push(tenant_name);
-            idx += 1;
-            continue;
-        }
-        if let Some((res_tenant, res_slots)) = &reserved {
-            if *res_tenant != tenant_name
-                && state.running_slots + job.slots + res_slots > slot_capacity
-            {
-                // Fits, but would eat into the reservation; held back
-                // (not charged as a pass-over — the hold is deliberate).
-                idx += 1;
-                continue;
-            }
-        }
-        let job = tenant.queue.pop_front().expect("peeked");
-        tenant.burst += 1;
-        let exhausted = tenant.queue.is_empty();
-        let turn_over = tenant.burst >= tenant.weight.max(1);
-        if exhausted || turn_over {
-            tenant.burst = 0;
-            state.rotation.remove(idx);
-            if !exhausted {
-                state.rotation.push_back(tenant_name.clone());
-            }
-        }
-        for name in passed_over {
-            if let Some(head) = state
-                .tenants
-                .get_mut(&name)
-                .and_then(|t| t.queue.front_mut())
-            {
-                head.skipped = head.skipped.saturating_add(1);
-            }
-        }
-        return Some((tenant_name, job));
-    }
-    None
+    Some((tenant_name, job))
 }
 
 fn worker_loop(shared: &Shared) {
@@ -654,20 +505,14 @@ fn worker_loop(shared: &Shared) {
         // every accepted job eventually runs and records an outcome.
         let can_take = state.shutdown || !state.paused;
         let job = if can_take {
-            next_job(&mut state, shared.config.workers)
+            next_job(&mut state)
         } else {
             None
         };
         match job {
             Some((tenant_name, queued)) => {
-                let slots = queued.slots;
                 state.running += 1;
-                state.running_slots += slots;
-                {
-                    let tenant = state.tenants.entry(tenant_name.clone()).or_default();
-                    tenant.running += 1;
-                    tenant.running_slots += slots;
-                }
+                state.tenants.entry(tenant_name.clone()).or_default().running += 1;
                 drop(state);
 
                 let queue_wait = queued.enqueued.elapsed();
@@ -679,8 +524,8 @@ fn worker_loop(shared: &Shared) {
                 // Containment barrier: a panic escaping the job closure
                 // (an engine bug past the engine's own barriers, or an
                 // injected chaos fault) fails *that job* and keeps this
-                // worker alive; the slot release below runs regardless,
-                // so capacity can never leak to a crashed query.
+                // worker alive; the bookkeeping below runs regardless, so
+                // a crashed query can never hold its worker.
                 let job = queued.job;
                 let report: JobReport =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(&ctx)))
@@ -689,10 +534,8 @@ fn worker_loop(shared: &Shared) {
 
                 state = lock_state(shared);
                 state.running -= 1;
-                state.running_slots -= slots;
                 let tenant = state.tenants.entry(tenant_name).or_default();
                 tenant.running -= 1;
-                tenant.running_slots -= slots;
                 let stats = &mut tenant.stats;
                 stats.total_queue_wait_micros += queue_wait.as_micros() as u64;
                 stats.total_exec_micros += exec.as_micros() as u64;

@@ -33,12 +33,8 @@ pub struct TenantStats {
     /// Jobs currently queued (snapshot; only meaningful in
     /// [`SchedulerStats`] output).
     pub queue_depth: u64,
-    /// Jobs currently executing (snapshot).
+    /// Jobs currently executing (snapshot), one per busy worker.
     pub running: u64,
-    /// Worker slots those jobs hold (snapshot). A serial query holds
-    /// one; a DOP-n parallel query holds n, so this can exceed
-    /// `running`.
-    pub running_slots: u64,
     /// Highest queue depth observed.
     pub max_queue_depth: u64,
     /// Total time jobs spent queued before starting.
@@ -86,7 +82,6 @@ impl TenantStats {
         self.rejected += other.rejected;
         self.queue_depth += other.queue_depth;
         self.running += other.running;
-        self.running_slots += other.running_slots;
         self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
         self.total_queue_wait_micros += other.total_queue_wait_micros;
         self.total_exec_micros += other.total_exec_micros;
@@ -96,8 +91,7 @@ impl TenantStats {
 /// A point-in-time snapshot of the whole scheduler.
 #[derive(Debug, Clone, Default)]
 pub struct SchedulerStats {
-    /// Worker threads in the pool, and so the worker slots available to
-    /// running jobs (a DOP-n query holds n of them).
+    /// Worker threads in the pool; each running job holds one.
     pub workers: usize,
     /// Aggregate counters over all tenants.
     pub totals: TenantStats,

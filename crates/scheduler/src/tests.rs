@@ -38,9 +38,9 @@ fn runs_a_job_and_counts_completion() {
 
 #[test]
 fn fair_dequeue_interleaves_skewed_tenants() {
-    // Tenant "heavy" floods 6 jobs before "light" submits 2. With
-    // equal weights the scheduler must alternate turns, so light's
-    // jobs run long before heavy's backlog drains.
+    // Tenant "heavy" floods 6 jobs before "light" submits 2. The
+    // scheduler must alternate turns, so light's jobs run long before
+    // heavy's backlog drains.
     let sched = single_worker_paused();
     let order = Arc::new(Mutex::new(Vec::new()));
     for i in 0..6 {
@@ -65,7 +65,7 @@ fn fair_dequeue_interleaves_skewed_tenants() {
     assert!(sched.wait_idle(Duration::from_secs(5)));
     let order = order.lock().unwrap().clone();
     assert_eq!(order.len(), 8);
-    // Round-robin with weight 1: H L H L H H H H.
+    // Round-robin, one job per turn: H L H L H H H H.
     let light_positions: Vec<usize> = order
         .iter()
         .enumerate()
@@ -80,40 +80,6 @@ fn fair_dequeue_interleaves_skewed_tenants() {
     // Within each tenant, FIFO order is preserved.
     let heavy: Vec<_> = order.iter().filter(|s| s.starts_with("heavy")).collect();
     assert_eq!(heavy, ["heavy0", "heavy1", "heavy2", "heavy3", "heavy4", "heavy5"]);
-}
-
-#[test]
-fn tenant_weight_grants_longer_turns() {
-    let sched = single_worker_paused();
-    sched.set_tenant_weight("big", 2);
-    let order = Arc::new(Mutex::new(Vec::new()));
-    for i in 0..4 {
-        let order = Arc::clone(&order);
-        sched
-            .submit("big", SubmitOptions::default(), move |_| {
-                order.lock().unwrap().push(format!("big{i}"));
-                JobDisposition::Completed
-            })
-            .unwrap();
-    }
-    for i in 0..2 {
-        let order = Arc::clone(&order);
-        sched
-            .submit("small", SubmitOptions::default(), move |_| {
-                order.lock().unwrap().push(format!("small{i}"));
-                JobDisposition::Completed
-            })
-            .unwrap();
-    }
-    sched.resume();
-    assert!(sched.wait_idle(Duration::from_secs(5)));
-    let order = order.lock().unwrap().clone();
-    // Weight 2 for big: B B S B B S.
-    assert_eq!(
-        order,
-        ["big0", "big1", "small0", "big2", "big3", "small1"],
-        "weighted turn order mismatch"
-    );
 }
 
 #[test]
@@ -296,232 +262,38 @@ fn stats_track_queue_wait_and_exec_time() {
 }
 
 #[test]
-fn parallel_job_holds_multiple_slots() {
-    // A DOP-4 query consumes 4 worker slots: while it runs, a serial
-    // job from another tenant must wait even though worker threads are
-    // free.
-    let sched = Scheduler::new(SchedulerConfig {
-        workers: 4,
-        ..Default::default()
-    });
-    let (hold_tx, hold_rx) = mpsc::channel::<()>();
-    let (started_tx, started_rx) = mpsc::channel();
-    sched
-        .submit(
-            "wide",
-            SubmitOptions {
-                slots: 4,
-                ..Default::default()
-            },
-            move |_| {
-                started_tx.send(()).unwrap();
-                hold_rx.recv().unwrap();
-                JobDisposition::Completed
-            },
-        )
-        .unwrap();
-    started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-    let narrow_ran = Arc::new(AtomicUsize::new(0));
-    let nr = Arc::clone(&narrow_ran);
-    sched
-        .submit("narrow", SubmitOptions::default(), move |_| {
-            nr.fetch_add(1, AtomicOrdering::SeqCst);
-            JobDisposition::Completed
-        })
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(50));
-    let stats = sched.stats();
-    assert_eq!(stats.totals.running, 1);
-    assert_eq!(stats.totals.running_slots, 4);
-    assert_eq!(stats.tenants["wide"].running_slots, 4);
-    assert_eq!(sched.free_slots(), 0);
-    assert_eq!(narrow_ran.load(AtomicOrdering::SeqCst), 0, "narrow job must be slot-gated");
-    hold_tx.send(()).unwrap();
-    assert!(sched.wait_idle(Duration::from_secs(5)));
-    assert_eq!(narrow_ran.load(AtomicOrdering::SeqCst), 1);
-    let stats = sched.stats();
-    assert_eq!(stats.totals.running_slots, 0);
-    assert_eq!(sched.free_slots(), stats.workers);
-}
-
-#[test]
-fn narrow_job_slips_past_queued_wide_job() {
-    // First fit over the rotation: a queued DOP-2 job that doesn't fit
-    // must not block another tenant's serial job from using the one
-    // free slot.
-    let sched = Scheduler::new(SchedulerConfig {
-        workers: 2,
-        ..Default::default()
-    });
-    let (hold_tx, hold_rx) = mpsc::channel::<()>();
-    let (started_tx, started_rx) = mpsc::channel();
-    sched
-        .submit("holder", SubmitOptions::default(), move |_| {
-            started_tx.send(()).unwrap();
-            hold_rx.recv().unwrap();
-            JobDisposition::Completed
-        })
-        .unwrap();
-    started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-    let order = Arc::new(Mutex::new(Vec::new()));
-    let o = Arc::clone(&order);
-    sched
-        .submit(
-            "wide",
-            SubmitOptions {
-                slots: 2,
-                ..Default::default()
-            },
-            move |_| {
-                o.lock().unwrap().push("wide");
-                JobDisposition::Completed
-            },
-        )
-        .unwrap();
-    let o = Arc::clone(&order);
-    let (narrow_done_tx, narrow_done_rx) = mpsc::channel();
-    sched
-        .submit("narrow", SubmitOptions::default(), move |_| {
-            o.lock().unwrap().push("narrow");
-            narrow_done_tx.send(()).unwrap();
-            JobDisposition::Completed
-        })
-        .unwrap();
-    // The narrow job runs in the free slot while the wide one waits.
-    narrow_done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-    assert_eq!(order.lock().unwrap().clone(), vec!["narrow"]);
-    assert_eq!(sched.queue_depth("wide"), 1);
-    hold_tx.send(()).unwrap();
-    assert!(sched.wait_idle(Duration::from_secs(5)));
-    assert_eq!(order.lock().unwrap().clone(), vec!["narrow", "wide"]);
-}
-
-#[test]
-fn starved_wide_job_earns_reservation_against_narrow_stream() {
-    // A DOP-4 job behind a stream of narrow jobs: first fit would let
-    // each narrow job slip through the free slots forever (one slot is
-    // pinned by a holder, so the wide job never fits). After enough
-    // pass-overs the wide job must earn a reservation that holds the
-    // narrow stream back, drains the pinned slot's tenant, and runs.
-    let sched = Scheduler::new(SchedulerConfig {
-        workers: 4,
-        ..Default::default()
-    });
-    let (hold_tx, hold_rx) = mpsc::channel::<()>();
-    let (started_tx, started_rx) = mpsc::channel();
-    sched
-        .submit("holder", SubmitOptions::default(), move |_| {
-            started_tx.send(()).unwrap();
-            hold_rx.recv().unwrap();
-            JobDisposition::Completed
-        })
-        .unwrap();
-    started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-    sched
-        .submit(
-            "wide",
-            SubmitOptions {
-                slots: 4,
-                ..Default::default()
-            },
-            |_| JobDisposition::Completed,
-        )
-        .unwrap();
-    // Feed narrow jobs until the reservation engages: once it does, new
-    // narrow jobs stay queued even though a slot is free for them.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut submitted = 0;
-    loop {
-        sched
-            .submit("narrow", SubmitOptions::default(), |_| JobDisposition::Completed)
-            .unwrap();
-        submitted += 1;
-        std::thread::sleep(Duration::from_millis(2));
-        if sched.queue_depth("narrow") > 0 {
-            break; // held back: the wide job's slots are reserved
-        }
-        assert!(
-            Instant::now() < deadline,
-            "reservation never engaged after {submitted} narrow jobs slipped past the wide job"
-        );
-    }
-    assert_eq!(sched.queue_depth("wide"), 1, "wide job still queued");
-    // Release the pinned slot: the reserved wide job must now run, and
-    // the held-back narrow jobs drain after it.
-    hold_tx.send(()).unwrap();
-    assert!(sched.wait_idle(Duration::from_secs(10)));
-    let stats = sched.stats();
-    assert_eq!(stats.tenants["wide"].completed, 1);
-    assert_eq!(stats.tenants["narrow"].completed, submitted);
-    assert_eq!(stats.totals.running_slots, 0);
-}
-
-#[test]
 fn cancelled_wide_job_releases_all_slots() {
-    // Cancelling a DOP-4 job mid-execution must return every slot to
-    // the pool promptly.
+    // Cancelling a running job gives its worker back promptly: with a
+    // single worker, another tenant's queued job runs right after.
     let sched = Scheduler::new(SchedulerConfig {
-        workers: 4,
+        workers: 1,
         ..Default::default()
     });
     let (started_tx, started_rx) = mpsc::channel();
     let ticket = sched
-        .submit(
-            "kate",
-            SubmitOptions {
-                slots: 4,
-                ..Default::default()
-            },
-            move |ctx| {
-                started_tx.send(()).unwrap();
-                let start = Instant::now();
-                while !ctx.token.is_cancelled() {
-                    if start.elapsed() > Duration::from_secs(10) {
-                        return JobDisposition::Failed; // never hit
-                    }
-                    std::thread::yield_now();
+        .submit("kate", SubmitOptions::default(), move |ctx| {
+            started_tx.send(()).unwrap();
+            let start = Instant::now();
+            while !ctx.token.is_cancelled() {
+                if start.elapsed() > Duration::from_secs(10) {
+                    return JobDisposition::Failed; // never hit
                 }
-                JobDisposition::Cancelled
-            },
-        )
+                std::thread::yield_now();
+            }
+            JobDisposition::Cancelled
+        })
         .unwrap();
     started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-    assert_eq!(sched.free_slots(), 0);
+    sched
+        .submit("lena", SubmitOptions::default(), |_| JobDisposition::Completed)
+        .unwrap();
+    assert_eq!(sched.queue_depth("lena"), 1, "the only worker is busy");
     assert!(ticket.token.cancel(CancelReason::Cancelled));
     assert!(sched.wait_idle(Duration::from_secs(5)));
     let stats = sched.stats();
     assert_eq!(stats.tenants["kate"].cancelled, 1);
-    assert_eq!(stats.totals.running_slots, 0);
-    assert_eq!(sched.free_slots(), stats.workers);
-}
-
-#[test]
-fn oversized_slot_request_is_clamped_to_capacity() {
-    // A job asking for more slots than exist must still be runnable.
-    let sched = Scheduler::new(SchedulerConfig {
-        workers: 2,
-        ..Default::default()
-    });
-    let (hold_tx, hold_rx) = mpsc::channel::<()>();
-    let (started_tx, started_rx) = mpsc::channel();
-    sched
-        .submit(
-            "greedy",
-            SubmitOptions {
-                slots: 100,
-                ..Default::default()
-            },
-            move |_| {
-                started_tx.send(()).unwrap();
-                hold_rx.recv().unwrap();
-                JobDisposition::Completed
-            },
-        )
-        .unwrap();
-    started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-    assert_eq!(sched.stats().totals.running_slots, 2);
-    hold_tx.send(()).unwrap();
-    assert!(sched.wait_idle(Duration::from_secs(5)));
+    assert_eq!(stats.tenants["lena"].completed, 1);
+    assert_eq!(stats.totals.running, 0);
 }
 
 #[test]
@@ -551,24 +323,18 @@ fn default_deadline_applies_when_not_overridden() {
 #[test]
 fn panicking_job_fails_alone_and_releases_slots() {
     let sched = Scheduler::new(SchedulerConfig {
-        workers: 4,
+        workers: 1,
         ..Default::default()
     });
-    let total_slots = sched.stats().workers;
     sched
-        .submit(
-            "kate",
-            SubmitOptions {
-                slots: 4,
-                ..Default::default()
-            },
-            |_| -> JobDisposition { panic!("worker bug") },
-        )
+        .submit("kate", SubmitOptions::default(), |_| -> JobDisposition {
+            panic!("worker bug")
+        })
         .unwrap();
     assert!(sched.wait_idle(Duration::from_secs(5)));
-    // The panic was contained: slots are back, the worker thread is
-    // alive, and the next submission runs normally.
-    assert_eq!(sched.free_slots(), total_slots);
+    // The panic was contained: the only worker thread is alive and
+    // idle, and the next submission runs normally on it.
+    assert_eq!(sched.stats().totals.running, 0);
     sched
         .submit("kate", SubmitOptions::default(), |_| JobDisposition::Completed)
         .unwrap();
@@ -577,7 +343,7 @@ fn panicking_job_fails_alone_and_releases_slots() {
     assert_eq!(kate.failed, 1);
     assert_eq!(kate.failed_internal, 1);
     assert_eq!(kate.completed, 1);
-    assert_eq!(sched.free_slots(), total_slots);
+    assert_eq!(kate.running, 0);
 }
 
 #[test]
@@ -615,7 +381,6 @@ fn load_snapshot_tracks_queue_pressure_and_backoff() {
     let sched = single_worker_paused();
     let idle = sched.load();
     assert_eq!(idle.queued, 0);
-    assert!(!idle.saturated());
     assert_eq!(idle.retry_after_secs(), 1, "empty backlog still hints >= 1s");
 
     for _ in 0..5 {
@@ -637,10 +402,8 @@ fn load_snapshot_tracks_queue_pressure_and_backoff() {
 fn load_snapshot_backoff_is_clamped() {
     let snap = LoadSnapshot {
         workers: 1,
-        running_slots: 1,
         queued: 10_000,
         queue_capacity: 64,
     };
-    assert!(snap.saturated());
     assert_eq!(snap.retry_after_secs(), 30);
 }

@@ -46,9 +46,15 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
     }
 }
 
-/// Maximum expression/query nesting depth; guards against stack overflow on
-/// adversarial input (the service is exposed to arbitrary user SQL).
-const MAX_DEPTH: usize = 60;
+/// Maximum depth of a parsed tree; guards against stack overflow on
+/// adversarial input (the service is exposed to arbitrary user SQL). Both
+/// nesting (parentheses, subqueries, function arguments, unary operators)
+/// and each link of a left-deep chain (`a AND b AND c`, `x + y + z`,
+/// `... UNION ALL ...`, joins, comma-separated `FROM` inputs) count, so
+/// no tree the parser returns is
+/// deeper than this for the recursive passes that walk it later (binder,
+/// optimizer, executors, `Display`, `Drop`).
+pub const MAX_DEPTH: usize = 60;
 
 struct Parser {
     tokens: Vec<Spanned>,
@@ -142,12 +148,26 @@ impl Parser {
         }
     }
 
-    fn enter(&mut self) -> Result<DepthGuard<'_>> {
+    /// Go one level deeper: into a nested construct, or one more link of
+    /// a chain. The caller restores the depth it started from once its
+    /// construct is parsed; a parse error ends the whole parse, so error
+    /// paths need not.
+    fn descend(&mut self) -> Result<()> {
         self.depth += 1;
         if self.depth > MAX_DEPTH {
-            return Err(Error::Parse("query nesting too deep".into()));
+            return Err(Error::Parse(format!(
+                "query nesting too deep (more than {MAX_DEPTH} levels)"
+            )));
         }
-        Ok(DepthGuard { parser: self })
+        Ok(())
+    }
+
+    /// Parse one nested construct with `parse`, one level deeper.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.descend()?;
+        let out = parse(self)?;
+        self.depth -= 1;
+        Ok(out)
     }
 
     fn ident(&mut self) -> Result<String> {
@@ -168,21 +188,22 @@ impl Parser {
     // ---- queries -------------------------------------------------------
 
     fn query(&mut self) -> Result<Query> {
-        let guard = self.enter()?;
-        let p = &mut *guard.parser;
-        let mut body = p.set_term()?;
+        let base = self.depth;
+        self.descend()?;
+        let mut body = self.set_term()?;
         loop {
-            let op = if p.eat_kw("UNION") {
+            let op = if self.eat_kw("UNION") {
                 SetOp::Union
-            } else if p.eat_kw("INTERSECT") {
+            } else if self.eat_kw("INTERSECT") {
                 SetOp::Intersect
-            } else if p.eat_kw("EXCEPT") {
+            } else if self.eat_kw("EXCEPT") {
                 SetOp::Except
             } else {
                 break;
             };
-            let all = p.eat_kw("ALL");
-            let right = p.set_term()?;
+            self.descend()?;
+            let all = self.eat_kw("ALL");
+            let right = self.set_term()?;
             body = SetExpr::SetOp {
                 op,
                 all,
@@ -191,15 +212,16 @@ impl Parser {
             };
         }
         let mut order_by = Vec::new();
-        if p.eat_kw("ORDER") {
-            p.expect_kw("BY")?;
+        if self.eat_kw("ORDER") {
+            self.expect_kw("BY")?;
             loop {
-                order_by.push(p.order_by_item()?);
-                if !p.eat(&Token::Comma) {
+                order_by.push(self.order_by_item()?);
+                if !self.eat(&Token::Comma) {
                     break;
                 }
             }
         }
+        self.depth = base;
         Ok(Query { body, order_by })
     }
 
@@ -264,12 +286,17 @@ impl Parser {
             projection.push(self.select_item()?);
         }
 
+        // The binder joins comma-separated inputs left-deep, so each one
+        // after the first is one more link of a join chain.
         let mut from = Vec::new();
         if self.eat_kw("FROM") {
+            let base = self.depth;
             from.push(self.table_ref()?);
             while self.eat(&Token::Comma) {
+                self.descend()?;
                 from.push(self.table_ref()?);
             }
+            self.depth = base;
         }
 
         let selection = if self.eat_kw("WHERE") {
@@ -342,6 +369,7 @@ impl Parser {
     // ---- FROM clause ---------------------------------------------------
 
     fn table_ref(&mut self) -> Result<TableRef> {
+        let base = self.depth;
         let mut left = self.table_primary()?;
         loop {
             let kind = if self.eat_kw("CROSS") {
@@ -367,6 +395,7 @@ impl Parser {
             } else {
                 break;
             };
+            self.descend()?;
             let right = self.table_primary()?;
             let constraint = if kind == JoinKind::Cross {
                 None
@@ -381,6 +410,7 @@ impl Parser {
                 constraint,
             };
         }
+        self.depth = base;
         Ok(left)
     }
 
@@ -388,9 +418,7 @@ impl Parser {
         if self.eat(&Token::LParen) {
             // Either a derived table (subquery) or a parenthesized join.
             if self.peek_kw("SELECT") || self.peek() == Some(&Token::LParen) {
-                let guard = self.enter()?;
-                let q = guard.parser.query()?;
-                drop(guard);
+                let q = self.nested(Self::query)?;
                 self.expect_token(&Token::RParen)?;
                 let alias = self
                     .alias()?
@@ -400,7 +428,7 @@ impl Parser {
                     alias,
                 });
             }
-            let inner = self.table_ref()?;
+            let inner = self.nested(Self::table_ref)?;
             self.expect_token(&Token::RParen)?;
             return Ok(inner);
         }
@@ -420,13 +448,14 @@ impl Parser {
     // ---- expressions ---------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr> {
-        let guard = self.enter()?;
-        guard.parser.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
+        let base = self.depth;
         let mut left = self.and_expr()?;
         while self.eat_kw("OR") {
+            self.descend()?;
             let right = self.and_expr()?;
             left = Expr::Binary {
                 left: Box::new(left),
@@ -434,12 +463,15 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = base;
         Ok(left)
     }
 
     fn and_expr(&mut self) -> Result<Expr> {
+        let base = self.depth;
         let mut left = self.not_expr()?;
         while self.eat_kw("AND") {
+            self.descend()?;
             let right = self.not_expr()?;
             left = Expr::Binary {
                 left: Box::new(left),
@@ -447,12 +479,13 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = base;
         Ok(left)
     }
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat_kw("NOT") {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Self::not_expr)?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(inner),
@@ -462,10 +495,12 @@ impl Parser {
     }
 
     fn comparison(&mut self) -> Result<Expr> {
+        let base = self.depth;
         let mut left = self.additive()?;
         loop {
             // Postfix predicates.
             if self.eat_kw("IS") {
+                self.descend()?;
                 let negated = self.eat_kw("NOT");
                 self.expect_kw("NULL")?;
                 left = Expr::IsNull {
@@ -486,11 +521,10 @@ impl Parser {
                 false
             };
             if self.eat_kw("IN") {
+                self.descend()?;
                 self.expect_token(&Token::LParen)?;
                 if self.peek_kw("SELECT") {
-                    let guard = self.enter()?;
-                    let q = guard.parser.query()?;
-                    drop(guard);
+                    let q = self.query()?;
                     self.expect_token(&Token::RParen)?;
                     left = Expr::InSubquery {
                         expr: Box::new(left),
@@ -512,6 +546,7 @@ impl Parser {
                 continue;
             }
             if self.eat_kw("LIKE") {
+                self.descend()?;
                 let pattern = self.additive()?;
                 left = Expr::Like {
                     expr: Box::new(left),
@@ -521,6 +556,7 @@ impl Parser {
                 continue;
             }
             if self.eat_kw("BETWEEN") {
+                self.descend()?;
                 let low = self.additive()?;
                 self.expect_kw("AND")?;
                 let high = self.additive()?;
@@ -545,6 +581,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let right = self.additive()?;
             left = Expr::Binary {
                 left: Box::new(left),
@@ -552,10 +589,12 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = base;
         Ok(left)
     }
 
     fn additive(&mut self) -> Result<Expr> {
+        let base = self.depth;
         let mut left = self.multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -565,6 +604,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let right = self.multiplicative()?;
             left = Expr::Binary {
                 left: Box::new(left),
@@ -572,10 +612,12 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = base;
         Ok(left)
     }
 
     fn multiplicative(&mut self) -> Result<Expr> {
+        let base = self.depth;
         let mut left = self.unary()?;
         loop {
             let op = match self.peek() {
@@ -585,6 +627,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let right = self.unary()?;
             left = Expr::Binary {
                 left: Box::new(left),
@@ -592,13 +635,14 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth = base;
         Ok(left)
     }
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat(&Token::Minus) {
             // Fold -literal into a negative literal for canonical ASTs.
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             return Ok(match inner {
                 Expr::Literal(Literal::Int(i)) => Expr::Literal(Literal::Int(-i)),
                 Expr::Literal(Literal::Float(v)) => Expr::Literal(Literal::Float(-v)),
@@ -609,7 +653,7 @@ impl Parser {
             });
         }
         if self.eat(&Token::Plus) {
-            return self.unary();
+            return self.nested(Self::unary);
         }
         self.primary()
     }
@@ -642,9 +686,7 @@ impl Parser {
             Some(Token::LParen) => {
                 self.bump();
                 if self.peek_kw("SELECT") {
-                    let guard = self.enter()?;
-                    let q = guard.parser.query()?;
-                    drop(guard);
+                    let q = self.nested(Self::query)?;
                     self.expect_token(&Token::RParen)?;
                     Ok(Expr::ScalarSubquery(Box::new(q)))
                 } else {
@@ -673,9 +715,7 @@ impl Parser {
                     "EXISTS" => {
                         self.bump();
                         self.expect_token(&Token::LParen)?;
-                        let guard = self.enter()?;
-                        let q = guard.parser.query()?;
-                        drop(guard);
+                        let q = self.nested(Self::query)?;
                         self.expect_token(&Token::RParen)?;
                         Ok(Expr::Exists {
                             subquery: Box::new(q),
@@ -844,16 +884,6 @@ impl Parser {
             distinct,
             over,
         }))
-    }
-}
-
-struct DepthGuard<'a> {
-    parser: &'a mut Parser,
-}
-
-impl Drop for DepthGuard<'_> {
-    fn drop(&mut self) {
-        self.parser.depth -= 1;
     }
 }
 
@@ -1045,15 +1075,25 @@ mod tests {
 
     #[test]
     fn deep_nesting_is_rejected_not_crashing() {
-        let mut sql = String::from("SELECT ");
-        for _ in 0..500 {
-            sql.push('(');
+        // Nesting and left-deep chains alike: each is a typed parse error
+        // long before the parser's recursion or the tree's depth could
+        // exhaust a 2 MiB thread stack.
+        for sql in [
+            format!("SELECT {}1{}", "(".repeat(500), ")".repeat(500)),
+            format!("SELECT 1 WHERE {}1 = 1", "- ".repeat(100_000)),
+            format!("SELECT 1 WHERE {}1 = 1", "+ ".repeat(100_000)),
+            format!("SELECT 1 WHERE {}1 = 1", "NOT ".repeat(20_000)),
+            format!("SELECT 1 AS x WHERE 1=1{}", " AND 1=1".repeat(100_000)),
+            format!("SELECT 1 AS x WHERE 1=1{}", " OR 1=1".repeat(2_000)),
+            format!("SELECT 1 AS x WHERE 1=1{}", " + 1".repeat(2_000)),
+            format!("SELECT 1{}", " UNION ALL SELECT 1".repeat(500)),
+            format!("SELECT * FROM {}t{}", "(".repeat(500), ")".repeat(500)),
+            format!("SELECT * FROM t{}", " JOIN t ON 1=1".repeat(500)),
+            format!("SELECT * FROM t{}", ", t".repeat(100_000)),
+        ] {
+            let err = parse_query(&sql).unwrap_err();
+            assert_eq!(err.kind(), "parse", "{err}");
         }
-        sql.push('1');
-        for _ in 0..500 {
-            sql.push(')');
-        }
-        assert!(parse_query(&sql).is_err());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 mod http;
 
 use http::{HttpClient, HttpResponse, ReplayOp};
+use sqlshare_common::json::{self, Json};
 use sqlshare_core::SqlShare;
 use sqlshare_server::{HttpConfig, Server, ServerHandle};
 use std::io::{Read, Write};
@@ -35,6 +36,10 @@ fn start(service: SqlShare, config: HttpConfig) -> ServerHandle {
 
 fn get(client: &mut HttpClient, path: &str) -> HttpResponse {
     client.request(&ReplayOp::Get(path.into())).expect("request")
+}
+
+fn post(client: &mut HttpClient, path: &str, body: String) -> HttpResponse {
+    client.request(&ReplayOp::Post(path.into(), body)).expect("request")
 }
 
 #[test]
@@ -113,6 +118,45 @@ fn bad_json_body_is_400_and_connection_survives() {
         .unwrap();
     let second = read_one_response(&mut stream);
     assert!(second.starts_with("HTTP/1.1 200"), "{second}");
+    server.shutdown();
+}
+
+/// Hostile nesting: a request body nested deeper than the JSON
+/// decoder's cap, and queries whose parse trees would be deeper than the
+/// SQL parser's bound. Each is refused with a 4xx and the server keeps
+/// serving; a decoder without a bound overflows its thread's stack,
+/// which aborts the whole process.
+#[test]
+fn hostile_nesting_is_4xx_and_server_survives() {
+    let server = start(seeded_service(10), HttpConfig::default());
+    let mut client = HttpClient::new(server.addr());
+
+    let nested_body = "[".repeat(100_000);
+    assert_eq!(post(&mut client, "/api/queries", nested_body).status, 400);
+
+    for sql in [
+        format!("SELECT 1 WHERE {}1 = 1", "NOT ".repeat(20_000)),
+        format!("SELECT 1{}", " UNION ALL SELECT 1".repeat(500)),
+    ] {
+        // A submitted query that does not parse still gets an id; its
+        // job is failed and its results answer 400.
+        let body = Json::object([("user", Json::str("ada")), ("sql", Json::str(sql.clone()))]);
+        let submitted = post(&mut client, "/api/queries", body.to_string());
+        assert_eq!(submitted.status, 201);
+        let submitted = json::parse(std::str::from_utf8(&submitted.body).unwrap()).unwrap();
+        let id = submitted.get("id").and_then(Json::as_f64).expect("query id");
+        let results = get(&mut client, &format!("/api/queries/{id}/results"));
+        assert_eq!(results.status, 400);
+        // Saving it as a view is refused at once.
+        let view = Json::object([
+            ("user", Json::str("ada")),
+            ("name", Json::str("deep")),
+            ("sql", Json::str(sql)),
+        ]);
+        assert_eq!(post(&mut client, "/api/views", view.to_string()).status, 400);
+    }
+
+    assert_eq!(get(&mut client, "/api/ready").status, 200);
     server.shutdown();
 }
 
