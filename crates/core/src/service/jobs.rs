@@ -499,8 +499,8 @@ impl SqlShare {
         self.jobs.scheduler.stats()
     }
 
-    /// Direct access to the scheduler (pause/resume, weights) — used by
-    /// tests and operational tooling.
+    /// Direct access to the scheduler (resume after a paused start, load,
+    /// queue depths) — used by tests and operational tooling.
     pub fn scheduler(&self) -> &Scheduler {
         &self.jobs.scheduler
     }

@@ -104,8 +104,9 @@ pub struct Engine {
 /// A query planned once for later execution: the bound output schema, the
 /// parallelized physical plan, and the cache identity (normalized SQL,
 /// fingerprint, dependency generations) the result cache is keyed on.
-/// The service plans on the submit path, then executes this same plan on
-/// a worker instead of planning the query a second time.
+/// The service prepares a query where it runs it — on the worker that
+/// picked the job up, against that worker's engine snapshot — and
+/// executes this same plan.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     pub schema: Schema,
@@ -401,8 +402,7 @@ impl Engine {
 
     /// The degree of parallelism the optimizer would run `sql` at — the
     /// maximum `degreeOfParallelism` over the plan's exchange operators,
-    /// 1 for serial plans (and for queries that fail to plan, so callers
-    /// scheduling by DOP never over-reserve on a doomed query).
+    /// 1 for serial plans and for queries that fail to plan.
     pub fn plan_dop(&self, sql: &str) -> usize {
         self.explain(sql).map(|p| p.max_parallelism()).unwrap_or(1)
     }
@@ -683,11 +683,12 @@ impl Engine {
     }
 
     /// Pin a hot view's result for splicing into downstream plans. Runs
-    /// the view *serially* so the pinned rows are the canonical serial
-    /// answer (parallel floating-point merge order must not leak into
-    /// every downstream consumer). Trivial wrapper views (a bare scan
-    /// after optimization) and results over the cache budget are marked
-    /// rejected instead, so they are costed once, not per execution.
+    /// the view on this engine's own executor *serially*, so the pinned
+    /// rows are the canonical serial answer (parallel floating-point
+    /// merge order must not leak into every downstream consumer).
+    /// Trivial wrapper views (a bare scan after optimization) and results
+    /// over the cache budget are marked rejected instead, so they are
+    /// costed once, not per execution.
     fn materialize_view(&self, key: &str) {
         let Some(view) = self.catalog.view(key) else {
             return;
@@ -700,12 +701,17 @@ impl Engine {
             if matches!(prepared.plan.op, PhysOp::Scan { .. }) {
                 return Ok(None);
             }
-            let rows = exec::execute(&prepared.plan, &self.catalog, &self.ctx, &guard)?;
-            if cache::rows_bytes(&rows) > self.cache.result_budget() {
+            let batch = if self.vectorized {
+                crate::vexec::exec_node(&prepared.plan, &self.catalog, &self.ctx, &guard)?
+            } else {
+                let rows = exec::execute(&prepared.plan, &self.catalog, &self.ctx, &guard)?;
+                Batch::from_rows(&rows, &prepared.schema.types())
+            };
+            if cache::rows_bytes(&batch.to_rows()) > self.cache.result_budget() {
                 return Ok(None);
             }
             Ok(Some(MaterializedView {
-                batch: Arc::new(Batch::from_rows(&rows, &prepared.schema.types())),
+                batch: Arc::new(batch),
                 schema: prepared.schema,
                 deps: prepared.deps,
             }))

@@ -34,7 +34,7 @@
 //! token aborts the morsel dispatch loop, so `cancel_query` lands
 //! mid-join just as it does serially.
 
-use crate::aggregate::{Accumulator, AggCall};
+use crate::aggregate::AggCall;
 use crate::catalog::Catalog;
 use crate::exec::{self, as_ref_bound, ExecGuard};
 use crate::expr::BoundExpr;
@@ -43,7 +43,7 @@ use crate::functions::EvalContext;
 use crate::physical::{PhysOp, PhysicalPlan};
 use crate::value::{DataType, Row};
 use crate::vector::{batch_rows_bytes, Batch, NULL_ROW};
-use crate::vexec::{self, GroupMerger, JoinBuild, JoinSpec, Out};
+use crate::vexec::{self, GroupMerger, JoinBuild, JoinSpec};
 use sqlshare_common::{Error, Result};
 use sqlshare_sql::ast::JoinKind;
 use std::ops::Range;
@@ -62,23 +62,11 @@ pub(crate) fn execute(
     catalog: &Catalog,
     ctx: &EvalContext,
     guard: &ExecGuard,
-) -> Result<Out> {
+) -> Result<Batch> {
     let pipeline = Pipeline::of(plan)?;
     let mut source = match pipeline.source {
         Source::Table(node) => table_source(node, catalog)?,
-        Source::Node(node) => match vexec::exec_node(node, catalog, ctx, guard)? {
-            // A bare aggregate over a row-shaped input (a sort, a set
-            // operation, a spilled join) is the row engine's own:
-            // re-encoding wide rows into columns just to decode them
-            // again would cost more than the batch kernels save.
-            Out::Rows(rows) if pipeline.ops.is_empty() => {
-                return match &pipeline.agg {
-                    Some(agg) => exec::aggregate(rows, agg.group, agg.aggs, ctx, guard).map(Out::Rows),
-                    None => Ok(Out::Rows(rows)),
-                };
-            }
-            out => out.into_batch(&node.types),
-        },
+        Source::Node(node) => vexec::exec_node(node, catalog, ctx, guard)?,
     };
     let serial = dop <= 1;
     if serial {
@@ -126,7 +114,7 @@ pub(crate) fn execute(
                 guard,
                 &layer,
             )?;
-            pipeline.drive(at + 1, &Out::Rows(joined).into_batch(spec.types), None, dop, ctx, guard)
+            pipeline.drive(at + 1, &Batch::from_rows(&joined, spec.types), None, dop, ctx, guard)
         }
     }
 }
@@ -149,6 +137,8 @@ pub(crate) struct Pipeline<'a> {
     /// Terminal aggregation: the result at DOP 1, per-morsel partials
     /// merged after the gather above it.
     agg: Option<AggSpec<'a>>,
+    /// The output types of the node that tops the pipeline.
+    types: &'a [DataType],
 }
 
 #[derive(Clone, Copy)]
@@ -299,7 +289,7 @@ impl<'a> Pipeline<'a> {
         }
         ops.reverse();
         live.reverse();
-        Ok(Pipeline { source, ops, live, agg })
+        Ok(Pipeline { source, ops, live, agg, types: &plan.types })
     }
 
     /// Whether a Gather over this pipeline is worth placing: it reads a
@@ -396,18 +386,18 @@ impl<'a> Pipeline<'a> {
         dop: usize,
         ctx: &EvalContext,
         guard: &ExecGuard,
-    ) -> Result<Out> {
+    ) -> Result<Batch> {
         let stages = from..self.ops.len();
         if dop <= 1 {
             let out = self.run(stages, input.clone(), join, true, ctx, guard)?;
-            return Ok(match &self.agg {
-                None => Out::Batch(out),
+            return match &self.agg {
+                None => Ok(out),
                 Some(agg) if agg.group.is_empty() => {
                     let accs = vexec::scalar_partial(&out, agg.aggs, ctx, guard)?;
-                    Out::Rows(vec![accs.iter().map(Accumulator::finish).collect::<Result<_>>()?])
+                    vexec::emit_groups(Batch::new(Vec::new(), 1), &accs, self.types)
                 }
-                Some(agg) => Out::Rows(vexec::group_batch(&out, agg.group, agg.aggs, ctx, guard)?.finish()?),
-            });
+                Some(agg) => vexec::group_batch(&out, agg.group, agg.aggs, ctx, guard)?.finish(self.types),
+            };
         }
         let morsel = |range: Range<usize>, g: &ExecGuard| {
             let batch = if from == 0 {
@@ -426,18 +416,15 @@ impl<'a> Pipeline<'a> {
                 // Morsel materialization: once a stage builds new rows,
                 // the morsel's output is held until the gather drains it.
                 let builds = self.ops[from..].iter().any(|op| !matches!(op, Op::Filter(_)));
-                let chunks = run_morsels(input.len, dop, guard, |_, range, g| {
+                let mut chunks = run_morsels(input.len, dop, guard, |_, range, g| {
                     let out = morsel(range, g)?;
                     if builds {
                         g.charge(batch_rows_bytes(&out))?;
                     }
-                    Ok(out.to_rows())
+                    Ok(out)
                 })?;
-                let mut out: Vec<Row> = chunks.into_iter().flatten().collect();
-                if let Some(tail) = self.tail(join, ctx, guard)? {
-                    out.extend(tail.to_rows());
-                }
-                Ok(Out::Rows(out))
+                chunks.extend(self.tail(join, ctx, guard)?);
+                Ok(Batch::concat(&chunks, self.types))
             }
             Some(agg) if agg.group.is_empty() => {
                 // Scalar aggregate: one partial per morsel, merged in
@@ -455,7 +442,7 @@ impl<'a> Pipeline<'a> {
                         acc.merge(p)?;
                     }
                 }
-                Ok(Out::Rows(vec![accs.iter().map(Accumulator::finish).collect::<Result<_>>()?]))
+                vexec::emit_groups(Batch::new(Vec::new(), 1), &accs, self.types)
             }
             Some(agg) => {
                 let partials = run_morsels(input.len, dop, guard, |_, range, g| {
@@ -468,7 +455,7 @@ impl<'a> Pipeline<'a> {
                 if let Some(tail) = self.tail(join, ctx, guard)? {
                     merger.push(vexec::group_batch(&tail, agg.group, agg.aggs, ctx, guard)?)?;
                 }
-                Ok(Out::Rows(merger.finish()?))
+                merger.finish(self.types)
             }
         }
     }
@@ -490,7 +477,7 @@ impl<'a> Pipeline<'a> {
         }
         let (at, spec) = self.probe().expect("a build implies a probe stage");
         guard.tick(rsel.len() as u64)?;
-        let left = Out::Rows(Vec::new()).into_batch(&spec.types[..spec.join.left_width]);
+        let left = Batch::from_rows(&[], &spec.types[..spec.join.left_width]);
         let padded = vexec::combine(&left, &build.batch, &vec![NULL_ROW; rsel.len()], &rsel, None);
         self.run(at + 1..self.ops.len(), padded, None, false, ctx, guard).map(Some)
     }
@@ -563,7 +550,7 @@ fn build_join(
     ctx: &EvalContext,
     guard: &ExecGuard,
 ) -> Result<Build> {
-    let right = vexec::execute_batch(spec.build, catalog, ctx, guard)?;
+    let right = vexec::exec_node(spec.build, catalog, ctx, guard)?;
     guard.fault(FaultSite::JoinBuild)?;
     // The build side is pinned for the probe's lifetime, charged as the
     // row engine charges its materialized rows.

@@ -122,9 +122,8 @@ pub enum PhysOp {
         dop: usize,
     },
     /// `Parallelism (Repartition Streams)`: marks the build input of a
-    /// parallel Hash Match. At execution the build rows are hashed on
-    /// the join keys and redistributed into `dop` partitions, each with
-    /// its own hash table.
+    /// parallel Hash Match. At execution the build side is indexed once,
+    /// in one shared `JoinTable` that every probe worker reads.
     Repartition {
         dop: usize,
     },

@@ -18,7 +18,7 @@
 use crate::paged::{PagedTable, StorageLayer};
 use crate::schema::Schema;
 use crate::value::{DataType, Row, Value};
-use crate::vector::{Batch, Col};
+use crate::vector::{Batch, Col, ColumnData};
 use sqlshare_common::Result;
 use std::cmp::Ordering;
 use std::ops::{Bound, Range};
@@ -226,27 +226,39 @@ fn cmp_cell(col: &Col, i: usize, v: &Value) -> Ordering {
     }
 }
 
-/// Sort a batch into clustered order: a stable sort of the row positions
-/// under exactly [`cmp_rows`]' order, then one gather. Ints compare
-/// through their `f64` image, as `Value::total_cmp` does, so integers
-/// above 2^53 that round together keep their input order. A leading
-/// text column's first eight bytes settle most comparisons without
-/// reading the strings: a NULL or non-text cell keys as 0, which no
-/// cell it precedes can key below, and equal keys compare in full.
+/// Sort a batch into clustered order: every column ascending, in
+/// column order.
 fn cluster(batch: Batch) -> Batch {
-    let key: Vec<u64> = match batch.cols.first() {
-        Some(lead) => (0..batch.len).map(|i| lead.text(i).map_or(0, prefix_key)).collect(),
+    let order = sort_order(&batch, &[]);
+    batch.gather(&order)
+}
+
+/// The stable permutation that orders the rows of `keys` by its columns
+/// in turn, column `k` descending where `desc[k]` is set (ascending past
+/// the end of `desc`): the order a stable sort of the rows under
+/// [`cmp_rows`], each key's order reversed where flagged, produces. Ints
+/// compare through their `f64` image, as `Value::total_cmp` does, so
+/// integers above 2^53 that round together keep their input order. A
+/// leading text key's first eight bytes settle most comparisons without
+/// reading the strings: a NULL cell keys as 0, which no cell it precedes
+/// can key below, and equal keys compare in full.
+pub(crate) fn sort_order(keys: &Batch, desc: &[bool]) -> Vec<u32> {
+    let flip = |k: usize, ord: Ordering| if desc.get(k) == Some(&true) { ord.reverse() } else { ord };
+    let prefix: Vec<u64> = match keys.cols.first() {
+        Some(lead) => (0..keys.len).map(|i| lead.text(i).map_or(0, prefix_key)).collect(),
         None => Vec::new(),
     };
-    let mut order: Vec<u32> = (0..batch.len as u32).collect();
+    let mut order: Vec<u32> = (0..keys.len as u32).collect();
     order.sort_by(|&a, &b| {
         let (a, b) = (a as usize, b as usize);
-        key[a].cmp(&key[b]).then_with(|| {
-            let cmp = |col: &Col| cmp_cells(col, a, b);
-            batch.cols.iter().map(cmp).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
-        })
+        let lead = flip(0, prefix[a].cmp(&prefix[b]));
+        if lead.is_ne() {
+            return lead;
+        }
+        let cmp = |(k, col)| flip(k, cmp_cells(col, a, b));
+        keys.cols.iter().enumerate().map(cmp).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
     });
-    batch.gather(&order)
+    order
 }
 
 /// The first eight bytes of `s`, zero-padded, as a big-endian integer:
@@ -258,12 +270,20 @@ fn prefix_key(s: &str) -> u64 {
     u64::from_be_bytes(bytes)
 }
 
-/// `Value::total_cmp` of rows `a` and `b` of one column; text is
-/// compared in place.
-fn cmp_cells(col: &Col, a: usize, b: usize) -> Ordering {
-    match (col.text(a), col.text(b)) {
-        (Some(x), Some(y)) => x.cmp(y),
-        _ => col.value(a).total_cmp(&col.value(b)),
+/// `Value::total_cmp` of rows `a` and `b` of one column, read in place:
+/// NULL first, then the layout's own order.
+pub(crate) fn cmp_cells(col: &Col, a: usize, b: usize) -> Ordering {
+    match (col.is_valid(a), col.is_valid(b)) {
+        (true, true) => {}
+        (x, y) => return x.cmp(&y),
+    }
+    let (a, b) = (col.off + a, col.off + b);
+    match &col.vec.data {
+        ColumnData::Int(v) => (v[a] as f64).total_cmp(&(v[b] as f64)),
+        ColumnData::Float(v) => v[a].total_cmp(&v[b]),
+        ColumnData::Bool(v) => v[a].cmp(&v[b]),
+        ColumnData::Date(v) => v[a].cmp(&v[b]),
+        ColumnData::Text { codes, dict } => dict[codes[a] as usize].cmp(&dict[codes[b] as usize]),
     }
 }
 

@@ -264,6 +264,28 @@ impl Batch {
         }
     }
 
+    /// The rows of `parts` one after another, as columns of `types`.
+    /// Where every part of a text column shares one dictionary its codes
+    /// are concatenated; otherwise its strings are interned anew.
+    pub fn concat(parts: &[Batch], types: &[DataType]) -> Batch {
+        let parts: Vec<&Batch> = parts.iter().filter(|b| !b.is_empty()).collect();
+        if let [only] = parts[..] {
+            if only.types() == types {
+                return only.clone();
+            }
+        }
+        let len = parts.iter().map(|b| b.len).sum();
+        let cols = types
+            .iter()
+            .enumerate()
+            .map(|(j, &ty)| {
+                let col: Vec<(&Col, usize)> = parts.iter().map(|b| (&b.cols[j], b.len)).collect();
+                concat_col(&col, ty, len)
+            })
+            .collect();
+        Batch { cols, len }
+    }
+
     /// Materialize row `i`.
     pub fn row(&self, i: usize) -> Row {
         self.cols.iter().map(|c| c.value(i)).collect()
@@ -359,6 +381,61 @@ fn gather_col(col: &Col, sel: &[u32]) -> Col {
             dict: Arc::clone(dict),
         },
     };
+    Col::new(ColumnVec { data, validity })
+}
+
+/// `parts` (a column and its row count each) as one column of `ty` and
+/// `len` rows: typed slices appended where every part has `ty`'s layout
+/// (and, for text, one dictionary), cell by cell through a builder
+/// otherwise.
+fn concat_col(parts: &[(&Col, usize)], ty: DataType, len: usize) -> Col {
+    fn cat<T: Copy>(parts: &[(&Col, usize)], slice: impl Fn(&ColumnData) -> Option<&[T]>) -> Option<Vec<T>> {
+        let mut out = Vec::new();
+        for (c, n) in parts {
+            out.extend_from_slice(&slice(&c.vec.data)?[c.off..c.off + n]);
+        }
+        Some(out)
+    }
+    let data = match ty {
+        DataType::Int => cat(parts, |d| if let ColumnData::Int(v) = d { Some(&v[..]) } else { None }).map(ColumnData::Int),
+        DataType::Float => cat(parts, |d| if let ColumnData::Float(v) = d { Some(&v[..]) } else { None }).map(ColumnData::Float),
+        DataType::Bool => cat(parts, |d| if let ColumnData::Bool(v) = d { Some(&v[..]) } else { None }).map(ColumnData::Bool),
+        DataType::Date => cat(parts, |d| if let ColumnData::Date(v) = d { Some(&v[..]) } else { None }).map(ColumnData::Date),
+        DataType::Text => {
+            let dict = |c: &Col| match &c.vec.data {
+                ColumnData::Text { dict, .. } => Some(Arc::clone(dict)),
+                _ => None,
+            };
+            let first = parts.first().and_then(|(c, _)| dict(c));
+            match first {
+                Some(first) if parts.iter().all(|(c, _)| dict(c).is_some_and(|d| Arc::ptr_eq(&d, &first))) => {
+                    cat(parts, |d| if let ColumnData::Text { codes, .. } = d { Some(&codes[..]) } else { None })
+                        .map(|codes| ColumnData::Text { codes, dict: first })
+                }
+                _ => None,
+            }
+        }
+    };
+    let Some(data) = data else {
+        let mut b = ColumnBuilder::with_capacity(ty, len);
+        for (c, n) in parts {
+            for i in 0..*n {
+                match c.text(i) {
+                    Some(s) => b.push_str(s),
+                    None => b.push(&c.value(i)),
+                }
+            }
+        }
+        return Col::new(b.finish());
+    };
+    let validity = parts.iter().any(|(c, _)| c.vec.validity.is_some()).then(|| {
+        let mut bm = Bitmap::new_null(len);
+        let cells = parts.iter().flat_map(|(c, n)| (0..*n).map(|i| c.is_valid(i)));
+        for (at, valid) in cells.enumerate() {
+            bm.set(at, valid);
+        }
+        bm
+    });
     Col::new(ColumnVec { data, validity })
 }
 
@@ -568,6 +645,29 @@ mod tests {
 
         let picked = slice.gather(&[0, 3]);
         assert_eq!(picked.to_rows(), vec![rows[3].clone(), rows[6].clone()]);
+    }
+
+    #[test]
+    fn concat_shares_one_dictionary_and_reinterns_two() {
+        let rows: Vec<Row> = (0..6)
+            .map(|i| vec![if i == 2 { Value::Null } else { Value::Int(i) }, Value::Text(format!("s{}", i % 3))])
+            .collect();
+        let types = [DataType::Int, DataType::Text];
+        let whole = Batch::from_rows(&rows, &types);
+        let dict = |b: &Batch| match &b.cols[1].vec.data {
+            ColumnData::Text { dict, .. } => Arc::clone(dict),
+            other => panic!("expected Text column, got {other:?}"),
+        };
+        // Slices of one batch share its dictionary: the codes are joined.
+        let shared = Batch::concat(&[whole.slice(0..2), whole.slice(2..2), whole.slice(2..6)], &types);
+        assert_eq!(shared.to_rows(), rows);
+        assert!(Arc::ptr_eq(&dict(&shared), &dict(&whole)));
+        // Separately built halves do not: the strings are interned anew.
+        let halves = [Batch::from_rows(&rows[..3], &types), Batch::from_rows(&rows[3..], &types)];
+        let joined = Batch::concat(&halves, &types);
+        assert_eq!(joined.to_rows(), rows);
+        assert_eq!(dict(&joined).len(), 3);
+        assert_eq!(Batch::concat(&[], &types).types(), types);
     }
 
     #[test]

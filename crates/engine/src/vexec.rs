@@ -22,12 +22,19 @@
 //! also exact.
 //!
 //! This module interprets the plan node by node and owns the batch
-//! operators; it does not drive a chain of them. A Scan, Seek, Index
-//! Seek, Filter, Compute Scalar, Hash Match, Merge Join or Aggregate is
-//! the top of a pipeline, which [`crate::parallel`] runs — as one morsel
-//! here, at a `Gather`'s DOP under an exchange — and every other
-//! operator (sorts, set operations, nested loops, windows) runs on rows
-//! below or above it.
+//! operators. Every operator takes and returns a [`Batch`]; rows exist
+//! only at [`execute`]'s output. A Scan, Seek, Index Seek, Filter,
+//! Compute Scalar, Hash Match, Merge Join or Aggregate is the top of a
+//! pipeline, which [`crate::parallel`] runs — as one morsel here, at a
+//! `Gather`'s DOP under an exchange. Sort, Distinct Sort and aggregate
+//! output order rows by one stable permutation over typed key columns
+//! (`table::sort_order`); Top slices its input; Concatenation
+//! and a Gather join batches ([`Batch::concat`]). Three operators still
+//! run on rows, converted at their own boundary: Nested Loops, Hash Set
+//! Op (`INTERSECT` / `EXCEPT`) and Sequence Project (windows). So do the
+//! spill paths: an over-budget Sort enters the oracle's external sort
+//! through the oracle's own sort, an over-budget join build the Grace
+//! hash join.
 //!
 //! Hash join and grouped aggregation are batch operators over
 //! [`crate::hashtable`]: key columns are encoded to fixed-width atoms,
@@ -48,8 +55,10 @@ use crate::expr::BoundExpr;
 use crate::faults::FaultSite;
 use crate::functions::EvalContext;
 use crate::hashtable::{GroupTable, JoinTable};
+use crate::logical::SortKey;
 use crate::physical::{PhysOp, PhysicalPlan};
-use crate::table::cmp_rows;
+use crate::spill::CHARGE_BATCH;
+use crate::table::{cmp_cells, sort_order};
 use crate::value::{DataType, Row, Value};
 use crate::vector::{
     batch_rows_bytes, Batch, Bitmap, Col, ColumnBuilder, ColumnData, ColumnVec, BATCH_SIZE, NULL_ROW,
@@ -57,6 +66,7 @@ use crate::vector::{
 use sqlshare_common::{Error, Result};
 use sqlshare_sql::ast::{BinaryOp, JoinKind};
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 
 /// Execute a physical plan to completion on the vectorized engine.
@@ -66,63 +76,23 @@ pub fn execute(
     ctx: &EvalContext,
     guard: &ExecGuard,
 ) -> Result<Vec<Row>> {
-    Ok(exec_node(plan, catalog, ctx, guard)?.into_rows())
+    Ok(exec_node(plan, catalog, ctx, guard)?.to_rows())
 }
 
-/// [`execute`], leaving the result in columns (a join's build side).
-pub(crate) fn execute_batch(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    ctx: &EvalContext,
-    guard: &ExecGuard,
-) -> Result<Batch> {
-    Ok(exec_node(plan, catalog, ctx, guard)?.into_batch(&plan.types))
-}
-
-/// Intermediate operator output: column batches out of a pipeline, rows
-/// once an operator materializes.
-pub(crate) enum Out {
-    Batch(Batch),
-    Rows(Vec<Row>),
-}
-
-impl Out {
-    fn len(&self) -> usize {
-        match self {
-            Out::Batch(b) => b.len,
-            Out::Rows(r) => r.len(),
-        }
-    }
-
-    fn into_rows(self) -> Vec<Row> {
-        match self {
-            Out::Batch(b) => b.to_rows(),
-            Out::Rows(r) => r,
-        }
-    }
-
-    /// The output as a batch: where an operator's rows meet a batch
-    /// consumer, they are columnarized as `types`, its output types.
-    pub(crate) fn into_batch(self, types: &[DataType]) -> Batch {
-        match self {
-            Out::Batch(b) => b,
-            Out::Rows(r) => Batch::from_rows(&r, types),
-        }
-    }
-}
-
-fn child(plan: &PhysicalPlan, catalog: &Catalog, ctx: &EvalContext, guard: &ExecGuard) -> Result<Out> {
+fn child(plan: &PhysicalPlan, catalog: &Catalog, ctx: &EvalContext, guard: &ExecGuard) -> Result<Batch> {
     exec_node(exec::data_child(plan)?, catalog, ctx, guard)
 }
 
+/// Run the plan `plan` tops, leaving its output in columns.
 pub(crate) fn exec_node(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     ctx: &EvalContext,
     guard: &ExecGuard,
-) -> Result<Out> {
+) -> Result<Batch> {
     match &plan.op {
-        PhysOp::ConstantScan => Ok(Out::Rows(vec![Vec::new()])),
+        // One row of no columns.
+        PhysOp::ConstantScan => Ok(Batch::new(Vec::new(), 1)),
         // The top of a pipeline, run as one morsel.
         PhysOp::Scan { head: None, .. }
         | PhysOp::Seek { .. }
@@ -139,89 +109,141 @@ pub(crate) fn exec_node(
             guard.fault(FaultSite::Scan)?;
             let head = catalog.table(table)?.head(usize::try_from(*n).unwrap_or(usize::MAX))?;
             guard.tick(head.len as u64)?;
-            Ok(Out::Batch(head))
+            Ok(head)
         }
         PhysOp::CachedScan { batch, .. } => {
             guard.tick(batch.len as u64)?;
-            Ok(Out::Batch((**batch).clone()))
+            Ok((**batch).clone())
         }
         PhysOp::Top { quantity, percent } => {
-            let out = child(plan, catalog, ctx, guard)?;
-            let len = out.len();
+            let input = child(plan, catalog, ctx, guard)?;
             let n = if *percent {
-                ((len as f64) * (*quantity as f64) / 100.0).ceil() as usize
+                ((input.len as f64) * (*quantity as f64) / 100.0).ceil() as usize
             } else {
                 *quantity as usize
             };
-            Ok(match out {
-                Out::Batch(b) => Out::Batch(b.slice(0..n.min(len))),
-                Out::Rows(mut r) => {
-                    r.truncate(n);
-                    Out::Rows(r)
-                }
-            })
+            Ok(input.slice(0..n.min(input.len)))
         }
+        PhysOp::Sort { keys } => sort(child(plan, catalog, ctx, guard)?, keys, ctx, guard),
+        PhysOp::DistinctSort => {
+            let input = child(plan, catalog, ctx, guard)?;
+            guard.tick(input.len as u64)?;
+            let order = sort_order(&input, &[]);
+            let same = |a: u32, b: u32| input.cols.iter().all(|c| cmp_cells(c, a as usize, b as usize).is_eq());
+            let mut keep: Vec<u32> = Vec::with_capacity(order.len());
+            for &i in &order {
+                if keep.last().is_none_or(|&prev| !same(prev, i)) {
+                    keep.push(i);
+                }
+            }
+            Ok(input.gather(&keep))
+        }
+        PhysOp::Concatenation => {
+            let (l, r) = two_children(plan, catalog, ctx, guard)?;
+            Ok(Batch::concat(&[l, r], &plan.types))
+        }
+        // Row operators: their inputs leave columns here, their output
+        // re-enters them as the node's types.
         PhysOp::NestedLoops {
             kind,
             on,
             left_width,
             right_width,
         } => {
-            let (l, r) = two_rows(plan, catalog, ctx, guard)?;
-            Ok(Out::Rows(exec::nested_loops(
-                l,
-                r,
+            let (l, r) = two_children(plan, catalog, ctx, guard)?;
+            let rows = exec::nested_loops(
+                l.to_rows(),
+                r.to_rows(),
                 *kind,
                 on.as_ref(),
                 *left_width,
                 *right_width,
                 ctx,
                 guard,
-            )?))
-        }
-        PhysOp::Sort { keys } => {
-            let input = child(plan, catalog, ctx, guard)?.into_rows();
-            Ok(Out::Rows(exec::sort_rows(input, keys, ctx, guard)?))
-        }
-        PhysOp::DistinctSort => {
-            let mut input = child(plan, catalog, ctx, guard)?.into_rows();
-            guard.tick(input.len() as u64)?;
-            input.sort_by(cmp_rows);
-            input.dedup_by(|a, b| cmp_rows(a, b).is_eq());
-            Ok(Out::Rows(input))
-        }
-        PhysOp::Concatenation => {
-            let (mut l, r) = two_rows(plan, catalog, ctx, guard)?;
-            l.extend(r);
-            Ok(Out::Rows(l))
+            )?;
+            Ok(Batch::from_rows(&rows, &plan.types))
         }
         PhysOp::HashSetOp { op } => {
-            let (l, r) = two_rows(plan, catalog, ctx, guard)?;
-            Ok(Out::Rows(exec::hash_set_op(l, r, *op)?))
+            let (l, r) = two_children(plan, catalog, ctx, guard)?;
+            let rows = exec::hash_set_op(l.to_rows(), r.to_rows(), *op)?;
+            Ok(Batch::from_rows(&rows, &plan.types))
         }
         PhysOp::Segment | PhysOp::Repartition { .. } => child(plan, catalog, ctx, guard),
         PhysOp::SequenceProject { calls } => {
-            let input = child(plan, catalog, ctx, guard)?.into_rows();
-            guard.tick(input.len() as u64)?;
-            Ok(Out::Rows(crate::window::compute_windows(input, calls, ctx)?))
+            let input = child(plan, catalog, ctx, guard)?;
+            guard.tick(input.len as u64)?;
+            let rows = crate::window::compute_windows(input.to_rows(), calls, ctx)?;
+            Ok(Batch::from_rows(&rows, &plan.types))
         }
     }
 }
 
-fn two_rows(
+fn two_children(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     ctx: &EvalContext,
     guard: &ExecGuard,
-) -> Result<(Vec<Row>, Vec<Row>)> {
+) -> Result<(Batch, Batch)> {
     if plan.children.len() < 2 {
         return Err(Error::Execution(
             "internal: binary operator missing inputs".into(),
         ));
     }
-    let l = exec_node(&plan.children[0], catalog, ctx, guard)?.into_rows();
-    let r = exec_node(&plan.children[1], catalog, ctx, guard)?.into_rows();
+    let l = exec_node(&plan.children[0], catalog, ctx, guard)?;
+    let r = exec_node(&plan.children[1], catalog, ctx, guard)?;
     Ok((l, r))
+}
+
+/// `Sort`: the input gathered in the order of its key columns.
+///
+/// The row engine decorates row by row and charges the decoration every
+/// [`CHARGE_BATCH`] rows, so the keys are charged chunk by chunk here
+/// too, each only once all its keys evaluated: an error and a failed
+/// charge surface in the order the row engine meets them. A charge that
+/// fails with a storage layer attached is the one way into the external
+/// sort, which runs over rows: what was charged is released and the row
+/// engine sorts the input from the start, decorating and failing the
+/// same charge again before it spills.
+fn sort(input: Batch, keys: &[SortKey], ctx: &EvalContext, guard: &ExecGuard) -> Result<Batch> {
+    guard.tick(input.len as u64)?;
+    let exprs: Vec<BoundExpr> = keys.iter().map(|k| k.expr.clone()).collect();
+    let (cols, valid, err) = eval_cols(&exprs, &input, ctx);
+    let key_batch = Batch::new(cols, input.len);
+    let mut charged = 0usize;
+    let mut charge = |rows: Range<usize>| -> Result<bool> {
+        let bytes = batch_rows_bytes(&key_batch.slice(rows));
+        match guard.charge(bytes) {
+            Ok(()) => {
+                charged += bytes;
+                Ok(true)
+            }
+            Err(e) if !matches!(e, Error::ResourceExhausted(_)) || guard.storage().is_none() => Err(e),
+            Err(_) => {
+                guard.memory().release(charged + bytes);
+                Ok(false)
+            }
+        }
+    };
+    let full = valid / CHARGE_BATCH * CHARGE_BATCH;
+    let mut fits = true;
+    for at in (0..full).step_by(CHARGE_BATCH) {
+        fits = charge(at..at + CHARGE_BATCH)?;
+        if !fits {
+            break;
+        }
+    }
+    if fits {
+        if let Some(e) = err {
+            return Err(e);
+        }
+        fits = charge(full..input.len)?;
+    }
+    if !fits {
+        let rows = exec::sort_rows(input.to_rows(), keys, ctx, guard)?;
+        return Ok(Batch::from_rows(&rows, &input.types()));
+    }
+    let desc: Vec<bool> = keys.iter().map(|k| k.desc).collect();
+    Ok(input.gather(&sort_order(&key_batch, &desc)))
 }
 
 // ---------------------------------------------------------------------------
@@ -911,27 +933,33 @@ pub(crate) struct Groups {
 }
 
 impl Groups {
-    pub(crate) fn finish(self) -> Result<Vec<Row>> {
-        emit_groups(self.keys.to_rows(), &self.accs)
+    /// The groups as output columns of `types`: see [`emit_groups`].
+    pub(crate) fn finish(self, types: &[DataType]) -> Result<Batch> {
+        emit_groups(self.keys, &self.accs, types)
     }
 }
 
-/// Output rows, groups in `cmp_rows` order like the oracle's sort.
-fn emit_groups(keys: Vec<Row>, accs: &[Accumulator]) -> Result<Vec<Row>> {
-    let na = accs.len() / keys.len().max(1);
-    let mut out: Vec<Row> = keys
-        .into_iter()
-        .enumerate()
-        .map(|(g, mut row)| {
-            for acc in &accs[g * na..(g + 1) * na] {
-                row.push(acc.finish()?);
-            }
-            Ok(row)
-        })
-        .collect::<Result<_>>()?;
-    // Keys are distinct, so comparing whole rows compares keys.
-    out.sort_by(cmp_rows);
-    Ok(out)
+/// Aggregate output as columns of `types`: each group's key (one row of
+/// `keys` per group), then its finished accumulators. Groups come out,
+/// and are finished, in the `cmp_rows` order of their keys, the order
+/// the oracle's sort meets them in; keys are distinct, so it is total.
+/// A scalar aggregate is one group with a key of no columns.
+pub(crate) fn emit_groups(keys: Batch, accs: &[Accumulator], types: &[DataType]) -> Result<Batch> {
+    let order = sort_order(&keys, &[]);
+    let mut out: Vec<ColumnBuilder> = types[keys.width()..]
+        .iter()
+        .map(|&ty| ColumnBuilder::with_capacity(ty, keys.len))
+        .collect();
+    let na = out.len();
+    for &g in &order {
+        let g = g as usize;
+        for (b, acc) in out.iter_mut().zip(&accs[g * na..(g + 1) * na]) {
+            b.push(&acc.finish()?);
+        }
+    }
+    let mut cols = keys.gather(&order).cols;
+    cols.extend(out.into_iter().map(|b| Col::new(b.finish())));
+    Ok(Batch::new(cols, keys.len))
 }
 
 /// Group one input: evaluate keys, number the groups through the hash
@@ -969,9 +997,7 @@ pub(crate) fn group_batch(
             // The oracle sorts rows by key (stably) and feeds them in
             // that order, so that is the order its feed errors come in:
             // rank the groups, counting-sort the rows by rank.
-            let key_rows = keys.to_rows();
-            let mut by_key: Vec<usize> = (0..first.len()).collect();
-            by_key.sort_by(|&a, &b| cmp_rows(&key_rows[a], &key_rows[b]));
+            let by_key = sort_order(&keys, &[]);
             let mut size = vec![0u32; first.len()];
             for &g in &gids {
                 size[g as usize] += 1;
@@ -979,8 +1005,8 @@ pub(crate) fn group_batch(
             let mut next = vec![0u32; first.len()];
             let mut filled = 0;
             for &g in &by_key {
-                next[g] = filled;
-                filled += size[g];
+                next[g as usize] = filled;
+                filled += size[g as usize];
             }
             let mut order = vec![0u32; n];
             for (i, &g) in gids.iter().enumerate() {
@@ -1000,7 +1026,9 @@ pub(crate) fn group_batch(
 /// morsels produces.
 pub(crate) struct GroupMerger {
     table: GroupTable,
-    keys: Vec<Row>,
+    /// Per part, the keys that opened a group, in group order.
+    keys: Vec<Batch>,
+    groups: usize,
     accs: Vec<Accumulator>,
     n_aggs: usize,
 }
@@ -1010,6 +1038,7 @@ impl GroupMerger {
         GroupMerger {
             table: GroupTable::new(n_keys),
             keys: Vec::new(),
+            groups: 0,
             accs: Vec::new(),
             n_aggs,
         }
@@ -1018,10 +1047,12 @@ impl GroupMerger {
     pub(crate) fn push(&mut self, part: Groups) -> Result<()> {
         let ids = self.table.assign(&part.keys.cols, part.keys.len);
         let mut accs = part.accs.into_iter();
+        let mut opened = Vec::new();
         for (g, id) in ids.into_iter().enumerate() {
             let accs = accs.by_ref().take(self.n_aggs);
-            if id as usize == self.keys.len() {
-                self.keys.push(part.keys.row(g));
+            if id as usize == self.groups {
+                self.groups += 1;
+                opened.push(g as u32);
                 self.accs.extend(accs);
             } else {
                 let base = id as usize * self.n_aggs;
@@ -1030,11 +1061,14 @@ impl GroupMerger {
                 }
             }
         }
+        self.keys.push(part.keys.gather(&opened));
         Ok(())
     }
 
-    pub(crate) fn finish(self) -> Result<Vec<Row>> {
-        emit_groups(self.keys, &self.accs)
+    /// The merged groups as output columns of `types`.
+    pub(crate) fn finish(self, types: &[DataType]) -> Result<Batch> {
+        let keys = Batch::concat(&self.keys, &types[..types.len() - self.n_aggs]);
+        emit_groups(keys, &self.accs, types)
     }
 }
 
@@ -1260,7 +1294,7 @@ mod tests {
         spec: &JoinSpec,
         ctx: &EvalContext,
         guard: &ExecGuard,
-    ) -> Result<Out> {
+    ) -> Result<Vec<Row>> {
         let op = PhysOp::HashJoin {
             kind: spec.kind,
             left_keys: spec.left_keys.to_vec(),
@@ -1269,7 +1303,8 @@ mod tests {
             left_width: spec.left_width,
             right_width: spec.right_width,
         };
-        exec_node(&node(op, vec![leaf(&left), leaf(&right)]), &Catalog::new(), ctx, guard)
+        let plan = PhysicalPlan { types: [left.types(), right.types()].concat(), ..node(op, vec![leaf(&left), leaf(&right)]) };
+        execute(&plan, &Catalog::new(), ctx, guard)
     }
 
     /// An Aggregate over one input, run as the serial executor runs it.
@@ -1280,8 +1315,16 @@ mod tests {
         ctx: &EvalContext,
         guard: &ExecGuard,
     ) -> Result<Vec<Row>> {
+        let input_types = input.types();
+        let arg_type = |a: &AggCall| a.arg.as_ref().map_or(DataType::Int, |e| e.result_type(&input_types));
+        let types = group
+            .iter()
+            .map(|g| g.result_type(&input_types))
+            .chain(aggs.iter().map(|a| a.func.result_type(arg_type(a))))
+            .collect();
         let op = PhysOp::Aggregate { group: group.to_vec(), aggs: aggs.to_vec(), hash: true };
-        exec_node(&node(op, vec![leaf(&input)]), &Catalog::new(), ctx, guard).map(Out::into_rows)
+        let plan = PhysicalPlan { types, ..node(op, vec![leaf(&input)]) };
+        execute(&plan, &Catalog::new(), ctx, guard)
     }
 
     /// Deterministic xorshift so every case derives from one seed the
@@ -1562,8 +1605,7 @@ mod tests {
                 right_width: rw,
             };
             let guard = ExecGuard::unbounded();
-            let got = hash_join_batch(left.clone(), right.clone(), &spec, &ctx, &guard)
-                .map(Out::into_rows);
+            let got = hash_join_batch(left.clone(), right.clone(), &spec, &ctx, &guard);
             let want = exec::hash_join(
                 left.to_rows(),
                 right.to_rows(),
@@ -1586,6 +1628,43 @@ mod tests {
                     )));
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// ORDER BY over random keys (typed, null-riddled, erroring, some
+        /// descending) and DISTINCT, the batch operators against the
+        /// oracle's sort and sort-dedup: rows in order, first errors.
+        #[test]
+        fn sort_and_distinct_match_row_oracle(seed in proptest::any::<u64>()) {
+            let mut r = Rng(seed | 1);
+            let ctx = EvalContext::default();
+            let guard = ExecGuard::unbounded();
+            let batch = gen_batch(&mut r);
+            let keys: Vec<SortKey> = (0..1 + r.below(3))
+                .map(|_| SortKey { expr: gen_expr(&mut r, batch.width(), 1), desc: r.below(2) == 0 })
+                .collect();
+            let run = |op: PhysOp| {
+                let plan = PhysicalPlan { types: batch.types(), ..node(op, vec![leaf(&batch)]) };
+                execute(&plan, &Catalog::new(), &ctx, &guard)
+            };
+            let got = run(PhysOp::Sort { keys: keys.clone() });
+            let want = exec::sort_rows(batch.to_rows(), &keys, &ctx, &guard);
+            match (got, want) {
+                (Ok(g), Ok(w)) => prop_assert_eq!(g, w, "order by {:?}", keys),
+                (Err(ge), Err(we)) => prop_assert_eq!(ge, we, "order by {:?}", keys),
+                (g, w) => {
+                    return Err(TestCaseError::fail(format!(
+                        "outcome mismatch for order by {keys:?}: batch {g:?} vs rows {w:?}"
+                    )));
+                }
+            }
+            let mut want = batch.to_rows();
+            want.sort_by(crate::table::cmp_rows);
+            want.dedup_by(|a, b| crate::table::cmp_rows(a, b).is_eq());
+            prop_assert_eq!(run(PhysOp::DistinctSort).unwrap(), want);
         }
     }
 

@@ -86,7 +86,9 @@ impl WindowCall {
 }
 
 /// Compute a group of window calls sharing one window spec, appending one
-/// output column per call. Rows are returned sorted by (partition, order).
+/// output column per call. `rows` arrive sorted by (partition, order) —
+/// the planner puts a Sort on those keys under every Segment — and are
+/// returned in that order.
 pub fn compute_windows(
     mut rows: Vec<Row>,
     calls: &[WindowCall],
@@ -100,7 +102,6 @@ pub fn compute_windows(
         .iter()
         .all(|c| c.spec_signature() == spec.spec_signature()));
 
-    // Sort by partition keys, then order keys.
     let mut keyed: Vec<(Vec<Value>, Vec<Value>, Row)> = Vec::with_capacity(rows.len());
     for row in rows.drain(..) {
         let pkey = eval_all(&spec.partition_by, &row, ctx)?;
@@ -110,9 +111,6 @@ pub fn compute_windows(
         }
         keyed.push((pkey, okey, row));
     }
-    keyed.sort_by(|a, b| {
-        cmp_rows(&a.0, &b.0).then_with(|| cmp_order(&a.1, &b.1, &spec.order_by))
-    });
 
     // Partition boundaries.
     let mut out = Vec::with_capacity(keyed.len());

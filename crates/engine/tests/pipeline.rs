@@ -97,6 +97,63 @@ fn over_budget_join_spills_in_a_forced_parallel_plan() {
     assert_eq!(subject.memory_pool().used(), 0);
 }
 
+/// An engine at DOP 1 over `tables` and `wide(id, pad)` (4,000 rows of
+/// 124-byte text), with a spill layer if `storage`, under `budget`.
+fn budgeted(vectorized: bool, storage: bool, budget: Option<usize>) -> Engine {
+    let mut e = engine(1, vectorized);
+    if storage {
+        e.set_storage(Some(StorageLayer::temp(4 << 20).unwrap()));
+    }
+    if let Some(bytes) = budget {
+        e.set_query_mem_limit(bytes);
+    }
+    e.create_table(Table::new(
+        "wide",
+        Schema::from_pairs([("id", DataType::Int), ("pad", DataType::Text)]),
+        (0..4000)
+            .map(|i| vec![Value::Int(i % 97), Value::Text(format!("pad-{:0>120}", i * 7919 % 4000))])
+            .collect(),
+    ))
+    .unwrap();
+    e
+}
+
+#[test]
+fn over_budget_order_by_spills_in_the_batch_engine_at_dop1() {
+    let sql = "SELECT TOP 5 id, pad FROM wide ORDER BY pad DESC, id";
+    let oracle = budgeted(false, false, None).run(sql).unwrap();
+    let subject = budgeted(true, true, Some(256 << 10));
+    let got = subject.run(sql).unwrap();
+    assert_eq!(got.plan.max_parallelism(), 1);
+    assert_eq!(got.rows, oracle.rows);
+    assert!(got.spill_bytes > 0, "completed without spilling under a 256 KiB budget");
+    assert_eq!(subject.memory_pool().used(), 0);
+}
+
+#[test]
+fn a_sort_key_that_errors_after_the_first_charge_reports_the_oracles_first_error() {
+    // The key divides by zero at v = 1500, more than two charge chunks
+    // into the clustered (k, v) order. Unbudgeted, that is the error; a
+    // budget that refuses the second chunk's key charge fails first
+    // without a spill layer, and with one the sort spills and meets the
+    // division later.
+    let sql = "SELECT TOP 3 v FROM facts ORDER BY 10 / (v - 1500)";
+    for (storage, budget, want) in [
+        (false, None, "division by zero"),
+        (true, None, "division by zero"),
+        (false, Some(80 << 10), "resource"),
+        (true, Some(80 << 10), "division by zero"),
+    ] {
+        let oracle = budgeted(false, storage, budget).run(sql).unwrap_err();
+        let subject = budgeted(true, storage, budget);
+        let got = subject.run(sql).unwrap_err();
+        assert_eq!(got, oracle, "storage {storage}, budget {budget:?}");
+        let seen = if want == "resource" { got.kind() } else { got.message() };
+        assert_eq!(seen, want, "storage {storage}, budget {budget:?}: {got}");
+        assert_eq!(subject.memory_pool().used(), 0);
+    }
+}
+
 /// The batch engine at DOP 1 against the row oracle: identical rows in
 /// identical order, or the identical error.
 fn assert_dop1_identical(sql: &str) -> Result<Vec<Vec<Value>>, sqlshare_common::Error> {
@@ -145,24 +202,47 @@ fn the_row_interpreter_names_nothing_of_the_batch_engine() {
 }
 
 #[test]
+fn the_batch_engine_hands_batches_between_its_operators() {
+    // Every batch operator takes and returns a batch: no intermediate
+    // form, no row exit into the oracle's aggregate. The oracle's sort is
+    // entered once, as the way into the external sort. (The tests below
+    // `#[cfg(test)]` compare against the oracle's sort and aggregate.)
+    for (file, source) in [
+        ("vexec.rs", include_str!("../src/vexec.rs")),
+        ("parallel.rs", include_str!("../src/parallel.rs")),
+    ] {
+        let words: Vec<&str> = source.split(|c: char| !c.is_alphanumeric() && c != '_').collect();
+        for name in ["Out", "into_rows", "into_batch", "execute_batch"] {
+            assert!(!words.contains(&name), "{file} names `{name}`");
+        }
+        let code = source.split("#[cfg(test)]").next().unwrap();
+        assert!(!code.contains("exec::aggregate"), "{file} calls `exec::aggregate`");
+    }
+    let vexec = include_str!("../src/vexec.rs").split("#[cfg(test)]").next().unwrap();
+    assert_eq!(vexec.matches("exec::sort_rows").count(), 1, "vexec.rs enters the row sort once, to spill");
+}
+
+#[test]
 fn an_in_memory_table_is_stored_once_as_its_columns() {
     let table = include_str!("../src/table.rs");
     for name in ["Vec<Row>>", "OnceLock"] {
         assert!(!table.contains(name), "table.rs holds `{name}`");
     }
-    // Outside their tests, the batch executors columnarize rows only
-    // where an operator's row output meets a batch consumer
-    // (`Out::into_batch`); tables and pinned views already are batches.
-    for (file, source) in [
-        ("vexec.rs", include_str!("../src/vexec.rs")),
-        ("parallel.rs", include_str!("../src/parallel.rs")),
+    // Outside their tests, the batch executors columnarize rows only at
+    // the output of a row operator: nested loops, set operations and
+    // windows (`exec_node`), the external sort (`sort`), the Grace join
+    // (`execute`) and the empty probe side of a join's unmatched build
+    // rows (`tail`). Tables and pinned views already are batches.
+    for (file, source, sites) in [
+        ("vexec.rs", include_str!("../src/vexec.rs"), &["exec_node", "sort"][..]),
+        ("parallel.rs", include_str!("../src/parallel.rs"), &["execute", "tail"][..]),
     ] {
         let code = source.split("#[cfg(test)]").next().unwrap();
         for (at, _) in code.match_indices("Batch::from_rows") {
             let head = &code[..at];
             let decl = &head[head.rfind("fn ").unwrap() + 3..];
             let site = decl.split(|c: char| !c.is_alphanumeric() && c != '_').next().unwrap();
-            assert_eq!(site, "into_batch", "{file}: `Batch::from_rows` in `{site}`");
+            assert!(sites.contains(&site), "{file}: `Batch::from_rows` in `{site}`");
         }
     }
 }

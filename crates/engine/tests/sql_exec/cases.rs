@@ -1,5 +1,7 @@
 // The cases of `sql_exec.rs`, compiled once per engine mode.
 
+use sqlshare_engine::expr::BoundExpr;
+use sqlshare_engine::physical::PhysOp;
 use sqlshare_engine::value::date_from_ymd;
 use sqlshare_engine::{DataType, Engine, Row, Schema, Table, Value};
 
@@ -400,6 +402,28 @@ fn window_functions_row_number() {
     assert_eq!(out.rows[0][2], i(1));
     let names = out.plan.operator_names();
     assert!(names.contains(&"Segment") && names.contains(&"Sequence Project"));
+    // The window operator reads its input in (partition, order) order:
+    // the Sort under its Segment is the only sort on those keys.
+    let mut windows = 0;
+    out.plan.visit(&mut |n| {
+        let PhysOp::SequenceProject { calls } = &n.op else { return };
+        windows += 1;
+        let segment = &n.children[0];
+        assert!(matches!(segment.op, PhysOp::Segment), "{:?}", segment.op);
+        let PhysOp::Sort { keys } = &segment.children[0].op else {
+            panic!("no Sort under the Segment: {:?}", segment.children[0].op);
+        };
+        let spec = &calls[0];
+        let want: Vec<(BoundExpr, bool)> = spec
+            .partition_by
+            .iter()
+            .map(|e| (e.clone(), false))
+            .chain(spec.order_by.iter().cloned())
+            .collect();
+        let got: Vec<(BoundExpr, bool)> = keys.iter().map(|k| (k.expr.clone(), k.desc)).collect();
+        assert_eq!(got, want);
+    });
+    assert_eq!(windows, 1);
 }
 
 #[test]
@@ -832,4 +856,137 @@ fn an_integer_sum_that_leaves_bigint_overflows() {
     // A total back inside BIGINT is no overflow, however the rows meet.
     let out = e.run("SELECT SUM(x) FROM ones").unwrap();
     assert_eq!(out.rows, vec![vec![i(i64::MAX)]]);
+}
+
+/// `obs(site TEXT, reading INT, tag TEXT)` with NULL sites and tags and
+/// tied keys; `more(site TEXT, reading INT)`, whose text columns are
+/// dictionaries of their own.
+fn sorting_engine() -> Engine {
+    let mut e = mode().engine();
+    let null = || Value::Null;
+    e.create_table(Table::new(
+        "obs",
+        Schema::from_pairs([("site", DataType::Text), ("reading", DataType::Int), ("tag", DataType::Text)]),
+        vec![
+            vec![t("beta"), i(3), t("x")],
+            vec![null(), i(1), t("y")],
+            vec![t("alpha"), i(2), null()],
+            vec![t("beta"), i(1), t("x")],
+            vec![t("alpha"), i(2), t("z")],
+            vec![null(), i(5), t("x")],
+            vec![t("gamma"), i(4), t("y")],
+        ],
+    ))
+    .unwrap();
+    e.create_table(Table::new(
+        "more",
+        Schema::from_pairs([("site", DataType::Text), ("reading", DataType::Int)]),
+        vec![vec![t("delta"), i(7)], vec![t("alpha"), i(2)], vec![null(), i(9)]],
+    ))
+    .unwrap();
+    e
+}
+
+fn texts(rows: &[Row], col: usize) -> Vec<Option<&str>> {
+    rows.iter()
+        .map(|r| match &r[col] {
+            Value::Text(s) => Some(s.as_str()),
+            Value::Null => None,
+            other => panic!("expected text, got {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn order_by_text_keys_with_nulls_ties_and_desc() {
+    let e = sorting_engine();
+    let out = e.run("SELECT site, reading FROM obs ORDER BY site DESC, reading").unwrap();
+    assert_eq!(texts(&out.rows, 0), [Some("gamma"), Some("beta"), Some("beta"), Some("alpha"), Some("alpha"), None, None]);
+    assert_eq!(ints(&out.rows, 1), [4, 1, 3, 2, 2, 1, 5]);
+    // Ties keep the input's (clustered) order: the sort is stable.
+    let out = e.run("SELECT site, tag FROM obs ORDER BY site").unwrap();
+    assert_eq!(texts(&out.rows, 0), [None, None, Some("alpha"), Some("alpha"), Some("beta"), Some("beta"), Some("gamma")]);
+    assert_eq!(texts(&out.rows, 1), [Some("y"), Some("x"), None, Some("z"), Some("x"), Some("x"), Some("y")]);
+    let out = e.run("SELECT tag, reading FROM obs ORDER BY tag DESC, reading DESC").unwrap();
+    assert_eq!(texts(&out.rows, 0), [Some("z"), Some("y"), Some("y"), Some("x"), Some("x"), Some("x"), None]);
+    assert_eq!(ints(&out.rows, 1), [2, 4, 1, 5, 3, 1, 2]);
+    assert!(out.plan.operator_names().contains(&"Sort"));
+}
+
+#[test]
+fn top_percent_rounds_up_and_stops_at_empty_input() {
+    let e = sorting_engine();
+    // 50% of 7 rows is 4 of them; the two readings of 2 tie.
+    let out = e.run("SELECT TOP 50 PERCENT site, reading FROM obs ORDER BY reading DESC").unwrap();
+    assert_eq!(texts(&out.rows, 0), [None, Some("gamma"), Some("beta"), Some("alpha")]);
+    assert_eq!(ints(&out.rows, 1), [5, 4, 3, 2]);
+    let out = e.run("SELECT TOP 50 PERCENT site FROM obs WHERE reading > 100 ORDER BY site").unwrap();
+    assert!(out.rows.is_empty());
+    let out = e.run("SELECT TOP 0 PERCENT site FROM obs ORDER BY site").unwrap();
+    assert!(out.rows.is_empty());
+}
+
+#[test]
+fn distinct_keeps_one_row_per_value_in_order() {
+    let e = sorting_engine();
+    let out = e.run("SELECT DISTINCT site FROM obs").unwrap();
+    assert_eq!(texts(&out.rows, 0), [None, Some("alpha"), Some("beta"), Some("gamma")]);
+    let out = e.run("SELECT DISTINCT tag, reading FROM obs").unwrap();
+    assert_eq!(texts(&out.rows, 0), [None, Some("x"), Some("x"), Some("x"), Some("y"), Some("y"), Some("z")]);
+    assert_eq!(ints(&out.rows, 1), [2, 1, 3, 5, 1, 4, 2]);
+}
+
+#[test]
+fn union_of_two_tables_with_their_own_dictionaries() {
+    let e = sorting_engine();
+    let out = e.run("SELECT site, reading FROM obs UNION ALL SELECT site, reading FROM more").unwrap();
+    assert_eq!(
+        texts(&out.rows, 0),
+        [None, None, Some("alpha"), Some("alpha"), Some("beta"), Some("beta"), Some("gamma"), None, Some("alpha"), Some("delta")]
+    );
+    assert_eq!(ints(&out.rows, 1), [1, 5, 2, 2, 1, 3, 4, 9, 2, 7]);
+    let out = e.run("SELECT site FROM obs UNION SELECT site FROM more").unwrap();
+    assert_eq!(texts(&out.rows, 0), [None, Some("alpha"), Some("beta"), Some("delta"), Some("gamma")]);
+    let names = out.plan.operator_names();
+    assert!(names.contains(&"Concatenation") && names.contains(&"Sort"), "{names:?}");
+}
+
+#[test]
+fn stream_aggregate_over_a_sort_on_a_text_key_with_a_null_group() {
+    let e = sorting_engine();
+    let out = e.run("SELECT tag, COUNT(*), SUM(reading), MAX(site) FROM obs GROUP BY tag").unwrap();
+    assert_eq!(texts(&out.rows, 0), [None, Some("x"), Some("y"), Some("z")]);
+    assert_eq!(ints(&out.rows, 1), [1, 3, 2, 1]);
+    assert_eq!(ints(&out.rows, 2), [2, 9, 5, 2]);
+    assert_eq!(texts(&out.rows, 3), [Some("alpha"), Some("beta"), Some("gamma"), Some("alpha")]);
+    let names = out.plan.operator_names();
+    assert!(names.contains(&"Sort") && names.contains(&"Stream Aggregate"), "{names:?}");
+}
+
+#[test]
+fn group_by_over_a_union_all() {
+    let e = sorting_engine();
+    let out = e
+        .run(
+            "SELECT site, COUNT(*), SUM(reading) FROM \
+             (SELECT site, reading FROM obs UNION ALL SELECT site, reading FROM more) AS u GROUP BY site",
+        )
+        .unwrap();
+    assert_eq!(texts(&out.rows, 0), [None, Some("alpha"), Some("beta"), Some("delta"), Some("gamma")]);
+    assert_eq!(ints(&out.rows, 1), [3, 3, 2, 1, 1]);
+    assert_eq!(ints(&out.rows, 2), [15, 6, 4, 7, 4]);
+}
+
+#[test]
+fn a_scalar_aggregate_over_empty_input_is_one_row() {
+    let e = sorting_engine();
+    let out = e.run("SELECT COUNT(*), SUM(reading), MIN(site) FROM obs WHERE reading > 100").unwrap();
+    assert_eq!(out.rows, vec![vec![i(0), Value::Null, Value::Null]]);
+    let out = e
+        .run(
+            "SELECT COUNT(*), MAX(site) FROM (SELECT site FROM obs WHERE reading > 100 \
+             UNION ALL SELECT site FROM more WHERE reading > 100) AS u",
+        )
+        .unwrap();
+    assert_eq!(out.rows, vec![vec![i(0), Value::Null]]);
 }
