@@ -317,6 +317,26 @@ impl JsonWriter {
         self
     }
 
+    /// The next value, written by `encode` straight into the output: it
+    /// must append one compact JSON value (what a compact writer of it
+    /// would emit) — the way for a caller with a faster encoder for its
+    /// own data to stream it without a copy.
+    pub fn raw_value(&mut self, encode: impl FnOnce(&mut String)) -> &mut Self {
+        self.before_value();
+        encode(&mut self.out);
+        self
+    }
+
+    /// Bytes written so far.
+    pub fn len(&self) -> usize {
+        self.out.len()
+    }
+
+    /// Whether nothing has been written yet.
+    pub fn is_empty(&self) -> bool {
+        self.out.is_empty()
+    }
+
     /// A whole [`Json`] tree as the next value.
     pub fn value(&mut self, v: &Json) -> &mut Self {
         match v {
@@ -349,9 +369,10 @@ impl JsonWriter {
     }
 }
 
-/// Append `s` to `out` as JSON string content (no surrounding quotes).
+/// Append `s` to `out` as JSON string content (no surrounding quotes),
+/// escaped as [`JsonWriter`] escapes it.
 #[inline]
-fn escape_into(out: &mut String, s: &str) {
+pub fn escape_into(out: &mut String, s: &str) {
     // Only ASCII bytes are ever escaped, so everything between two of
     // them is copied as one run — for most strings, the whole string.
     let needs_escape = |b: u8| b < 0x20 || b == b'"' || b == b'\\';

@@ -49,5 +49,5 @@ pub use sqlshare_engine::{Engine, StorageLayer};
 pub use sqlshare_scheduler::{SchedulerConfig, SchedulerStats, TenantStats};
 pub use sqlshare_storage::{
     read_tail, wal_generation, CrashPoint, FsyncPolicy, IoCounter, ScrubConfig, ScrubFinding,
-    ScrubStatus, Scrubber, TailRead,
+    ScrubStatus, Scrubber, SnapshotStep, TailRead,
 };

@@ -20,8 +20,11 @@
 //! snapshot rows, rewritten append SQL) is computed during validation
 //! and embedded in the record, so replay never re-runs a query whose
 //! result could differ. Every `snapshot_every` records the service
-//! serializes its full durable state via an atomic snapshot and
-//! truncates the WAL.
+//! takes an atomic snapshot and truncates the WAL. A base table never
+//! changes once created, so a snapshot writes the rows of only the
+//! tables born since the last one, as one segment; its manifest holds
+//! the rest of the durable state and names each table's segment
+//! ([`SegmentIndex`]).
 //!
 //! Values are encoded as *tagged strings* (`i:`, `f:` hex bit pattern,
 //! `d:`, `t:`) rather than JSON numbers: `i64` above 2^53 and
@@ -31,19 +34,22 @@
 use crate::clock::SimInstant;
 use crate::dataset::{Dataset, DatasetKind, DatasetName, Metadata, Preview};
 use crate::permissions::Visibility;
-use sqlshare_common::json::{Json, JsonWriter};
+use sqlshare_common::json::{self, Json, JsonWriter};
 use sqlshare_common::{Error, Result};
+use sqlshare_engine::vector::{Batch, ColumnData};
 use sqlshare_engine::{Column, DataType, FaultPlan, Row, Schema, Table, Value};
 use sqlshare_ingest::{ingest_text, HeaderMode, IngestOptions, IngestReport};
-use sqlshare_storage::{CrashPoint, FsyncPolicy, SnapshotStore, Wal};
+use sqlshare_storage::{CrashPoint, FsyncPolicy, SnapshotLoad, SnapshotStep, SnapshotStore, Wal};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Configuration for opening a durable service.
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
-    /// Data directory holding `wal.log`, `snapshot-<lsn>.json`, and
-    /// `querylog.log`. Created if missing.
+    /// Data directory holding `wal.log`, the `snapshot-<lsn>.json`
+    /// manifests and `segment-<lsn>.json` segments, and `querylog.log`.
+    /// Created if missing.
     pub dir: PathBuf,
     /// When journal appends are forced to stable storage.
     pub fsync: FsyncPolicy,
@@ -168,6 +174,9 @@ impl DurableStore {
     /// WAL replays to byte-identical state. Replication delivers records
     /// in order, so the LSN simply becomes the new high-water mark.
     pub(crate) fn journal_at(&mut self, lsn: u64, epoch: u64, m: &Mutation) -> Result<()> {
+        if self.snapshots.crashed() {
+            return Err(Error::Internal("simulated crash: snapshot store is dead".into()));
+        }
         self.wal.append(m.encode(lsn, epoch).as_bytes())?;
         self.last_lsn = lsn;
         self.records_since_snapshot += 1;
@@ -201,19 +210,72 @@ impl DurableStore {
         self.records_since_snapshot >= self.snapshot_every
     }
 
-    /// Persist `payload` as the snapshot at the current LSN, then
-    /// truncate the WAL it makes redundant. On failure — a payload that
-    /// could not be encoded included — the WAL keeps full history and the
-    /// previous snapshot stays authoritative.
-    pub(crate) fn take_snapshot(&mut self, payload: Result<String>) -> Result<()> {
+    /// Whether `segment-<lsn>.json` exists already. A snapshot at an
+    /// LSN that has one (a second snapshot at the same LSN) must not
+    /// replace it, since a manifest on disk may name it.
+    pub(crate) fn segment_exists(&self, lsn: u64) -> bool {
+        self.snapshots.segment_exists(lsn)
+    }
+
+    /// Persist `files` as the snapshot at the current LSN — the segment,
+    /// if any, then the manifest — record where its tables are in
+    /// `index`, truncate the WAL it makes redundant, and prune. On
+    /// failure — files that could not be encoded included — the WAL
+    /// keeps full history and the previous snapshot stays authoritative.
+    pub(crate) fn take_snapshot(
+        &mut self,
+        files: Result<SnapshotFiles>,
+        index: &mut SegmentIndex,
+    ) -> Result<()> {
         // Success or failure, restart the cadence — a persistently
         // failing disk (or page) shouldn't retry on every mutation.
         self.records_since_snapshot = 0;
-        let payload = payload?;
+        let files = files?;
         self.wal.sync()?;
-        self.snapshots.write(self.last_lsn, &payload)?;
+        let lsn = self.last_lsn;
+        self.snapshots
+            .write_snapshot(lsn, files.segment.as_deref(), &files.manifest)?;
+        index.written(lsn, files.placed, files.segment.map(|s| s.len() as u64));
         self.wal.reset()?;
-        let _ = self.snapshots.prune(2);
+        self.snapshots.crash_after(SnapshotStep::WalReset)?;
+        // Best effort, as the snapshot is durable already: what a failed
+        // prune leaves, the next one deletes.
+        let _ = self.prune(lsn, index);
+        Ok(())
+    }
+
+    /// Keep the two newest manifests up to `lsn`, the one just written,
+    /// and the segments either names; delete every other manifest and
+    /// segment, and `.tmp` leftovers. A manifest past `lsn` is of a
+    /// lineage a reseed to an older LSN replaced: kept, it would be what
+    /// recovery loads. Manifests go first, so a crash part-way never
+    /// leaves a manifest naming a deleted segment.
+    fn prune(&self, lsn: u64, index: &mut SegmentIndex) -> Result<()> {
+        let mut kept = self.snapshots.list()?;
+        kept.retain(|&m| m <= lsn);
+        kept.sort_unstable_by(|a, b| b.cmp(a));
+        kept.truncate(2);
+        let mut named = BTreeSet::new();
+        for manifest in kept.iter().copied() {
+            match index.manifests.get(&manifest) {
+                Some(segments) => named.extend(segments),
+                // Not one this process wrote or loaded: read its names.
+                // One that does not read names nothing and never loads.
+                None => {
+                    if let Some(doc) = self
+                        .snapshots
+                        .read_manifest(manifest)
+                        .and_then(|payload| json::parse(&payload).ok())
+                    {
+                        named.extend(manifest_segments(&doc));
+                    }
+                }
+            }
+        }
+        self.snapshots.prune_manifests(&kept)?;
+        self.snapshots.crash_after(SnapshotStep::Prune)?;
+        self.snapshots.prune_segments(&named)?;
+        index.manifests.retain(|m, _| kept.contains(m));
         Ok(())
     }
 
@@ -226,11 +288,239 @@ impl DurableStore {
         self.wal.set_crash_point(cp);
     }
 
-    /// Whether a simulated [`CrashPoint`] has fired: the WAL is dead and
-    /// every further journal append is rejected.
-    pub(crate) fn crashed(&self) -> bool {
-        self.wal.crashed()
+    pub(crate) fn set_snapshot_crash_step(&mut self, step: Option<SnapshotStep>) {
+        self.snapshots.set_crash_step(step);
     }
+
+    /// Whether a simulated [`CrashPoint`] or [`SnapshotStep`] crash has
+    /// fired: every further journal append is rejected.
+    pub(crate) fn crashed(&self) -> bool {
+        self.wal.crashed() || self.snapshots.crashed()
+    }
+}
+
+/// Where a table's rows are: the byte range of its `{name, schema,
+/// rows}` object inside the payload of `segment-<segment>.json`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TableRef {
+    pub(crate) segment: u64,
+    pub(crate) at: u64,
+    pub(crate) len: u64,
+}
+
+/// Segment payloads by LSN, as recovery read and verified them.
+pub(crate) type Segments = HashMap<u64, String>;
+
+/// The files of one snapshot, encoded before anything is written.
+#[derive(Debug)]
+pub(crate) struct SnapshotFiles {
+    /// The tables no kept segment holds, when there are any.
+    pub(crate) segment: Option<String>,
+    pub(crate) manifest: String,
+    /// Where every live table a segment holds is once the snapshot is
+    /// written, by (catalog key, generation).
+    pub(crate) placed: HashMap<(String, u64), TableRef>,
+}
+
+/// Which segment holds each live table's rows, so that a table's rows
+/// are encoded once in its life: filled by the snapshot writer and by
+/// recovery, keyed by (catalog key, generation) — a table re-created
+/// under its old name has a new generation, and is a new table.
+#[derive(Debug, Default)]
+pub(crate) struct SegmentIndex {
+    tables: HashMap<(String, u64), TableRef>,
+    /// Payload bytes of each segment a live table is in.
+    sizes: HashMap<u64, u64>,
+    /// The segments each manifest this process wrote or loaded names.
+    manifests: BTreeMap<u64, BTreeSet<u64>>,
+    /// Segments the scrubber found rotted. The next snapshot writes
+    /// their live tables afresh, so that no newer manifest names them
+    /// (the findings arrive under a shared lock, hence the mutex).
+    rotted: Mutex<BTreeSet<u64>>,
+}
+
+impl SegmentIndex {
+    /// The index of a restored snapshot: `placed` are its tables read
+    /// from `segments`.
+    pub(crate) fn restored(
+        lsn: u64,
+        placed: HashMap<(String, u64), TableRef>,
+        segments: &Segments,
+    ) -> SegmentIndex {
+        let named: BTreeSet<u64> = placed.values().map(|r| r.segment).collect();
+        SegmentIndex {
+            sizes: named
+                .iter()
+                .map(|s| (*s, segments.get(s).map_or(0, |p| p.len() as u64)))
+                .collect(),
+            manifests: BTreeMap::from([(lsn, named)]),
+            tables: placed,
+            rotted: Mutex::default(),
+        }
+    }
+
+    /// The scrubber found `segment-<lsn>.json` rotted.
+    pub(crate) fn note_rotted(&self, lsn: u64) {
+        self.rotted.lock().unwrap_or_else(|e| e.into_inner()).insert(lsn);
+    }
+
+    /// Where each live table (catalog key, generation) stays in the next
+    /// snapshot; `None` for one the next segment must hold: a table no
+    /// segment holds, one in a segment found rotted, or one in a segment
+    /// less than half of whose bytes are live tables — copying those out
+    /// lets the segment go, which keeps disk bounded by twice the live
+    /// bytes.
+    pub(crate) fn place(&self, live: &[(String, u64)]) -> Vec<Option<TableRef>> {
+        let refs: Vec<Option<TableRef>> =
+            live.iter().map(|key| self.tables.get(key).copied()).collect();
+        let mut live_bytes: HashMap<u64, u64> = HashMap::new();
+        for r in refs.iter().flatten() {
+            *live_bytes.entry(r.segment).or_default() += r.len;
+        }
+        let rotted = self.rotted.lock().unwrap_or_else(|e| e.into_inner());
+        let kept = |r: &TableRef| {
+            !rotted.contains(&r.segment)
+                && 2 * live_bytes[&r.segment] >= self.sizes.get(&r.segment).copied().unwrap_or(0)
+        };
+        refs.into_iter().map(|r| r.filter(kept)).collect()
+    }
+
+    /// A snapshot at `lsn` is on disk: its live tables are `placed`, and
+    /// its new segment, if any, has `segment_bytes` of payload.
+    fn written(
+        &mut self,
+        lsn: u64,
+        placed: HashMap<(String, u64), TableRef>,
+        segment_bytes: Option<u64>,
+    ) {
+        if let Some(bytes) = segment_bytes {
+            self.sizes.insert(lsn, bytes);
+        }
+        let named: BTreeSet<u64> = placed.values().map(|r| r.segment).collect();
+        self.sizes.retain(|s, _| named.contains(s));
+        self.rotted
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .retain(|s| named.contains(s));
+        self.tables = placed;
+        self.manifests.insert(lsn, named);
+    }
+}
+
+/// A segment holding `tables`, and where each one is in it. The payload
+/// is `{"lsn": lsn, "tables": [..]}`, each table as [`write_table`]
+/// encodes it. Fails when a paged table cannot be read back.
+pub(crate) fn encode_segment(lsn: u64, tables: &[&Table]) -> Result<(String, Vec<TableRef>)> {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("lsn").number(lsn as f64);
+    w.key("tables").begin_array();
+    let mut refs = Vec::with_capacity(tables.len());
+    for (i, table) in tables.iter().enumerate() {
+        // The separator before every table but the first is not its.
+        let at = (w.len() + usize::from(i > 0)) as u64;
+        write_table(&mut w, table)?;
+        refs.push(TableRef {
+            segment: lsn,
+            at,
+            len: w.len() as u64 - at,
+        });
+    }
+    w.end_array();
+    w.end_object();
+    Ok((w.finish(), refs))
+}
+
+/// A manifest's table entry: `{name, segment, at, len}`.
+pub(crate) fn write_table_ref(w: &mut JsonWriter, name: &str, r: TableRef) {
+    w.begin_object();
+    w.key("name").string(name);
+    w.key("segment").number(r.segment as f64);
+    w.key("at").number(r.at as f64);
+    w.key("len").number(r.len as f64);
+    w.end_object();
+}
+
+/// The segment reference of a manifest's table entry; `None` for a
+/// table written inline with its rows (a full-state snapshot of an
+/// earlier version, a replication document, or a table whose segment
+/// name was taken).
+pub(crate) fn table_ref_of(j: &Json) -> Result<Option<TableRef>> {
+    if j.get("segment").is_none() {
+        return Ok(None);
+    }
+    Ok(Some(TableRef {
+        segment: u64_of(j, "segment")?,
+        at: u64_of(j, "at")?,
+        len: u64_of(j, "len")?,
+    }))
+}
+
+/// The `{name, schema, rows}` object a table entry names in `segments`.
+/// Its bytes are checksummed with the segment; that the range holds an
+/// object of the entry's name guards against a manifest and a segment
+/// that do not belong together.
+pub(crate) fn segment_table(segments: &Segments, name: &str, r: TableRef) -> Result<Json> {
+    let corrupt = |what: &str| {
+        Error::Corrupt(format!(
+            "segment-{}.json: table '{name}' at {}+{}: {what}",
+            r.segment, r.at, r.len
+        ))
+    };
+    let payload = segments.get(&r.segment).ok_or_else(|| corrupt("segment not loaded"))?;
+    let end = r.at.checked_add(r.len).and_then(|end| usize::try_from(end).ok());
+    let text = (usize::try_from(r.at).ok())
+        .zip(end)
+        .and_then(|(at, end)| payload.get(at..end))
+        .ok_or_else(|| corrupt("out of range"))?;
+    let table = json::parse(text).map_err(|_| corrupt("not a table"))?;
+    if table.get("name").and_then(Json::as_str) != Some(name) {
+        return Err(corrupt("another table"));
+    }
+    Ok(table)
+}
+
+/// The segments a manifest's table entries name.
+pub(crate) fn manifest_segments(doc: &Json) -> BTreeSet<u64> {
+    let tables = doc
+        .get("state")
+        .and_then(|s| s.get("tables"))
+        .and_then(Json::as_array)
+        .unwrap_or(&[]);
+    tables
+        .iter()
+        .filter_map(|t| table_ref_of(t).ok().flatten())
+        .map(|r| r.segment)
+        .collect()
+}
+
+/// The newest snapshot in `dir` whose manifest verifies and every
+/// segment it names verifies too, parsed, with those segments' payloads.
+/// A manifest naming a missing or rotted segment is a skipped candidate
+/// like a rotted manifest.
+pub(crate) fn load_snapshot(dir: &Path) -> Result<(SnapshotLoad<Json>, Segments)> {
+    let store = SnapshotStore::new(dir);
+    let mut read: HashMap<u64, Option<String>> = HashMap::new();
+    let loaded = store.load_latest_with(|_, payload| {
+        let doc = json::parse(payload).ok()?;
+        for segment in manifest_segments(&doc) {
+            read.entry(segment)
+                .or_insert_with(|| store.read_segment(segment))
+                .as_ref()?;
+        }
+        Some(doc)
+    })?;
+    let named = loaded
+        .latest
+        .as_ref()
+        .map(|(_, doc)| manifest_segments(doc))
+        .unwrap_or_default();
+    let segments = read
+        .into_iter()
+        .filter(|(lsn, _)| named.contains(lsn))
+        .filter_map(|(lsn, payload)| Some((lsn, payload?)))
+        .collect();
+    Ok((loaded, segments))
 }
 
 /// One journaled catalog mutation. Every field a replay needs is in the
@@ -660,16 +950,19 @@ pub(crate) fn write_value(w: &mut JsonWriter, v: &Value) {
         Value::Null => w.null(),
         Value::Bool(b) => w.bool(*b),
         Value::Int(i) => w.string_parts(&["i:", decimal(*i, &mut [0; 20])]),
-        Value::Float(f) => {
-            let mut hex = [0u8; 16];
-            for (k, digit) in hex.iter_mut().enumerate() {
-                *digit = b"0123456789abcdef"[(f.to_bits() >> (60 - 4 * k)) as usize & 0xf];
-            }
-            w.string_parts(&["f:", std::str::from_utf8(&hex).expect("hex digits")])
-        }
+        Value::Float(f) => w.string_parts(&["f:", float_bits(*f, &mut [0; 20])]),
         Value::Date(d) => w.string_parts(&["d:", decimal(*d as i64, &mut [0; 20])]),
         Value::Text(s) => w.string_parts(&["t:", s]),
     };
+}
+
+/// The bit pattern of `f` as sixteen lowercase hex digits, in `buf`.
+fn float_bits(f: f64, buf: &mut [u8; 20]) -> &str {
+    let bits = f.to_bits();
+    for (k, digit) in buf[..16].iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(bits >> (60 - 4 * k)) as usize & 0xf];
+    }
+    std::str::from_utf8(&buf[..16]).expect("hex digits")
 }
 
 /// `n` in decimal, as `Display` prints it, in the tail of `buf`.
@@ -802,21 +1095,70 @@ pub(crate) fn write_table(w: &mut JsonWriter, table: &Table) -> Result<()> {
     w.begin_object();
     w.key("name").string(&table.name);
     write_schema(w.key("schema"), &table.schema);
-    w.key("rows").begin_array();
-    for i in 0..batch.len {
-        w.begin_array();
-        for col in &batch.cols {
-            if let Some(s) = col.text(i) {
-                w.string_parts(&["t:", s]);
-            } else {
-                write_value(w, &col.value(i));
-            }
-        }
-        w.end_array();
-    }
-    w.end_array();
+    w.key("rows").raw_value(|out| write_rows_of(out, &batch));
     w.end_object();
     Ok(())
+}
+
+/// A batch's rows as a compact JSON array, straight from the typed
+/// columns: byte for byte what [`write_value`] per cell would write, at
+/// a fraction of the cost — the rows are most of a snapshot's bytes.
+/// A text column's dictionary entries are escaped once each.
+fn write_rows_of(out: &mut String, batch: &Batch) {
+    let texts: Vec<Option<(String, Vec<usize>)>> = batch
+        .cols
+        .iter()
+        .map(|col| match &col.vec.data {
+            ColumnData::Text { dict, .. } => {
+                let mut escaped = String::new();
+                let mut ends = Vec::with_capacity(dict.len() + 1);
+                ends.push(0);
+                for s in dict.iter() {
+                    escaped.push_str("\"t:");
+                    json::escape_into(&mut escaped, s);
+                    escaped.push('"');
+                    ends.push(escaped.len());
+                }
+                Some((escaped, ends))
+            }
+            _ => None,
+        })
+        .collect();
+    let mut digits = [0; 20];
+    out.push('[');
+    for i in 0..batch.len {
+        out.push_str(if i == 0 { "[" } else { ",[" });
+        for (c, col) in batch.cols.iter().enumerate() {
+            if c > 0 {
+                out.push(',');
+            }
+            let at = col.off + i;
+            if !col.vec.is_valid(at) {
+                out.push_str("null");
+                continue;
+            }
+            let (tag, text) = match &col.vec.data {
+                ColumnData::Int(v) => ("\"i:", decimal(v[at], &mut digits)),
+                ColumnData::Float(v) => ("\"f:", float_bits(v[at], &mut digits)),
+                ColumnData::Date(v) => ("\"d:", decimal(i64::from(v[at]), &mut digits)),
+                ColumnData::Bool(v) => {
+                    out.push_str(if v[at] { "true" } else { "false" });
+                    continue;
+                }
+                ColumnData::Text { codes, .. } => {
+                    let (escaped, ends) = texts[c].as_ref().expect("a text column");
+                    let code = codes[at] as usize;
+                    out.push_str(&escaped[ends[code]..ends[code + 1]]);
+                    continue;
+                }
+            };
+            out.push_str(tag);
+            out.push_str(text);
+            out.push('"');
+        }
+        out.push(']');
+    }
+    out.push(']');
 }
 
 pub(crate) fn table_from_json(j: &Json) -> Result<Table> {
@@ -1101,6 +1443,57 @@ mod tests {
             let (lsn, m) = Mutation::from_json(&doc).unwrap();
             assert_eq!(m.encode(lsn, Mutation::epoch_of(&doc)), text);
         }
+    }
+
+    #[test]
+    fn rows_encode_as_their_cells_do() {
+        let t = |s: &str| Value::Text(s.into());
+        let hostile = || t("q\"\\\n\u{1}😀");
+        let (int, float, date) = (Value::Int, Value::Float, Value::Date);
+        let rows = vec![
+            vec![int(i64::MIN), float(-0.0), hostile(), date(-3), Value::Bool(true)],
+            vec![Value::Null, float(f64::NAN), t(""), Value::Null, Value::Bool(false)],
+            vec![int(7), Value::Null, hostile(), date(19_000), Value::Null],
+            vec![int(-1), float(1e-320), Value::Null, date(0), Value::Bool(true)],
+        ];
+        let schema = Schema::new(
+            [DataType::Int, DataType::Float, DataType::Text, DataType::Date, DataType::Bool]
+                .into_iter()
+                .enumerate()
+                .map(|(i, ty)| Column::new(format!("c{i}"), ty))
+                .collect(),
+        );
+        let batch = Table::new("t", schema, rows).batch().unwrap();
+        for range in [0..4, 1..3, 2..2] {
+            let slice = batch.slice(range.clone());
+            let mut want = JsonWriter::new();
+            write_rows(&mut want, &slice.to_rows());
+            let mut got = String::new();
+            write_rows_of(&mut got, &slice);
+            assert_eq!(got, want.finish(), "rows {range:?}");
+        }
+    }
+
+    #[test]
+    fn a_segment_less_than_half_live_is_compacted() {
+        let r = |segment, at, len| TableRef { segment, at, len };
+        let key = |k: &str| (k.to_string(), 1);
+        let segments = Segments::from([(4, "x".repeat(100)), (9, "y".repeat(50))]);
+        let placed = HashMap::from([
+            (key("a"), r(4, 10, 40)),
+            (key("b"), r(4, 55, 40)),
+            (key("c"), r(9, 10, 30)),
+        ]);
+        let index = SegmentIndex::restored(9, placed, &segments);
+        // All live: every table stays where it is.
+        let all = [key("a"), key("b"), key("c")];
+        assert_eq!(index.place(&all), [Some(r(4, 10, 40)), Some(r(4, 55, 40)), Some(r(9, 10, 30))]);
+        // `b` dropped: 40 of segment 4's 100 bytes are live, so `a` moves
+        // to the next segment; `d` is new; `c` keeps 30 of 50.
+        let live = [key("a"), key("c"), key("d")];
+        assert_eq!(index.place(&live), [None, Some(r(9, 10, 30)), None]);
+        // A re-created table is another generation: not in any segment.
+        assert_eq!(index.place(&[("a".to_string(), 2)]), [None]);
     }
 
     #[test]

@@ -28,7 +28,9 @@ use crate::clock::{SimClock, SimInstant};
 use crate::dataset::{Dataset, DatasetKind, DatasetName, Metadata, Preview, PREVIEW_ROWS};
 use crate::integrity::IntegrityHub;
 use crate::permissions::{check_access, DatasetGraph, Visibility};
-use crate::persist::{self, base_name_part, base_table_key, BaseTable, Mutation};
+use crate::persist::{
+    self, base_name_part, base_table_key, BaseTable, Mutation, Segments, TableRef,
+};
 use crate::repl::Role;
 use jobs::{Attempt, Jobs};
 use journal::Journal;
@@ -45,6 +47,20 @@ use sqlshare_sql::rewrite::{
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
+
+/// How [`SqlShare::write_durable_state`] writes tables and previews.
+#[derive(Clone, Copy)]
+enum StateLayout<'a> {
+    /// Tables inline, no previews: the digest's input.
+    Digest,
+    /// Tables inline, previews too: a self-contained replication
+    /// document.
+    Replica,
+    /// A snapshot manifest: each table by its segment — `placed`, by
+    /// (catalog key, generation); a table not there inline — and no
+    /// previews, which restore computes.
+    Manifest(&'a HashMap<(String, u64), TableRef>),
+}
 
 /// Lock state that is valid at every statement boundary (counters, maps
 /// updated in one step), so a panic elsewhere need not poison it.
@@ -846,12 +862,13 @@ impl SqlShare {
 
     /// The full durable state as canonical JSON: users, catalog tables
     /// and views, UDFs, datasets, visibility, and generation counters,
-    /// all in sorted order. With `include_previews: false` this is the
-    /// digest input — previews are derived caches and the clock is
-    /// captured separately. This is the only encoder of durable state;
-    /// snapshot, digest and [`SqlShare::durable_state_json`] all read it.
-    /// Fails when a paged table cannot be read back.
-    fn write_durable_state(&self, w: &mut JsonWriter, include_previews: bool) -> Result<()> {
+    /// all in sorted order, tables and previews as `layout` says. The
+    /// digest's input has no previews — they are derived caches — and
+    /// the clock is captured separately. This is the only encoder of
+    /// durable state; snapshot manifest, replication document, digest
+    /// and [`SqlShare::durable_state_json`] all read it. Fails when a
+    /// paged table written inline cannot be read back.
+    fn write_durable_state(&self, w: &mut JsonWriter, layout: StateLayout<'_>) -> Result<()> {
         w.begin_object();
         w.key("users").begin_array();
         for u in self.users.values() {
@@ -862,11 +879,23 @@ impl SqlShare {
             w.end_object();
         }
         w.end_array();
-        let mut tables: Vec<&Table> = self.engine.catalog().tables().collect();
+        let catalog = self.engine.catalog();
+        let mut tables: Vec<&Table> = catalog.tables().collect();
         tables.sort_by(|a, b| a.name.cmp(&b.name));
         w.key("tables").begin_array();
         for t in tables {
-            persist::write_table(w, t)?;
+            let place = match layout {
+                StateLayout::Manifest(placed) => {
+                    let key = canonical_key(&t.name);
+                    let generation = catalog.generation_of(&key);
+                    placed.get(&(key, generation)).copied()
+                }
+                StateLayout::Digest | StateLayout::Replica => None,
+            };
+            match place {
+                Some(r) => persist::write_table_ref(w, &t.name, r),
+                None => persist::write_table(w, t)?,
+            }
         }
         w.end_array();
         let mut views: Vec<_> = self.engine.catalog().views().collect();
@@ -886,9 +915,10 @@ impl SqlShare {
             w.string(u);
         }
         w.end_array();
+        let previews = matches!(layout, StateLayout::Replica);
         w.key("datasets").begin_array();
         for d in self.datasets.values() {
-            persist::write_dataset(w, d, include_previews);
+            persist::write_dataset(w, d, previews);
         }
         w.end_array();
         let mut vis: Vec<(&String, &Visibility)> = self.visibility.iter().collect();
@@ -913,9 +943,9 @@ impl SqlShare {
         Ok(())
     }
 
-    fn durable_state_string(&self, include_previews: bool) -> Result<String> {
+    fn durable_state_string(&self, layout: StateLayout<'_>) -> Result<String> {
         let mut w = JsonWriter::new();
-        self.write_durable_state(&mut w, include_previews)?;
+        self.write_durable_state(&mut w, layout)?;
         Ok(w.finish())
     }
 
@@ -925,7 +955,12 @@ impl SqlShare {
     /// When a paged table cannot be read back (a page failing its
     /// checksum).
     pub fn durable_state_json(&self, include_previews: bool) -> Json {
-        let state = self.durable_state_string(include_previews).expect("durable state readable");
+        let layout = if include_previews {
+            StateLayout::Replica
+        } else {
+            StateLayout::Digest
+        };
+        let state = self.durable_state_string(layout).expect("durable state readable");
         json::parse(&state).expect("the state encoder writes valid JSON")
     }
 
@@ -937,15 +972,23 @@ impl SqlShare {
     /// When a paged table cannot be read back (a page failing its
     /// checksum).
     pub fn durable_digest(&self) -> u64 {
-        let state = self.durable_state_string(false).expect("durable state readable");
+        let state = self
+            .durable_state_string(StateLayout::Digest)
+            .expect("durable state readable");
         sqlshare_common::hash::fnv64_str(&state)
     }
 
     /// Drop everything and rebuild from a snapshot document (`clock`,
-    /// `state`) — the whole-state counterpart of `apply_mutation`. The
-    /// engine's settings stay: the tables come back in the configured
-    /// storage layer.
-    fn replace_state(&mut self, doc: &Json) -> Result<()> {
+    /// `state`) and the segments it names — the whole-state counterpart
+    /// of `apply_mutation` — then compute the previews the document does
+    /// not carry. The engine's settings stay: the tables come back in the
+    /// configured storage layer. Returns where the tables read from
+    /// segments are, by (catalog key, generation).
+    fn replace_state(
+        &mut self,
+        doc: &Json,
+        segments: &Segments,
+    ) -> Result<HashMap<(String, u64), TableRef>> {
         self.engine.clear();
         self.datasets.clear();
         self.visibility.clear();
@@ -956,16 +999,36 @@ impl SqlShare {
             day: at.day,
             sequence: at.sequence,
         };
-        self.restore_state(persist::field(doc, "state")?)
+        let placed = self.restore_state(persist::field(doc, "state")?, segments)?;
+        let missing: Vec<(String, String)> = self
+            .datasets
+            .iter()
+            .filter(|(_, d)| d.preview.is_none())
+            .map(|(key, d)| (key.clone(), d.sql.clone()))
+            .collect();
+        for (key, sql) in missing {
+            let preview = self.compute_preview(&sql).ok();
+            if let Some(d) = self.datasets.get_mut(&key) {
+                d.preview = preview;
+            }
+        }
+        Ok(placed)
     }
 
-    /// Rebuild in-memory state from a snapshot's `state` object. Views
-    /// are installed raw (no binder validation) so restore order cannot
+    /// Rebuild in-memory state from a snapshot's `state` object, reading
+    /// each table inline or from the segment its entry names. Views are
+    /// installed raw (no binder validation) so restore order cannot
     /// matter; generations are imported last, overriding the bumps the
     /// rebuild itself caused — except a table's that restored wider than
-    /// it was written (a parent version's cells of other types): it keeps
-    /// no generation, so the previews over it are computed afresh.
-    fn restore_state(&mut self, state: &Json) -> Result<()> {
+    /// it was written (a parent version's cells of other types): it gets
+    /// a fresh generation, so the previews and results over it are
+    /// computed afresh, and it is left out of the returned places, so
+    /// the next snapshot writes it as it now is.
+    fn restore_state(
+        &mut self,
+        state: &Json,
+        segments: &Segments,
+    ) -> Result<HashMap<(String, u64), TableRef>> {
         for u in persist::array_of(state, "users")? {
             let username = persist::str_of(u, "username")?;
             self.users.insert(
@@ -978,10 +1041,23 @@ impl SqlShare {
             );
         }
         let mut widened = Vec::new();
-        for t in persist::array_of(state, "tables")? {
+        let mut in_segments = Vec::new();
+        for entry in persist::array_of(state, "tables")? {
+            let place = persist::table_ref_of(entry)?;
+            let read;
+            let t = match place {
+                Some(r) => {
+                    read = persist::segment_table(segments, &persist::str_of(entry, "name")?, r)?;
+                    &read
+                }
+                None => entry,
+            };
             let table = persist::table_from_json(t)?;
+            let key = canonical_key(&table.name);
             if table.schema != persist::schema_from_json(persist::field(t, "schema")?)? {
-                widened.push(canonical_key(&table.name));
+                widened.push(key);
+            } else if let Some(r) = place {
+                in_segments.push((key, r));
             }
             self.engine.create_table(table)?;
         }
@@ -1010,11 +1086,21 @@ impl SqlShare {
             .iter()
             .map(persist::generation_pair)
             .collect::<Result<Vec<_>>>()?;
+        let mut global = persist::u64_of(gens, "global")?;
         objects.retain(|(key, _)| !widened.contains(key));
-        self.engine
-            .catalog_mut()
-            .import_generations(persist::u64_of(gens, "global")?, objects);
-        Ok(())
+        for key in widened {
+            global += 1;
+            objects.push((key, global));
+        }
+        let catalog = self.engine.catalog_mut();
+        catalog.import_generations(global, objects);
+        Ok(in_segments
+            .into_iter()
+            .map(|(key, r)| {
+                let generation = catalog.generation_of(&key);
+                ((key, generation), r)
+            })
+            .collect())
     }
 
     // ---- internals -----------------------------------------------------

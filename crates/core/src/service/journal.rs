@@ -2,6 +2,12 @@
 //! journaled and installed, and everything that shares that path —
 //! replication, startup recovery, snapshots, roles and lease epochs.
 //!
+//! A snapshot is a manifest of the durable state plus, when tables were
+//! born since the last one, one segment holding their rows: base tables
+//! never change, so the [`SegmentIndex`] remembers which segment holds
+//! each live table and no table is encoded twice (compaction aside).
+//! Recovery reads the newest manifest whose segments all verify.
+//!
 //! A mutation is validated by the public method that takes it
 //! (`service.rs`), journaled here, and installed by
 //! [`SqlShare::install`] — the one function that makes a record or a
@@ -10,16 +16,21 @@
 //! so a node that got its state any of those ways holds the same state.
 //! DESIGN §4.11 has the stage × caller table.
 
-use super::SqlShare;
+use super::{SqlShare, StateLayout};
 use crate::clock::SimInstant;
-use crate::persist::{self, DurableOptions, DurableStore, Mutation, RecoveryReport};
+use crate::persist::{
+    self, DurableOptions, DurableStore, Mutation, RecoveryReport, SegmentIndex, Segments,
+    SnapshotFiles,
+};
 use crate::querylog::{QueryLog, QueryLogEntry};
 use crate::repl::{ReplApply, ReplState, Role};
 use sqlshare_common::json::{self, Json, JsonWriter};
 use sqlshare_common::{Error, Result};
+use sqlshare_engine::catalog::canonical_key;
 use sqlshare_engine::{FaultPlan, Table};
 use sqlshare_ingest::IngestReport;
-use sqlshare_storage::{CrashPoint, FsyncPolicy, SnapshotStore, Wal};
+use sqlshare_storage::{CrashPoint, FsyncPolicy, SnapshotStep, Wal};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -29,6 +40,8 @@ pub(super) struct Journal {
     /// Durable storage (WAL + snapshots), `None` in ephemeral mode. The
     /// ephemeral path never touches the filesystem.
     store: Option<DurableStore>,
+    /// Which segment on disk holds each live table (durable mode).
+    segments: SegmentIndex,
     /// Data directory in durable mode, kept so replication can serve
     /// the live WAL file without going through the store.
     data_dir: Option<PathBuf>,
@@ -46,6 +59,11 @@ impl Journal {
         self.data_dir.as_deref()
     }
 
+    /// The scrubber found `segment-<lsn>.json` rotted.
+    pub(super) fn note_rotted_segment(&self, lsn: u64) {
+        self.segments.note_rotted(lsn);
+    }
+
     /// Share a fault plan with the store, so one seeded plan covers
     /// query and durability fault sites alike.
     pub(super) fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
@@ -60,8 +78,10 @@ pub(super) enum Install<'a> {
     /// One journal record, with the table the validate stage already
     /// built for it when there is one.
     Record(&'a Mutation, Option<(Table, IngestReport)>),
-    /// A whole snapshot document, replacing whatever the node held.
-    Snapshot(&'a Json),
+    /// A whole snapshot document, replacing whatever the node held,
+    /// with the segments its table entries name (none for a document
+    /// holding its tables inline).
+    Snapshot(&'a Json, &'a Segments),
 }
 
 impl SqlShare {
@@ -89,15 +109,20 @@ impl SqlShare {
         })?;
         let mut report = RecoveryReport::default();
 
-        // 1. Latest valid snapshot (corrupt candidates are skipped by
-        //    the store; an older snapshot just means a longer replay).
-        let loaded = SnapshotStore::new(&options.dir).load_latest_counted()?;
+        // 1. Latest valid snapshot (a manifest that is corrupt or names
+        //    a corrupt segment is skipped; an older snapshot just means a
+        //    longer replay).
+        let (loaded, segments) = persist::load_snapshot(&options.dir)?;
         report.snapshot_candidates_skipped = loaded.skipped_candidates;
-        if let Some((lsn, payload)) = loaded.latest {
-            let doc = json::parse(&payload)?;
-            svc.install(lsn, Mutation::epoch_of(&doc), Install::Snapshot(&doc))?;
-            report.snapshot_lsn = lsn;
+        if let Some((lsn, doc)) = &loaded.latest {
+            svc.install(
+                *lsn,
+                Mutation::epoch_of(doc),
+                Install::Snapshot(doc, &segments),
+            )?;
+            report.snapshot_lsn = *lsn;
         }
+        drop(segments);
         // 2. WAL tail. The scan already truncated any torn/corrupt
         //    suffix; each surviving record is installed exactly as a
         //    live commit installs it. Records at or below the snapshot
@@ -157,10 +182,10 @@ impl SqlShare {
         // and the skip is merely counted in the report.
         if loaded.max_skipped_lsn > applied_lsn {
             return Err(Error::Corrupt(format!(
-                "snapshot-{}.json is corrupt and recovery only reaches lsn {}; \
-                 no surviving snapshot or WAL record covers the gap — restore the \
-                 file from a replica, or delete it to explicitly accept losing \
-                 lsns {}..={}",
+                "snapshot-{}.json is corrupt (or a segment it names is) and recovery \
+                 only reaches lsn {}; no surviving snapshot or WAL record covers the \
+                 gap — restore the file from a replica, or delete it to explicitly \
+                 accept losing lsns {}..={}",
                 loaded.max_skipped_lsn,
                 applied_lsn,
                 applied_lsn + 1,
@@ -258,12 +283,14 @@ impl SqlShare {
     ) -> Result<Option<IngestReport>> {
         let (report, reseeded) = match what {
             Install::Record(m, prebuilt) => (self.apply_mutation(m, prebuilt)?, false),
-            Install::Snapshot(doc) => {
+            Install::Snapshot(doc, segments) => {
                 // The snapshot is authoritative: local history (including
                 // any divergent tail that forced a reseed) is gone, so
                 // the tail epoch is exactly the snapshot's. Snapshots
-                // written before replication carry no epoch.
-                self.replace_state(doc)?;
+                // written before replication carry no epoch. Only the
+                // tables read from segments are known to be on disk.
+                let placed = self.replace_state(doc, segments)?;
+                self.journal.segments = SegmentIndex::restored(lsn, placed, segments);
                 self.journal.repl.epoch = self.journal.repl.epoch.max(epoch);
                 (None, true)
             }
@@ -303,33 +330,77 @@ impl SqlShare {
     /// paged table that cannot be read back fails it with that error
     /// before anything is written, leaving the WAL as it was.
     pub fn force_snapshot(&mut self) -> Result<()> {
-        if self.journal.store.is_none() {
+        let Some(store) = &self.journal.store else {
             return Err(Error::Request(
                 "service has no data directory (ephemeral mode)".into(),
             ));
-        }
-        let payload = self.snapshot_payload();
-        let store = self.journal.store.as_mut().expect("checked above");
-        store.take_snapshot(payload)
+        };
+        let lsn = store.last_lsn();
+        let files = self.snapshot_files(lsn, store.segment_exists(lsn));
+        let journal = &mut self.journal;
+        let store = journal.store.as_mut().expect("checked above");
+        store.take_snapshot(files, &mut journal.segments)
     }
 
-    /// The snapshot document (`lsn`, `epoch`, `clock`, `state`), streamed
-    /// from live state into the string that goes to disk — no tree of the
-    /// whole service is built on the way.
-    fn snapshot_payload(&self) -> Result<String> {
+    /// The files of a snapshot at `lsn`: a segment of the live tables no
+    /// kept segment holds ([`SegmentIndex::place`]), and the manifest
+    /// naming each table's segment. When a segment of this LSN exists
+    /// already (`name_taken`: a second snapshot at the same LSN), those
+    /// tables go into the manifest inline instead, and into a segment at
+    /// the next snapshot.
+    fn snapshot_files(&self, lsn: u64, name_taken: bool) -> Result<SnapshotFiles> {
+        let catalog = self.engine.catalog();
+        let mut tables: Vec<&Table> = catalog.tables().collect();
+        tables.sort_by(|a, b| a.name.cmp(&b.name));
+        let keys: Vec<(String, u64)> = tables
+            .iter()
+            .map(|t| {
+                let key = canonical_key(&t.name);
+                let generation = catalog.generation_of(&key);
+                (key, generation)
+            })
+            .collect();
+        let mut places = self.journal.segments.place(&keys);
+        let born: Vec<usize> = (0..tables.len()).filter(|&i| places[i].is_none()).collect();
+        let mut segment = None;
+        if !born.is_empty() && !name_taken {
+            let members: Vec<&Table> = born.iter().map(|&i| tables[i]).collect();
+            let (payload, refs) = persist::encode_segment(lsn, &members)?;
+            for (&i, r) in born.iter().zip(refs) {
+                places[i] = Some(r);
+            }
+            segment = Some(payload);
+        }
+        let placed: HashMap<(String, u64), _> = keys
+            .into_iter()
+            .zip(places)
+            .filter_map(|(key, place)| Some((key, place?)))
+            .collect();
+        let manifest = self.snapshot_document(lsn, StateLayout::Manifest(&placed))?;
+        Ok(SnapshotFiles {
+            segment,
+            manifest,
+            placed,
+        })
+    }
+
+    /// A snapshot document (`lsn`, `epoch`, `clock`, `state`), streamed
+    /// from live state into one string — no tree of the whole service is
+    /// built on the way.
+    fn snapshot_document(&self, lsn: u64, layout: StateLayout<'_>) -> Result<String> {
         // Copy the clock out first: a second `self.clock()` while the
         // first guard is alive would self-deadlock.
         let clock = *self.clock();
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("lsn").number(self.last_lsn() as f64);
+        w.key("lsn").number(lsn as f64);
         w.key("epoch").number(self.journal.repl.epoch as f64);
         let now = SimInstant {
             day: clock.day,
             sequence: clock.sequence,
         };
         persist::write_instant(w.key("clock"), now);
-        self.write_durable_state(w.key("state"), true)?;
+        self.write_durable_state(w.key("state"), layout)?;
         w.end_object();
         Ok(w.finish())
     }
@@ -358,6 +429,14 @@ impl SqlShare {
     pub fn set_storage_crash_point(&mut self, crash: Option<CrashPoint>) {
         if let Some(store) = &mut self.journal.store {
             store.set_crash_point(crash);
+        }
+    }
+
+    /// Arm a simulated crash right after `step` of the next snapshot's
+    /// write protocol. Chaos-test hook; no-op in ephemeral mode.
+    pub fn set_snapshot_crash_step(&mut self, step: Option<SnapshotStep>) {
+        if let Some(store) = &mut self.journal.store {
+            store.set_snapshot_crash_step(step);
         }
     }
 
@@ -529,14 +608,17 @@ impl SqlShare {
     }
 
     /// The document a standby needs to catch up when the WAL it was
-    /// streaming has been truncated by a snapshot: same shape the
-    /// snapshot store persists (`lsn`, `epoch`, `clock`, `state`).
+    /// streaming has been truncated by a snapshot: the shape of a
+    /// manifest (`lsn`, `epoch`, `clock`, `state`), self-contained — every
+    /// table with its rows, every dataset with its preview.
     ///
     /// # Panics
     /// When a paged table cannot be read back (a page failing its
     /// checksum).
     pub fn replication_snapshot(&self) -> Json {
-        let payload = self.snapshot_payload().expect("durable state readable");
+        let payload = self
+            .snapshot_document(self.last_lsn(), StateLayout::Replica)
+            .expect("durable state readable");
         json::parse(&payload).expect("the snapshot encoder writes valid JSON")
     }
 
@@ -549,7 +631,12 @@ impl SqlShare {
     /// LSN.
     pub fn install_replica_snapshot(&mut self, doc: &Json) -> Result<u64> {
         let lsn = persist::u64_of(doc, "lsn")?;
-        self.install(lsn, Mutation::epoch_of(doc), Install::Snapshot(doc))?;
+        let inline = Segments::new();
+        self.install(
+            lsn,
+            Mutation::epoch_of(doc),
+            Install::Snapshot(doc, &inline),
+        )?;
         Ok(lsn)
     }
 }

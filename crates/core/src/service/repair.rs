@@ -4,11 +4,11 @@
 
 use super::SqlShare;
 use crate::integrity::{IntegrityHub, Repair};
-use crate::persist::{self, BaseTable, DurableStore, Mutation};
+use crate::persist::{self, BaseTable, DurableStore, Mutation, Segments};
 use sqlshare_common::json;
 use sqlshare_common::{Error, Result};
 use sqlshare_engine::Table;
-use sqlshare_storage::{read_tail, SnapshotStore};
+use sqlshare_storage::{read_tail, segment_lsn, SnapshotStore};
 use std::sync::Arc;
 
 impl SqlShare {
@@ -40,8 +40,21 @@ impl SqlShare {
     /// Quarantine the table owning `path` because of a scrub finding.
     /// Returns the table name, or `None` when no table owns the file
     /// (WAL, snapshot, and query-log findings have their own handling;
-    /// spill files are transient).
+    /// spill files are transient). A rotted segment of this node's data
+    /// directory is noted instead: the next snapshot writes its live
+    /// tables afresh, from memory, so that a crash after the one after
+    /// that no longer depends on it.
     pub fn quarantine_file_finding(&self, path: &std::path::Path, detail: &str) -> Option<String> {
+        if let Some(lsn) = segment_lsn(path) {
+            if self
+                .journal
+                .data_dir()
+                .is_some_and(|dir| path.parent() == Some(dir))
+            {
+                self.journal.note_rotted_segment(lsn);
+            }
+            return None;
+        }
         let table = self.table_for_file(path)?;
         self.integrity.quarantine(&table, detail);
         Some(table)
@@ -111,19 +124,22 @@ impl SqlShare {
         }
     }
 
-    /// Rung 2: rebuild one base table from local durable state — the
-    /// latest snapshot's embedded rows, brought forward in journal order
-    /// by every later WAL record whose base-table effect
-    /// ([`Mutation::base_table`]) names the same object. Returns
-    /// `Ok(false)` when no local durable source mentions the table
-    /// (ephemeral mode, or the rot predates every surviving snapshot).
+    /// Rung 2: rebuild one base table from local durable state — its
+    /// rows as the latest snapshot holds them (read from the one segment
+    /// its manifest entry names, or inline in a manifest of an earlier
+    /// version), brought forward in journal order by every later WAL
+    /// record whose base-table effect ([`Mutation::base_table`]) names
+    /// the same object. Returns `Ok(false)` when no local durable source
+    /// mentions the table (ephemeral mode, or the rot predates every
+    /// surviving snapshot).
     fn rematerialize_table(&mut self, name: &str) -> Result<bool> {
         let Some(dir) = self.journal.data_dir() else {
             return Ok(false);
         };
         let mut candidate: Option<Table> = None;
         let mut mentioned = false;
-        let loaded = SnapshotStore::new(dir).load_latest_counted()?;
+        let store = SnapshotStore::new(dir);
+        let loaded = store.load_latest_counted()?;
         // A corrupt candidate newer than the loadable snapshot means the
         // WAL was reset past it: local durable state cannot prove what
         // this table held at the tip, so escalate to the replica rung
@@ -133,12 +149,27 @@ impl SqlShare {
         }
         if let Some((_, payload)) = loaded.latest {
             let doc = json::parse(&payload)?;
-            for t in persist::array_of(persist::field(&doc, "state")?, "tables")? {
-                let table = persist::table_from_json(t)?;
-                if table.name.eq_ignore_ascii_case(name) {
-                    candidate = Some(table);
-                    mentioned = true;
+            for entry in persist::array_of(persist::field(&doc, "state")?, "tables")? {
+                let entry_name = persist::str_of(entry, "name")?;
+                if !entry_name.eq_ignore_ascii_case(name) {
+                    continue;
                 }
+                let table = match persist::table_ref_of(entry)? {
+                    None => persist::table_from_json(entry)?,
+                    Some(r) => {
+                        let segment = store.read_segment(r.segment).ok_or_else(|| {
+                            Error::Corrupt(format!("segment-{}.json does not verify", r.segment))
+                        })?;
+                        let segments = Segments::from([(r.segment, segment)]);
+                        persist::table_from_json(&persist::segment_table(
+                            &segments,
+                            &entry_name,
+                            r,
+                        )?)?
+                    }
+                };
+                candidate = Some(table);
+                mentioned = true;
             }
         }
         let wal_path = DurableStore::wal_path(dir);

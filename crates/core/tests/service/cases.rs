@@ -3,6 +3,7 @@
 use sqlshare_core::{
     DatasetKind, DatasetName, Metadata, Outcome, SqlShare, Visibility,
 };
+use sqlshare_engine::Value;
 use sqlshare_ingest::{HeaderMode, IngestOptions};
 use sqlshare_sql::rewrite::AppendMode;
 
@@ -239,6 +240,33 @@ fn delete_leaves_dependents_failing_lazily() {
     assert_eq!(err.kind(), "binding");
     // The dataset itself is gone.
     assert!(s.dataset(&DatasetName::new("ada", "sensors")).is_none());
+}
+
+/// A result cached over a table does not outlive the table, and a table
+/// re-created under its name is read afresh. The catalog keeps a
+/// generation for each live relation only.
+#[test]
+fn a_cached_result_does_not_survive_its_table_being_dropped() {
+    let mut s = service_with_ada();
+    let sql = "SELECT COUNT(*), SUM(depth) FROM ada.sensors";
+    let first = s.run_query("ada", sql).unwrap().rows;
+    assert_eq!(s.run_query("ada", sql).unwrap().rows, first);
+    let name = DatasetName::new("ada", "sensors");
+    s.delete_dataset("ada", &name).unwrap();
+    assert_eq!(s.run_query("ada", sql).unwrap_err().kind(), "binding");
+    s.upload("ada", "sensors", "station,depth,nitrate\n9,100.0,1\n", &IngestOptions::default())
+        .unwrap();
+    let again = s.run_query("ada", sql).unwrap().rows;
+    assert_eq!(again, vec![vec![Value::Int(1), Value::Float(100.0)]]);
+    for i in 0..50 {
+        let churn = DatasetName::new("ada", format!("c{i}"));
+        s.upload("ada", &churn.name, SENSOR_CSV, &IngestOptions::default())
+            .unwrap();
+        s.delete_dataset("ada", &churn).unwrap();
+    }
+    let catalog = s.engine().catalog();
+    let (_, generations) = catalog.export_generations();
+    assert_eq!(generations.len(), catalog.table_count() + catalog.view_count());
 }
 
 #[test]

@@ -3,8 +3,9 @@
 //! `t:` cells — restores, from a snapshot and from a WAL `materialize`
 //! record alike: each column lists as `unify` of its cells' types, every
 //! cell is the cast value, and the state is stable across reopens. The
-//! files are ones this version wrote, rewritten and re-sealed here; the
-//! formats themselves are unchanged.
+//! files are ones this version wrote — the snapshot's table in its
+//! segment — rewritten and re-sealed here; the formats themselves are
+//! unchanged.
 
 use sqlshare_common::hash::fnv64;
 use sqlshare_core::{DatasetName, DurableOptions, FsyncPolicy, Metadata, SqlShare};
@@ -62,6 +63,9 @@ fn restored(dir: &Path) -> (Vec<DataType>, Vec<Vec<Value>>, u64) {
     let out = s
         .run_query("ada", "SELECT a, b FROM snap ORDER BY a")
         .unwrap();
+    // Restored wider than written, the table still has a generation:
+    // 0 means "absent" to every cache keyed on it.
+    assert!(s.engine().catalog().generation_of("ada.snap$base") > 0);
     let ds = s.dataset(&DatasetName::new("ada", "snap")).unwrap();
     let listed = ds.preview.as_ref().unwrap().schema.types();
     assert_eq!(listed, out.schema.types(), "the listing is the table's");
@@ -91,6 +95,17 @@ fn assert_widened(dir: &Path) {
     assert_eq!(restored(dir), (types, rows, digest));
 }
 
+/// `path`'s payload (the text before its trailer).
+fn unsealed(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).unwrap();
+    text[..text.rfind("\n#fnv64=").expect("a sealed file")].to_string()
+}
+
+fn seal(path: &Path, payload: &str) {
+    let sealed = format!("{payload}\n#fnv64={:016x}\n", fnv64(payload.as_bytes()));
+    std::fs::write(path, sealed).unwrap();
+}
+
 #[test]
 fn a_snapshot_table_holding_cells_of_other_types_restores_widened() {
     let dir = fresh_dir("snapshot");
@@ -99,28 +114,39 @@ fn a_snapshot_table_holding_cells_of_other_types_restores_widened() {
         .unwrap()
         .force_snapshot()
         .unwrap();
-    let snapshots: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    let [snapshot] = &snapshots[..] else {
-        panic!("one snapshot: {snapshots:?}")
+    let named = |prefix: &str| -> Vec<PathBuf> {
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.file_name().unwrap().to_str().unwrap().starts_with(prefix))
+            .collect()
     };
-    let text = std::fs::read_to_string(snapshot).unwrap();
-    let payload = &text[..text.rfind("\n#fnv64=").expect("a sealed snapshot")];
-    // The table's cells, not those of the previews written after it.
+    let (manifests, segments) = (named("snapshot-"), named("segment-"));
+    let ([manifest], [segment]) = (&manifests[..], &segments[..]) else {
+        panic!("one manifest and one segment: {manifests:?} {segments:?}")
+    };
+    // The table is the segment's last; rewrite its cells there.
+    let payload = unsealed(segment);
     let table = payload
-        .find("\"name\":\"ada.snap$base\"")
-        .expect("the snapshot table");
-    let payload = mistype(payload, table);
+        .find("{\"name\":\"ada.snap$base\"")
+        .expect("the snapshot table, in the segment");
+    let rewritten = mistype(&payload, table);
     assert_eq!(
-        payload.matches("\"t:x\"").count(),
+        rewritten.matches("\"t:x\"").count(),
         1,
         "the table's cells, rewritten"
     );
-    let sealed = format!("{payload}\n#fnv64={:016x}\n", fnv64(payload.as_bytes()));
-    std::fs::write(snapshot, sealed).unwrap();
+    seal(segment, &rewritten);
+    // Its manifest entry names its bytes: as many more as were written.
+    let entry = unsealed(manifest);
+    let len = payload.len() - "]}".len() - table;
+    let reference = format!("\"at\":{table},\"len\":{len}}}");
+    assert_eq!(entry.matches(&reference).count(), 1, "{entry}");
+    let grown = len + rewritten.len() - payload.len();
+    seal(
+        manifest,
+        &entry.replace(&reference, &format!("\"at\":{table},\"len\":{grown}}}")),
+    );
     assert_widened(&dir);
     let _ = std::fs::remove_dir_all(&dir);
 }

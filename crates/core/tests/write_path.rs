@@ -417,7 +417,8 @@ proptest! {
 /// the snapshot that reads it with the typed error, not a panic under
 /// the write lock, and leaves the WAL as it was; the next mutations
 /// still commit, the automatic snapshot they are due failing best
-/// effort.
+/// effort. The rotted table is one born since the last snapshot: a
+/// snapshot reads only those (`t` is in a segment already).
 #[test]
 fn a_rotted_heap_page_fails_the_snapshot_not_the_next_mutation() {
     let (dir, options) = durable("rot", 2);
@@ -425,12 +426,12 @@ fn a_rotted_heap_page_fails_the_snapshot_not_the_next_mutation() {
     s.set_storage(Some(StorageLayer::new(dir.join("pages"), 4 << 20, FsyncPolicy::Off).unwrap()));
     s.register_user("ada", "a@uw.edu").unwrap();
     s.upload("ada", "t", &csv(2_000, 0), &IngestOptions::default()).unwrap(); // snapshot
-    // Over twice the pool's 512 frames of heap pages, written after the
-    // last read of `t`: no page of `t` stays resident.
+    // Over twice the pool's 512 frames of heap pages: most of `z`'s
+    // pages are not resident when the snapshot reads it.
     let pad = "p".repeat(1_000);
     let filler: String = (0..9_000).map(|i| format!("{i},{pad}\n")).collect();
     s.upload("ada", "z", &filler, &IngestOptions::default()).unwrap(); // in the WAL
-    let table = s.engine().catalog().table("ada.t$base").unwrap();
+    let table = s.engine().catalog().table("ada.z$base").unwrap();
     let (_, heap) = table.paged().unwrap().backing_files().remove(0);
     let mut bytes = std::fs::read(&heap).unwrap();
     for page in bytes.chunks_mut(8 << 10) {
@@ -450,5 +451,86 @@ fn a_rotted_heap_page_fails_the_snapshot_not_the_next_mutation() {
     assert_eq!(s.last_lsn(), lsn + 2);
     let after = std::fs::read(&wal).unwrap();
     assert!(after.len() > journaled.len() && after.starts_with(&journaled));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Names and sizes of the files in `dir` whose names start with `prefix`.
+fn files(dir: &std::path::Path, prefix: &str) -> Vec<(String, u64)> {
+    let mut out: Vec<(String, u64)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name().to_string_lossy().starts_with(prefix))
+        .map(|e| (e.file_name().into_string().unwrap(), e.metadata().unwrap().len()))
+        .collect();
+    out.sort();
+    out
+}
+
+/// A snapshot writes the rows of the tables born since the last one and
+/// no others: each table is in exactly one segment, a snapshot with no
+/// table born writes none, and under a create/drop churn the segments
+/// hold at most twice the live tables' bytes (compaction) beside the
+/// two manifests kept.
+#[test]
+fn a_snapshot_writes_only_the_tables_born_since_the_last() {
+    let (dir, options) = durable("segments", 6);
+    let mut s = SqlShare::open(options.clone()).unwrap();
+    s.register_user("ada", "a@uw.edu").unwrap();
+    for i in 0..20 {
+        s.upload("ada", &format!("t{i}"), &csv(30 + i * 7, i), &IngestOptions::default())
+            .unwrap();
+    }
+    let segments: Vec<String> = files(&dir, "segment-")
+        .iter()
+        .map(|(name, _)| std::fs::read_to_string(dir.join(name)).unwrap())
+        .collect();
+    assert!(segments.len() >= 3, "{} segments", segments.len());
+    for i in 0..20 {
+        let name = format!("\"name\":\"ada.t{i}$base\"");
+        let copies: usize = segments.iter().map(|p| p.matches(&name).count()).sum();
+        assert!(copies <= 1, "t{i} encoded {copies} times");
+    }
+
+    // Churn: each upload drops the table five before it.
+    for i in 20..100 {
+        s.upload("ada", &format!("t{i}"), &csv(20 + (i * 37) % 200, i), &IngestOptions::default())
+            .unwrap();
+        s.delete_dataset("ada", &DatasetName::new("ada", format!("t{}", i - 5)))
+            .unwrap();
+    }
+    // Snapshots with no table born: the first may compact, no later one
+    // writes a segment.
+    let quiet = |s: &mut SqlShare, j: usize| {
+        s.register_user(&format!("u{j}"), "u@uw.edu").unwrap();
+        s.force_snapshot().unwrap();
+    };
+    quiet(&mut s, 0);
+    let after_churn = files(&dir, "segment-");
+    for j in 1..4 {
+        quiet(&mut s, j);
+        assert_eq!(files(&dir, "segment-"), after_churn, "quiet snapshot {j} wrote a segment");
+    }
+    let manifests = files(&dir, "snapshot-");
+    assert_eq!(manifests.len(), 2, "{manifests:?}");
+
+    // The live tables' bytes, from the newest manifest's references.
+    let newest = &manifests.iter().max_by_key(|(n, _)| {
+        n.trim_start_matches("snapshot-").trim_end_matches(".json").parse::<u64>().unwrap()
+    });
+    let text = std::fs::read_to_string(dir.join(&newest.unwrap().0)).unwrap();
+    let doc = sqlshare_common::json::parse(&text[..text.rfind("\n#fnv64=").unwrap()]).unwrap();
+    let tables = doc.get("state").unwrap().get("tables").unwrap().as_array().unwrap();
+    assert_eq!(tables.len(), 20, "t0..t14 and the last five");
+    let live: u64 = tables
+        .iter()
+        .map(|t| t.get("len").and_then(|l| l.as_f64()).expect("in a segment") as u64)
+        .sum();
+    const TRAILER: u64 = 25;
+    let payloads: u64 = after_churn.iter().map(|(_, len)| len - TRAILER).sum();
+    assert!(payloads <= 2 * live, "segments {payloads} B for {live} B of live tables");
+
+    let digest = s.durable_digest();
+    drop(s);
+    assert_eq!(SqlShare::open(options).unwrap().durable_digest(), digest);
     let _ = std::fs::remove_dir_all(&dir);
 }

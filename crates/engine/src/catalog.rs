@@ -7,12 +7,13 @@
 //! paper's provenance hierarchies, Fig. 6).
 //!
 //! Every relation carries a **generation counter**: any mutation
-//! (`add_table`/`set_view`/`remove`) bumps a catalog-wide generation and
-//! stamps it on the touched key. The query cache keys cached plans on the
-//! global generation and cached results on the per-object generations of
-//! the relations a plan depends on, so invalidation is a version
-//! comparison rather than an explicit eviction protocol — a stale entry
-//! simply becomes unreachable.
+//! (`add_table`/`set_view`/`remove`) bumps a catalog-wide generation;
+//! a created or replaced relation is stamped with it, and a removed one
+//! loses its stamp (generation 0 means "absent"). The query cache keys
+//! cached plans on the global generation and cached results on the
+//! per-object generations of the relations a plan depends on, so
+//! invalidation is a version comparison rather than an explicit
+//! eviction protocol — a stale entry simply becomes unreachable.
 
 use crate::table::Table;
 use sqlshare_common::{Error, Result};
@@ -36,9 +37,11 @@ pub struct Catalog {
     /// Registered user-defined functions (name, case-insensitive). UDF
     /// bodies are synthetic in this reproduction; see `BoundExpr::Udf`.
     udfs: HashMap<String, String>,
-    /// Per-key mutation generations. A key keeps its last generation even
-    /// after removal, so a dropped-and-recreated relation never aliases a
-    /// cached result computed against the old contents.
+    /// Per-key mutation generations of the live relations. A removed
+    /// key is forgotten (generation 0); the global generation only
+    /// increases, so a re-created relation is stamped with a generation
+    /// no cached result or preview computed against the old contents
+    /// recorded.
     generations: HashMap<String, u64>,
     /// Catalog-wide generation: bumped by every mutation.
     global_gen: u64,
@@ -82,8 +85,8 @@ impl Catalog {
         self.global_gen
     }
 
-    /// The generation of one relation, by canonical key; 0 if the key has
-    /// never been touched.
+    /// The generation of one relation, by canonical key; 0 if no such
+    /// relation exists.
     pub fn generation_of(&self, key: &str) -> u64 {
         self.generations
             .get(lower_key(key).as_ref())
@@ -130,7 +133,8 @@ impl Catalog {
         let k = canonical_key(name);
         let removed = self.tables.remove(&k).is_some() | self.views.remove(&k).is_some();
         if removed {
-            self.bump(&k);
+            self.global_gen += 1;
+            self.generations.remove(&k);
         }
         removed
     }
@@ -216,14 +220,19 @@ impl Catalog {
 
     /// Restore generation state exported by [`Catalog::export_generations`],
     /// overwriting whatever bumps the restore path produced while
-    /// re-registering tables and views. Recovery calls this last.
+    /// re-registering tables and views. Recovery calls this last. Keys
+    /// of relations that do not exist are dropped (state written before
+    /// removal forgot keys kept them).
     pub fn import_generations(
         &mut self,
         global: u64,
         gens: impl IntoIterator<Item = (String, u64)>,
     ) {
         self.global_gen = global;
-        self.generations = gens.into_iter().collect();
+        self.generations = gens
+            .into_iter()
+            .filter(|(k, _)| self.tables.contains_key(k) || self.views.contains_key(k))
+            .collect();
     }
 
     pub fn table_count(&self) -> usize {
@@ -343,9 +352,14 @@ mod tests {
         // Replacing a view bumps it again.
         c.set_view("v", "SELECT x + 1 FROM a").unwrap();
         assert!(c.generation_of("v") > g_v);
-        // Removal bumps the key, and it keeps the gen afterwards.
+        // Removal bumps the catalog and forgets the key; re-creating it
+        // stamps a generation newer than any it had.
+        let g = c.generation();
         c.remove("a");
-        assert!(c.generation_of("a") > g_a);
+        assert!(c.generation() > g);
+        assert_eq!(c.generation_of("a"), 0);
+        c.add_table(t("a")).unwrap();
+        assert!(c.generation_of("a") > g);
         // A failed mutation does not bump.
         let g = c.generation();
         assert!(c.add_table(t("v")).is_err());
@@ -368,6 +382,30 @@ mod tests {
         assert_eq!(r.generation_of("a"), c.generation_of("a"));
         assert_eq!(r.generation_of("v"), c.generation_of("v"));
         assert_eq!(r.export_generations(), (global, gens));
+    }
+
+    #[test]
+    fn create_drop_cycles_leave_generations_for_live_relations_only() {
+        let mut c = Catalog::new();
+        c.add_table(t("keep")).unwrap();
+        c.set_view("v", "SELECT x FROM keep").unwrap();
+        let mut seen = 0;
+        for i in 0..1_000 {
+            let name = format!("t{}", i % 7);
+            c.add_table(t(&name)).unwrap();
+            let g = c.generation_of(&name);
+            assert!(g > seen, "a re-created table reuses no generation");
+            seen = g;
+            assert!(c.remove(&name));
+        }
+        let (_, gens) = c.export_generations();
+        assert_eq!(gens.len(), c.table_count() + c.view_count());
+        assert_eq!(gens.len(), 2);
+        // State that still names dropped relations imports without them.
+        let mut r = Catalog::new();
+        r.add_table(t("keep")).unwrap();
+        r.import_generations(9, [("keep".to_string(), 4), ("gone".to_string(), 7)]);
+        assert_eq!(r.export_generations(), (9, vec![("keep".to_string(), 4)]));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! service is the corpus that survives every crash and restart (§2–3 of
 //! the paper). This crate is the durability spine under
 //! `sqlshare-core`: the service journals every catalog mutation to a
-//! [`wal::Wal`] *before* applying it, periodically captures the full
-//! durable state as an atomically-renamed [`snapshot`], and appends the
+//! [`wal::Wal`] *before* applying it, periodically captures the durable
+//! state as an atomically-renamed [`snapshot`] (a manifest, and a
+//! segment of the tables born since the last one), and appends the
 //! query log to a second [`wal::Wal`] of its own (an ephemeral service
 //! keeps the same [`frame`]s in memory). Both logs are
 //! recovered by [`Wal::scan`] (a torn tail is truncated, interior damage
@@ -57,7 +58,7 @@ pub use heap::HeapFile;
 pub use page::{Page, PAGE_SIZE};
 pub use pagefile::PageFile;
 pub use scrub::{ScrubConfig, ScrubFinding, ScrubStatus, Scrubber};
-pub use snapshot::{SnapshotLoad, SnapshotStore};
+pub use snapshot::{segment_lsn, SnapshotLoad, SnapshotStep, SnapshotStore};
 pub use stream::{read_tail, TailRead};
 pub use wal::{frame, frames, wal_generation, CrashPoint, Wal, WalAudit, WalScan};
 

@@ -14,12 +14,13 @@
 //! * **`wal.log`, `querylog.log`** — frame-by-frame checksum walk via
 //!   [`Wal::verify`], flagging interior corruption (valid frames after a
 //!   break) and leaving torn tails to the recovery scan.
-//! * **`snapshot-<lsn>.json`** — the trailer checksum over the payload,
-//!   read in budgeted units like a page file and resumed on the next
-//!   tick: a matching sum proves the bytes are the bytes written, and a
-//!   tick costs what its budget says whatever the snapshot's size. A
-//!   file without a well-formed trailer (a cut-off tail, or rot in the
-//!   trailer itself) is a finding.
+//! * **`snapshot-<lsn>.json`, `segment-<lsn>.json`** — a manifest or a
+//!   segment: the trailer checksum over the payload, read in budgeted
+//!   units like a page file and resumed on the next tick: a matching
+//!   sum proves the bytes are the bytes written, and a tick costs what
+//!   its budget says whatever the file's size. A file without a
+//!   well-formed trailer (a cut-off tail, or rot in the trailer itself)
+//!   is a finding.
 //!
 //! All reads go straight to the files, never through the buffer pool,
 //! so a scrub pass cannot evict the working set. Reads race foreground
@@ -76,7 +77,7 @@ pub struct ScrubStatus {
     /// Record-log frames validated, over both logs: `wal.log` and
     /// `querylog.log`.
     pub wal_frames: u64,
-    /// Snapshot candidates verified.
+    /// Snapshot files verified: manifests and segments.
     pub snapshots: u64,
     /// Corruption findings reported (cumulative, repeats included —
     /// a bad page is re-found every pass until repaired).
@@ -129,8 +130,13 @@ fn is_page_file(name: &str) -> bool {
 fn is_scrubbable(name: &str) -> bool {
     name == "wal.log"
         || name == "querylog.log"
-        || (name.starts_with("snapshot-") && name.ends_with(".json"))
+        || is_snapshot_file(name)
         || is_page_file(name)
+}
+
+/// A manifest or a segment, both sealed with the snapshot trailer.
+fn is_snapshot_file(name: &str) -> bool {
+    (name.starts_with("snapshot-") || name.starts_with("segment-")) && name.ends_with(".json")
 }
 
 fn file_units(len: u64) -> u64 {
@@ -262,7 +268,7 @@ impl Scrubber {
         if is_page_file(name) {
             return self.scrub_pages(path, from_page, budget, name.ends_with(".btree"), status);
         }
-        if name.starts_with("snapshot-") {
+        if is_snapshot_file(name) {
             return self.scrub_snapshot(path, from_page, budget, status, partial_sum);
         }
         // A record log: `wal.log` or `querylog.log`.
@@ -290,7 +296,7 @@ impl Scrubber {
         }
     }
 
-    /// `snapshot-<lsn>.json`: checksum `budget` units of the payload
+    /// A manifest or a segment: checksum `budget` units of the payload
     /// starting at unit `from_unit`, carrying the sum in `partial_sum`
     /// when the budget runs out mid-file. Snapshot files are written
     /// once and renamed into place, so a resumed sum continues over the
@@ -555,6 +561,15 @@ mod tests {
         bytes[5] ^= 0x01;
         std::fs::write(&snap_path, &bytes).unwrap();
 
+        // Segment with a flipped digit; the manifest naming it is clean.
+        store
+            .write_snapshot(8, Some(r#"{"lsn":8,"tables":[]}"#), r#"{"v":8}"#)
+            .unwrap();
+        let segment_path = dir.join("segment-8.json");
+        let mut bytes = std::fs::read(&segment_path).unwrap();
+        bytes[7] ^= 0x01;
+        std::fs::write(&segment_path, &bytes).unwrap();
+
         // Heap page with a flipped bit.
         let heap_path = dir.join("t-1.heap");
         let pf = PageFile::create(&heap_path, IoCounter::new()).unwrap();
@@ -587,6 +602,8 @@ mod tests {
         };
         assert_eq!(family("wal.log"), 1, "{findings:?}");
         assert_eq!(family("snapshot-7.json"), 1, "{findings:?}");
+        assert_eq!(family("segment-8.json"), 1, "{findings:?}");
+        assert_eq!(family("snapshot-8.json"), 0, "{findings:?}");
         assert_eq!(family("querylog.log"), 1, "{findings:?}");
         assert_eq!(family("t-1.heap"), 1, "{findings:?}");
         assert_eq!(family("t-2.btree"), 1, "{findings:?}");

@@ -1,30 +1,41 @@
-//! Atomic catalog snapshots: `snapshot-<lsn>.json`, written via a
+//! Atomic snapshots: a `snapshot-<lsn>.json` **manifest** and the
+//! `segment-<lsn>.json` **segments** it names, each written via a
 //! temporary file renamed into place.
 //!
-//! A snapshot captures the full durable state as of a WAL LSN, letting
+//! A snapshot captures the durable state as of a WAL LSN, letting
 //! recovery skip replaying history and letting the WAL be truncated.
-//! The write protocol is the classic one:
+//! Base tables never change once created, so their rows are written
+//! once: a snapshot writes one segment holding the tables born since
+//! the previous snapshot (none when there are none), and a manifest of
+//! everything else that names, for each table, the segment holding it.
+//! What a manifest or a segment holds is the caller's; this module owns
+//! the files. The write protocol is the classic one, segment first:
 //!
-//! 1. write the payload to `snapshot-<lsn>.json.tmp`,
+//! 1. write the payload to `<name>.tmp`,
 //! 2. fsync the file,
-//! 3. rename it to `snapshot-<lsn>.json` (atomic on POSIX),
-//! 4. fsync the directory so the rename itself is durable.
+//! 3. rename it to `<name>` (atomic on POSIX),
+//! 4. once both renames are done, fsync the directory so they are
+//!    durable before the caller truncates the WAL.
 //!
 //! A crash at any step leaves either the previous snapshot intact or a
-//! stray `.tmp` that [`SnapshotStore::load_latest`] ignores and
-//! [`SnapshotStore::prune`] deletes. `load_latest` walks candidates
+//! stray `.tmp` or an unnamed segment, which recovery never reads and
+//! [`SnapshotStore::prune`] and [`SnapshotStore::prune_segments`]
+//! delete. [`SnapshotStore::load_latest_with`] walks manifests
 //! newest-first and falls back past any whose checksum trailer is
-//! missing, damaged or wrong, so a corrupted newest snapshot degrades
-//! recovery (longer WAL replay from an older snapshot) instead of
-//! breaking it.
+//! missing, damaged or wrong — or, by the caller's check, that names a
+//! segment that does not verify — so a corrupted newest snapshot
+//! degrades recovery (longer WAL replay from an older snapshot) instead
+//! of breaking it.
 
 use crate::IoCounter;
+use sqlshare_common::faults::{FaultPlan, FaultSite};
 use sqlshare_common::hash::fnv64;
 use sqlshare_common::{json, Error, Result};
-use sqlshare_common::faults::{FaultPlan, FaultSite};
+use std::collections::BTreeSet;
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Manages the snapshot files inside one data directory.
@@ -33,28 +44,56 @@ pub struct SnapshotStore {
     dir: PathBuf,
     fault: Option<Arc<FaultPlan>>,
     io: IoCounter,
+    /// The step of the write protocol a simulated crash stops at.
+    crash: Option<SnapshotStep>,
+    crashed: AtomicBool,
+}
+
+/// A step of a snapshot's write protocol, for crash tests: a store armed
+/// with one ([`SnapshotStore::set_crash_step`]) "dies" right after it —
+/// nothing further is written, and the owner stops journaling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SnapshotStep {
+    /// The segment's temporary file is written and synced, not renamed.
+    SegmentTmp,
+    /// The segment is renamed into place; no manifest names it yet.
+    SegmentRename,
+    /// The manifest is renamed into place; the WAL is not yet reset.
+    ManifestRename,
+    /// The WAL is reset; nothing is pruned yet.
+    WalReset,
+    /// Older manifests are pruned; their segments are not.
+    Prune,
 }
 
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
     Error::Internal(format!("snapshot {what} {}: {e}", path.display()))
 }
 
-/// `snapshot-<lsn>.json` → `Some(lsn)`.
-fn parse_name(name: &str) -> Option<u64> {
-    name.strip_prefix("snapshot-")?
+/// `<prefix><lsn>.json` → `Some(lsn)`.
+fn parse_name(prefix: &str, name: &str) -> Option<u64> {
+    name.strip_prefix(prefix)?
         .strip_suffix(".json")?
         .parse()
         .ok()
 }
 
-/// Result of [`SnapshotStore::load_latest_counted`]: the newest usable
+const MANIFEST: &str = "snapshot-";
+const SEGMENT: &str = "segment-";
+
+/// The LSN of a `segment-<lsn>.json` path; `None` for any other file.
+pub fn segment_lsn(path: &Path) -> Option<u64> {
+    parse_name(SEGMENT, path.file_name()?.to_str()?)
+}
+
+/// Result of [`SnapshotStore::load_latest_with`]: the newest usable
 /// snapshot plus how many newer candidates had to be skipped as corrupt
-/// or unparseable. A nonzero count is at-rest rot worth surfacing in
-/// boot logs and the recovery report, not a silent fallback.
+/// or unusable. A nonzero count is at-rest rot worth surfacing in boot
+/// logs and the recovery report, not a silent fallback.
 #[derive(Debug)]
-pub struct SnapshotLoad {
-    /// The newest parseable snapshot, as `(lsn, payload)`.
-    pub latest: Option<(u64, String)>,
+pub struct SnapshotLoad<T = String> {
+    /// The newest usable manifest, as `(lsn, what the check made of it)`.
+    pub latest: Option<(u64, T)>,
     /// Newer candidates skipped because they failed to read or parse.
     pub skipped_candidates: u64,
     /// Highest LSN among the skipped candidates (0 when none). The LSN
@@ -74,7 +113,7 @@ pub struct SnapshotLoad {
 /// turn a checksummed file into a merely parseable one.
 const SUM_MARKER: &str = "\n#fnv64=";
 
-/// Bytes of the trailer [`SnapshotStore::write`] appends: the marker,
+/// Bytes of the trailer every snapshot file ends with: the marker,
 /// sixteen hex digits, a newline.
 pub(crate) const TRAILER_LEN: u64 = SUM_MARKER.len() as u64 + 17;
 
@@ -100,7 +139,7 @@ fn checked_payload(text: &str) -> Option<&str> {
 
 /// Whether a snapshot file's full contents verify: the trailer checksum
 /// must be there and match, and the payload must parse as JSON. Used by
-/// the scrubber, which reads candidate files straight off disk.
+/// the scrubber, which reads manifests and segments straight off disk.
 pub fn verify_payload(text: &str) -> bool {
     checked_payload(text).is_some_and(|payload| json::parse(payload).is_ok())
 }
@@ -116,6 +155,8 @@ impl SnapshotStore {
             dir: dir.to_path_buf(),
             fault: None,
             io,
+            crash: None,
+            crashed: AtomicBool::new(false),
         }
     }
 
@@ -124,14 +165,57 @@ impl SnapshotStore {
         self.fault = plan;
     }
 
-    fn path_for(&self, lsn: u64) -> PathBuf {
-        self.dir.join(format!("snapshot-{lsn}.json"))
+    /// Arm (or clear) a simulated crash right after `step`.
+    pub fn set_crash_step(&mut self, step: Option<SnapshotStep>) {
+        self.crash = step;
     }
 
-    /// Atomically persist `payload` as the snapshot at `lsn`. On any
-    /// failure (including an injected `SnapshotWrite` fault) the
-    /// previous snapshot remains the latest valid one.
+    /// Whether an armed [`SnapshotStep`] has fired.
+    pub fn crashed(&self) -> bool {
+        self.crashed.load(Ordering::Relaxed)
+    }
+
+    /// The simulated crash, when `step` is the armed one; a store that
+    /// crashed refuses every further step.
+    pub fn crash_after(&self, step: SnapshotStep) -> Result<()> {
+        if self.crash == Some(step) {
+            self.crashed.store(true, Ordering::Relaxed);
+        }
+        if self.crashed() {
+            return Err(Error::Internal(format!(
+                "simulated crash after snapshot step {step:?}"
+            )));
+        }
+        Ok(())
+    }
+
+    fn path_for(&self, lsn: u64) -> PathBuf {
+        self.dir.join(format!("{MANIFEST}{lsn}.json"))
+    }
+
+    fn segment_path(&self, lsn: u64) -> PathBuf {
+        self.dir.join(format!("{SEGMENT}{lsn}.json"))
+    }
+
+    /// Atomically persist `payload` as the manifest at `lsn`, with no
+    /// segment. On any failure (including an injected `SnapshotWrite`
+    /// fault) the previous snapshot remains the latest valid one.
     pub fn write(&self, lsn: u64, payload: &str) -> Result<PathBuf> {
+        self.write_snapshot(lsn, None, payload)?;
+        Ok(self.path_for(lsn))
+    }
+
+    /// Atomically persist one snapshot at `lsn`: `segment`, when there
+    /// is one, as `segment-<lsn>.json`, then `manifest` as
+    /// `snapshot-<lsn>.json`, then the directory fsync that makes both
+    /// renames durable. A crash before that fsync can leave the manifest
+    /// without its segment, which recovery skips like any corrupt
+    /// candidate — the caller has not truncated the WAL yet. On any
+    /// failure the previous snapshot remains the latest valid one.
+    pub fn write_snapshot(&self, lsn: u64, segment: Option<&str>, manifest: &str) -> Result<()> {
+        if self.crashed() {
+            return Err(Error::Internal("simulated crash: snapshot store is dead".into()));
+        }
         if let Some(plan) = &self.fault {
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 plan.check(FaultSite::SnapshotWrite)
@@ -140,8 +224,34 @@ impl SnapshotStore {
                 Err(payload) => return Err(Error::from_panic(payload)),
             }
         }
-        let tmp = self.dir.join(format!("snapshot-{lsn}.json.tmp"));
+        if let Some(segment) = segment {
+            let finished = self.segment_path(lsn);
+            let tmp = self.seal(&finished, segment)?;
+            self.crash_after(SnapshotStep::SegmentTmp)?;
+            self.io.bump();
+            fs::rename(&tmp, &finished).map_err(|e| io_err("rename", &finished, e))?;
+            self.crash_after(SnapshotStep::SegmentRename)?;
+        }
         let finished = self.path_for(lsn);
+        let tmp = self.seal(&finished, manifest)?;
+        self.io.bump();
+        fs::rename(&tmp, &finished).map_err(|e| io_err("rename", &finished, e))?;
+        // Make the renames durable. Directory fsync can fail on exotic
+        // filesystems; the renames already happened, so don't fail the
+        // snapshot over it.
+        if let Ok(d) = File::open(&self.dir) {
+            self.io.bump();
+            let _ = d.sync_all();
+        }
+        self.crash_after(SnapshotStep::ManifestRename)
+    }
+
+    /// Write `payload` and its checksum trailer to `<finished>.tmp` and
+    /// fsync it; returns the temporary path.
+    fn seal(&self, finished: &Path, payload: &str) -> Result<PathBuf> {
+        let mut tmp = finished.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
         self.io.bump();
         let mut f = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
         let sum = fnv64(payload.as_bytes());
@@ -149,20 +259,43 @@ impl SnapshotStore {
             .and_then(|()| f.write_all(format!("{SUM_MARKER}{sum:016x}\n").as_bytes()))
             .and_then(|()| f.sync_all())
             .map_err(|e| io_err("write", &tmp, e))?;
-        drop(f);
-        self.io.bump();
-        fs::rename(&tmp, &finished).map_err(|e| io_err("rename", &finished, e))?;
-        // Make the rename durable. Directory fsync can fail on exotic
-        // filesystems; the rename already happened, so don't fail the
-        // snapshot over it.
-        if let Ok(d) = File::open(&self.dir) {
-            self.io.bump();
-            let _ = d.sync_all();
-        }
-        Ok(finished)
+        Ok(tmp)
     }
 
-    /// The newest snapshot that verifies ([`verify_payload`]), as
+    /// Read one file and return its payload when the trailer verifies.
+    /// An attached fault plan's `SnapshotLoad` rot site may flip a
+    /// seeded bit in the read image first.
+    fn read_checked(&self, path: &Path) -> Option<String> {
+        self.io.bump();
+        let mut bytes = fs::read(path).ok()?;
+        if let Some(plan) = &self.fault {
+            plan.rot(FaultSite::SnapshotLoad, &mut bytes);
+        }
+        let mut text = String::from_utf8(bytes).ok()?;
+        let len = checked_payload(&text)?.len();
+        text.truncate(len);
+        Some(text)
+    }
+
+    /// The payload of `segment-<lsn>.json`, when it exists and its
+    /// trailer verifies.
+    pub fn read_segment(&self, lsn: u64) -> Option<String> {
+        self.read_checked(&self.segment_path(lsn))
+    }
+
+    /// The payload of the manifest at `lsn`, when it exists and its
+    /// trailer verifies.
+    pub fn read_manifest(&self, lsn: u64) -> Option<String> {
+        self.read_checked(&self.path_for(lsn))
+    }
+
+    /// Whether `segment-<lsn>.json` exists, verified or not.
+    pub fn segment_exists(&self, lsn: u64) -> bool {
+        self.io.bump();
+        self.segment_path(lsn).exists()
+    }
+
+    /// The newest manifest that verifies ([`verify_payload`]), as
     /// `(lsn, payload)`. Candidates that do not are skipped (fallback to
     /// older snapshots); `.tmp` leftovers are never considered.
     pub fn load_latest(&self) -> Result<Option<(u64, String)>> {
@@ -170,32 +303,31 @@ impl SnapshotStore {
     }
 
     /// [`SnapshotStore::load_latest`] that also counts the corrupt or
-    /// unparseable candidates skipped on the way to a usable snapshot.
-    /// An attached fault plan's `SnapshotLoad` rot site may flip a
-    /// seeded bit in each candidate's read image before parsing.
+    /// unparseable candidates skipped on the way to a usable manifest.
     pub fn load_latest_counted(&self) -> Result<SnapshotLoad> {
+        self.load_latest_with(|_, payload| {
+            json::parse(payload).ok().map(|_| payload.to_string())
+        })
+    }
+
+    /// Walk the manifests newest-first and return the first whose
+    /// trailer verifies and that `usable` accepts (it parses the payload
+    /// and checks what the manifest names), counting the candidates
+    /// skipped on the way. An attached fault plan's `SnapshotLoad` rot
+    /// site may flip a seeded bit in each candidate's read image.
+    pub fn load_latest_with<T>(
+        &self,
+        mut usable: impl FnMut(u64, &str) -> Option<T>,
+    ) -> Result<SnapshotLoad<T>> {
         let mut lsns = self.list()?;
         lsns.sort_unstable_by(|a, b| b.cmp(a));
         let mut skipped = 0u64;
         let mut max_skipped = 0u64;
         for lsn in lsns {
-            let path = self.path_for(lsn);
-            self.io.bump();
-            let usable = (|| {
-                let Ok(mut payload) = fs::read(&path) else {
-                    return None;
-                };
-                if let Some(plan) = &self.fault {
-                    plan.rot(FaultSite::SnapshotLoad, &mut payload);
-                }
-                let text = String::from_utf8(payload).ok()?;
-                let payload = checked_payload(&text)?;
-                json::parse(payload).ok().map(|_| payload.to_string())
-            })();
-            match usable {
-                Some(payload) => {
+            match self.read_manifest(lsn).and_then(|payload| usable(lsn, &payload)) {
+                Some(loaded) => {
                     return Ok(SnapshotLoad {
-                        latest: Some((lsn, payload)),
+                        latest: Some((lsn, loaded)),
                         skipped_candidates: skipped,
                         max_skipped_lsn: max_skipped,
                     });
@@ -213,14 +345,25 @@ impl SnapshotStore {
         })
     }
 
-    /// Delete all but the newest `keep` snapshots, plus any stray
-    /// `.tmp` files from interrupted writes.
+    /// Delete all but the newest `keep` manifests, plus any stray
+    /// `.tmp` files from interrupted writes. Segments are pruned
+    /// separately ([`SnapshotStore::prune_segments`]), after the
+    /// manifests that might name them are gone.
     pub fn prune(&self, keep: usize) -> Result<()> {
         let mut lsns = self.list()?;
         lsns.sort_unstable_by(|a, b| b.cmp(a));
-        for lsn in lsns.into_iter().skip(keep) {
-            self.io.bump();
-            let _ = fs::remove_file(self.path_for(lsn));
+        lsns.truncate(keep);
+        self.prune_manifests(&lsns)
+    }
+
+    /// Delete every manifest whose LSN is not in `keep`, plus any stray
+    /// `.tmp` files from interrupted writes.
+    pub fn prune_manifests(&self, keep: &[u64]) -> Result<()> {
+        for lsn in self.list()? {
+            if !keep.contains(&lsn) {
+                self.io.bump();
+                let _ = fs::remove_file(self.path_for(lsn));
+            }
         }
         self.io.bump();
         for entry in fs::read_dir(&self.dir).map_err(|e| io_err("list", &self.dir, e))? {
@@ -233,8 +376,28 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// LSNs of every `snapshot-<lsn>.json` in the directory.
+    /// Delete every segment not in `named`.
+    pub fn prune_segments(&self, named: &BTreeSet<u64>) -> Result<()> {
+        for lsn in self.list_segments()? {
+            if !named.contains(&lsn) {
+                self.io.bump();
+                let _ = fs::remove_file(self.segment_path(lsn));
+            }
+        }
+        Ok(())
+    }
+
+    /// LSNs of every `snapshot-<lsn>.json` manifest in the directory.
     pub fn list(&self) -> Result<Vec<u64>> {
+        self.list_named(MANIFEST)
+    }
+
+    /// LSNs of every `segment-<lsn>.json` in the directory.
+    pub fn list_segments(&self) -> Result<Vec<u64>> {
+        self.list_named(SEGMENT)
+    }
+
+    fn list_named(&self, prefix: &str) -> Result<Vec<u64>> {
         if !self.dir.exists() {
             return Ok(Vec::new());
         }
@@ -242,7 +405,7 @@ impl SnapshotStore {
         let mut lsns = Vec::new();
         for entry in fs::read_dir(&self.dir).map_err(|e| io_err("list", &self.dir, e))? {
             let Ok(entry) = entry else { continue };
-            if let Some(lsn) = parse_name(&entry.file_name().to_string_lossy()) {
+            if let Some(lsn) = parse_name(prefix, &entry.file_name().to_string_lossy()) {
                 lsns.push(lsn);
             }
         }
@@ -408,6 +571,94 @@ mod tests {
         assert_eq!(lsn, 1);
         assert!(!dir.join("snapshot-2.json").exists());
         assert!(!dir.join("snapshot-2.json.tmp").exists());
+    }
+
+    #[test]
+    fn a_segment_is_written_with_its_manifest_and_read_back_verified() {
+        let dir = temp_dir("segment");
+        let store = SnapshotStore::new(&dir);
+        let segment = r#"{"lsn":4,"tables":[{"name":"t"}]}"#;
+        store.write_snapshot(4, Some(segment), r#"{"v":4}"#).unwrap();
+        store.write_snapshot(6, None, r#"{"v":6}"#).unwrap();
+        assert_eq!(store.read_segment(4).as_deref(), Some(segment));
+        assert_eq!(store.read_segment(6), None, "no tables, no segment");
+        assert_eq!(store.list_segments().unwrap(), vec![4]);
+        assert!(store.segment_exists(4) && !store.segment_exists(6));
+        let mut manifests = store.list().unwrap();
+        manifests.sort_unstable();
+        assert_eq!(manifests, vec![4, 6], "segments are not manifests");
+        // A flipped bit anywhere in a segment is never wrong data (a
+        // hex digit of the trailer may only change case).
+        let path = dir.join("segment-4.json");
+        let sealed = fs::read(&path).unwrap();
+        let mut unreadable = 0;
+        for bit in 0..sealed.len() * 8 {
+            let mut bytes = sealed.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            fs::write(&path, &bytes).unwrap();
+            match store.read_segment(4) {
+                None => unreadable += 1,
+                Some(got) => assert_eq!(got, segment, "bit {bit} fed wrong data"),
+            }
+        }
+        assert!(unreadable > sealed.len() * 7, "{unreadable}");
+    }
+
+    #[test]
+    fn prune_segments_deletes_every_segment_not_named() {
+        let dir = temp_dir("prune-seg");
+        let store = SnapshotStore::new(&dir);
+        for lsn in [2, 5, 9] {
+            store.write_snapshot(lsn, Some("{}"), "{}").unwrap();
+        }
+        store.prune_segments(&BTreeSet::from([2, 9])).unwrap();
+        let mut left = store.list_segments().unwrap();
+        left.sort_unstable();
+        assert_eq!(left, vec![2, 9]);
+        assert_eq!(store.list().unwrap().len(), 3, "manifests are prune's");
+    }
+
+    #[test]
+    fn load_latest_with_skips_a_manifest_its_check_refuses() {
+        let dir = temp_dir("check");
+        let store = SnapshotStore::new(&dir);
+        store.write(3, r#"{"v":3}"#).unwrap();
+        store.write(8, r#"{"v":8}"#).unwrap();
+        let load = store
+            .load_latest_with(|lsn, payload| (lsn != 8).then_some(payload.len()))
+            .unwrap();
+        assert_eq!(load.latest, Some((3, 7)));
+        assert_eq!((load.skipped_candidates, load.max_skipped_lsn), (1, 8));
+    }
+
+    #[test]
+    fn a_crash_step_stops_the_write_protocol_right_after_it() {
+        use SnapshotStep::*;
+        let exists = |dir: &Path, name: &str| dir.join(name).exists();
+        for (step, files) in [
+            (SegmentTmp, [true, false, false]),
+            (SegmentRename, [false, true, false]),
+            (ManifestRename, [false, true, true]),
+        ] {
+            let dir = temp_dir("crash");
+            let mut store = SnapshotStore::new(&dir);
+            store.set_crash_step(Some(step));
+            let err = store.write_snapshot(5, Some("{}"), "{}").unwrap_err();
+            assert!(err.to_string().contains("simulated crash"), "{err}");
+            assert!(store.crashed());
+            let seen = [
+                exists(&dir, "segment-5.json.tmp"),
+                exists(&dir, "segment-5.json"),
+                exists(&dir, "snapshot-5.json"),
+            ];
+            assert_eq!(seen, files, "{step:?}");
+            // A crashed store writes nothing more.
+            assert!(store.write_snapshot(6, None, "{}").is_err());
+            assert!(!exists(&dir, "snapshot-6.json"));
+        }
+        // An unarmed step passes.
+        let store = SnapshotStore::new(&temp_dir("crash-none"));
+        assert!(store.crash_after(SnapshotStep::WalReset).is_ok());
     }
 
     #[test]

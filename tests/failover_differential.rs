@@ -809,6 +809,34 @@ fn standby_reseeds_from_snapshot_after_primary_wal_reset() {
     let _ = std::fs::remove_dir_all(&s_dir);
 }
 
+/// A node reseeded from a snapshot at an older LSN than its own
+/// snapshots reach (a deposed primary that ran ahead) recovers to what
+/// it installed, not to its own abandoned lineage: the snapshot prune
+/// keeps no manifest past the installed LSN.
+#[test]
+fn a_reseed_to_an_older_lsn_than_the_nodes_own_snapshots_survives_a_reopen() {
+    let a_dir = temp_dir("reseed-older-a");
+    let b_dir = temp_dir("reseed-older-b");
+    let mut a = SqlShare::open(durable_options(&a_dir, 2)).unwrap();
+    for i in 0..10 {
+        a.register_user(&format!("a{i}"), "a@uw.edu").unwrap();
+    }
+    let mut b = SqlShare::open(durable_options(&b_dir, 2)).unwrap();
+    for i in 0..5 {
+        b.register_user(&format!("b{i}"), "b@uw.edu").unwrap();
+    }
+    b.upload("b0", "t", "x\n1\n", &IngestOptions::default()).unwrap();
+    assert!(a.last_lsn() > b.last_lsn());
+    a.install_replica_snapshot(&b.replication_snapshot()).unwrap();
+    assert_eq!(a.durable_digest(), b.durable_digest());
+    drop(a);
+    let a = SqlShare::open(durable_options(&a_dir, 2)).unwrap();
+    assert_eq!(a.last_lsn(), b.last_lsn());
+    assert_eq!(a.durable_digest(), b.durable_digest());
+    let _ = std::fs::remove_dir_all(&a_dir);
+    let _ = std::fs::remove_dir_all(&b_dir);
+}
+
 // ---------------------------------------------------------------------
 // 2b. Divergent-tail rejoin: a deposed primary whose WAL holds records
 //     the new lineage never saw must not pass them off as already-

@@ -511,6 +511,71 @@ fn heap_rot_is_rematerialized_from_snapshot_plus_wal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Rung 2 for a table a snapshot already holds: its rows come from the
+/// segment its manifest entry names — read alone, not with the rest of
+/// the snapshot — and no WAL record mentions it.
+#[test]
+fn heap_rot_of_a_table_in_a_segment_is_rematerialized_from_it() {
+    let mut rng = Rng(rot_seed() ^ 0x23);
+    let dir = temp_dir("rung2-segment");
+    let pages = dir.join("pages");
+    let mut s = SqlShare::open(durable_options(&dir, 3)).unwrap();
+    s.set_storage(Some(tiny_layer(&pages)));
+    pin(&mut s);
+    s.register_user("ada", "ada@uw.edu").unwrap(); // lsn 1
+    s.upload("ada", "t", &wide_csv("seg", 2600), &IngestOptions::default())
+        .unwrap(); // lsn 2
+    s.upload("ada", "u", "x,y\n1,2\n", &IngestOptions::default())
+        .unwrap(); // lsn 3 → snapshot: one segment holds t and u
+    s.upload("ada", "v", "x,y\n3,4\n", &IngestOptions::default())
+        .unwrap(); // lsn 4, WAL only
+    s.upload("ada", "w", "x,y\n5,6\n", &IngestOptions::default())
+        .unwrap(); // lsn 5, WAL only
+    let segments: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().unwrap().to_str().unwrap().starts_with("segment-"))
+        .collect();
+    assert_eq!(segments.len(), 1, "{segments:?}");
+    let segment = std::fs::read_to_string(&segments[0]).unwrap();
+    assert!(segment.contains("\"ada.t$base\""), "t is in the segment");
+
+    let scan = "SELECT a, b, c, d FROM ada.t";
+    let want = s.run_query("ada", scan).unwrap().rows;
+    assert_eq!(want.len(), 2600);
+    let key = "ada.t$base";
+    let heap_path = backing(&s, key)
+        .iter()
+        .find(|(col, _)| col.is_none())
+        .unwrap()
+        .1
+        .clone();
+    flip_every_page(&heap_path, &mut rng);
+    assert_eq!(s.run_query("ada", scan).unwrap_err().kind(), "corrupt");
+    assert_eq!(s.quarantine_poisoned(), vec![key.to_string()]);
+
+    let repairs = s.repair_quarantined();
+    assert_eq!(repairs, vec![(key.to_string(), Repair::Rematerialized)]);
+    assert!(!s.is_degraded());
+    assert_eq!(s.run_query("ada", scan).unwrap().rows, want);
+    assert!(scrub(&[&pages]).is_empty(), "repair left rot behind");
+
+    // With the segment rotted, the snapshot cannot vouch for t: rung 2
+    // declines and the replica rung is next.
+    let heap_path = backing(&s, key)
+        .into_iter()
+        .find(|(col, _)| col.is_none())
+        .unwrap()
+        .1;
+    flip_every_page(&heap_path, &mut rng);
+    flip_random_bit(&segments[0], &mut rng);
+    assert_eq!(s.run_query("ada", scan).unwrap_err().kind(), "corrupt");
+    assert_eq!(s.quarantine_poisoned(), vec![key.to_string()]);
+    let repairs = s.repair_quarantined();
+    assert!(matches!(repairs[..], [(_, Repair::NeedsReplica(_))]), "{repairs:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // 4. Rung 3: an ephemeral node (no snapshot, no WAL) with heap rot can
 //    only be repaired from a replica. Backing files are
@@ -735,6 +800,87 @@ fn snapshot_rot_is_skipped_when_covered_and_refused_when_not() {
     assert!(removed >= 1, "cadence never snapshotted");
     let err = SqlShare::open(durable_options(&dir, 2)).unwrap_err();
     assert_eq!(err.kind(), "corrupt");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A segment is part of every manifest that names it: rotted, it makes
+/// each such manifest a skipped candidate. Recovery falls back to an
+/// older one when the WAL still covers the gap, and otherwise refuses
+/// with the typed error — a table is never silently dropped.
+#[test]
+fn segment_rot_skips_every_manifest_naming_it() {
+    let mut rng = Rng(rot_seed() ^ 0x57);
+    let dir = temp_dir("segment-rot");
+    let mut s = SqlShare::open(durable_options(&dir, u64::MAX)).unwrap();
+    s.register_user("ada", "ada@uw.edu").unwrap();
+    s.upload("ada", "d0", "a,b\n1,2\n", &IngestOptions::default()).unwrap();
+    s.force_snapshot().unwrap(); // snapshot-2 + segment-2: d0
+    s.register_user("bob", "bob@uw.edu").unwrap();
+    s.force_snapshot().unwrap(); // snapshot-3, no segment: names segment-2
+    let digest = s.durable_digest();
+    drop(s);
+    let names = |dir: &Path| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.ends_with(".json"))
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(names(&dir), ["segment-2.json", "snapshot-2.json", "snapshot-3.json"]);
+    let segment = dir.join("segment-2.json");
+    let pristine = std::fs::read(&segment).unwrap();
+    flip_random_bit(&segment, &mut rng);
+    assert!(scrub(&[&dir]).iter().any(|f| f.path == segment), "scrub missed segment rot");
+    // Both manifests name it, and the WAL was reset at lsn 3.
+    let err = SqlShare::open(durable_options(&dir, u64::MAX)).unwrap_err();
+    assert_eq!(err.kind(), "corrupt", "{err}");
+    assert!(err.to_string().contains("snapshot-3.json is corrupt"), "{err}");
+
+    // Restored, it loads; a manifest naming a segment that is gone is
+    // skipped the same way.
+    std::fs::write(&segment, &pristine).unwrap();
+    let s = SqlShare::open(durable_options(&dir, u64::MAX)).unwrap();
+    assert_eq!(s.durable_digest(), digest);
+    assert_eq!(s.recovery_report().unwrap().snapshot_candidates_skipped, 0);
+    drop(s);
+    std::fs::remove_file(&segment).unwrap();
+    let err = SqlShare::open(durable_options(&dir, u64::MAX)).unwrap_err();
+    assert_eq!(err.kind(), "corrupt", "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A segment the scrubber finds rotted is not left for a crash to trip
+/// over: the next snapshot writes its live tables afresh from memory,
+/// the one after prunes it, and the directory reopens with no skip.
+#[test]
+fn a_segment_the_scrubber_finds_rotted_is_rewritten_by_the_next_snapshot() {
+    let mut rng = Rng(rot_seed() ^ 0x58);
+    let dir = temp_dir("segment-heal");
+    let mut s = SqlShare::open(durable_options(&dir, u64::MAX)).unwrap();
+    s.register_user("ada", "ada@uw.edu").unwrap();
+    s.upload("ada", "d0", "a,b\n1,2\n", &IngestOptions::default()).unwrap();
+    s.force_snapshot().unwrap(); // segment-2: d0
+    let segment = dir.join("segment-2.json");
+    flip_random_bit(&segment, &mut rng);
+    let findings = scrub(&[&dir]);
+    assert!(findings.iter().any(|f| f.path == segment), "{findings:?}");
+    for f in &findings {
+        assert_eq!(s.quarantine_file_finding(&f.path, &f.detail), None);
+    }
+    assert!(!s.is_degraded(), "no table is quarantined for it");
+    for (i, user) in ["bob", "cy"].iter().enumerate() {
+        s.register_user(user, "x@uw.edu").unwrap();
+        s.force_snapshot().unwrap();
+        assert_eq!(segment.exists(), i == 0, "pruned once no kept manifest names it");
+    }
+    let digest = s.durable_digest();
+    drop(s);
+    let s = SqlShare::open(durable_options(&dir, u64::MAX)).unwrap();
+    assert_eq!(s.durable_digest(), digest);
+    assert_eq!(s.recovery_report().unwrap().snapshot_candidates_skipped, 0);
+    assert!(scrub(&[&dir]).is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -28,7 +28,7 @@
 mod fsync;
 
 use sqlshare_core::{
-    CrashPoint, DatasetName, DurableOptions, Metadata, SqlShare, Visibility,
+    CrashPoint, DatasetName, DurableOptions, Metadata, SnapshotStep, SqlShare, Visibility,
 };
 use sqlshare_engine::{FaultPlan, FaultSite, Table};
 use sqlshare_ingest::IngestOptions;
@@ -544,6 +544,120 @@ fn kill_and_recover_matches_never_crashed_oracle() {
     assert_eq!(reopened.durable_digest(), oracle.durable_digest());
     assert_eq!(reopened.log().len(), log_len);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// 2b. A crash at each step of the snapshot write protocol: segment tmp
+//     written, segment renamed, manifest renamed, WAL reset, prune part
+//     done. The op whose commit was due the snapshot was acknowledged
+//     before it, so recovery must hold it.
+// ---------------------------------------------------------------------
+
+/// Names and sizes of the files in `dir`.
+fn listing(dir: &std::path::Path) -> Vec<(String, u64)> {
+    let mut files: Vec<(String, u64)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().into_string().unwrap(),
+                e.metadata().unwrap().len(),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+fn count_prefixed(dir: &std::path::Path, prefix: &str) -> usize {
+    listing(dir)
+        .iter()
+        .filter(|(n, _)| n.starts_with(prefix))
+        .count()
+}
+
+#[test]
+fn durable_service_matches_oracle_after_a_crash_at_each_snapshot_step() {
+    use SnapshotStep::*;
+    for step in [SegmentTmp, SegmentRename, ManifestRename, WalReset, Prune] {
+        let dir = temp_dir("snapstep");
+        let options = durable_options(&dir, 5);
+        let mut subject = SqlShare::open(options.clone()).expect("open fresh dir");
+        let mut oracle = SqlShare::new();
+        pin_serial(&mut subject);
+        pin_serial(&mut oracle);
+        let mut ops = script().iter().enumerate();
+        // Two snapshots first, so the crash lands with segments and a
+        // manifest to prune behind it.
+        let mut armed = false;
+        for (i, op) in ops.by_ref() {
+            let want = apply(&mut oracle, op);
+            assert_eq!(
+                apply(&mut subject, op),
+                want,
+                "{step:?}: op {i} diverged: {op:?}"
+            );
+            if subject.storage_crashed() {
+                break;
+            }
+            if !armed && count_prefixed(&dir, "snapshot-") >= 2 {
+                subject.set_snapshot_crash_step(Some(step));
+                armed = true;
+            }
+        }
+        assert!(
+            armed && subject.storage_crashed(),
+            "{step:?}: the crash never fired"
+        );
+        let tmp = listing(&dir).iter().any(|(n, _)| n.ends_with(".json.tmp"));
+        assert_eq!(tmp, step == SegmentTmp, "{step:?}: {:?}", listing(&dir));
+        let log_len = oracle.log().len();
+        drop(subject);
+
+        // Recovery holds every acknowledged op; a second reopen reads
+        // the same files to the same state and changes none of them.
+        let recovered = SqlShare::open(options.clone()).expect("recovery");
+        let report = recovered.recovery_report().unwrap();
+        assert_eq!(
+            recovered.durable_digest(),
+            oracle.durable_digest(),
+            "{step:?}: {report:?}"
+        );
+        assert_eq!(recovered.log().len(), log_len, "{step:?}");
+        assert_eq!(report.failed_records, 0, "{step:?}: {report:?}");
+        drop(recovered);
+        let files = listing(&dir);
+        let again = SqlShare::open(options.clone()).expect("second recovery");
+        assert_eq!(again.recovery_report(), Some(report), "{step:?}");
+        assert_eq!(again.durable_digest(), oracle.durable_digest(), "{step:?}");
+        assert_eq!(listing(&dir), files, "{step:?}: the second reopen wrote");
+
+        // The recovered service snapshots on: a few more ops, through at
+        // least one more snapshot, and a reopen still matches.
+        let mut subject = again;
+        pin_serial(&mut subject);
+        for (i, op) in ops.by_ref().take(12) {
+            let want = apply(&mut oracle, op);
+            assert_eq!(
+                apply(&mut subject, op),
+                want,
+                "{step:?}: op {i} diverged: {op:?}"
+            );
+        }
+        subject.force_snapshot().unwrap();
+        drop(subject);
+        let reopened = SqlShare::open(options).expect("reopen after more snapshots");
+        assert_eq!(
+            reopened.durable_digest(),
+            oracle.durable_digest(),
+            "{step:?}"
+        );
+        assert!(
+            !listing(&dir).iter().any(|(n, _)| n.ends_with(".tmp")),
+            "{step:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------
