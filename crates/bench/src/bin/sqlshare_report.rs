@@ -1,5 +1,5 @@
 //! `sqlshare-report` — regenerate the paper's tables and figures, and
-//! every other checked-in number (`BENCH_storage.json` included).
+//! every other checked-in number.
 //!
 //! ```text
 //! sqlshare-report all [--scale X] [--seed N]     # everything, paper order

@@ -966,222 +966,3 @@ pub fn ablations(wb: &Workbench) -> String {
     );
     out
 }
-
-/// Buffer-pool timings (not a paper exhibit): a sequential scan and
-/// random clustered seeks on a paged 40,000-row table across pool sizes,
-/// from the 8-page floor (every scan thrashes) to fully resident, plus
-/// an over-budget hash join completing through spill. Writes
-/// `BENCH_storage.json` in the working directory.
-pub fn storage(_wb: &Workbench) -> String {
-    use sqlshare_common::json::Json;
-    use sqlshare_engine::{DataType, Engine, Schema, StorageLayer, Table, Value};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    const ROWS: i64 = 40_000;
-    /// The 8-page floor (64 KiB), a quarter-resident 256 KiB, a
-    /// mostly-resident 1 MiB and a fully resident 16 MiB.
-    const POOL_BYTES: [usize; 4] = [0, 256 << 10, 1 << 20, 16 << 20];
-    const SCANS: usize = 12;
-    const SEEKS: usize = 384;
-    const SPILL_BUDGET: usize = 256 << 10;
-
-    fn pool_label(bytes: usize) -> String {
-        match bytes {
-            0 => "64KiB-floor".to_string(),
-            b if b >= 1 << 20 => format!("{}MiB", b >> 20),
-            b => format!("{}KiB", b >> 10),
-        }
-    }
-
-    /// A paged engine whose one fact table is ~2.5 MiB of heap pages —
-    /// larger than every pool below 16 MiB.
-    fn paged_engine(pool_bytes: usize) -> (Engine, Arc<StorageLayer>) {
-        let layer = StorageLayer::temp(pool_bytes).unwrap();
-        let mut e = Engine::new();
-        // Every repetition must hit pages, not the result cache.
-        e.disable_cache();
-        e.set_storage(Some(layer.clone()));
-        e.create_table(Table::new(
-            "facts",
-            Schema::from_pairs([
-                ("k", DataType::Int),
-                ("g", DataType::Int),
-                ("v", DataType::Float),
-                ("pad", DataType::Text),
-            ]),
-            (0..ROWS)
-                .map(|i| {
-                    vec![
-                        Value::Int(i),
-                        Value::Int(i % 8000),
-                        Value::Float((i % 977) as f64 * 0.25),
-                        Value::Text(format!("pad-{i:0>32}")),
-                    ]
-                })
-                .collect(),
-        ))
-        .unwrap();
-        (e, layer)
-    }
-
-    /// Deterministic pseudo-random seek keys.
-    fn lcg_keys(n: usize, seed: u64) -> Vec<i64> {
-        let mut state = seed;
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) as i64).rem_euclid(ROWS)
-            })
-            .collect()
-    }
-
-    fn p50_ms(mut micros: Vec<u64>) -> f64 {
-        micros.sort_unstable();
-        micros[micros.len() / 2] as f64 / 1000.0
-    }
-
-    let mut t = TextTable::new([
-        "pool",
-        "capacity pages",
-        "scan p50 ms",
-        "seek p50 ms",
-        "hit rate",
-        "evictions",
-    ]);
-    // Loading a paged table is the slow part and is not timed: load one
-    // per pool and the spill section's (1 MiB) side by side.
-    let mut engines: Vec<(Engine, Arc<StorageLayer>)> = std::thread::scope(|s| {
-        let loads: Vec<_> = POOL_BYTES
-            .iter()
-            .chain(&[1 << 20])
-            .map(|&bytes| s.spawn(move || paged_engine(bytes)))
-            .collect();
-        loads.into_iter().map(|l| l.join().unwrap()).collect()
-    });
-
-    let mut sizes = Vec::new();
-    for ((e, layer), bytes) in engines.iter().zip(POOL_BYTES) {
-        let capacity = layer.pool_stats().capacity_pages;
-
-        // Warm once so a resident pool reports steady-state hits.
-        e.run("SELECT COUNT(*) AS n FROM facts").unwrap();
-        let baseline = layer.pool_stats();
-
-        let micros = |sql: &str| {
-            let t = Instant::now();
-            e.run(sql).unwrap();
-            t.elapsed().as_micros() as u64
-        };
-        let scan_times: Vec<u64> = (0..SCANS)
-            .map(|_| micros("SELECT COUNT(*) AS n, SUM(v) AS s FROM facts"))
-            .collect();
-        let seek_times: Vec<u64> = lcg_keys(SEEKS, 0xBEEF + bytes as u64)
-            .iter()
-            .map(|k| micros(&format!("SELECT v FROM facts WHERE k = {k}")))
-            .collect();
-
-        let stats = layer.pool_stats();
-        let (hits, misses) = (stats.hits - baseline.hits, stats.misses - baseline.misses);
-        let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-        let evictions = stats.evictions - baseline.evictions;
-        let (scan_ms, seek_ms) = (p50_ms(scan_times), p50_ms(seek_times));
-        t.row([
-            pool_label(bytes),
-            capacity.to_string(),
-            format!("{scan_ms:.2}"),
-            format!("{seek_ms:.3}"),
-            format!("{:.1}%", hit_rate * 100.0),
-            evictions.to_string(),
-        ]);
-        sizes.push(Json::object([
-            ("pool", Json::str(pool_label(bytes))),
-            ("capacityPages", Json::num(capacity as f64)),
-            ("scanP50Ms", Json::num(scan_ms)),
-            ("seekP50Ms", Json::num(seek_ms)),
-            ("hitRate", Json::num(hit_rate)),
-            ("evictions", Json::num(evictions as f64)),
-        ]));
-    }
-
-    // Spill: the same join, roomy vs over budget. Serial execution —
-    // operator spill is the serial path's fallback (the service reaches
-    // it by degrading over-budget parallel queries to DOP 1 first).
-    let (mut e, layer) = engines.pop().expect("the spill engine loads last");
-    e.set_max_dop(1);
-    e.create_table(Table::new(
-        "dim",
-        Schema::from_pairs([("k", DataType::Int), ("name", DataType::Text)]),
-        (0..8000)
-            .map(|i| vec![Value::Int(i), Value::Text(format!("name-{i:0>40}"))])
-            .collect(),
-    ))
-    .unwrap();
-    // Join on the non-clustered `g` column: a hash join whose ~800 KiB
-    // build side overflows the budget.
-    let join = "SELECT COUNT(*) AS n, SUM(f.v) AS s \
-                FROM facts AS f JOIN dim AS d ON f.g = d.k";
-    let started = Instant::now();
-    e.run(join).unwrap();
-    let unconstrained_ms = started.elapsed().as_micros() as f64 / 1000.0;
-    e.set_query_mem_limit(SPILL_BUDGET);
-    let started = Instant::now();
-    let spilled = e.run(join).unwrap();
-    let spilled_ms = started.elapsed().as_micros() as f64 / 1000.0;
-    let table_pages = e
-        .catalog()
-        .table("facts")
-        .unwrap()
-        .paged()
-        .map(|p| p.data_page_count())
-        .unwrap_or(0);
-
-    let mut out = header(
-        "Storage",
-        "Buffer pool: scan and seek across pool sizes, join spill",
-    );
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "\n{} rows in {table_pages} heap pages; p50 of {SCANS} scans and {SEEKS} \
-         random seeks per pool. Spill: the hash join takes {unconstrained_ms:.1} ms \
-         unconstrained and {spilled_ms:.1} ms under a {} KiB budget, spilling {} bytes.\n",
-        thousands(ROWS as u64),
-        SPILL_BUDGET >> 10,
-        thousands(spilled.spill_bytes),
-    ));
-
-    let json = Json::object([
-        ("experiment", Json::str("storage")),
-        (
-            "stamp",
-            crate::stamp([
-                ("rows", Json::num(ROWS as f64)),
-                (
-                    "poolBytes",
-                    Json::Array(POOL_BYTES.iter().map(|b| Json::num(*b as f64)).collect()),
-                ),
-                ("scans", Json::num(SCANS as f64)),
-                ("seeks", Json::num(SEEKS as f64)),
-                ("spillBudgetBytes", Json::num(SPILL_BUDGET as f64)),
-            ]),
-        ),
-        ("tablePages", Json::num(table_pages as f64)),
-        ("poolSizes", Json::Array(sizes)),
-        (
-            "spill",
-            Json::object([
-                ("unconstrainedMs", Json::num(unconstrained_ms)),
-                ("spilledMs", Json::num(spilled_ms)),
-                ("spillBytes", Json::num(spilled.spill_bytes as f64)),
-                ("layerSpillBytes", Json::num(layer.spill_bytes() as f64)),
-            ]),
-        ),
-    ]);
-    match std::fs::write("BENCH_storage.json", json.to_pretty_string()) {
-        Ok(()) => out.push_str("Wrote BENCH_storage.json.\n"),
-        Err(e) => out.push_str(&format!("Could not write BENCH_storage.json: {e}.\n")),
-    }
-    out
-}

@@ -30,7 +30,6 @@ pub const REPORTS: &[(&str, Section)] = &[
     ("scheduler", experiments::scheduler),
     ("parallelism", experiments::parallelism),
     ("ablations", experiments::ablations),
-    ("storage", experiments::storage),
 ];
 
 /// Run one section by id.

@@ -54,10 +54,13 @@ pub enum Error {
     /// fenced ex-primary). Reads still work; mutations should be retried
     /// against the current primary.
     ReadOnly(String),
-    /// At-rest corruption was detected (checksum mismatch, structural
-    /// invariant violation). The owning object is quarantined while a
-    /// repair runs; callers should retry after a short delay — the REST
-    /// layer maps this to 503 with Retry-After, never a generic 500.
+    /// Bytes read back from a file failed their check: a record-log
+    /// frame, a snapshot manifest or segment, or an operator's spill
+    /// file (a checksum mismatch, a short frame, a record that does not
+    /// decode). Recovery refuses with it rather than truncate
+    /// acknowledged records; a query whose spill file fails it fails.
+    /// The REST layer maps this to 503 with Retry-After, never a
+    /// generic 500.
     Corrupt(String),
 }
 

@@ -52,10 +52,6 @@ pub enum FaultSite {
     /// Catalog snapshot write. Failure skips the snapshot (and the WAL
     /// truncation that would follow it); the WAL keeps full history.
     SnapshotWrite,
-    /// Page read from a page file (heap or B-tree). Bit-rot injection
-    /// here flips a seeded bit in the page image before checksum
-    /// verification, modeling at-rest media decay.
-    PageRead,
     /// WAL scan at recovery/replication time. Bit-rot injection flips a
     /// seeded bit in the scanned image, modeling interior WAL rot.
     WalScan,
@@ -76,7 +72,6 @@ impl FaultSite {
             FaultSite::WalAppend => "wal-append",
             FaultSite::WalFsync => "wal-fsync",
             FaultSite::SnapshotWrite => "snapshot-write",
-            FaultSite::PageRead => "page-read",
             FaultSite::WalScan => "wal-scan",
             FaultSite::SnapshotLoad => "snapshot-load",
         }
@@ -93,7 +88,6 @@ impl FaultSite {
             FaultSite::WalAppend => 7,
             FaultSite::WalFsync => 8,
             FaultSite::SnapshotWrite => 9,
-            FaultSite::PageRead => 10,
             FaultSite::WalScan => 11,
             FaultSite::SnapshotLoad => 12,
         }
@@ -145,11 +139,10 @@ impl FaultPlan {
         }
     }
 
-    /// Enable seeded bit-rot at the at-rest sites ([`FaultSite::PageRead`],
-    /// [`FaultSite::WalScan`], [`FaultSite::SnapshotLoad`]) with the given
-    /// per-read probability. Rot draws come from the same counter-indexed
-    /// stream as fault draws, so a rot schedule is a pure function of the
-    /// seed.
+    /// Enable seeded bit-rot at the at-rest sites ([`FaultSite::WalScan`],
+    /// [`FaultSite::SnapshotLoad`]) with the given per-read probability.
+    /// Rot draws come from the same counter-indexed stream as fault
+    /// draws, so a rot schedule is a pure function of the seed.
     pub fn with_rot(mut self, rate: f64) -> Self {
         self.rot_ppm = ((rate.clamp(0.0, 1.0)) * 1_000_000.0) as u64;
         self
@@ -260,8 +253,8 @@ impl FaultPlan {
     /// the caller verifies its checksum. Returns the flipped bit offset.
     ///
     /// The flip happens in the *read* image, never the file, so rot is
-    /// repeatable per draw stream without physically damaging state the
-    /// repair ladder would then have to rebuild mid-test.
+    /// repeatable per draw stream without physically damaging state a
+    /// later read in the same test depends on.
     pub fn rot(&self, site: FaultSite, buf: &mut [u8]) -> Option<usize> {
         if buf.is_empty() {
             return None;
@@ -398,7 +391,6 @@ mod tests {
             FaultSite::WalAppend,
             FaultSite::WalFsync,
             FaultSite::SnapshotWrite,
-            FaultSite::PageRead,
             FaultSite::WalScan,
             FaultSite::SnapshotLoad,
         ];
@@ -424,16 +416,16 @@ mod tests {
 
     #[test]
     fn rot_plans_flip_exactly_one_bit_only_at_their_site() {
-        let p = FaultPlan::rot_at(FaultSite::PageRead);
+        let p = FaultPlan::rot_at(FaultSite::WalScan);
         let clean = vec![0xAAu8; 64];
 
         let mut buf = clean.clone();
-        assert!(p.rot(FaultSite::WalScan, &mut buf).is_none());
+        assert!(p.rot(FaultSite::Scan, &mut buf).is_none());
         assert!(p.rot(FaultSite::SnapshotLoad, &mut buf).is_none());
         assert_eq!(buf, clean, "rot fired at a foreign site");
-        p.check(FaultSite::PageRead).unwrap();
+        p.check(FaultSite::WalScan).unwrap();
 
-        let bit = p.rot(FaultSite::PageRead, &mut buf).expect("forced rot");
+        let bit = p.rot(FaultSite::WalScan, &mut buf).expect("forced rot");
         let differing: u32 = clean
             .iter()
             .zip(&buf)
@@ -443,12 +435,12 @@ mod tests {
         assert_eq!(buf[bit / 8] ^ clean[bit / 8], 1 << (bit % 8));
 
         // Same seed, same draw index, same flip.
-        let q = FaultPlan::rot_at(FaultSite::PageRead);
+        let q = FaultPlan::rot_at(FaultSite::WalScan);
         let mut other = clean.clone();
-        let _ = q.rot(FaultSite::WalScan, &mut other);
+        let _ = q.rot(FaultSite::Scan, &mut other);
         let _ = q.rot(FaultSite::SnapshotLoad, &mut other);
-        let _ = q.check(FaultSite::PageRead);
-        assert_eq!(q.rot(FaultSite::PageRead, &mut other), Some(bit));
+        let _ = q.check(FaultSite::WalScan);
+        assert_eq!(q.rot(FaultSite::WalScan, &mut other), Some(bit));
 
         // Seeded plans honor the separate rot rate.
         let seeded = FaultPlan::new(7, 0.0).with_rot(1.0);

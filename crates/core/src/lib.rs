@@ -37,15 +37,14 @@ pub mod service;
 pub use accounts::{Quota, User};
 pub use clock::{SimClock, SimInstant};
 pub use dataset::{Dataset, DatasetKind, DatasetName, Metadata, Preview};
-pub use integrity::{IntegrityHub, Quarantined, Repair};
+pub use integrity::IntegrityHub;
 pub use permissions::Visibility;
 pub use persist::{DurableOptions, RecoveryReport};
 pub use querylog::{Outcome, QueryLog, QueryLogEntry};
 pub use repl::{AckMode, ReplApply, ReplConfig, Role};
 pub use service::{JobStatus, QueryJob, QueryResult, SqlShare};
 pub use sqlshare_engine::cache::{DEFAULT_HOT_VIEW_THRESHOLD, DEFAULT_RESULT_CACHE_MB};
-pub use sqlshare_engine::paged::DEFAULT_POOL_MB;
-pub use sqlshare_engine::{Engine, StorageLayer};
+pub use sqlshare_engine::Engine;
 pub use sqlshare_scheduler::{SchedulerConfig, SchedulerStats, TenantStats};
 pub use sqlshare_storage::{
     read_tail, wal_generation, CrashPoint, FsyncPolicy, IoCounter, ScrubConfig, ScrubFinding,

@@ -220,17 +220,12 @@ impl DurableStore {
     /// Persist `files` as the snapshot at the current LSN — the segment,
     /// if any, then the manifest — record where its tables are in
     /// `index`, truncate the WAL it makes redundant, and prune. On
-    /// failure — files that could not be encoded included — the WAL
-    /// keeps full history and the previous snapshot stays authoritative.
-    pub(crate) fn take_snapshot(
-        &mut self,
-        files: Result<SnapshotFiles>,
-        index: &mut SegmentIndex,
-    ) -> Result<()> {
+    /// failure the WAL keeps full history and the previous snapshot
+    /// stays authoritative.
+    pub(crate) fn take_snapshot(&mut self, files: SnapshotFiles, index: &mut SegmentIndex) -> Result<()> {
         // Success or failure, restart the cadence — a persistently
-        // failing disk (or page) shouldn't retry on every mutation.
+        // failing disk shouldn't retry on every mutation.
         self.records_since_snapshot = 0;
-        let files = files?;
         self.wal.sync()?;
         let lsn = self.last_lsn;
         self.snapshots
@@ -409,8 +404,8 @@ impl SegmentIndex {
 
 /// A segment holding `tables`, and where each one is in it. The payload
 /// is `{"lsn": lsn, "tables": [..]}`, each table as [`write_table`]
-/// encodes it. Fails when a paged table cannot be read back.
-pub(crate) fn encode_segment(lsn: u64, tables: &[&Table]) -> Result<(String, Vec<TableRef>)> {
+/// encodes it.
+pub(crate) fn encode_segment(lsn: u64, tables: &[&Table]) -> (String, Vec<TableRef>) {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("lsn").number(lsn as f64);
@@ -419,7 +414,7 @@ pub(crate) fn encode_segment(lsn: u64, tables: &[&Table]) -> Result<(String, Vec
     for (i, table) in tables.iter().enumerate() {
         // The separator before every table but the first is not its.
         let at = (w.len() + usize::from(i > 0)) as u64;
-        write_table(&mut w, table)?;
+        write_table(&mut w, table);
         refs.push(TableRef {
             segment: lsn,
             at,
@@ -428,7 +423,7 @@ pub(crate) fn encode_segment(lsn: u64, tables: &[&Table]) -> Result<(String, Vec
     }
     w.end_array();
     w.end_object();
-    Ok((w.finish(), refs))
+    (w.finish(), refs)
 }
 
 /// A manifest's table entry: `{name, segment, at, len}`.
@@ -776,11 +771,10 @@ impl Mutation {
         Some((lsn, Mutation::epoch_of(&doc), m))
     }
 
-    /// What this record does to the base tables, by catalog key: the
-    /// one reading of which records create or drop a base table, under
-    /// what name and from what content. Apply and rung-2 repair both ask
-    /// it, so neither can disagree with the other about a record.
-    pub(crate) fn base_table(&self) -> Option<(String, BaseTable<'_>)> {
+    /// The base table this record creates, by catalog key, and where its
+    /// rows come from: the one reading of which records create a base
+    /// table, under what name and from what content.
+    pub(crate) fn base_table(&self) -> Option<(String, TableSource<'_>)> {
         match self {
             Mutation::Upload {
                 user,
@@ -790,16 +784,13 @@ impl Mutation {
                 ..
             } => Some((
                 base_table_key(&DatasetName::new(user.clone(), dataset.clone())),
-                BaseTable::Created(TableSource::Upload { content, options }),
+                TableSource::Upload { content, options },
             )),
             Mutation::Materialize {
                 name, schema, rows, ..
-            } => Some((
-                base_table_key(name),
-                BaseTable::Created(TableSource::Rows { schema, rows }),
-            )),
-            Mutation::Delete { name } => Some((base_table_key(name), BaseTable::Dropped)),
-            Mutation::RegisterUser { .. }
+            } => Some((base_table_key(name), TableSource::Rows { schema, rows })),
+            Mutation::Delete { .. }
+            | Mutation::RegisterUser { .. }
             | Mutation::SetAdmin { .. }
             | Mutation::AdvanceDays { .. }
             | Mutation::SaveDataset { .. }
@@ -819,13 +810,6 @@ pub(crate) fn base_table_key(name: &DatasetName) -> String {
 
 pub(crate) fn base_name_part(dataset: &str) -> String {
     format!("{dataset}$base")
-}
-
-/// A record's effect on one base table (see [`Mutation::base_table`]).
-pub(crate) enum BaseTable<'a> {
-    Created(TableSource<'a>),
-    /// Dropped, if the deleted dataset had one.
-    Dropped,
 }
 
 /// Where a created base table's rows come from — always the record.
@@ -1088,16 +1072,14 @@ pub(crate) fn schema_from_json(j: &Json) -> Result<Schema> {
 
 /// A table as `{name, schema, rows}`: rows row-major, each cell read out
 /// of its typed column (text borrowed, not cloned) and encoded as
-/// [`write_value`] would. A paged table is decoded first, so a page
-/// that fails its checksum is an error here, not a panic.
-pub(crate) fn write_table(w: &mut JsonWriter, table: &Table) -> Result<()> {
-    let batch = table.batch()?;
+/// [`write_value`] would.
+pub(crate) fn write_table(w: &mut JsonWriter, table: &Table) {
+    let batch = table.batch();
     w.begin_object();
     w.key("name").string(&table.name);
     write_schema(w.key("schema"), &table.schema);
     w.key("rows").raw_value(|out| write_rows_of(out, &batch));
     w.end_object();
-    Ok(())
 }
 
 /// A batch's rows as a compact JSON array, straight from the typed
@@ -1463,7 +1445,7 @@ mod tests {
                 .map(|(i, ty)| Column::new(format!("c{i}"), ty))
                 .collect(),
         );
-        let batch = Table::new("t", schema, rows).batch().unwrap();
+        let batch = Table::new("t", schema, rows).batch();
         for range in [0..4, 1..3, 2..2] {
             let slice = batch.slice(range.clone());
             let mut want = JsonWriter::new();

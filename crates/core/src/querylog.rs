@@ -99,8 +99,8 @@ pub struct QueryLogEntry {
     /// went through the serial (DOP-1, cache-bypassed) degraded retry —
     /// whatever the final outcome was.
     pub degraded_retry: bool,
-    /// Bytes of join/sort state spilled to temp pages during execution
-    /// (0 when nothing spilled or no paged storage layer is attached).
+    /// Bytes of join/sort state spilled to spill files during execution
+    /// (0 when everything fit in memory).
     pub spill_bytes: u64,
     /// The cleaned JSON plan (Phase 1 output, Fig. 5a). Present only for
     /// successful queries, and written to the log only when the encoded
@@ -159,7 +159,7 @@ impl QueryLogEntry {
             queue_wait_micros: u64_of(j, "queue_wait_micros")?,
             cache_hit: bool_of(j, "cache_hit")?,
             degraded_retry: bool_of(j, "degraded_retry")?,
-            // Absent in logs written before the paged-storage release.
+            // Absent in logs written before operators could spill.
             spill_bytes: j
                 .get("spill_bytes")
                 .map(|_| u64_of(j, "spill_bytes"))

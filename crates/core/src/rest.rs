@@ -19,13 +19,12 @@
 //! | `POST /api/datasets/{owner}/{name}/permissions` | set visibility |
 //! | `POST /api/queries`                        | submit query, returns id |
 //! | `GET  /api/queries/{id}`                   | poll status |
-//! | `GET  /api/queries/{id}/results`           | fetch results |
+//! | `GET  /api/queries/{id}/results`           | fetch results, runtime, cache hit, spill bytes |
 //! | `POST /api/queries/{id}/cancel`            | cancel a submitted query |
 //! | `GET  /api/ready`                          | readiness, role, epoch, lag, last recovery |
-//! | `GET  /api/integrity`                      | quarantine list, scrub progress, repairs |
+//! | `GET  /api/integrity`                      | scrub progress |
 //! | `GET  /api/scheduler`                      | per-tenant scheduler statistics |
 //! | `GET  /api/cache`                          | plan/result cache counters, per tenant |
-//! | `GET  /api/storage`                        | buffer-pool + spill statistics |
 //!
 //! The table is [`Route::parse`]: the one place a path is split and
 //! matched. Which enum a route is a variant of decides the lock it
@@ -153,10 +152,9 @@ pub fn status_for_kind(kind: &str) -> u16 {
         // node — retryable against the promoted primary, so 503 with
         // the server layer's `Retry-After`, not a generic 500.
         "read-only" => 503,
-        // At-rest corruption: the touched object is quarantined while
-        // the repair ladder runs, so the failure is retryable — 503
-        // with `Retry-After`, never a generic 500. Objects outside the
-        // quarantine keep serving normally.
+        // Bytes read back failed their check (a spill file, here): the
+        // failure is the medium's, not the request's, so it is
+        // retryable — 503 with `Retry-After`, never a generic 500.
         "corrupt" => 503,
         "internal" => 500,
         _ => 500,
@@ -202,7 +200,6 @@ enum ReadRoute<'a> {
     Integrity,
     Scheduler,
     Cache,
-    Storage,
     ListDatasets,
     Preview(Ds<'a>),
     QueryStatus(&'a str),
@@ -232,7 +229,6 @@ impl<'a> Route<'a> {
             (Method::Get, ["api", "integrity"]) => Route::Read(R::Integrity),
             (Method::Get, ["api", "scheduler"]) => Route::Read(R::Scheduler),
             (Method::Get, ["api", "cache"]) => Route::Read(R::Cache),
-            (Method::Get, ["api", "storage"]) => Route::Read(R::Storage),
             (Method::Get, ["api", "datasets"]) => Route::Read(R::ListDatasets),
             (Method::Get, ["api", "datasets", o, n]) => Route::Read(R::Preview((o, n))),
             (Method::Get, ["api", "queries", id]) => Route::Read(R::QueryStatus(id)),
@@ -501,9 +497,6 @@ fn read(service: &SqlShare, route: ReadRoute<'_>, query_user: Option<&str>, body
                 ("epoch", Json::num(service.epoch() as f64)),
                 ("lastLsn", Json::num(service.last_lsn() as f64)),
                 ("lagLsns", Json::num(service.replication_lag() as f64)),
-                // Degraded = ready but with quarantined objects: reads
-                // and writes outside the quarantine serve normally.
-                ("degraded", Json::Bool(service.is_degraded())),
             ];
             if let Some(r) = service.recovery_report() {
                 pairs.push((
@@ -656,24 +649,6 @@ fn read(service: &SqlShare, route: ReadRoute<'_>, query_user: Option<&str>, body
                 ("tenants", Json::Object(tenants)),
             ]))
         }
-        ReadRoute::Storage => match service.storage() {
-            None => Response::ok(Json::object([("enabled", Json::Bool(false))])),
-            Some(layer) => {
-                let pool = layer.pool_stats();
-                Response::ok(Json::object([
-                    ("enabled", Json::Bool(true)),
-                    ("capacityPages", Json::num(pool.capacity_pages as f64)),
-                    ("residentPages", Json::num(pool.resident_pages as f64)),
-                    ("hits", Json::num(pool.hits as f64)),
-                    ("misses", Json::num(pool.misses as f64)),
-                    ("hitRate", Json::num(pool.hit_rate())),
-                    ("evictions", Json::num(pool.evictions as f64)),
-                    ("writebacks", Json::num(pool.writebacks as f64)),
-                    ("ioOps", Json::num(layer.io().get() as f64)),
-                    ("spillBytes", Json::num(layer.spill_bytes() as f64)),
-                ]))
-            }
-        },
         ReadRoute::QueryResults(id) => {
             let result = service.query_results(query_id(id)?).map_err(refused)?;
             let columns: Vec<Json> = result
@@ -687,6 +662,7 @@ fn read(service: &SqlShare, route: ReadRoute<'_>, query_user: Option<&str>, body
                 ("rows", text_rows(&result.rows)),
                 ("runtimeMicros", Json::num(result.runtime_micros as f64)),
                 ("cacheHit", Json::Bool(result.cache_hit)),
+                ("spillBytes", Json::num(result.spill_bytes as f64)),
                 ("plan", result.plan_json.clone()),
             ]))
         }

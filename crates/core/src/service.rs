@@ -14,12 +14,10 @@
 //! the state each part owns, and the owning module keeps its fields
 //! private: [`journal`] journals and installs mutations (live,
 //! replicated, recovered, reseeded) and holds roles and epochs; [`jobs`]
-//! runs queries and holds the job table, scheduler and query log;
-//! [`repair`] is the integrity ladder.
+//! runs queries and holds the job table, scheduler and query log.
 
 mod jobs;
 mod journal;
-mod repair;
 
 pub use jobs::{JobStatus, QueryJob, QueryResult, TenantCacheStats};
 
@@ -29,7 +27,7 @@ use crate::dataset::{Dataset, DatasetKind, DatasetName, Metadata, Preview, PREVI
 use crate::integrity::IntegrityHub;
 use crate::permissions::{check_access, DatasetGraph, Visibility};
 use crate::persist::{
-    self, base_name_part, base_table_key, BaseTable, Mutation, Segments, TableRef,
+    self, base_name_part, base_table_key, Mutation, Segments, TableRef,
 };
 use crate::repl::Role;
 use jobs::{Attempt, Jobs};
@@ -111,8 +109,8 @@ pub struct SqlShare {
     jobs: Jobs,
     /// Durability and replication: store, roles, epochs, recovery.
     journal: Journal,
-    /// Quarantine registry and repair counters, `Arc`-shared so the
-    /// server's scrub thread can record findings under a read lock.
+    /// Scrub progress, `Arc`-shared so the server's scrub thread can
+    /// record it under a read lock.
     integrity: Arc<IntegrityHub>,
 }
 
@@ -122,7 +120,7 @@ impl SqlShare {
     }
 
     /// Build a service around an engine the caller configured (executor,
-    /// parallelism, cache, memory limits, storage layer). This is the
+    /// parallelism, cache, memory limits, spill directory). This is the
     /// one way to construct a configured service — `Config::open_service`
     /// in the server crate and the test mode matrix both go through it;
     /// the `set_*` methods below re-tune a service that already runs.
@@ -497,19 +495,14 @@ impl SqlShare {
         self.engine.cache_stats()
     }
 
-    /// The engine's paged storage layer, if one is attached. The REST
-    /// layer reads buffer-pool and spill statistics through it.
-    pub fn storage(&self) -> Option<&Arc<sqlshare_engine::StorageLayer>> {
-        self.engine.storage()
+    /// The shared scrub-progress mirror behind `GET /api/integrity`.
+    pub fn integrity(&self) -> &Arc<IntegrityHub> {
+        &self.integrity
     }
 
-    /// Attach (or detach) a paged-storage layer. Tables created *after*
-    /// the switch get the new backing; existing tables keep theirs.
-    /// Invalidates the worker snapshot so queued work executes against
-    /// the same layer.
-    pub fn set_storage(&mut self, layer: Option<Arc<sqlshare_engine::StorageLayer>>) {
-        self.engine.set_storage(layer);
-        self.invalidate_snapshot();
+    /// Row count of a base table, if it exists.
+    pub fn table_row_count(&self, table: &str) -> Option<usize> {
+        self.engine.catalog().table(table).ok().map(Table::row_count)
     }
 
     /// Reconfigure the engine cache (result budget in MiB — 0 disables
@@ -546,13 +539,7 @@ impl SqlShare {
         self.engine.set_fault_plan(plan);
         // Storage shares the engine's plan (and its draw counter), so
         // one seeded plan covers query and durability fault sites alike.
-        let shared = self.engine.fault_plan().cloned();
-        // Bit-rot sites ride the same plan: page files created from now
-        // on apply it to every read image.
-        if let (Some(layer), Some(plan)) = (self.engine.storage(), &shared) {
-            layer.set_rot_plan(Arc::clone(plan));
-        }
-        self.journal.set_fault_plan(shared);
+        self.journal.set_fault_plan(self.engine.fault_plan().cloned());
         self.invalidate_snapshot();
     }
 
@@ -816,7 +803,7 @@ impl SqlShare {
         metadata: Metadata,
         created: SimInstant,
     ) -> Result<Option<IngestReport>> {
-        let Some((base_key, BaseTable::Created(source))) = m.base_table() else {
+        let Some((base_key, source)) = m.base_table() else {
             return Err(Error::Internal("record creates no base table".into()));
         };
         let (table, report) = match prebuilt {
@@ -866,9 +853,8 @@ impl SqlShare {
     /// digest's input has no previews — they are derived caches — and
     /// the clock is captured separately. This is the only encoder of
     /// durable state; snapshot manifest, replication document, digest
-    /// and [`SqlShare::durable_state_json`] all read it. Fails when a
-    /// paged table written inline cannot be read back.
-    fn write_durable_state(&self, w: &mut JsonWriter, layout: StateLayout<'_>) -> Result<()> {
+    /// and [`SqlShare::durable_state_json`] all read it.
+    fn write_durable_state(&self, w: &mut JsonWriter, layout: StateLayout<'_>) {
         w.begin_object();
         w.key("users").begin_array();
         for u in self.users.values() {
@@ -894,7 +880,7 @@ impl SqlShare {
             };
             match place {
                 Some(r) => persist::write_table_ref(w, &t.name, r),
-                None => persist::write_table(w, t)?,
+                None => persist::write_table(w, t),
             }
         }
         w.end_array();
@@ -940,50 +926,38 @@ impl SqlShare {
         w.end_array();
         w.end_object();
         w.end_object();
-        Ok(())
     }
 
-    fn durable_state_string(&self, layout: StateLayout<'_>) -> Result<String> {
+    fn durable_state_string(&self, layout: StateLayout<'_>) -> String {
         let mut w = JsonWriter::new();
-        self.write_durable_state(&mut w, layout)?;
-        Ok(w.finish())
+        self.write_durable_state(&mut w, layout);
+        w.finish()
     }
 
     /// The durable state as a document: the streamed encoding, parsed.
-    ///
-    /// # Panics
-    /// When a paged table cannot be read back (a page failing its
-    /// checksum).
     pub fn durable_state_json(&self, include_previews: bool) -> Json {
         let layout = if include_previews {
             StateLayout::Replica
         } else {
             StateLayout::Digest
         };
-        let state = self.durable_state_string(layout).expect("durable state readable");
+        let state = self.durable_state_string(layout);
         json::parse(&state).expect("the state encoder writes valid JSON")
     }
 
     /// FNV-64 of the canonical durable state (previews excluded). Two
     /// services with equal digests hold byte-identical durable state —
     /// the recovery differential suite's oracle.
-    ///
-    /// # Panics
-    /// When a paged table cannot be read back (a page failing its
-    /// checksum).
     pub fn durable_digest(&self) -> u64 {
-        let state = self
-            .durable_state_string(StateLayout::Digest)
-            .expect("durable state readable");
+        let state = self.durable_state_string(StateLayout::Digest);
         sqlshare_common::hash::fnv64_str(&state)
     }
 
     /// Drop everything and rebuild from a snapshot document (`clock`,
     /// `state`) and the segments it names — the whole-state counterpart
     /// of `apply_mutation` — then compute the previews the document does
-    /// not carry. The engine's settings stay: the tables come back in the
-    /// configured storage layer. Returns where the tables read from
-    /// segments are, by (catalog key, generation).
+    /// not carry. The engine's settings stay. Returns where the tables
+    /// read from segments are, by (catalog key, generation).
     fn replace_state(
         &mut self,
         doc: &Json,

@@ -38,8 +38,8 @@ pub struct QueryResult {
     pub plan_json: Json,
     /// Whether the rows were served from the engine's result cache.
     pub cache_hit: bool,
-    /// Bytes of operator state spilled to temp pages (0 without a paged
-    /// storage layer, or when everything fit in memory).
+    /// Bytes of operator state spilled to spill files (0 when
+    /// everything fit in memory).
     pub spill_bytes: u64,
 }
 

@@ -29,7 +29,7 @@ use sqlshare_common::{Error, Result};
 use sqlshare_engine::catalog::canonical_key;
 use sqlshare_engine::{FaultPlan, Table};
 use sqlshare_ingest::IngestReport;
-use sqlshare_storage::{CrashPoint, FsyncPolicy, SnapshotStep, Wal};
+use sqlshare_storage::{segment_lsn, CrashPoint, FsyncPolicy, SnapshotStep, Wal};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -57,11 +57,6 @@ pub(super) struct Journal {
 impl Journal {
     pub(super) fn data_dir(&self) -> Option<&Path> {
         self.data_dir.as_deref()
-    }
-
-    /// The scrubber found `segment-<lsn>.json` rotted.
-    pub(super) fn note_rotted_segment(&self, lsn: u64) {
-        self.segments.note_rotted(lsn);
     }
 
     /// Share a fault plan with the store, so one seeded plan covers
@@ -95,7 +90,7 @@ impl SqlShare {
 
     /// [`SqlShare::open`] into this service, which must be freshly
     /// constructed. What was configured on it first is in force while
-    /// recovery replays: recovered tables get its storage layer.
+    /// recovery replays.
     pub fn recover(self, options: DurableOptions) -> Result<Self> {
         if self.journal.store.is_some() || !self.users.is_empty() || !self.datasets.is_empty() {
             return Err(Error::Internal(
@@ -326,9 +321,7 @@ impl SqlShare {
         }
     }
 
-    /// Force a snapshot now (durable mode only) — truncates the WAL. A
-    /// paged table that cannot be read back fails it with that error
-    /// before anything is written, leaving the WAL as it was.
+    /// Force a snapshot now (durable mode only) — truncates the WAL.
     pub fn force_snapshot(&mut self) -> Result<()> {
         let Some(store) = &self.journal.store else {
             return Err(Error::Request(
@@ -348,7 +341,7 @@ impl SqlShare {
     /// already (`name_taken`: a second snapshot at the same LSN), those
     /// tables go into the manifest inline instead, and into a segment at
     /// the next snapshot.
-    fn snapshot_files(&self, lsn: u64, name_taken: bool) -> Result<SnapshotFiles> {
+    fn snapshot_files(&self, lsn: u64, name_taken: bool) -> SnapshotFiles {
         let catalog = self.engine.catalog();
         let mut tables: Vec<&Table> = catalog.tables().collect();
         tables.sort_by(|a, b| a.name.cmp(&b.name));
@@ -365,7 +358,7 @@ impl SqlShare {
         let mut segment = None;
         if !born.is_empty() && !name_taken {
             let members: Vec<&Table> = born.iter().map(|&i| tables[i]).collect();
-            let (payload, refs) = persist::encode_segment(lsn, &members)?;
+            let (payload, refs) = persist::encode_segment(lsn, &members);
             for (&i, r) in born.iter().zip(refs) {
                 places[i] = Some(r);
             }
@@ -376,18 +369,18 @@ impl SqlShare {
             .zip(places)
             .filter_map(|(key, place)| Some((key, place?)))
             .collect();
-        let manifest = self.snapshot_document(lsn, StateLayout::Manifest(&placed))?;
-        Ok(SnapshotFiles {
+        let manifest = self.snapshot_document(lsn, StateLayout::Manifest(&placed));
+        SnapshotFiles {
             segment,
             manifest,
             placed,
-        })
+        }
     }
 
     /// A snapshot document (`lsn`, `epoch`, `clock`, `state`), streamed
     /// from live state into one string — no tree of the whole service is
     /// built on the way.
-    fn snapshot_document(&self, lsn: u64, layout: StateLayout<'_>) -> Result<String> {
+    fn snapshot_document(&self, lsn: u64, layout: StateLayout<'_>) -> String {
         // Copy the clock out first: a second `self.clock()` while the
         // first guard is alive would self-deadlock.
         let clock = *self.clock();
@@ -400,9 +393,9 @@ impl SqlShare {
             sequence: clock.sequence,
         };
         persist::write_instant(w.key("clock"), now);
-        self.write_durable_state(w.key("state"), layout)?;
+        self.write_durable_state(w.key("state"), layout);
         w.end_object();
-        Ok(w.finish())
+        w.finish()
     }
 
     /// True while startup recovery is still replaying. The REST layer
@@ -488,6 +481,19 @@ impl SqlShare {
     /// recovery reads it back.
     pub fn querylog_path(&self) -> Option<PathBuf> {
         self.journal.data_dir().map(DurableStore::querylog_path)
+    }
+
+    /// Act on a scrub finding at `path`. A rotted segment of this node's
+    /// data directory is noted: the next snapshot writes its live tables
+    /// afresh, from memory, so that a crash after the one after that no
+    /// longer depends on it. Findings in the record logs and manifests
+    /// are left where they are: recovery refuses interior damage with a
+    /// typed error rather than read past it.
+    pub fn note_scrub_finding(&self, path: &Path) {
+        let ours = path.parent().is_some_and(|dir| self.journal.data_dir() == Some(dir));
+        if let (Some(lsn), true) = (segment_lsn(path), ours) {
+            self.journal.segments.note_rotted(lsn);
+        }
     }
 
     /// Adopt a lease epoch in memory and in the store, which mirrors an
@@ -611,24 +617,17 @@ impl SqlShare {
     /// streaming has been truncated by a snapshot: the shape of a
     /// manifest (`lsn`, `epoch`, `clock`, `state`), self-contained — every
     /// table with its rows, every dataset with its preview.
-    ///
-    /// # Panics
-    /// When a paged table cannot be read back (a page failing its
-    /// checksum).
     pub fn replication_snapshot(&self) -> Json {
-        let payload = self
-            .snapshot_document(self.last_lsn(), StateLayout::Replica)
-            .expect("durable state readable");
+        let payload = self.snapshot_document(self.last_lsn(), StateLayout::Replica);
         json::parse(&payload).expect("the snapshot encoder writes valid JSON")
     }
 
     /// Replace this node's state with a primary's snapshot document and
     /// resume streaming from there. Existing catalog state is dropped —
-    /// the snapshot is authoritative — while the engine's settings stay:
-    /// the tables come back in the configured storage layer. In durable
-    /// mode the installed state is immediately snapshotted locally so a
-    /// crash right after catch-up recovers to it. Returns the snapshot's
-    /// LSN.
+    /// the snapshot is authoritative — while the engine's settings stay.
+    /// In durable mode the installed state is immediately snapshotted
+    /// locally so a crash right after catch-up recovers to it. Returns
+    /// the snapshot's LSN.
     pub fn install_replica_snapshot(&mut self, doc: &Json) -> Result<u64> {
         let lsn = persist::u64_of(doc, "lsn")?;
         let inline = Segments::new();

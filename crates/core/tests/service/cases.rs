@@ -516,8 +516,7 @@ fn a_reseeded_standby_keeps_its_engine_settings() {
     assert_eq!(reseeded.cache().result_budget(), built.cache().result_budget());
     let sql = "SELECT station, COUNT(*) FROM ada.sensors$base GROUP BY station";
     assert_eq!(reseeded.plan_dop(sql), primary.engine().plan_dop(sql));
-    let table = reseeded.catalog().table("ada.sensors$base").unwrap();
-    assert_eq!(table.paged().is_some(), built.storage().is_some());
+    assert_eq!(reseeded.spill_dir(), built.spill_dir());
     assert!(reseeded.catalog().table("stale.gone$base").is_err());
     assert_eq!(reseeded.cache_stats().result_entries, 0);
     let out = standby.run_query("ada", "SELECT COUNT(*) FROM sensors").unwrap();

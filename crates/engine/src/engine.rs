@@ -12,7 +12,6 @@ use crate::functions::EvalContext;
 use crate::exec::ExecGuard;
 use crate::logical::LogicalPlan;
 use crate::memory::{self, MemoryBudget, MemoryPool};
-use crate::paged::StorageLayer;
 use crate::physical::{plan_physical_with, PhysOp, PhysicalPlan};
 use crate::schema::Schema;
 use crate::table::Table;
@@ -22,6 +21,7 @@ use sqlshare_common::json::Json;
 use sqlshare_common::{CancellationToken, Error, Result};
 use sqlshare_sql::ast::Statement;
 use sqlshare_sql::parser::{parse_query, parse_statement};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,8 +54,8 @@ pub struct QueryOutput {
     /// generations they were read at (the service versions previews with
     /// these).
     pub deps: Vec<(String, u64)>,
-    /// Bytes this query spilled to temp pages (0 when nothing spilled or
-    /// no storage layer is attached).
+    /// Bytes this query spilled to spill files (0 when everything fit in
+    /// memory).
     pub spill_bytes: u64,
 }
 
@@ -94,11 +94,9 @@ pub struct Engine {
     /// Fault-injection schedule, shared across clones so a chaos run
     /// draws one deterministic stream.
     faults: Option<Arc<FaultPlan>>,
-    /// Paged storage layer: when present, created tables are converted
-    /// to page-backed form and over-budget joins and sorts spill to temp
-    /// pages instead of failing. Shared across clones so worker
-    /// snapshots draw on one buffer pool.
-    storage: Option<Arc<StorageLayer>>,
+    /// Where over-budget joins and sorts spill instead of failing;
+    /// `None` makes them fail with `ResourceExhausted`.
+    spill_dir: Option<Arc<Path>>,
 }
 
 /// A query planned once for later execution: the bound output schema, the
@@ -156,7 +154,7 @@ impl Engine {
             query_mem_bytes: memory::UNLIMITED,
             mem_pool: Arc::new(MemoryPool::unlimited()),
             faults: None,
-            storage: None,
+            spill_dir: None,
         }
     }
 
@@ -209,20 +207,19 @@ impl Engine {
                 Some(Arc::clone(&self.mem_pool)),
             )))
             .with_faults(self.faults.clone())
-            .with_storage(self.storage.clone())
+            .with_spill_dir(self.spill_dir.clone())
     }
 
-    /// Attach (or detach) a paged storage layer. Tables created
-    /// afterwards are page-backed; existing tables keep their current
-    /// backing.
-    pub fn set_storage(&mut self, layer: Option<Arc<StorageLayer>>) {
-        self.storage = layer;
+    /// Let over-budget joins and sorts spill to files in `dir` (each
+    /// unlinked as soon as it is created) instead of failing; `None`
+    /// turns spilling off.
+    pub fn set_spill_dir(&mut self, dir: Option<PathBuf>) {
+        self.spill_dir = dir.map(Arc::from);
     }
 
-    /// The attached storage layer, if any (the service reads pool and
-    /// spill statistics through this).
-    pub fn storage(&self) -> Option<&Arc<StorageLayer>> {
-        self.storage.as_ref()
+    /// Where over-budget joins and sorts spill, if they may.
+    pub fn spill_dir(&self) -> Option<&Path> {
+        self.spill_dir.as_deref()
     }
 
     /// Set the per-query memory budget in bytes.
@@ -320,16 +317,9 @@ impl Engine {
         self.ctx.current_date = days_since_epoch;
     }
 
-    /// Register a base table. With a storage layer attached the table's
-    /// columns are written out as slotted row pages (plus B-tree
-    /// secondary indexes) and not kept; reads go through the buffer
-    /// pool.
+    /// Register a base table.
     pub fn create_table(&mut self, table: Table) -> Result<()> {
         let key = canonical_key(&table.name);
-        let table = match &self.storage {
-            Some(layer) => table.into_paged(layer)?,
-            None => table,
-        };
         self.catalog.add_table(table)?;
         self.cache.invalidate_key(&key);
         Ok(())
@@ -355,30 +345,6 @@ impl Engine {
             self.cache.invalidate_key(&key);
         }
         removed
-    }
-
-    /// Rebuild a paged base table from its own heap file — the cheapest
-    /// rung of the corruption-repair ladder. Reads every row through
-    /// the heap alone (secondary indexes are not consulted), then drops
-    /// and re-creates the table, which rewrites the heap *and* rebuilds
-    /// every secondary index into fresh files; the old files (poisoned
-    /// pages included) are deleted when the old backing drops. Returns
-    /// `Ok(false)` when the name is not a paged base table, and the
-    /// underlying `Corrupt` error when the heap itself has a bad page —
-    /// the caller then falls through to the next repair rung.
-    pub fn rebuild_table_from_heap(&mut self, name: &str) -> Result<bool> {
-        let (name, schema, rows) = {
-            let Ok(table) = self.catalog.table(name) else {
-                return Ok(false);
-            };
-            let Some(paged) = table.paged() else {
-                return Ok(false); // in-memory backing cannot rot
-            };
-            (table.name.clone(), table.schema.clone(), paged.scan_all()?)
-        };
-        self.drop_relation(&name);
-        self.create_table(Table::new(&name, schema, rows))?;
-        Ok(true)
     }
 
     // ---- queries -------------------------------------------------------

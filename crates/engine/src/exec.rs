@@ -19,7 +19,6 @@ use crate::faults::{FaultPlan, FaultSite};
 use crate::functions::EvalContext;
 use crate::logical::SortKey;
 use crate::memory::{values_bytes, MemoryBudget};
-use crate::paged::StorageLayer;
 use crate::physical::{PhysOp, PhysicalPlan};
 use crate::table::cmp_rows;
 use crate::value::{Row, Value};
@@ -28,6 +27,7 @@ use sqlshare_common::{CancellationToken, Error, Result};
 use sqlshare_sql::ast::{JoinKind, SetOp};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -58,12 +58,11 @@ pub struct ExecGuard {
     /// Fault-injection schedule; `None` (the default) costs one branch
     /// per site.
     faults: Option<Arc<FaultPlan>>,
-    /// Paged-storage layer for operator spill. `None` (the default)
-    /// keeps the pre-spill behaviour: over-budget joins and sorts fail
-    /// with [`Error::ResourceExhausted`].
-    storage: Option<Arc<StorageLayer>>,
-    /// Bytes this query's operators spilled to temp pages; shared
-    /// across forks so the query log sees one total.
+    /// Directory over-budget joins and sorts spill to. `None` (the
+    /// default) makes them fail with [`Error::ResourceExhausted`].
+    spill_dir: Option<Arc<Path>>,
+    /// Bytes this query's operators spilled; shared across forks so the
+    /// query log sees one total.
     spill: Arc<AtomicU64>,
 }
 
@@ -74,7 +73,7 @@ impl Default for ExecGuard {
             until_check: Cell::new(CHECK_INTERVAL),
             mem: Arc::new(MemoryBudget::unlimited()),
             faults: None,
-            storage: None,
+            spill_dir: None,
             spill: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -115,20 +114,30 @@ impl ExecGuard {
         self
     }
 
-    /// Attach a paged-storage layer, enabling operator spill: an
-    /// over-budget hash-join build or sort decoration writes partitions
-    /// / runs to temp heap pages and merges back instead of failing.
-    pub fn with_storage(mut self, storage: Option<Arc<StorageLayer>>) -> Self {
-        self.storage = storage;
+    /// Enable operator spill into `dir`: an over-budget hash-join build
+    /// or sort decoration writes partitions / runs to files there and
+    /// merges them back instead of failing.
+    pub fn with_spill_dir(mut self, dir: Option<Arc<Path>>) -> Self {
+        self.spill_dir = dir;
         self
     }
 
-    /// The spill-capable storage layer, if one is attached.
-    pub fn storage(&self) -> Option<&Arc<StorageLayer>> {
-        self.storage.as_ref()
+    /// Where an operator whose memory charge failed with `err` may
+    /// spill instead: the spill directory, when there is one and `err`
+    /// is the budget running out.
+    pub(crate) fn spill_to(&self, err: &Error) -> Option<&Path> {
+        match err {
+            Error::ResourceExhausted(_) => self.spill_dir(),
+            _ => None,
+        }
     }
 
-    /// Bytes spilled to temp pages so far by this query (all forks).
+    /// Where operators spill, if they may.
+    pub(crate) fn spill_dir(&self) -> Option<&Path> {
+        self.spill_dir.as_deref()
+    }
+
+    /// Bytes spilled so far by this query (all forks).
     pub fn spill_bytes(&self) -> u64 {
         self.spill.load(AtomicOrdering::Relaxed)
     }
@@ -172,7 +181,7 @@ impl ExecGuard {
             until_check: Cell::new(CHECK_INTERVAL),
             mem: Arc::clone(&self.mem),
             faults: self.faults.clone(),
-            storage: self.storage.clone(),
+            spill_dir: self.spill_dir.clone(),
             spill: Arc::clone(&self.spill),
         }
     }
@@ -210,8 +219,8 @@ pub fn execute(
             guard.fault(FaultSite::Scan)?;
             let t = catalog.table(table)?;
             let rows = match head {
-                Some(n) => t.head(usize::try_from(*n).unwrap_or(usize::MAX))?,
-                None => t.batch()?,
+                Some(n) => t.head(usize::try_from(*n).unwrap_or(usize::MAX)),
+                None => t.batch(),
             }
             .to_rows();
             guard.tick(rows.len() as u64)?;
@@ -229,7 +238,7 @@ pub fn execute(
         } => {
             guard.fault(FaultSite::Scan)?;
             let t = catalog.table(table)?;
-            let hits = t.seek(as_ref_bound(lower), as_ref_bound(upper))?.to_rows();
+            let hits = t.seek(as_ref_bound(lower), as_ref_bound(upper)).to_rows();
             guard.tick(hits.len() as u64)?;
             match residual {
                 None => Ok(hits),
@@ -243,29 +252,6 @@ pub fn execute(
                     Ok(out)
                 }
             }
-        }
-        PhysOp::IndexSeek {
-            table,
-            column,
-            lower,
-            upper,
-            predicate,
-        } => {
-            guard.fault(FaultSite::Scan)?;
-            // Candidates come back in clustered order, so the filtered
-            // output is row-for-row identical to a full scan plus filter.
-            let rows = catalog
-                .table(table)?
-                .index_seek(*column, as_ref_bound(lower), as_ref_bound(upper))?
-                .to_rows();
-            let mut out = Vec::new();
-            for row in rows {
-                guard.tick(1)?;
-                if eval_predicate(predicate, &row, ctx)? {
-                    out.push(row);
-                }
-            }
-            Ok(out)
         }
         PhysOp::Filter { predicate } => {
             let input = execute(data_child(plan)?, catalog, ctx, guard)?;
@@ -466,7 +452,9 @@ pub(crate) fn nested_loops(
     ctx: &EvalContext,
     guard: &ExecGuard,
 ) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
+    // The output can be the product of the inputs: it is charged a
+    // batch of rows at a time as it grows.
+    let mut out = ChargedRows::new(guard);
     let mut right_matched = vec![false; right.len()];
     for lrow in &left {
         let mut matched = false;
@@ -481,13 +469,13 @@ pub(crate) fn nested_loops(
             if ok {
                 matched = true;
                 right_matched[ri] = true;
-                out.push(combined);
+                out.push(combined)?;
             }
         }
         if !matched && matches!(kind, JoinKind::Left | JoinKind::Full) {
             let mut padded = lrow.clone();
             padded.extend(null_row(right_width));
-            out.push(padded);
+            out.push(padded)?;
         }
     }
     if matches!(kind, JoinKind::Right | JoinKind::Full) {
@@ -495,11 +483,43 @@ pub(crate) fn nested_loops(
             if !right_matched[ri] {
                 let mut padded = null_row(left_width);
                 padded.extend(rrow.iter().cloned());
-                out.push(padded);
+                out.push(padded)?;
             }
         }
     }
-    Ok(out)
+    out.finish()
+}
+
+/// Rows an operator builds, charged to the query's budget once per
+/// [`crate::spill::CHARGE_BATCH`] rows and for the rest at the end.
+struct ChargedRows<'g> {
+    guard: &'g ExecGuard,
+    rows: Vec<Row>,
+    uncharged: usize,
+}
+
+impl<'g> ChargedRows<'g> {
+    fn new(guard: &'g ExecGuard) -> Self {
+        ChargedRows {
+            guard,
+            rows: Vec::new(),
+            uncharged: 0,
+        }
+    }
+
+    fn push(&mut self, row: Row) -> Result<()> {
+        self.uncharged += values_bytes(&row);
+        self.rows.push(row);
+        if self.rows.len().is_multiple_of(crate::spill::CHARGE_BATCH) {
+            self.guard.charge(std::mem::take(&mut self.uncharged))?;
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<Vec<Row>> {
+        self.guard.charge(self.uncharged)?;
+        Ok(self.rows)
+    }
 }
 
 /// Grouping key for hash joins: text-normalized so `Int(1)` and
@@ -539,23 +559,20 @@ pub(crate) fn hash_join(
     guard.fault(FaultSite::JoinBuild)?;
     // The build table holds the whole right side for the probe's
     // lifetime — the allocation the memory governor most wants to see.
-    // When it doesn't fit and a storage layer is attached, fall back to
-    // a Grace hash join: partition both sides to temp heap pages and
-    // join partition by partition (byte-identical output order).
+    // When it doesn't fit and the query may spill, fall back to a Grace
+    // hash join: partition both sides to spill files and join partition
+    // by partition (byte-identical output order).
     let build_bytes: usize = right.iter().map(|r| values_bytes(r)).sum();
     if let Err(e) = guard.charge(build_bytes) {
-        let spillable =
-            matches!(e, Error::ResourceExhausted(_)) && guard.storage().is_some();
-        if !spillable {
+        let Some(dir) = guard.spill_to(&e) else {
             return Err(e);
-        }
+        };
         // The failed charge was still recorded (add-before-check);
         // refund it — the spill path charges per partition instead.
         guard.memory().release(build_bytes);
-        let layer = Arc::clone(guard.storage().expect("checked above"));
         return crate::spill::grace_hash_join(
             left, right, kind, left_keys, right_keys, residual, left_width, right_width,
-            ctx, guard, &layer,
+            ctx, guard, dir,
         );
     }
     let mut table: HashMap<String, Vec<usize>> = HashMap::new();
@@ -699,9 +716,9 @@ pub(crate) fn sort_rows(
 ) -> Result<Vec<Row>> {
     // Precompute key vectors (decorate-sort-undecorate), charging the
     // decoration in batches so an over-budget sort is caught *while*
-    // decorating — at which point, with a storage layer attached, the
-    // rows decorated so far become the first run of an external merge
-    // sort instead of a failure.
+    // decorating — at which point, when the query may spill, the rows
+    // decorated so far become the first run of an external merge sort
+    // instead of a failure.
     let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(input.len());
     let mut charged = 0usize;
     let mut batch_bytes = 0usize;
@@ -718,17 +735,14 @@ pub(crate) fn sort_rows(
         keyed.push((kv, row));
         if uncharged >= crate::spill::CHARGE_BATCH {
             if let Err(e) = guard.charge(batch_bytes) {
-                let spillable =
-                    matches!(e, Error::ResourceExhausted(_)) && guard.storage().is_some();
-                if !spillable {
+                let Some(dir) = guard.spill_to(&e) else {
                     return Err(e);
-                }
+                };
                 guard.memory().release(batch_bytes);
                 // Everything decorated so far (including this uncharged
                 // batch) seeds the external sort; `charged` bytes of it
                 // are on the budget and released run by run.
-                let layer = Arc::clone(guard.storage().expect("checked above"));
-                return crate::spill::external_sort(keyed, charged, iter, keys, ctx, guard, &layer);
+                return crate::spill::external_sort(keyed, charged, iter, keys, ctx, guard, dir);
             }
             charged += batch_bytes;
             batch_bytes = 0;
@@ -736,13 +750,11 @@ pub(crate) fn sort_rows(
         }
     }
     if let Err(e) = guard.charge(batch_bytes) {
-        let spillable = matches!(e, Error::ResourceExhausted(_)) && guard.storage().is_some();
-        if !spillable {
+        let Some(dir) = guard.spill_to(&e) else {
             return Err(e);
-        }
+        };
         guard.memory().release(batch_bytes);
-        let layer = Arc::clone(guard.storage().expect("checked above"));
-        return crate::spill::external_sort(keyed, charged, iter, keys, ctx, guard, &layer);
+        return crate::spill::external_sort(keyed, charged, iter, keys, ctx, guard, dir);
     }
     keyed.sort_by(|a, b| crate::spill::sort_cmp(keys, &a.0, &b.0));
     Ok(keyed.into_iter().map(|(_, r)| r).collect())

@@ -51,7 +51,6 @@ pub mod functions;
 pub mod logical;
 pub mod memory;
 pub mod optimizer;
-pub mod paged;
 pub mod parallel;
 pub mod physical;
 pub mod schema;
@@ -68,7 +67,6 @@ pub use engine::{Engine, PreparedQuery, QueryOutput};
 pub use exec::ExecGuard;
 pub use faults::{FaultPlan, FaultSite};
 pub use memory::{MemoryBudget, MemoryPool};
-pub use paged::{PagedTable, StorageLayer};
 pub use schema::{Column, Schema};
 pub use table::Table;
 pub use value::{DataType, Row, Value};

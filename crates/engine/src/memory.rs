@@ -118,7 +118,7 @@ impl MemoryBudget {
     }
 
     /// Return `bytes` of a previous charge (spilling operators release
-    /// buffers they wrote to temp pages). Saturating: releasing more
+    /// buffers they wrote to spill files). Saturating: releasing more
     /// than was charged is a caller bug but must not wrap the counters.
     pub fn release(&self, bytes: usize) {
         let _ = self

@@ -5,8 +5,8 @@
 //! ([`Pipeline::of`]): an optional Aggregate, then Filter and Compute
 //! Scalar stages and at most one Hash Match or Merge Join, followed down
 //! its probe input to a *source*. The source is a base-table access — a
-//! Scan, a Seek's range or an Index Seek's candidates, whose predicate
-//! becomes the first Filter stage — or, below any other node, that
+//! Scan or a Seek's range, whose residual predicate becomes the first
+//! Filter stage — or, below any other node, that
 //! node's output batch. The stages are [`crate::vexec`]'s batch
 //! operators over [`crate::hashtable`]; this module implements none of
 //! them. It owns the order they run in, which columns each stage still
@@ -48,7 +48,6 @@ use sqlshare_common::{Error, Result};
 use sqlshare_sql::ast::JoinKind;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Rows per morsel. Small enough that a worker pool balances skewed
 /// filters, large enough that the claim (one `fetch_add`) is noise.
@@ -86,7 +85,7 @@ pub(crate) fn execute(
     match (build_join(spec, catalog, ctx, guard)?, lower) {
         (Build::Hashed(join), Some(lower)) => pipeline.drive(at, &lower, Some(&join), dop, ctx, guard),
         (Build::Hashed(join), None) => pipeline.drive(0, &source, Some(&join), dop, ctx, guard),
-        // Over budget with storage attached: the pipeline is cut at the
+        // Over budget with a spill directory: the pipeline is cut at the
         // join, which runs as a Grace hash join over the whole probe side.
         (Build::Spilled(right), lower) => {
             let left = match lower {
@@ -99,7 +98,7 @@ pub(crate) fn execute(
                 .flatten()
                 .collect(),
             };
-            let layer = Arc::clone(guard.storage().expect("only a storage layer lets a build spill"));
+            let dir = guard.spill_dir().expect("only a spill directory lets a build spill");
             let j = &spec.join;
             let joined = crate::spill::grace_hash_join(
                 left,
@@ -112,7 +111,7 @@ pub(crate) fn execute(
                 j.right_width,
                 ctx,
                 guard,
-                &layer,
+                dir,
             )?;
             pipeline.drive(at + 1, &Batch::from_rows(&joined, spec.types), None, dop, ctx, guard)
         }
@@ -143,7 +142,7 @@ pub(crate) struct Pipeline<'a> {
 
 #[derive(Clone, Copy)]
 enum Source<'a> {
-    /// A base-table access (Scan, Seek, Index Seek): morsels are
+    /// A base-table access (Scan, Seek): morsels are
     /// zero-copy slices of the table's batch.
     Table(&'a PhysicalPlan),
     /// Any other node: the stages read its output batch.
@@ -249,10 +248,6 @@ impl<'a> Pipeline<'a> {
                 PhysOp::Scan { head: None, .. } => break Source::Table(node),
                 PhysOp::Seek { residual, .. } => {
                     ops.extend(residual.as_ref().map(Op::Filter));
-                    break Source::Table(node);
-                }
-                PhysOp::IndexSeek { predicate, .. } => {
-                    ops.push(Op::Filter(predicate));
                     break Source::Table(node);
                 }
                 _ => break Source::Node(node),
@@ -500,10 +495,10 @@ fn filter(
 }
 
 /// A base-table access's rows as a batch, in clustered order: the whole
-/// table, a Seek's range, or an Index Seek's candidates. The access's
-/// predicate is the pipeline's first Filter stage, not applied here.
+/// table or a Seek's range. A Seek's residual is the pipeline's first
+/// Filter stage, not applied here.
 fn table_source(node: &PhysicalPlan, catalog: &Catalog) -> Result<Batch> {
-    match &node.op {
+    let batch = match &node.op {
         PhysOp::Scan { table, .. } => catalog.table(table)?.batch(),
         PhysOp::Seek {
             table,
@@ -511,15 +506,9 @@ fn table_source(node: &PhysicalPlan, catalog: &Catalog) -> Result<Batch> {
             upper,
             ..
         } => catalog.table(table)?.seek(as_ref_bound(lower), as_ref_bound(upper)),
-        PhysOp::IndexSeek {
-            table,
-            column,
-            lower,
-            upper,
-            ..
-        } => catalog.table(table)?.index_seek(*column, as_ref_bound(lower), as_ref_bound(upper)),
-        _ => unreachable!("`Pipeline::of` reads tables through these three accesses only"),
-    }
+        _ => unreachable!("`Pipeline::of` reads tables through these two accesses only"),
+    };
+    Ok(batch)
 }
 
 /// A join's build input, below its `Repartition` marker.
@@ -535,7 +524,7 @@ fn build_child(join: &PhysicalPlan) -> Result<&PhysicalPlan> {
 }
 
 /// A join's build side: indexed in memory, or — over budget with a
-/// storage layer attached — its rows, for the Grace hash join.
+/// spill directory — its rows, for the Grace hash join.
 enum Build {
     Hashed(JoinBuild),
     Spilled(Vec<Row>),
@@ -556,7 +545,7 @@ fn build_join(
     // row engine charges its materialized rows.
     let bytes = batch_rows_bytes(&right);
     if let Err(e) = guard.charge(bytes) {
-        if !matches!(e, Error::ResourceExhausted(_)) || guard.storage().is_none() {
+        if guard.spill_to(&e).is_none() {
             return Err(e);
         }
         // The failed charge was still recorded (add-before-check);

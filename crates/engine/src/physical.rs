@@ -52,19 +52,6 @@ pub enum PhysOp {
         upper: Bound<Value>,
         residual: Option<BoundExpr>,
     },
-    /// Secondary B-tree index seek on a non-leading column of a paged
-    /// table: the index narrows the heap to candidate row ordinals (a
-    /// *superset* of the matches — index keys are rank-tagged prefixes),
-    /// then `predicate` re-applies in full. Executes as a scan + filter
-    /// when the backing cannot serve the bounds, producing identical
-    /// rows either way.
-    IndexSeek {
-        table: String,
-        column: usize,
-        lower: Bound<Value>,
-        upper: Bound<Value>,
-        predicate: BoundExpr,
-    },
     Filter {
         predicate: BoundExpr,
     },
@@ -211,9 +198,7 @@ impl PhysicalPlan {
         let mut out = Vec::new();
         self.visit(&mut |n| {
             let table = match &n.op {
-                PhysOp::Scan { table, .. }
-                | PhysOp::Seek { table, .. }
-                | PhysOp::IndexSeek { table, .. } => table,
+                PhysOp::Scan { table, .. } | PhysOp::Seek { table, .. } => table,
                 PhysOp::CachedScan { name, .. } => name,
                 _ => return,
             };
@@ -558,16 +543,7 @@ impl Planner<'_> {
                 .first()
                 .map(|c| c.ty)
                 .unwrap_or(DataType::Text);
-            let bounds = extract_seek_bounds(predicate, leading_ty);
-            // No clustered-order bounds: a sargable non-leading column
-            // can still go through its secondary B-tree when the table
-            // is page-backed.
-            if bounds.is_none() {
-                if let Some(n) = self.plan_index_seek(table, schema, predicate)? {
-                    return Ok(n);
-                }
-            }
-            let bounds = bounds.unwrap_or((
+            let bounds = extract_seek_bounds(predicate, leading_ty).unwrap_or((
                 Bound::Unbounded,
                 Bound::Unbounded,
                 Some(predicate.clone()),
@@ -657,72 +633,6 @@ impl Planner<'_> {
         n.columns = columns_used(predicate, schema);
         n.children.push(child);
         Ok(n)
-    }
-
-    /// Plan a secondary-index seek over `table` if some non-leading
-    /// column has sargable bounds that a B-tree on the paged backing can
-    /// serve; `None` sends the caller down the scan-with-residual path.
-    fn plan_index_seek(
-        &self,
-        table: &str,
-        schema: &Schema,
-        predicate: &BoundExpr,
-    ) -> Result<Option<PhysicalPlan>> {
-        let t = self.catalog.table(table)?;
-        let Some(paged) = t.paged() else {
-            return Ok(None);
-        };
-        let Some((column, lower, upper, consumed)) =
-            extract_index_bounds(predicate, schema.columns.len())
-        else {
-            return Ok(None);
-        };
-        if !paged.index_serves(
-            column,
-            crate::exec::as_ref_bound(&lower),
-            crate::exec::as_ref_bound(&upper),
-        ) {
-            return Ok(None);
-        }
-        let rows = t.row_count() as f64;
-        let row_size = schema.estimated_row_size() as f64;
-        let sel = cost::selectivity(if matches!(
-            (&lower, &upper),
-            (Bound::Included(_), Bound::Included(_))
-        ) {
-            PredKind::Equality
-        } else {
-            PredKind::Range
-        });
-        // The full predicate re-applies over the candidates, so its
-        // selectivity already covers the consumed bounds.
-        let est = Estimates {
-            rows: (rows * pred_selectivity(predicate)).max(1.0),
-            io: cost::scan_io(rows * sel, row_size),
-            cpu: cost::row_cpu(rows * sel, 1),
-            row_size,
-        };
-        let mut n = PhysicalPlan::new(
-            PhysOp::IndexSeek {
-                table: table.to_string(),
-                column,
-                lower,
-                upper,
-                predicate: predicate.clone(),
-            },
-            "Index Seek",
-            "Index Seek",
-            est,
-        );
-        n.filters = consumed;
-        n.filters.push(render_filter(predicate, schema));
-        predicate.expression_ops(&mut n.expr_ops);
-        n.columns = schema
-            .columns
-            .iter()
-            .filter_map(|c| c.source_table.clone().map(|t| (t, c.name.clone())))
-            .collect();
-        Ok(Some(n))
     }
 
     fn plan_project(
@@ -1256,31 +1166,6 @@ fn extract_seek_bounds(predicate: &BoundExpr, leading_ty: DataType) -> Option<Se
     range
         .is_bounded()
         .then_some((range.lower, range.upper, join_conjuncts(residual), range.consumed))
-}
-
-/// Bounds on a single non-leading column, for a secondary-index seek:
-/// `(column, lower, upper, consumed_desc)`. Columns are tried in
-/// ordinal order and the first with any bound wins. Unlike the
-/// clustered-seek extraction there is no residual to compute — index
-/// candidates are a superset, so the caller keeps the full predicate —
-/// and no type-group gate — the index's rank mask (checked by the
-/// caller against the actual stored values) is the authoritative
-/// order-safety test.
-#[allow(clippy::type_complexity)]
-fn extract_index_bounds(
-    predicate: &BoundExpr,
-    n_columns: usize,
-) -> Option<(usize, Bound<Value>, Bound<Value>, Vec<String>)> {
-    let conjuncts = split_conjuncts(predicate);
-    (1..n_columns).find_map(|col| {
-        let mut range = ColumnRange::new();
-        for c in &conjuncts {
-            range.take(c, col, |_| true);
-        }
-        range
-            .is_bounded()
-            .then_some((col, range.lower, range.upper, range.consumed))
-    })
 }
 
 fn tighten_lower(current: Bound<Value>, new: Bound<Value>) -> Bound<Value> {

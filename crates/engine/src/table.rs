@@ -7,39 +7,28 @@
 //! column order, which gives the physical planner real `Clustered Index
 //! Seek` opportunities on leading-column predicates.
 //!
-//! Tables have two backings that produce byte-identical results. An
-//! in-memory table is stored once, as its typed column [`Batch`] in
-//! clustered order: a scan gets the batch, a `TOP n` a zero-copy prefix,
-//! a seek the slice a binary search on the leading column finds. A paged
-//! table ([`crate::paged::PagedTable`]) keeps rows in slotted heap pages
-//! behind a buffer pool with B-tree secondary indexes and decodes what a
-//! read asks for, bounding resident memory by the pool, not the table.
+//! A table is stored once, as its typed column [`Batch`] in clustered
+//! order: a scan gets the batch, a `TOP n` a zero-copy prefix, a seek
+//! the slice a binary search on the leading column finds. No read can
+//! fail.
 
-use crate::paged::{PagedTable, StorageLayer};
 use crate::schema::Schema;
 use crate::value::{DataType, Row, Value};
 use crate::vector::{Batch, Col, ColumnData};
-use sqlshare_common::Result;
 use std::cmp::Ordering;
 use std::ops::{Bound, Range};
 use std::sync::Arc;
-
-#[derive(Debug, Clone)]
-enum Backing {
-    /// The columns in clustered order. Shared: tables are immutable
-    /// after load, and the service clones its engine into the workers'
-    /// snapshot after every catalog change (`SqlShare::engine_snapshot`),
-    /// so a clone must not copy them.
-    Mem(Arc<Batch>),
-    Paged(Arc<PagedTable>),
-}
 
 /// An immutable-after-load, clustered-ordered table.
 #[derive(Debug, Clone)]
 pub struct Table {
     pub name: String,
     pub schema: Schema,
-    backing: Backing,
+    /// The columns in clustered order. Shared: tables are immutable
+    /// after load, and the service clones its engine into the workers'
+    /// snapshot after every catalog change (`SqlShare::engine_snapshot`),
+    /// so a clone must not copy them.
+    batch: Arc<Batch>,
     /// Estimated size of the rows, summed once at load: quota checks and
     /// storage totals read it per table, never the rows.
     bytes: usize,
@@ -75,44 +64,12 @@ impl Table {
             name: name.into(),
             schema,
             bytes: batch.cols.iter().map(|c| cells_bytes(c, batch.len)).sum(),
-            backing: Backing::Mem(Arc::new(batch)),
-        }
-    }
-
-    /// Convert to the paged backing: the clustered rows are encoded into
-    /// heap pages under `layer` and indexed (B-tree per non-leading
-    /// column). A no-op when the table already lives on `layer`; a table
-    /// paged on a *different* layer is rematerialized and rebuilt so it
-    /// lands in the requested pool (otherwise re-creating tables after a
-    /// storage switch would silently keep their old backing).
-    pub fn into_paged(self, layer: &Arc<StorageLayer>) -> Result<Self> {
-        let rows = match &self.backing {
-            Backing::Paged(p) if Arc::ptr_eq(p.layer(), layer) => return Ok(self),
-            Backing::Paged(p) => p.scan_all()?,
-            Backing::Mem(batch) => batch.to_rows(),
-        };
-        let paged = PagedTable::build(layer, &self.name, self.schema.len(), &rows)?;
-        Ok(Table {
-            name: self.name,
-            schema: self.schema,
-            bytes: paged.estimated_bytes(),
-            backing: Backing::Paged(Arc::new(paged)),
-        })
-    }
-
-    /// The paged backing, when this table has one.
-    pub fn paged(&self) -> Option<&Arc<PagedTable>> {
-        match &self.backing {
-            Backing::Paged(p) => Some(p),
-            Backing::Mem(_) => None,
+            batch: Arc::new(batch),
         }
     }
 
     pub fn row_count(&self) -> usize {
-        match &self.backing {
-            Backing::Mem(batch) => batch.len,
-            Backing::Paged(p) => p.row_count(),
-        }
+        self.batch.len
     }
 
     /// Total estimated size in bytes.
@@ -120,63 +77,26 @@ impl Table {
         self.bytes
     }
 
-    /// Every row in clustered order: the stored batch, or for a paged
-    /// table a fresh one decoded page at a time, so resident memory stays
-    /// bounded by the buffer pool.
-    pub fn batch(&self) -> Result<Batch> {
-        match &self.backing {
-            Backing::Mem(batch) => Ok((**batch).clone()),
-            Backing::Paged(p) => p.scan_columnar(&self.schema.types()),
-        }
+    /// Every row in clustered order.
+    pub fn batch(&self) -> Batch {
+        (*self.batch).clone()
     }
 
     /// The first `n` rows in clustered order (all of them when the table
-    /// is shorter) — what a `TOP n` over a bare scan reads. The paged
-    /// backing decodes only the pages those rows live on.
-    pub fn head(&self, n: usize) -> Result<Batch> {
-        let n = n.min(self.row_count());
-        match &self.backing {
-            Backing::Mem(batch) => Ok(batch.slice(0..n)),
-            Backing::Paged(p) => Ok(Batch::from_rows(&p.scan_range(0..n)?, &self.schema.types())),
-        }
+    /// is shorter) — what a `TOP n` over a bare scan reads.
+    pub fn head(&self, n: usize) -> Batch {
+        self.batch.slice(0..n.min(self.row_count()))
     }
 
     /// Clustered-index seek on the *leading* column: the rows matching
     /// the bounds. This is what the planner compiles sargable predicates
-    /// on column 0 into. Both backings locate the same partition points
-    /// (the paged one by page-level binary search); the paged backing
-    /// decodes only the touched pages.
-    pub fn seek(&self, lower: Bound<&Value>, upper: Bound<&Value>) -> Result<Batch> {
-        match &self.backing {
-            Backing::Mem(batch) => {
-                let range = seek_range(batch.len, lower, upper, |v, keep| {
-                    Ok(partition_point(batch.len, |i| keep(cmp_cell(&batch.cols[0], i, v))))
-                })?;
-                Ok(batch.slice(range))
-            }
-            Backing::Paged(p) => {
-                let rows = p.scan_range(p.seek_range(lower, upper)?)?;
-                Ok(Batch::from_rows(&rows, &self.schema.types()))
-            }
-        }
-    }
-
-    /// The candidates of a secondary-index seek on `column`, in clustered
-    /// order: the rows a paged table's B-tree narrows the heap to (a
-    /// superset of the matches), or every row when no order-safe index
-    /// serves the bounds. The caller re-applies the full predicate.
-    pub fn index_seek(
-        &self,
-        column: usize,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-    ) -> Result<Batch> {
-        if let Some(p) = self.paged() {
-            if let Some(ordinals) = p.secondary_candidates(column, lower, upper)? {
-                return Ok(Batch::from_rows(&p.fetch_rows(&ordinals)?, &self.schema.types()));
-            }
-        }
-        self.batch()
+    /// on column 0 into.
+    pub fn seek(&self, lower: Bound<&Value>, upper: Bound<&Value>) -> Batch {
+        let batch = &self.batch;
+        let lead = |v: &Value, keep: fn(Ordering) -> bool| {
+            partition_point(batch.len, |i| keep(cmp_cell(&batch.cols[0], i, v)))
+        };
+        batch.slice(seek_range(batch.len, lower, upper, lead))
     }
 }
 
@@ -184,23 +104,27 @@ impl Table {
 /// `len` rows. `boundary(v, keep)` answers the first ordinal whose
 /// leading value `x` fails `keep(x.total_cmp(v))`; `keep` holds on a
 /// prefix of the clustered order. An empty range means no matches.
-pub(crate) fn seek_range(
+fn seek_range(
     len: usize,
     lower: Bound<&Value>,
     upper: Bound<&Value>,
-    mut boundary: impl FnMut(&Value, fn(Ordering) -> bool) -> Result<usize>,
-) -> Result<Range<usize>> {
+    boundary: impl Fn(&Value, fn(Ordering) -> bool) -> usize,
+) -> Range<usize> {
     let start = match lower {
         Bound::Unbounded => 0,
-        Bound::Included(v) => boundary(v, Ordering::is_lt)?,
-        Bound::Excluded(v) => boundary(v, Ordering::is_le)?,
+        Bound::Included(v) => boundary(v, Ordering::is_lt),
+        Bound::Excluded(v) => boundary(v, Ordering::is_le),
     };
     let end = match upper {
         Bound::Unbounded => len,
-        Bound::Included(v) => boundary(v, Ordering::is_le)?,
-        Bound::Excluded(v) => boundary(v, Ordering::is_lt)?,
+        Bound::Included(v) => boundary(v, Ordering::is_le),
+        Bound::Excluded(v) => boundary(v, Ordering::is_lt),
     };
-    Ok(if start >= end { 0..0 } else { start..end })
+    if start >= end {
+        0..0
+    } else {
+        start..end
+    }
 }
 
 /// The first of `0..len` failing `pred`, which holds on a prefix.
@@ -328,82 +252,58 @@ mod tests {
         ])
     }
 
-    /// Every test runs against both backings: the in-memory oracle and
-    /// the paged subject must be indistinguishable.
-    fn tables() -> Vec<Table> {
-        let mem = Table::new("t", schema(), rows());
-        let layer = StorageLayer::temp(0).unwrap();
-        let paged = mem.clone().into_paged(&layer).unwrap();
-        assert!(paged.paged().is_some());
-        assert!(mem.paged().is_none());
-        vec![mem, paged]
+    fn table() -> Table {
+        Table::new("t", schema(), rows())
     }
 
     #[test]
     fn rows_are_clustered() {
-        for t in tables() {
-            let rows = t.batch().unwrap().to_rows();
-            let keys: Vec<i64> = rows
-                .iter()
-                .map(|r| match r[0] {
-                    Value::Int(i) => i,
-                    _ => panic!(),
-                })
-                .collect();
-            assert_eq!(keys, vec![1, 3, 3, 5, 9]);
-            // Secondary column also ordered within equal keys.
-            assert_eq!(rows[1][1], Value::Text("b".into()));
-        }
+        let t = table();
+        let rows = t.batch().to_rows();
+        let keys: Vec<i64> = rows
+            .iter()
+            .map(|r| match r[0] {
+                Value::Int(i) => i,
+                _ => panic!(),
+            })
+            .collect();
+        assert_eq!(keys, vec![1, 3, 3, 5, 9]);
+        // Secondary column also ordered within equal keys.
+        assert_eq!(rows[1][1], Value::Text("b".into()));
     }
 
     #[test]
     fn seek_equality() {
-        for t in tables() {
-            let three = Value::Int(3);
-            let hits = t
-                .seek(Bound::Included(&three), Bound::Included(&three))
-                .unwrap();
-            assert_eq!(hits.len, 2);
-        }
+        let t = table();
+        let three = Value::Int(3);
+        let hits = t.seek(Bound::Included(&three), Bound::Included(&three));
+        assert_eq!(hits.len, 2);
     }
 
     #[test]
     fn seek_range() {
-        for t in tables() {
-            let lo = Value::Int(3);
-            let hits = t.seek(Bound::Excluded(&lo), Bound::Unbounded).unwrap();
-            assert_eq!(hits.len, 2); // 5 and 9
-            let hi = Value::Int(5);
-            let hits = t.seek(Bound::Unbounded, Bound::Excluded(&hi)).unwrap();
-            assert_eq!(hits.len, 3); // 1, 3, 3
-        }
+        let t = table();
+        let lo = Value::Int(3);
+        let hits = t.seek(Bound::Excluded(&lo), Bound::Unbounded);
+        assert_eq!(hits.len, 2); // 5 and 9
+        let hi = Value::Int(5);
+        let hits = t.seek(Bound::Unbounded, Bound::Excluded(&hi));
+        assert_eq!(hits.len, 3); // 1, 3, 3
     }
 
     #[test]
     fn seek_missing_key() {
-        for t in tables() {
-            let four = Value::Int(4);
-            assert!(t
-                .seek(Bound::Included(&four), Bound::Included(&four))
-                .unwrap()
-                .is_empty());
-        }
+        let t = table();
+        let four = Value::Int(4);
+        assert!(t.seek(Bound::Included(&four), Bound::Included(&four)).is_empty());
     }
 
     #[test]
     fn seek_empty_table() {
-        let layer = StorageLayer::temp(0).unwrap();
         let schema = Schema::from_pairs([("k", DataType::Int)]);
         let one = Value::Int(1);
-        for t in [
-            Table::new("e", schema.clone(), vec![]),
-            Table::new("e", schema, vec![]).into_paged(&layer).unwrap(),
-        ] {
-            assert!(t
-                .seek(Bound::Included(&one), Bound::Unbounded)
-                .unwrap()
-                .is_empty());
-        }
+        let t = Table::new("e", schema, vec![]);
+        assert!(t.seek(Bound::Included(&one), Bound::Unbounded).is_empty());
     }
 
     #[test]
@@ -422,42 +322,10 @@ mod tests {
 
     #[test]
     fn scan_head_is_a_prefix_of_scan() {
-        for t in tables() {
-            for n in [0, 1, 3, 5, 99] {
-                let head = t.head(n).unwrap().to_rows();
-                assert_eq!(&head[..], &t.batch().unwrap().to_rows()[..n.min(5)]);
-            }
+        let t = table();
+        for n in [0, 1, 3, 5, 99] {
+            let head = t.head(n).to_rows();
+            assert_eq!(&head[..], &t.batch().to_rows()[..n.min(5)]);
         }
-    }
-
-    #[test]
-    fn into_paged_preserves_contents_and_accounting() {
-        let mem = Table::new("t", schema(), rows());
-        let bytes = mem.estimated_bytes();
-        assert!(bytes > 0);
-        let layer = StorageLayer::temp(0).unwrap();
-        let paged = mem.clone().into_paged(&layer).unwrap();
-        assert_eq!(paged.estimated_bytes(), bytes);
-        assert_eq!(paged.batch().unwrap().to_rows(), mem.batch().unwrap().to_rows());
-        assert_eq!(paged.row_count(), mem.row_count());
-    }
-
-    #[test]
-    fn into_paged_rebuilds_on_a_different_layer() {
-        let mem = Table::new("t", schema(), rows());
-        let a = StorageLayer::temp(0).unwrap();
-        let b = StorageLayer::temp(0).unwrap();
-        let on_a = mem.clone().into_paged(&a).unwrap();
-
-        // Same layer: the backing is reused untouched.
-        let same = on_a.clone().into_paged(&a).unwrap();
-        assert!(Arc::ptr_eq(same.paged().unwrap().layer(), &a));
-
-        // Different layer: the table is rematerialized into `b`'s pool,
-        // not left pointing at `a` — re-creating tables after a storage
-        // switch must actually move them.
-        let on_b = on_a.into_paged(&b).unwrap();
-        assert!(Arc::ptr_eq(on_b.paged().unwrap().layer(), &b));
-        assert_eq!(on_b.batch().unwrap().to_rows(), mem.batch().unwrap().to_rows());
     }
 }

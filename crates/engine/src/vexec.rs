@@ -23,7 +23,7 @@
 //!
 //! This module interprets the plan node by node and owns the batch
 //! operators. Every operator takes and returns a [`Batch`]; rows exist
-//! only at [`execute`]'s output. A Scan, Seek, Index Seek, Filter,
+//! only at [`execute`]'s output. A Scan, Seek, Filter,
 //! Compute Scalar, Hash Match, Merge Join or Aggregate is the top of a
 //! pipeline, which [`crate::parallel`] runs — as one morsel here, at a
 //! `Gather`'s DOP under an exchange. Sort, Distinct Sort and aggregate
@@ -96,7 +96,6 @@ pub(crate) fn exec_node(
         // The top of a pipeline, run as one morsel.
         PhysOp::Scan { head: None, .. }
         | PhysOp::Seek { .. }
-        | PhysOp::IndexSeek { .. }
         | PhysOp::Filter { .. }
         | PhysOp::Compute { .. }
         | PhysOp::HashJoin { .. }
@@ -107,7 +106,7 @@ pub(crate) fn exec_node(
         }
         PhysOp::Scan { table, head: Some(n) } => {
             guard.fault(FaultSite::Scan)?;
-            let head = catalog.table(table)?.head(usize::try_from(*n).unwrap_or(usize::MAX))?;
+            let head = catalog.table(table)?.head(usize::try_from(*n).unwrap_or(usize::MAX));
             guard.tick(head.len as u64)?;
             Ok(head)
         }
@@ -200,7 +199,7 @@ fn two_children(
 /// [`CHARGE_BATCH`] rows, so the keys are charged chunk by chunk here
 /// too, each only once all its keys evaluated: an error and a failed
 /// charge surface in the order the row engine meets them. A charge that
-/// fails with a storage layer attached is the one way into the external
+/// fails with a spill directory set is the one way into the external
 /// sort, which runs over rows: what was charged is released and the row
 /// engine sorts the input from the start, decorating and failing the
 /// same charge again before it spills.
@@ -217,7 +216,7 @@ fn sort(input: Batch, keys: &[SortKey], ctx: &EvalContext, guard: &ExecGuard) ->
                 charged += bytes;
                 Ok(true)
             }
-            Err(e) if !matches!(e, Error::ResourceExhausted(_)) || guard.storage().is_none() => Err(e),
+            Err(e) if guard.spill_to(&e).is_none() => Err(e),
             Err(_) => {
                 guard.memory().release(charged + bytes);
                 Ok(false)
@@ -1233,7 +1232,6 @@ pub fn annotate_batch_mode(plan: &mut PhysicalPlan) {
         PhysOp::Scan { .. }
             | PhysOp::CachedScan { .. }
             | PhysOp::Seek { .. }
-            | PhysOp::IndexSeek { .. }
             | PhysOp::Filter { .. }
             | PhysOp::Compute { .. }
             | PhysOp::Aggregate { .. }

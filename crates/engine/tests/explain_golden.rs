@@ -23,7 +23,7 @@ use std::path::PathBuf;
 fn fixture_engine() -> Engine {
     // `Engine::new()`: memory-resident tables, vectorized executor. The
     // main snapshots fix that planner shape and its batchMode marks;
-    // paged backings and the row engine have their own goldens below.
+    // the row engine has its own goldens below.
     let mut e = Engine::new();
     e.create_table(Table::new(
         "orders",
@@ -199,32 +199,25 @@ fn parallel_aggregate_plan_snapshot() {
 
 #[test]
 fn index_seek_plan_snapshot() {
-    // Same fixture over a paged backing: a sargable predicate on a non-leading column plans as an Index Seek
-    // through the column's secondary B-tree.
+    // A sargable predicate on a non-leading column, the query a
+    // secondary index once answered with an Index Seek, seeks nothing:
+    // the clustered index orders the leading column only, so it plans
+    // as a scan with the predicate as its residual.
     let mut e = fixture_engine();
-    let layer = sqlshare_engine::StorageLayer::temp(4 << 20).unwrap();
-    e.set_storage(Some(layer));
-    let orders = e.catalog().table("orders").unwrap().clone();
-    e.drop_relation("orders");
-    e.create_table(orders).unwrap();
     e.set_max_dop(1);
     let json = assert_golden(
-        "index_seek",
+        "non_leading_predicate",
         "SELECT id FROM orders WHERE amount > 10.0",
         &e,
     );
     assert_batch_mode_marks(&json);
     let mut nodes = Vec::new();
     walk(&json, &mut nodes);
-    let seek = nodes
+    let scan = nodes
         .iter()
-        .find(|n| n.get("physicalOp").and_then(|o| o.as_str()) == Some("Index Seek"))
-        .unwrap_or_else(|| panic!("plan has no Index Seek"));
-    assert_eq!(
-        batch_mode_of(seek),
-        Some(true),
-        "serial Index Seek decodes straight into batches"
-    );
+        .find(|n| n.get("physicalOp").and_then(|o| o.as_str()) == Some("Clustered Index Scan"))
+        .unwrap_or_else(|| panic!("plan has no Clustered Index Scan"));
+    assert_eq!(batch_mode_of(scan), Some(true), "serial scan runs on batches");
 }
 
 #[test]
@@ -284,14 +277,9 @@ fn row_mode_plans_unchanged_from_seed() {
 
     let mut e = fixture_engine();
     e.set_vectorized(false);
-    let layer = sqlshare_engine::StorageLayer::temp(4 << 20).unwrap();
-    e.set_storage(Some(layer));
-    let orders = e.catalog().table("orders").unwrap().clone();
-    e.drop_relation("orders");
-    e.create_table(orders).unwrap();
     e.set_max_dop(1);
     assert_no_batch_mode(&assert_golden(
-        "index_seek_row",
+        "non_leading_predicate_row",
         "SELECT id FROM orders WHERE amount > 10.0",
         &e,
     ));

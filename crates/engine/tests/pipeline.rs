@@ -7,7 +7,7 @@
 //! byte — rows and first errors. Above DOP 1 it spills an over-budget
 //! join like the serial engine does.
 
-use sqlshare_engine::{DataType, Engine, Schema, StorageLayer, Table, Value};
+use sqlshare_engine::{DataType, Engine, Schema, Table, Value};
 
 /// `facts(k, v, w)`: 5,000 rows over 97 keys, `w` a float with a NULL
 /// every 11th row; `dims(id, name)`: ids 0..120, so 23 dims match no fact.
@@ -70,7 +70,7 @@ fn over_budget_join_spills_in_a_forced_parallel_plan() {
     let sql = "SELECT COUNT(*), SUM(f.v), MIN(d.pad) FROM facts AS f JOIN wide AS d ON f.k = d.id";
     let with_wide = |budget: Option<usize>| {
         let mut e = Engine::new();
-        e.set_storage(Some(StorageLayer::temp(4 << 20).unwrap()));
+        e.set_spill_dir(Some(std::env::temp_dir()));
         e.set_max_dop(4);
         e.set_parallelism_cost_threshold(0.0);
         e.disable_cache();
@@ -98,11 +98,12 @@ fn over_budget_join_spills_in_a_forced_parallel_plan() {
 }
 
 /// An engine at DOP 1 over `tables` and `wide(id, pad)` (4,000 rows of
-/// 124-byte text), with a spill layer if `storage`, under `budget`.
-fn budgeted(vectorized: bool, storage: bool, budget: Option<usize>) -> Engine {
+/// 124-byte text), spilling to the temp directory if `spill`, under
+/// `budget`.
+fn budgeted(vectorized: bool, spill: bool, budget: Option<usize>) -> Engine {
     let mut e = engine(1, vectorized);
-    if storage {
-        e.set_storage(Some(StorageLayer::temp(4 << 20).unwrap()));
+    if spill {
+        e.set_spill_dir(Some(std::env::temp_dir()));
     }
     if let Some(bytes) = budget {
         e.set_query_mem_limit(bytes);
@@ -135,21 +136,21 @@ fn a_sort_key_that_errors_after_the_first_charge_reports_the_oracles_first_error
     // The key divides by zero at v = 1500, more than two charge chunks
     // into the clustered (k, v) order. Unbudgeted, that is the error; a
     // budget that refuses the second chunk's key charge fails first
-    // without a spill layer, and with one the sort spills and meets the
-    // division later.
+    // without a spill directory, and with one the sort spills and meets
+    // the division later.
     let sql = "SELECT TOP 3 v FROM facts ORDER BY 10 / (v - 1500)";
-    for (storage, budget, want) in [
+    for (spill, budget, want) in [
         (false, None, "division by zero"),
         (true, None, "division by zero"),
         (false, Some(80 << 10), "resource"),
         (true, Some(80 << 10), "division by zero"),
     ] {
-        let oracle = budgeted(false, storage, budget).run(sql).unwrap_err();
-        let subject = budgeted(true, storage, budget);
+        let oracle = budgeted(false, spill, budget).run(sql).unwrap_err();
+        let subject = budgeted(true, spill, budget);
         let got = subject.run(sql).unwrap_err();
-        assert_eq!(got, oracle, "storage {storage}, budget {budget:?}");
+        assert_eq!(got, oracle, "spill {spill}, budget {budget:?}");
         let seen = if want == "resource" { got.kind() } else { got.message() };
-        assert_eq!(seen, want, "storage {storage}, budget {budget:?}: {got}");
+        assert_eq!(seen, want, "spill {spill}, budget {budget:?}: {got}");
         assert_eq!(subject.memory_pool().used(), 0);
     }
 }

@@ -71,16 +71,11 @@ fn leading_column_predicate_uses_seek() {
     let out = e.run("SELECT * FROM samples WHERE station = 2").unwrap();
     assert_eq!(out.rows.len(), 2);
     assert!(out.plan.operator_names().contains(&"Clustered Index Seek"));
-    // Non-leading predicate: scans in-memory tables, or goes through
-    // the column's secondary B-tree when the backing is paged (the
-    // `paged` mode) — same rows either way.
+    // Non-leading predicate: a scan with a residual.
     let out = e.run("SELECT * FROM samples WHERE depth = 5.0").unwrap();
     assert_eq!(out.rows.len(), 3);
     let names = out.plan.operator_names();
-    assert!(
-        names.contains(&"Clustered Index Scan") || names.contains(&"Index Seek"),
-        "ops: {names:?}"
-    );
+    assert!(names.contains(&"Clustered Index Scan"), "ops: {names:?}");
 }
 
 #[test]

@@ -54,10 +54,10 @@ fn assert_view(types: &[DataType], rows: Vec<Row>, probes: &[Value]) {
     want.sort_by(cmp_rows);
     let table = Table::new("t", schema, rows);
 
-    assert_eq!(exact(&table.batch().unwrap().to_rows()), exact(&want));
+    assert_eq!(exact(&table.batch().to_rows()), exact(&want));
     for n in [0, 1, 2, want.len() / 2, want.len(), want.len() + 1] {
         let prefix = &want[..n.min(want.len())];
-        assert_eq!(exact(&table.head(n).unwrap().to_rows()), exact(prefix), "head({n})");
+        assert_eq!(exact(&table.head(n).to_rows()), exact(prefix), "head({n})");
     }
     let bounds = probes
         .iter()
@@ -65,7 +65,7 @@ fn assert_view(types: &[DataType], rows: Vec<Row>, probes: &[Value]) {
         .chain([Bound::Unbounded]);
     for lower in bounds.clone() {
         for upper in bounds.clone() {
-            let got = table.seek(lower, upper).unwrap().to_rows();
+            let got = table.seek(lower, upper).to_rows();
             let range = leading_range(&want, lower, upper);
             assert_eq!(exact(&got), exact(&want[range]), "seek({lower:?}, {upper:?})");
         }
@@ -178,7 +178,7 @@ fn cells_of_other_types_widen_their_column() {
     ];
     let table = Table::new("t", schema, rows);
     assert_eq!(table.schema.types(), [DataType::Float, DataType::Text, DataType::Date]);
-    let batch = table.batch().unwrap();
+    let batch = table.batch();
     assert_eq!(batch.types(), table.schema.types());
     assert_eq!(
         batch.to_rows(),

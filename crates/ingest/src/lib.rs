@@ -230,7 +230,7 @@ mod tests {
         .unwrap();
         assert_eq!(report.padded_rows, 2);
         assert_eq!(table.row_count(), 3);
-        let rows = table.batch().unwrap().to_rows();
+        let rows = table.batch().to_rows();
         let short = rows.iter().find(|r| r[0] == Value::Int(6)).unwrap();
         assert!(short[1].is_null() && short[2].is_null());
     }
@@ -273,7 +273,7 @@ mod tests {
         assert_eq!(report.type_reverts, vec!["v"]);
         assert_eq!(table.schema.columns[0].ty, DataType::Text);
         assert_eq!(table.row_count(), 6);
-        let rows = table.batch().unwrap().to_rows();
+        let rows = table.batch().to_rows();
         assert!(rows.iter().any(|r| r[0] == Value::Text("oops".into())));
     }
 
@@ -310,7 +310,7 @@ mod tests {
         .unwrap();
         // Column b stays Int despite the empty cell.
         assert_eq!(table.schema.columns[1].ty, DataType::Int);
-        assert!(table.batch().unwrap().to_rows().iter().any(|r| r[1].is_null()));
+        assert!(table.batch().to_rows().iter().any(|r| r[1].is_null()));
     }
 
     #[test]

@@ -458,14 +458,14 @@ fn assert_same(content: &str, options: &IngestOptions) {
             assert_eq!(table.name, "t");
             assert_eq!(table.schema, want_schema, "schema for {content:?} under {options:?}");
             assert_eq!(
-                format!("{:?}", table.batch().unwrap().to_rows()),
+                format!("{:?}", table.batch().to_rows()),
                 format!("{:?}", want_rows),
                 "rows for {content:?} under {options:?}"
             );
             let want_bytes: usize = want_rows.iter().flatten().map(|v| v.estimated_size()).sum();
             assert_eq!(table.estimated_bytes(), want_bytes);
             // Every column's layout is its schema type.
-            assert_eq!(table.batch().unwrap().types(), table.schema.types());
+            assert_eq!(table.batch().types(), table.schema.types());
         }
         (Err(e), Err(want)) => assert_eq!(e.to_string(), want.to_string(), "{content:?}"),
         (new, old) => panic!(
@@ -621,6 +621,6 @@ fn a_revert_past_the_prefix_rewrites_the_rows_already_built() {
     assert_eq!(report.type_reverts, vec!["v"]);
     // The cells converted as integers before the revert come back as
     // written, padding included.
-    let rows = table.batch().unwrap().to_rows();
+    let rows = table.batch().to_rows();
     assert!(rows.iter().any(|r| format!("{:?}", r[1]) == "Text(\" 007 \")"));
 }

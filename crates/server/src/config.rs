@@ -15,8 +15,8 @@
 
 use crate::HttpConfig;
 use sqlshare_core::{
-    AckMode, DurableOptions, Engine, FsyncPolicy, SqlShare, StorageLayer,
-    DEFAULT_HOT_VIEW_THRESHOLD, DEFAULT_POOL_MB, DEFAULT_RESULT_CACHE_MB,
+    AckMode, DurableOptions, Engine, FsyncPolicy, SqlShare, DEFAULT_HOT_VIEW_THRESHOLD,
+    DEFAULT_RESULT_CACHE_MB,
 };
 use std::fmt;
 use std::path::PathBuf;
@@ -36,8 +36,6 @@ pub struct Config {
     pub result_cache_mb: usize,
     pub query_mem_mb: Option<usize>,
     pub total_mem_mb: Option<usize>,
-    pub paged: bool,
-    pub buffer_pool_mb: usize,
     /// What [`crate::Server::start`] takes, replication and scrubber
     /// settings included.
     pub http: HttpConfig,
@@ -53,8 +51,6 @@ impl Default for Config {
             result_cache_mb: DEFAULT_RESULT_CACHE_MB,
             query_mem_mb: None,
             total_mem_mb: None,
-            paged: false,
-            buffer_pool_mb: DEFAULT_POOL_MB,
             http: HttpConfig::default(),
         }
     }
@@ -87,14 +83,6 @@ fn mib(v: &str) -> Option<usize> {
 
 fn millis(v: &str) -> Option<Duration> {
     positive(v).map(Duration::from_millis)
-}
-
-fn flag(v: &str) -> Option<bool> {
-    match v {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => None,
-    }
 }
 
 fn ack_mode(v: &str) -> Option<AckMode> {
@@ -141,23 +129,13 @@ pub const VARS: &[Var] = &[
     },
     Var {
         name: "SQLSHARE_QUERY_MEM_MB", kind: MIB_SIZE, default: "(unset)",
-        doc: "Per-query memory budget. Unset: unlimited.",
+        doc: "Per-query memory budget; over it, joins and sorts spill to the data directory (else the temp directory). Unset: unlimited.",
         set: |c, v| put(&mut c.query_mem_mb, mib(v).map(Some)),
     },
     Var {
         name: "SQLSHARE_TOTAL_MEM_MB", kind: MIB_SIZE, default: "(unset)",
         doc: "Memory pool shared by all running queries. Unset: unlimited.",
         set: |c, v| put(&mut c.total_mem_mb, mib(v).map(Some)),
-    },
-    Var {
-        name: "SQLSHARE_PAGED", kind: "`1` or `0`", default: "0",
-        doc: "Store tables in slotted heap pages behind a buffer pool; over-budget joins and sorts spill.",
-        set: |c, v| put(&mut c.paged, flag(v)),
-    },
-    Var {
-        name: "SQLSHARE_BUFFER_POOL_MB", kind: MIB_SIZE, default: "64",
-        doc: "Buffer-pool size for paged tables and spill.",
-        set: |c, v| put(&mut c.buffer_pool_mb, mib(v)),
     },
     Var {
         name: "SQLSHARE_HTTP_THREADS", kind: POSITIVE, default: "(CPUs, 2 to 4)",
@@ -283,7 +261,9 @@ impl Config {
     }
 
     /// Build the service this configuration describes: the engine first,
-    /// so a durable service recovers into the configured storage layer.
+    /// so a durable service recovers under its settings. Over-budget
+    /// joins and sorts spill to the data directory, or without one to
+    /// the temp directory.
     pub fn open_service(&self) -> sqlshare_common::Result<SqlShare> {
         let mut engine = Engine::new();
         if let Some(dop) = self.max_dop {
@@ -296,9 +276,7 @@ impl Config {
         if let Some(mb) = self.total_mem_mb {
             engine.set_total_mem_limit(mb * MIB);
         }
-        if self.paged {
-            engine.set_storage(Some(StorageLayer::temp(self.buffer_pool_mb * MIB)?));
-        }
+        engine.set_spill_dir(Some(self.data_dir.clone().unwrap_or_else(std::env::temp_dir)));
         let service = SqlShare::with_engine(engine);
         match &self.data_dir {
             Some(dir) => service.recover(
@@ -341,7 +319,7 @@ mod tests {
         // field it moves.
         type Moves = fn(&mut Config);
         #[rustfmt::skip]
-        let others: [(&str, Moves); 22] = [
+        let others: [(&str, Moves); 20] = [
             ("/var/lib/sqlshare", |c| c.data_dir = Some("/var/lib/sqlshare".into())),
             ("always", |c| c.fsync = FsyncPolicy::Always),
             ("7", |c| c.snapshot_every = 7),
@@ -349,8 +327,6 @@ mod tests {
             ("0", |c| c.result_cache_mb = 0),
             ("16", |c| c.query_mem_mb = Some(16)),
             ("512", |c| c.total_mem_mb = Some(512)),
-            ("1", |c| c.paged = true),
-            ("4", |c| c.buffer_pool_mb = 4),
             ("7", |c| c.http.threads = 7),
             ("9", |c| c.http.workers = 9),
             ("7", |c| c.http.max_conns = 7),
@@ -389,9 +365,8 @@ mod tests {
             ("SQLSHARE_REPL_ACK", "quorom"),
             ("SQLSHARE_QUERY_MEM_MB", "-1"),
             ("SQLSHARE_TOTAL_MEM_MB", "99999999999999999999999"),
-            ("SQLSHARE_BUFFER_POOL_MB", "18446744073709551615"),
+            ("SQLSHARE_RESULT_CACHE_MB", "18446744073709551615"),
             ("SQLSHARE_MAX_BODY_MB", "1e3"),
-            ("SQLSHARE_PAGED", "maybe"),
             ("SQLSHARE_REPL_HEARTBEAT_MS", "0"),
             ("SQLSHARE_SCRUB_EVERY_MS", "1s"),
             ("SQLSHARE_HTTP_THREADS", "\u{fffd}"),
@@ -423,7 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn the_service_is_built_as_configured_and_recovers_into_paged_tables() {
+    fn the_service_is_built_as_configured_and_spills_where_its_data_lives() {
         let dir = std::env::temp_dir().join(format!("sqlshare-config-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let c = parse(&[
@@ -432,8 +407,6 @@ mod tests {
             ("SQLSHARE_MAX_DOP", "2"),
             ("SQLSHARE_RESULT_CACHE_MB", "0"),
             ("SQLSHARE_TOTAL_MEM_MB", "8"),
-            ("SQLSHARE_PAGED", "1"),
-            ("SQLSHARE_BUFFER_POOL_MB", "4"),
         ])
         .unwrap();
         let mut service = c.open_service().unwrap();
@@ -441,15 +414,19 @@ mod tests {
         assert_eq!(engine.max_dop(), 2);
         assert!(!engine.cache().results_enabled());
         assert_eq!(engine.memory_pool().limit(), 8 * MIB);
+        assert_eq!(engine.spill_dir(), Some(dir.as_path()));
         service.register_user("ada", "ada@uw.edu").unwrap();
         service.upload("ada", "t", "a,b\n1,2\n", &Default::default()).unwrap();
         drop(service);
 
         let service = c.open_service().unwrap();
         assert_eq!(service.recovery_report().unwrap().replayed_records, 2);
-        let table = service.engine().catalog().table("ada.t$base").unwrap();
-        assert!(table.paged().is_some(), "recovery ran before the storage layer was attached");
+        assert_eq!(service.engine().spill_dir(), Some(dir.as_path()));
         drop(service);
         let _ = std::fs::remove_dir_all(&dir);
+
+        // Without a data directory, the temp directory.
+        let ephemeral = parse(&[]).unwrap().open_service().unwrap();
+        assert_eq!(ephemeral.engine().spill_dir(), Some(std::env::temp_dir().as_path()));
     }
 }

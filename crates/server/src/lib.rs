@@ -309,15 +309,11 @@ impl Server {
                     .spawn(move || repl::standby_loop(shared, primary, self_id))?,
             );
         }
-        // Background integrity scrubber, when there are durable files
-        // to sweep (data directory or paged storage) and the cadence is
-        // not disabled. Joins through the repl thread list.
+        // Background integrity scrubber, when there is a data directory
+        // to sweep and the cadence is not disabled. Joins through the
+        // repl thread list.
         let scrub_config = config.scrub;
-        let has_at_rest_files = shared.wal_path.is_some() || {
-            let service = shared.service.read().unwrap_or_else(|e| e.into_inner());
-            service.storage().is_some()
-        };
-        if scrub_config.enabled() && has_at_rest_files {
+        if scrub_config.enabled() && shared.wal_path.is_some() {
             let shared = Arc::clone(&shared);
             repl_threads.push(
                 std::thread::Builder::new()
@@ -996,45 +992,6 @@ fn execute_repl(shared: &Shared, method: Method, path: &str, body: &Json) -> (u1
             let service = shared.service.read().unwrap_or_else(|e| e.into_inner());
             (200, service.replication_snapshot())
         }
-        // Serve one raw backing page of a base table for a peer's
-        // repair-from-replica ladder. Page files are byte-deterministic
-        // across replicas; the fetcher checksum-verifies before
-        // installing, and cross-checks `rowCount` so a lagging peer
-        // serving a different table generation is rejected. The table
-        // name is hex-encoded in the query (names contain `.` and `$`).
-        (Method::Get, "/api/repl/page") => {
-            let param = |key: &str| {
-                query
-                    .split('&')
-                    .find_map(|kv| kv.strip_prefix(key))
-                    .map(str::to_string)
-            };
-            let table = param("table=")
-                .and_then(|h| hex_decode(&h))
-                .and_then(|b| String::from_utf8(b).ok());
-            let file = param("file=").and_then(|f| match f.as_str() {
-                "heap" => Some(None),
-                other => other.strip_prefix("idx").and_then(|c| c.parse().ok()).map(Some),
-            });
-            let no = param("no=").and_then(|v| v.parse::<u32>().ok());
-            let (Some(table), Some(file), Some(no)) = (table, file, no) else {
-                return err(400, "page fetch needs 'table' (hex), 'file' (heap|idxN), 'no'");
-            };
-            let service = shared.service.read().unwrap_or_else(|e| e.into_inner());
-            match service.replication_page(&table, file, no) {
-                Ok(bytes) => (
-                    200,
-                    Json::object([
-                        ("bytes", Json::str(hex_encode(&bytes))),
-                        (
-                            "rowCount",
-                            Json::num(service.table_row_count(&table).unwrap_or(0) as f64),
-                        ),
-                    ]),
-                ),
-                Err(e) => err(rest::status_for_kind(e.kind()), &e.to_string()),
-            }
-        }
         (Method::Post, "/api/repl/promote") => {
             let mut service = shared.service.write().unwrap_or_else(|e| e.into_inner());
             let epoch = service.promote();
@@ -1087,41 +1044,15 @@ fn execute_repl(shared: &Shared, method: Method, path: &str, body: &Json) -> (u1
     }
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
-        .collect()
-}
-
 /// Background at-rest integrity scrubber: budgeted sweeps over the data
-/// directory (WAL, snapshots, query log) and the paged-storage
-/// directory (heap and B-tree files), verifying checksums and
-/// structural invariants with direct reads that never evict the buffer
-/// pool's working set. Findings quarantine the owning table and kick
-/// the repair ladder; objects only a replica can fix are fetched from
-/// peers page by page.
+/// directory (WAL, snapshots, query log), verifying checksums with
+/// direct reads. Its progress is mirrored on `GET /api/integrity`, and
+/// each finding goes to the service, which rewrites a rotted segment at
+/// the next snapshot.
 fn scrub_loop(shared: Arc<Shared>, config: ScrubConfig) {
     let scrubber = sqlshare_core::Scrubber::new(config, sqlshare_core::IoCounter::new());
-    {
-        let service = shared.service.read().unwrap_or_else(|e| e.into_inner());
-        if let Some(dir) = shared.wal_path.as_deref().and_then(|p| p.parent()) {
-            scrubber.add_root(dir);
-        }
-        if let Some(layer) = service.storage() {
-            scrubber.add_root(layer.dir());
-        }
+    if let Some(dir) = shared.wal_path.as_deref().and_then(|p| p.parent()) {
+        scrubber.add_root(dir);
     }
     let every = Duration::from_millis(config.every_ms.max(1));
     loop {
@@ -1134,86 +1065,10 @@ fn scrub_loop(shared: Arc<Shared>, config: ScrubConfig) {
             std::thread::sleep(Duration::from_millis(25).min(every));
         }
         let findings = scrubber.tick();
-        let needs_repair = {
-            let service = shared.service.read().unwrap_or_else(|e| e.into_inner());
-            service.integrity().set_scrub_status(scrubber.status());
-            for f in &findings {
-                service.quarantine_file_finding(&f.path, &f.detail);
-            }
-            // Query-time detections (poisoned pool pages) join the
-            // same quarantine on the scrubber's cadence.
-            service.quarantine_poisoned();
-            service.is_degraded()
-        };
-        if needs_repair {
-            let unrepaired: Vec<String> = {
-                let mut service = shared.service.write().unwrap_or_else(|e| e.into_inner());
-                service
-                    .repair_quarantined()
-                    .into_iter()
-                    .filter(|(_, r)| matches!(r, sqlshare_core::Repair::NeedsReplica(_)))
-                    .map(|(t, _)| t)
-                    .collect()
-            };
-            if !unrepaired.is_empty() {
-                repair_from_peers(&shared, &unrepaired);
-            }
-        }
-    }
-}
-
-/// Fetch replacement pages for locally-unrepairable tables from
-/// replication peers: the configured primary (on a standby) plus every
-/// standby that has acked (on a primary). Each fetched image is
-/// checksum-verified and row-count-cross-checked before installation.
-fn repair_from_peers(shared: &Shared, tables: &[String]) {
-    let mut peers: Vec<String> = shared.config.repl.primary.iter().cloned().collect();
-    peers.extend(shared.repl_hub.peers());
-    if peers.is_empty() {
-        return;
-    }
-    let timeout = shared.config.repl.heartbeat.max(Duration::from_millis(100));
-    for table in tables {
-        let (fetch_list, local_rows) = {
-            let service = shared.service.read().unwrap_or_else(|e| e.into_inner());
-            (
-                service.poisoned_pages(table),
-                service.table_row_count(table),
-            )
-        };
-        for (file, pages) in fetch_list {
-            let filespec = match file {
-                None => "heap".to_string(),
-                Some(col) => format!("idx{col}"),
-            };
-            for no in pages {
-                let path = format!(
-                    "/api/repl/page?table={}&file={filespec}&no={no}",
-                    hex_encode(table.as_bytes())
-                );
-                for peer in &peers {
-                    let Ok((200, body)) = repl::http_call(peer, "GET", &path, None, timeout)
-                    else {
-                        continue;
-                    };
-                    let Ok(doc) = json::parse(&body) else { continue };
-                    let peer_rows = doc.get("rowCount").and_then(Json::as_f64).map(|n| n as usize);
-                    if local_rows.is_some() && peer_rows != local_rows {
-                        continue; // different table generation; unsafe
-                    }
-                    let Some(bytes) = doc
-                        .get("bytes")
-                        .and_then(Json::as_str)
-                        .and_then(hex_decode)
-                    else {
-                        continue;
-                    };
-                    let mut service = shared.service.write().unwrap_or_else(|e| e.into_inner());
-                    if service.install_replica_page(table, file, no, &bytes).is_ok() {
-                        break;
-                    }
-                }
-            }
+        let service = shared.service.read().unwrap_or_else(|e| e.into_inner());
+        service.integrity().set_scrub_status(scrubber.status());
+        for f in &findings {
+            service.note_scrub_finding(&f.path);
         }
     }
 }

@@ -48,18 +48,6 @@ impl ReplHub {
         }
     }
 
-    /// Addresses of every standby that has ever acked — the peer set a
-    /// primary's repair-from-replica driver can fetch pages from (a
-    /// standby's ack id is its own listen address).
-    pub fn peers(&self) -> Vec<String> {
-        self.acks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .keys()
-            .cloned()
-            .collect()
-    }
-
     /// How many standbys have confirmed `lsn`.
     pub fn confirmations(&self, lsn: u64) -> usize {
         self.acks

@@ -1,5 +1,4 @@
-//! Storage primitives: the record log, atomic snapshots, and the paged
-//! layer (slotted pages, buffer pool, heap files, B-trees).
+//! Storage primitives: the record log and atomic snapshots.
 //!
 //! SQLShare ran for years as a public service; the value of such a
 //! service is the corpus that survives every crash and restart (§2–3 of
@@ -12,20 +11,16 @@
 //! keeps the same [`frame`]s in memory). Both logs are
 //! recovered by [`Wal::scan`] (a torn tail is truncated, interior damage
 //! refused), checked by [`Wal::verify`] and shipped by [`read_tail`].
-//!
-//! The paged layer ([`page`], [`pagefile`], [`buffer_pool`], [`heap`],
-//! [`btree`]) makes tables out-of-core: rows live in 8 KiB slotted
-//! pages on disk, a bounded [`buffer_pool::BufferPool`] keeps the hot
-//! set resident, and byte-keyed [`btree::BTree`]s provide secondary
-//! indexes. The engine builds on these through its `paged` module.
+//! An operator that spills writes the same frames to a temp file and
+//! reads them back through a [`FrameReader`].
 //!
 //! Design rules:
 //!
 //! * **Ephemeral mode is zero-overhead.** Nothing in this crate runs
-//!   unless the service was opened with a data directory (or paging was
-//!   explicitly enabled); every filesystem touch increments the owning
-//!   store's [`IoCounter`], which regression tests assert stays at zero
-//!   for ephemeral services.
+//!   unless the service was opened with a data directory; every
+//!   filesystem touch increments the owning store's [`IoCounter`],
+//!   which regression tests assert stays at zero for ephemeral
+//!   services.
 //! * **Failed writes leave no trace.** A WAL append that fails (a real
 //!   I/O error, or an injected `FaultSite::WalAppend` /
 //!   `FaultSite::WalFsync` fault) truncates the file back to its
@@ -33,17 +28,12 @@
 //!   half-journaled — except under a simulated [`wal::CrashPoint`],
 //!   which deliberately leaves a torn tail the recovery scan must
 //!   tolerate.
-//! * **Torn writes are detected.** Every page carries an fnv64 checksum
-//!   over its payload, sealed on write and verified on read; every log
-//!   record is checksummed the same way.
+//! * **Torn writes are detected.** Every log record and spill frame
+//!   carries an fnv64 checksum over its payload, and every snapshot
+//!   file a trailer checksum over its whole payload.
 //! * **No panics escape.** Fault-plan checks sit under `catch_unwind`;
 //!   storage failures surface as typed `Error`s.
 
-pub mod btree;
-pub mod buffer_pool;
-pub mod heap;
-pub mod page;
-pub mod pagefile;
 pub mod scrub;
 pub mod snapshot;
 pub mod stream;
@@ -52,18 +42,13 @@ pub mod wal;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-pub use btree::{audit_node_page, BTree};
-pub use buffer_pool::{BufferPool, PoolStats};
-pub use heap::HeapFile;
-pub use page::{Page, PAGE_SIZE};
-pub use pagefile::PageFile;
 pub use scrub::{ScrubConfig, ScrubFinding, ScrubStatus, Scrubber};
 pub use snapshot::{segment_lsn, SnapshotLoad, SnapshotStep, SnapshotStore};
 pub use stream::{read_tail, TailRead};
-pub use wal::{frame, frames, wal_generation, CrashPoint, Wal, WalAudit, WalScan};
+pub use wal::{frame, frames, wal_generation, CrashPoint, FrameReader, Wal, WalAudit, WalScan};
 
 /// A shareable count of filesystem operations. Every store in this
-/// crate (WAL, snapshot store, page file) owns one;
+/// crate (WAL, snapshot store, scrubber) owns one;
 /// callers that want an aggregate (e.g. "all durability I/O for this
 /// service") construct a single counter and thread it through the
 /// `*_counted` constructors. Per-store counters keep concurrent test

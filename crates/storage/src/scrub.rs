@@ -1,37 +1,29 @@
 //! Background integrity scrubber: budgeted sweeps over at-rest files.
 //!
-//! A long-lived data service accumulates bit-rot faster than queries
-//! notice it — a cold page can sit unread for months while its bits
-//! decay. The scrubber walks every durable file family on a cadence
-//! ([`ScrubConfig::every_ms`]) under an I/O budget per tick
-//! ([`ScrubConfig::io_budget`], in 8 KiB units), so detection latency
-//! is bounded without stealing the foreground's disk bandwidth:
+//! A long-lived data service accumulates bit-rot faster than anyone
+//! reads it back — a snapshot segment or an old journal can sit unread
+//! for months while its bits decay. The scrubber walks every durable
+//! file family on a cadence ([`ScrubConfig::every_ms`]) under an I/O
+//! budget per tick ([`ScrubConfig::io_budget`], in [`READ_UNIT`]s), so
+//! detection latency is bounded without stealing the foreground's disk
+//! bandwidth:
 //!
-//! * **heap / B-tree page files** — per-page checksum verification via
-//!   [`Page::verify`]; B-tree nodes additionally get the single-node
-//!   structural audit ([`crate::btree::audit_node_page`]: valid kind,
-//!   sorted keys).
 //! * **`wal.log`, `querylog.log`** — frame-by-frame checksum walk via
 //!   [`Wal::verify`], flagging interior corruption (valid frames after a
 //!   break) and leaving torn tails to the recovery scan.
 //! * **`snapshot-<lsn>.json`, `segment-<lsn>.json`** — a manifest or a
 //!   segment: the trailer checksum over the payload, read in budgeted
-//!   units like a page file and resumed on the next tick: a matching
+//!   units and resumed on the next tick: a matching
 //!   sum proves the bytes are the bytes written, and a tick costs what
 //!   its budget says whatever the file's size. A file without a
 //!   well-formed trailer (a cut-off tail, or rot in the trailer itself)
 //!   is a finding.
 //!
-//! All reads go straight to the files, never through the buffer pool,
-//! so a scrub pass cannot evict the working set. Reads race foreground
-//! writers by design; a checksum failure is re-read once before it
-//! becomes a finding, which settles the benign torn-read race (the
-//! service re-verifies through its own read path before quarantining
-//! anyway). The scrubber detects and reports — containment and repair
-//! are the service's job.
+//! Reads race foreground writers by design: a snapshot file whose sum
+//! does not match is read again whole before it becomes a finding,
+//! which settles the benign race with a rename. The scrubber detects
+//! and reports; what a finding means is the service's business.
 
-use crate::btree::audit_node_page;
-use crate::page::{Page, PAGE_SIZE};
 use crate::snapshot::{trailer_sum, TRAILER_LEN};
 use crate::wal::Wal;
 use crate::IoCounter;
@@ -39,12 +31,15 @@ use sqlshare_common::hash::Fnv64;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+/// The scrubber's unit of reading, and of its budget: 8 KiB.
+pub const READ_UNIT: usize = 8192;
+
 /// Scrub cadence and per-tick budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScrubConfig {
     /// Milliseconds between ticks; 0 disables the background thread.
     pub every_ms: u64,
-    /// 8 KiB read units per tick.
+    /// [`READ_UNIT`]s read per tick.
     pub io_budget: u64,
 }
 
@@ -70,35 +65,29 @@ pub struct ScrubStatus {
     pub ticks: u64,
     /// Complete sweeps over every registered file.
     pub passes: u64,
-    /// 8 KiB read units consumed.
+    /// [`READ_UNIT`]s consumed.
     pub units: u64,
-    /// Heap / B-tree pages checksum-verified.
-    pub pages: u64,
     /// Record-log frames validated, over both logs: `wal.log` and
     /// `querylog.log`.
     pub wal_frames: u64,
     /// Snapshot files verified: manifests and segments.
     pub snapshots: u64,
     /// Corruption findings reported (cumulative, repeats included —
-    /// a bad page is re-found every pass until repaired).
+    /// a bad file is re-found every pass until it is replaced).
     pub findings: u64,
 }
 
-/// One detected corruption: which file, which page (for page files),
-/// and what failed.
+/// One detected corruption: which file, and what failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubFinding {
     pub path: PathBuf,
-    /// Page number within a `.heap` / `.btree` file; `None` for
-    /// whole-file families (record logs, snapshots).
-    pub page: Option<u32>,
     pub detail: String,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     roots: Vec<PathBuf>,
-    /// Resume point: the next file (by path) and page to scrub.
+    /// Resume point: the next file (by path) and unit to scrub.
     cursor: Option<(PathBuf, u32)>,
     /// Checksum so far of the snapshot the cursor stopped inside.
     partial_sum: Option<Fnv64>,
@@ -118,20 +107,13 @@ pub struct Scrubber {
 /// Outcome of scrubbing (part of) one file.
 struct FileScrub {
     units: u64,
-    /// `Some(next_page)` when the budget ran out mid-file.
+    /// `Some(next_unit)` when the budget ran out mid-file.
     resume: Option<u32>,
     findings: Vec<ScrubFinding>,
 }
 
-fn is_page_file(name: &str) -> bool {
-    name.ends_with(".heap") || name.ends_with(".btree") || name.ends_with(".pages")
-}
-
 fn is_scrubbable(name: &str) -> bool {
-    name == "wal.log"
-        || name == "querylog.log"
-        || is_snapshot_file(name)
-        || is_page_file(name)
+    name == "wal.log" || name == "querylog.log" || is_snapshot_file(name)
 }
 
 /// A manifest or a segment, both sealed with the snapshot trailer.
@@ -140,7 +122,7 @@ fn is_snapshot_file(name: &str) -> bool {
 }
 
 fn file_units(len: u64) -> u64 {
-    (len.div_ceil(PAGE_SIZE as u64)).max(1)
+    (len.div_ceil(READ_UNIT as u64)).max(1)
 }
 
 impl Scrubber {
@@ -152,8 +134,7 @@ impl Scrubber {
         }
     }
 
-    /// Register a directory to sweep (the durable data dir, the paged
-    /// storage dir). Idempotent.
+    /// Register a directory to sweep (the durable data dir). Idempotent.
     pub fn add_root(&self, dir: &Path) {
         let mut inner = self.inner.lock().unwrap();
         if !inner.roots.iter().any(|r| r == dir) {
@@ -168,7 +149,7 @@ impl Scrubber {
 
     /// Run one budgeted increment of the sweep and return any new
     /// findings. A tick advances the cursor by at most `io_budget`
-    /// 8 KiB units; reaching the end of the file list completes a pass
+    /// [`READ_UNIT`]s; reaching the end of the file list completes a pass
     /// and the next tick starts over.
     pub fn tick(&self) -> Vec<ScrubFinding> {
         let mut inner = self.inner.lock().unwrap();
@@ -181,10 +162,10 @@ impl Scrubber {
 
         // Resume after the cursor; a vanished file resumes at its
         // successor (files are sorted, so position is stable enough).
-        let (mut idx, mut page) = match &inner.cursor {
+        let (mut idx, mut unit) = match &inner.cursor {
             None => (0, 0u32),
-            Some((path, page)) => match files.iter().position(|f| f >= path) {
-                Some(i) if &files[i] == path => (i, *page),
+            Some((path, unit)) => match files.iter().position(|f| f >= path) {
+                Some(i) if &files[i] == path => (i, *unit),
                 Some(i) => (i, 0),
                 None => (files.len(), 0),
             },
@@ -201,17 +182,17 @@ impl Scrubber {
                 break;
             }
             let scrub =
-                self.scrub_file(&files[idx], page, remaining, &mut status, &mut partial_sum);
+                self.scrub_file(&files[idx], unit, remaining, &mut status, &mut partial_sum);
             status.units += scrub.units;
             status.findings += scrub.findings.len() as u64;
             findings.extend(scrub.findings);
             remaining = remaining.saturating_sub(scrub.units);
-            if let Some(next_page) = scrub.resume {
-                inner.cursor = Some((files[idx].clone(), next_page));
+            if let Some(next_unit) = scrub.resume {
+                inner.cursor = Some((files[idx].clone(), next_unit));
                 break;
             }
             idx += 1;
-            page = 0;
+            unit = 0;
             if remaining == 0 {
                 inner.cursor = files.get(idx).map(|f| (f.clone(), 0));
                 if inner.cursor.is_none() {
@@ -259,17 +240,14 @@ impl Scrubber {
     fn scrub_file(
         &self,
         path: &Path,
-        from_page: u32,
+        from_unit: u32,
         budget: u64,
         status: &mut ScrubStatus,
         partial_sum: &mut Option<Fnv64>,
     ) -> FileScrub {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if is_page_file(name) {
-            return self.scrub_pages(path, from_page, budget, name.ends_with(".btree"), status);
-        }
         if is_snapshot_file(name) {
-            return self.scrub_snapshot(path, from_page, budget, status, partial_sum);
+            return self.scrub_snapshot(path, from_unit, budget, status, partial_sum);
         }
         // A record log: `wal.log` or `querylog.log`.
         let detail = match Wal::verify(path, &self.io) {
@@ -288,7 +266,6 @@ impl Scrubber {
             findings: detail
                 .map(|detail| ScrubFinding {
                     path: path.to_path_buf(),
-                    page: None,
                     detail,
                 })
                 .into_iter()
@@ -317,7 +294,6 @@ impl Scrubber {
             findings: detail
                 .map(|detail| ScrubFinding {
                     path: path.to_path_buf(),
-                    page: None,
                     detail,
                 })
                 .into_iter()
@@ -359,12 +335,12 @@ impl Scrubber {
             Some(sum) if from_unit > 0 => (u64::from(from_unit), sum),
             _ => (0, Fnv64::new()),
         };
-        if let Err(e) = file.seek(SeekFrom::Start(unit * PAGE_SIZE as u64)) {
+        if let Err(e) = file.seek(SeekFrom::Start(unit * READ_UNIT as u64)) {
             return done(1, unreadable(e));
         }
         let mut units = 0u64;
-        let mut buf = [0u8; PAGE_SIZE];
-        while unit * (PAGE_SIZE as u64) < payload_len {
+        let mut buf = [0u8; READ_UNIT];
+        while unit * (READ_UNIT as u64) < payload_len {
             if units >= budget {
                 *partial_sum = Some(sum);
                 return FileScrub {
@@ -373,7 +349,7 @@ impl Scrubber {
                     findings: Vec::new(),
                 };
             }
-            let n = (payload_len - unit * PAGE_SIZE as u64).min(PAGE_SIZE as u64) as usize;
+            let n = (payload_len - unit * READ_UNIT as u64).min(READ_UNIT as u64) as usize;
             self.io.bump();
             if let Err(e) = file.read_exact(&mut buf[..n]) {
                 return done(units, unreadable(e));
@@ -388,99 +364,11 @@ impl Scrubber {
         status.snapshots += 1;
         done(units, None)
     }
-
-    /// Page-structured files: verify `budget` pages starting at
-    /// `from_page`, re-reading once on failure to settle racing writers.
-    fn scrub_pages(
-        &self,
-        path: &Path,
-        from_page: u32,
-        budget: u64,
-        btree: bool,
-        status: &mut ScrubStatus,
-    ) -> FileScrub {
-        let mut findings = Vec::new();
-        let Ok(mut file) = std::fs::File::open(path) else {
-            // Vanished between listing and open (dropped table) — fine.
-            return FileScrub {
-                units: 1,
-                resume: None,
-                findings,
-            };
-        };
-        self.io.bump();
-        let len = file.metadata().map(|m| m.len()).unwrap_or(0);
-        let pages = (len / PAGE_SIZE as u64) as u32;
-        let mut units = 0u64;
-        let mut no = from_page;
-        while no < pages {
-            if units >= budget {
-                return FileScrub {
-                    units,
-                    resume: Some(no),
-                    findings,
-                };
-            }
-            units += 1;
-            let mut verdict = self.read_and_verify(&mut file, no, btree);
-            if verdict.is_some() {
-                // Re-read once: a concurrent write-back can present a
-                // benign torn image to a raw reader.
-                verdict = self.read_and_verify(&mut file, no, btree);
-            }
-            status.pages += 1;
-            if let Some(detail) = verdict {
-                findings.push(ScrubFinding {
-                    path: path.to_path_buf(),
-                    page: Some(no),
-                    detail,
-                });
-            }
-            no += 1;
-        }
-        FileScrub {
-            units: units.max(1),
-            resume: None,
-            findings,
-        }
-    }
-
-    /// `None` = page OK (or legitimately blank); `Some(detail)` = bad.
-    fn read_and_verify(&self, file: &mut std::fs::File, no: u32, btree: bool) -> Option<String> {
-        use std::io::{Read, Seek, SeekFrom};
-        self.io.bump();
-        let mut bytes = [0u8; PAGE_SIZE];
-        if let Err(e) = file
-            .seek(SeekFrom::Start(no as u64 * PAGE_SIZE as u64))
-            .and_then(|_| file.read_exact(&mut bytes))
-        {
-            return Some(format!("page {no} unreadable: {e}"));
-        }
-        if bytes.iter().all(|&b| b == 0) {
-            // Allocated but never written (a hole) — nothing to verify.
-            return None;
-        }
-        let page = Page::from_bytes(bytes);
-        if !page.verify() {
-            return Some(format!("page {no} fails checksum"));
-        }
-        if btree {
-            // Out-of-range child/sibling checks need the *live* page
-            // count (on-disk length can trail allocation), so the raw
-            // audit only enforces node-local invariants: pass u32::MAX
-            // to neutralize the range checks.
-            if let Err(e) = audit_node_page(&page, u32::MAX) {
-                return Some(format!("page {no}: {}", e.message()));
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagefile::PageFile;
     use crate::snapshot::SnapshotStore;
     use crate::FsyncPolicy;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -519,11 +407,6 @@ mod tests {
         let mut log = Wal::open(&dir.join("querylog.log"), FsyncPolicy::Off).unwrap();
         log.append(br#"{"q":1}"#).unwrap();
         log.append(br#"{"q":2}"#).unwrap();
-        let pf = PageFile::create(&dir.join("t-1.heap"), IoCounter::new()).unwrap();
-        let no = pf.allocate();
-        let mut p = Page::new();
-        p.push(b"row").unwrap();
-        pf.write_page(no, &p).unwrap();
 
         let s = scrubber(&dir, 1024);
         assert!(s.full_pass().is_empty());
@@ -531,7 +414,6 @@ mod tests {
         assert_eq!(st.passes, 1);
         assert_eq!(st.wal_frames, 4, "both record logs");
         assert_eq!(st.snapshots, 1);
-        assert_eq!(st.pages, 1);
         assert_eq!(st.findings, 0);
     }
 
@@ -570,28 +452,6 @@ mod tests {
         bytes[7] ^= 0x01;
         std::fs::write(&segment_path, &bytes).unwrap();
 
-        // Heap page with a flipped bit.
-        let heap_path = dir.join("t-1.heap");
-        let pf = PageFile::create(&heap_path, IoCounter::new()).unwrap();
-        let no = pf.allocate();
-        let mut p = Page::new();
-        p.push(b"row").unwrap();
-        pf.write_page(no, &p).unwrap();
-        drop(pf);
-        let mut bytes = std::fs::read(&heap_path).unwrap();
-        bytes[100] ^= 0x04;
-        std::fs::write(&heap_path, &bytes).unwrap();
-
-        // B-tree page that passes its checksum but is structurally bad.
-        let tree_path = dir.join("t-2.btree");
-        let pf = PageFile::create(&tree_path, IoCounter::new()).unwrap();
-        let no = pf.allocate();
-        let mut bad = Page::new();
-        bad.set_user_header([9, 0, 0, 0, 0, 0, 0, 0]); // kind 9
-        bad.push(b"x").unwrap();
-        pf.write_page(no, &bad).unwrap();
-        drop(pf);
-
         let s = scrubber(&dir, 4096);
         let findings = s.full_pass();
         let family = |suffix: &str| {
@@ -605,8 +465,6 @@ mod tests {
         assert_eq!(family("segment-8.json"), 1, "{findings:?}");
         assert_eq!(family("snapshot-8.json"), 0, "{findings:?}");
         assert_eq!(family("querylog.log"), 1, "{findings:?}");
-        assert_eq!(family("t-1.heap"), 1, "{findings:?}");
-        assert_eq!(family("t-2.btree"), 1, "{findings:?}");
         for name in ["wal.log", "querylog.log"] {
             assert!(findings
                 .iter()
@@ -618,14 +476,10 @@ mod tests {
     #[test]
     fn io_budget_splits_a_sweep_across_ticks() {
         let dir = temp_dir("budget");
-        let pf = PageFile::create(&dir.join("big-1.heap"), IoCounter::new()).unwrap();
-        for i in 0..32 {
-            let no = pf.allocate();
-            let mut p = Page::new();
-            p.push(&[i as u8; 16]).unwrap();
-            pf.write_page(no, &p).unwrap();
+        let store = SnapshotStore::new(&dir);
+        for lsn in 1..=8 {
+            store.write(lsn, &big_payload(3)).unwrap(); // 4 units each
         }
-        drop(pf);
         let s = scrubber(&dir, 4);
         let mut ticks = 0;
         while s.status().passes == 0 {
@@ -633,13 +487,13 @@ mod tests {
             ticks += 1;
             assert!(ticks < 100, "sweep never completed");
         }
-        assert!(ticks >= 8, "32 pages at 4 units/tick needs ≥ 8 ticks, took {ticks}");
-        assert_eq!(s.status().pages, 32);
+        assert!(ticks >= 8, "32 units at 4 units/tick needs ≥ 8 ticks, took {ticks}");
+        assert_eq!(s.status().snapshots, 8);
     }
 
     /// A payload of `units` read units and a bit, valid JSON.
     fn big_payload(units: usize) -> String {
-        format!("{{\"pad\":\"{}\"}}", "x".repeat(units * PAGE_SIZE + 100))
+        format!("{{\"pad\":\"{}\"}}", "x".repeat(units * READ_UNIT + 100))
     }
 
     #[test]
@@ -661,7 +515,7 @@ mod tests {
 
         // Rot in the last unit is found by the tick that gets there.
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[10 * PAGE_SIZE + 50] ^= 0x01;
+        bytes[10 * READ_UNIT + 50] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(s.tick().is_empty());
         assert!(s.tick().is_empty());
@@ -712,10 +566,8 @@ mod tests {
 
     #[test]
     fn scrub_reads_bypass_any_budgeted_pool() {
-        // The promise is architectural: the scrubber takes no
-        // BufferPool at all, so it *cannot* evict the working set. This
-        // test pins the weaker observable: scrubbing is pure reads — the
-        // scrubbed files' bytes are unchanged afterwards.
+        // The scrubber only reads: the scrubbed files' bytes are
+        // unchanged afterwards.
         let dir = temp_dir("readonly");
         let mut wal = Wal::open(&dir.join("wal.log"), FsyncPolicy::Off).unwrap();
         wal.append(br#"{"lsn":1}"#).unwrap();

@@ -207,6 +207,76 @@ pub fn frames(bytes: &[u8]) -> impl Iterator<Item = (&[u8], usize)> {
     })
 }
 
+/// The frames of a source too large to hold whole, read back in order
+/// one at a time — the streaming counterpart of [`frames`], for files
+/// that must read back whole or not at all. `len` is the bytes the
+/// source holds: a length prefix past what is left is refused before
+/// anything is allocated, so no input makes the reader allocate more
+/// than its own length.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    src: R,
+    /// Bytes of the source not yet read.
+    left: u64,
+    /// Offset of the next frame, for error messages.
+    at: u64,
+    payload: Vec<u8>,
+    broken: bool,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub fn new(src: R, len: u64) -> Self {
+        FrameReader {
+            src,
+            left: len,
+            at: 0,
+            payload: Vec::new(),
+            broken: false,
+        }
+    }
+
+    /// The next frame's payload, or `None` where the source ends on a
+    /// frame boundary. A header or payload cut short, a length past the
+    /// end, a checksum that does not match or a failed read is
+    /// `Error::Corrupt`, and so is every call after it.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>> {
+        if self.broken {
+            return Err(Error::Corrupt(format!("frame at byte {}: read after an error", self.at)));
+        }
+        if self.left == 0 {
+            return Ok(None);
+        }
+        let found = self.read_frame();
+        self.broken = found.is_err();
+        found.map_err(|problem| Error::Corrupt(format!("frame at byte {}: {problem}", self.at)))?;
+        self.at += (HEADER_LEN + self.payload.len()) as u64;
+        Ok(Some(&self.payload))
+    }
+
+    /// Read one frame into `payload`, or say what is wrong with it.
+    fn read_frame(&mut self) -> std::result::Result<(), String> {
+        let mut header = [0u8; HEADER_LEN];
+        if self.left < HEADER_LEN as u64 {
+            return Err(format!("header cut short at {} bytes", self.left));
+        }
+        self.src.read_exact(&mut header).map_err(|e| e.to_string())?;
+        self.left -= HEADER_LEN as u64;
+        let len = u32::from_le_bytes(header[..4].try_into().expect("a 4-byte slice")) as usize;
+        if len as u64 > self.left {
+            return Err(format!("length {len} past the end, {} bytes left", self.left));
+        }
+        self.payload.clear();
+        self.payload.reserve_exact(len);
+        self.payload.resize(len, 0);
+        self.src.read_exact(&mut self.payload).map_err(|e| e.to_string())?;
+        self.left -= len as u64;
+        if fnv64(&self.payload) != u64::from_le_bytes(header[4..].try_into().expect("an 8-byte slice")) {
+            return Err("checksum mismatch".into());
+        }
+        Ok(())
+    }
+}
+
 /// Every record of the valid frame prefix, plus the byte offset where
 /// validation stopped.
 fn parse_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {

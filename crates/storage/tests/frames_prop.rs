@@ -1,16 +1,19 @@
-//! Property tests for the record-log frame parser, [`frames`]: the one
-//! decoder under both durable logs (`wal.log`, `querylog.log`) and under
-//! an ephemeral service's in-memory query log.
+//! Property tests for the two frame decoders: [`frames`], the parser
+//! under both durable logs (`wal.log`, `querylog.log`) and an ephemeral
+//! service's in-memory query log, and [`FrameReader`], which streams an
+//! operator's spill file back.
 //!
 //! Whatever the bytes — arbitrary, a valid log with garbage after it, a
 //! valid log with one bit flipped, or a valid log cut at any byte — the
 //! parser never panics, allocates nothing, and returns frames that
 //! re-encode to exactly a prefix of the input. On a cut log it returns
 //! exactly the records wholly before the cut; on a flipped bit, exactly
-//! the records before the damaged one.
+//! the records before the damaged one. The streaming reader returns the
+//! same frames, then a typed error wherever the parser stopped short of
+//! the end, and allocates no more than the input's length.
 
 use proptest::prelude::*;
-use sqlshare_storage::{frame, frames};
+use sqlshare_storage::{frame, frames, FrameReader};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -66,6 +69,47 @@ fn parse(bytes: &[u8]) -> Result<Vec<&[u8]>, TestCaseError> {
     Ok(payloads)
 }
 
+/// What the streaming reader may allocate beside the input's length: the
+/// message of the one error it ends with.
+const ERROR_MESSAGE: usize = 256;
+
+/// Stream `bytes` through a [`FrameReader`] and check what must hold for
+/// any input; returns the payloads it read and whether it ended in an
+/// error rather than at a clean end.
+fn stream(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, bool), TestCaseError> {
+    let mut reader = FrameReader::new(bytes, bytes.len() as u64);
+    let (mut spent, mut payloads) = (0usize, Vec::new());
+    let failed = loop {
+        let before = allocated();
+        let next = reader.next_frame();
+        spent += allocated() - before;
+        match next {
+            Ok(Some(payload)) => payloads.push(payload.to_vec()),
+            Ok(None) => break false,
+            Err(e) => {
+                prop_assert_eq!(e.kind(), "corrupt", "{}", e);
+                break true;
+            }
+        }
+    };
+    prop_assert!(
+        spent <= bytes.len() + ERROR_MESSAGE,
+        "the reader allocated {} bytes for a {}-byte input",
+        spent,
+        bytes.len()
+    );
+    if failed {
+        prop_assert!(reader.next_frame().is_err(), "a read after the error succeeded");
+    }
+    // It agrees with the parser: the same frames, and an error exactly
+    // when they stop short of the end.
+    let parsed: Vec<&[u8]> = frames(bytes).map(|(payload, _)| payload).collect();
+    let covered = frames(bytes).last().map_or(0, |(_, end)| end);
+    prop_assert_eq!(&payloads, &parsed);
+    prop_assert_eq!(failed, covered < bytes.len());
+    Ok((payloads, failed))
+}
+
 /// A valid log of `payloads`, and the offset just past each frame.
 fn log_of(payloads: &[Vec<u8>]) -> (Vec<u8>, Vec<usize>) {
     let mut bytes = Vec::new();
@@ -87,6 +131,43 @@ proptest! {
     #[test]
     fn arbitrary_bytes_parse_to_a_prefix(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         parse(&bytes)?;
+    }
+
+    #[test]
+    fn arbitrary_bytes_stream_to_a_prefix_then_an_error(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        stream(&bytes)?;
+    }
+
+    /// Cut at any byte, a stream yields exactly the records wholly
+    /// before the cut, then an error unless the cut fell between frames.
+    #[test]
+    fn a_cut_stream_yields_the_records_before_the_cut(records in payloads(), at in any::<usize>()) {
+        let (bytes, ends) = log_of(&records);
+        let cut = at % (bytes.len() + 1);
+        let (found, failed) = stream(&bytes[..cut])?;
+        let whole = ends.iter().filter(|&&end| end <= cut).count();
+        prop_assert_eq!(&found[..], &records[..whole]);
+        prop_assert_eq!(failed, cut != ends[..whole].last().copied().unwrap_or(0));
+    }
+
+    /// One flipped bit anywhere yields exactly the records in front of
+    /// the frame it landed in, then an error.
+    #[test]
+    fn a_flipped_bit_streams_the_records_before_it_then_an_error(
+        records in payloads(),
+        at in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let (mut bytes, ends) = log_of(&records);
+        prop_assume!(!bytes.is_empty());
+        let byte = at % bytes.len();
+        bytes[byte] ^= 1 << bit;
+        let (found, failed) = stream(&bytes)?;
+        let before = ends.iter().filter(|&&end| end <= byte).count();
+        prop_assert_eq!(&found[..], &records[..before]);
+        prop_assert!(failed);
     }
 
     /// A valid log followed by garbage: every record is found, whatever

@@ -171,8 +171,8 @@ fn ephemeral_mode_performs_zero_storage_io() {
     // The durability layer must cost nothing when no data directory is
     // configured: a full session of mutations and queries on an
     // ephemeral service may not touch the storage crate at all. I/O
-    // counters are per-store (every WAL, snapshot store, and paged
-    // storage layer owns its own `IoCounter`), so the guarantee is
+    // counters are per-store (every WAL and snapshot store owns its own
+    // `IoCounter`), so the guarantee is
     // structural — an ephemeral service constructs none of them, and
     // this test asserts those handles really are absent afterwards.
     let mut s = SqlShare::new();
@@ -188,11 +188,9 @@ fn ephemeral_mode_performs_zero_storage_io() {
     s.advance_days(3);
     s.delete_dataset("eve", &DatasetName::new("eve", "frozen")).unwrap();
     assert!(s.recovery_report().is_none());
-    // Paged tables are the one storage consumer an ephemeral service
-    // may own, and only when a layer is attached to it; nobody did, so
-    // there must be no store whose I/O counter could even exist.
+    // No store, so no I/O counter that could even exist.
     assert!(
-        s.storage().is_none(),
-        "ephemeral service attached a paged storage layer"
+        s.wal_path().is_none() && s.querylog_path().is_none(),
+        "ephemeral service opened a store"
     );
 }

@@ -1,27 +1,20 @@
-//! Bit-rot chaos differential for the at-rest integrity subsystem.
+//! Bit-rot differential for the at-rest integrity subsystem.
 //!
 //! The integrity promise (DESIGN.md §4.8): every durable byte is
-//! checksummed, a background scrubber re-reads it on a budget, and a
-//! detected flip quarantines only the owning object while a repair
-//! ladder climbs cheapest-first — rebuild a rotted secondary index from
-//! the intact local heap, re-materialize a rotted heap from the latest
-//! snapshot plus WAL records, and, when no local rung can help, fetch
-//! replacement pages from a replica with checksum and row-count
-//! verification. The invariant this suite enforces on a live two-node
-//! pair under random on-disk bit flips: **no query ever returns wrong
-//! data**. Every observed outcome is one of
+//! checksummed — record-log frames, snapshot manifests and segments —
+//! and a background scrubber re-reads the data directory on a budget.
+//! Damage is never read past: recovery refuses interior record-log rot
+//! with the typed `corrupt` error instead of truncating acknowledged
+//! records, skips a rotted snapshot candidate only when the WAL still
+//! covers it, and a rotted segment the scrubber finds is rewritten from
+//! memory by the next snapshot. A replica's journal is byte-identical
+//! to the primary's, so it is the repair for a rotted one.
 //!
-//! - the correct answer (the rot missed, or the cache still held the
-//!   good image),
-//! - the typed `corrupt` error (503 + Retry-After over HTTP), or
-//! - the correct answer again after the repair ladder ran.
-//!
-//! Alongside the chaos loop: deterministic single-rung tests for each
-//! ladder step, WAL interior-rot refusal vs torn-tail truncation,
-//! snapshot-candidate rot (skip-and-count when the WAL covers the gap,
-//! typed refusal when it does not), a seeded detection sweep that flips
-//! one random bit per file family, and the HTTP server's scrub thread
-//! driving detection → quarantine → repair end to end.
+//! The tests: a live primary/standby pair whose standby stays in
+//! lockstep with an in-memory oracle while the query log and the WAL
+//! rot; WAL interior-rot refusal vs torn-tail truncation; snapshot and
+//! segment rot; a seeded detection sweep that flips one random bit per
+//! file family; and the HTTP server's scrub thread reporting rot.
 //!
 //! The seed comes from `SQLSHARE_ROT_SEED` (the CI bit-rot leg pins
 //! one) or a fixed in-code default.
@@ -34,15 +27,12 @@ mod http;
 
 use sqlshare_common::json::{self, Json};
 use sqlshare_core::{
-    read_tail, DurableOptions, IoCounter, Repair, ScrubConfig, ScrubFinding,
-    Scrubber, SqlShare,
+    read_tail, DurableOptions, IoCounter, ScrubConfig, ScrubFinding, Scrubber, SqlShare,
 };
-use sqlshare_engine::StorageLayer;
 use sqlshare_ingest::IngestOptions;
-use sqlshare_storage::{SnapshotStore, Wal, PAGE_SIZE};
+use sqlshare_storage::{SnapshotStore, Wal};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Deterministic RNG (splitmix64), seed, temp dirs — the recovery and
@@ -90,16 +80,8 @@ fn durable_options(dir: &Path, snapshot_every: u64) -> DurableOptions {
         .snapshot_every(snapshot_every)
 }
 
-/// A paged storage layer squeezed to the 8-page buffer-pool floor, so
-/// any scan of a table wider than the pool is guaranteed to re-read
-/// pages from disk — on-disk flips cannot hide behind the cache.
-fn tiny_layer(dir: &Path) -> Arc<StorageLayer> {
-    std::fs::create_dir_all(dir).unwrap();
-    StorageLayer::new(dir, 1, fsync::policy()).expect("storage layer")
-}
-
 /// Serial, cache-less execution: answers are row-order deterministic
-/// and every query actually touches the backing pages.
+/// and every query actually runs.
 fn pin(s: &mut SqlShare) {
     s.set_cache_config(0, u64::MAX);
     s.set_parallelism(1, f64::MAX);
@@ -110,9 +92,7 @@ fn pin(s: &mut SqlShare) {
 // check that encodes the invariant.
 // ---------------------------------------------------------------------
 
-/// A 4-column CSV wide enough that the heap spans well over the 8-page
-/// pool (~12+ pages at 8 KiB) and every non-leading column gets a
-/// multi-page secondary index.
+/// A 4-column CSV of `rows` rows.
 fn wide_csv(tag: &str, rows: usize) -> String {
     let mut out = String::from("a,b,c,d\n");
     for i in 0..rows {
@@ -125,9 +105,8 @@ fn wide_csv(tag: &str, rows: usize) -> String {
     out
 }
 
-/// Per-table battery: a full scan, an equality probe on an indexed
-/// column, and an aggregate — the three shapes that read heap pages,
-/// index pages, and both.
+/// Per-table battery: a full scan, an equality probe on a non-leading
+/// column, and an aggregate.
 fn battery(tables: &[String], probe: usize) -> Vec<String> {
     let mut sqls = Vec::new();
     for t in tables {
@@ -138,31 +117,14 @@ fn battery(tables: &[String], probe: usize) -> Vec<String> {
     sqls
 }
 
-/// THE invariant: for every query, the subject either answers exactly
-/// like the oracle or fails with the typed `corrupt` error. Anything
-/// else — wrong rows, a different error kind — is a bug. Returns
-/// (correct, corrupt) tallies. Both sides always run, so their sim
-/// clocks tick in lockstep.
-fn differential(subject: &SqlShare, oracle: &SqlShare, sqls: &[String]) -> (usize, usize) {
-    let (mut correct, mut corrupt) = (0usize, 0usize);
+/// Every query answers exactly like the oracle. Both sides always run,
+/// so their sim clocks tick in lockstep.
+fn differential(subject: &SqlShare, oracle: &SqlShare, sqls: &[String]) {
     for sql in sqls {
         let want = oracle.run_query("ada", sql).expect("oracle query failed");
-        match subject.run_query("ada", sql) {
-            Ok(got) => {
-                assert_eq!(got.rows, want.rows, "WRONG DATA served for: {sql}");
-                correct += 1;
-            }
-            Err(e) => {
-                assert_eq!(
-                    e.kind(),
-                    "corrupt",
-                    "non-corrupt error under bit rot for {sql}: {e}"
-                );
-                corrupt += 1;
-            }
-        }
+        let got = subject.run_query("ada", sql).expect("subject query failed");
+        assert_eq!(got.rows, want.rows, "WRONG DATA served for: {sql}");
     }
-    (correct, corrupt)
 }
 
 /// Feed the primary's WAL tail since `from` into the standby through
@@ -197,22 +159,6 @@ fn flip_random_bit(path: &Path, rng: &mut Rng) {
     flip_bit(path, rng.below(len * 8));
 }
 
-/// One random bit flipped in *every* 8 KiB page of a page file. A
-/// multi-page file can never be fully resident in the floor-sized pool,
-/// so at least one flipped page is always read from disk — detection
-/// (and, for heaps, the rung-1 failure that forces rung 2) is
-/// deterministic regardless of what the cache still holds.
-fn flip_every_page(path: &Path, rng: &mut Rng) {
-    let len = std::fs::metadata(path).expect("stat rot victim").len() as usize;
-    let pages = len.div_ceil(PAGE_SIZE);
-    assert!(pages > 1, "rot victim {path:?} is single-page");
-    for page in 0..pages {
-        let lo = page * PAGE_SIZE;
-        let span = PAGE_SIZE.min(len - lo);
-        flip_bit(path, lo * 8 + rng.below(span * 8));
-    }
-}
-
 /// An unbudgeted scrub sweep over `roots`, returning the findings.
 fn scrub(roots: &[&Path]) -> Vec<ScrubFinding> {
     let scrubber = Scrubber::new(
@@ -228,35 +174,13 @@ fn scrub(roots: &[&Path]) -> Vec<ScrubFinding> {
     scrubber.full_pass()
 }
 
-/// The backing files of a base table: `(None, heap)` plus
-/// `(Some(col), btree)` per secondary index.
-fn backing(s: &SqlShare, key: &str) -> Vec<(Option<usize>, PathBuf)> {
-    s.engine()
-        .catalog()
-        .table(key)
-        .expect("base table")
-        .paged()
-        .expect("paged backing")
-        .backing_files()
-}
-
-fn repair_count(s: &SqlShare, counter: &str) -> u64 {
-    s.integrity()
-        .report()
-        .get("repairs")
-        .and_then(|r| r.get(counter))
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0) as u64
-}
-
 // ---------------------------------------------------------------------
-// 1. The tentpole: a live primary/standby pair under random at-rest bit
-//    flips. Scrub → quarantine → degraded serving → repair ladder →
-//    correct again, with an in-memory oracle judging every answer and
-//    the standby's digest staying in lockstep throughout. The end
-//    phase rots the non-page families on the same live pair: query log
-//    (parse-level finding), WAL (interior rot refuses recovery; the
-//    byte-identical standby journal repairs it).
+// 1. A live primary/standby pair: the standby, fed the primary's WAL
+//    records, stays in lockstep with an in-memory oracle while the
+//    primary answers every query as the oracle does. Then the durable
+//    families rot on the same pair: query log (a scrub finding), WAL
+//    (interior rot refuses recovery; the byte-identical standby journal
+//    repairs it).
 // ---------------------------------------------------------------------
 
 #[test]
@@ -264,14 +188,12 @@ fn bit_rot_chaos_on_a_live_pair_never_serves_wrong_data() {
     let mut rng = Rng(rot_seed());
     let p_dir = temp_dir("chaos-p");
     let s_dir = temp_dir("chaos-s");
-    let pages = p_dir.join("pages");
 
-    // Primary: durable + paged, snapshots off so the WAL always covers
-    // every mutation (rung 2 is always available, and the standby feed
-    // never resets). Oracle: pure in-memory, never rotted. Standby:
-    // durable, fed the primary's WAL records.
+    // Primary: durable, snapshots off so the WAL always covers every
+    // mutation and the standby feed never resets. Oracle: pure
+    // in-memory, never rotted. Standby: durable, fed the primary's WAL
+    // records.
     let mut primary = SqlShare::open(durable_options(&p_dir, u64::MAX)).unwrap();
-    primary.set_storage(Some(tiny_layer(&pages)));
     pin(&mut primary);
     let mut oracle = SqlShare::new();
     pin(&mut oracle);
@@ -293,69 +215,17 @@ fn bit_rot_chaos_on_a_live_pair_never_serves_wrong_data() {
     let mut repl_off = replicate(&wal, 0, &mut standby);
     assert_eq!(standby.durable_digest(), oracle.durable_digest());
 
-    let (mut rebuilt, mut remat) = (0usize, 0usize);
     for round in 0..8 {
-        // Keep the journal growing so rung 2 always replays history.
         let extra = wide_csv(&format!("r{round}"), 40);
         for s in [&mut primary, &mut oracle] {
             s.upload("ada", &format!("extra{round}"), &extra, &IngestOptions::default())
                 .unwrap();
         }
-
-        // Strike: even rounds rot a secondary index, odd rounds rot a
-        // heap — exercising both local rungs of the ladder.
-        let key = format!("{}$base", tables[rng.below(tables.len())]);
-        let files = backing(&primary, &key);
-        let target = if round % 2 == 0 {
-            let idx: Vec<_> = files.iter().filter(|(col, _)| col.is_some()).collect();
-            idx[rng.below(idx.len())].1.clone()
-        } else {
-            files.iter().find(|(col, _)| col.is_none()).unwrap().1.clone()
-        };
-        flip_every_page(&target, &mut rng);
-
-        // Detection: the scrubber must find the rot and the finding
-        // must map back to exactly the owning table.
-        let findings = scrub(&[&p_dir, &pages]);
-        assert!(
-            findings.iter().any(|f| f.path == target),
-            "round {round}: scrub missed rot in {target:?}"
-        );
-        for f in &findings {
-            if let Some(owner) = primary.quarantine_file_finding(&f.path, &f.detail) {
-                assert_eq!(owner, key, "round {round}: finding blamed the wrong table");
-            }
-        }
-        assert!(primary.is_degraded(), "round {round}: no quarantine");
-
-        // Degraded serving: every outcome is correct-or-typed-corrupt,
-        // and only the quarantined table may fail.
-        let sqls = battery(&tables, rng.below(2200));
-        differential(&primary, &oracle, &sqls);
-        primary.quarantine_poisoned();
-
-        // Repair: a durable node must fix everything locally.
-        let repairs = primary.repair_quarantined();
-        assert!(!repairs.is_empty(), "round {round}: nothing repaired");
-        for (name, repair) in &repairs {
-            match repair {
-                Repair::RebuiltFromHeap => rebuilt += 1,
-                Repair::Rematerialized => remat += 1,
-                other => panic!("round {round}: {name} repair escalated: {other:?}"),
-            }
-        }
-        assert!(!primary.is_degraded(), "round {round}: still degraded");
-
-        // Repaired-then-correct: the same battery now matches the
-        // oracle on every query, and a fresh sweep is clean.
-        let (correct, corrupt) = differential(&primary, &oracle, &sqls);
-        assert_eq!(corrupt, 0, "round {round}: corrupt after repair");
-        assert_eq!(correct, sqls.len());
-        let clean = scrub(&[&p_dir, &pages]);
-        assert!(clean.is_empty(), "round {round}: repair left rot: {clean:?}");
+        differential(&primary, &oracle, &battery(&tables, rng.below(2200)));
+        assert!(scrub(&[&p_dir]).is_empty(), "round {round}: a clean directory has findings");
 
         // The standby applied the same records and stays byte-for-byte
-        // in step with the oracle — repairs never leak wrong state.
+        // in step with the oracle.
         repl_off = replicate(&wal, repl_off, &mut standby);
         assert_eq!(
             standby.durable_digest(),
@@ -363,8 +233,6 @@ fn bit_rot_chaos_on_a_live_pair_never_serves_wrong_data() {
             "round {round}: standby diverged"
         );
     }
-    assert!(rebuilt >= 1, "no index-rot round exercised rung 1");
-    assert!(remat >= 1, "no heap-rot round exercised rung 2");
 
     // --- Query-log family: a record log like the WAL, so rot inside
     // its first frame, with frames after it, is a checksum finding ---
@@ -405,280 +273,7 @@ fn bit_rot_chaos_on_a_live_pair_never_serves_wrong_data() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Rung 1, deterministically: index rot is rebuilt from the intact
-//    local heap, answers unchanged, counters visible.
-// ---------------------------------------------------------------------
-
-#[test]
-fn index_rot_is_rebuilt_from_the_intact_local_heap() {
-    let mut rng = Rng(rot_seed() ^ 0x11);
-    let dir = temp_dir("rung1");
-    let pages = dir.join("pages");
-    let mut s = SqlShare::open(durable_options(&dir, u64::MAX)).unwrap();
-    s.set_storage(Some(tiny_layer(&pages)));
-    pin(&mut s);
-    s.register_user("ada", "ada@uw.edu").unwrap();
-    s.upload("ada", "t", &wide_csv("t", 2200), &IngestOptions::default())
-        .unwrap();
-
-    let tables = vec!["ada.t".to_string()];
-    let sqls = battery(&tables, 321);
-    let want: Vec<_> = sqls
-        .iter()
-        .map(|q| s.run_query("ada", q).unwrap().rows)
-        .collect();
-
-    let key = "ada.t$base";
-    let files = backing(&s, key);
-    let idx_path = files.iter().find(|(col, _)| col.is_some()).unwrap().1.clone();
-    flip_every_page(&idx_path, &mut rng);
-
-    let findings = scrub(&[&pages]);
-    assert!(!findings.is_empty(), "scrub missed index rot");
-    for f in &findings {
-        assert_eq!(f.path, idx_path, "finding outside the rotted index");
-        assert_eq!(
-            s.quarantine_file_finding(&f.path, &f.detail).as_deref(),
-            Some(key)
-        );
-    }
-    assert!(s.is_degraded());
-
-    let repairs = s.repair_quarantined();
-    assert_eq!(repairs, vec![(key.to_string(), Repair::RebuiltFromHeap)]);
-    assert!(!s.is_degraded());
-    assert_eq!(repair_count(&s, "indexRebuilds"), 1);
-
-    for (q, w) in sqls.iter().zip(&want) {
-        assert_eq!(&s.run_query("ada", q).unwrap().rows, w, "post-repair: {q}");
-    }
-    assert!(scrub(&[&pages]).is_empty(), "repair left rot behind");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------
-// 3. Rung 2, deterministically: heap rot is re-materialized from the
-//    latest snapshot brought forward by later WAL records — including a
-//    delete + re-upload of the same name, so the repair must land on
-//    the *current* generation, not the snapshotted one.
-// ---------------------------------------------------------------------
-
-#[test]
-fn heap_rot_is_rematerialized_from_snapshot_plus_wal() {
-    let mut rng = Rng(rot_seed() ^ 0x22);
-    let dir = temp_dir("rung2");
-    let pages = dir.join("pages");
-    let mut s = SqlShare::open(durable_options(&dir, 3)).unwrap();
-    s.set_storage(Some(tiny_layer(&pages)));
-    pin(&mut s);
-    s.register_user("ada", "ada@uw.edu").unwrap(); // lsn 1
-    s.upload("ada", "t", &wide_csv("v1", 600), &IngestOptions::default())
-        .unwrap(); // lsn 2
-    s.upload("ada", "filler", "x,y\n1,2\n", &IngestOptions::default())
-        .unwrap(); // lsn 3 → snapshot + WAL reset: the snapshot holds v1
-    s.delete_dataset("ada", &sqlshare_core::DatasetName::new("ada", "t"))
-        .unwrap(); // lsn 4, WAL only
-    s.upload("ada", "t", &wide_csv("v2", 2600), &IngestOptions::default())
-        .unwrap(); // lsn 5, WAL only
-
-    let scan = "SELECT a, b, c, d FROM ada.t";
-    let want = s.run_query("ada", scan).unwrap().rows;
-    assert_eq!(want.len(), 2600);
-
-    let key = "ada.t$base";
-    let heap_path = backing(&s, key)
-        .iter()
-        .find(|(col, _)| col.is_none())
-        .unwrap()
-        .1
-        .clone();
-    flip_every_page(&heap_path, &mut rng);
-
-    // Query-time detection: the scan trips a checksum, poisons the
-    // page, and surfaces the typed error.
-    let err = s.run_query("ada", scan).unwrap_err();
-    assert_eq!(err.kind(), "corrupt", "heap rot not typed: {err}");
-    assert_eq!(s.quarantine_poisoned(), vec![key.to_string()]);
-
-    // Rung 1 cannot help (the heap itself is rotted); rung 2 replays
-    // snapshot(v1) → delete → upload(v2) and must end on v2.
-    let repairs = s.repair_quarantined();
-    assert_eq!(repairs, vec![(key.to_string(), Repair::Rematerialized)]);
-    assert!(!s.is_degraded());
-    assert_eq!(repair_count(&s, "rematerializations"), 1);
-    assert_eq!(s.run_query("ada", scan).unwrap().rows, want);
-    assert!(scrub(&[&pages]).is_empty(), "repair left rot behind");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Rung 2 for a table a snapshot already holds: its rows come from the
-/// segment its manifest entry names — read alone, not with the rest of
-/// the snapshot — and no WAL record mentions it.
-#[test]
-fn heap_rot_of_a_table_in_a_segment_is_rematerialized_from_it() {
-    let mut rng = Rng(rot_seed() ^ 0x23);
-    let dir = temp_dir("rung2-segment");
-    let pages = dir.join("pages");
-    let mut s = SqlShare::open(durable_options(&dir, 3)).unwrap();
-    s.set_storage(Some(tiny_layer(&pages)));
-    pin(&mut s);
-    s.register_user("ada", "ada@uw.edu").unwrap(); // lsn 1
-    s.upload("ada", "t", &wide_csv("seg", 2600), &IngestOptions::default())
-        .unwrap(); // lsn 2
-    s.upload("ada", "u", "x,y\n1,2\n", &IngestOptions::default())
-        .unwrap(); // lsn 3 → snapshot: one segment holds t and u
-    s.upload("ada", "v", "x,y\n3,4\n", &IngestOptions::default())
-        .unwrap(); // lsn 4, WAL only
-    s.upload("ada", "w", "x,y\n5,6\n", &IngestOptions::default())
-        .unwrap(); // lsn 5, WAL only
-    let segments: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.file_name().unwrap().to_str().unwrap().starts_with("segment-"))
-        .collect();
-    assert_eq!(segments.len(), 1, "{segments:?}");
-    let segment = std::fs::read_to_string(&segments[0]).unwrap();
-    assert!(segment.contains("\"ada.t$base\""), "t is in the segment");
-
-    let scan = "SELECT a, b, c, d FROM ada.t";
-    let want = s.run_query("ada", scan).unwrap().rows;
-    assert_eq!(want.len(), 2600);
-    let key = "ada.t$base";
-    let heap_path = backing(&s, key)
-        .iter()
-        .find(|(col, _)| col.is_none())
-        .unwrap()
-        .1
-        .clone();
-    flip_every_page(&heap_path, &mut rng);
-    assert_eq!(s.run_query("ada", scan).unwrap_err().kind(), "corrupt");
-    assert_eq!(s.quarantine_poisoned(), vec![key.to_string()]);
-
-    let repairs = s.repair_quarantined();
-    assert_eq!(repairs, vec![(key.to_string(), Repair::Rematerialized)]);
-    assert!(!s.is_degraded());
-    assert_eq!(s.run_query("ada", scan).unwrap().rows, want);
-    assert!(scrub(&[&pages]).is_empty(), "repair left rot behind");
-
-    // With the segment rotted, the snapshot cannot vouch for t: rung 2
-    // declines and the replica rung is next.
-    let heap_path = backing(&s, key)
-        .into_iter()
-        .find(|(col, _)| col.is_none())
-        .unwrap()
-        .1;
-    flip_every_page(&heap_path, &mut rng);
-    flip_random_bit(&segments[0], &mut rng);
-    assert_eq!(s.run_query("ada", scan).unwrap_err().kind(), "corrupt");
-    assert_eq!(s.quarantine_poisoned(), vec![key.to_string()]);
-    let repairs = s.repair_quarantined();
-    assert!(matches!(repairs[..], [(_, Repair::NeedsReplica(_))]), "{repairs:?}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------
-// 4. Rung 3: an ephemeral node (no snapshot, no WAL) with heap rot can
-//    only be repaired from a replica. Backing files are
-//    byte-deterministic across replicas; fetched images are
-//    checksum-verified before installation; repair converges page by
-//    page as queries uncover more rot.
-// ---------------------------------------------------------------------
-
-#[test]
-fn ephemeral_heap_rot_is_repaired_page_by_page_from_a_replica() {
-    let mut rng = Rng(rot_seed() ^ 0x33);
-    let a_pages = temp_dir("rung3-a");
-    let b_pages = temp_dir("rung3-b");
-    let mut a = SqlShare::new();
-    a.set_storage(Some(tiny_layer(&a_pages)));
-    pin(&mut a);
-    let mut b = SqlShare::new();
-    b.set_storage(Some(tiny_layer(&b_pages)));
-    pin(&mut b);
-
-    let csv = wide_csv("t", 2600);
-    for s in [&mut a, &mut b] {
-        s.register_user("ada", "ada@uw.edu").unwrap();
-        s.upload("ada", "t", &csv, &IngestOptions::default()).unwrap();
-    }
-    let key = "ada.t$base";
-
-    // The repair-from-replica design rests on page files being
-    // byte-deterministic across replicas that applied the same history.
-    let files_a = backing(&a, key);
-    let files_b = backing(&b, key);
-    assert_eq!(files_a.len(), files_b.len());
-    for ((col_a, pa), (col_b, pb)) in files_a.iter().zip(&files_b) {
-        assert_eq!(col_a, col_b);
-        assert_eq!(
-            std::fs::read(pa).unwrap(),
-            std::fs::read(pb).unwrap(),
-            "replica page files diverge for column {col_a:?}"
-        );
-    }
-
-    let scan = "SELECT a, b, c, d FROM ada.t";
-    let want = a.run_query("ada", scan).unwrap().rows;
-    let heap_b = files_b.iter().find(|(col, _)| col.is_none()).unwrap().1.clone();
-    flip_every_page(&heap_b, &mut rng);
-
-    let err = b.run_query("ada", scan).unwrap_err();
-    assert_eq!(err.kind(), "corrupt");
-    assert_eq!(b.quarantine_poisoned(), vec![key.to_string()]);
-    let repairs = b.repair_quarantined();
-    assert_eq!(repairs.len(), 1);
-    assert!(
-        matches!(repairs[0].1, Repair::NeedsReplica(_)),
-        "ephemeral node found a local rung: {:?}",
-        repairs[0].1
-    );
-    assert!(b.is_degraded(), "NeedsReplica must keep the quarantine");
-
-    // A tampered fetch is rejected before it touches the file.
-    let (file, pages) = b.poisoned_pages(key).into_iter().next().unwrap();
-    let mut tampered = a.replication_page(key, file, pages[0]).unwrap();
-    tampered[100] ^= 1;
-    let err = b.install_replica_page(key, file, pages[0], &tampered).unwrap_err();
-    assert_eq!(err.kind(), "corrupt", "tampered page installed: {err}");
-
-    // Converge: fetch-verify-install every poisoned page, re-query to
-    // uncover the next rotted page, repeat. The scan stops at the first
-    // bad page, so repair is necessarily incremental.
-    let mut spins = 0;
-    loop {
-        spins += 1;
-        assert!(spins <= 64, "replica repair did not converge");
-        for (file, pages) in b.poisoned_pages(key) {
-            for no in pages {
-                assert_eq!(
-                    a.table_row_count(key),
-                    b.table_row_count(key),
-                    "generation cross-check failed"
-                );
-                let image = a.replication_page(key, file, no).unwrap();
-                b.install_replica_page(key, file, no, &image).unwrap();
-            }
-        }
-        match b.run_query("ada", scan) {
-            Ok(got) => {
-                assert_eq!(got.rows, want, "replica repair produced wrong data");
-                break;
-            }
-            Err(e) => {
-                assert_eq!(e.kind(), "corrupt");
-                b.quarantine_poisoned();
-            }
-        }
-    }
-    assert!(!b.is_degraded(), "quarantine survived a completed repair");
-    assert!(repair_count(&b, "replicaFetches") >= 1);
-    assert!(scrub(&[&b_pages]).is_empty(), "repair left rot behind");
-    let _ = std::fs::remove_dir_all(&a_pages);
-    let _ = std::fs::remove_dir_all(&b_pages);
-}
-
-// ---------------------------------------------------------------------
-// 5. WAL: a torn tail truncates and recovers (the unacked record is
+// 2. WAL: a torn tail truncates and recovers (the unacked record is
 //    cleanly absent), but interior rot — acknowledged bytes — refuses
 //    recovery with the typed error instead of silently truncating.
 // ---------------------------------------------------------------------
@@ -729,7 +324,7 @@ fn wal_interior_rot_refuses_recovery_while_a_torn_tail_truncates() {
 }
 
 // ---------------------------------------------------------------------
-// 6. Snapshot candidates: a corrupt candidate the WAL still covers is
+// 3. Snapshot candidates: a corrupt candidate the WAL still covers is
 //    skipped and counted (recovery proceeds, state complete); one past
 //    WAL coverage refuses with the typed error; a *vanished* snapshot
 //    behind a reset WAL likewise refuses rather than replaying onto the
@@ -867,9 +462,8 @@ fn a_segment_the_scrubber_finds_rotted_is_rewritten_by_the_next_snapshot() {
     let findings = scrub(&[&dir]);
     assert!(findings.iter().any(|f| f.path == segment), "{findings:?}");
     for f in &findings {
-        assert_eq!(s.quarantine_file_finding(&f.path, &f.detail), None);
+        s.note_scrub_finding(&f.path);
     }
-    assert!(!s.is_degraded(), "no table is quarantined for it");
     for (i, user) in ["bob", "cy"].iter().enumerate() {
         s.register_user(user, "x@uw.edu").unwrap();
         s.force_snapshot().unwrap();
@@ -885,20 +479,18 @@ fn a_segment_the_scrubber_finds_rotted_is_rewritten_by_the_next_snapshot() {
 }
 
 // ---------------------------------------------------------------------
-// 7. Detection sweep (satellite): one random seeded bit flip per file
-//    family — heap page, B-tree page, WAL, snapshot, query log — must
-//    be *detected*: a scrub finding for pages and snapshots; for the two
-//    record logs (WAL, query log), a finding or a recovery-time
-//    truncation/refusal (tail rot is deliberately left to recovery).
+// 4. Detection sweep: one random seeded bit flip per file family — WAL,
+//    snapshot manifest, segment, query log — must be *detected*: a
+//    scrub finding for manifests and segments; for the two record logs
+//    (WAL, query log), a finding or a recovery-time truncation/refusal
+//    (tail rot is deliberately left to recovery).
 // ---------------------------------------------------------------------
 
 #[test]
 fn a_random_bit_flip_in_every_file_family_is_detected() {
     let mut rng = Rng(rot_seed() ^ 0x66);
     let dir = temp_dir("families");
-    let pages = dir.join("pages");
     let mut s = SqlShare::open(durable_options(&dir, 3)).unwrap();
-    s.set_storage(Some(tiny_layer(&pages)));
     pin(&mut s);
     s.register_user("ada", "ada@uw.edu").unwrap();
     s.upload("ada", "t", &wide_csv("t", 400), &IngestOptions::default()).unwrap();
@@ -906,30 +498,28 @@ fn a_random_bit_flip_in_every_file_family_is_detected() {
     s.upload("ada", "v", "x,y\n3,4\n", &IngestOptions::default()).unwrap();
     s.run_query("ada", "SELECT COUNT(*) FROM ada.t").unwrap();
     s.run_query("ada", "SELECT x FROM ada.u").unwrap();
-    // The service stays alive through the sweep: dropping it would
-    // delete the paged backing files. The scrubber reads the disk
-    // images directly, so live cached frames never mask a flip.
-    let files = backing(&s, "ada.t$base");
-    let heap = files.iter().find(|(c, _)| c.is_none()).unwrap().1.clone();
-    let btree = files.iter().find(|(c, _)| c.is_some()).unwrap().1.clone();
-
+    // The service stays alive through the sweep; the scrubber reads the
+    // disk images directly.
     let wal = dir.join("wal.log");
     let qlog = dir.join("querylog.log");
-    let snapshot = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .find(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("snapshot-") && n.ends_with(".json"))
-        })
-        .expect("cadence wrote a snapshot");
+    let written = |prefix: &str| {
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .find(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with(prefix) && n.ends_with(".json"))
+            })
+            .expect("cadence wrote a snapshot")
+    };
+    let snapshot = written("snapshot-");
+    let segment = written("segment-");
 
     let families: Vec<(&str, &Path)> = vec![
-        ("heap", &heap),
-        ("btree", &btree),
         ("wal", &wal),
         ("snapshot", &snapshot),
+        ("segment", &segment),
         ("querylog", &qlog),
     ];
     for (family, path) in &families {
@@ -939,7 +529,7 @@ fn a_random_bit_flip_in_every_file_family_is_detected() {
         for trial in 0..20 {
             let bit = rng.below(pristine.len() * 8);
             flip_bit(path, bit);
-            let found = scrub(&[&dir, &pages]).iter().any(|f| &f.path == path);
+            let found = scrub(&[&dir]).iter().any(|f| &f.path == path);
             let detected = if *family == "wal" || *family == "querylog" {
                 // Record-log tail rot carries no finding; recovery
                 // truncates or refuses instead. Either channel counts
@@ -965,29 +555,25 @@ fn a_random_bit_flip_in_every_file_family_is_detected() {
 }
 
 // ---------------------------------------------------------------------
-// 8. Over HTTP: the server's env-configured scrub thread detects
-//    on-disk rot, quarantines, repairs through the ladder, and the
-//    whole story is observable via GET /api/integrity; GET
-//    /api/repl/page serves verifiable raw pages to peers.
+// 5. Over HTTP: the server's scrub thread finds on-disk rot in the data
+//    directory without any request touching it, and the finding is
+//    observable on GET /api/integrity.
 // ---------------------------------------------------------------------
 
 #[test]
-fn http_scrub_thread_repairs_index_rot_and_serves_pages() {
+fn http_scrub_thread_reports_rot_in_the_data_directory() {
     use crate::http::{HttpClient, ReplayOp};
     use sqlshare_server::{HttpConfig, Server};
 
     let mut rng = Rng(rot_seed() ^ 0x77);
     let dir = temp_dir("http");
-    let pages = dir.join("pages");
     let mut svc = SqlShare::open(durable_options(&dir, u64::MAX)).unwrap();
-    svc.set_storage(Some(tiny_layer(&pages)));
-    pin(&mut svc);
     svc.register_user("ada", "ada@uw.edu").unwrap();
     svc.upload("ada", "t", &wide_csv("t", 2200), &IngestOptions::default())
         .unwrap();
-    let files = backing(&svc, "ada.t$base");
-    let idx_path = files.iter().find(|(c, _)| c.is_some()).unwrap().1.clone();
-    let heap_path = files.iter().find(|(c, _)| c.is_none()).unwrap().1.clone();
+    svc.force_snapshot().unwrap();
+    let segment = dir.join("segment-2.json");
+    assert!(segment.exists());
 
     let cfg = HttpConfig {
         scrub: ScrubConfig { every_ms: 10, io_budget: 100_000 },
@@ -995,65 +581,41 @@ fn http_scrub_thread_repairs_index_rot_and_serves_pages() {
     };
     let server = Server::start(svc, "127.0.0.1:0", cfg).expect("bind");
     let mut client = HttpClient::new(server.addr());
-
-    // GET /api/repl/page round-trips a raw page, hex-encoded, with the
-    // row count a fetching peer cross-checks; bad params are a 400.
-    let hex = |bytes: &[u8]| {
-        bytes.iter().map(|b| format!("{b:02x}")).collect::<String>()
-    };
-    let resp = client
-        .request(&ReplayOp::Get(format!(
-            "/api/repl/page?table={}&file=heap&no=0",
-            hex(b"ada.t$base")
-        )))
-        .unwrap();
-    assert_eq!(resp.status, 200);
-    let doc = json::parse(&String::from_utf8_lossy(&resp.body)).unwrap();
-    assert_eq!(doc.get("rowCount").and_then(Json::as_f64), Some(2200.0));
-    let served = doc.get("bytes").and_then(Json::as_str).unwrap().to_string();
-    let on_disk = &std::fs::read(&heap_path).unwrap()[..PAGE_SIZE];
-    assert_eq!(served, hex(on_disk), "served page != on-disk page");
-    let resp = client
-        .request(&ReplayOp::Get("/api/repl/page?table=zz&file=heap".into()))
-        .unwrap();
-    assert_eq!(resp.status, 400);
-
-    // Rot an index on disk; the scrub thread must detect, quarantine,
-    // and repair it (rung 1) without any request touching the table.
-    flip_every_page(&idx_path, &mut rng);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    loop {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "scrub thread never repaired the rot"
-        );
-        let resp = client
-            .request(&ReplayOp::Get("/api/integrity".into()))
-            .unwrap();
+    let findings = |client: &mut HttpClient| {
+        let resp = client.request(&ReplayOp::Get("/api/integrity".into())).unwrap();
         assert_eq!(resp.status, 200);
         let doc = json::parse(&String::from_utf8_lossy(&resp.body)).unwrap();
-        let rebuilt = doc
-            .get("repairs")
-            .and_then(|r| r.get("indexRebuilds"))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        let degraded = matches!(doc.get("degraded"), Some(Json::Bool(true)));
-        if rebuilt >= 1.0 && !degraded {
-            let scrubbed = doc.get("scrub").and_then(|s| s.get("findings")).and_then(Json::as_f64);
-            assert!(scrubbed.unwrap_or(0.0) >= 1.0, "repair without a finding");
+        let scrub = doc.get("scrub").cloned().unwrap_or(Json::Null);
+        let passes = scrub.get("passes").and_then(Json::as_f64).unwrap_or(0.0);
+        (passes, scrub.get("findings").and_then(Json::as_f64).unwrap_or(0.0))
+    };
+
+    // A clean directory: passes complete with no finding.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while findings(&mut client).0 < 1.0 {
+        assert!(std::time::Instant::now() < deadline, "the scrub thread never finished a pass");
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    assert_eq!(findings(&mut client).1, 0.0);
+
+    // Rot the segment on disk; the scrub thread must find it.
+    flip_random_bit(&segment, &mut rng);
+    loop {
+        assert!(std::time::Instant::now() < deadline, "the scrub thread never found the rot");
+        if findings(&mut client).1 >= 1.0 {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(25));
     }
 
-    // And the repaired table still answers over the normal query path.
+    // The service keeps answering.
     let resp = client
         .request(&ReplayOp::Post(
             "/api/queries".into(),
             r#"{"user":"ada","sql":"SELECT COUNT(*) FROM ada.t"}"#.into(),
         ))
         .unwrap();
-    assert!(resp.status < 300, "query after repair: {}", resp.status);
+    assert!(resp.status < 300, "query after the finding: {}", resp.status);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

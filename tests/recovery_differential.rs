@@ -179,7 +179,7 @@ fn table_to_csv(t: &Table) -> Option<String> {
         out.push_str(&c.name);
     }
     out.push('\n');
-    for row in t.batch().unwrap().to_rows().iter().take(MAX_ROWS) {
+    for row in t.batch().to_rows().iter().take(MAX_ROWS) {
         for (i, v) in row.iter().enumerate() {
             let text = v.to_text();
             if unquotable(&text) {

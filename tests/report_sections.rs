@@ -42,11 +42,6 @@ fn assert_stamped(path: &Path) {
 
 #[test]
 fn every_registered_section_renders() {
-    // `storage` writes its JSON file into the working directory.
-    let dir = std::env::temp_dir().join(format!("sqlshare-report-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    std::env::set_current_dir(&dir).unwrap();
-
     let wb = Workbench::build(GeneratorConfig {
         seed: GeneratorConfig::paper().seed,
         scale: 0.01,
@@ -57,8 +52,6 @@ fn every_registered_section_renders() {
         eprintln!("{id}: {:.2}s", started.elapsed().as_secs_f64());
         assert!(!section.trim().is_empty(), "section {id} is empty");
     }
-    assert_stamped(&dir.join("BENCH_storage.json"));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -72,16 +65,15 @@ fn list_prints_exactly_the_registry() {
     assert_eq!(listed, registered);
 }
 
+/// No section writes a `BENCH_*.json` today; one checked in without a
+/// section to regenerate it fails here.
 #[test]
 fn every_checked_in_bench_file_is_regenerable_and_stamped() {
-    let mut files = 0;
     for entry in std::fs::read_dir(root()).unwrap() {
         let path = entry.unwrap().path();
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         if name.starts_with("BENCH_") && name.ends_with(".json") {
             assert_stamped(&path);
-            files += 1;
         }
     }
-    assert!(files > 0, "no BENCH_*.json at the repository root");
 }

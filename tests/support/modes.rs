@@ -8,7 +8,7 @@
 //! which is otherwise only the reference side of the differentials.
 
 use sqlshare_engine::cache::DEFAULT_HOT_VIEW_THRESHOLD;
-use sqlshare_engine::{Engine, StorageLayer};
+use sqlshare_engine::Engine;
 
 #[derive(Debug)]
 pub struct Mode {
@@ -20,8 +20,6 @@ pub struct Mode {
     force_parallel: bool,
     result_cache: bool,
     vectorized: bool,
-    /// Page-backed tables behind a buffer pool this small.
-    paged_pool_mb: Option<usize>,
 }
 
 const DEFAULT: Mode = Mode {
@@ -30,16 +28,14 @@ const DEFAULT: Mode = Mode {
     force_parallel: false,
     result_cache: true,
     vectorized: true,
-    paged_pool_mb: None,
 };
 
-pub const MODES: [Mode; 6] = [
+pub const MODES: [Mode; 5] = [
     DEFAULT,
     Mode { name: "dop1", max_dop: Some(1), ..DEFAULT },
     Mode { name: "dop4_forced", max_dop: Some(4), force_parallel: true, ..DEFAULT },
     Mode { name: "cache_off", result_cache: false, ..DEFAULT },
     Mode { name: "row", vectorized: false, ..DEFAULT },
-    Mode { name: "paged", paged_pool_mb: Some(4), ..DEFAULT },
 ];
 
 impl Mode {
@@ -63,9 +59,6 @@ impl Mode {
             e.set_cache_config(0, DEFAULT_HOT_VIEW_THRESHOLD);
         }
         e.set_vectorized(self.vectorized);
-        if let Some(mb) = self.paged_pool_mb {
-            e.set_storage(Some(StorageLayer::temp(mb << 20).expect("temp storage layer")));
-        }
         e
     }
 }
@@ -75,13 +68,13 @@ impl Mode {
 /// [`MODES`] (module names cannot be computed from a `const`).
 macro_rules! in_every_mode {
     ($file:literal) => {
-        in_modes!($file: default dop1 dop4_forced cache_off row paged);
+        in_modes!($file: default dop1 dop4_forced cache_off row);
 
         #[test]
         fn every_mode_is_instantiated() {
             assert_eq!(
                 crate::modes::MODES.map(|m| m.name),
-                ["default", "dop1", "dop4_forced", "cache_off", "row", "paged"]
+                ["default", "dop1", "dop4_forced", "cache_off", "row"]
             );
         }
     };

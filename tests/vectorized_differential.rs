@@ -17,14 +17,14 @@
 //!   against the **row engine at DOP 1**, the serial plan's answers,
 //!   with the float tolerance the serial-vs-parallel harness uses
 //!   (morsel merge order may differ); errors must agree by kind;
-//! - dedicated legs compose the vectorized engine with paged storage
-//!   (`SQLSHARE_PAGED=1` equivalent: pages decode straight into column
-//!   batches) and with the result cache disabled
-//!   (`SQLSHARE_RESULT_CACHE_MB=0` equivalent), byte-identical at
-//!   DOP 1 in both.
+//! - dedicated legs compose the vectorized engine with operators that
+//!   page out to spill files under a query budget (the served default
+//!   always sets a spill directory) and with the result cache disabled
+//!   (`SQLSHARE_RESULT_CACHE_MB=0` equivalent), byte-identical at DOP 1
+//!   in both.
 
 use sqlshare_common::Error;
-use sqlshare_engine::{DataType, Engine, QueryOutput, Schema, StorageLayer, Table, Value};
+use sqlshare_engine::{DataType, Engine, QueryOutput, Schema, Table, Value};
 use sqlshare_sql::parser::parse_query;
 use sqlshare_wlgen::{sdss, sqlshare as wl, GeneratorConfig};
 
@@ -235,13 +235,13 @@ fn sdss_corpus_row_vs_vectorized() {
 }
 
 // ---------------------------------------------------------------------------
-// Composition legs: paged storage and a zero-budget result cache
+// Composition legs: spilling operators and a zero-budget result cache
 // ---------------------------------------------------------------------------
 
-/// Queries covering every vectorized source and operator shape the
-/// paged path can produce: full scans, leading-key seeks, secondary
-/// index seeks, filters over every column type, computes, scalar and
-/// grouped aggregates, joins, TOP, set ops, and window functions.
+/// Queries covering every vectorized source and operator shape: full
+/// scans, leading-key seeks, filters over every column type, computes,
+/// scalar and grouped aggregates, joins, TOP, set ops, and window
+/// functions.
 const FIXTURE_QUERIES: &[&str] = &[
     "SELECT * FROM events",
     "SELECT id, score * 2 FROM events WHERE id >= 120 AND id < 700",
@@ -313,17 +313,50 @@ fn assert_fixture_identical(mk: impl Fn(bool) -> Engine) {
 
 #[test]
 fn paged_backing_is_byte_identical_at_dop1() {
-    // `SQLSHARE_PAGED=1` composition: tables live as slotted pages
-    // behind the buffer pool and scans decode pages into batches.
-    assert_fixture_identical(|vectorized| {
+    // The served composition: a spill directory is always set, so under
+    // a 32 KiB query budget the fixture's top-k sort pages its runs out
+    // to spill files in both engines. Where both complete, the answers
+    // are the unbudgeted row engine's, byte for byte. An operator that
+    // cannot spill may exhaust the budget in one engine only: the row
+    // engine charges rows, the batch engine columns.
+    let dir = std::env::temp_dir().join(format!(
+        "sqlshare-vectorized-differential-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let engine = |vectorized: bool, budget: Option<usize>| {
         let mut e = Engine::new();
-        e.set_storage(Some(StorageLayer::temp(4 << 20).unwrap()));
+        e.set_spill_dir(Some(dir.clone()));
+        if let Some(bytes) = budget {
+            e.set_query_mem_limit(bytes);
+        }
         e.set_max_dop(1);
         e.set_vectorized(vectorized);
         e.disable_cache();
         fixture_tables(&mut e);
         e
-    });
+    };
+    let oracle = engine(false, None);
+    let (row, vec) = (engine(false, Some(32 << 10)), engine(true, Some(32 << 10)));
+    let mut paged_out = 0;
+    for sql in FIXTURE_QUERIES {
+        match (row.run(sql), vec.run(sql)) {
+            (Ok(r), Ok(v)) => {
+                assert_eq!(r.rows, v.rows, "rows diverged for {sql}");
+                assert_eq!(r.rows, oracle.run(sql).unwrap().rows, "budget changed {sql}");
+                assert_eq!(r.spill_bytes, v.spill_bytes, "spill volume diverged for {sql}");
+                paged_out += usize::from(r.spill_bytes > 0);
+            }
+            (Err(Error::ResourceExhausted(_)), _) | (_, Err(Error::ResourceExhausted(_))) => {}
+            (Err(re), Err(ve)) => assert_eq!(re, ve, "error diverged for {sql}"),
+            (Ok(_), Err(ve)) => panic!("vectorized-only failure for {sql}: {ve}"),
+            (Err(re), Ok(_)) => panic!("row-only failure for {sql}: {re}"),
+        }
+    }
+    assert!(paged_out > 0, "no fixture query paged out under 32 KiB");
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "spill files left behind: {left:?}");
+    let _ = std::fs::remove_dir(&dir);
 }
 
 #[test]
