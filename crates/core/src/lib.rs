@@ -47,6 +47,6 @@ pub use sqlshare_engine::cache::{DEFAULT_HOT_VIEW_THRESHOLD, DEFAULT_RESULT_CACH
 pub use sqlshare_engine::Engine;
 pub use sqlshare_scheduler::{SchedulerConfig, SchedulerStats, TenantStats};
 pub use sqlshare_storage::{
-    read_tail, wal_generation, CrashPoint, FsyncPolicy, IoCounter, ScrubConfig, ScrubFinding,
-    ScrubStatus, Scrubber, SnapshotStep, TailRead,
+    frame, read_tail, wal_generation, CrashPoint, FrameReader, FsyncPolicy, IoCounter, ScrubConfig,
+    ScrubFinding, ScrubStatus, Scrubber, SnapshotStep, TailRead,
 };

@@ -540,11 +540,11 @@ impl SqlShare {
             .saturating_sub(self.last_lsn())
     }
 
-    /// Apply one replicated WAL record (the parsed JSON payload the
-    /// primary journaled). The record is re-journaled locally under the
-    /// primary's LSN and epoch, then installed as a live commit or a
-    /// recovered record is — replication correctness *is* the recovery
-    /// path.
+    /// Apply one replicated WAL record, a frame's payload of the primary's
+    /// `wal.log`, decoded as recovery decodes it; returns its LSN and the
+    /// outcome. The record is re-journaled locally under the primary's LSN
+    /// and epoch, then installed as a live commit or a recovered record
+    /// is — replication correctness *is* the recovery path.
     ///
     /// Outcomes, checked in order:
     ///
@@ -564,19 +564,15 @@ impl SqlShare {
     ///   primary's stale lease cannot extend our history.
     /// * Otherwise the record is journaled and applied:
     ///   [`ReplApply::Applied`].
-    pub fn apply_replicated(&mut self, doc: &Json) -> Result<ReplApply> {
-        let epoch = Mutation::epoch_of(doc);
-        let (lsn, m) = Mutation::from_json(doc)?;
+    pub fn apply_replicated(&mut self, payload: &[u8]) -> Result<(u64, ReplApply)> {
+        let (lsn, epoch, m) = Mutation::decode(payload)
+            .ok_or_else(|| Error::Corrupt("replicated WAL payload is not a record".into()))?;
         let last = self.last_lsn();
-        if lsn <= last {
-            return Ok(if epoch > self.journal.repl.tail_epoch {
-                ReplApply::Diverged
-            } else {
-                ReplApply::Duplicate
-            });
+        if lsn > last + 1 || (lsn <= last && epoch > self.journal.repl.tail_epoch) {
+            return Ok((lsn, ReplApply::Diverged));
         }
-        if lsn > last + 1 {
-            return Ok(ReplApply::Diverged);
+        if lsn <= last {
+            return Ok((lsn, ReplApply::Duplicate));
         }
         if epoch < self.journal.repl.epoch {
             return Err(Error::ReadOnly(format!(
@@ -589,10 +585,11 @@ impl SqlShare {
             store.journal_at(lsn, epoch, &m)?;
         }
         self.install(lsn, epoch, Install::Record(&m, None))?;
-        Ok(ReplApply::Applied)
+        Ok((lsn, ReplApply::Applied))
     }
 
-    /// Apply one replicated query-log entry — the query-log analogue of
+    /// Apply one replicated query-log entry (a frame's payload of the
+    /// primary's `querylog.log`) — the query-log analogue of
     /// [`apply_replicated`](Self::apply_replicated), idempotent by
     /// entry id (the primary's log is in id order). The entry lands in
     /// this node's own log, or the call fails and it stays unapplied.
@@ -600,9 +597,9 @@ impl SqlShare {
     /// simulated clock on the primary, and a promoted standby must issue
     /// timestamps from where the primary left off, not from its last
     /// replicated *mutation*.
-    pub fn apply_replicated_query_entry(&mut self, doc: &Json) -> Result<bool> {
-        let entry = QueryLogEntry::from_json(doc)
-            .map_err(|e| Error::Request(format!("bad replicated query-log entry: {e}")))?;
+    pub fn apply_replicated_query_entry(&mut self, payload: &[u8]) -> Result<bool> {
+        let entry = QueryLogEntry::decode(payload)
+            .ok_or_else(|| Error::Corrupt("replicated query-log payload is not an entry".into()))?;
         let mut log = self.log();
         if entry.id <= log.high_id() {
             return Ok(false);
@@ -617,6 +614,12 @@ impl SqlShare {
     /// streaming has been truncated by a snapshot: the shape of a
     /// manifest (`lsn`, `epoch`, `clock`, `state`), self-contained — every
     /// table with its rows, every dataset with its preview.
+    pub fn replication_snapshot_bytes(&self) -> Vec<u8> {
+        self.snapshot_document(self.last_lsn(), StateLayout::Replica)
+            .into_bytes()
+    }
+
+    /// The same document parsed, for seeding a service in-process.
     pub fn replication_snapshot(&self) -> Json {
         let payload = self.snapshot_document(self.last_lsn(), StateLayout::Replica);
         json::parse(&payload).expect("the snapshot encoder writes valid JSON")

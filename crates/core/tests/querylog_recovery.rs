@@ -351,11 +351,6 @@ fn a_leftover_temp_file_is_discarded_and_the_migration_reruns() {
 
 // ---- ids and order -------------------------------------------------------
 
-/// A record's payload as the JSON document replication ships.
-fn doc(record: &[u8]) -> json::Json {
-    json::parse(std::str::from_utf8(record).unwrap()).unwrap()
-}
-
 /// Queries finish on the scheduler's workers in any order. Each takes
 /// its id and appends its frame under the log's one lock, so the file is
 /// in id order, and a standby replaying it — which skips any id at or
@@ -393,7 +388,7 @@ fn concurrent_queries_are_logged_in_id_order() {
     let mut standby = SqlShare::new();
     let applied = records
         .iter()
-        .filter(|r| standby.apply_replicated_query_entry(&doc(r)).unwrap())
+        .filter(|r| standby.apply_replicated_query_entry(r).unwrap())
         .count();
     assert_eq!(applied, threads * per_thread, "the standby dropped entries");
     drop(s);
@@ -417,7 +412,8 @@ fn local_ids_continue_past_a_gap_in_replicated_ids() {
         .unwrap();
     for entry in primary.log().entries() {
         if [1, 2, 5].contains(&entry.id) {
-            assert!(s.apply_replicated_query_entry(&entry.to_json()).unwrap());
+            let payload = entry.to_json().to_string();
+            assert!(s.apply_replicated_query_entry(payload.as_bytes()).unwrap());
         }
     }
     for _ in 0..2 {

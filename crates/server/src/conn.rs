@@ -46,23 +46,28 @@ impl Payload {
     /// everything else is Content-Length framed in one buffer.
     pub fn response(
         status: u16,
+        content_type: &str,
         body: Vec<u8>,
         keep_alive: bool,
         http11: bool,
         retry_after: Option<u64>,
     ) -> Payload {
-        if http11 && body.len() > CHUNK_THRESHOLD {
-            Payload::Chunked {
-                stage: encode_head(status, None, keep_alive, retry_after),
+        let chunked = http11 && body.len() > CHUNK_THRESHOLD;
+        let length = (!chunked).then_some(body.len());
+        let mut head = encode_head(status, content_type, length, keep_alive, retry_after);
+        if chunked {
+            return Payload::Chunked {
+                stage: head,
                 off: 0,
                 body,
                 pos: 0,
                 terminated: false,
-            }
-        } else {
-            let mut bytes = encode_head(status, Some(body.len()), keep_alive, retry_after);
-            bytes.extend_from_slice(&body);
-            Payload::Whole { bytes, off: 0 }
+            };
+        }
+        head.extend_from_slice(&body);
+        Payload::Whole {
+            bytes: head,
+            off: 0,
         }
     }
 
@@ -290,10 +295,11 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::JSON;
 
     #[test]
     fn whole_payload_frames_content_length() {
-        let p = Payload::response(200, b"{}".to_vec(), true, true, None);
+        let p = Payload::response(200, JSON, b"{}".to_vec(), true, true, None);
         match p {
             Payload::Whole { bytes, .. } => {
                 let text = String::from_utf8(bytes).unwrap();
@@ -308,7 +314,7 @@ mod tests {
     #[test]
     fn large_http11_body_goes_chunked() {
         let body = vec![b'x'; CHUNK_THRESHOLD + 1];
-        match Payload::response(200, body.clone(), true, true, None) {
+        match Payload::response(200, JSON, body.clone(), true, true, None) {
             Payload::Chunked { stage, .. } => {
                 let head = String::from_utf8(stage).unwrap();
                 assert!(head.contains("transfer-encoding: chunked\r\n"));
@@ -316,7 +322,7 @@ mod tests {
             other => panic!("expected Chunked, got {:?}", other),
         }
         // HTTP/1.0 peers never see chunked framing.
-        match Payload::response(200, body, false, false, None) {
+        match Payload::response(200, JSON, body, false, false, None) {
             Payload::Whole { .. } => {}
             other => panic!("expected Whole for HTTP/1.0, got {:?}", other),
         }

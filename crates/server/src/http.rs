@@ -75,9 +75,16 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> ParseOutcome {
             consumed: 0,
         };
     }
-    // Heads are ASCII in practice; lossy decoding maps any stray bytes
-    // to header values we will never match on.
-    let head = String::from_utf8_lossy(&buf[..head_end]);
+    // A head that is not UTF-8 is refused, not rewritten: a path read
+    // lossily would name a resource nobody asked for.
+    let Ok(head) = std::str::from_utf8(&buf[..head_end]) else {
+        return ParseOutcome::Bad {
+            status: 400,
+            message: "request head is not UTF-8",
+            recoverable: false,
+            consumed: 0,
+        };
+    };
     let mut lines = head.split('\n').map(|l| l.trim_end_matches('\r'));
 
     let request_line = lines.next().unwrap_or("");
@@ -258,17 +265,23 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
+/// The content type of every answer but a body of record frames.
+pub const JSON: &str = "application/json";
+/// The content type of the replication routes' bodies of record frames.
+pub const FRAMES: &str = "application/octet-stream";
+
 /// Serialize a response head. `content_length` of `None` selects
 /// chunked transfer encoding (HTTP/1.1 only — callers gate on the
 /// request version).
 pub fn encode_head(
     status: u16,
+    content_type: &str,
     content_length: Option<usize>,
     keep_alive: bool,
     retry_after: Option<u64>,
 ) -> Vec<u8> {
-    let mut head = format!("HTTP/1.1 {} {}\r\n", status, reason_phrase(status));
-    head.push_str("content-type: application/json\r\n");
+    let reason = reason_phrase(status);
+    let mut head = format!("HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\n");
     match content_length {
         Some(n) => head.push_str(&format!("content-length: {}\r\n", n)),
         None => head.push_str("transfer-encoding: chunked\r\n"),
@@ -360,7 +373,7 @@ mod tests {
     fn assert_fatal_400(raw: &[u8]) {
         let outcome = parse_request(raw, MAX);
         let fatal = matches!(outcome, ParseOutcome::Bad { status: 400, recoverable: false, .. });
-        assert!(fatal, "{:?} parsed as {outcome:?}", String::from_utf8_lossy(raw));
+        assert!(fatal, "{} parsed as {outcome:?}", raw.escape_ascii());
     }
 
     #[test]
@@ -434,8 +447,9 @@ mod tests {
 
     #[test]
     fn head_encodes_retry_after() {
-        let head = String::from_utf8(encode_head(429, Some(2), true, Some(7))).unwrap();
+        let head = String::from_utf8(encode_head(429, JSON, Some(2), true, Some(7))).unwrap();
         assert!(head.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
+        assert!(head.contains("content-type: application/json\r\n"));
         assert!(head.contains("retry-after: 7\r\n"));
         assert!(head.contains("content-length: 2\r\n"));
         assert!(head.ends_with("connection: keep-alive\r\n\r\n"));

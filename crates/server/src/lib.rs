@@ -488,7 +488,7 @@ fn accept_ready(
             shared.stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
             let _ = stream.set_nonblocking(true);
             let body = b"{\"error\":\"connection limit reached\"}";
-            let mut head = http::encode_head(503, Some(body.len()), false, Some(1));
+            let mut head = http::encode_head(503, http::JSON, Some(body.len()), false, Some(1));
             head.extend_from_slice(body);
             let mut s = stream;
             let _ = io::Write::write(&mut s, &head);
@@ -561,7 +561,9 @@ fn conn_ready(
                         .to_string()
                         .into_bytes();
                     shared.stats.count_status(status);
-                    conn.enqueue(Payload::response(status, body, recoverable, true, None));
+                    let payload =
+                        Payload::response(status, http::JSON, body, recoverable, true, None);
+                    conn.enqueue(payload);
                     if !recoverable {
                         conn.close_after_flush = true;
                         conn.pending.clear();
@@ -595,11 +597,11 @@ fn offer_request(idx: usize, shared: &Shared, conn: &mut Conn, fd: i32, request:
         && !conn.dispatch_in_flight
         && conn.pending.is_empty()
     {
-        let body = json::parse(&String::from_utf8_lossy(&request.body)).unwrap_or(Json::Null);
-        let (status, body) = record_ack(shared, &body);
+        let (status, body) = record_ack(shared, &json_body(&request.body).unwrap_or(Json::Null));
         shared.stats.count_status(status);
         conn.enqueue(Payload::response(
             status,
+            http::JSON,
             body.to_string().into_bytes(),
             request.keep_alive,
             request.http11,
@@ -636,6 +638,7 @@ fn start_dispatch(idx: usize, shared: &Shared, conn: &mut Conn, fd: i32, request
         let keep_alive = request.keep_alive;
         conn.enqueue(Payload::response(
             429,
+            http::JSON,
             body,
             keep_alive,
             request.http11,
@@ -767,17 +770,19 @@ fn worker_loop(shared: &Shared) {
 fn execute(shared: &Shared, request: ParsedRequest) -> (Payload, bool) {
     let keep_alive = request.keep_alive;
     let http11 = request.http11;
-    let frame = |status: u16, body: Json, retry_after: Option<u64>| {
+    let respond = |status: u16, content_type: &str, body: Vec<u8>, retry_after: Option<u64>| {
         shared.stats.count_status(status);
         (
-            Payload::response(
-                status,
-                body.to_string().into_bytes(),
-                keep_alive,
-                http11,
-                retry_after,
-            ),
+            Payload::response(status, content_type, body, keep_alive, http11, retry_after),
             keep_alive,
+        )
+    };
+    let frame = |status: u16, body: Json, retry_after: Option<u64>| {
+        respond(
+            status,
+            http::JSON,
+            body.to_string().into_bytes(),
+            retry_after,
         )
     };
 
@@ -788,21 +793,11 @@ fn execute(shared: &Shared, request: ParsedRequest) -> (Payload, bool) {
             None,
         );
     };
-    let body = if request.body.is_empty() {
-        Json::Null
-    } else {
-        match json::parse(&String::from_utf8_lossy(&request.body)) {
-            Ok(j) => j,
-            // Framing was intact — only the payload is garbage, so the
-            // connection survives the 400.
-            Err(e) => {
-                return frame(
-                    400,
-                    Json::object([("error", Json::str(format!("bad JSON body: {e}")))]),
-                    None,
-                )
-            }
-        }
+    let body = match json_body(&request.body) {
+        Ok(body) => body,
+        // Framing was intact — only the payload is garbage, so the
+        // connection survives the 400.
+        Err(message) => return frame(400, Json::object([("error", Json::str(message))]), None),
     };
     let req = Request {
         method,
@@ -815,9 +810,8 @@ fn execute(shared: &Shared, request: ParsedRequest) -> (Payload, bool) {
     // touches only the hub, so neither waits on a mutation holding the
     // write lock.
     if req.path.starts_with("/api/repl/") {
-        let (status, body) = execute_repl(shared, method, &req.path, &req.body);
-        let retry_after = (status == 503).then_some(1);
-        return frame(status, body, retry_after);
+        let (status, content_type, body) = execute_repl(shared, method, &req.path, &req.body);
+        return respond(status, content_type, body, None);
     }
 
     // The lock split: mutations serialize on the write lock (they
@@ -880,6 +874,16 @@ fn execute(shared: &Shared, request: ParsedRequest) -> (Payload, bool) {
     frame(response.status, response.body, retry_after)
 }
 
+/// A request body as JSON (`null` when empty), or the message of the 400
+/// that refuses bytes that are not UTF-8 or not JSON.
+fn json_body(body: &[u8]) -> Result<Json, String> {
+    if body.is_empty() {
+        return Ok(Json::Null);
+    }
+    let text = std::str::from_utf8(body).map_err(|_| "bad JSON body: not UTF-8".to_string())?;
+    json::parse(text).map_err(|e| format!("bad JSON body: {e}"))
+}
+
 /// `POST /api/repl/ack`: standby `standby` has applied everything up to
 /// `lsn`. Touches only the ack hub, from an event loop or a worker.
 fn record_ack(shared: &Shared, body: &Json) -> (u16, Json) {
@@ -893,54 +897,65 @@ fn record_ack(shared: &Shared, body: &Json) -> (u16, Json) {
     }
 }
 
+/// A `/api/repl/*` answer: its status, content type and body.
+type ReplAnswer = (u16, &'static str, Vec<u8>);
+
+/// A JSON answer of the `/api/repl/*` routes.
+fn repl_json(status: u16, body: Json) -> ReplAnswer {
+    (status, http::JSON, body.to_string().into_bytes())
+}
+
+/// A `/api/repl/*` refusal: `status` and its reason.
+fn repl_error(status: u16, message: String) -> ReplAnswer {
+    repl_json(status, Json::object([("error", Json::str(message))]))
+}
+
 /// One poll of a record log (`wal.log` or `querylog.log`) from the byte
-/// offset `from=` in `query`: up to [`repl::WAL_BATCH_LIMIT`] records as
-/// JSON, the offset the next poll resumes from, and whether the file is
-/// now shorter than `from`. It reads the file, never the service lock,
-/// and stops before a record that is not JSON. A missing or malformed
+/// offset `from=` in `query`: a header frame of `header(reset)` (is the
+/// file now shorter than `from`?), then up to [`repl::WAL_BATCH_LIMIT`]
+/// record frames from `from` on, byte for byte as the file holds them.
+/// It reads the file, never the service lock. A missing or malformed
 /// `from` is refused with 400.
-fn repl_tail(path: &Path, query: &str) -> Result<(Vec<Json>, u64, bool), (u16, Json)> {
-    let refuse =
-        |status: u16, message: String| (status, Json::object([("error", Json::str(message))]));
-    let from = query
+fn repl_tail(path: &Path, query: &str, header: impl FnOnce(bool) -> Json) -> ReplAnswer {
+    let Some(from) = query
         .split('&')
         .find_map(|kv| kv.strip_prefix("from="))
         .and_then(|v| v.parse::<u64>().ok())
-        .ok_or_else(|| refuse(400, "'from' must be a byte offset (a whole number)".into()))?;
-    let tail = sqlshare_core::read_tail(path, from)
-        .map_err(|e| refuse(500, format!("{} read failed: {e}", path.display())))?;
-    let mut records = Vec::new();
-    let mut end = from;
-    let batch = tail.records.iter().zip(&tail.ends).take(repl::WAL_BATCH_LIMIT);
-    for (payload, record_end) in batch {
-        let parsed = std::str::from_utf8(payload).ok().and_then(|t| json::parse(t).ok());
-        let Some(doc) = parsed else {
-            break; // the offset stays before it
-        };
-        records.push(doc);
-        end = *record_end;
-    }
-    Ok((records, end, tail.reset))
+    else {
+        return repl_error(400, "'from' must be a byte offset (a whole number)".into());
+    };
+    let tail = match sqlshare_core::read_tail(path, from) {
+        Ok(tail) => tail,
+        Err(e) => return repl_error(500, format!("{} read failed: {e}", path.display())),
+    };
+    let shipped = tail.ends.len().min(repl::WAL_BATCH_LIMIT);
+    let end = shipped.checked_sub(1).map_or(from, |last| tail.ends[last]);
+    let mut body = sqlshare_core::frame(header(tail.reset).to_string().as_bytes());
+    body.extend_from_slice(&tail.frames[..(end - from) as usize]);
+    (200, http::FRAMES, body)
 }
 
 /// The `/api/repl/*` control plane: WAL tail streaming, standby acks,
-/// snapshot catch-up, and promote/demote. Returns (status, body).
-fn execute_repl(shared: &Shared, method: Method, path: &str, body: &Json) -> (u16, Json) {
-    let err = |status: u16, message: &str| {
-        (status, Json::object([("error", Json::str(message.to_string()))]))
+/// snapshot catch-up, and promote/demote.
+fn execute_repl(shared: &Shared, method: Method, path: &str, body: &Json) -> ReplAnswer {
+    let durable_only = || {
+        repl_error(
+            404,
+            "replication requires durable mode (no data directory)".into(),
+        )
     };
     let (route, query) = match path.split_once('?') {
         Some((r, q)) => (r, q),
         None => (path, ""),
     };
-    match (method, route) {
+    let (status, body) = match (method, route) {
         // Lock-free by design: reads the journal file itself. Records
         // journaled by a commit that is still blocked waiting for its
         // quorum are already visible here — that is what lets the
         // standby confirm them and unblock the commit.
         (Method::Get, "/api/repl/wal") => {
             let Some(wal_path) = shared.wal_path.as_deref() else {
-                return err(404, "replication requires durable mode (no data directory)");
+                return durable_only();
             };
             // Generation before content: if a snapshot resets the WAL
             // between the two reads, the follower sees fresh bytes
@@ -948,49 +963,33 @@ fn execute_repl(shared: &Shared, method: Method, path: &str, body: &Json) -> (u1
             // the reverse order could stamp dead history with the new
             // generation and stall the stream.
             let wal_generation = sqlshare_core::wal_generation(wal_path);
-            let (records, end, reset) = match repl_tail(wal_path, query) {
-                Ok(tail) => tail,
-                Err(refused) => return refused,
-            };
-            let last_lsn = records.last().and_then(|r| r.get("lsn")?.as_f64());
             let epoch = shared.repl_epoch.load(Ordering::Relaxed);
-            (
-                200,
+            return repl_tail(wal_path, query, |reset| {
                 Json::object([
-                    ("records", Json::Array(records)),
-                    ("end", Json::num(end as f64)),
                     ("reset", Json::Bool(reset)),
                     ("generation", Json::num(wal_generation as f64)),
                     ("epoch", Json::num(epoch as f64)),
-                    ("lastLsn", Json::num(last_lsn.unwrap_or(0.0))),
-                ]),
-            )
+                ])
+            });
         }
         // The query log is a record log too, served the same lock-free
         // way. It is never reset, so `reset` means the follower's
         // cursor is from another life.
         (Method::Get, "/api/repl/querylog") => {
             let Some(path) = shared.querylog_path.as_deref() else {
-                return err(404, "replication requires durable mode (no data directory)");
+                return durable_only();
             };
-            match repl_tail(path, query) {
-                Ok((records, end, reset)) => (
-                    200,
-                    Json::object([
-                        ("records", Json::Array(records)),
-                        ("end", Json::num(end as f64)),
-                        ("reset", Json::Bool(reset)),
-                    ]),
-                ),
-                Err(refused) => refused,
-            }
+            return repl_tail(path, query, |reset| {
+                Json::object([("reset", Json::Bool(reset))])
+            });
         }
         // Worker-pool fallback for acks that arrive on a pipelined
         // connection (the event-loop fast path skips those).
         (Method::Post, "/api/repl/ack") => record_ack(shared, body),
         (Method::Get, "/api/repl/snapshot") => {
             let service = shared.service.read().unwrap_or_else(|e| e.into_inner());
-            (200, service.replication_snapshot())
+            let document = service.replication_snapshot_bytes();
+            return (200, http::FRAMES, sqlshare_core::frame(&document));
         }
         (Method::Post, "/api/repl/promote") => {
             let mut service = shared.service.write().unwrap_or_else(|e| e.into_inner());
@@ -1014,7 +1013,7 @@ fn execute_repl(shared: &Shared, method: Method, path: &str, body: &Json) -> (u1
             let epoch = body.get("epoch").and_then(Json::as_f64).unwrap_or(0.0) as u64;
             let mut service = shared.service.write().unwrap_or_else(|e| e.into_inner());
             if service.role() == Role::Primary && epoch <= service.epoch() {
-                return (
+                return repl_json(
                     409,
                     Json::object([
                         (
@@ -1040,8 +1039,9 @@ fn execute_repl(shared: &Shared, method: Method, path: &str, body: &Json) -> (u1
                 ]),
             )
         }
-        _ => err(404, "unknown replication route"),
-    }
+        _ => return repl_error(404, "unknown replication route".into()),
+    };
+    repl_json(status, body)
 }
 
 /// Background at-rest integrity scrubber: budgeted sweeps over the data

@@ -1,20 +1,21 @@
 //! Server-side replication plumbing: the ack hub quorum commits wait
-//! on, a tiny blocking HTTP client, and the standby driver thread.
+//! on, a tiny blocking HTTP/1.0 client, and the standby driver thread.
 //!
 //! Replication is pull-based. A standby polls its primary's
 //! `GET /api/repl/wal?from=<offset>` every `SQLSHARE_REPL_HEARTBEAT_MS`;
 //! the poll doubles as the lease heartbeat. The primary answers straight
 //! off the WAL *file* via [`sqlshare_storage::read_tail`] — no service
-//! lock — so a mutation holding the write lock never stalls the stream
-//! that confirms the commits before it. A quorum commit waits for its
-//! acks after releasing the write lock, but on its worker thread, so
-//! acks (`POST /api/repl/ack`) are absorbed by the event loops: with
-//! every worker waiting on a quorum, an ack queued to the pool would
-//! wait out `SQLSHARE_REPL_ACK_TIMEOUT_MS`.
+//! lock — with a header frame and the file's own record frames, which
+//! the standby checks and decodes as recovery does ([`decode_body`]). A
+//! quorum commit waits for its acks after releasing the write lock, but
+//! on its worker thread, so acks (`POST /api/repl/ack`) are absorbed by
+//! the event loops: with every worker waiting on a quorum, an ack queued
+//! to the pool would wait out `SQLSHARE_REPL_ACK_TIMEOUT_MS`.
 
 use crate::Shared;
-use sqlshare_common::json::{self, Json};
-use sqlshare_core::{ReplApply, Role};
+use sqlshare_common::json::Json;
+use sqlshare_common::{Error, Result};
+use sqlshare_core::{FrameReader, ReplApply, Role};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -79,16 +80,17 @@ impl ReplHub {
     }
 }
 
-/// One blocking HTTP/1.1 request with connect/read/write timeouts.
-/// Returns (status, body). Small bodies only — replication control
-/// traffic and WAL batches.
+/// One blocking HTTP/1.0 request with connect/read/write timeouts.
+/// Returns (status, body): the bytes its `Content-Length` counts, never
+/// chunked for an HTTP/1.0 peer; a body cut short is an I/O error.
 pub(crate) fn http_call(
     addr: &str,
     method: &str,
     path: &str,
     body: Option<&str>,
     timeout: Duration,
-) -> io::Result<(u16, String)> {
+) -> io::Result<(u16, Vec<u8>)> {
+    let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
     let sock = addr
         .to_socket_addrs()?
         .next()
@@ -98,51 +100,55 @@ pub(crate) fn http_call(
     stream.set_write_timeout(Some(timeout))?;
     let body = body.unwrap_or("");
     let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "{method} {path} HTTP/1.0\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     );
     stream.write_all(request.as_bytes())?;
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
-    let text = String::from_utf8_lossy(&raw);
-    let mut head_and_rest = text.splitn(2, "\r\n\r\n");
-    let head = head_and_rest.next().unwrap_or("");
-    let rest = head_and_rest.next().unwrap_or("");
+    let head_end = raw
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .ok_or_else(|| bad("response head cut short"))?;
+    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| bad("response head not text"))?;
     let status: u16 = head
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    let body = if head
+        .ok_or_else(|| bad("bad status line"))?;
+    let length: usize = head
         .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        decode_chunked(rest)
-    } else {
-        rest.to_string()
-    };
+        .split("\r\ncontent-length:")
+        .nth(1)
+        .and_then(|rest| rest.lines().next()?.trim().parse().ok())
+        .ok_or_else(|| bad("no content-length"))?;
+    let mut body = raw.split_off(head_end + 4);
+    if body.len() < length {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "body cut short",
+        ));
+    }
+    body.truncate(length);
     Ok((status, body))
 }
 
-/// Minimal chunked-body decoder (the connection is `close`, so the full
-/// stream is already in hand).
-fn decode_chunked(mut rest: &str) -> String {
-    let mut out = String::new();
-    while let Some(eol) = rest.find("\r\n") {
-        let Ok(size) = usize::from_str_radix(rest[..eol].trim(), 16) else {
-            break;
-        };
-        if size == 0 {
-            break;
-        }
-        let start = eol + 2;
-        if rest.len() < start + size {
-            break;
-        }
-        out.push_str(&rest[start..start + size]);
-        rest = rest[start + size..].trim_start_matches("\r\n");
+/// A `/api/repl/*` body of frames: the first one's JSON (a tail's header
+/// or the snapshot document), the payloads after it and the bytes they
+/// take. A body cut short or failing a checksum is `Error::Corrupt`.
+pub fn decode_body(body: &[u8]) -> Result<(Json, Vec<Vec<u8>>, u64)> {
+    let corrupt = |what: String| Error::Corrupt(format!("replication body: {what}"));
+    let mut reader = FrameReader::new(body, body.len() as u64);
+    let first = reader
+        .next_frame()?
+        .ok_or_else(|| corrupt("no first frame".into()))?;
+    let first = crate::json_body(first).map_err(corrupt)?;
+    let header_len = reader.offset();
+    let mut payloads = Vec::new();
+    while let Some(payload) = reader.next_frame()? {
+        payloads.push(payload.to_vec());
     }
-    out
+    Ok((first, payloads, body.len() as u64 - header_len))
 }
 
 /// The standby driver: poll the primary's WAL tail, apply records
@@ -212,11 +218,11 @@ pub(crate) fn standby_loop(shared: Arc<Shared>, primary: String, self_id: String
                 misses = 0;
             }
             Ok(PollOutcome::Stalled) => {
-                // A record failed to apply for a local, non-fencing
-                // reason (e.g. a storage error). The primary is alive —
-                // this must not count toward the lease, and it is no
-                // grounds to demote anyone. Retry the same batch next
-                // heartbeat.
+                // The body failed its checksum, or a record failed to
+                // apply for a local, non-fencing reason (e.g. a storage
+                // error). The primary is alive — this must not count
+                // toward the lease, and it is no grounds to demote
+                // anyone. Retry the same batch next heartbeat.
                 misses = 0;
             }
             Err(_) => {
@@ -285,7 +291,6 @@ fn poll_once(
     cursor: &mut Cursor,
     timeout: Duration,
 ) -> io::Result<PollOutcome> {
-    let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
     let (status, body) = http_call(
         primary,
         "GET",
@@ -294,17 +299,20 @@ fn poll_once(
         timeout,
     )?;
     if status != 200 {
-        return Err(bad("wal poll rejected"));
+        return Err(io::Error::other("wal poll rejected"));
     }
-    let doc = json::parse(&body).map_err(|e| bad(&e.to_string()))?;
-    let upstream_epoch = doc.get("epoch").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    let last_lsn = doc.get("lastLsn").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    let generation = doc.get("generation").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    if doc.get("reset").and_then(|j| match j {
-        Json::Bool(b) => Some(*b),
-        _ => None,
-    }) == Some(true)
-    {
+    // The primary answered: a body that does not decode is no missed
+    // heartbeat, and no grounds to promote.
+    let (header, records, shipped) = match decode_body(&body) {
+        Ok(decoded) => decoded,
+        Err(e) => {
+            eprintln!("standby: refusing a wal poll's body: {e}");
+            return Ok(PollOutcome::Stalled);
+        }
+    };
+    let number = |key: &str| header.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64;
+    let (upstream_epoch, generation) = (number("epoch"), number("generation"));
+    if matches!(header.get("reset"), Some(Json::Bool(true))) {
         return Ok(PollOutcome::NeedSnapshot);
     }
     if cursor.generation.is_some_and(|g| g != generation) {
@@ -312,29 +320,22 @@ fn poll_once(
         // the primary cannot see it, but the generation counter can.
         return Ok(PollOutcome::NeedSnapshot);
     }
-    let records = doc
-        .get("records")
-        .and_then(Json::as_array)
-        .ok_or_else(|| bad("missing records"))?;
-    let new_offset = doc
-        .get("end")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| bad("missing end"))? as u64;
 
     let mut verified = cursor.verified;
+    let mut last_lsn = 0;
     let full = records.len() >= WAL_BATCH_LIMIT;
     {
         let mut service = shared.service.write().unwrap_or_else(|e| e.into_inner());
         if upstream_epoch < service.epoch() {
             return Ok(PollOutcome::UpstreamStale);
         }
-        for record in records {
-            let lsn = record.get("lsn").and_then(Json::as_f64).unwrap_or(0.0) as u64;
+        for record in &records {
             match service.apply_replicated(record) {
-                Ok(ReplApply::Applied | ReplApply::Duplicate) => {
+                Ok((lsn, ReplApply::Applied | ReplApply::Duplicate)) => {
                     verified = verified.max(lsn);
+                    last_lsn = lsn;
                 }
-                Ok(ReplApply::Diverged) => {
+                Ok((lsn, ReplApply::Diverged)) => {
                     eprintln!(
                         "standby: local WAL tail diverges from upstream at lsn {lsn}; \
                          reseeding from snapshot"
@@ -367,7 +368,7 @@ fn poll_once(
         service.note_primary_lsn(last_lsn);
         shared.repl_epoch.store(service.epoch(), Ordering::Relaxed);
     }
-    cursor.offset = new_offset;
+    cursor.offset += shipped;
     cursor.generation = Some(generation);
     cursor.verified = verified;
     send_ack(primary, self_id, verified, timeout);
@@ -393,25 +394,21 @@ fn poll_querylog(
     if status != 200 {
         return Ok(cursor); // e.g. an ephemeral primary: nothing to pull
     }
-    let doc = json::parse(&body)
+    let (header, entries, shipped) = decode_body(&body)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    if matches!(doc.get("reset"), Some(Json::Bool(true))) {
+    if matches!(header.get("reset"), Some(Json::Bool(true))) {
         return Ok(0);
     }
-    let Some(entries) = doc.get("records").and_then(Json::as_array) else {
-        return Ok(cursor);
-    };
-    let end = doc.get("end").and_then(Json::as_f64).unwrap_or(cursor as f64) as u64;
     if !entries.is_empty() {
         let mut service = shared.service.write().unwrap_or_else(|e| e.into_inner());
-        for entry in entries {
+        for entry in &entries {
             if let Err(e) = service.apply_replicated_query_entry(entry) {
                 eprintln!("standby: refusing replicated query-log entry: {e}");
                 return Ok(cursor);
             }
         }
     }
-    Ok(end)
+    Ok(cursor + shipped)
 }
 
 /// Fetch and install the primary's snapshot; returns the installed LSN.
@@ -425,7 +422,10 @@ fn catch_up_from_snapshot(
     if status != 200 {
         return Err(bad(format!("snapshot fetch rejected: {status}")));
     }
-    let doc = json::parse(&body).map_err(|e| bad(e.to_string()))?;
+    let (doc, rest, _) = decode_body(&body).map_err(|e| bad(e.to_string()))?;
+    if !rest.is_empty() {
+        return Err(bad("snapshot body is not one frame".into()));
+    }
     let mut service = shared.service.write().unwrap_or_else(|e| e.into_inner());
     service
         .install_replica_snapshot(&doc)
@@ -457,11 +457,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         hub.record_ack("s1", 5);
         assert!(t.join().unwrap());
-    }
-
-    #[test]
-    fn chunked_decoder_handles_multiple_chunks() {
-        assert_eq!(decode_chunked("3\r\nabc\r\n2\r\nde\r\n0\r\n\r\n"), "abcde");
-        assert_eq!(decode_chunked("0\r\n\r\n"), "");
     }
 }

@@ -146,3 +146,17 @@ proptest! {
         prop_assert_eq!(feed(chunks), want);
     }
 }
+
+/// A head that is not UTF-8 is refused, not read lossily into a path
+/// that names a resource nobody asked for.
+#[test]
+fn a_head_that_is_not_utf8_is_400_and_fatal() {
+    match parse_request(b"GET /api/datasets/ada/caf\xe9 HTTP/1.1\r\n\r\n", 1 << 20) {
+        ParseOutcome::Bad {
+            status: 400,
+            recoverable: false,
+            ..
+        } => {}
+        other => panic!("parsed as {other:?}"),
+    }
+}

@@ -115,13 +115,15 @@ const SUM_MARKER: &str = "\n#fnv64=";
 
 /// Bytes of the trailer every snapshot file ends with: the marker,
 /// sixteen hex digits, a newline.
-pub(crate) const TRAILER_LEN: u64 = SUM_MARKER.len() as u64 + 17;
+pub const TRAILER_LEN: u64 = SUM_MARKER.len() as u64 + 17;
 
 /// The checksum a well-formed trailer carries, given the last
-/// [`TRAILER_LEN`] bytes of a file. `None` for anything else.
-pub(crate) fn trailer_sum(tail: &[u8]) -> Option<u64> {
+/// [`TRAILER_LEN`] bytes of a file. `None` for anything else. The digits
+/// are the lowercase ones a write stamps: an uppercase one is a flipped
+/// bit (`a` ^ 0x20 is `A`), not the same sum.
+pub fn trailer_sum(tail: &[u8]) -> Option<u64> {
     let hex = tail.strip_prefix(SUM_MARKER.as_bytes())?.strip_suffix(b"\n")?;
-    if !hex.iter().all(u8::is_ascii_hexdigit) {
+    if !hex.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
         return None; // `from_str_radix` would take a sign
     }
     u64::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()

@@ -28,6 +28,9 @@ use std::path::Path;
 pub struct TailRead {
     /// Fully validated record payloads, in append order.
     pub records: Vec<Vec<u8>>,
+    /// The same records' frames, byte for byte as the file holds them
+    /// from `from` on: what a primary ships to its standbys.
+    pub frames: Vec<u8>,
     /// `ends[i]` is the offset of the byte after `records[i]` — where a
     /// reader that consumed only the first `i + 1` records resumes.
     pub ends: Vec<u64>,
@@ -79,6 +82,8 @@ pub fn read_tail(path: &Path, from: u64) -> io::Result<TailRead> {
         out.end_offset = from + end as u64;
         out.ends.push(out.end_offset);
     }
+    bytes.truncate((out.end_offset - from) as usize);
+    out.frames = bytes;
     Ok(out)
 }
 

@@ -253,6 +253,11 @@ impl<R: Read> FrameReader<R> {
         Ok(Some(&self.payload))
     }
 
+    /// Bytes of the whole frames read so far.
+    pub fn offset(&self) -> u64 {
+        self.at
+    }
+
     /// Read one frame into `payload`, or say what is wrong with it.
     fn read_frame(&mut self) -> std::result::Result<(), String> {
         let mut header = [0u8; HEADER_LEN];

@@ -403,18 +403,12 @@ fn pin_serial(s: &mut SqlShare) {
 // ---------------------------------------------------------------------
 // Replication plumbing for the in-process pair: stream the primary's
 // WAL file through `read_tail` (the server's serving path) and apply
-// each record through `apply_replicated` (the recovery path).
+// each record's payload through `apply_replicated` (the recovery path).
 // ---------------------------------------------------------------------
 
-fn record_lsn(payload: &[u8]) -> u64 {
-    json::parse(&String::from_utf8_lossy(payload))
-        .ok()
-        .and_then(|doc| doc.get("lsn").and_then(Json::as_f64))
-        .unwrap_or(0.0) as u64
-}
-
-/// Feed WAL records with `lsn <= max_lsn` from `wal` (starting at byte
-/// `from`) into `standby`. Returns the new byte offset and the raw
+/// Feed WAL records from `wal` (starting at byte `from`) into `standby`
+/// until it holds `max_lsn`: the history is linear, so each new record
+/// is the standby's next LSN. Returns the new byte offset and the raw
 /// record payloads that were fed.
 fn replicate_upto(
     wal: &std::path::Path,
@@ -427,12 +421,11 @@ fn replicate_upto(
     let mut offset = from;
     let mut fed = Vec::new();
     for payload in tail.records {
-        if record_lsn(&payload) > max_lsn {
+        if standby.last_lsn() >= max_lsn {
             break;
         }
-        let doc = json::parse(&String::from_utf8_lossy(&payload)).expect("valid record json");
-        let outcome = standby
-            .apply_replicated(&doc)
+        let (_, outcome) = standby
+            .apply_replicated(&payload)
             .expect("standby refused a current-epoch record");
         assert_ne!(
             outcome,
@@ -459,12 +452,23 @@ fn replicate_log_upto(path: &std::path::Path, to: u64, standby: &mut SqlShare) {
         if *end > to {
             break;
         }
-        let doc = json::parse(std::str::from_utf8(record).expect("utf8 query-log record"))
-            .expect("valid query-log json");
         standby
-            .apply_replicated_query_entry(&doc)
+            .apply_replicated_query_entry(record)
             .expect("standby refused a query-log entry");
     }
+}
+
+/// A `/api/repl/*` 200 body read as the frames it is: the first frame's
+/// JSON and the payloads of the frames after it, which must tile it.
+fn body_frames(body: &[u8]) -> (Json, Vec<&[u8]>) {
+    let frames: Vec<(&[u8], usize)> = sqlshare_storage::frames(body).collect();
+    assert_eq!(
+        frames.last().map_or(0, |f| f.1),
+        body.len(),
+        "the body is not whole frames"
+    );
+    let first = json::parse(std::str::from_utf8(frames[0].0).unwrap()).unwrap();
+    (first, frames[1..].iter().map(|f| f.0).collect())
 }
 
 fn file_len(path: &std::path::Path) -> u64 {
@@ -609,8 +613,7 @@ fn kill_primary_at_fifty_random_points_loses_no_acked_mutation() {
             // records: they carry a deposed epoch.
             let dead_tail = read_tail(&wal, repl_offset).expect("dead primary wal");
             if let Some(stale) = dead_tail.records.first() {
-                let doc = json::parse(&String::from_utf8_lossy(stale)).unwrap();
-                let err = standby.apply_replicated(&doc).unwrap_err();
+                let err = standby.apply_replicated(stale).unwrap_err();
                 assert_eq!(err.kind(), "read-only", "round {round}: {err}");
             }
             // The deposed primary's disk holds the un-acked tail
@@ -888,9 +891,8 @@ fn deposed_primary_with_divergent_tail_reseeds_instead_of_skipping() {
     let tail = read_tail(&b_wal, 0).expect("b wal");
     let mut saw_diverged = false;
     for payload in &tail.records {
-        let doc = json::parse(&String::from_utf8_lossy(payload)).unwrap();
-        let lsn = doc.get("lsn").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        match a.apply_replicated(&doc).expect("apply") {
+        let (lsn, outcome) = a.apply_replicated(payload).expect("apply");
+        match outcome {
             ReplApply::Duplicate => {
                 assert!(lsn <= fork_lsn, "post-fork record skipped as duplicate")
             }
@@ -917,9 +919,8 @@ fn deposed_primary_with_divergent_tail_reseeds_instead_of_skipping() {
         .unwrap();
     let tail = read_tail(&b_wal, 0).expect("b wal");
     for payload in &tail.records {
-        let doc = json::parse(&String::from_utf8_lossy(payload)).unwrap();
         assert_ne!(
-            a.apply_replicated(&doc).expect("resume"),
+            a.apply_replicated(payload).expect("resume").1,
             ReplApply::Diverged,
             "reseeded standby re-flagged divergence"
         );
@@ -955,15 +956,13 @@ fn lsn_gap_in_the_stream_forces_a_reseed() {
     let wal = primary.wal_path().unwrap();
     let tail = read_tail(&wal, 0).expect("wal");
     // Feed record 1, then record 3 — record 2 "vanished with a reset".
-    let first = json::parse(&String::from_utf8_lossy(&tail.records[0])).unwrap();
-    let third = json::parse(&String::from_utf8_lossy(&tail.records[2])).unwrap();
     assert_eq!(
-        standby.apply_replicated(&first).unwrap(),
-        ReplApply::Applied
+        standby.apply_replicated(&tail.records[0]).unwrap(),
+        (1, ReplApply::Applied)
     );
     assert_eq!(
-        standby.apply_replicated(&third).unwrap(),
-        ReplApply::Diverged,
+        standby.apply_replicated(&tail.records[2]).unwrap(),
+        (3, ReplApply::Diverged),
         "a gapped record must trigger a reseed, not an out-of-order apply"
     );
     assert_eq!(standby.last_lsn(), 1, "the gapped record must not journal");
@@ -1043,20 +1042,14 @@ fn replicated_query_entries_dedup_by_id_not_local_count() {
         primary.run_query("ada", "SELECT a FROM t").unwrap();
     }
     let qlog = primary.querylog_path().unwrap();
-    let lines: Vec<String> = read_tail(&qlog, 0)
-        .unwrap()
-        .records
-        .into_iter()
-        .map(|record| String::from_utf8(record).unwrap())
-        .collect();
+    let lines = read_tail(&qlog, 0).unwrap().records;
     assert!(lines.len() >= 4);
 
     // A reseeded standby starts mid-stream: it receives entries whose
     // upstream ids exceed its local (empty) log.
-    let feed = |standby: &mut SqlShare, lines: &[String]| {
+    let feed = |standby: &mut SqlShare, lines: &[Vec<u8>]| {
         for line in lines {
-            let doc = json::parse(line).unwrap();
-            standby.apply_replicated_query_entry(&doc).unwrap();
+            standby.apply_replicated_query_entry(line).unwrap();
         }
     };
     feed(&mut standby, &lines[2..]);
@@ -1114,8 +1107,12 @@ fn a_standby_refuses_queries_and_loses_no_replicated_log_entry() {
     // and the standby's clock follows it.
     primary.run_query("ada", "SELECT a FROM t").unwrap();
     let tail = read_tail(&primary.querylog_path().unwrap(), 0).unwrap();
-    let entry = json::parse(std::str::from_utf8(&tail.records[0]).unwrap()).unwrap();
-    assert!(standby.apply_replicated_query_entry(&entry).unwrap(), "the primary's entry was dropped");
+    assert!(
+        standby
+            .apply_replicated_query_entry(&tail.records[0])
+            .unwrap(),
+        "the primary's entry was dropped"
+    );
     assert_eq!(standby.log().entries()[0].id, 1);
     assert_eq!(clock(&standby), clock(&primary));
 
@@ -1222,6 +1219,118 @@ fn http_pair_fails_over_with_zero_acked_write_loss() {
     standby.shutdown();
     let _ = std::fs::remove_dir_all(&p_dir);
     let _ = std::fs::remove_dir_all(&s_dir);
+}
+
+// ---------------------------------------------------------------------
+// 4a. Multibyte text on the wire. Uploads and logged SQL hold characters
+//     of two and three bytes (`µg/L`, `€`, `café`); records and the
+//     reseed snapshot are over 64 KiB, the size above which the server
+//     chunks a body for an HTTP/1.1 peer in 32 KiB slices. At every one
+//     of twelve byte alignments the standby follows the primary through
+//     the WAL tail and through a snapshot reseed.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_live_pair_carries_multibyte_text_at_every_alignment() {
+    use crate::http::{HttpClient, ReplayOp};
+    use sqlshare_server::{HttpConfig, Server, ServerHandle};
+    use std::time::{Duration, Instant};
+
+    let heartbeat = Duration::from_millis(20);
+    let state = |server: &ServerHandle| {
+        server.with_service(|s| {
+            let ids: Vec<u64> = s.log().entries().iter().map(|e| e.id).collect();
+            (s.last_lsn(), s.durable_digest(), ids)
+        })
+    };
+    let in_step = |primary: &ServerHandle, standby: &ServerHandle, what: &str| {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let want = state(primary);
+        while state(standby) != want {
+            assert!(
+                Instant::now() < deadline,
+                "{what}: the standby holds (lsn, digest, log ids) {:?}, the primary {:?}",
+                state(standby),
+                want
+            );
+            std::thread::sleep(heartbeat);
+        }
+    };
+    let upload = |client: &mut HttpClient, name: &str| {
+        let mut csv = String::from("label\n");
+        for i in 0..3200 {
+            csv.push_str(&format!("{i} µg/L €€ café\n"));
+        }
+        let body = Json::object([
+            ("user", Json::str("ada")),
+            ("name", Json::str(name)),
+            ("content", Json::str(csv)),
+        ]);
+        let resp = client
+            .request(&ReplayOp::Post("/api/datasets".into(), body.to_string()))
+            .unwrap();
+        assert!(
+            resp.status < 300,
+            "upload {name}: {}",
+            String::from_utf8_lossy(&resp.body)
+        );
+    };
+
+    for pad in 0..12 {
+        let p_dir = temp_dir("utf8-p");
+        let s_dir = temp_dir("utf8-s");
+        // The third mutation snapshots and resets the primary's WAL.
+        let mut primary_svc = SqlShare::open(durable_options(&p_dir, 3)).unwrap();
+        primary_svc.register_user("ada", "ada@uw.edu").unwrap();
+        let mut primary_cfg = HttpConfig::default();
+        primary_cfg.repl.heartbeat = heartbeat;
+        let primary = Server::start(primary_svc, "127.0.0.1:0", primary_cfg).expect("bind primary");
+        let standby_svc = SqlShare::open(durable_options(&s_dir, u64::MAX)).unwrap();
+        let mut standby_cfg = HttpConfig::default();
+        standby_cfg.repl.primary = Some(primary.addr().to_string());
+        standby_cfg.repl.heartbeat = heartbeat;
+        let standby = Server::start(standby_svc, "127.0.0.1:0", standby_cfg).expect("bind standby");
+
+        // The name's length shifts every byte of the record after it.
+        let mut client = HttpClient::new(primary.addr());
+        let name = format!("probe{}", "x".repeat(pad));
+        upload(&mut client, &name);
+        let sql = format!("SELECT COUNT(*) FROM {name} WHERE label LIKE '%€€ café'");
+        let query = Json::object([("user", Json::str("ada")), ("sql", Json::str(sql))]);
+        let resp = client
+            .request(&ReplayOp::Post("/api/queries".into(), query.to_string()))
+            .unwrap();
+        assert_eq!(resp.status, 201, "{}", String::from_utf8_lossy(&resp.body));
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while state(&primary).2.is_empty() {
+            assert!(
+                Instant::now() < deadline,
+                "the primary never logged the query"
+            );
+            std::thread::sleep(heartbeat);
+        }
+        in_step(&primary, &standby, &format!("pad {pad}, streamed"));
+
+        // The snapshot resets the WAL behind the standby's cursor: it
+        // reseeds from the snapshot document, then streams the write
+        // after it from the new WAL's head.
+        upload(&mut client, &format!("{name}_again"));
+        let reset = std::fs::metadata(p_dir.join("wal.log")).map_or(0, |m| m.len()) == 0;
+        assert!(reset, "pad {pad}: the snapshot did not reset the WAL");
+        let resp = client
+            .request(&ReplayOp::Post(
+                "/api/users".into(),
+                r#"{"username":"bob","email":"bob@uw.edu"}"#.into(),
+            ))
+            .unwrap();
+        assert!(resp.status < 300, "{}", String::from_utf8_lossy(&resp.body));
+        in_step(&primary, &standby, &format!("pad {pad}, reseeded"));
+
+        standby.shutdown();
+        primary.shutdown();
+        let _ = std::fs::remove_dir_all(&p_dir);
+        let _ = std::fs::remove_dir_all(&s_dir);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1364,7 +1473,7 @@ fn demote_endpoint_refuses_epochs_that_do_not_supersede_the_lease() {
     let wal = client
         .request(&ReplayOp::Get("/api/repl/wal?from=0".into()))
         .unwrap();
-    let doc = json::parse(&String::from_utf8_lossy(&wal.body)).unwrap();
+    let (doc, _) = body_frames(&wal.body);
     assert!(
         doc.get("generation").and_then(Json::as_f64).is_some(),
         "wal poll response lacks the generation counter"
@@ -1405,8 +1514,7 @@ fn repl_tail_routes_refuse_a_missing_or_malformed_from() {
             .request(&ReplayOp::Get(format!("{route}?from=0")))
             .unwrap();
         assert_eq!(resp.status, 200, "{route}");
-        let doc = json::parse(&String::from_utf8_lossy(&resp.body)).unwrap();
-        let records = doc.get("records").and_then(Json::as_array).unwrap();
+        let (_, records) = body_frames(&resp.body);
         assert!(!records.is_empty(), "{route} shipped nothing from 0");
     }
     server.shutdown();

@@ -121,6 +121,45 @@ fn bad_json_body_is_400_and_connection_survives() {
     server.shutdown();
 }
 
+/// A body that is not UTF-8 is refused, not rewritten: read lossily, the
+/// `0xFF` inside this upload's JSON string became U+FFFD, and the upload
+/// was accepted and journaled with content nobody sent.
+#[test]
+fn non_utf8_body_is_400_and_journals_nothing() {
+    let server = start(seeded_service(10), HttpConfig::default());
+    let lsn = server.with_service(|s| s.last_lsn());
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let body = b"{\"user\":\"ada\",\"name\":\"bad\",\"content\":\"a\\n\xff\\n\"}";
+    stream
+        .write_all(
+            format!(
+                "POST /api/datasets HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    stream.write_all(body).unwrap();
+    let first = read_one_response(&mut stream);
+    assert!(first.starts_with("HTTP/1.1 400"), "{first}");
+    assert!(first.contains("bad JSON body: not UTF-8"), "{first}");
+    assert_eq!(
+        server.with_service(|s| s.last_lsn()),
+        lsn,
+        "the upload was journaled"
+    );
+    // Framing was intact, so the same connection keeps working.
+    stream
+        .write_all(b"GET /api/ready HTTP/1.1\r\n\r\n")
+        .unwrap();
+    let second = read_one_response(&mut stream);
+    assert!(second.starts_with("HTTP/1.1 200"), "{second}");
+    server.shutdown();
+}
+
 /// Hostile nesting: a request body nested deeper than the JSON
 /// decoder's cap, and queries whose parse trees would be deeper than the
 /// SQL parser's bound. Each is refused with a 4xx and the server keeps

@@ -133,9 +133,8 @@ fn replicate(wal: &Path, from: u64, standby: &mut SqlShare) -> u64 {
     let tail = read_tail(wal, from).expect("read primary wal tail");
     assert!(!tail.reset, "primary WAL reset unexpectedly");
     for payload in &tail.records {
-        let doc = json::parse(&String::from_utf8_lossy(payload)).expect("valid record json");
         standby
-            .apply_replicated(&doc)
+            .apply_replicated(payload)
             .expect("standby refused a record");
     }
     tail.end_offset
